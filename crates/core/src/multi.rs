@@ -7,7 +7,7 @@
 //! the whole family controlling the living room from their own devices,
 //! every screen kept consistent.
 
-use crate::server::{ServerStats, UniIntServer};
+use crate::server::{EncodeMemo, ServerStats, UniIntServer};
 use uniint_protocol::message::{ClientMessage, ServerMessage};
 use uniint_telemetry::registry::Registry;
 use uniint_wsys::ui::Ui;
@@ -111,10 +111,15 @@ impl MultiServer {
     /// Renders once, distributes new damage (and the bell) to every
     /// client, and answers all pending update requests. Returns per-client
     /// message batches (empty batches omitted).
+    ///
+    /// Each damaged rect is encoded once per pump for every distinct
+    /// `(pixel format, allowed encodings)` among the clients owed it;
+    /// clients that share that key are sent copies of the same payload.
     pub fn pump_all(&mut self, ui: &mut Ui) -> Vec<(ClientId, Vec<ServerMessage>)> {
         ui.render();
         let bell = ui.take_bell();
         let damage = ui.framebuffer_mut().take_damage();
+        let mut memo = EncodeMemo::default();
         let mut out = Vec::new();
         for (id, slot) in self.clients.iter_mut().enumerate() {
             let Some(server) = slot else { continue };
@@ -123,7 +128,7 @@ impl MultiServer {
                 msgs.push(ServerMessage::Bell);
             }
             server.add_damage(&damage);
-            msgs.extend(server.answer_pending(ui));
+            msgs.extend(server.answer_pending(ui, &mut memo));
             if !msgs.is_empty() {
                 out.push((id, msgs));
             }
@@ -347,5 +352,279 @@ mod disconnect_tests {
         let batches = rig.server.pump_all(&mut rig.ui);
         assert_eq!(batches.len(), 1);
         assert_eq!(batches[0].0, 1);
+    }
+}
+
+#[cfg(test)]
+mod sharing_tests {
+    use super::*;
+    use crate::proxy::UniIntProxy;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use uniint_protocol::encoding::{decode_rect, DecodedRect, Encoding};
+    use uniint_protocol::input::InputEvent;
+    use uniint_protocol::message::RectUpdate;
+    use uniint_raster::color::Color;
+    use uniint_raster::framebuffer::Framebuffer;
+    use uniint_raster::geom::Rect;
+    use uniint_raster::pixel::PixelFormat;
+    use uniint_wsys::prelude::{Button, Theme, Toggle};
+
+    /// The toggles the seeded script clicks.
+    fn toggle_rects() -> Vec<Rect> {
+        (0..6)
+            .map(|i| Rect::new(8 + (i % 3) * 50, 8 + (i / 3) * 50, 44, 40))
+            .collect()
+    }
+
+    fn panel() -> Ui {
+        let mut ui = Ui::new(160, 120, Theme::classic(), "shared");
+        for (i, r) in toggle_rects().into_iter().enumerate() {
+            ui.add(Toggle::new(format!("T{i}"), i % 2 == 0), r);
+        }
+        ui.add(Button::new("Power"), Rect::new(8, 100, 60, 16));
+        ui
+    }
+
+    /// What a viewer asks the server for, whatever its proxy says: the
+    /// test rewrites the proxy's `SetPixelFormat`, `SetEncodings` and
+    /// `UpdateRequest` messages to these.
+    #[derive(Debug, Clone, Copy)]
+    struct Policy {
+        format: PixelFormat,
+        encodings: &'static [Encoding],
+        /// Area every update request is narrowed to.
+        clip: Option<Rect>,
+    }
+
+    impl Policy {
+        const FULL: Policy = Policy {
+            format: PixelFormat::Rgb888,
+            encodings: &Encoding::ALL,
+            clip: None,
+        };
+
+        fn rewrite(self, msg: ClientMessage) -> ClientMessage {
+            match msg {
+                ClientMessage::SetPixelFormat(_) => ClientMessage::SetPixelFormat(self.format),
+                ClientMessage::SetEncodings(_) => {
+                    ClientMessage::SetEncodings(self.encodings.to_vec())
+                }
+                ClientMessage::UpdateRequest { incremental, rect } => {
+                    ClientMessage::UpdateRequest {
+                        incremental,
+                        rect: self.clip.unwrap_or(rect),
+                    }
+                }
+                other => other,
+            }
+        }
+    }
+
+    struct Viewer {
+        proxy: UniIntProxy,
+        policy: Policy,
+        registry: Registry,
+        /// Every update received: its format and rects.
+        updates: Vec<(PixelFormat, Vec<RectUpdate>)>,
+    }
+
+    /// One panel watched by viewers with the given policies.
+    struct Mixed {
+        ui: Ui,
+        server: MultiServer,
+        viewers: Vec<Viewer>,
+    }
+
+    impl Mixed {
+        fn new(policies: &[Policy]) -> Mixed {
+            let mut m = Mixed {
+                ui: panel(),
+                server: MultiServer::new(),
+                viewers: Vec::new(),
+            };
+            for (i, &policy) in policies.iter().enumerate() {
+                let registry = Registry::new();
+                assert_eq!(m.server.accept_with_telemetry(&m.ui, registry.clone()), i);
+                m.viewers.push(Viewer {
+                    proxy: UniIntProxy::new(format!("viewer-{i}")),
+                    policy,
+                    registry,
+                    updates: Vec::new(),
+                });
+            }
+            for i in 0..policies.len() {
+                let hello = m.viewers[i].proxy.connect();
+                m.deliver(i, hello);
+            }
+            m.settle();
+            m
+        }
+
+        fn deliver(&mut self, id: ClientId, msgs: Vec<ClientMessage>) {
+            for msg in msgs {
+                let msg = self.viewers[id].policy.rewrite(msg);
+                let replies = self.server.handle_message(&mut self.ui, id, msg);
+                self.receive(id, replies);
+            }
+        }
+
+        fn receive(&mut self, id: ClientId, msgs: Vec<ServerMessage>) {
+            for msg in msgs {
+                let viewer = &mut self.viewers[id];
+                if let ServerMessage::Update { format, rects, .. } = &msg {
+                    viewer.updates.push((*format, rects.clone()));
+                }
+                let back = viewer.proxy.handle_server(&msg).expect("clean wire");
+                self.deliver(id, back.messages);
+            }
+        }
+
+        fn settle(&mut self) {
+            loop {
+                let batches = self.server.pump_all(&mut self.ui);
+                if batches.is_empty() {
+                    break;
+                }
+                for (id, msgs) in batches {
+                    self.receive(id, msgs);
+                }
+            }
+        }
+
+        /// Clicks seeded toggles on the panel, settling after each.
+        fn click(&mut self, seed: u64, clicks: usize) {
+            let toggles = toggle_rects();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..clicks {
+                let t = toggles[rng.gen_range(0..toggles.len())];
+                let (x, y) = (t.x as u32 + t.w / 2, t.y as u32 + t.h / 2);
+                for ev in InputEvent::click(x as u16, y as u16) {
+                    self.ui.dispatch(ev);
+                }
+                self.settle();
+            }
+        }
+
+        fn stats(&self, id: ClientId) -> ServerStats {
+            let counter = |name: &str| self.viewers[id].registry.counter(name).get();
+            ServerStats {
+                updates_sent: counter("server.updates_sent"),
+                rects_sent: counter("server.rects_sent"),
+                payload_bytes: counter("server.payload_bytes"),
+                inputs_injected: counter("server.inputs_injected"),
+                health_reports: counter("server.health_reports"),
+            }
+        }
+    }
+
+    /// The pixels of `fb` within `area`, reduced to `format`.
+    fn reduced(fb: &Framebuffer, area: Rect, format: PixelFormat) -> Vec<Color> {
+        let (_, px) = fb.read_rect(area);
+        px.into_iter().map(|c| format.reduce(c)).collect()
+    }
+
+    #[test]
+    fn viewers_with_equal_keys_share_identical_rects() {
+        let clip = Rect::new(0, 0, 80, 60);
+        let mut policies = vec![Policy::FULL; 4];
+        policies.push(Policy {
+            format: PixelFormat::Mono1,
+            ..Policy::FULL
+        });
+        policies.push(Policy {
+            encodings: &[Encoding::Raw],
+            ..Policy::FULL
+        });
+        policies.push(Policy {
+            clip: Some(clip),
+            ..Policy::FULL
+        });
+        let (mono, raw, clipped) = (4, 5, 6);
+        for seed in [1, 2, 3] {
+            let mut mixed = Mixed::new(&policies);
+            mixed.click(seed, 30);
+            let v = &mixed.viewers;
+
+            // The four full viewers were sent the very same updates.
+            assert!(v[0].updates.len() > 30, "seed {seed}: every click updates");
+            for other in &v[1..4] {
+                assert_eq!(other.updates, v[0].updates, "seed {seed}");
+            }
+            // The rest got their own format, encoding or clip.
+            assert_eq!(v[mono].updates.len(), v[0].updates.len());
+            for ((f, mono_rects), (_, full_rects)) in v[mono].updates.iter().zip(&v[0].updates) {
+                assert_eq!(*f, PixelFormat::Mono1);
+                let areas = |rs: &[RectUpdate]| rs.iter().map(|r| r.rect).collect::<Vec<_>>();
+                assert_eq!(areas(mono_rects), areas(full_rects), "same damage");
+            }
+            let raw_rects = v[raw].updates.iter().flat_map(|(_, rs)| rs);
+            assert!(raw_rects.clone().all(|r| r.encoding == Encoding::Raw));
+            assert!(raw_rects.count() > 0);
+            let clipped_rects = v[clipped].updates.iter().flat_map(|(_, rs)| rs);
+            assert!(clipped_rects.clone().all(|r| clip.contains_rect(r.rect)));
+            assert!(clipped_rects.count() > 0);
+
+            // Every proxy holds the panel reduced to its format.
+            let panel = mixed.ui.framebuffer();
+            for (i, viewer) in v.iter().enumerate() {
+                let frame = viewer.proxy.server_frame().unwrap();
+                let area = viewer.policy.clip.unwrap_or(panel.bounds());
+                assert_eq!(
+                    frame.read_rect(area).1,
+                    reduced(panel, area, viewer.policy.format),
+                    "seed {seed} viewer {i}"
+                );
+            }
+
+            // Sharing is invisible per client: each one's stats and
+            // updates equal those of a run where it watches alone.
+            for (i, viewer) in v.iter().enumerate() {
+                let mut solo = Mixed::new(&[viewer.policy]);
+                solo.click(seed, 30);
+                assert_eq!(mixed.stats(i), solo.stats(0), "seed {seed} viewer {i}");
+                assert_eq!(
+                    viewer.updates, solo.viewers[0].updates,
+                    "seed {seed} viewer {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn copyrect_only_client_is_sent_raw() {
+        let mut ui = panel();
+        let mut server = MultiServer::new();
+        let id = server.accept(&ui);
+        let bounds = ui.framebuffer().bounds();
+        let mut replies = Vec::new();
+        for msg in [
+            ClientMessage::Hello {
+                version: 1,
+                name: "copyrect-only".into(),
+            },
+            ClientMessage::SetEncodings(vec![Encoding::CopyRect]),
+            ClientMessage::UpdateRequest {
+                incremental: false,
+                rect: bounds,
+            },
+        ] {
+            replies = server.handle_message(&mut ui, id, msg);
+        }
+        let [ServerMessage::Update { format, rects, .. }] = &replies[..] else {
+            panic!("expected one update, got {replies:?}");
+        };
+        let mut fb = Framebuffer::new(bounds.w, bounds.h, Color::BLACK);
+        for r in rects {
+            assert_eq!(r.encoding, Encoding::Raw);
+            let mut payload: &[u8] = &r.payload;
+            let DecodedRect::Pixels(px) =
+                decode_rect(&mut payload, r.rect, r.encoding, *format).expect("raw decodes")
+            else {
+                panic!("raw carries pixels");
+            };
+            fb.write_rect(r.rect, &px);
+        }
+        assert_eq!(&fb, ui.framebuffer());
     }
 }

@@ -9,6 +9,7 @@
 use std::collections::VecDeque;
 use uniint_protocol::encoding::{choose_encoding, encode_rect, Encoding};
 use uniint_protocol::message::{ClientMessage, RectUpdate, ServerMessage, PROTOCOL_VERSION};
+use uniint_raster::framebuffer::Framebuffer;
 use uniint_raster::geom::Rect;
 use uniint_raster::pixel::PixelFormat;
 use uniint_raster::region::Region;
@@ -19,6 +20,61 @@ use uniint_wsys::ui::Ui;
 /// How many sent updates the server retains for incremental resume. A
 /// `Resume` pointing further back than this falls back to full damage.
 pub const RESUME_RETENTION: usize = 64;
+
+/// Rects encoded during one pump, shared by every client it answers.
+///
+/// An encoded rect depends only on the framebuffer's pixels, the clipped
+/// rect, the client's pixel format and its allowed encodings. While a
+/// pump holds `&Ui` the pixels cannot change, so two clients with equal
+/// `(rect, format, encodings)` would produce byte-identical output: the
+/// second gets a copy of the first one's instead of a second encode. A
+/// memo must not outlive its pump, because the next may see new pixels.
+#[derive(Debug, Default)]
+pub(crate) struct EncodeMemo {
+    entries: Vec<Encoded>,
+}
+
+/// One memo entry: a key and the rect it encoded to.
+#[derive(Debug)]
+struct Encoded {
+    format: PixelFormat,
+    encodings: Vec<Encoding>,
+    update: RectUpdate,
+}
+
+impl EncodeMemo {
+    /// The update for damaged rect `r` clipped to `fb`, in `format` and
+    /// restricted to `encodings`; `None` when `r` lies outside `fb`.
+    fn encode(
+        &mut self,
+        fb: &Framebuffer,
+        r: Rect,
+        format: PixelFormat,
+        encodings: &[Encoding],
+    ) -> Option<RectUpdate> {
+        let clipped = r.intersect(fb.bounds())?;
+        let hit = self
+            .entries
+            .iter()
+            .find(|e| e.update.rect == clipped && e.format == format && e.encodings == encodings);
+        if let Some(e) = hit {
+            return Some(e.update.clone());
+        }
+        let (_, pixels) = fb.read_rect(clipped);
+        let encoding = choose_encoding(&pixels, clipped, encodings);
+        let update = RectUpdate {
+            rect: clipped,
+            encoding,
+            payload: encode_rect(&pixels, clipped, encoding, format),
+        };
+        self.entries.push(Encoded {
+            format,
+            encodings: encodings.to_vec(),
+            update: update.clone(),
+        });
+        Some(update)
+    }
+}
 
 /// Per-client protocol state.
 #[derive(Debug)]
@@ -269,7 +325,7 @@ impl UniIntServer {
         }
         let new_damage = ui.framebuffer_mut().take_damage();
         self.add_damage(&new_damage);
-        out.extend(self.answer_pending(ui));
+        out.extend(self.answer_pending(ui, &mut EncodeMemo::default()));
         out
     }
 
@@ -283,8 +339,10 @@ impl UniIntServer {
     }
 
     /// Answers the client's pending update request from the already
-    /// rendered framebuffer, without draining new damage.
-    pub fn answer_pending(&mut self, ui: &Ui) -> Vec<ServerMessage> {
+    /// rendered framebuffer, without draining new damage. Rects are
+    /// encoded through `memo`, which the caller shares between all the
+    /// clients it answers from one unchanged framebuffer.
+    pub(crate) fn answer_pending(&mut self, ui: &Ui, memo: &mut EncodeMemo) -> Vec<ServerMessage> {
         let mut out = Vec::new();
         let Some(c) = &mut self.client else {
             return out;
@@ -306,20 +364,13 @@ impl UniIntServer {
         let mut rects = Vec::with_capacity(to_send.rect_count());
         let mut update_bytes = 0u64;
         for &r in to_send.rects() {
-            let (clipped, pixels) = fb.read_rect(r);
-            if clipped.is_empty() {
+            let Some(update) = memo.encode(fb, r, c.format, &c.encodings) else {
                 continue;
-            }
-            let encoding = choose_encoding(&pixels, clipped, &c.encodings);
-            let payload = encode_rect(&pixels, clipped, encoding, c.format);
+            };
             self.metrics.rects_sent.inc();
-            self.metrics.payload_bytes.add(payload.len() as u64);
-            update_bytes += payload.len() as u64;
-            rects.push(RectUpdate {
-                rect: clipped,
-                encoding,
-                payload,
-            });
+            self.metrics.payload_bytes.add(update.payload.len() as u64);
+            update_bytes += update.payload.len() as u64;
+            rects.push(update);
         }
         if !rects.is_empty() {
             self.metrics.updates_sent.inc();
@@ -555,6 +606,37 @@ mod tests {
         assert_eq!(s.updates_sent, 1);
         assert!(s.rects_sent >= 1);
         assert!(s.payload_bytes > 0);
+    }
+
+    #[test]
+    fn memo_encodes_each_key_once() {
+        let (mut ui, _) = session();
+        ui.render();
+        let fb = ui.framebuffer();
+        let button = Rect::new(0, 0, 80, 40);
+        let all = &Encoding::ALL[..];
+        let mut memo = EncodeMemo::default();
+        let first = memo.encode(fb, button, PixelFormat::Rgb888, all).unwrap();
+        let again = memo.encode(fb, button, PixelFormat::Rgb888, all).unwrap();
+        assert_eq!(again, first);
+        assert_eq!(memo.entries.len(), 1, "a repeated key is not encoded again");
+        let (_, px) = fb.read_rect(button);
+        assert_eq!(first.encoding, choose_encoding(&px, button, all));
+        assert_eq!(
+            first.payload,
+            encode_rect(&px, button, first.encoding, PixelFormat::Rgb888)
+        );
+        // A different format, encoding list or rect is a different key.
+        memo.encode(fb, button, PixelFormat::Mono1, all);
+        memo.encode(fb, button, PixelFormat::Rgb888, &[Encoding::Raw]);
+        memo.encode(fb, Rect::new(0, 0, 80, 20), PixelFormat::Rgb888, all);
+        assert_eq!(memo.entries.len(), 4);
+        // Rects are keyed by their clip to the framebuffer.
+        let hanging = memo.encode(fb, Rect::new(100, 100, 500, 500), PixelFormat::Rgb888, all);
+        assert_eq!(hanging.unwrap().rect, Rect::new(100, 100, 60, 20));
+        assert!(memo
+            .encode(fb, Rect::new(500, 500, 10, 10), PixelFormat::Rgb888, all)
+            .is_none());
     }
 
     #[test]

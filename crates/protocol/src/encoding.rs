@@ -568,42 +568,64 @@ fn decode_palette_rle(buf: &mut impl Buf, rect: Rect, fmt: PixelFormat) -> Resul
     }
 }
 
+/// How many distinct colours [`choose_encoding`] counts before it stops
+/// scanning: one more than the most it treats as "few".
+const CHOOSE_DISTINCT_CAP: usize = 65;
+
 /// Picks a good encoding for `pixels` by content inspection: solid and
 /// low-color rects go to RRE, mid-complexity to Hextile, photographic
 /// content to Raw. `allowed` restricts the choice (from `SetEncodings`).
+///
+/// Never returns [`Encoding::CopyRect`], which carries no pixels: when
+/// `allowed` names no pixel encoding the answer is [`Encoding::Raw`],
+/// which every client decodes.
 pub fn choose_encoding(pixels: &[Color], rect: Rect, allowed: &[Encoding]) -> Encoding {
     let allows = |e: Encoding| allowed.contains(&e);
-    let mut distinct = std::collections::HashSet::new();
+    // One scanline-order pass counting colour transitions and distinct
+    // colours, stopping at the pixel that brings in the 65th colour. A
+    // pixel repeating its predecessor costs one comparison; only a
+    // transition scans the (at most 64-entry) table of colours seen.
+    let mut seen = [0u32; CHOOSE_DISTINCT_CAP];
+    let mut distinct = 0usize;
     let mut transitions = 0usize;
     let mut prev: Option<Color> = None;
     for &p in pixels {
-        distinct.insert(p.to_u32());
-        if prev != Some(p) {
-            transitions += 1;
-            prev = Some(p);
+        if prev == Some(p) {
+            continue;
         }
-        if distinct.len() > 64 {
-            break;
+        prev = Some(p);
+        transitions += 1;
+        let c = p.to_u32();
+        if !seen[..distinct].contains(&c) {
+            seen[distinct] = c;
+            distinct += 1;
+            if distinct == CHOOSE_DISTINCT_CAP {
+                break;
+            }
         }
     }
     let area = rect.area().max(1) as usize;
     let density = transitions as f64 / area as f64;
-    if distinct.len() <= 2 && allows(Encoding::Rre) {
+    if distinct <= 2 && allows(Encoding::Rre) {
         return Encoding::Rre;
     }
-    if distinct.len() <= 64 && allows(Encoding::PaletteRle) {
+    if distinct <= 64 && allows(Encoding::PaletteRle) {
         return Encoding::PaletteRle;
     }
     if density < 0.05 && allows(Encoding::Rle) {
         return Encoding::Rle;
     }
-    if distinct.len() <= 64 && allows(Encoding::Hextile) {
+    if distinct <= 64 && allows(Encoding::Hextile) {
         return Encoding::Hextile;
     }
     if allows(Encoding::Raw) {
         return Encoding::Raw;
     }
-    *allowed.first().unwrap_or(&Encoding::Raw)
+    allowed
+        .iter()
+        .copied()
+        .find(|&e| e != Encoding::CopyRect)
+        .unwrap_or(Encoding::Raw)
 }
 
 #[cfg(test)]

@@ -3,8 +3,9 @@
 //! arbitrary bytes (robustness against hostile/corrupt streams).
 
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use uniint_protocol::encoding::{
-    decode_rect, encode_copy_rect, encode_rect, DecodedRect, Encoding,
+    choose_encoding, decode_rect, encode_copy_rect, encode_rect, DecodedRect, Encoding,
 };
 use uniint_protocol::input::{ButtonMask, InputEvent, KeySym};
 use uniint_protocol::message::{
@@ -258,5 +259,97 @@ proptest! {
             // must never panic or read past the buffer.
             let _ = decode_rect(&mut cursor, rect, enc, PixelFormat::Rgb888);
         }
+    }
+}
+
+/// Rects drawn from a palette of up to 80 colours in runs of up to 120
+/// pixels: they straddle both the 64-colour cut-off and the 5 % run
+/// density `choose_encoding` decides on.
+fn arb_palette_image() -> impl Strategy<Value = (Rect, Vec<Color>)> {
+    (
+        1u32..48,
+        1u32..32,
+        proptest::collection::vec(arb_color(), 1..80),
+        proptest::collection::vec((any::<u8>(), 1usize..120), 1..40),
+    )
+        .prop_map(|(w, h, palette, runs)| {
+            let area = (w * h) as usize;
+            let px = runs
+                .iter()
+                .cycle()
+                .flat_map(|&(i, n)| std::iter::repeat_n(palette[i as usize % palette.len()], n))
+                .take(area)
+                .collect();
+            (Rect::new(0, 0, w, h), px)
+        })
+}
+
+fn arb_noise_image() -> impl Strategy<Value = (Rect, Vec<Color>)> {
+    (1u32..48, 1u32..32).prop_flat_map(|(w, h)| {
+        proptest::collection::vec(arb_color(), (w * h) as usize)
+            .prop_map(move |px| (Rect::new(0, 0, w, h), px))
+    })
+}
+
+/// Strips of 1 200–1 400 pixels holding 60–70 colours in equal runs of
+/// at most 18: when the scan stops at the 65th colour it has counted 65
+/// transitions, about 5 % of the area, so an off-by-one at the cut-off
+/// flips Rle against Hextile.
+fn arb_cutoff_image() -> impl Strategy<Value = (Rect, Vec<Color>)> {
+    (1u32..=4, 1200u32..1400, 60usize..=70, 1usize..=18).prop_map(|(h, area, colours, run)| {
+        let w = area / h;
+        let px = (0..(w * h) as usize)
+            .map(|i| Color::rgb((i / run % colours) as u8, 7, 3))
+            .collect();
+        (Rect::new(0, 0, w, h), px)
+    })
+}
+
+/// `choose_encoding` written out plainly: the first pixels up to the one
+/// that brings in the 65th distinct colour are inspected, and the first
+/// allowed encoding whose condition holds wins.
+fn reference_choice(pixels: &[Color], allowed: &[Encoding]) -> Encoding {
+    let mut distinct = BTreeSet::new();
+    let mut inspected = pixels;
+    for (i, p) in pixels.iter().enumerate() {
+        distinct.insert(p.to_u32());
+        if distinct.len() == 65 {
+            inspected = &pixels[..=i];
+            break;
+        }
+    }
+    let transitions =
+        inspected.len().min(1) + inspected.windows(2).filter(|w| w[0] != w[1]).count();
+    let density = transitions as f64 / pixels.len().max(1) as f64;
+    let few = distinct.len() <= 64;
+    [
+        (distinct.len() <= 2, Encoding::Rre),
+        (few, Encoding::PaletteRle),
+        (density < 0.05, Encoding::Rle),
+        (few, Encoding::Hextile),
+        (true, Encoding::Raw),
+    ]
+    .into_iter()
+    .find(|&(holds, e)| holds && allowed.contains(&e))
+    .map(|(_, e)| e)
+    .or_else(|| allowed.iter().copied().find(|&e| e != Encoding::CopyRect))
+    .unwrap_or(Encoding::Raw)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn choose_encoding_matches_reference(
+        (rect, px) in prop_oneof![
+            3 => arb_palette_image(),
+            1 => arb_noise_image(),
+            1 => arb_cutoff_image(),
+        ],
+        allowed in proptest::collection::vec(proptest::sample::select(Encoding::ALL.to_vec()), 0..5),
+    ) {
+        let chosen = choose_encoding(&px, rect, &allowed);
+        prop_assert_eq!(chosen, reference_choice(&px, &allowed));
+        prop_assert_ne!(chosen, Encoding::CopyRect);
     }
 }
