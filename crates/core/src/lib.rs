@@ -20,6 +20,8 @@
 //!   remote and the TV;
 //! - [`session`] wires the pieces end-to-end, in memory or across the
 //!   network simulator;
+//! - [`resume`] is the reconnect/resume state machine every transport
+//!   drives to recover from a broken connection;
 //! - [`supervisor`] hardens the device boundary: plug-in calls run in
 //!   fault-isolating shims, per-device health drives quarantine and
 //!   automatic failover, and a built-in fallback terminal keeps the
@@ -33,6 +35,7 @@ pub mod coordinator;
 pub mod multi;
 pub mod plugin;
 pub mod proxy;
+pub mod resume;
 pub mod sensors;
 pub mod server;
 pub mod session;

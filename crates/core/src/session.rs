@@ -1,13 +1,13 @@
 //! End-to-end sessions wiring application window, UniInt server and
 //! UniInt proxy together — in memory ([`LocalSession`]) or across the
-//! network simulator ([`SimSession`]).
+//! network simulator ([`SimSession`]), whose connection recovery is a
+//! thin driver around [`crate::resume::ResumeMachine`].
 
 use crate::plugin::{DeviceEvent, DeviceFrame};
 use crate::proxy::UniIntProxy;
+use crate::resume::{BackoffPolicy, Reattach, ResumeMachine, Stalled};
 use crate::server::UniIntServer;
 use crate::tap::{Direction, SharedTap};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use uniint_netsim::link::LinkProfile;
 use uniint_netsim::sim::{Endpoint, Simulator};
 use uniint_protocol::error::ProtocolError;
@@ -28,6 +28,12 @@ pub enum SessionError {
         /// Reconnect attempts made before giving up.
         attempts: u32,
     },
+}
+
+impl From<Stalled> for SessionError {
+    fn from(Stalled { attempts }: Stalled) -> SessionError {
+        SessionError::Stalled { attempts }
+    }
 }
 
 impl From<ProtocolError> for SessionError {
@@ -169,15 +175,12 @@ impl LocalSession {
     }
 }
 
-/// First backoff delay before a reconnect attempt, microseconds.
-const BACKOFF_BASE_US: u64 = 20_000;
-/// Backoff delay ceiling, microseconds.
-const BACKOFF_CAP_US: u64 = 1_000_000;
-/// Reconnect attempts per stall before declaring the session dead.
-const MAX_BACKOFF_ATTEMPTS: u32 = 16;
-/// Consecutive resume attempts that may die on the wire before the
-/// session escalates to a full refresh instead of an incremental one.
-const MAX_FAILED_RESUMES: u32 = 3;
+/// The simulator's reconnect schedule: 20 ms doubling to 1 s, 16 tries.
+const BACKOFF: BackoffPolicy = BackoffPolicy {
+    base_us: 20_000,
+    cap_us: 1_000_000,
+    max_attempts: 16,
+};
 
 /// A session whose server↔proxy wire crosses the discrete-event network
 /// simulator, with full protocol serialization. Used to measure update
@@ -186,14 +189,11 @@ const MAX_FAILED_RESUMES: u32 = 3;
 /// The session is **self-healing**: hard link faults (flap windows,
 /// Gilbert–Elliott burst drops) tear the simulated connection down, and
 /// [`SimSession::settle`] detects the stall (network idle while the link
-/// is down), reconnects with exponential backoff plus deterministic
-/// jitter, and resumes the protocol session incrementally — the proxy
-/// asks the server to replay only the updates it missed
-/// ([`ClientMessage::Resume`]) and retransmits its own lost client
-/// messages from a session-side log once the server reports how many it
-/// received ([`ServerMessage::ResumeAck`]). After `MAX_FAILED_RESUMES`
-/// resume attempts are themselves lost, the session falls back to a full
-/// framebuffer refresh. All recovery activity is visible in
+/// is down) and drives a [`ResumeMachine`] through the recovery: it
+/// waits out each backoff delay on the virtual clock, reconnects the
+/// simulated link and sends what the machine asks for — a `Resume`, the
+/// client messages the server reports missing, and after repeated lost
+/// resumes a full refresh. All recovery activity is visible in
 /// [`crate::proxy::ProxyStats`].
 #[derive(Debug)]
 pub struct SimSession {
@@ -209,22 +209,8 @@ pub struct SimSession {
     proxy_rx: FrameReader,
     last_frame: Option<DeviceFrame>,
     frames_delivered: u64,
-    /// Every client message sent this session except `Resume`, in send
-    /// order, minus an already-acknowledged prefix of `log_offset`
-    /// messages. The server counts received client messages the same
-    /// way, so `ResumeAck::client_msgs_received` indexes straight into
-    /// this log: everything at or past that count was lost in flight
-    /// and is retransmitted verbatim.
-    client_log: Vec<ClientMessage>,
-    /// Messages dropped from the front of `client_log` (known received).
-    log_offset: u64,
-    /// Dedicated RNG for backoff jitter, seeded from the connect seed so
-    /// recovery timing is exactly reproducible.
-    backoff_rng: StdRng,
-    /// A `Resume` is on the wire and unacknowledged.
-    resume_pending: bool,
-    /// Consecutive resumes that stalled again before their ack arrived.
-    failed_resumes: u32,
+    /// Retransmission log, backoff and resume state.
+    resume: ResumeMachine,
     /// Flight-recorder tap, if any: sees every client message the server
     /// consumes and every server message it produces (channel 0),
     /// stamped with virtual time. `None` costs one branch per message.
@@ -262,16 +248,11 @@ impl SimSession {
             proxy_rx: FrameReader::new(),
             last_frame: None,
             frames_delivered: 0,
-            client_log: Vec::new(),
-            log_offset: 0,
-            backoff_rng: StdRng::seed_from_u64(seed ^ 0x5e55_10e5_b0ff_0e5e),
-            resume_pending: false,
-            failed_resumes: 0,
+            resume: ResumeMachine::new(BACKOFF, seed),
             recorder,
         };
-        for m in s.proxy.connect() {
-            s.send_logged(m);
-        }
+        let hello = s.proxy.connect();
+        s.send_logged(hello);
         s.settle(ui)?;
         Ok(s)
     }
@@ -316,9 +297,8 @@ impl SimSession {
     /// Injects a device event at the proxy side and advances the network
     /// until idle.
     pub fn device_input(&mut self, ui: &mut Ui, ev: &DeviceEvent) -> Result<(), SessionError> {
-        for m in self.proxy.device_input(ev) {
-            self.send_logged(m);
-        }
+        let msgs = self.proxy.device_input(ev);
+        self.send_logged(msgs);
         self.settle(ui)
     }
 
@@ -330,21 +310,16 @@ impl SimSession {
         ui: &mut Ui,
         msgs: Vec<ClientMessage>,
     ) -> Result<(), SessionError> {
-        for m in msgs {
-            self.send_logged(m);
-        }
+        self.send_logged(msgs);
         self.settle(ui)
     }
 
-    /// Sends a client message and appends it to the retransmission log.
-    ///
-    /// Every regular client message must travel through here so the log
-    /// stays aligned with the server's received-message count; `Resume`
-    /// itself and retransmissions bypass it (the server excludes the
-    /// former from its count, and the latter are already logged).
-    fn send_logged(&mut self, m: ClientMessage) {
-        self.sim.send(self.proxy_ep, encode_client(&m));
-        self.client_log.push(m);
+    /// Sends regular client messages and logs them for retransmission.
+    fn send_logged(&mut self, msgs: Vec<ClientMessage>) {
+        for m in msgs {
+            self.sim.send(self.proxy_ep, encode_client(&m));
+            self.resume.sent(m);
+        }
     }
 
     /// Flushes application-side UI changes into the network and runs it
@@ -387,16 +362,19 @@ impl SimSession {
                     ..
                 } = &msg
                 {
-                    self.on_resume_ack(*client_msgs_received);
+                    let resend = self
+                        .resume
+                        .resume_acked(&mut self.proxy, *client_msgs_received);
+                    for m in resend {
+                        self.sim.send(self.proxy_ep, encode_client(m));
+                    }
                 }
                 let out = self.proxy.handle_server(&msg)?;
                 if let Some(f) = out.frame {
                     self.last_frame = Some(f);
                     self.frames_delivered += 1;
                 }
-                for m in out.messages {
-                    self.send_logged(m);
-                }
+                self.send_logged(out.messages);
             }
         }
     }
@@ -411,79 +389,22 @@ impl SimSession {
         self.sim.send(self.server_ep, bytes);
     }
 
-    /// Brings a torn-down link back up (exponential backoff + jitter)
-    /// and restarts the protocol conversation on top of it.
+    /// Brings a torn-down link back up under the backoff schedule and
+    /// restarts the protocol conversation on top of it.
     fn recover_connection(&mut self) -> Result<(), SessionError> {
         // Records elapsed virtual time into `session.recovery_us` when
         // it drops, whichever way the recovery ends.
         let _span = self.proxy.telemetry().span("session.recovery");
-        self.proxy.record_stall();
-        let mut delay = BACKOFF_BASE_US;
-        let mut attempts = 0u32;
-        loop {
-            if attempts >= MAX_BACKOFF_ATTEMPTS {
-                return Err(SessionError::Stalled { attempts });
-            }
-            attempts += 1;
-            self.proxy.record_backoff_attempt();
-            let jitter = self.backoff_rng.gen_range(0..=delay / 4);
-            self.sim.advance(delay + jitter);
-            if self.sim.reconnect(self.proxy_ep) {
-                break;
-            }
-            delay = (delay * 2).min(BACKOFF_CAP_US);
+        self.sim.advance(self.resume.link_broke(&mut self.proxy)?);
+        while !self.sim.reconnect(self.proxy_ep) {
+            self.sim
+                .advance(self.resume.attempt_failed(&mut self.proxy)?);
         }
-        if !self.proxy.is_connected() {
-            // The break beat the handshake: nothing to resume, start over.
-            self.client_log.clear();
-            self.log_offset = 0;
-            self.resume_pending = false;
-            self.failed_resumes = 0;
-            for m in self.proxy.connect() {
-                self.send_logged(m);
-            }
-            return Ok(());
-        }
-        if self.resume_pending {
-            self.failed_resumes += 1;
-        }
-        self.resume_pending = true;
-        // Resume is deliberately not logged: the server leaves it out of
-        // its received-message count.
-        let resume = self.proxy.make_resume();
-        self.sim.send(self.proxy_ep, encode_client(&resume));
-        if self.failed_resumes >= MAX_FAILED_RESUMES {
-            // Incremental resume keeps dying on the wire — escalate to a
-            // full refresh (lost inputs are still retransmitted when the
-            // ResumeAck for the resume above lands).
-            self.failed_resumes = 0;
-            for m in self.proxy.recover() {
-                self.send_logged(m);
-            }
+        match self.resume.reconnected(&mut self.proxy) {
+            Reattach::Fresh(msgs) => self.send_logged(msgs),
+            Reattach::Resume(resume) => self.sim.send(self.proxy_ep, encode_client(&resume)),
         }
         Ok(())
-    }
-
-    /// Reacts to the server's resume handshake: retransmits, in original
-    /// order, every logged client message the server reports missing.
-    fn on_resume_ack(&mut self, client_msgs_received: u64) {
-        self.resume_pending = false;
-        self.failed_resumes = 0;
-        let start = client_msgs_received.saturating_sub(self.log_offset) as usize;
-        let missing: Vec<ClientMessage> = match self.client_log.get(start..) {
-            Some(tail) => tail.to_vec(),
-            None => Vec::new(),
-        };
-        self.proxy.record_retransmits(missing.len() as u64);
-        for m in &missing {
-            // Already logged the first time around.
-            self.sim.send(self.proxy_ep, encode_client(m));
-        }
-        if start > 0 {
-            // Everything before the ack count is known-received; drop it.
-            self.client_log.drain(..start.min(self.client_log.len()));
-            self.log_offset = client_msgs_received.min(self.log_offset + start as u64);
-        }
     }
 }
 

@@ -1,62 +1,35 @@
 //! The proxy-side connection lifecycle over a real TCP socket.
 //!
-//! [`GatewayClient`] wraps a [`uniint_core::proxy::UniIntProxy`] with
-//! everything a socket adds to the paper's in-process story: stall
-//! detection (EOF, write failure, read error), reconnection under
-//! seeded exponential backoff with jitter, and **incremental resume** —
-//! after a break the client reattaches with a raw `Hello` + `Resume`
-//! (neither logged, mirroring the server's accounting), receives the
-//! damage it missed, and retransmits its own lost messages from a
-//! session-side log once `ResumeAck` reports how many arrived.
-//!
-//! This is the same recovery machinery proven deterministic in the
-//! network simulator ([`uniint_core::session::SimSession`]), rehosted
-//! on `std::net::TcpStream`.
+//! [`GatewayClient`] wraps a [`uniint_core::proxy::UniIntProxy`] and
+//! detects broken connections (EOF or read error; a failed write shows
+//! up as EOF on the next read). Recovery is the same [`ResumeMachine`]
+//! that [`uniint_core::session::SimSession`] drives; the client supplies
+//! only the I/O: it sleeps out each backoff delay, reconnects with a
+//! fresh `TcpStream`, and sends a raw `Hello` before the machine's
+//! `Resume`, since the gateway keys sessions by name.
 
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::thread;
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use uniint_core::plugin::{DeviceEvent, DeviceFrame, InputPlugin, OutputPlugin};
 use uniint_core::proxy::{ProxyStats, UniIntProxy};
+use uniint_core::resume::{BackoffPolicy, Reattach, ResumeMachine, Stalled};
 use uniint_protocol::error::ProtocolError;
 use uniint_protocol::message::{ClientMessage, ServerMessage, PROTOCOL_VERSION};
-use uniint_telemetry::registry::Registry;
 
 use crate::codec::{FramedSocket, ReadStatus, DEFAULT_MAX_FRAME};
 
-/// Tuning knobs for a [`GatewayClient`].
-#[derive(Debug, Clone)]
-pub struct ClientConfig {
-    /// Largest frame accepted from the server, bytes.
-    pub max_frame: usize,
-    /// Socket read timeout per [`GatewayClient::pump_once`] call.
-    pub poll: Duration,
-    /// First reconnect backoff delay.
-    pub backoff_base: Duration,
-    /// Reconnect backoff ceiling.
-    pub backoff_cap: Duration,
-    /// Reconnect attempts per stall before giving up.
-    pub max_attempts: u32,
-    /// Send a keepalive (incremental update request) after this long
-    /// without outbound traffic. `None` disables keepalives.
-    pub keepalive: Option<Duration>,
-}
+/// The gateway's reconnect schedule: 10 ms doubling to 500 ms, 10 tries.
+const BACKOFF: BackoffPolicy = BackoffPolicy {
+    base_us: 10_000,
+    cap_us: 500_000,
+    max_attempts: 10,
+};
 
-impl Default for ClientConfig {
-    fn default() -> ClientConfig {
-        ClientConfig {
-            max_frame: DEFAULT_MAX_FRAME,
-            poll: Duration::from_millis(10),
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(500),
-            max_attempts: 10,
-            keepalive: None,
-        }
-    }
-}
+/// Socket read timeout per [`GatewayClient::pump_once`] call.
+const POLL: Duration = Duration::from_millis(10);
 
 /// Why a [`GatewayClient`] operation failed.
 #[derive(Debug)]
@@ -70,6 +43,12 @@ pub enum GatewayError {
         /// Reconnect attempts made before giving up.
         attempts: u32,
     },
+}
+
+impl From<Stalled> for GatewayError {
+    fn from(Stalled { attempts }: Stalled) -> GatewayError {
+        GatewayError::Stalled { attempts }
+    }
 }
 
 impl From<io::Error> for GatewayError {
@@ -111,61 +90,35 @@ impl std::error::Error for GatewayError {
 pub struct GatewayClient {
     /// The protocol engine: framebuffer cache, device plug-ins, stats.
     pub proxy: UniIntProxy,
-    name: String,
     addr: SocketAddr,
-    cfg: ClientConfig,
     sock: FramedSocket,
-    /// Every client message sent this session except `Hello`/`Resume`
-    /// replays, minus an already-acknowledged prefix of `log_offset`
-    /// messages — exactly the `SimSession` retransmission log.
-    client_log: Vec<ClientMessage>,
-    log_offset: u64,
-    backoff_rng: StdRng,
+    /// Retransmission log, backoff and resume state.
+    resume: ResumeMachine,
     last_frame: Option<DeviceFrame>,
     frames_delivered: u64,
     bells: u32,
-    last_send: Instant,
 }
 
 impl GatewayClient {
-    /// Connects to `addr` with default config and a private registry,
-    /// completing the protocol handshake before returning.
+    /// Connects to `addr` with a private telemetry registry, completing
+    /// the protocol handshake before returning.
     pub fn connect(
         addr: SocketAddr,
         name: impl Into<String>,
         seed: u64,
     ) -> Result<GatewayClient, GatewayError> {
-        GatewayClient::connect_with(addr, name, seed, ClientConfig::default(), Registry::new())
-    }
-
-    /// Connects with explicit config and telemetry registry.
-    pub fn connect_with(
-        addr: SocketAddr,
-        name: impl Into<String>,
-        seed: u64,
-        cfg: ClientConfig,
-        registry: Registry,
-    ) -> Result<GatewayClient, GatewayError> {
-        let name = name.into();
         let stream = TcpStream::connect(addr)?;
-        let sock = FramedSocket::new(stream, cfg.max_frame, cfg.poll)?;
         let mut c = GatewayClient {
-            proxy: UniIntProxy::with_telemetry(name.clone(), registry),
-            name,
+            proxy: UniIntProxy::new(name),
             addr,
-            cfg,
-            sock,
-            client_log: Vec::new(),
-            log_offset: 0,
-            backoff_rng: StdRng::seed_from_u64(seed ^ 0x5e55_10e5_b0ff_0e5e),
+            sock: FramedSocket::new(stream, DEFAULT_MAX_FRAME, POLL)?,
+            resume: ResumeMachine::new(BACKOFF, seed),
             last_frame: None,
             frames_delivered: 0,
             bells: 0,
-            last_send: Instant::now(),
         };
-        for m in c.proxy.connect() {
-            c.send_logged(m);
-        }
+        let hello = c.proxy.connect();
+        c.send_logged(hello);
         let deadline = Instant::now() + Duration::from_secs(10);
         while !c.proxy.is_connected() {
             c.pump_once()?;
@@ -181,7 +134,7 @@ impl GatewayClient {
 
     /// The client name sessions are keyed by.
     pub fn name(&self) -> &str {
-        &self.name
+        self.proxy.name()
     }
 
     /// Accumulated proxy statistics (stalls, resumes, retransmits...).
@@ -217,25 +170,21 @@ impl GatewayClient {
     /// Installs an output plug-in and sends the session renegotiation it
     /// requires (pixel format, encodings, full refresh).
     pub fn attach_output(&mut self, plugin: Box<dyn OutputPlugin>) {
-        for m in self.proxy.attach_output(plugin) {
-            self.send_logged(m);
-        }
+        let msgs = self.proxy.attach_output(plugin);
+        self.send_logged(msgs);
     }
 
     /// Translates a device-native event through the input plug-in and
     /// sends the resulting protocol messages.
     pub fn device_input(&mut self, ev: &DeviceEvent) {
-        for m in self.proxy.device_input(ev) {
-            self.send_logged(m);
-        }
+        let msgs = self.proxy.device_input(ev);
+        self.send_logged(msgs);
     }
 
     /// Sends arbitrary client messages (they enter the retransmission
     /// log like any other traffic).
     pub fn send_messages(&mut self, msgs: Vec<ClientMessage>) {
-        for m in msgs {
-            self.send_logged(m);
-        }
+        self.send_logged(msgs);
     }
 
     /// Severs the TCP connection abruptly, as a cable pull or crashed
@@ -257,19 +206,6 @@ impl GatewayClient {
     /// the whole backoff budget; [`GatewayError::Protocol`] on an
     /// undecodable (hostile) byte stream.
     pub fn pump_once(&mut self) -> Result<bool, GatewayError> {
-        if let Some(k) = self.cfg.keepalive {
-            if self.last_send.elapsed() > k && self.proxy.is_connected() {
-                let ka = ClientMessage::UpdateRequest {
-                    incremental: true,
-                    rect: self
-                        .proxy
-                        .server_frame()
-                        .map(|f| f.bounds())
-                        .unwrap_or(uniint_raster::geom::Rect::EMPTY),
-                };
-                self.send_logged(ka);
-            }
-        }
         match self.sock.fill() {
             Ok(ReadStatus::Idle) => Ok(false),
             Ok(ReadStatus::Eof) | Err(_) => {
@@ -278,33 +214,31 @@ impl GatewayClient {
             }
             Ok(ReadStatus::Data(_)) => {
                 let mut processed = false;
-                loop {
-                    match self.sock.next_frame() {
-                        Ok(Some(frame)) => {
-                            processed = true;
-                            let msg = ServerMessage::decode_body(&mut frame.as_slice())?;
-                            if let ServerMessage::ResumeAck {
-                                client_msgs_received,
-                                ..
-                            } = &msg
-                            {
-                                self.on_resume_ack(*client_msgs_received);
-                            }
-                            let out = self.proxy.handle_server(&msg)?;
-                            if let Some(f) = out.frame {
-                                self.last_frame = Some(f);
-                                self.frames_delivered += 1;
-                            }
-                            if out.bell {
-                                self.bells += 1;
-                            }
-                            for m in out.messages {
-                                self.send_logged(m);
-                            }
+                while let Some(frame) = self.sock.next_frame()? {
+                    processed = true;
+                    let msg = ServerMessage::decode_body(&mut frame.as_slice())?;
+                    if let ServerMessage::ResumeAck {
+                        client_msgs_received,
+                        ..
+                    } = &msg
+                    {
+                        let resend = self
+                            .resume
+                            .resume_acked(&mut self.proxy, *client_msgs_received);
+                        for m in resend {
+                            // Already logged the first time around.
+                            let _ = self.sock.send_client(m);
                         }
-                        Ok(None) => break,
-                        Err(e) => return Err(e.into()),
                     }
+                    let out = self.proxy.handle_server(&msg)?;
+                    if let Some(f) = out.frame {
+                        self.last_frame = Some(f);
+                        self.frames_delivered += 1;
+                    }
+                    if out.bell {
+                        self.bells += 1;
+                    }
+                    self.send_logged(out.messages);
                 }
                 Ok(processed)
             }
@@ -320,83 +254,42 @@ impl GatewayClient {
         Ok(())
     }
 
-    /// Sends one message and appends it to the retransmission log.
+    /// Sends regular client messages and logs them for retransmission.
     ///
-    /// Write errors are deliberately swallowed: the message *is* logged,
+    /// Write errors are deliberately swallowed: the messages *are* logged,
     /// the broken socket surfaces as EOF on the next read, and the
     /// resume handshake retransmits everything the server never saw.
-    fn send_logged(&mut self, m: ClientMessage) {
-        let _ = self.sock.send_client(&m);
-        self.last_send = Instant::now();
-        self.client_log.push(m);
+    fn send_logged(&mut self, msgs: Vec<ClientMessage>) {
+        for m in msgs {
+            let _ = self.sock.send_client(&m);
+            self.resume.sent(m);
+        }
     }
 
-    /// Sends without logging — reserved for the reattach `Hello` and
-    /// `Resume`, which the server excludes from its received count.
-    fn send_raw(&mut self, m: &ClientMessage) {
-        let _ = self.sock.send_client(m);
-        self.last_send = Instant::now();
-    }
-
-    /// Re-establishes TCP under exponential backoff + seeded jitter,
-    /// then reattaches the protocol session (incremental resume when a
-    /// handshake had completed, fresh Hello otherwise).
+    /// Re-establishes TCP under the backoff schedule, then reattaches
+    /// the protocol session.
     fn reconnect(&mut self) -> Result<(), GatewayError> {
-        self.proxy.record_stall();
-        let mut delay = self.cfg.backoff_base;
-        let mut attempts = 0u32;
+        let mut delay_us = self.resume.link_broke(&mut self.proxy)?;
         let stream = loop {
-            if attempts >= self.cfg.max_attempts {
-                return Err(GatewayError::Stalled { attempts });
-            }
-            attempts += 1;
-            self.proxy.record_backoff_attempt();
-            let jitter_us = self
-                .backoff_rng
-                .gen_range(0..=(delay.as_micros() as u64) / 4);
-            std::thread::sleep(delay + Duration::from_micros(jitter_us));
+            thread::sleep(Duration::from_micros(delay_us));
             match TcpStream::connect(self.addr) {
                 Ok(s) => break s,
-                Err(_) => delay = (delay * 2).min(self.cfg.backoff_cap),
+                Err(_) => delay_us = self.resume.attempt_failed(&mut self.proxy)?,
             }
         };
         // A fresh FramedSocket also discards any half-received frame
         // from the dead connection.
-        self.sock = FramedSocket::new(stream, self.cfg.max_frame, self.cfg.poll)?;
-        if !self.proxy.is_connected() {
-            // The break beat the handshake: nothing to resume.
-            self.client_log.clear();
-            self.log_offset = 0;
-            for m in self.proxy.connect() {
-                self.send_logged(m);
+        self.sock = FramedSocket::new(stream, DEFAULT_MAX_FRAME, POLL)?;
+        match self.resume.reconnected(&mut self.proxy) {
+            Reattach::Fresh(msgs) => self.send_logged(msgs),
+            Reattach::Resume(resume) => {
+                let _ = self.sock.send_client(&ClientMessage::Hello {
+                    version: PROTOCOL_VERSION,
+                    name: self.proxy.name().to_owned(),
+                });
+                let _ = self.sock.send_client(&resume);
             }
-            return Ok(());
         }
-        self.send_raw(&ClientMessage::Hello {
-            version: PROTOCOL_VERSION,
-            name: self.name.clone(),
-        });
-        let resume = self.proxy.make_resume();
-        self.send_raw(&resume);
         Ok(())
-    }
-
-    /// Reacts to the server's resume handshake: retransmits, in original
-    /// order, every logged message the server reports missing.
-    fn on_resume_ack(&mut self, client_msgs_received: u64) {
-        let start = client_msgs_received.saturating_sub(self.log_offset) as usize;
-        let missing: Vec<ClientMessage> = match self.client_log.get(start..) {
-            Some(tail) => tail.to_vec(),
-            None => Vec::new(),
-        };
-        self.proxy.record_retransmits(missing.len() as u64);
-        for m in &missing {
-            // Already logged the first time around.
-            self.send_raw(m);
-        }
-        if start > 0 {
-            self.client_log.drain(..start.min(self.client_log.len()));
-            self.log_offset = client_msgs_received.min(self.log_offset + start as u64);
-        }
     }
 }

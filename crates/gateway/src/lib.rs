@@ -48,7 +48,7 @@ pub mod host;
 
 /// Convenient re-exports of the gateway surface.
 pub mod prelude {
-    pub use crate::client::{ClientConfig, GatewayClient, GatewayError};
+    pub use crate::client::{GatewayClient, GatewayError};
     pub use crate::codec::{check_hello_version, FramedSocket};
     pub use crate::host::{Gateway, GatewayConfig};
 }

@@ -317,3 +317,39 @@ fn flap_recovery_is_incremental_not_full_resync() {
         "never fell back to full refresh: {st:?}"
     );
 }
+
+#[test]
+fn escalated_resume_still_applies_every_keypress_once() {
+    // Short flaps under a latency spike kill resume after resume before
+    // its ack arrives, so the session escalates to a full refresh. The
+    // refresh must not throw the retransmission count off: every toggle
+    // still lands exactly once.
+    let mut net = HomeNetwork::new();
+    net.attach(DeviceSpec::new("TV", "lr").with_fcm(TunerFcm::new("Tuner", 12)));
+    let mut app = ControlPanelApp::new(&mut net, None, Theme::classic());
+    let mut s = SimSession::connect(app.ui_mut(), LinkProfile::wifi80211b(), 1).unwrap();
+    s.proxy.attach_input(Box::new(KeypadPlugin::new()));
+    let t0 = s.now_us();
+    let mut faults = FaultSchedule::new().latency_spike(t0, t0 + 3_000_000, 80_000);
+    for k in 0..12 {
+        let start = t0 + 1_000 + k * 250_000;
+        faults = faults.flap(start, start + 125_000);
+    }
+    s.sim.set_link_faults(s.proxy_endpoint(), faults);
+    for _ in 0..5 {
+        s.device_input(app.ui_mut(), &SimPhone::press('5').unwrap())
+            .unwrap();
+        app.process(&mut net);
+        s.settle(app.ui_mut()).unwrap();
+    }
+    let st = s.proxy.stats();
+    assert!(st.full_resyncs >= 1, "resumes kept dying: {st:?}");
+    assert_eq!(
+        s.server.stats().inputs_injected,
+        10,
+        "five presses, each a key down and up, applied once: {st:?}"
+    );
+    let tuner = net.find_fcms(&Query::new().class(FcmClass::Tuner))[0];
+    assert!(net.status(tuner).unwrap().contains(&StateVar::Power(true)));
+    assert_eq!(s.proxy.server_frame().unwrap(), app.ui().framebuffer());
+}

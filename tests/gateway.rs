@@ -347,3 +347,28 @@ fn oversized_client_frame_drops_the_connection_not_the_gateway() {
     drop(evil);
     gw.shutdown();
 }
+
+#[test]
+fn client_stalls_out_when_the_gateway_is_gone() {
+    let gw =
+        Gateway::spawn(panel(), GatewayConfig::default(), Registry::new()).expect("gateway binds");
+    let mut c = GatewayClient::connect(gw.local_addr(), "orphan", 5).expect("connect");
+    gw.shutdown();
+
+    // The closed socket reads as EOF; every reconnect is then refused
+    // until the backoff budget (10 attempts) is spent.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let err = loop {
+        match c.pump_once() {
+            Ok(_) => assert!(Instant::now() < deadline, "break never detected"),
+            Err(e) => break e,
+        }
+    };
+    match err {
+        GatewayError::Stalled { attempts } => assert_eq!(attempts, 10),
+        other => panic!("expected Stalled, got {other}"),
+    }
+    let st = c.stats();
+    assert_eq!(st.stalls, 1, "{st:?}");
+    assert_eq!(st.backoff_attempts, 10, "{st:?}");
+}
