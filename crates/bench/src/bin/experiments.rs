@@ -124,28 +124,43 @@ fn e2() {
 fn e3() {
     println!("\n== E3: output adaptation cost per device (640x480 source) ==");
     println!(
-        "{:<14} {:>12} {:>14} {:>18}",
-        "device", "median µs", "full bytes", "drag delta bytes"
+        "{:<18} {:>12} {:>12} {:>12} {:>18}",
+        "device", "full µs", "incr µs", "full bytes", "drag delta bytes"
     );
     let ui = uniint_bench::panel_ui(Size::new(640, 480));
     let frame = ui.framebuffer().clone();
-    // The same frame with a slider-band-sized change, for delta sizing.
+    // The same frame with a slider-band-sized change, for delta sizing
+    // and for timing an incremental adapt.
     let mut dragged = frame.clone();
     dragged.fill_rect(Rect::new(8, 240, 600, 16), Color::DARK_GRAY);
-    let mut plugins: Vec<Box<dyn uniint_core::plugin::OutputPlugin>> = vec![
-        Box::new(ScreenPlugin::tv()),
-        Box::new(ScreenPlugin::pda()),
-        Box::new(ScreenPlugin::phone_lcd()),
-        Box::new(ScreenPlugin::eyepiece()),
-        Box::new(TerminalPlugin::standard()),
+    let devices: [fn() -> Box<dyn uniint_core::plugin::OutputPlugin>; 5] = [
+        || Box::new(ScreenPlugin::tv()),
+        || Box::new(ScreenPlugin::pda()),
+        || Box::new(ScreenPlugin::phone_lcd()),
+        || Box::new(ScreenPlugin::eyepiece()),
+        || Box::new(TerminalPlugin::standard()),
     ];
-    for plugin in &mut plugins {
+    for device in devices {
+        // Full: a fresh plug-in each time, so nothing is kept from the
+        // previous call.
         let mut bytes = 0usize;
-        let us = median_us(21, || {
-            bytes = plugin.adapt(&frame).wire_bytes;
+        let full = median_us(21, || {
+            bytes = device().adapt(&frame).wire_bytes;
         });
+        // Incremental: one plug-in fed the frame and the dragged frame
+        // alternately, so every call redraws the slider band.
+        let mut plugin = device();
+        plugin.adapt(&frame);
         let delta = plugin.adapt(&dragged).delta_bytes();
-        println!("{:<14} {us:>12.1} {bytes:>14} {delta:>18}", plugin.kind());
+        let mut flip = false;
+        let incr = median_us(21, || {
+            flip = !flip;
+            plugin.adapt(if flip { &frame } else { &dragged });
+        });
+        println!(
+            "{:<18} {full:>12.1} {incr:>12.1} {bytes:>12} {delta:>18}",
+            plugin.kind()
+        );
     }
 }
 

@@ -205,6 +205,13 @@ pub trait OutputPlugin: std::fmt::Debug + Send {
     fn caps(&self) -> OutputCaps;
 
     /// Adapts a full server frame to the device.
+    ///
+    /// A plug-in may keep state between calls (the built-in screens keep
+    /// their last frames to redo only what changed), but the returned
+    /// `frame` must equal what a freshly built plug-in returns for the
+    /// same server frame. `changed` is relative to this plug-in's previous
+    /// output: the device pixels that differ from it, or the whole frame
+    /// when there is no previous output of the same size.
     fn adapt(&mut self, server_frame: &Framebuffer) -> DeviceFrame;
 }
 

@@ -18,7 +18,7 @@ use uniint_raster::color::Color;
 use uniint_raster::framebuffer::Framebuffer;
 use uniint_raster::geom::{Rect, Size};
 use uniint_raster::pixel::PixelFormat;
-use uniint_raster::scale::scale_to_fit;
+use uniint_raster::scale::fit_size;
 use uniint_telemetry::histogram::Histogram;
 use uniint_telemetry::registry::{Counter, Registry};
 
@@ -510,9 +510,7 @@ pub fn fitted_view(src: Size, bounds: Size) -> Size {
     if src.is_empty() || bounds.is_empty() {
         return bounds;
     }
-    // Mirror the math in `scale_to_fit` without doing the work.
-    let dummy = Framebuffer::new(src.w, src.h, Color::BLACK);
-    scale_to_fit(&dummy, bounds, uniint_raster::scale::ScaleFilter::Nearest).size()
+    fit_size(src, bounds)
 }
 
 #[cfg(test)]
@@ -523,7 +521,7 @@ mod tests {
     use uniint_protocol::input::InputEvent;
     use uniint_protocol::message::RectUpdate;
     use uniint_raster::dither::DitherMode;
-    use uniint_raster::scale::ScaleFilter;
+    use uniint_raster::scale::{scale_to_fit, ScaleFilter};
 
     /// A minimal test output plug-in: quarter-size mono.
     #[derive(Debug)]

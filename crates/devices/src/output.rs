@@ -1,21 +1,45 @@
 //! Output plug-ins: adapt server bitmaps to each display device.
+//!
+//! [`ScreenPlugin`] adapts in proportion to what changed. It keeps the
+//! server frame it adapted last and the device frame it returned (and,
+//! for error-diffusion devices, the scaled frame before reduction). Each
+//! call compares the new server frame with the kept one row by row,
+//! widens every changed band by the scaling filter's footprint and
+//! recomputes only those device pixels, so `changed` is computed only
+//! there too. Error diffusion is not local: those devices rescale the
+//! bands but re-reduce their (small) frame whole. The first frame, a
+//! resize, or a call after a panic runs the same code over the whole
+//! frame. The result is always bit-for-bit what a fresh plug-in returns.
 
 use uniint_core::plugin::{DeviceFrame, OutputCaps, OutputPlugin};
-use uniint_raster::dither::{dither_to_format, DitherMode};
+use uniint_raster::color::Color;
+use uniint_raster::dither::{diffuses_error, dither_to_format, reduce_rect, DitherMode};
 use uniint_raster::framebuffer::Framebuffer;
-use uniint_raster::geom::Size;
+use uniint_raster::geom::{Rect, Size};
 use uniint_raster::pixel::PixelFormat;
-use uniint_raster::scale::{scale_to_fit, ScaleFilter};
+use uniint_raster::scale::{fit_size, footprint, scale_rect, scale_to_fit, ScaleFilter};
 
 /// A generic screen plug-in: aspect-fit scale, then depth reduction with
-/// dithering, parameterized by the device's [`OutputCaps`]. Keeps the
-/// previously adapted frame to report the changed region, so partial-
+/// dithering, parameterized by the device's [`OutputCaps`]. Reports the
+/// device pixels that changed since its previous frame, so partial-
 /// refresh device links only ship deltas.
 #[derive(Debug, Clone)]
 pub struct ScreenPlugin {
     kind: &'static str,
     caps: OutputCaps,
-    last: Option<Framebuffer>,
+    kept: Option<Kept>,
+}
+
+/// What a [`ScreenPlugin`] keeps from its previous call.
+#[derive(Debug, Clone)]
+struct Kept {
+    /// The server frame adapted last.
+    server: Framebuffer,
+    /// Its scaled frame before reduction; kept only when the reduction
+    /// diffuses error and so must rerun over the whole frame.
+    scaled: Option<Framebuffer>,
+    /// The device frame returned last.
+    device: Framebuffer,
 }
 
 impl ScreenPlugin {
@@ -24,7 +48,7 @@ impl ScreenPlugin {
         ScreenPlugin {
             kind,
             caps,
-            last: None,
+            kept: None,
         }
     }
 
@@ -93,21 +117,100 @@ impl OutputPlugin for ScreenPlugin {
     }
 
     fn adapt(&mut self, server_frame: &Framebuffer) -> DeviceFrame {
-        let scaled = scale_to_fit(server_frame, self.caps.size, self.caps.scale);
-        let reduced = dither_to_format(&scaled, self.caps.format, self.caps.dither);
-        let wire_bytes = self
-            .caps
-            .format
-            .buffer_bytes(reduced.width(), reduced.height());
-        let mut out = DeviceFrame::new(reduced.clone(), self.caps.format, wire_bytes);
-        if let Some(last) = &self.last {
-            if last.size() == reduced.size() {
-                out = out.with_changed(last.diff_region(&reduced));
+        let caps = self.caps;
+        let src = server_frame.size();
+        // Taken rather than borrowed: a panic below leaves no half-updated
+        // copy behind, and the next call adapts the whole frame.
+        let (mut kept, rescale, fresh) = match self.kept.take() {
+            Some(mut kept) if kept.server.size() == src => {
+                let to = kept.device.size();
+                let rects = sync_rows(&mut kept.server, server_frame)
+                    .into_iter()
+                    .map(|band| footprint(src, to, caps.scale, band));
+                (kept, disjoint(rects), false)
             }
+            kept => {
+                let size = fit_size(src, caps.size);
+                let blank = || Framebuffer::new(size.w, size.h, Color::BLACK);
+                let last = kept.map(|k| k.device).filter(|d| d.size() == size);
+                let fresh = last.is_none();
+                let kept = Kept {
+                    server: server_frame.clone(),
+                    scaled: diffuses_error(caps.format, caps.dither).then(blank),
+                    device: last.unwrap_or_else(blank),
+                };
+                (kept, vec![Rect::new(0, 0, size.w, size.h)], fresh)
+            }
+        };
+        // Error diffusion is not local: those devices rescale into the kept
+        // scaled frame and then reduce a copy of it whole.
+        let reduce = match kept.scaled {
+            Some(_) if rescale.is_empty() => Vec::new(),
+            Some(_) => vec![kept.device.bounds()],
+            None => rescale.clone(),
+        };
+        let saved: Vec<_> = reduce.iter().map(|&r| kept.device.read_rect(r)).collect();
+        let target = kept.scaled.as_mut().unwrap_or(&mut kept.device);
+        for &r in &rescale {
+            scale_rect(server_frame, target, r, caps.scale);
         }
-        self.last = Some(reduced);
+        if let Some(scaled) = kept.scaled.as_ref().filter(|_| !reduce.is_empty()) {
+            kept.device.clone_from(scaled);
+        }
+        for &r in &reduce {
+            reduce_rect(&mut kept.device, r, caps.format, caps.dither);
+        }
+        let device = &kept.device;
+        let wire_bytes = caps.format.buffer_bytes(device.width(), device.height());
+        let mut out = DeviceFrame::new(device.clone(), caps.format, wire_bytes);
+        if !fresh {
+            out = out.with_changed(device.diff_since(&saved));
+        }
+        self.kept = Some(kept);
         out
     }
+}
+
+/// Brings `kept` up to date with `server` (same size) row by row and
+/// returns where they differed as bands: runs of consecutive changed rows,
+/// each spanning the union of their changed columns.
+fn sync_rows(kept: &mut Framebuffer, server: &Framebuffer) -> Vec<Rect> {
+    let mut bands: Vec<Rect> = Vec::new();
+    for y in 0..server.height() {
+        let (new, old) = (server.row(y), kept.row_mut(y));
+        if new == old {
+            continue;
+        }
+        let differs = |(a, b): (&Color, &Color)| a != b;
+        let x0 = new.iter().zip(old.iter()).position(differs).unwrap_or(0);
+        let x1 = new.len()
+            - new
+                .iter()
+                .rev()
+                .zip(old.iter().rev())
+                .position(differs)
+                .unwrap_or(0);
+        old[x0..x1].copy_from_slice(&new[x0..x1]);
+        let row = Rect::new(x0 as i32, y as i32, (x1 - x0) as u32, 1);
+        match bands.last_mut() {
+            Some(band) if band.bottom() == row.y => *band = band.union(row),
+            _ => bands.push(row),
+        }
+    }
+    bands
+}
+
+/// Merges overlapping rects into their bounding boxes until no two
+/// overlap; empty rects are dropped.
+fn disjoint(rects: impl IntoIterator<Item = Rect>) -> Vec<Rect> {
+    let mut out: Vec<Rect> = Vec::new();
+    for mut r in rects.into_iter().filter(|r| !r.is_empty()) {
+        while let Some(i) = out.iter().position(|o| o.intersects(r)) {
+            r = r.union(out.swap_remove(i));
+        }
+        out.push(r);
+    }
+    out
 }
 
 /// Character ramp from dark to light used by [`ascii_art`].

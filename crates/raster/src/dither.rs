@@ -7,6 +7,7 @@
 
 use crate::color::{Color, Palette};
 use crate::framebuffer::Framebuffer;
+use crate::geom::Rect;
 use crate::pixel::PixelFormat;
 use serde::{Deserialize, Serialize};
 
@@ -39,23 +40,94 @@ const BAYER4: [[i32; 4]; 4] = [[0, 8, 2, 10], [12, 4, 14, 6], [3, 11, 1, 9], [15
 /// Quantizes every pixel of `src` to `palette`, applying `mode`.
 /// Returns a new framebuffer whose pixels are all palette colors.
 pub fn dither_to_palette(src: &Framebuffer, palette: &Palette, mode: DitherMode) -> Framebuffer {
-    let w = src.width() as usize;
-    let h = src.height() as usize;
-    let mut out = Framebuffer::new(src.width(), src.height(), Color::BLACK);
-    let mut result = Vec::with_capacity(w * h);
+    let mut out = src.clone();
+    let bounds = out.bounds();
+    quantize_rect(&mut out, bounds, palette, mode);
+    out
+}
+
+/// Reduces every pixel of `src` to what `format` can represent, dithering
+/// with `mode`. True-color formats quantize channel-wise; palette-ish
+/// formats (`Gray4`, `Mono1`, `Indexed8`) go through an explicit palette.
+pub fn dither_to_format(src: &Framebuffer, format: PixelFormat, mode: DitherMode) -> Framebuffer {
+    let mut out = src.clone();
+    let bounds = out.bounds();
+    reduce_rect(&mut out, bounds, format, mode);
+    out
+}
+
+/// Reduces the pixels of `rect` (clipped) in place, as
+/// [`dither_to_format`] reduces them. Position-local modes give every
+/// pixel exactly its whole-frame value; where [`diffuses_error`] holds,
+/// that is true only when `rect` spans the whole frame. Records no damage.
+pub fn reduce_rect(fb: &mut Framebuffer, rect: Rect, format: PixelFormat, mode: DitherMode) {
+    let Some(rect) = rect.intersect(fb.bounds()) else {
+        return;
+    };
+    match format {
+        PixelFormat::Rgb888 => {}
+        PixelFormat::Rgb565 | PixelFormat::Rgb444 => {
+            // Channel-wise reduction; error diffusion is overkill for >=12bpp
+            // GUI content, so only ordered/none modes perturb here.
+            for y in rect.y as usize..rect.bottom() as usize {
+                let row = &mut fb.row_mut(y as u32)[rect.x as usize..rect.right() as usize];
+                for (p, x) in row.iter_mut().zip(rect.x as usize..) {
+                    let adj = if mode == DitherMode::Ordered4x4 {
+                        let t = BAYER4[y % 4][x % 4] - 8;
+                        let bias = if format == PixelFormat::Rgb444 {
+                            t
+                        } else {
+                            t / 2
+                        };
+                        Color::rgb(
+                            (p.r as i32 + bias).clamp(0, 255) as u8,
+                            (p.g as i32 + bias).clamp(0, 255) as u8,
+                            (p.b as i32 + bias).clamp(0, 255) as u8,
+                        )
+                    } else {
+                        *p
+                    };
+                    *p = format.reduce(adj);
+                }
+            }
+        }
+        PixelFormat::Mono1 => quantize_rect(fb, rect, &Palette::mono(), mode),
+        PixelFormat::Gray4 => quantize_rect(fb, rect, &Palette::grayscale(16), mode),
+        PixelFormat::Indexed8 => quantize_rect(fb, rect, &Palette::websafe(), mode),
+        PixelFormat::Gray8 => quantize_rect(fb, rect, &Palette::grayscale(256), mode),
+    }
+}
+
+/// Whether reducing to `format` with `mode` diffuses quantization error
+/// from pixel to pixel, so a pixel's result depends on the pixels above
+/// and left of it: Floyd–Steinberg onto a palette format.
+pub fn diffuses_error(format: PixelFormat, mode: DitherMode) -> bool {
+    mode == DitherMode::FloydSteinberg
+        && matches!(
+            format,
+            PixelFormat::Mono1 | PixelFormat::Gray4 | PixelFormat::Indexed8 | PixelFormat::Gray8
+        )
+}
+
+/// Quantizes the pixels of `rect` (already clipped) to `palette` in place,
+/// applying `mode`. Error diffusion starts afresh at the rect's top-left.
+fn quantize_rect(fb: &mut Framebuffer, rect: Rect, palette: &Palette, mode: DitherMode) {
+    let (x0, x1) = (rect.x as usize, rect.right() as usize);
+    let rows = rect.y as usize..rect.bottom() as usize;
     match mode {
         DitherMode::None => {
-            for &p in src.pixels() {
-                result.push(palette.quantize(p));
+            for y in rows {
+                for p in &mut fb.row_mut(y as u32)[x0..x1] {
+                    *p = palette.quantize(*p);
+                }
             }
         }
         DitherMode::Ordered4x4 => {
             // Bias amplitude scaled to the palette's average quantization
             // step so 2-color and 256-color palettes both dither sensibly.
             let amp = (256 / (palette.len().min(64)) as i32).max(8);
-            for y in 0..h {
-                let row = src.row(y as u32);
-                for (x, &p) in row.iter().enumerate() {
+            for y in rows {
+                for (p, x) in fb.row_mut(y as u32)[x0..x1].iter_mut().zip(x0..) {
                     let t = BAYER4[y % 4][x % 4] - 8; // -8..8
                     let bias = t * amp / 8;
                     let adj = Color::rgb(
@@ -63,26 +135,25 @@ pub fn dither_to_palette(src: &Framebuffer, palette: &Palette, mode: DitherMode)
                         (p.g as i32 + bias).clamp(0, 255) as u8,
                         (p.b as i32 + bias).clamp(0, 255) as u8,
                     );
-                    result.push(palette.quantize(adj));
+                    *p = palette.quantize(adj);
                 }
             }
         }
         DitherMode::FloydSteinberg => {
             // Per-channel error buffers for the current and next row.
+            let w = x1 - x0;
             let mut err_cur = vec![[0i32; 3]; w + 2];
             let mut err_next = vec![[0i32; 3]; w + 2];
-            for y in 0..h {
-                let row = src.row(y as u32);
-                for x in 0..w {
+            for y in rows {
+                for (x, p) in fb.row_mut(y as u32)[x0..x1].iter_mut().enumerate() {
                     let e = err_cur[x + 1];
-                    let p = row[x];
                     let adj = Color::rgb(
                         (p.r as i32 + e[0] / 16).clamp(0, 255) as u8,
                         (p.g as i32 + e[1] / 16).clamp(0, 255) as u8,
                         (p.b as i32 + e[2] / 16).clamp(0, 255) as u8,
                     );
                     let q = palette.quantize(adj);
-                    result.push(q);
+                    *p = q;
                     let err = [
                         adj.r as i32 - q.r as i32,
                         adj.g as i32 - q.g as i32,
@@ -98,50 +169,6 @@ pub fn dither_to_palette(src: &Framebuffer, palette: &Palette, mode: DitherMode)
                 core::mem::swap(&mut err_cur, &mut err_next);
                 err_next.iter_mut().for_each(|e| *e = [0; 3]);
             }
-        }
-    }
-    out.write_rect(out.bounds(), &result);
-    out
-}
-
-/// Reduces every pixel of `src` to what `format` can represent, dithering
-/// with `mode`. True-color formats quantize channel-wise; palette-ish
-/// formats (`Gray4`, `Mono1`, `Indexed8`) go through an explicit palette.
-pub fn dither_to_format(src: &Framebuffer, format: PixelFormat, mode: DitherMode) -> Framebuffer {
-    match format {
-        PixelFormat::Mono1 => dither_to_palette(src, &Palette::mono(), mode),
-        PixelFormat::Gray4 => dither_to_palette(src, &Palette::grayscale(16), mode),
-        PixelFormat::Indexed8 => dither_to_palette(src, &Palette::websafe(), mode),
-        PixelFormat::Gray8 => dither_to_palette(src, &Palette::grayscale(256), mode),
-        PixelFormat::Rgb888 => src.clone(),
-        PixelFormat::Rgb565 | PixelFormat::Rgb444 => {
-            // Channel-wise reduction; error diffusion is overkill for >=12bpp
-            // GUI content, so only ordered/none modes perturb here.
-            let mut out = Framebuffer::new(src.width(), src.height(), Color::BLACK);
-            let w = src.width() as usize;
-            let mut result = Vec::with_capacity(w * src.height() as usize);
-            for (i, &p) in src.pixels().iter().enumerate() {
-                let adj = if mode == DitherMode::Ordered4x4 {
-                    let x = i % w;
-                    let y = i / w;
-                    let t = BAYER4[y % 4][x % 4] - 8;
-                    let bias = if format == PixelFormat::Rgb444 {
-                        t
-                    } else {
-                        t / 2
-                    };
-                    Color::rgb(
-                        (p.r as i32 + bias).clamp(0, 255) as u8,
-                        (p.g as i32 + bias).clamp(0, 255) as u8,
-                        (p.b as i32 + bias).clamp(0, 255) as u8,
-                    )
-                } else {
-                    p
-                };
-                result.push(format.reduce(adj));
-            }
-            out.write_rect(out.bounds(), &result);
-            out
         }
     }
 }

@@ -134,6 +134,18 @@ impl Framebuffer {
         &self.pixels[start..start + self.width as usize]
     }
 
+    /// A mutable row slice, for kernels that rewrite pixels in place.
+    /// Writes through it record no damage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y` is out of range.
+    pub fn row_mut(&mut self, y: u32) -> &mut [Color] {
+        assert!(y < self.height, "row {y} out of range");
+        let start = (y * self.width) as usize;
+        &mut self.pixels[start..start + self.width as usize]
+    }
+
     /// Copies the pixels of `rect` (clipped) into a new row-major vector,
     /// together with the clipped rectangle.
     pub fn read_rect(&self, rect: Rect) -> (Rect, Vec<Color>) {
@@ -259,45 +271,78 @@ impl Framebuffer {
     /// Panics if the framebuffers have different sizes.
     pub fn diff_region(&self, other: &Framebuffer) -> Region {
         assert_eq!(self.size(), other.size(), "diff requires equal sizes");
-        let w = self.width as usize;
-        // Scanline runs are disjoint by construction, so the region is
-        // assembled directly instead of via `Region::add` — whose
-        // per-insert subtract scan goes quadratic on the tens of
-        // thousands of runs a dithered-noise diff produces. Runs with
-        // identical spans on consecutive rows merge into taller bands.
-        let mut rects: Vec<Rect> = Vec::new();
-        // Open bands touching the previous row, keyed (x, w) → index.
-        let mut prev_open: std::collections::HashMap<(usize, usize), usize> =
-            std::collections::HashMap::new();
-        for y in 0..self.height {
-            let a = self.row(y);
-            let b = other.row(y);
-            let mut cur_open = std::collections::HashMap::new();
-            let mut x = 0usize;
-            while x < w {
-                if a[x] == b[x] {
-                    x += 1;
-                    continue;
-                }
-                let start = x;
-                while x < w && a[x] != b[x] {
-                    x += 1;
-                }
-                let key = (start, x - start);
-                if let Some(&idx) = prev_open.get(&key) {
-                    let r: Rect = rects[idx];
-                    if r.bottom() == y as i32 {
-                        rects[idx] = Rect::new(r.x, r.y, r.w, r.h + 1);
-                        cur_open.insert(key, idx);
-                        continue;
-                    }
-                }
-                rects.push(Rect::new(start as i32, y as i32, (x - start) as u32, 1));
-                cur_open.insert(key, rects.len() - 1);
+        let mut rects = Vec::new();
+        let rows = (0..self.height).map(|y| (self.row(y), other.row(y)));
+        push_diff_runs(&mut rects, self.bounds(), rows);
+        Region::from_disjoint_rects(rects)
+    }
+
+    /// The region where `self` now differs from pixels saved earlier with
+    /// [`read_rect`](Self::read_rect), each `(rect, pixels)` pair as that
+    /// call returned it. Pixels outside the saved rects are taken as
+    /// unchanged. The same row bands as [`diff_region`](Self::diff_region),
+    /// cut at the rect edges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a saved rect lies outside the framebuffer or its pixel
+    /// count does not match; debug builds also check the rects are
+    /// pairwise disjoint.
+    pub fn diff_since(&self, saved: &[(Rect, Vec<Color>)]) -> Region {
+        let mut rects = Vec::new();
+        for (r, before) in saved {
+            if r.is_empty() {
+                continue;
             }
-            prev_open = cur_open;
+            assert_eq!(before.len() as u64, r.area(), "saved pixels do not match");
+            let cols = r.x as usize..r.right() as usize;
+            let rows = (r.y as u32..r.bottom() as u32).map(|y| &self.row(y)[cols.clone()]);
+            push_diff_runs(&mut rects, *r, rows.zip(before.chunks(r.w as usize)));
         }
         Region::from_disjoint_rects(rects)
+    }
+}
+
+/// Appends the scanline runs where the row pairs of `area` differ, top row
+/// first, each row `area.w` wide. Runs are disjoint by construction, so
+/// the caller assembles the region directly instead of via `Region::add`,
+/// whose per-insert subtract scan goes quadratic on the tens of thousands
+/// of runs a dithered-noise diff produces. Runs with identical spans on
+/// consecutive rows merge into taller bands.
+fn push_diff_runs<'a>(
+    rects: &mut Vec<Rect>,
+    area: Rect,
+    rows: impl Iterator<Item = (&'a [Color], &'a [Color])>,
+) {
+    // Open bands touching the previous row, keyed (x, w) → index.
+    let mut prev_open: std::collections::HashMap<(i32, usize), usize> =
+        std::collections::HashMap::new();
+    for ((a, b), y) in rows.zip(area.y..) {
+        let mut cur_open = std::collections::HashMap::new();
+        let w = a.len();
+        let mut x = 0usize;
+        while x < w {
+            if a[x] == b[x] {
+                x += 1;
+                continue;
+            }
+            let start = x;
+            while x < w && a[x] != b[x] {
+                x += 1;
+            }
+            let key = (area.x + start as i32, x - start);
+            if let Some(&idx) = prev_open.get(&key) {
+                let r: Rect = rects[idx];
+                if r.bottom() == y {
+                    rects[idx] = Rect::new(r.x, r.y, r.w, r.h + 1);
+                    cur_open.insert(key, idx);
+                    continue;
+                }
+            }
+            rects.push(Rect::new(key.0, y, key.1 as u32, 1));
+            cur_open.insert(key, rects.len() - 1);
+        }
+        prev_open = cur_open;
     }
 }
 

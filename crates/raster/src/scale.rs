@@ -3,7 +3,7 @@
 
 use crate::color::Color;
 use crate::framebuffer::Framebuffer;
-use crate::geom::Size;
+use crate::geom::{Rect, Size};
 use serde::{Deserialize, Serialize};
 
 /// Scaling filter selection.
@@ -32,108 +32,163 @@ impl core::fmt::Display for ScaleFilter {
 
 /// Scales `src` to exactly `target` using `filter`.
 ///
-/// Returns a clone when the size already matches.
+/// Copies the pixels unchanged when the size already matches.
 ///
 /// # Panics
 ///
 /// Panics if `target` is empty.
 pub fn scale(src: &Framebuffer, target: Size, filter: ScaleFilter) -> Framebuffer {
     assert!(!target.is_empty(), "scale target must be non-empty");
-    if src.size() == target {
-        return src.clone();
-    }
-    match filter {
-        ScaleFilter::Nearest => scale_nearest(src, target),
-        ScaleFilter::Bilinear => scale_bilinear(src, target),
-        ScaleFilter::Box => scale_box(src, target),
-    }
+    let mut dst = Framebuffer::new(target.w, target.h, Color::BLACK);
+    let bounds = dst.bounds();
+    scale_rect(src, &mut dst, bounds, filter);
+    dst
 }
 
 /// Scales `src` to fit within `bounds` preserving aspect ratio; result is
 /// at least 1×1.
 pub fn scale_to_fit(src: &Framebuffer, bounds: Size, filter: ScaleFilter) -> Framebuffer {
+    scale(src, fit_size(src.size(), bounds), filter)
+}
+
+/// The size [`scale_to_fit`] gives a `src`-sized frame fitted into
+/// `bounds`: aspect preserved, rounded, at least 1×1.
+///
+/// # Panics
+///
+/// Panics if `bounds` is empty.
+pub fn fit_size(src: Size, bounds: Size) -> Size {
     assert!(!bounds.is_empty(), "scale bounds must be non-empty");
-    let sx = bounds.w as f64 / src.width() as f64;
-    let sy = bounds.h as f64 / src.height() as f64;
+    let sx = bounds.w as f64 / src.w as f64;
+    let sy = bounds.h as f64 / src.h as f64;
     let s = sx.min(sy);
-    let w = ((src.width() as f64 * s).round() as u32).clamp(1, bounds.w);
-    let h = ((src.height() as f64 * s).round() as u32).clamp(1, bounds.h);
-    scale(src, Size::new(w, h), filter)
+    let w = ((src.w as f64 * s).round() as u32).clamp(1, bounds.w);
+    let h = ((src.h as f64 * s).round() as u32).clamp(1, bounds.h);
+    Size::new(w, h)
 }
 
-fn scale_nearest(src: &Framebuffer, target: Size) -> Framebuffer {
-    let mut dst = Framebuffer::new(target.w, target.h, Color::BLACK);
-    let mut rows = Vec::with_capacity((target.w * target.h) as usize);
-    for y in 0..target.h {
-        let sy = (y as u64 * src.height() as u64 / target.h as u64) as u32;
-        let row = src.row(sy);
-        for x in 0..target.w {
-            let sx = (x as u64 * src.width() as u64 / target.w as u64) as usize;
-            rows.push(row[sx]);
+/// Writes the `rect` part (clipped) of `src` scaled to `dst`'s size into
+/// `dst`, leaving its other pixels alone. Every pixel comes out as
+/// [`scale`] would compute it. Records no damage in `dst`.
+pub fn scale_rect(src: &Framebuffer, dst: &mut Framebuffer, rect: Rect, filter: ScaleFilter) {
+    let Some(rect) = rect.intersect(dst.bounds()) else {
+        return;
+    };
+    let (s, d) = (src.size(), dst.size());
+    let (x0, x1) = (rect.x as u32, rect.right() as u32);
+    if s == d {
+        // Every filter maps a pixel to itself at scale 1.
+        let cols = x0 as usize..x1 as usize;
+        for y in rect.y as u32..rect.bottom() as u32 {
+            dst.row_mut(y)[cols.clone()].copy_from_slice(&src.row(y)[cols.clone()]);
         }
+        return;
     }
-    dst.write_rect(dst.bounds(), &rows);
-    dst
-}
-
-fn scale_bilinear(src: &Framebuffer, target: Size) -> Framebuffer {
-    let mut dst = Framebuffer::new(target.w, target.h, Color::BLACK);
-    let mut out = Vec::with_capacity((target.w * target.h) as usize);
-    let sw = src.width() as f64;
-    let sh = src.height() as f64;
-    for y in 0..target.h {
-        // Map pixel centers.
-        let fy = ((y as f64 + 0.5) * sh / target.h as f64 - 0.5).max(0.0);
-        let y0 = fy.floor() as u32;
-        let y1 = (y0 + 1).min(src.height() - 1);
-        let ty = ((fy - y0 as f64) * 256.0) as u32;
-        let row0 = src.row(y0);
-        let row1 = src.row(y1);
-        for x in 0..target.w {
-            let fx = ((x as f64 + 0.5) * sw / target.w as f64 - 0.5).max(0.0);
-            let x0 = fx.floor() as usize;
-            let x1 = (x0 + 1).min(src.width() as usize - 1);
-            let tx = ((fx - x0 as f64) * 256.0) as u32;
-            let top = row0[x0].lerp(row0[x1], tx);
-            let bot = row1[x0].lerp(row1[x1], tx);
-            out.push(top.lerp(bot, ty));
-        }
-    }
-    dst.write_rect(dst.bounds(), &out);
-    dst
-}
-
-fn scale_box(src: &Framebuffer, target: Size) -> Framebuffer {
-    let mut dst = Framebuffer::new(target.w, target.h, Color::BLACK);
-    let mut out = Vec::with_capacity((target.w * target.h) as usize);
-    for y in 0..target.h {
-        let y0 = (y as u64 * src.height() as u64 / target.h as u64) as u32;
-        let mut y1 = ((y as u64 + 1) * src.height() as u64 / target.h as u64) as u32;
-        if y1 <= y0 {
-            y1 = y0 + 1;
-        }
-        for x in 0..target.w {
-            let x0 = (x as u64 * src.width() as u64 / target.w as u64) as u32;
-            let mut x1 = ((x as u64 + 1) * src.width() as u64 / target.w as u64) as u32;
-            if x1 <= x0 {
-                x1 = x0 + 1;
-            }
-            let (mut r, mut g, mut b) = (0u64, 0u64, 0u64);
-            for sy in y0..y1 {
-                let row = src.row(sy);
-                for sx in x0..x1 {
-                    let c = row[sx as usize];
-                    r += c.r as u64;
-                    g += c.g as u64;
-                    b += c.b as u64;
+    let cols: Vec<Taps> = (x0..x1).map(|x| taps(filter, x, s.w, d.w)).collect();
+    for y in rect.y as u32..rect.bottom() as u32 {
+        let ty = taps(filter, y, s.h, d.h);
+        let out = &mut dst.row_mut(y)[x0 as usize..x1 as usize];
+        match filter {
+            ScaleFilter::Nearest => {
+                let row = src.row(ty.lo);
+                for (px, tx) in out.iter_mut().zip(&cols) {
+                    *px = row[tx.lo as usize];
                 }
             }
-            let n = ((y1 - y0) * (x1 - x0)) as u64;
-            out.push(Color::rgb((r / n) as u8, (g / n) as u8, (b / n) as u8));
+            ScaleFilter::Bilinear => {
+                let (row0, row1) = (src.row(ty.lo), src.row(ty.hi - 1));
+                for (px, tx) in out.iter_mut().zip(&cols) {
+                    let (a, b) = (tx.lo as usize, tx.hi as usize - 1);
+                    let top = row0[a].lerp(row0[b], tx.t);
+                    let bot = row1[a].lerp(row1[b], tx.t);
+                    *px = top.lerp(bot, ty.t);
+                }
+            }
+            ScaleFilter::Box => {
+                for (px, tx) in out.iter_mut().zip(&cols) {
+                    let (mut r, mut g, mut b) = (0u64, 0u64, 0u64);
+                    for sy in ty.lo..ty.hi {
+                        for c in &src.row(sy)[tx.lo as usize..tx.hi as usize] {
+                            r += c.r as u64;
+                            g += c.g as u64;
+                            b += c.b as u64;
+                        }
+                    }
+                    let n = ((ty.hi - ty.lo) * (tx.hi - tx.lo)) as u64;
+                    *px = Color::rgb((r / n) as u8, (g / n) as u8, (b / n) as u8);
+                }
+            }
         }
     }
-    dst.write_rect(dst.bounds(), &out);
-    dst
+}
+
+/// The destination rectangle whose pixels read at least one source pixel
+/// of `changed` when a `src`-sized frame is scaled to `dst` with
+/// `filter`: after `changed` is redrawn, rescaling this rectangle with
+/// [`scale_rect`] brings the scaled frame up to date.
+pub fn footprint(src: Size, dst: Size, filter: ScaleFilter, changed: Rect) -> Rect {
+    let Some(c) = changed.intersect(Rect::new(0, 0, src.w, src.h)) else {
+        return Rect::EMPTY;
+    };
+    let (x0, x1) = axis_footprint(filter, src.w, dst.w, c.x as u32, c.right() as u32);
+    let (y0, y1) = axis_footprint(filter, src.h, dst.h, c.y as u32, c.bottom() as u32);
+    Rect::new(x0 as i32, y0 as i32, x1 - x0, y1 - y0)
+}
+
+/// The source pixels one destination column (or row) reads along its
+/// axis: `lo..hi`, plus for bilinear the weight of `hi - 1` in 1/256.
+#[derive(Debug, Clone, Copy)]
+struct Taps {
+    lo: u32,
+    hi: u32,
+    t: u32,
+}
+
+/// The taps of destination coordinate `i` when scaling `src` pixels to
+/// `dst` along one axis. Both ends are non-decreasing in `i`.
+fn taps(filter: ScaleFilter, i: u32, src: u32, dst: u32) -> Taps {
+    let lo = (i as u64 * src as u64 / dst as u64) as u32;
+    match filter {
+        ScaleFilter::Nearest => Taps {
+            lo,
+            hi: lo + 1,
+            t: 0,
+        },
+        ScaleFilter::Box => Taps {
+            lo,
+            hi: (((i as u64 + 1) * src as u64 / dst as u64) as u32).max(lo + 1),
+            t: 0,
+        },
+        ScaleFilter::Bilinear => {
+            // Map pixel centers.
+            let f = ((i as f64 + 0.5) * src as f64 / dst as f64 - 0.5).max(0.0);
+            let lo = f.floor() as u32;
+            Taps {
+                lo,
+                hi: (lo + 1).min(src - 1) + 1,
+                t: ((f - lo as f64) * 256.0) as u32,
+            }
+        }
+    }
+}
+
+/// The destination range `lo..hi` along one axis whose taps meet source
+/// range `a..b`. Exact, because tap ranges are contiguous and monotone.
+fn axis_footprint(filter: ScaleFilter, src: u32, dst: u32, a: u32, b: u32) -> (u32, u32) {
+    // The first `i` in `0..dst` for which `before(i)` is false.
+    let first = |before: &dyn Fn(Taps) -> bool| {
+        let (mut lo, mut hi) = (0, dst);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if before(taps(filter, mid, src, dst)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    };
+    (first(&|t| t.hi <= a), first(&|t| t.lo < b))
 }
 
 #[cfg(test)]
@@ -227,6 +282,94 @@ mod tests {
         let src = Framebuffer::new(1000, 10, Color::BLACK);
         let out = scale_to_fit(&src, Size::new(5, 5), ScaleFilter::Box);
         assert!(out.width() >= 1 && out.height() >= 1);
+    }
+
+    #[test]
+    fn fit_size_matches_scaled_size() {
+        // The size `scale_to_fit` had when it computed it inline.
+        fn fitted(src: Size, bounds: Size) -> Size {
+            let sx = bounds.w as f64 / src.w as f64;
+            let sy = bounds.h as f64 / src.h as f64;
+            let s = sx.min(sy);
+            let w = ((src.w as f64 * s).round() as u32).clamp(1, bounds.w);
+            let h = ((src.h as f64 * s).round() as u32).clamp(1, bounds.h);
+            Size::new(w, h)
+        }
+        let sides = [1, 2, 3, 7, 16, 100, 127, 240, 333];
+        for &sw in &sides {
+            for &sh in &sides {
+                let src = Framebuffer::new(sw, sh, Color::BLACK);
+                for &bw in &sides {
+                    for &bh in &sides {
+                        let bounds = Size::new(bw, bh);
+                        let fit = fit_size(src.size(), bounds);
+                        assert_eq!(fit, fitted(src.size(), bounds), "{sw}x{sh} in {bounds}");
+                        if sw * sh <= 1_000 {
+                            let out = scale_to_fit(&src, bounds, ScaleFilter::Nearest);
+                            assert_eq!(out.size(), fit, "{sw}x{sh} in {bounds}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn footprint_holds_every_pixel_reading_the_change() {
+        let sides = [1, 2, 3, 5, 8, 13, 21];
+        for filter in [
+            ScaleFilter::Nearest,
+            ScaleFilter::Bilinear,
+            ScaleFilter::Box,
+        ] {
+            for &sw in &sides {
+                for &dw in &sides {
+                    let (src, dst) = (Size::new(sw, sw + 1), Size::new(dw, dw / 2 + 1));
+                    for (x, y, w, h) in [(0, 0u32, 1, 1), (sw / 2, 1, 1, 1), (sw - 1, 0, 1, sw + 1)]
+                    {
+                        let changed = Rect::new(x as i32, y as i32, w, h);
+                        let fp = footprint(src, dst, filter, changed);
+                        for dy in 0..dst.h {
+                            let ty = taps(filter, dy, src.h, dst.h);
+                            for dx in 0..dst.w {
+                                let tx = taps(filter, dx, src.w, dst.w);
+                                let reads = (ty.lo..ty.hi).any(|sy| {
+                                    (tx.lo..tx.hi).any(|sx| {
+                                        changed.contains(Point::new(sx as i32, sy as i32))
+                                    })
+                                });
+                                let p = Point::new(dx as i32, dy as i32);
+                                assert_eq!(
+                                    reads,
+                                    fp.contains(p),
+                                    "{filter} {src}->{dst} {changed}: {p} vs {fp}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rescaling_the_footprint_matches_a_full_scale() {
+        let mut src = checkerboard(19, 11);
+        for filter in [
+            ScaleFilter::Nearest,
+            ScaleFilter::Bilinear,
+            ScaleFilter::Box,
+        ] {
+            for target in [Size::new(7, 5), Size::new(19, 11), Size::new(40, 23)] {
+                let mut dst = scale(&src, target, filter);
+                let changed = Rect::new(4, 3, 5, 2);
+                src.fill_rect(changed, Color::rgb(200, 30, 60));
+                let fp = footprint(src.size(), target, filter, changed);
+                scale_rect(&src, &mut dst, fp, filter);
+                assert_eq!(dst, scale(&src, target, filter), "{filter} to {target}");
+                src = checkerboard(19, 11);
+            }
+        }
     }
 
     #[test]

@@ -68,6 +68,7 @@ fn main() {
     if let Some(frame) = session.last_frame() {
         println!("\nKitchen terminal view:\n");
         println!("{}", ascii_art(&frame.frame));
+        print_frame_line(frame);
     }
 
     // The aircon hums along on simulated time, drifting to its target.
@@ -77,4 +78,16 @@ fn main() {
     net.tick(120_000);
     app.process(&mut net);
     println!("Aircon after 2 minutes: {:?}", net.status(ac).unwrap());
+}
+
+/// One line that pins the adapted device frame: size, format, content
+/// digest and changed area. `tests/golden/kitchen_voice.txt` holds it.
+fn print_frame_line(frame: &DeviceFrame) {
+    println!(
+        "device frame: {} {} digest={:016x} changed={}",
+        frame.frame.size(),
+        frame.format,
+        frame.frame.digest(),
+        frame.changed.area()
+    );
 }

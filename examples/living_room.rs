@@ -90,6 +90,7 @@ fn main() {
             frame.format
         );
         println!("{}", ascii_art(&preview));
+        print_frame_line(frame);
     }
 
     // Let the VCR play for a while on simulated time.
@@ -100,4 +101,16 @@ fn main() {
     net.tick(30_000);
     app.process(&mut net);
     println!("VCR after 30s of playback: {:?}", net.status(vcr).unwrap());
+}
+
+/// One line that pins the adapted device frame: size, format, content
+/// digest and changed area. `tests/golden/living_room.txt` holds it.
+fn print_frame_line(frame: &DeviceFrame) {
+    println!(
+        "device frame: {} {} digest={:016x} changed={}",
+        frame.frame.size(),
+        frame.format,
+        frame.frame.digest(),
+        frame.changed.area()
+    );
 }

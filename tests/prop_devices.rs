@@ -155,3 +155,135 @@ proptest! {
         }
     }
 }
+
+/// One step of a frame sequence fed to a screen plug-in.
+#[derive(Debug, Clone)]
+enum Step {
+    /// Fill a rectangle (clipped to the frame) with one color.
+    Fill(Rect, Color),
+    /// Feed the frame unchanged.
+    Same,
+    /// Repaint one pixel on the frame's border; `at` picks which.
+    Border(u32, Color),
+    /// Replace the current source with a new one of another size.
+    Resize(Size, u64),
+    /// Switch to the other source.
+    Swap,
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    let color = (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(r, g, b)| Color::rgb(r, g, b));
+    prop_oneof![
+        4 => (-4i32..44, -4i32..44, 1u32..24, 1u32..24, color.clone())
+            .prop_map(|(x, y, w, h, c)| Step::Fill(Rect::new(x, y, w, h), c)),
+        1 => Just(Step::Same),
+        2 => (any::<u32>(), color).prop_map(|(at, c)| Step::Border(at, c)),
+        1 => (1u32..40, 1u32..40, any::<u64>()).prop_map(|(w, h, s)| Step::Resize(Size::new(w, h), s)),
+        2 => Just(Step::Swap),
+    ]
+}
+
+/// A seeded source frame: noise over part of it, flat panels elsewhere,
+/// so both dithering edges and unchanged stretches occur.
+fn source(size: Size, seed: u64) -> Framebuffer {
+    let mut fb = Framebuffer::new(size.w, size.h, Color::LIGHT_GRAY);
+    let mut s = seed | 1;
+    for y in 0..size.h as i32 {
+        for x in 0..size.w as i32 {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            if (x + y) % 3 != 0 {
+                fb.set_pixel(Point::new(x, y), Color::from_u32(s as u32 & 0xff_ffff));
+            }
+        }
+    }
+    fb
+}
+
+/// A pixel on the border of `fb`, picked by `at`.
+fn border_pixel(fb: &Framebuffer, at: u32) -> Point {
+    let (w, h) = (fb.width() as i32, fb.height() as i32);
+    let along = |n: i32| (at / 4) as i32 % n;
+    match at % 4 {
+        0 => Point::new(along(w), 0),
+        1 => Point::new(along(w), h - 1),
+        2 => Point::new(0, along(h)),
+        _ => Point::new(w - 1, along(h)),
+    }
+}
+
+/// The pixels of `rects` as a `size` bitmap; panics if two rects overlap.
+fn mark(rects: &[Rect], size: Size) -> Vec<bool> {
+    let mut hit = vec![false; size.area() as usize];
+    for r in rects {
+        for p in r.pixels() {
+            let i = (p.y as u32 * size.w + p.x as u32) as usize;
+            assert!(!hit[i], "changed rects overlap at {p}");
+            hit[i] = true;
+        }
+    }
+    hit
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A screen plug-in fed a sequence of frames returns, after every
+    /// call, exactly the frame a fresh plug-in returns for the same server
+    /// frame, and `changed` covers exactly the pixels where consecutive
+    /// fresh adaptations differ. Covers every pixel format, dither mode
+    /// and scale filter, with devices smaller and larger than the source.
+    #[test]
+    fn screen_plugin_matches_a_fresh_adapt_after_every_call(
+        first in (1u32..40, 1u32..40, any::<u64>()),
+        second in (1u32..40, 1u32..40, any::<u64>()),
+        device in (1u32..64, 1u32..64),
+        steps in proptest::collection::vec(arb_step(), 1..10),
+    ) {
+        let modes = [DitherMode::None, DitherMode::FloydSteinberg, DitherMode::Ordered4x4];
+        let filters = [ScaleFilter::Nearest, ScaleFilter::Bilinear, ScaleFilter::Box];
+        let start = [first, second].map(|(w, h, s)| source(Size::new(w, h), s));
+        for format in PixelFormat::ALL {
+            for dither in modes {
+                for scale in filters {
+                    let caps = OutputCaps { size: Size::new(device.0, device.1), format, dither, scale };
+                    let mut plugin = ScreenPlugin::new("prop", caps);
+                    let mut sources = start.clone();
+                    let mut cur = 0;
+                    let mut last_full: Option<Framebuffer> = None;
+                    for step in std::iter::once(&Step::Same).chain(&steps) {
+                        match step {
+                            Step::Fill(r, c) => sources[cur].fill_rect(*r, *c),
+                            Step::Same => {}
+                            Step::Border(at, c) => {
+                                let p = border_pixel(&sources[cur], *at);
+                                sources[cur].set_pixel(p, *c);
+                            }
+                            Step::Resize(size, seed) => sources[cur] = source(*size, *seed),
+                            Step::Swap => cur = 1 - cur,
+                        }
+                        let fb = &sources[cur];
+                        let got = plugin.adapt(fb);
+                        let want = ScreenPlugin::new("prop", caps).adapt(fb);
+                        let what = format!("{format} {dither} {scale} {step:?} src {}", fb.size());
+                        prop_assert!(got.frame == want.frame, "frame differs: {}", what);
+                        prop_assert_eq!(got.format, want.format);
+                        prop_assert_eq!(got.wire_bytes, want.wire_bytes);
+                        let size = want.frame.size();
+                        let expect = match &last_full {
+                            Some(prev) if prev.size() == size => prev.diff_region(&want.frame),
+                            _ => Region::from_rect(want.frame.bounds()),
+                        };
+                        prop_assert_eq!(got.changed.area(), expect.area(), "{}", what);
+                        let hit = mark(got.changed.rects(), size);
+                        for p in expect.rects().iter().flat_map(|r| r.pixels()) {
+                            prop_assert!(hit[(p.y as u32 * size.w + p.x as u32) as usize], "{p} missed: {}", what);
+                        }
+                        last_full = Some(want.frame);
+                    }
+                }
+            }
+        }
+    }
+}
