@@ -1,7 +1,7 @@
 //! Deterministic experiment snapshot for CI regression gating.
 //!
-//! Runs quick, fully deterministic variants of the paper experiments
-//! E1–E11 and emits one canonical-JSON document of shape
+//! Runs the quick catalogue (E1–E12, see [`uniint_bench::snapshot`]) and
+//! emits one canonical-JSON document of shape
 //! `{ experiment: { metric: integer } }`. Every metric is derived from
 //! the virtual clock, wire byte counts or telemetry counters — never
 //! from wall time — so the same toolchain produces the same bytes on
@@ -16,602 +16,15 @@
 //! ```
 //!
 //! With `--out` the JSON is written to `FILE` (stdout otherwise). With
-//! `--baseline` the snapshot is compared against the baseline document:
-//! regression counters (`full_resyncs`, `flood_dropped`) must not
-//! increase, everything else must stay within a per-metric tolerance.
+//! `--baseline` the snapshot is compared against the baseline document
+//! by [`uniint_bench::compare`]: regression counters (`full_resyncs`,
+//! `flood_dropped`, `diverged`) must not increase, digests must not
+//! change, everything else must stay within a per-metric tolerance.
 //! Exits non-zero if any metric fails.
 
 use std::process::ExitCode;
 
-use uniint_apps::prelude::*;
-use uniint_bench::{home_with, standard_scene, DamagePattern};
-use uniint_core::prelude::*;
-use uniint_devices::prelude::*;
-use uniint_gateway::prelude::{Gateway, GatewayClient, GatewayConfig};
-use uniint_netsim::prelude::{FaultSchedule, LinkProfile};
-use uniint_protocol::encoding::{encode_rect, Encoding};
-use uniint_protocol::input::InputEvent;
-use uniint_protocol::message::ClientMessage;
-use uniint_raster::prelude::*;
-use uniint_telemetry::json::{parse, Value};
-use uniint_telemetry::registry::Registry;
-use uniint_trace::prelude::{Replayer, TraceReader};
-use uniint_wsys::prelude::{Theme, Toggle, Ui};
-
-/// Turns a link/pattern display name into a metric-name token.
-fn slug(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() {
-                c.to_ascii_lowercase()
-            } else {
-                '_'
-            }
-        })
-        .collect()
-}
-
-/// E1 quick: protocol work per one command, per input device.
-fn e1() -> Value {
-    let mut m = Value::object();
-    type Scenario = (&'static str, Box<dyn InputPlugin>, DeviceEvent);
-    let scenarios: Vec<Scenario> = vec![
-        (
-            "remote",
-            Box::new(RemotePlugin::new()),
-            SimRemote::press(RemoteKey::Ok),
-        ),
-        (
-            "keypad",
-            Box::new(KeypadPlugin::new()),
-            SimPhone::press('5').unwrap(),
-        ),
-        (
-            "voice",
-            Box::new(VoicePlugin::new()),
-            DeviceEvent::Voice("select".into()),
-        ),
-        (
-            "gesture",
-            Box::new(GesturePlugin::new()),
-            DeviceEvent::Gesture(Gesture::Fist),
-        ),
-    ];
-    for (name, plugin, ev) in scenarios {
-        let (mut net, mut app, mut session) = standard_scene();
-        session.proxy.attach_input(plugin);
-        session.device_input(app.ui_mut(), &ev);
-        app.process(&mut net);
-        let t = session.telemetry();
-        m.insert(
-            format!("{name}_events_translated"),
-            Value::UInt(t.counter("proxy.events_translated").get()),
-        );
-        m.insert(
-            format!("{name}_updates_applied"),
-            Value::UInt(t.counter("proxy.updates_applied").get()),
-        );
-    }
-    m
-}
-
-/// E2 quick: encoded bytes per damage pattern × encoding (PDA screen).
-fn e2() -> Value {
-    let mut m = Value::object();
-    let size = Size::new(240, 320);
-    for pattern in DamagePattern::ALL {
-        let (rect, px) = pattern.generate(size);
-        for enc in [Encoding::Rre, Encoding::Hextile, Encoding::PaletteRle] {
-            let bytes = encode_rect(&px, rect, enc, PixelFormat::Rgb888).len();
-            m.insert(
-                format!("{}_{:?}_bytes", slug(pattern.name()), enc).to_lowercase(),
-                Value::UInt(bytes as u64),
-            );
-        }
-    }
-    m
-}
-
-/// E3 quick: adapted frame bytes per output device (640x480 source).
-fn e3() -> Value {
-    let mut m = Value::object();
-    let ui = uniint_bench::panel_ui(Size::new(640, 480));
-    let frame = ui.framebuffer().clone();
-    let mut dragged = frame.clone();
-    dragged.fill_rect(Rect::new(8, 240, 600, 16), Color::DARK_GRAY);
-    let mut plugins: Vec<Box<dyn uniint_core::plugin::OutputPlugin>> = vec![
-        Box::new(ScreenPlugin::tv()),
-        Box::new(ScreenPlugin::pda()),
-        Box::new(ScreenPlugin::phone_lcd()),
-        Box::new(ScreenPlugin::eyepiece()),
-        Box::new(TerminalPlugin::standard()),
-    ];
-    for plugin in &mut plugins {
-        let full = plugin.adapt(&frame).wire_bytes;
-        let delta = plugin.adapt(&dragged).delta_bytes();
-        m.insert(
-            format!("{}_full_bytes", slug(plugin.kind())),
-            Value::UInt(full as u64),
-        );
-        m.insert(
-            format!("{}_delta_bytes", slug(plugin.kind())),
-            Value::UInt(delta as u64),
-        );
-    }
-    m
-}
-
-/// E4 quick: switch counts over two situation changes.
-fn e4() -> Value {
-    let mut m = Value::object();
-    let (_net, mut app, mut session) = standard_scene();
-    let mut coord = Coordinator::new(UserProfile::neutral("u"), Situation::idle("hall"));
-    for d in standard_home("kitchen", "living-room") {
-        let r = coord.register(d, &mut session.proxy);
-        session.deliver_to_server(app.ui_mut(), r.messages);
-    }
-    for (zone, activity, hands_busy) in [
-        ("kitchen", Activity::Cooking, true),
-        ("living-room", Activity::WatchingTv, false),
-    ] {
-        let r = coord.set_situation(
-            Situation {
-                zone: zone.into(),
-                activity,
-                hands_busy,
-                noise: Noise::Moderate,
-            },
-            &mut session.proxy,
-        );
-        session.deliver_to_server(app.ui_mut(), r.messages);
-        session.take_frame();
-    }
-    let t = session.telemetry();
-    m.insert(
-        "input_switches",
-        Value::UInt(t.counter("coordinator.input_switches").get()),
-    );
-    m.insert(
-        "output_switches",
-        Value::UInt(t.counter("coordinator.output_switches").get()),
-    );
-    m.insert(
-        "frames_adapted",
-        Value::UInt(t.counter("proxy.frames_adapted").get()),
-    );
-    m
-}
-
-/// E5 quick: composed panel shape vs appliance count.
-fn e5() -> Value {
-    let mut m = Value::object();
-    for n in [1usize, 4, 16] {
-        let mut net = home_with(n);
-        let app = ControlPanelApp::new(&mut net, None, Theme::classic());
-        m.insert(
-            format!("sections_{n}"),
-            Value::UInt(app.section_count() as u64),
-        );
-        m.insert(
-            format!("panel_height_{n}"),
-            Value::UInt(app.ui().size().h as u64),
-        );
-    }
-    m
-}
-
-/// E6 quick: virtual time / frames / wire bytes for a short drag, per link.
-fn e6() -> Value {
-    let mut m = Value::object();
-    for link in LinkProfile::presets() {
-        let mut net = home_with(3);
-        let mut app = ControlPanelApp::new(&mut net, None, Theme::classic());
-        let mut s = SimSession::connect(app.ui_mut(), link, 7).expect("connect");
-        s.proxy.attach_input(Box::new(KeypadPlugin::new()));
-        let msgs = s.proxy.attach_output(Box::new(ScreenPlugin::phone_lcd()));
-        s.send_client(app.ui_mut(), msgs).unwrap();
-        let t0 = s.now_us();
-        let f0 = s.frames_delivered();
-        s.device_input(app.ui_mut(), &SimPhone::press('8').unwrap())
-            .unwrap();
-        app.process(&mut net);
-        s.settle(app.ui_mut()).unwrap();
-        for _ in 0..5 {
-            s.device_input(app.ui_mut(), &SimPhone::press('6').unwrap())
-                .unwrap();
-            app.process(&mut net);
-            s.settle(app.ui_mut()).unwrap();
-        }
-        let name = slug(link.name);
-        m.insert(format!("{name}_virtual_us"), Value::UInt(s.now_us() - t0));
-        m.insert(
-            format!("{name}_frames"),
-            Value::UInt(s.frames_delivered() - f0),
-        );
-        m.insert(
-            format!("{name}_wire_bytes"),
-            Value::UInt(s.server_wire_bytes()),
-        );
-    }
-    m
-}
-
-/// E7 quick: protocol work of the universal pipeline for 4 keypresses.
-fn e7() -> Value {
-    let mut m = Value::object();
-    let (mut net, mut app, mut session) = standard_scene();
-    session.proxy.attach_input(Box::new(KeypadPlugin::new()));
-    let msgs = session
-        .proxy
-        .attach_output(Box::new(ScreenPlugin::phone_lcd()));
-    session.deliver_to_server(app.ui_mut(), msgs);
-    for _ in 0..4 {
-        session.device_input(app.ui_mut(), &SimPhone::press('5').unwrap());
-        app.process(&mut net);
-        session.pump(app.ui_mut());
-        session.take_frame();
-    }
-    let t = session.telemetry();
-    for c in [
-        "proxy.updates_applied",
-        "proxy.rects_decoded",
-        "proxy.frames_adapted",
-        "proxy.events_translated",
-        "server.inputs_injected",
-    ] {
-        m.insert(slug(c), Value::UInt(t.counter(c).get()));
-    }
-    m
-}
-
-/// E8 quick: registry size vs appliance count.
-fn e8() -> Value {
-    let mut m = Value::object();
-    for n in [4usize, 64] {
-        let net = home_with(n);
-        m.insert(
-            format!("elements_{n}"),
-            Value::UInt(net.registry().len() as u64),
-        );
-    }
-    m
-}
-
-/// E9 quick: recovery counters under two fault shapes (802.11b link).
-fn e9() -> Value {
-    let mut m = Value::object();
-    type Fault = (&'static str, fn(u64) -> FaultSchedule);
-    let faults: [Fault; 2] = [
-        ("burst", |_t0| {
-            FaultSchedule::new().burst_loss(0.05, 0.7, 0.8)
-        }),
-        ("flap2s", |t0| {
-            FaultSchedule::new().flap(t0 + 50_000, t0 + 2_050_000)
-        }),
-    ];
-    for (fault, schedule) in faults {
-        let mut net = home_with(3);
-        let mut app = ControlPanelApp::new(&mut net, None, Theme::classic());
-        let mut s =
-            SimSession::connect(app.ui_mut(), LinkProfile::wifi80211b(), 7).expect("connect");
-        s.proxy.attach_input(Box::new(KeypadPlugin::new()));
-        let t0 = s.now_us();
-        s.sim.set_link_faults(s.proxy_endpoint(), schedule(t0));
-        for _ in 0..4 {
-            s.device_input(app.ui_mut(), &SimPhone::press('5').unwrap())
-                .unwrap();
-            app.process(&mut net);
-            s.settle(app.ui_mut()).unwrap();
-        }
-        let st = s.proxy.stats();
-        m.insert(format!("{fault}_virtual_us"), Value::UInt(s.now_us() - t0));
-        m.insert(format!("{fault}_stalls"), Value::UInt(st.stalls));
-        m.insert(
-            format!("{fault}_backoff_attempts"),
-            Value::UInt(st.backoff_attempts),
-        );
-        m.insert(format!("{fault}_resumes"), Value::UInt(st.resumes));
-        m.insert(
-            format!("{fault}_full_resyncs"),
-            Value::UInt(st.full_resyncs),
-        );
-        m.insert(format!("{fault}_retransmits"), Value::UInt(st.retransmits));
-    }
-    m
-}
-
-/// E10 quick: supervision outcomes for a quarantine cycle and an event
-/// storm (flood protection).
-fn e10() -> Value {
-    let mut m = Value::object();
-    {
-        // Quarantine → failover → probation → readmission, seed 7.
-        let mut sup = Supervisor::new(7);
-        let mut profile = UserProfile::neutral("u");
-        profile.input_ranking = vec![InputModality::Stylus, InputModality::Keypad];
-        let mut coord = Coordinator::new(profile, Situation::idle("living-room"));
-        let mut proxy = UniIntProxy::new("bench");
-        let schedule = (0..4).fold(DeviceFaultSchedule::new(), |s, i| s.panic_on_input(i));
-        let (faulty, _h) = FaultyDevice::wrap(SimPda::interaction_device("pda-1"), schedule, 7);
-        for dev in [
-            sup.supervise(faulty),
-            sup.supervise(SimPhone::interaction_device("phone-1")),
-            sup.supervise(tv_interaction_device("tv-lr", "living-room")),
-        ] {
-            coord.register(dev, &mut proxy);
-        }
-        for _ in 0..4 {
-            proxy.device_input(&DeviceEvent::StylusMove { x: 5, y: 5 });
-        }
-        let mut now = 1_000u64;
-        sup.tick(now, &mut coord, &mut proxy);
-        for _ in 0..12 {
-            now += 200_000;
-            sup.heartbeat("pda-1", now);
-            sup.heartbeat("phone-1", now);
-            sup.heartbeat("tv-lr", now);
-            proxy.device_input(&DeviceEvent::StylusMove { x: 5, y: 5 });
-            sup.tick(now, &mut coord, &mut proxy);
-        }
-        let st = sup.stats();
-        m.insert("plugin_panics", Value::UInt(st.plugin_panics));
-        m.insert("quarantines", Value::UInt(st.quarantines));
-        m.insert("failovers", Value::UInt(st.failovers));
-        m.insert("readmissions", Value::UInt(st.readmissions));
-    }
-    {
-        // Event storm: the proxy's flood protection must cap it.
-        let (dev, _h) = FaultyDevice::wrap(
-            SimPda::interaction_device("pda"),
-            DeviceFaultSchedule::new().storm_on_input(0, 5000),
-            7,
-        );
-        let mut proxy = UniIntProxy::new("bench");
-        let mut coord = Coordinator::new(UserProfile::neutral("u"), Situation::idle("z"));
-        coord.register(dev, &mut proxy);
-        proxy.device_input(&DeviceEvent::StylusDown { x: 5, y: 5 });
-        let st = proxy.stats();
-        m.insert("storm_events_coalesced", Value::UInt(st.events_coalesced));
-        m.insert("storm_flood_dropped", Value::UInt(st.flood_dropped));
-    }
-    m
-}
-
-/// E11 quick: the TCP gateway on loopback — concurrent socket clients
-/// converging on one panel, plus one socket kill → reconnect → resume.
-/// Real sockets run under wall-clock time, so only *counters* and the
-/// convergence verdict enter the snapshot; they are deterministic
-/// because every interaction is serialized behind a convergence wait.
-fn e11() -> Value {
-    use std::time::{Duration, Instant};
-
-    const CLIENTS: usize = 4;
-
-    fn pump_until(
-        clients: &mut [GatewayClient],
-        what: &str,
-        mut cond: impl FnMut(&[GatewayClient]) -> bool,
-    ) {
-        let deadline = Instant::now() + Duration::from_secs(20);
-        loop {
-            for c in clients.iter_mut() {
-                c.pump_once().expect("pump");
-            }
-            if cond(clients) {
-                return;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "e11 timed out waiting for {what}"
-            );
-        }
-    }
-
-    fn pump_quiescent(clients: &mut [GatewayClient]) {
-        let deadline = Instant::now() + Duration::from_secs(20);
-        let mut last_activity = Instant::now();
-        while last_activity.elapsed() < Duration::from_millis(200) {
-            for c in clients.iter_mut() {
-                if c.pump_once().expect("pump") {
-                    last_activity = Instant::now();
-                }
-            }
-            assert!(Instant::now() < deadline, "e11 never quiesced");
-        }
-    }
-
-    fn click() -> Vec<ClientMessage> {
-        InputEvent::click(80, 34)
-            .into_iter()
-            .map(ClientMessage::Input)
-            .collect()
-    }
-
-    let mut m = Value::object();
-    let registry = Registry::new();
-    let mut ui = Ui::new(160, 120, Theme::classic(), "e11-panel");
-    ui.add(Toggle::new("Power", false), Rect::new(20, 20, 120, 28));
-    let gw = Gateway::spawn(ui, GatewayConfig::default(), registry.clone()).expect("gateway binds");
-    let addr = gw.local_addr();
-
-    let mut clients: Vec<GatewayClient> = (0..CLIENTS)
-        .map(|i| GatewayClient::connect(addr, format!("bench-{i}"), i as u64).expect("connect"))
-        .collect();
-    pump_quiescent(&mut clients);
-
-    // Serialized clicks: every viewer must apply each click's update
-    // before the next client clicks, so counters cannot race.
-    for i in 0..CLIENTS {
-        let before: Vec<u64> = clients.iter().map(|c| c.stats().updates_applied).collect();
-        clients[i].send_messages(click());
-        pump_until(&mut clients, "click fan-out", |cs| {
-            cs.iter()
-                .zip(&before)
-                .all(|(c, b)| c.stats().updates_applied > *b)
-        });
-    }
-    pump_quiescent(&mut clients);
-
-    // Kill one socket; damage from another client forces an update the
-    // victim must pick up through reconnect + incremental resume.
-    clients[1].send_messages(click());
-    clients[0].kill_socket();
-    pump_until(&mut clients, "victim resume", |cs| {
-        cs[0].stats().resumes >= 1
-    });
-    pump_quiescent(&mut clients);
-
-    let full_resyncs: u64 = clients.iter().map(|c| c.stats().full_resyncs).sum();
-    let frames: Vec<_> = clients
-        .iter()
-        .map(|c| c.proxy.server_frame().expect("framebuffer").clone())
-        .collect();
-    let ui = gw.shutdown();
-    let converged = frames.iter().all(|f| f == ui.framebuffer());
-
-    let snap = registry.snapshot();
-    let counter = |n: &str| snap.counters.get(n).copied().unwrap_or(0);
-    m.insert("clients", Value::UInt(CLIENTS as u64));
-    m.insert(
-        "inputs_injected",
-        Value::UInt(counter("server.inputs_injected")),
-    );
-    m.insert("reconnects", Value::UInt(counter("gateway.reconnects")));
-    m.insert("resumes", Value::UInt(counter("gateway.resumes")));
-    m.insert("full_resyncs", Value::UInt(full_resyncs));
-    m.insert("converged", Value::UInt(u64::from(converged)));
-    m
-}
-
-/// E12 quick: trace-driven replay of the checked-in golden recording.
-/// The trace pins the exact wire conversation, so decode/adapt work and
-/// the final framebuffer digest are fully determined by the replaying
-/// code — any drift in protocol decoding, raster reconstruction or
-/// server regeneration shows up against the baseline. Regenerate the
-/// golden with `record_golden` when the scenario itself changes.
-fn e12() -> Value {
-    let mut m = Value::object();
-    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/e12.trace");
-    let reader = TraceReader::open(golden).expect("golden trace parses");
-    let outcome = Replayer::with_output(Box::new(ScreenPlugin::pda()))
-        .replay(&reader)
-        .expect("golden trace replays");
-    // Full verification: a fresh server must regenerate the recorded
-    // conversation byte-for-byte. Gated one-sided via `diverged`.
-    let mut ui = uniint_bench::e12_panel();
-    let diverged = u64::from(Replayer::new().verify(&reader, &mut ui).is_err());
-
-    m.insert("records", Value::UInt(outcome.records));
-    m.insert("updates_applied", Value::UInt(outcome.updates_applied));
-    m.insert("payload_bytes", Value::UInt(outcome.payload_bytes));
-    m.insert(
-        "virtual_elapsed_us",
-        Value::UInt(outcome.virtual_elapsed_us),
-    );
-    m.insert(
-        "final_digest",
-        Value::UInt(outcome.final_digest().unwrap_or(0)),
-    );
-    let counter = |n: &str| outcome.snapshot.counters.get(n).copied().unwrap_or(0);
-    m.insert("rects_decoded", Value::UInt(counter("proxy.rects_decoded")));
-    m.insert(
-        "frames_adapted",
-        Value::UInt(counter("proxy.frames_adapted")),
-    );
-    m.insert("diverged", Value::UInt(diverged));
-    m
-}
-
-/// Builds the whole snapshot document.
-fn snapshot() -> Value {
-    let mut root = Value::object();
-    root.insert("e1_input_latency", e1());
-    root.insert("e2_encoding", e2());
-    root.insert("e3_adaptation", e3());
-    root.insert("e4_switching", e4());
-    root.insert("e5_composition", e5());
-    root.insert("e6_links", e6());
-    root.insert("e7_baseline", e7());
-    root.insert("e8_havi", e8());
-    root.insert("e9_faults", e9());
-    root.insert("e10_supervision", e10());
-    root.insert("e11_gateway", e11());
-    root.insert("e12_replay", e12());
-    root
-}
-
-/// Counters where any increase over baseline is a regression, no matter
-/// how small: resync storms, flood drops and replay divergences must
-/// only ever shrink.
-const REGRESSION_COUNTERS: [&str; 3] = ["full_resyncs", "flood_dropped", "diverged"];
-
-/// Relative tolerance in percent for a metric, by name.
-fn tolerance_pct(metric: &str) -> i128 {
-    if metric.ends_with("_us") {
-        // Virtual-time totals legitimately move when protocol pacing
-        // changes; give them more headroom.
-        25
-    } else {
-        10
-    }
-}
-
-/// Compares `current` against `baseline`; returns human-readable
-/// failure lines (empty = pass).
-fn compare(current: &Value, baseline: &Value) -> Vec<String> {
-    let mut failures = Vec::new();
-    let Some(base_exps) = baseline.as_object() else {
-        return vec!["baseline is not a JSON object".into()];
-    };
-    for (exp, base_metrics) in base_exps {
-        let Some(base_metrics) = base_metrics.as_object() else {
-            continue;
-        };
-        for (metric, base_v) in base_metrics {
-            let Some(base) = base_v.as_i128() else {
-                continue;
-            };
-            let cur = current
-                .get(exp)
-                .and_then(|e| e.get(metric))
-                .and_then(|v| v.as_i128());
-            let Some(cur) = cur else {
-                failures.push(format!("{exp}.{metric}: missing from current snapshot"));
-                continue;
-            };
-            // Digests are identities, not quantities: any change at all
-            // means the replay reconstructed different pixels.
-            if metric.ends_with("_digest") {
-                if cur != base {
-                    failures.push(format!(
-                        "{exp}.{metric}: digest changed ({base:x} -> {cur:x})"
-                    ));
-                }
-                continue;
-            }
-            let one_sided = REGRESSION_COUNTERS.iter().any(|s| metric.ends_with(s));
-            if one_sided {
-                if cur > base {
-                    failures.push(format!(
-                        "{exp}.{metric}: regression counter increased ({base} -> {cur})"
-                    ));
-                }
-                continue;
-            }
-            let pct = tolerance_pct(metric);
-            // Integer tolerance check: |cur - base| * 100 <= pct * |base|,
-            // with a small absolute slack so tiny baselines don't pin.
-            let diff = (cur - base).abs();
-            let allowed = (pct * base.abs()) / 100 + 2;
-            if diff > allowed {
-                failures.push(format!(
-                    "{exp}.{metric}: {base} -> {cur} (diff {diff} > allowed {allowed}, ±{pct}%)"
-                ));
-            }
-        }
-    }
-    failures
-}
+use uniint_telemetry::json::parse;
 
 fn main() -> ExitCode {
     let mut out_path: Option<String> = None;
@@ -628,7 +41,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let snap = snapshot();
+    let snap = uniint_bench::snapshot();
     let json = snap.to_canonical();
     match &out_path {
         Some(p) => {
@@ -641,31 +54,27 @@ fn main() -> ExitCode {
         None => print!("{json}"),
     }
 
-    if let Some(p) = baseline_path {
-        let text = match std::fs::read_to_string(&p) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read baseline {p}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline = match parse(&text) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("baseline {p} is not valid JSON: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let failures = compare(&snap, &baseline);
-        if failures.is_empty() {
-            eprintln!("baseline check passed ({p})");
-        } else {
-            eprintln!("baseline check FAILED ({p}):");
-            for f in &failures {
-                eprintln!("  {f}");
-            }
+    let Some(p) = baseline_path else {
+        return ExitCode::SUCCESS;
+    };
+    let baseline = match std::fs::read_to_string(&p)
+        .map_err(|e| e.to_string())
+        .and_then(|t| parse(&t).map_err(|e| e.to_string()))
+    {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("cannot read baseline {p}: {e}");
             return ExitCode::FAILURE;
         }
+    };
+    let failures = uniint_bench::compare(&snap, &baseline);
+    if failures.is_empty() {
+        eprintln!("baseline check passed ({p})");
+        return ExitCode::SUCCESS;
     }
-    ExitCode::SUCCESS
+    eprintln!("baseline check FAILED ({p}):");
+    for f in &failures {
+        eprintln!("  {f}");
+    }
+    ExitCode::FAILURE
 }

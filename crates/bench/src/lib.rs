@@ -1,16 +1,27 @@
-//! Shared workload builders for the experiment harness (E1–E8).
+//! The experiment catalogue (E1–E12 plus ablations) and its fixtures.
 //!
-//! Each experiment in DESIGN.md §4 uses these fixtures so the Criterion
-//! benches and the `experiments` report binary measure identical work.
+//! Every experiment in DESIGN.md §4 is defined once, in [`catalogue`], as
+//! a scenario builder plus its measured step. It yields [`Row`]s of
+//! deterministic counts (virtual µs, bytes, counters, digests) and
+//! wall-clock medians. The `experiments` report renders the
+//! [`Scale::Full`] sweeps as tables; `bench_snapshot` files the
+//! [`Scale::Quick`] counts as canonical JSON and gates them against
+//! `baseline.json` with [`compare`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use std::time::Instant;
 
 use uniint_apps::prelude::*;
 use uniint_core::prelude::*;
 use uniint_havi::prelude::*;
 use uniint_raster::prelude::*;
+use uniint_telemetry::json::Value;
 use uniint_wsys::prelude::{Theme, Ui};
+
+pub mod catalogue;
+pub use catalogue::{Experiment, CATALOGUE};
 
 /// Builds a home network with `n` appliances cycling through the main
 /// appliance classes (TV tuner+display count as one device).
@@ -258,6 +269,220 @@ pub fn power_center(app: &ControlPanelApp) -> (u16, u16) {
     (c.x as u16, c.y as u16)
 }
 
+/// How large each experiment's sweep is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scale {
+    /// The snapshot's sizes, which `baseline.json` pins. Each timed step
+    /// runs once, so its code is exercised but its median means nothing.
+    Quick,
+    /// The report's sweeps, with real wall-clock medians.
+    Full,
+}
+
+impl Scale {
+    /// `quick` at [`Scale::Quick`], `full` at [`Scale::Full`].
+    pub fn pick<T>(self, quick: T, full: T) -> T {
+        match self {
+            Scale::Quick => quick,
+            Scale::Full => full,
+        }
+    }
+
+    /// Median wall time of `f` over `n` runs (one run at
+    /// [`Scale::Quick`]), in microseconds.
+    pub fn median_us<T>(self, n: usize, mut f: impl FnMut() -> T) -> f64 {
+        let mut samples: Vec<f64> = (0..self.pick(1, n))
+            .map(|_| {
+                let t = Instant::now();
+                std::hint::black_box(f());
+                t.elapsed().as_secs_f64() * 1e6
+            })
+            .collect();
+        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        samples[samples.len() / 2]
+    }
+}
+
+/// One measured value of a [`Row`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Metric {
+    /// A deterministic count (bytes, a telemetry counter, a digest),
+    /// filed in the snapshot under its key.
+    Count(String, u64),
+    /// Deterministic virtual-clock microseconds, filed in the snapshot
+    /// under its key; the report shows milliseconds.
+    VirtualUs(String, u64),
+    /// A ratio of other values (frames/s, an overhead factor); report only.
+    Ratio(f64),
+    /// A wall-clock median in microseconds; report only.
+    MedianUs(f64),
+}
+
+impl Metric {
+    /// Snapshot key and value of a deterministic metric.
+    pub fn keyed(&self) -> Option<(&str, u64)> {
+        match self {
+            Metric::Count(k, v) | Metric::VirtualUs(k, v) => Some((k, *v)),
+            Metric::Ratio(_) | Metric::MedianUs(_) => None,
+        }
+    }
+
+    /// The value as the report prints it.
+    pub fn display(&self) -> String {
+        match self {
+            Metric::Count(_, v) => v.to_string(),
+            Metric::VirtualUs(_, v) => format!("{:.1}", *v as f64 / 1000.0),
+            Metric::Ratio(x) | Metric::MedianUs(x) => format!("{x:.2}"),
+        }
+    }
+}
+
+/// One row of an experiment: a scenario label and its metrics, each
+/// under a report column name.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
+    /// What the row measured.
+    pub label: String,
+    /// `(column, metric)` in report order.
+    pub cells: Vec<(&'static str, Metric)>,
+}
+
+impl Row {
+    /// An empty row.
+    pub fn new(label: impl Into<String>) -> Row {
+        Row {
+            label: label.into(),
+            cells: Vec::new(),
+        }
+    }
+
+    /// Adds `metric` under `column`.
+    pub fn with(mut self, column: &'static str, metric: Metric) -> Row {
+        self.cells.push((column, metric));
+        self
+    }
+
+    /// Adds a deterministic count, filed in the snapshot as `key`.
+    pub fn count(self, column: &'static str, key: impl Into<String>, v: u64) -> Row {
+        self.with(column, Metric::Count(key.into(), v))
+    }
+
+    /// Adds a wall-clock median.
+    pub fn us(self, column: &'static str, median_us: f64) -> Row {
+        self.with(column, Metric::MedianUs(median_us))
+    }
+}
+
+/// Turns a link/pattern/counter name into a snapshot-key token.
+fn slug(name: &str) -> String {
+    name.chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() {
+                c.to_ascii_lowercase()
+            } else {
+                '_'
+            }
+        })
+        .collect()
+}
+
+/// Runs the [`Scale::Quick`] catalogue and files every deterministic
+/// metric as `{ experiment: { key: integer } }`. Wall time never enters,
+/// so the same toolchain produces the same document on every run.
+///
+/// # Panics
+///
+/// If two metrics of one experiment share a key.
+pub fn snapshot() -> Value {
+    let mut root = Value::object();
+    for e in CATALOGUE {
+        let mut m = Value::object();
+        for row in (e.run)(Scale::Quick) {
+            for (key, v) in row.cells.iter().filter_map(|(_, m)| m.keyed()) {
+                assert!(m.get(key).is_none(), "{}.{key} filed twice", e.key);
+                m.insert(key, Value::UInt(v));
+            }
+        }
+        if m.as_object().is_some_and(|o| !o.is_empty()) {
+            root.insert(e.key, m);
+        }
+    }
+    root
+}
+
+/// Counters where any increase over baseline is a regression, no matter
+/// how small: resync storms, flood drops and replay divergences must
+/// only ever shrink.
+pub const REGRESSION_COUNTERS: [&str; 3] = ["full_resyncs", "flood_dropped", "diverged"];
+
+/// Relative tolerance in percent for a metric, by name.
+pub fn tolerance_pct(metric: &str) -> i128 {
+    if metric.ends_with("_us") {
+        // Virtual-time totals legitimately move when protocol pacing
+        // changes; give them more headroom.
+        25
+    } else {
+        10
+    }
+}
+
+/// Compares `current` against `baseline`; returns human-readable
+/// failure lines (empty = pass).
+pub fn compare(current: &Value, baseline: &Value) -> Vec<String> {
+    let mut failures = Vec::new();
+    let Some(base_exps) = baseline.as_object() else {
+        return vec!["baseline is not a JSON object".into()];
+    };
+    for (exp, base_metrics) in base_exps {
+        let Some(base_metrics) = base_metrics.as_object() else {
+            continue;
+        };
+        for (metric, base_v) in base_metrics {
+            let Some(base) = base_v.as_i128() else {
+                continue;
+            };
+            let cur = current
+                .get(exp)
+                .and_then(|e| e.get(metric))
+                .and_then(|v| v.as_i128());
+            let Some(cur) = cur else {
+                failures.push(format!("{exp}.{metric}: missing from current snapshot"));
+                continue;
+            };
+            // Digests are identities, not quantities: any change at all
+            // means the replay reconstructed different pixels.
+            if metric.ends_with("_digest") {
+                if cur != base {
+                    failures.push(format!(
+                        "{exp}.{metric}: digest changed ({base:x} -> {cur:x})"
+                    ));
+                }
+                continue;
+            }
+            let one_sided = REGRESSION_COUNTERS.iter().any(|s| metric.ends_with(s));
+            if one_sided {
+                if cur > base {
+                    failures.push(format!(
+                        "{exp}.{metric}: regression counter increased ({base} -> {cur})"
+                    ));
+                }
+                continue;
+            }
+            let pct = tolerance_pct(metric);
+            // Integer tolerance check: |cur - base| * 100 <= pct * |base|,
+            // with a small absolute slack so tiny baselines don't pin.
+            let diff = (cur - base).abs();
+            let allowed = (pct * base.abs()) / 100 + 2;
+            if diff > allowed {
+                failures.push(format!(
+                    "{exp}.{metric}: {base} -> {cur} (diff {diff} > allowed {allowed}, ±{pct}%)"
+                ));
+            }
+        }
+    }
+    failures
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,5 +520,70 @@ mod tests {
         }
         let report = app.process(&mut net);
         assert_eq!(report.commands_sent, 1);
+    }
+
+    fn doc(json: &str) -> Value {
+        uniint_telemetry::json::parse(json).expect("valid JSON")
+    }
+
+    /// Number of failures `compare` reports for `current` against `base`.
+    fn failures(base: &str, current: &str) -> usize {
+        compare(&doc(current), &doc(base)).len()
+    }
+
+    /// A one-metric document `{"e":{key:v}}`.
+    fn one(key: &str, v: u64) -> String {
+        format!(r#"{{"e":{{"{key}":{v}}}}}"#)
+    }
+
+    #[test]
+    fn a_digest_change_fails_at_any_delta() {
+        let base = one("final_digest", 1_000_000);
+        assert_eq!(failures(&base, &base), 0);
+        assert_eq!(failures(&base, &one("final_digest", 1_000_001)), 1);
+        assert_eq!(failures(&base, &one("final_digest", 999_999)), 1);
+    }
+
+    #[test]
+    fn regression_counters_fail_on_one_more_and_pass_on_fewer() {
+        for c in REGRESSION_COUNTERS {
+            for key in [c.to_string(), format!("storm_{c}")] {
+                assert_eq!(failures(&one(&key, 100), &one(&key, 101)), 1, "{key}");
+                assert_eq!(failures(&one(&key, 100), &one(&key, 0)), 0, "{key}");
+            }
+        }
+    }
+
+    #[test]
+    fn us_metrics_get_25_percent_and_others_10_each_plus_2() {
+        assert_eq!(
+            (tolerance_pct("virtual_us"), tolerance_pct("wire_bytes")),
+            (25, 10)
+        );
+        for (key, base, allowed) in [
+            ("virtual_us", 1000, 252),
+            ("wire_bytes", 1000, 102),
+            ("frames", 0, 2),
+        ] {
+            let at = |v| one(key, v);
+            assert_eq!(failures(&at(base), &at(base + allowed)), 0, "{key}");
+            assert_eq!(failures(&at(base), &at(base + allowed + 1)), 1, "{key}");
+            if base > 0 {
+                assert_eq!(failures(&at(base), &at(base - allowed)), 0, "{key}");
+                assert_eq!(failures(&at(base), &at(base - allowed - 1)), 1, "{key}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_missing_metric_fails() {
+        assert_eq!(failures(r#"{"e":{"a":1,"b":2}}"#, r#"{"e":{"a":1}}"#), 1);
+        assert_eq!(failures(r#"{"e":{"a":1}}"#, r#"{"f":{"a":1}}"#), 1);
+    }
+
+    #[test]
+    fn extra_keys_in_the_current_snapshot_are_ignored() {
+        let current = r#"{"e":{"a":1,"z":9},"f":{"b":1}}"#;
+        assert_eq!(failures(r#"{"e":{"a":1}}"#, current), 0);
     }
 }
