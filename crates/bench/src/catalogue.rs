@@ -264,9 +264,19 @@ fn e2(at: Scale) -> Vec<Row> {
 /// plug-in and incrementally after a slider-band change; then the scale
 /// and dither stages alone.
 fn e3(at: Scale) -> Vec<Row> {
-    let frame = panel_ui(Size::new(640, 480)).framebuffer().clone();
-    let mut dragged = frame.clone();
-    dragged.fill_rect(Rect::new(8, 240, 600, 16), Color::DARK_GRAY);
+    let mut frame = panel_ui(Size::new(640, 480)).framebuffer().clone();
+    let band = Rect::new(8, 240, 600, 16);
+    let (_, under) = frame.read_rect(band);
+    // Drags the band in or out of `frame` in place, so the plug-in reads
+    // the change from the frame's own write journal.
+    let toggle = |frame: &mut Framebuffer, dragged: &mut bool| {
+        *dragged = !*dragged;
+        if *dragged {
+            frame.fill_rect(band, Color::DARK_GRAY);
+        } else {
+            frame.write_rect(band, &under);
+        }
+    };
     let devices: [fn() -> Box<dyn OutputPlugin>; 5] = [
         || Box::new(ScreenPlugin::tv()),
         || Box::new(ScreenPlugin::pda()),
@@ -280,13 +290,17 @@ fn e3(at: Scale) -> Vec<Row> {
             let mut plugin = device();
             let kind = plugin.kind();
             let full_bytes = plugin.adapt(&frame).wire_bytes as u64;
-            let delta = plugin.adapt(&dragged).delta_bytes() as u64;
-            // Alternating the two frames makes every call redraw the band.
-            let mut flip = false;
+            let mut dragged = false;
+            toggle(&mut frame, &mut dragged);
+            let delta = plugin.adapt(&frame).delta_bytes() as u64;
+            // Every timed call redraws the band.
             let incr = at.median_us(21, || {
-                flip = !flip;
-                plugin.adapt(if flip { &frame } else { &dragged })
+                toggle(&mut frame, &mut dragged);
+                plugin.adapt(&frame)
             });
+            if dragged {
+                toggle(&mut frame, &mut dragged);
+            }
             Row::new(kind)
                 .us("full µs", at.median_us(21, || device().adapt(&frame)))
                 .us("incr µs", incr)

@@ -6,6 +6,8 @@
 //! converting server bitmaps into something the device can display. The
 //! proxy stays generic; all device knowledge lives in the plug-ins.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 use uniint_protocol::input::InputEvent;
 use uniint_raster::dither::DitherMode;
@@ -122,11 +124,15 @@ pub struct OutputCaps {
 }
 
 /// A frame fully adapted for one output device.
+///
+/// The pixels are a shared, immutable snapshot: cloning a `DeviceFrame`
+/// (as the supervisor does to keep the last good one) bumps a reference
+/// count, and the plug-in that made it never writes it again.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceFrame {
     /// Pixels, already at device resolution and reduced to the device's
     /// representable colors.
-    pub frame: Framebuffer,
+    pub frame: Arc<Framebuffer>,
     /// The format the pixels are representable in.
     pub format: PixelFormat,
     /// Bytes a full-frame transfer occupies on the device link.
@@ -139,7 +145,12 @@ pub struct DeviceFrame {
 
 impl DeviceFrame {
     /// Creates a frame whose whole area counts as changed.
-    pub fn new(frame: Framebuffer, format: PixelFormat, wire_bytes: usize) -> DeviceFrame {
+    pub fn new(
+        frame: impl Into<Arc<Framebuffer>>,
+        format: PixelFormat,
+        wire_bytes: usize,
+    ) -> DeviceFrame {
+        let frame = frame.into();
         let changed = Region::from_rect(frame.bounds());
         DeviceFrame {
             frame,
@@ -207,11 +218,14 @@ pub trait OutputPlugin: std::fmt::Debug + Send {
     /// Adapts a full server frame to the device.
     ///
     /// A plug-in may keep state between calls (the built-in screens keep
-    /// their last frames to redo only what changed), but the returned
-    /// `frame` must equal what a freshly built plug-in returns for the
-    /// same server frame. `changed` is relative to this plug-in's previous
-    /// output: the device pixels that differ from it, or the whole frame
-    /// when there is no previous output of the same size.
+    /// the server frame's journal stamp and their last device frames to
+    /// redo only what changed), but the returned `frame` must equal what
+    /// a freshly built plug-in returns for the same server frame. It is a
+    /// shared snapshot: once returned, the plug-in never changes it, so
+    /// the caller may keep it as long as it likes. `changed` is relative
+    /// to this plug-in's previous output: the device pixels that differ
+    /// from it, or the whole frame when there is no previous output of the
+    /// same size.
     fn adapt(&mut self, server_frame: &Framebuffer) -> DeviceFrame;
 }
 

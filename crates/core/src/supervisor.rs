@@ -1384,6 +1384,47 @@ mod tests {
     }
 
     #[test]
+    fn last_good_shares_the_returned_frame() {
+        #[derive(Debug)]
+        struct OnceScreen(bool);
+        impl OutputPlugin for OnceScreen {
+            fn kind(&self) -> &'static str {
+                "once-screen"
+            }
+            fn caps(&self) -> OutputCaps {
+                OutputCaps {
+                    size: Size::new(16, 16),
+                    format: PixelFormat::Rgb888,
+                    dither: DitherMode::None,
+                    scale: ScaleFilter::Nearest,
+                }
+            }
+            fn adapt(&mut self, _: &Framebuffer) -> DeviceFrame {
+                assert!(!std::mem::replace(&mut self.0, true), "crashed");
+                let fb = Framebuffer::new(16, 16, Color::WHITE);
+                DeviceFrame::new(fb, PixelFormat::Rgb888, 768)
+            }
+        }
+        let mut out = IsolatedOutput {
+            device: "once".into(),
+            kind: "once-screen",
+            caps: OnceScreen(false).caps(),
+            fuel: SupervisorConfig::default().call_fuel,
+            ledger: SharedLedger::default(),
+            inner: Box::new(OnceScreen(false)),
+            last_good: None,
+        };
+        let server = Framebuffer::new(32, 32, Color::BLACK);
+        let good = out.adapt(&server);
+        let kept = out.last_good.as_ref().expect("clean adapt kept");
+        assert!(Arc::ptr_eq(&kept.frame, &good.frame));
+        let substitute = out.adapt(&server);
+        assert!(Arc::ptr_eq(&substitute.frame, &good.frame));
+        let ledger = out.ledger.lock().unwrap();
+        assert_eq!(ledger.last().map(|(_, o)| *o), Some(CallOutcome::Panic));
+    }
+
+    #[test]
     fn fallback_terminal_adapts_any_size() {
         let mut t = FallbackTerminal;
         for (w, h) in [(1, 1), (640, 480), (3, 200)] {

@@ -1,22 +1,33 @@
 //! Output plug-ins: adapt server bitmaps to each display device.
 //!
-//! [`ScreenPlugin`] adapts in proportion to what changed. It keeps the
-//! server frame it adapted last and the device frame it returned (and,
-//! for error-diffusion devices, the scaled frame before reduction). Each
-//! call compares the new server frame with the kept one row by row,
-//! widens every changed band by the scaling filter's footprint and
-//! recomputes only those device pixels, so `changed` is computed only
-//! there too. Error diffusion is not local: those devices rescale the
-//! bands but re-reduce their (small) frame whole. The first frame, a
-//! resize, or a call after a panic runs the same code over the whole
-//! frame. The result is always bit-for-bit what a fresh plug-in returns.
+//! [`ScreenPlugin`] adapts in proportion to what changed, and never
+//! compares or copies whole frames to find out. It keeps the
+//! [`Stamp`] of the server frame it adapted last and asks that frame's
+//! own write journal what was written since; each written rect, widened
+//! by the scaling filter's footprint, is all it rescales, reduces and
+//! diffs to compute `changed`. Error-diffusion devices keep their scaled
+//! frame and the error row entering each device row, restart the dither
+//! at the first rescaled row and stop where the error entering an
+//! unchanged row is the kept one. The first frame, a resize, a call
+//! after a panic, another server frame or one written more often than
+//! the journal remembers run the same code over the whole frame.
+//!
+//! A returned frame is a shared snapshot the plug-in never writes again.
+//! The plug-in keeps two device buffers: it writes in place when nobody
+//! else holds the last one; when the caller holds only the last one it
+//! brings the one before up to date by copying the rects rewritten since,
+//! and writes there; when the caller holds both it clones. The result is
+//! always bit-for-bit what a fresh plug-in returns.
+
+use std::sync::Arc;
 
 use uniint_core::plugin::{DeviceFrame, OutputCaps, OutputPlugin};
 use uniint_raster::color::Color;
-use uniint_raster::dither::{diffuses_error, dither_to_format, reduce_rect, DitherMode};
-use uniint_raster::framebuffer::Framebuffer;
+use uniint_raster::dither::{dither_to_format, reduce_rect, Diffusion, DitherMode};
+use uniint_raster::framebuffer::{Framebuffer, Stamp};
 use uniint_raster::geom::{Rect, Size};
 use uniint_raster::pixel::PixelFormat;
+use uniint_raster::region::Region;
 use uniint_raster::scale::{fit_size, footprint, scale_rect, scale_to_fit, ScaleFilter};
 
 /// A generic screen plug-in: aspect-fit scale, then depth reduction with
@@ -33,13 +44,106 @@ pub struct ScreenPlugin {
 /// What a [`ScreenPlugin`] keeps from its previous call.
 #[derive(Debug, Clone)]
 struct Kept {
-    /// The server frame adapted last.
-    server: Framebuffer,
-    /// Its scaled frame before reduction; kept only when the reduction
-    /// diffuses error and so must rerun over the whole frame.
-    scaled: Option<Framebuffer>,
+    /// The server frame adapted last, as it was then.
+    seen: Stamp,
+    /// For error-diffusion devices, the scaled frame before reduction and
+    /// the diffusion state over it.
+    diffusion: Option<(Framebuffer, Diffusion)>,
     /// The device frame returned last.
-    device: Framebuffer,
+    device: Arc<Framebuffer>,
+    /// The device frame returned before it, while the plug-in may reuse
+    /// it, with the device rects written since it equalled `device`.
+    spare: Option<(Arc<Framebuffer>, Vec<Rect>)>,
+}
+
+impl Kept {
+    /// Blank state for `size` device frames.
+    fn new(size: Size, caps: OutputCaps, seen: Stamp) -> Kept {
+        let blank = || Framebuffer::new(size.w, size.h, Color::BLACK);
+        Kept {
+            seen,
+            diffusion: Diffusion::new(caps.format, caps.dither, size).map(|d| (blank(), d)),
+            device: Arc::new(blank()),
+            spare: None,
+        }
+    }
+
+    /// A device buffer no caller holds, equal to the frame returned last,
+    /// made the one returned next. The one returned last becomes the spare.
+    fn writable(&mut self) -> &mut Framebuffer {
+        if Arc::get_mut(&mut self.device).is_some() {
+            // Nobody else holds it: write in place.
+            self.spare = None;
+        } else {
+            // Reuse the frame before last if nobody else holds it, else clone.
+            let reuse = self.spare.take().and_then(|(mut spare, lag)| {
+                copy_rects(&self.device, Arc::get_mut(&mut spare)?, &lag);
+                Some(spare)
+            });
+            let next = reuse.unwrap_or_else(|| Arc::new(Framebuffer::clone(&self.device)));
+            let last = std::mem::replace(&mut self.device, next);
+            self.spare = Some((last, Vec::new()));
+        }
+        Arc::make_mut(&mut self.device)
+    }
+
+    /// Re-adapts the device pixels in `rescale` (disjoint, non-empty) from
+    /// `server`. Returns where they differ from the frame returned last if
+    /// `diff` is set, else the whole frame.
+    fn redo(
+        &mut self,
+        server: &Framebuffer,
+        caps: OutputCaps,
+        rescale: Vec<Rect>,
+        diff: bool,
+    ) -> Region {
+        let mut diffusion = self.diffusion.take();
+        let device = self.writable();
+        let size = device.size();
+        let (written, saved) = match &mut diffusion {
+            // Error diffusion is not local: rescale into the scaled frame,
+            // then re-reduce from the first rescaled row on.
+            Some((scaled, diffusion)) => {
+                for &r in &rescale {
+                    scale_rect(server, scaled, r, caps.scale);
+                }
+                let from = rescale.iter().map(|r| r.y as u32).min().unwrap_or(0);
+                let through = rescale.iter().map(|r| r.bottom() as u32).max().unwrap_or(0);
+                let rest = Rect::new(0, from as i32, size.w, size.h - from);
+                let (_, mut before) = if diff {
+                    device.read_rect(rest)
+                } else {
+                    Default::default()
+                };
+                let rows = diffusion.rerun(scaled, device, from, through);
+                let rows = Rect::new(0, from as i32, size.w, rows.len() as u32);
+                before.truncate(rows.area() as usize);
+                (vec![rows], vec![(rows, before)])
+            }
+            None => {
+                let saved = if diff {
+                    rescale.iter().map(|&r| device.read_rect(r)).collect()
+                } else {
+                    Vec::new()
+                };
+                for &r in &rescale {
+                    scale_rect(server, device, r, caps.scale);
+                    reduce_rect(device, r, caps.format, caps.dither);
+                }
+                (rescale, saved)
+            }
+        };
+        let changed = if diff {
+            device.diff_since(&saved)
+        } else {
+            Region::from_rect(device.bounds())
+        };
+        if let Some((_, lag)) = &mut self.spare {
+            lag.extend(written);
+        }
+        self.diffusion = diffusion;
+        changed
+    }
 }
 
 impl ScreenPlugin {
@@ -119,85 +223,46 @@ impl OutputPlugin for ScreenPlugin {
     fn adapt(&mut self, server_frame: &Framebuffer) -> DeviceFrame {
         let caps = self.caps;
         let src = server_frame.size();
+        let size = fit_size(src, caps.size);
+        let whole = Rect::new(0, 0, size.w, size.h);
+        let seen = server_frame.stamp();
         // Taken rather than borrowed: a panic below leaves no half-updated
-        // copy behind, and the next call adapts the whole frame.
+        // state behind, and the next call adapts the whole frame.
         let (mut kept, rescale, fresh) = match self.kept.take() {
-            Some(mut kept) if kept.server.size() == src => {
-                let to = kept.device.size();
-                let rects = sync_rows(&mut kept.server, server_frame)
-                    .into_iter()
-                    .map(|band| footprint(src, to, caps.scale, band));
-                (kept, disjoint(rects), false)
-            }
-            kept => {
-                let size = fit_size(src, caps.size);
-                let blank = || Framebuffer::new(size.w, size.h, Color::BLACK);
-                let last = kept.map(|k| k.device).filter(|d| d.size() == size);
-                let fresh = last.is_none();
-                let kept = Kept {
-                    server: server_frame.clone(),
-                    scaled: diffuses_error(caps.format, caps.dither).then(blank),
-                    device: last.unwrap_or_else(blank),
+            Some(kept) if kept.device.size() == size => {
+                let rescale = match server_frame.changes_since(kept.seen) {
+                    Some(rects) => disjoint(
+                        rects
+                            .into_iter()
+                            .map(|r| footprint(src, size, caps.scale, r)),
+                    ),
+                    None => vec![whole],
                 };
-                (kept, vec![Rect::new(0, 0, size.w, size.h)], fresh)
+                (kept, rescale, false)
             }
+            _ => (Kept::new(size, caps, seen), vec![whole], true),
         };
-        // Error diffusion is not local: those devices rescale into the kept
-        // scaled frame and then reduce a copy of it whole.
-        let reduce = match kept.scaled {
-            Some(_) if rescale.is_empty() => Vec::new(),
-            Some(_) => vec![kept.device.bounds()],
-            None => rescale.clone(),
+        kept.seen = seen;
+        let changed = if rescale.is_empty() {
+            Region::default()
+        } else {
+            kept.redo(server_frame, caps, rescale, !fresh)
         };
-        let saved: Vec<_> = reduce.iter().map(|&r| kept.device.read_rect(r)).collect();
-        let target = kept.scaled.as_mut().unwrap_or(&mut kept.device);
-        for &r in &rescale {
-            scale_rect(server_frame, target, r, caps.scale);
-        }
-        if let Some(scaled) = kept.scaled.as_ref().filter(|_| !reduce.is_empty()) {
-            kept.device.clone_from(scaled);
-        }
-        for &r in &reduce {
-            reduce_rect(&mut kept.device, r, caps.format, caps.dither);
-        }
-        let device = &kept.device;
-        let wire_bytes = caps.format.buffer_bytes(device.width(), device.height());
-        let mut out = DeviceFrame::new(device.clone(), caps.format, wire_bytes);
-        if !fresh {
-            out = out.with_changed(device.diff_since(&saved));
-        }
+        let wire_bytes = caps.format.buffer_bytes(size.w, size.h);
+        let out = DeviceFrame::new(Arc::clone(&kept.device), caps.format, wire_bytes);
         self.kept = Some(kept);
-        out
+        out.with_changed(changed)
     }
 }
 
-/// Brings `kept` up to date with `server` (same size) row by row and
-/// returns where they differed as bands: runs of consecutive changed rows,
-/// each spanning the union of their changed columns.
-fn sync_rows(kept: &mut Framebuffer, server: &Framebuffer) -> Vec<Rect> {
-    let mut bands: Vec<Rect> = Vec::new();
-    for y in 0..server.height() {
-        let (new, old) = (server.row(y), kept.row_mut(y));
-        if new == old {
-            continue;
-        }
-        let differs = |(a, b): (&Color, &Color)| a != b;
-        let x0 = new.iter().zip(old.iter()).position(differs).unwrap_or(0);
-        let x1 = new.len()
-            - new
-                .iter()
-                .rev()
-                .zip(old.iter().rev())
-                .position(differs)
-                .unwrap_or(0);
-        old[x0..x1].copy_from_slice(&new[x0..x1]);
-        let row = Rect::new(x0 as i32, y as i32, (x1 - x0) as u32, 1);
-        match bands.last_mut() {
-            Some(band) if band.bottom() == row.y => *band = band.union(row),
-            _ => bands.push(row),
+/// Copies the pixels of `rects` (inside both frames) from `from` to `to`.
+fn copy_rects(from: &Framebuffer, to: &mut Framebuffer, rects: &[Rect]) {
+    for r in rects {
+        let cols = r.x as usize..r.right() as usize;
+        for y in r.y as u32..r.bottom() as u32 {
+            to.row_mut(y)[cols.clone()].copy_from_slice(&from.row(y)[cols.clone()]);
         }
     }
-    bands
 }
 
 /// Merges overlapping rects into their bounding boxes until no two
@@ -273,8 +338,8 @@ impl OutputPlugin for TerminalPlugin {
     }
 
     fn adapt(&mut self, server_frame: &Framebuffer) -> DeviceFrame {
-        // Characters are ~2x taller than wide; compensate by halving rows
-        // during the fit so shapes stay recognizable.
+        // One pixel per character cell, fitted with the panel's aspect
+        // ratio as it is; rows are not halved for the taller cells.
         let scaled = scale_to_fit(
             server_frame,
             Size::new(self.cols, self.rows),

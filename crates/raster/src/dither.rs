@@ -7,8 +7,9 @@
 
 use crate::color::{Color, Palette};
 use crate::framebuffer::Framebuffer;
-use crate::geom::Rect;
+use crate::geom::{Rect, Size};
 use crate::pixel::PixelFormat;
+use core::ops::Range;
 use serde::{Deserialize, Serialize};
 
 /// Dithering algorithm selection.
@@ -58,15 +59,17 @@ pub fn dither_to_format(src: &Framebuffer, format: PixelFormat, mode: DitherMode
 
 /// Reduces the pixels of `rect` (clipped) in place, as
 /// [`dither_to_format`] reduces them. Position-local modes give every
-/// pixel exactly its whole-frame value; where [`diffuses_error`] holds,
-/// that is true only when `rect` spans the whole frame. Records no damage.
+/// pixel exactly its whole-frame value; where error diffuses (see
+/// [`Diffusion`]), that is true only when `rect` spans the whole frame.
+/// Records no damage.
 pub fn reduce_rect(fb: &mut Framebuffer, rect: Rect, format: PixelFormat, mode: DitherMode) {
     let Some(rect) = rect.intersect(fb.bounds()) else {
         return;
     };
-    match format {
-        PixelFormat::Rgb888 => {}
-        PixelFormat::Rgb565 | PixelFormat::Rgb444 => {
+    match palette_of(format) {
+        Some(palette) => quantize_rect(fb, rect, &palette, mode),
+        None if format == PixelFormat::Rgb888 => {}
+        None => {
             // Channel-wise reduction; error diffusion is overkill for >=12bpp
             // GUI content, so only ordered/none modes perturb here.
             for y in rect.y as usize..rect.bottom() as usize {
@@ -91,23 +94,24 @@ pub fn reduce_rect(fb: &mut Framebuffer, rect: Rect, format: PixelFormat, mode: 
                 }
             }
         }
-        PixelFormat::Mono1 => quantize_rect(fb, rect, &Palette::mono(), mode),
-        PixelFormat::Gray4 => quantize_rect(fb, rect, &Palette::grayscale(16), mode),
-        PixelFormat::Indexed8 => quantize_rect(fb, rect, &Palette::websafe(), mode),
-        PixelFormat::Gray8 => quantize_rect(fb, rect, &Palette::grayscale(256), mode),
     }
 }
 
-/// Whether reducing to `format` with `mode` diffuses quantization error
-/// from pixel to pixel, so a pixel's result depends on the pixels above
-/// and left of it: Floyd–Steinberg onto a palette format.
-pub fn diffuses_error(format: PixelFormat, mode: DitherMode) -> bool {
-    mode == DitherMode::FloydSteinberg
-        && matches!(
-            format,
-            PixelFormat::Mono1 | PixelFormat::Gray4 | PixelFormat::Indexed8 | PixelFormat::Gray8
-        )
+/// The palette a palette-ish format reduces through, or `None` for the
+/// channel-wise formats.
+fn palette_of(format: PixelFormat) -> Option<Palette> {
+    match format {
+        PixelFormat::Rgb888 | PixelFormat::Rgb565 | PixelFormat::Rgb444 => None,
+        PixelFormat::Mono1 => Some(Palette::mono()),
+        PixelFormat::Gray4 => Some(Palette::grayscale(16)),
+        PixelFormat::Indexed8 => Some(Palette::websafe()),
+        PixelFormat::Gray8 => Some(Palette::grayscale(256)),
+    }
 }
+
+/// Per-channel Floyd–Steinberg error, in sixteenths, for one row plus a
+/// cell of margin at each end.
+type ErrorRow = Vec<[i32; 3]>;
 
 /// Quantizes the pixels of `rect` (already clipped) to `palette` in place,
 /// applying `mode`. Error diffusion starts afresh at the rect's top-left.
@@ -140,36 +144,116 @@ fn quantize_rect(fb: &mut Framebuffer, rect: Rect, palette: &Palette, mode: Dith
             }
         }
         DitherMode::FloydSteinberg => {
-            // Per-channel error buffers for the current and next row.
-            let w = x1 - x0;
-            let mut err_cur = vec![[0i32; 3]; w + 2];
-            let mut err_next = vec![[0i32; 3]; w + 2];
+            let mut cur: ErrorRow = vec![[0; 3]; x1 - x0 + 2];
+            let mut next = cur.clone();
             for y in rows {
-                for (x, p) in fb.row_mut(y as u32)[x0..x1].iter_mut().enumerate() {
-                    let e = err_cur[x + 1];
-                    let adj = Color::rgb(
-                        (p.r as i32 + e[0] / 16).clamp(0, 255) as u8,
-                        (p.g as i32 + e[1] / 16).clamp(0, 255) as u8,
-                        (p.b as i32 + e[2] / 16).clamp(0, 255) as u8,
-                    );
-                    let q = palette.quantize(adj);
-                    *p = q;
-                    let err = [
-                        adj.r as i32 - q.r as i32,
-                        adj.g as i32 - q.g as i32,
-                        adj.b as i32 - q.b as i32,
-                    ];
-                    for ch in 0..3 {
-                        err_cur[x + 2][ch] += err[ch] * 7;
-                        err_next[x][ch] += err[ch] * 3;
-                        err_next[x + 1][ch] += err[ch] * 5;
-                        err_next[x + 2][ch] += err[ch];
-                    }
-                }
-                core::mem::swap(&mut err_cur, &mut err_next);
-                err_next.iter_mut().for_each(|e| *e = [0; 3]);
+                diffuse_row(
+                    &mut fb.row_mut(y as u32)[x0..x1],
+                    palette,
+                    &mut cur,
+                    &mut next,
+                );
             }
         }
+    }
+}
+
+/// Floyd–Steinberg over one row, in place: `cur` holds the error entering
+/// the row and `next` must be zero. Afterwards `cur` holds the error
+/// entering the row below and `next` is zero again.
+fn diffuse_row(row: &mut [Color], palette: &Palette, cur: &mut ErrorRow, next: &mut ErrorRow) {
+    for (x, p) in row.iter_mut().enumerate() {
+        let e = cur[x + 1];
+        let adj = Color::rgb(
+            (p.r as i32 + e[0] / 16).clamp(0, 255) as u8,
+            (p.g as i32 + e[1] / 16).clamp(0, 255) as u8,
+            (p.b as i32 + e[2] / 16).clamp(0, 255) as u8,
+        );
+        let q = palette.quantize(adj);
+        *p = q;
+        let err = [
+            adj.r as i32 - q.r as i32,
+            adj.g as i32 - q.g as i32,
+            adj.b as i32 - q.b as i32,
+        ];
+        for ch in 0..3 {
+            cur[x + 2][ch] += err[ch] * 7;
+            next[x][ch] += err[ch] * 3;
+            next[x + 1][ch] += err[ch] * 5;
+            next[x + 2][ch] += err[ch];
+        }
+    }
+    core::mem::swap(cur, next);
+    next.iter_mut().for_each(|e| *e = [0; 3]);
+}
+
+/// Floyd–Steinberg reduction of a whole frame that can restart at any
+/// row. It keeps the error row entering each row of the frame it reduced
+/// last; when rows of the unreduced frame change, [`rerun`](Self::rerun)
+/// redoes the reduction from the first changed row and stops as soon as
+/// the error entering an unchanged row is the kept one, because from
+/// there on input and error state, and so the output, are as before.
+/// The result is bit-for-bit what [`dither_to_format`] gives.
+#[derive(Debug, Clone)]
+pub struct Diffusion {
+    palette: Palette,
+    size: Size,
+    /// The error entering each row.
+    entering: Vec<ErrorRow>,
+}
+
+impl Diffusion {
+    /// State for reducing `size` frames to `format` with `mode`, before
+    /// any run; `None` unless that diffuses error from pixel to pixel
+    /// (Floyd–Steinberg onto a palette format), so that a pixel's result
+    /// depends on the pixels above and left of it.
+    pub fn new(format: PixelFormat, mode: DitherMode, size: Size) -> Option<Diffusion> {
+        if mode != DitherMode::FloydSteinberg {
+            return None;
+        }
+        let palette = palette_of(format)?;
+        let row = vec![[0; 3]; size.w as usize + 2];
+        Some(Diffusion {
+            palette,
+            size,
+            entering: vec![row; size.h as usize],
+        })
+    }
+
+    /// Reduces `src` into `dst` (both the size given to
+    /// [`new`](Self::new)) from row `from` on, taking rows `from..through`
+    /// of `src` as changed since the previous run, and returns the rows of
+    /// `dst` written. The rest of `dst` must hold the previous run's
+    /// output; on the first run pass the whole frame as changed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either frame is not the size given to `new`.
+    pub fn rerun(
+        &mut self,
+        src: &Framebuffer,
+        dst: &mut Framebuffer,
+        from: u32,
+        through: u32,
+    ) -> Range<u32> {
+        let size = self.size;
+        assert!(src.size() == size && dst.size() == size, "diffusion size");
+        let Some(start) = self.entering.get(from as usize) else {
+            return from..from;
+        };
+        let mut cur = start.clone();
+        let mut next = vec![[0; 3]; cur.len()];
+        for y in from..size.h {
+            let kept = &mut self.entering[y as usize];
+            if y >= through && *kept == cur {
+                return from..y;
+            }
+            kept.clone_from(&cur);
+            let row = dst.row_mut(y);
+            row.copy_from_slice(src.row(y));
+            diffuse_row(row, &self.palette, &mut cur, &mut next);
+        }
+        from..size.h
     }
 }
 

@@ -4,10 +4,51 @@
 //! The window system renders into a [`Framebuffer`]; the UniInt server
 //! drains its [`Region`] of accumulated damage to decide which rectangles
 //! to re-encode and ship to the proxy.
+//!
+//! Independently of damage, every framebuffer keeps a short journal of
+//! the rects its mutators wrote, under an id no other framebuffer shares.
+//! A reader that adapts the same frame again and again (the proxy's
+//! output plug-ins) keeps a [`Stamp`] and asks
+//! [`changes_since`](Framebuffer::changes_since) what was written after
+//! it, instead of comparing the frame with a copy. Draining damage does
+//! not touch the journal, so the server and the plug-ins never disturb
+//! each other.
+
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::color::Color;
 use crate::geom::{Point, Rect, Size};
 use crate::region::Region;
+
+/// How many writes a framebuffer's journal remembers. A [`Stamp`] taken
+/// more writes ago than this gets `None` from
+/// [`Framebuffer::changes_since`].
+pub const JOURNAL_CAPACITY: usize = 128;
+
+/// One state of one framebuffer: its id and its write generation, as
+/// [`Framebuffer::stamp`] returned them.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Stamp {
+    id: u64,
+    gen: u64,
+}
+
+impl core::fmt::Debug for Stamp {
+    /// The generation only: ids depend on how many frames other threads
+    /// made first, so they stay out of anything printed.
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("Stamp")
+            .field("gen", &self.gen)
+            .finish_non_exhaustive()
+    }
+}
+
+/// A framebuffer id no other framebuffer in this process has had.
+fn fresh_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
 
 /// A `w`×`h` raster of [`Color`] pixels with an accumulated damage region.
 ///
@@ -21,12 +62,17 @@ use crate::region::Region;
 /// assert_eq!(fb.pixel(Point::new(3, 3)), Some(Color::RED));
 /// assert_eq!(fb.damage().bounding_rect(), Rect::new(0, 0, 8, 8));
 /// ```
-#[derive(Debug, Clone)]
 pub struct Framebuffer {
     width: u32,
     height: u32,
     pixels: Vec<Color>,
     damage: Region,
+    /// Unique per framebuffer; a clone gets its own.
+    id: u64,
+    /// Writes logged so far.
+    gen: u64,
+    /// The clipped rects of the last `journal.len()` writes, oldest first.
+    journal: VecDeque<Rect>,
 }
 
 impl Framebuffer {
@@ -47,7 +93,52 @@ impl Framebuffer {
             height,
             pixels: vec![background; (width * height) as usize],
             damage: Region::from_rect(Rect::new(0, 0, width, height)),
+            id: fresh_id(),
+            gen: 0,
+            journal: VecDeque::new(),
         }
+    }
+
+    /// This framebuffer's current state, to pass back to
+    /// [`changes_since`](Self::changes_since) later.
+    pub fn stamp(&self) -> Stamp {
+        Stamp {
+            id: self.id,
+            gen: self.gen,
+        }
+    }
+
+    /// The clipped rects written since `stamp` was taken, oldest first;
+    /// together they cover every pixel that may have changed. `None`
+    /// when `stamp` belongs to another framebuffer (a clone included) or
+    /// is older than the journal reaches back.
+    ///
+    /// ```
+    /// use uniint_raster::framebuffer::Framebuffer;
+    /// use uniint_raster::color::Color;
+    /// use uniint_raster::geom::Rect;
+    /// let mut fb = Framebuffer::new(64, 48, Color::BLACK);
+    /// let seen = fb.stamp();
+    /// fb.fill_rect(Rect::new(60, 0, 8, 8), Color::RED);
+    /// assert_eq!(fb.changes_since(seen), Some(vec![Rect::new(60, 0, 4, 8)]));
+    /// assert_eq!(fb.clone().changes_since(seen), None);
+    /// ```
+    pub fn changes_since(&self, stamp: Stamp) -> Option<Vec<Rect>> {
+        let behind = self.gen.checked_sub(stamp.gen)?;
+        if stamp.id != self.id || behind > self.journal.len() as u64 {
+            return None;
+        }
+        let from = self.journal.len() - behind as usize;
+        Some(self.journal.range(from..).copied().collect())
+    }
+
+    /// Logs a write to the already clipped, non-empty `rect`.
+    fn log(&mut self, rect: Rect) {
+        if self.journal.len() == JOURNAL_CAPACITY {
+            self.journal.pop_front();
+        }
+        self.journal.push_back(rect);
+        self.gen += 1;
     }
 
     /// Width in pixels.
@@ -77,8 +168,8 @@ impl Framebuffer {
 
     /// A cheap, stable 64-bit content hash (FNV-1a over dimensions and
     /// row-major RGB bytes). Two framebuffers digest equal iff they
-    /// have the same size and identical pixels; damage state is
-    /// ignored. Used by the trace replayer's divergence checker and
+    /// have the same size and identical pixels; damage and journal state
+    /// are ignored. Used by the trace replayer's divergence checker and
     /// printable from examples to eyeball two runs for identity.
     pub fn digest(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -112,7 +203,8 @@ impl Framebuffer {
         Some(self.pixels[(p.y as u32 * self.width + p.x as u32) as usize])
     }
 
-    /// Sets one pixel; out-of-bounds writes are ignored. Records damage.
+    /// Sets one pixel; out-of-bounds writes are ignored. Records damage
+    /// and journals the pixel, unless it already had color `c`.
     pub fn set_pixel(&mut self, p: Point, c: Color) {
         if !self.bounds().contains(p) {
             return;
@@ -120,7 +212,9 @@ impl Framebuffer {
         let idx = (p.y as u32 * self.width + p.x as u32) as usize;
         if self.pixels[idx] != c {
             self.pixels[idx] = c;
-            self.damage.add(Rect::new(p.x, p.y, 1, 1));
+            let px = Rect::new(p.x, p.y, 1, 1);
+            self.damage.add(px);
+            self.log(px);
         }
     }
 
@@ -135,13 +229,15 @@ impl Framebuffer {
     }
 
     /// A mutable row slice, for kernels that rewrite pixels in place.
-    /// Writes through it record no damage.
+    /// Writes through it record no damage, but the call journals the
+    /// whole row as written.
     ///
     /// # Panics
     ///
     /// Panics if `y` is out of range.
     pub fn row_mut(&mut self, y: u32) -> &mut [Color] {
         assert!(y < self.height, "row {y} out of range");
+        self.log(Rect::new(0, y as i32, self.width, 1));
         let start = (y * self.width) as usize;
         &mut self.pixels[start..start + self.width as usize]
     }
@@ -161,7 +257,8 @@ impl Framebuffer {
     }
 
     /// Writes a row-major block of pixels at `rect` (clipped to bounds).
-    /// `data` must be `rect.w * rect.h` long. Records damage.
+    /// `data` must be `rect.w * rect.h` long. Records damage and journals
+    /// the clipped rect.
     ///
     /// # Panics
     ///
@@ -182,9 +279,11 @@ impl Framebuffer {
                 .copy_from_slice(&data[src_row..src_row + clipped.w as usize]);
         }
         self.damage.add(clipped);
+        self.log(clipped);
     }
 
-    /// Fills `rect` (clipped) with `c`. Records damage.
+    /// Fills `rect` (clipped) with `c`. Records damage and journals the
+    /// clipped rect.
     pub fn fill_rect(&mut self, rect: Rect, c: Color) {
         let Some(clipped) = rect.intersect(self.bounds()) else {
             return;
@@ -194,6 +293,7 @@ impl Framebuffer {
             self.pixels[start..start + clipped.w as usize].fill(c);
         }
         self.damage.add(clipped);
+        self.log(clipped);
     }
 
     /// Fills the whole framebuffer.
@@ -346,9 +446,39 @@ fn push_diff_runs<'a>(
     }
 }
 
+impl Clone for Framebuffer {
+    /// Copies the pixels and damage under a fresh id with an empty
+    /// journal, so the original's stamps mean nothing to the copy.
+    fn clone(&self) -> Self {
+        Framebuffer {
+            width: self.width,
+            height: self.height,
+            pixels: self.pixels.clone(),
+            damage: self.damage.clone(),
+            id: fresh_id(),
+            gen: 0,
+            journal: VecDeque::new(),
+        }
+    }
+}
+
+impl core::fmt::Debug for Framebuffer {
+    /// Size, pixels and damage. The id depends on how many frames other
+    /// threads made first, so it and the journal stay out of anything
+    /// printed or exported.
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("Framebuffer")
+            .field("width", &self.width)
+            .field("height", &self.height)
+            .field("pixels", &self.pixels)
+            .field("damage", &self.damage)
+            .finish()
+    }
+}
+
 impl PartialEq for Framebuffer {
-    /// Framebuffers compare by size and pixel content; damage bookkeeping
-    /// is ignored.
+    /// Framebuffers compare by size and pixel content; damage and journal
+    /// bookkeeping is ignored.
     fn eq(&self, other: &Self) -> bool {
         self.width == other.width && self.height == other.height && self.pixels == other.pixels
     }
@@ -466,6 +596,89 @@ mod tests {
     fn write_rect_bad_len_panics() {
         let mut fb = Framebuffer::new(4, 4, Color::BLACK);
         fb.write_rect(Rect::new(0, 0, 2, 2), &[Color::RED]);
+    }
+}
+
+#[cfg(test)]
+mod journal_tests {
+    use super::*;
+
+    #[test]
+    fn changes_since_reports_every_mutator() {
+        let mut fb = Framebuffer::new(8, 8, Color::BLACK);
+        let mut other = Framebuffer::new(4, 4, Color::RED);
+        let seen = fb.stamp();
+        fb.set_pixel(Point::new(1, 1), Color::RED);
+        fb.write_rect(Rect::new(6, 6, 4, 1), &[Color::BLUE; 4]);
+        fb.fill_rect(Rect::new(-2, 2, 4, 2), Color::GREEN);
+        fb.copy_rect(Rect::new(0, 0, 2, 2), Point::new(7, 3));
+        fb.blit_from(&other, other.bounds(), Point::new(5, 0));
+        fb.row_mut(4)[3] = Color::WHITE;
+        fb.clear(Color::GRAY);
+        assert_eq!(
+            fb.changes_since(seen),
+            Some(vec![
+                Rect::new(1, 1, 1, 1),
+                Rect::new(6, 6, 2, 1),
+                Rect::new(0, 2, 2, 2),
+                Rect::new(7, 3, 1, 2),
+                Rect::new(5, 0, 3, 4),
+                Rect::new(0, 4, 8, 1),
+                Rect::new(0, 0, 8, 8),
+            ])
+        );
+        let now = fb.stamp();
+        assert_eq!(fb.changes_since(now), Some(Vec::new()));
+        other.fill_rect(other.bounds(), Color::BLACK);
+        assert_eq!(fb.changes_since(now), Some(Vec::new()), "own journal only");
+    }
+
+    #[test]
+    fn same_color_set_pixel_logs_nothing() {
+        let mut fb = Framebuffer::new(4, 4, Color::BLACK);
+        let seen = fb.stamp();
+        fb.set_pixel(Point::new(2, 2), Color::BLACK);
+        fb.set_pixel(Point::new(9, 9), Color::RED);
+        assert_eq!(fb.changes_since(seen), Some(Vec::new()));
+        assert_eq!(fb.stamp(), seen);
+    }
+
+    #[test]
+    fn clone_has_its_own_id() {
+        let mut fb = Framebuffer::new(4, 4, Color::BLACK);
+        fb.fill_rect(Rect::new(0, 0, 2, 2), Color::RED);
+        let seen = fb.stamp();
+        let copy = fb.clone();
+        assert_eq!(copy.changes_since(seen), None);
+        assert_eq!(fb.changes_since(copy.stamp()), None);
+        assert_eq!(fb.changes_since(seen), Some(Vec::new()));
+    }
+
+    #[test]
+    fn stamp_older_than_the_journal_gets_none() {
+        let mut fb = Framebuffer::new(4, 4, Color::BLACK);
+        let oldest = fb.stamp();
+        fb.fill_rect(Rect::new(0, 0, 1, 1), Color::RED);
+        let last_kept = fb.stamp();
+        for i in 0..JOURNAL_CAPACITY {
+            fb.fill_rect(Rect::new(i as i32 % 4, 0, 1, 1), Color::BLUE);
+        }
+        assert_eq!(fb.changes_since(oldest), None);
+        let changes = fb.changes_since(last_kept).expect("within the journal");
+        assert_eq!(changes.len(), JOURNAL_CAPACITY);
+    }
+
+    #[test]
+    fn equality_and_digest_ignore_the_journal() {
+        let mut a = Framebuffer::new(6, 4, Color::BLACK);
+        let mut b = a.clone();
+        a.fill_rect(Rect::new(0, 0, 2, 2), Color::RED);
+        a.fill_rect(Rect::new(0, 0, 2, 2), Color::BLACK);
+        b.take_damage();
+        assert_ne!(a.stamp(), b.stamp());
+        assert_eq!(a, b);
+        assert_eq!(a.digest(), b.digest());
+        assert_eq!(format!("{a:?}"), format!("{:?}", a.clone()));
     }
 }
 

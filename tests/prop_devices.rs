@@ -4,10 +4,13 @@
 //! arbitrary framebuffer into a non-empty frame that respects its own
 //! capabilities.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use uniint::core::plugin::{InputContext, InputPlugin, OutputPlugin};
 use uniint::prelude::*;
 use uniint::protocol::input::InputEvent;
+use uniint::raster::framebuffer::JOURNAL_CAPACITY;
 
 fn arb_device_event() -> impl Strategy<Value = DeviceEvent> {
     prop_oneof![
@@ -165,6 +168,11 @@ enum Step {
     Same,
     /// Repaint one pixel on the frame's border; `at` picks which.
     Border(u32, Color),
+    /// Repaint one pixel through `Framebuffer::row_mut`; `at` picks which.
+    Row(u32, Color),
+    /// Invert more single pixels, one write each, than the frame's write
+    /// journal holds; `at` picks where the run starts.
+    Flood(u32),
     /// Replace the current source with a new one of another size.
     Resize(Size, u64),
     /// Switch to the other source.
@@ -177,7 +185,9 @@ fn arb_step() -> impl Strategy<Value = Step> {
         4 => (-4i32..44, -4i32..44, 1u32..24, 1u32..24, color.clone())
             .prop_map(|(x, y, w, h, c)| Step::Fill(Rect::new(x, y, w, h), c)),
         1 => Just(Step::Same),
-        2 => (any::<u32>(), color).prop_map(|(at, c)| Step::Border(at, c)),
+        2 => (any::<u32>(), color.clone()).prop_map(|(at, c)| Step::Border(at, c)),
+        1 => (any::<u32>(), color).prop_map(|(at, c)| Step::Row(at, c)),
+        1 => any::<u32>().prop_map(Step::Flood),
         1 => (1u32..40, 1u32..40, any::<u64>()).prop_map(|(w, h, s)| Step::Resize(Size::new(w, h), s)),
         2 => Just(Step::Swap),
     ]
@@ -213,6 +223,24 @@ fn border_pixel(fb: &Framebuffer, at: u32) -> Point {
     }
 }
 
+/// The pixel `at` picks from the `n`th on, in row-major order, wrapping.
+fn nth_pixel(fb: &Framebuffer, at: u32, n: usize) -> Point {
+    let i = (at as u64 + n as u64) % fb.size().area();
+    Point::new(
+        (i % fb.width() as u64) as i32,
+        (i / fb.width() as u64) as i32,
+    )
+}
+
+/// Which returned frames the caller of `adapt` keeps alive, so that the
+/// plug-in writes in place, reuses the frame before last, or clones.
+#[derive(Debug, Clone, Copy)]
+enum Holds {
+    Nothing,
+    Last,
+    All,
+}
+
 /// The pixels of `rects` as a `size` bitmap; panics if two rects overlap.
 fn mark(rects: &[Rect], size: Size) -> Vec<bool> {
     let mut hit = vec![false; size.area() as usize];
@@ -233,7 +261,11 @@ proptest! {
     /// call, exactly the frame a fresh plug-in returns for the same server
     /// frame, and `changed` covers exactly the pixels where consecutive
     /// fresh adaptations differ. Covers every pixel format, dither mode
-    /// and scale filter, with devices smaller and larger than the source.
+    /// and scale filter, with devices smaller and larger than the source,
+    /// writes through every mutator including `row_mut`, runs that
+    /// overflow the write journal, and callers that drop every frame,
+    /// keep the last one or keep them all; no frame changes once
+    /// returned.
     #[test]
     fn screen_plugin_matches_a_fresh_adapt_after_every_call(
         first in (1u32..40, 1u32..40, any::<u64>()),
@@ -247,40 +279,60 @@ proptest! {
         for format in PixelFormat::ALL {
             for dither in modes {
                 for scale in filters {
-                    let caps = OutputCaps { size: Size::new(device.0, device.1), format, dither, scale };
-                    let mut plugin = ScreenPlugin::new("prop", caps);
-                    let mut sources = start.clone();
-                    let mut cur = 0;
-                    let mut last_full: Option<Framebuffer> = None;
-                    for step in std::iter::once(&Step::Same).chain(&steps) {
-                        match step {
-                            Step::Fill(r, c) => sources[cur].fill_rect(*r, *c),
-                            Step::Same => {}
-                            Step::Border(at, c) => {
-                                let p = border_pixel(&sources[cur], *at);
-                                sources[cur].set_pixel(p, *c);
+                    for holds in [Holds::Nothing, Holds::Last, Holds::All] {
+                        let caps = OutputCaps { size: Size::new(device.0, device.1), format, dither, scale };
+                        let mut plugin = ScreenPlugin::new("prop", caps);
+                        let mut sources = start.clone();
+                        let mut cur = 0;
+                        let mut last_full: Option<Arc<Framebuffer>> = None;
+                        let mut held: Vec<(Arc<Framebuffer>, u64)> = Vec::new();
+                        for step in std::iter::once(&Step::Same).chain(&steps) {
+                            let fb = &mut sources[cur];
+                            match step {
+                                Step::Fill(r, c) => fb.fill_rect(*r, *c),
+                                Step::Same => {}
+                                Step::Border(at, c) => fb.set_pixel(border_pixel(fb, *at), *c),
+                                Step::Row(at, c) => {
+                                    let p = nth_pixel(fb, *at, 0);
+                                    fb.row_mut(p.y as u32)[p.x as usize] = *c;
+                                }
+                                Step::Flood(at) => {
+                                    for n in 0..=JOURNAL_CAPACITY {
+                                        let p = nth_pixel(fb, *at, n);
+                                        let c = fb.pixel(p).expect("in bounds");
+                                        fb.set_pixel(p, Color::from_u32(!c.to_u32() & 0xff_ffff));
+                                    }
+                                }
+                                Step::Resize(size, seed) => *fb = source(*size, *seed),
+                                Step::Swap => cur = 1 - cur,
                             }
-                            Step::Resize(size, seed) => sources[cur] = source(*size, *seed),
-                            Step::Swap => cur = 1 - cur,
+                            let fb = &sources[cur];
+                            let got = plugin.adapt(fb);
+                            let want = ScreenPlugin::new("prop", caps).adapt(fb);
+                            let what = format!("{format} {dither} {scale} {holds:?} {step:?} src {}", fb.size());
+                            for (frame, digest) in &held {
+                                prop_assert_eq!(frame.digest(), *digest, "a returned frame changed: {}", what);
+                            }
+                            match holds {
+                                Holds::Nothing => {}
+                                Holds::Last => held = vec![(got.frame.clone(), got.frame.digest())],
+                                Holds::All => held.push((got.frame.clone(), got.frame.digest())),
+                            }
+                            prop_assert!(got.frame == want.frame, "frame differs: {}", what);
+                            prop_assert_eq!(got.format, want.format);
+                            prop_assert_eq!(got.wire_bytes, want.wire_bytes);
+                            let size = want.frame.size();
+                            let expect = match &last_full {
+                                Some(prev) if prev.size() == size => prev.diff_region(&want.frame),
+                                _ => Region::from_rect(want.frame.bounds()),
+                            };
+                            prop_assert_eq!(got.changed.area(), expect.area(), "{}", what);
+                            let hit = mark(got.changed.rects(), size);
+                            for p in expect.rects().iter().flat_map(|r| r.pixels()) {
+                                prop_assert!(hit[(p.y as u32 * size.w + p.x as u32) as usize], "{p} missed: {}", what);
+                            }
+                            last_full = Some(want.frame);
                         }
-                        let fb = &sources[cur];
-                        let got = plugin.adapt(fb);
-                        let want = ScreenPlugin::new("prop", caps).adapt(fb);
-                        let what = format!("{format} {dither} {scale} {step:?} src {}", fb.size());
-                        prop_assert!(got.frame == want.frame, "frame differs: {}", what);
-                        prop_assert_eq!(got.format, want.format);
-                        prop_assert_eq!(got.wire_bytes, want.wire_bytes);
-                        let size = want.frame.size();
-                        let expect = match &last_full {
-                            Some(prev) if prev.size() == size => prev.diff_region(&want.frame),
-                            _ => Region::from_rect(want.frame.bounds()),
-                        };
-                        prop_assert_eq!(got.changed.area(), expect.area(), "{}", what);
-                        let hit = mark(got.changed.rects(), size);
-                        for p in expect.rects().iter().flat_map(|r| r.pixels()) {
-                            prop_assert!(hit[(p.y as u32 * size.w + p.x as u32) as usize], "{p} missed: {}", what);
-                        }
-                        last_full = Some(want.frame);
                     }
                 }
             }
