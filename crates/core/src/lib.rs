@@ -8,9 +8,11 @@
 //! between appliance GUIs and whatever interaction devices the user
 //! currently prefers:
 //!
-//! - [`server::UniIntServer`] exports an unmodified toolkit window
+//! - [`multi::MultiServer`] exports an unmodified toolkit window
 //!   (crate `uniint-wsys`) over the universal interaction protocol
-//!   (crate `uniint-protocol`);
+//!   (crate `uniint-protocol`) to one proxy or many; [`server`] holds
+//!   each client's protocol state, and `pump_all` is the one place an
+//!   update is built;
 //! - [`proxy::UniIntProxy`] replaces the thin-client viewer: it hosts the
 //!   per-device **plug-in modules** ([`plugin`]) that adapt bitmaps to
 //!   each output device and translate device events to universal input;
@@ -56,7 +58,7 @@ pub mod prelude {
     };
     pub use crate::proxy::{ProxyOutput, ProxyStats, UniIntProxy};
     pub use crate::sensors::{SensorReading, SituationTracker};
-    pub use crate::server::{ServerStats, UniIntServer};
+    pub use crate::server::ServerStats;
     pub use crate::session::{LocalSession, SessionError, SimSession};
     pub use crate::supervisor::{
         FallbackTerminal, HealthEvent, HealthState, Supervisor, SupervisorConfig, SupervisorReport,

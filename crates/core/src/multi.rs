@@ -1,13 +1,13 @@
-//! Multiple simultaneous viewers of one appliance panel.
+//! The UniInt server: one appliance panel exported to its clients.
 //!
 //! The paper notes thin-client systems are "usually used to move a
 //! user's desktop according to the location of a user, or show multiple
-//! desktops on the same display". [`MultiServer`] provides the dual: the
-//! *same* appliance panel exported to several UniInt proxies at once —
-//! the whole family controlling the living room from their own devices,
-//! every screen kept consistent.
+//! desktops on the same display". [`MultiServer`] serves one proxy, or
+//! provides the dual: the *same* appliance panel exported to several
+//! UniInt proxies at once — the whole family controlling the living
+//! room from their own devices, every screen kept consistent.
 
-use crate::server::{EncodeMemo, ServerStats, UniIntServer};
+use crate::server::{Client, EncodeMemo, ServerMetrics, ServerStats};
 use uniint_protocol::message::{ClientMessage, ServerMessage};
 use uniint_telemetry::registry::Registry;
 use uniint_wsys::ui::Ui;
@@ -15,35 +15,44 @@ use uniint_wsys::ui::Ui;
 /// Identifies one connected client (proxy) of a [`MultiServer`].
 pub type ClientId = usize;
 
-/// A UniInt server fanning one window out to many clients.
+/// A UniInt server fanning one window out to its clients.
 ///
 /// Each client keeps its own pixel format, encoding set and damage
 /// account, so a TV proxy and a phone proxy can watch the same panel in
-/// RGB888 and Mono1 respectively.
-#[derive(Debug, Default)]
+/// RGB888 and Mono1 respectively. Messages are handled one at a time by
+/// [`handle_message`](Self::handle_message); updates leave only through
+/// [`pump_all`](Self::pump_all), which answers every pending request.
+#[derive(Debug)]
 pub struct MultiServer {
-    clients: Vec<Option<UniIntServer>>,
+    clients: Vec<Option<Client>>,
+    metrics: ServerMetrics,
+}
+
+impl Default for MultiServer {
+    fn default() -> MultiServer {
+        MultiServer::new()
+    }
 }
 
 impl MultiServer {
-    /// Creates a server with no clients.
+    /// Creates a server with no clients and its own private registry.
     pub fn new() -> MultiServer {
-        MultiServer::default()
+        MultiServer::with_telemetry(Registry::new())
+    }
+
+    /// Creates a server with no clients recording into `registry`; the
+    /// `server.*` counters aggregate across all its clients.
+    pub fn with_telemetry(registry: Registry) -> MultiServer {
+        MultiServer {
+            clients: Vec::new(),
+            metrics: ServerMetrics::new(&registry),
+        }
     }
 
     /// Accepts a new connection, returning its id. The client still has
     /// to send `Hello` through [`handle_message`](Self::handle_message).
     pub fn accept(&mut self, ui: &Ui) -> ClientId {
-        self.clients.push(Some(UniIntServer::new(ui)));
-        self.clients.len() - 1
-    }
-
-    /// Like [`accept`](Self::accept), but the new per-client server
-    /// records into a shared telemetry `registry`, so counters like
-    /// `server.inputs_injected` aggregate across all clients.
-    pub fn accept_with_telemetry(&mut self, ui: &Ui, registry: Registry) -> ClientId {
-        self.clients
-            .push(Some(UniIntServer::with_telemetry(ui, registry)));
+        self.clients.push(Some(Client::new(ui)));
         self.clients.len() - 1
     }
 
@@ -65,47 +74,29 @@ impl MultiServer {
         self.clients
             .get(client)
             .and_then(Option::as_ref)
-            .map(UniIntServer::has_client)
-            .unwrap_or(false)
+            .is_some_and(Client::has_session)
     }
 
-    /// Aggregated statistics over all live clients.
+    /// Statistics over every client this server has served, read from
+    /// its registry.
     pub fn stats(&self) -> ServerStats {
-        let mut total = ServerStats::default();
-        for c in self.clients.iter().flatten() {
-            let s = c.stats();
-            total.updates_sent += s.updates_sent;
-            total.rects_sent += s.rects_sent;
-            total.payload_bytes += s.payload_bytes;
-            total.inputs_injected += s.inputs_injected;
-        }
-        total
+        self.metrics.stats()
     }
 
     /// Handles one message from `client`, returning replies for that
     /// client. Input events affect the shared window (and therefore every
-    /// other client's next update).
+    /// client's next update). An `UpdateRequest` is parked for the next
+    /// [`pump_all`](Self::pump_all); no reply is ever an `Update`.
     pub fn handle_message(
         &mut self,
         ui: &mut Ui,
         client: ClientId,
         msg: ClientMessage,
     ) -> Vec<ServerMessage> {
-        // Fold shared damage into *every* client's account before this
-        // message is processed: an `UpdateRequest` pumps its own server,
-        // and that pump must not consume window damage the other
-        // viewers haven't been credited with yet.
-        ui.render();
-        let damage = ui.framebuffer_mut().take_damage();
-        if !damage.is_empty() {
-            for server in self.clients.iter_mut().flatten() {
-                server.add_damage(&damage);
-            }
-        }
-        let Some(Some(server)) = self.clients.get_mut(client) else {
+        let Some(Some(c)) = self.clients.get_mut(client) else {
             return Vec::new();
         };
-        server.handle_message(ui, msg)
+        c.handle_message(ui, &self.metrics, msg)
     }
 
     /// Renders once, distributes new damage (and the bell) to every
@@ -122,13 +113,13 @@ impl MultiServer {
         let mut memo = EncodeMemo::default();
         let mut out = Vec::new();
         for (id, slot) in self.clients.iter_mut().enumerate() {
-            let Some(server) = slot else { continue };
+            let Some(c) = slot else { continue };
             let mut msgs = Vec::new();
-            if bell && server.has_client() {
+            if bell && c.has_session() {
                 msgs.push(ServerMessage::Bell);
             }
-            server.add_damage(&damage);
-            msgs.extend(server.answer_pending(ui, &mut memo));
+            c.add_damage(&damage);
+            msgs.extend(c.answer_pending(ui, &self.metrics, &mut memo));
             if !msgs.is_empty() {
                 out.push((id, msgs));
             }
@@ -140,10 +131,8 @@ impl MultiServer {
     pub fn notify_resize_all(&mut self, ui: &mut Ui) -> Vec<(ClientId, Vec<ServerMessage>)> {
         let mut out = Vec::new();
         for (id, slot) in self.clients.iter_mut().enumerate() {
-            let Some(server) = slot else { continue };
-            let msgs = server.notify_resize(ui);
-            if !msgs.is_empty() {
-                out.push((id, msgs));
+            if let Some(resize) = slot.as_mut().and_then(|c| c.notify_resize(ui)) {
+                out.push((id, vec![resize]));
             }
         }
         out
@@ -330,6 +319,51 @@ mod tests {
         assert!(s.updates_sent >= 2, "both initial full updates counted");
         assert!(s.payload_bytes > 0);
     }
+
+    #[test]
+    fn stats_equal_the_shared_registry_counters() {
+        use uniint_protocol::message::DeviceHealthState;
+
+        let registry = Registry::new();
+        let mut server = MultiServer::with_telemetry(registry.clone());
+        let mut ui = Rig::new(0).ui;
+        for name in ["a", "b"] {
+            let id = server.accept(&ui);
+            for msg in [
+                ClientMessage::Hello {
+                    version: 1,
+                    name: name.into(),
+                },
+                ClientMessage::UpdateRequest {
+                    incremental: false,
+                    rect: Rect::new(0, 0, 160, 120),
+                },
+                ClientMessage::Input(InputEvent::click(40, 30)[0]),
+                ClientMessage::DeviceHealth {
+                    device: "pda".into(),
+                    state: DeviceHealthState::Degraded,
+                },
+            ] {
+                server.handle_message(&mut ui, id, msg);
+            }
+        }
+        assert_eq!(server.pump_all(&mut ui).len(), 2);
+        let counter = |name: &str| registry.counter(name).get();
+        let s = server.stats();
+        assert_eq!(
+            s,
+            ServerStats {
+                updates_sent: counter("server.updates_sent"),
+                rects_sent: counter("server.rects_sent"),
+                payload_bytes: counter("server.payload_bytes"),
+                inputs_injected: counter("server.inputs_injected"),
+                health_reports: counter("server.health_reports"),
+            }
+        );
+        assert_eq!(s.updates_sent, 2, "one full update per client");
+        assert_eq!(s.inputs_injected, 2);
+        assert_eq!(s.health_reports, 2);
+    }
 }
 
 #[cfg(test)]
@@ -424,7 +458,6 @@ mod sharing_tests {
     struct Viewer {
         proxy: UniIntProxy,
         policy: Policy,
-        registry: Registry,
         /// Every update received: its format and rects.
         updates: Vec<(PixelFormat, Vec<RectUpdate>)>,
     }
@@ -444,12 +477,10 @@ mod sharing_tests {
                 viewers: Vec::new(),
             };
             for (i, &policy) in policies.iter().enumerate() {
-                let registry = Registry::new();
-                assert_eq!(m.server.accept_with_telemetry(&m.ui, registry.clone()), i);
+                assert_eq!(m.server.accept(&m.ui), i);
                 m.viewers.push(Viewer {
                     proxy: UniIntProxy::new(format!("viewer-{i}")),
                     policy,
-                    registry,
                     updates: Vec::new(),
                 });
             }
@@ -503,17 +534,6 @@ mod sharing_tests {
                     self.ui.dispatch(ev);
                 }
                 self.settle();
-            }
-        }
-
-        fn stats(&self, id: ClientId) -> ServerStats {
-            let counter = |name: &str| self.viewers[id].registry.counter(name).get();
-            ServerStats {
-                updates_sent: counter("server.updates_sent"),
-                rects_sent: counter("server.rects_sent"),
-                payload_bytes: counter("server.payload_bytes"),
-                inputs_injected: counter("server.inputs_injected"),
-                health_reports: counter("server.health_reports"),
             }
         }
     }
@@ -577,17 +597,25 @@ mod sharing_tests {
                 );
             }
 
-            // Sharing is invisible per client: each one's stats and
-            // updates equal those of a run where it watches alone.
+            // Sharing is invisible per client: each one's updates equal
+            // those of a run where it watches alone, and the server's
+            // totals equal the sum of those runs'.
+            let mut solo_total = ServerStats::default();
             for (i, viewer) in v.iter().enumerate() {
                 let mut solo = Mixed::new(&[viewer.policy]);
                 solo.click(seed, 30);
-                assert_eq!(mixed.stats(i), solo.stats(0), "seed {seed} viewer {i}");
                 assert_eq!(
                     viewer.updates, solo.viewers[0].updates,
                     "seed {seed} viewer {i}"
                 );
+                let s = solo.server.stats();
+                solo_total.updates_sent += s.updates_sent;
+                solo_total.rects_sent += s.rects_sent;
+                solo_total.payload_bytes += s.payload_bytes;
+                solo_total.inputs_injected += s.inputs_injected;
+                solo_total.health_reports += s.health_reports;
             }
+            assert_eq!(mixed.server.stats(), solo_total, "seed {seed}");
         }
     }
 
@@ -597,7 +625,6 @@ mod sharing_tests {
         let mut server = MultiServer::new();
         let id = server.accept(&ui);
         let bounds = ui.framebuffer().bounds();
-        let mut replies = Vec::new();
         for msg in [
             ClientMessage::Hello {
                 version: 1,
@@ -609,8 +636,18 @@ mod sharing_tests {
                 rect: bounds,
             },
         ] {
-            replies = server.handle_message(&mut ui, id, msg);
+            let replies = server.handle_message(&mut ui, id, msg);
+            assert!(
+                !replies
+                    .iter()
+                    .any(|m| matches!(m, ServerMessage::Update { .. })),
+                "updates leave only through pump_all: {replies:?}"
+            );
         }
+        let batches = server.pump_all(&mut ui);
+        let [(0, replies)] = &batches[..] else {
+            panic!("expected one batch, got {batches:?}");
+        };
         let [ServerMessage::Update { format, rects, .. }] = &replies[..] else {
             panic!("expected one update, got {replies:?}");
         };

@@ -1,10 +1,14 @@
-//! The UniInt server: exports a window as universal-interaction bitmap
-//! updates and injects universal input events into it.
+//! The UniInt server's per-client protocol state: what each slot of
+//! [`MultiServer`](crate::multi::MultiServer), the one server type,
+//! holds for its connection.
 //!
 //! The paper stresses that *existing thin-client servers are used
 //! unmodified*; accordingly this server knows nothing about interaction
 //! devices. It speaks only the universal protocol: damage-driven
-//! framebuffer updates out, keyboard/pointer events in.
+//! framebuffer updates out, keyboard/pointer events in. An
+//! `UpdateRequest` only records what the client asked for; the next
+//! [`MultiServer::pump_all`](crate::multi::MultiServer::pump_all)
+//! answers it.
 
 use std::collections::VecDeque;
 use uniint_protocol::encoding::{choose_encoding, encode_rect, Encoding};
@@ -76,13 +80,13 @@ impl EncodeMemo {
     }
 }
 
-/// Per-client protocol state.
+/// A client's protocol state once its `Hello` arrived.
 #[derive(Debug)]
 struct ClientState {
     format: PixelFormat,
     encodings: Vec<Encoding>,
-    /// Pending update request: `(incremental, rect)`.
-    pending: Option<(bool, Rect)>,
+    /// Area of the pending update request, answered by the next pump.
+    pending: Option<Rect>,
     /// Damage accumulated since the client's last update.
     damage: Region,
     /// Client messages received this session (`Resume` not counted), so
@@ -98,7 +102,7 @@ struct ClientState {
 /// Statistics the benchmarks read from a server.
 ///
 /// A snapshot view reconstructed from registry counters by
-/// [`UniIntServer::stats`]; the `Copy` by-value API is unchanged.
+/// [`MultiServer::stats`](crate::multi::MultiServer::stats).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Update messages sent.
@@ -113,11 +117,10 @@ pub struct ServerStats {
     pub health_reports: u64,
 }
 
-/// Pre-registered metric handles for one server; updates on the
-/// damage/encode hot path are lock-free atomics.
+/// Pre-registered metric handles for one server, shared by all its
+/// clients; updates on the damage/encode hot path are lock-free atomics.
 #[derive(Debug)]
-struct ServerMetrics {
-    registry: Registry,
+pub(crate) struct ServerMetrics {
     updates_sent: Counter,
     rects_sent: Counter,
     payload_bytes: Counter,
@@ -127,7 +130,7 @@ struct ServerMetrics {
 }
 
 impl ServerMetrics {
-    fn new(registry: Registry) -> ServerMetrics {
+    pub(crate) fn new(registry: &Registry) -> ServerMetrics {
         ServerMetrics {
             updates_sent: registry.counter("server.updates_sent"),
             rects_sent: registry.counter("server.rects_sent"),
@@ -135,73 +138,67 @@ impl ServerMetrics {
             inputs_injected: registry.counter("server.inputs_injected"),
             health_reports: registry.counter("server.health_reports"),
             update_payload_bytes: registry.histogram("server.update_payload_bytes"),
-            registry,
+        }
+    }
+
+    /// The counters as [`ServerStats`].
+    pub(crate) fn stats(&self) -> ServerStats {
+        ServerStats {
+            updates_sent: self.updates_sent.get(),
+            rects_sent: self.rects_sent.get(),
+            payload_bytes: self.payload_bytes.get(),
+            inputs_injected: self.inputs_injected.get(),
+            health_reports: self.health_reports.get(),
         }
     }
 }
 
-/// The UniInt server endpoint for one window.
+/// One accepted connection of a
+/// [`MultiServer`](crate::multi::MultiServer).
 ///
 /// The server does not own the [`Ui`] — the appliance application does —
-/// so every call that touches the window takes `&mut Ui`.
+/// so every call that touches the window takes it.
 #[derive(Debug)]
-pub struct UniIntServer {
-    client: Option<ClientState>,
+pub(crate) struct Client {
+    /// `None` until the client's `Hello`.
+    state: Option<ClientState>,
+    /// Window size announced in `Init` and `Resize`.
     size: (u16, u16),
-    metrics: ServerMetrics,
 }
 
-impl UniIntServer {
-    /// Creates a server for a window of the given size, with its own
-    /// private registry.
-    pub fn new(ui: &Ui) -> UniIntServer {
-        UniIntServer::with_telemetry(ui, Registry::new())
-    }
-
-    /// Creates a server recording into a shared session `registry`.
-    pub fn with_telemetry(ui: &Ui, registry: Registry) -> UniIntServer {
-        UniIntServer {
-            client: None,
+impl Client {
+    /// A connection to a window of `ui`'s size, before its `Hello`.
+    pub(crate) fn new(ui: &Ui) -> Client {
+        Client {
+            state: None,
             size: (ui.size().w as u16, ui.size().h as u16),
-            metrics: ServerMetrics::new(registry),
         }
     }
 
-    /// The registry this server records into.
-    pub fn telemetry(&self) -> &Registry {
-        &self.metrics.registry
+    /// Whether the client completed its handshake.
+    pub(crate) fn has_session(&self) -> bool {
+        self.state.is_some()
     }
 
-    /// Whether a client session is established.
-    pub fn has_client(&self) -> bool {
-        self.client.is_some()
-    }
-
-    /// Accumulated statistics, reconstructed from the registry counters.
-    pub fn stats(&self) -> ServerStats {
-        let m = &self.metrics;
-        ServerStats {
-            updates_sent: m.updates_sent.get(),
-            rects_sent: m.rects_sent.get(),
-            payload_bytes: m.payload_bytes.get(),
-            inputs_injected: m.inputs_injected.get(),
-            health_reports: m.health_reports.get(),
-        }
-    }
-
-    /// Handles one client message, possibly producing replies.
-    pub fn handle_message(&mut self, ui: &mut Ui, msg: ClientMessage) -> Vec<ServerMessage> {
+    /// Handles one client message, possibly producing replies. Never an
+    /// `Update`: a request waits for [`answer_pending`](Self::answer_pending).
+    pub(crate) fn handle_message(
+        &mut self,
+        ui: &mut Ui,
+        metrics: &ServerMetrics,
+        msg: ClientMessage,
+    ) -> Vec<ServerMessage> {
         // Count every client message except Resume, which sits outside
         // the session's message stream (it describes the stream itself).
         if !matches!(msg, ClientMessage::Resume { .. }) {
-            if let Some(c) = &mut self.client {
+            if let Some(c) = &mut self.state {
                 c.msgs_received += 1;
             }
         }
         match msg {
             ClientMessage::Hello { version, name: _ } => {
                 let version = version.min(PROTOCOL_VERSION);
-                self.client = Some(ClientState {
+                self.state = Some(ClientState {
                     format: PixelFormat::Rgb888,
                     encodings: vec![Encoding::Raw],
                     pending: None,
@@ -220,7 +217,7 @@ impl UniIntServer {
                 }]
             }
             ClientMessage::SetPixelFormat(format) => {
-                if let Some(c) = &mut self.client {
+                if let Some(c) = &mut self.state {
                     c.format = format;
                     // Everything must be resent in the new format.
                     c.damage = Region::from_rect(ui.framebuffer().bounds());
@@ -228,7 +225,7 @@ impl UniIntServer {
                 Vec::new()
             }
             ClientMessage::SetEncodings(encs) => {
-                if let Some(c) = &mut self.client {
+                if let Some(c) = &mut self.state {
                     c.encodings = if encs.is_empty() {
                         vec![Encoding::Raw]
                     } else {
@@ -238,32 +235,31 @@ impl UniIntServer {
                 Vec::new()
             }
             ClientMessage::UpdateRequest { incremental, rect } => {
-                if let Some(c) = &mut self.client {
+                if let Some(c) = &mut self.state {
                     if !incremental {
                         c.damage.add(
                             rect.intersect(ui.framebuffer().bounds())
                                 .unwrap_or(Rect::EMPTY),
                         );
                     }
-                    c.pending = Some((incremental, rect));
+                    c.pending = Some(rect);
                 }
-                self.pump(ui)
+                Vec::new()
             }
             ClientMessage::Input(ev) => {
-                self.metrics.inputs_injected.inc();
+                metrics.inputs_injected.inc();
                 ui.dispatch(ev);
-                // Input often causes repaints; let the caller pump.
                 Vec::new()
             }
             ClientMessage::CutText(_) => Vec::new(),
             ClientMessage::DeviceHealth { .. } => {
                 // Telemetry only: the appliance side may surface it to the
                 // user, but the session state does not depend on it.
-                self.metrics.health_reports.inc();
+                metrics.health_reports.inc();
                 Vec::new()
             }
             ClientMessage::Resume { last_update_seq } => {
-                let Some(c) = &mut self.client else {
+                let Some(c) = &mut self.state else {
                     // No session to resume (e.g. the server restarted);
                     // the client must fall back to a fresh Hello.
                     return vec![ServerMessage::ResumeAck {
@@ -297,7 +293,7 @@ impl UniIntServer {
                 }
                 // Answer the re-damaged area on the next pump even if the
                 // client's own UpdateRequest was among the lost messages.
-                c.pending = Some((true, ui.framebuffer().bounds()));
+                c.pending = Some(ui.framebuffer().bounds());
                 let msgs_received = c.msgs_received;
                 vec![
                     // Geometry may have changed while the client was gone;
@@ -315,46 +311,30 @@ impl UniIntServer {
         }
     }
 
-    /// Renders the window, folds new damage into the client's account and
-    /// answers any pending update request. Also surfaces the bell.
-    pub fn pump(&mut self, ui: &mut Ui) -> Vec<ServerMessage> {
-        ui.render();
-        let mut out = Vec::new();
-        if ui.take_bell() {
-            out.push(ServerMessage::Bell);
-        }
-        let new_damage = ui.framebuffer_mut().take_damage();
-        self.add_damage(&new_damage);
-        out.extend(self.answer_pending(ui, &mut EncodeMemo::default()));
-        out
-    }
-
-    /// Folds externally drained damage into this client's account. Used
-    /// by [`crate::multi::MultiServer`], which drains the framebuffer
-    /// once and distributes the region to every connected client.
-    pub fn add_damage(&mut self, damage: &Region) {
-        if let Some(c) = &mut self.client {
+    /// Folds window damage drained by the pump into this client's
+    /// account.
+    pub(crate) fn add_damage(&mut self, damage: &Region) {
+        if let Some(c) = &mut self.state {
             c.damage.union_with(damage);
         }
     }
 
     /// Answers the client's pending update request from the already
-    /// rendered framebuffer, without draining new damage. Rects are
-    /// encoded through `memo`, which the caller shares between all the
-    /// clients it answers from one unchanged framebuffer.
-    pub(crate) fn answer_pending(&mut self, ui: &Ui, memo: &mut EncodeMemo) -> Vec<ServerMessage> {
-        let mut out = Vec::new();
-        let Some(c) = &mut self.client else {
-            return out;
-        };
-        let Some((_incremental, rect)) = c.pending else {
-            return out;
-        };
+    /// rendered framebuffer. Rects are encoded through `memo`, which the
+    /// pump shares between all the clients it answers.
+    pub(crate) fn answer_pending(
+        &mut self,
+        ui: &Ui,
+        metrics: &ServerMetrics,
+        memo: &mut EncodeMemo,
+    ) -> Option<ServerMessage> {
+        let c = self.state.as_mut()?;
+        let rect = c.pending?;
         // Only the area the client asked about.
         let mut to_send = c.damage.clone();
         to_send.intersect_rect(rect);
         if to_send.is_empty() {
-            return out;
+            return None;
         }
         for r in to_send.rects() {
             c.damage.subtract(*r);
@@ -367,63 +347,63 @@ impl UniIntServer {
             let Some(update) = memo.encode(fb, r, c.format, &c.encodings) else {
                 continue;
             };
-            self.metrics.rects_sent.inc();
-            self.metrics.payload_bytes.add(update.payload.len() as u64);
+            metrics.rects_sent.inc();
+            metrics.payload_bytes.add(update.payload.len() as u64);
             update_bytes += update.payload.len() as u64;
             rects.push(update);
         }
-        if !rects.is_empty() {
-            self.metrics.updates_sent.inc();
-            self.metrics.update_payload_bytes.record(update_bytes);
-            let seq = c.next_update_seq;
-            c.next_update_seq += 1;
-            c.sent_log.push_back((seq, to_send));
-            if c.sent_log.len() > RESUME_RETENTION {
-                c.sent_log.pop_front();
-            }
-            out.push(ServerMessage::Update {
-                seq,
-                format: c.format,
-                rects,
-            });
+        if rects.is_empty() {
+            return None;
         }
-        out
+        metrics.updates_sent.inc();
+        metrics.update_payload_bytes.record(update_bytes);
+        let seq = c.next_update_seq;
+        c.next_update_seq += 1;
+        c.sent_log.push_back((seq, to_send));
+        if c.sent_log.len() > RESUME_RETENTION {
+            c.sent_log.pop_front();
+        }
+        Some(ServerMessage::Update {
+            seq,
+            format: c.format,
+            rects,
+        })
     }
 
     /// Notifies the client that the window was recomposed to a new size.
-    pub fn notify_resize(&mut self, ui: &mut Ui) -> Vec<ServerMessage> {
+    pub(crate) fn notify_resize(&mut self, ui: &Ui) -> Option<ServerMessage> {
         self.size = (ui.size().w as u16, ui.size().h as u16);
-        if let Some(c) = &mut self.client {
-            c.damage = Region::from_rect(ui.framebuffer().bounds());
-            // Pre-resize updates describe a dead geometry: never replay
-            // them. A resume across a resize degrades to full damage.
-            c.sent_log.clear();
-            vec![ServerMessage::Resize {
-                width: self.size.0,
-                height: self.size.1,
-            }]
-        } else {
-            Vec::new()
-        }
+        let c = self.state.as_mut()?;
+        c.damage = Region::from_rect(ui.framebuffer().bounds());
+        // Pre-resize updates describe a dead geometry: never replay
+        // them. A resume across a resize degrades to full damage.
+        c.sent_log.clear();
+        Some(ServerMessage::Resize {
+            width: self.size.0,
+            height: self.size.1,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multi::MultiServer;
     use uniint_protocol::input::InputEvent;
     use uniint_wsys::prelude::*;
 
-    fn session() -> (Ui, UniIntServer) {
+    fn session() -> (Ui, MultiServer) {
         let mut ui = Ui::new(160, 120, Theme::classic(), "test-panel");
         ui.add(Button::new("Power"), Rect::new(10, 10, 60, 20));
-        let server = UniIntServer::new(&ui);
+        let mut server = MultiServer::new();
+        assert_eq!(server.accept(&ui), 0);
         (ui, server)
     }
 
-    fn connect(ui: &mut Ui, server: &mut UniIntServer) {
+    fn connect(ui: &mut Ui, server: &mut MultiServer) {
         let replies = server.handle_message(
             ui,
+            0,
             ClientMessage::Hello {
                 version: 1,
                 name: "t".into(),
@@ -437,28 +417,42 @@ mod tests {
                 ..
             }
         ));
-        server.handle_message(ui, ClientMessage::SetEncodings(Encoding::ALL.to_vec()));
+        server.handle_message(ui, 0, ClientMessage::SetEncodings(Encoding::ALL.to_vec()));
+    }
+
+    /// What the next pump sends the one client.
+    fn pump(ui: &mut Ui, server: &mut MultiServer) -> Vec<ServerMessage> {
+        let mut batches = server.pump_all(ui);
+        assert!(batches.len() <= 1);
+        batches.pop().map(|(_, msgs)| msgs).unwrap_or_default()
+    }
+
+    /// Sends an update request, then pumps.
+    fn request(
+        ui: &mut Ui,
+        server: &mut MultiServer,
+        incremental: bool,
+        rect: Rect,
+    ) -> Vec<ServerMessage> {
+        let replies =
+            server.handle_message(ui, 0, ClientMessage::UpdateRequest { incremental, rect });
+        assert!(replies.is_empty(), "a request only parks: {replies:?}");
+        pump(ui, server)
     }
 
     #[test]
     fn hello_yields_init() {
         let (mut ui, mut server) = session();
-        assert!(!server.has_client());
+        assert!(!server.has_session(0));
         connect(&mut ui, &mut server);
-        assert!(server.has_client());
+        assert!(server.has_session(0));
     }
 
     #[test]
     fn full_update_covers_screen() {
         let (mut ui, mut server) = session();
         connect(&mut ui, &mut server);
-        let replies = server.handle_message(
-            &mut ui,
-            ClientMessage::UpdateRequest {
-                incremental: false,
-                rect: Rect::new(0, 0, 160, 120),
-            },
-        );
+        let replies = request(&mut ui, &mut server, false, Rect::new(0, 0, 160, 120));
         let ServerMessage::Update { rects, .. } = &replies[0] else {
             panic!("expected update, got {replies:?}");
         };
@@ -471,32 +465,21 @@ mod tests {
         let (mut ui, mut server) = session();
         connect(&mut ui, &mut server);
         // Drain the initial full screen.
-        server.handle_message(
-            &mut ui,
-            ClientMessage::UpdateRequest {
-                incremental: false,
-                rect: Rect::new(0, 0, 160, 120),
-            },
-        );
+        request(&mut ui, &mut server, false, Rect::new(0, 0, 160, 120));
         // Incremental request with no damage: no reply yet.
-        let replies = server.handle_message(
-            &mut ui,
-            ClientMessage::UpdateRequest {
-                incremental: true,
-                rect: Rect::new(0, 0, 160, 120),
-            },
-        );
+        let replies = request(&mut ui, &mut server, true, Rect::new(0, 0, 160, 120));
         assert!(replies.is_empty());
         // An input event presses the button, causing damage.
         server.handle_message(
             &mut ui,
+            0,
             ClientMessage::Input(InputEvent::Pointer {
                 x: 20,
                 y: 20,
                 buttons: uniint_protocol::input::ButtonMask::LEFT,
             }),
         );
-        let replies = server.pump(&mut ui);
+        let replies = pump(&mut ui, &mut server);
         let ServerMessage::Update { rects, .. } = &replies[0] else {
             panic!("expected update after damage");
         };
@@ -513,13 +496,7 @@ mod tests {
     fn update_respects_requested_rect() {
         let (mut ui, mut server) = session();
         connect(&mut ui, &mut server);
-        let replies = server.handle_message(
-            &mut ui,
-            ClientMessage::UpdateRequest {
-                incremental: false,
-                rect: Rect::new(0, 0, 50, 50),
-            },
-        );
+        let replies = request(&mut ui, &mut server, false, Rect::new(0, 0, 50, 50));
         let ServerMessage::Update { rects, .. } = &replies[0] else {
             panic!()
         };
@@ -532,21 +509,13 @@ mod tests {
     fn set_pixel_format_resends_everything() {
         let (mut ui, mut server) = session();
         connect(&mut ui, &mut server);
+        request(&mut ui, &mut server, false, Rect::new(0, 0, 160, 120));
         server.handle_message(
             &mut ui,
-            ClientMessage::UpdateRequest {
-                incremental: false,
-                rect: Rect::new(0, 0, 160, 120),
-            },
+            0,
+            ClientMessage::SetPixelFormat(PixelFormat::Mono1),
         );
-        server.handle_message(&mut ui, ClientMessage::SetPixelFormat(PixelFormat::Mono1));
-        let replies = server.handle_message(
-            &mut ui,
-            ClientMessage::UpdateRequest {
-                incremental: true,
-                rect: Rect::new(0, 0, 160, 120),
-            },
-        );
+        let replies = request(&mut ui, &mut server, true, Rect::new(0, 0, 160, 120));
         let ServerMessage::Update { format, rects, .. } = &replies[0] else {
             panic!("format change must resend");
         };
@@ -560,7 +529,7 @@ mod tests {
         let (mut ui, mut server) = session();
         connect(&mut ui, &mut server);
         for ev in InputEvent::click(20, 20) {
-            server.handle_message(&mut ui, ClientMessage::Input(ev));
+            server.handle_message(&mut ui, 0, ClientMessage::Input(ev));
         }
         let actions = ui.take_actions();
         assert_eq!(actions.len(), 1);
@@ -572,7 +541,7 @@ mod tests {
         let (mut ui, mut server) = session();
         connect(&mut ui, &mut server);
         ui.ring_bell();
-        let replies = server.pump(&mut ui);
+        let replies = pump(&mut ui, &mut server);
         assert!(replies.contains(&ServerMessage::Bell));
     }
 
@@ -581,13 +550,16 @@ mod tests {
         let (mut ui, mut server) = session();
         connect(&mut ui, &mut server);
         ui.resize(320, 240);
-        let replies = server.notify_resize(&mut ui);
+        let replies = server.notify_resize_all(&mut ui);
         assert_eq!(
             replies,
-            vec![ServerMessage::Resize {
-                width: 320,
-                height: 240
-            }]
+            vec![(
+                0,
+                vec![ServerMessage::Resize {
+                    width: 320,
+                    height: 240
+                }]
+            )]
         );
     }
 
@@ -595,13 +567,7 @@ mod tests {
     fn stats_accumulate() {
         let (mut ui, mut server) = session();
         connect(&mut ui, &mut server);
-        server.handle_message(
-            &mut ui,
-            ClientMessage::UpdateRequest {
-                incremental: false,
-                rect: Rect::new(0, 0, 160, 120),
-            },
-        );
+        request(&mut ui, &mut server, false, Rect::new(0, 0, 160, 120));
         let s = server.stats();
         assert_eq!(s.updates_sent, 1);
         assert!(s.rects_sent >= 1);
@@ -641,7 +607,9 @@ mod tests {
 
     #[test]
     fn no_client_pump_is_quiet() {
+        // Accepted, but no Hello yet: not even the bell is sent.
         let (mut ui, mut server) = session();
-        assert!(server.pump(&mut ui).is_empty());
+        ui.ring_bell();
+        assert!(server.pump_all(&mut ui).is_empty());
     }
 }

@@ -3,10 +3,10 @@
 //! network simulator ([`SimSession`]), whose connection recovery is a
 //! thin driver around [`crate::resume::ResumeMachine`].
 
+use crate::multi::{ClientId, MultiServer};
 use crate::plugin::{DeviceEvent, DeviceFrame};
 use crate::proxy::UniIntProxy;
 use crate::resume::{BackoffPolicy, Reattach, ResumeMachine, Stalled};
-use crate::server::UniIntServer;
 use crate::tap::{Direction, SharedTap};
 use uniint_netsim::link::LinkProfile;
 use uniint_netsim::sim::{Endpoint, Simulator};
@@ -72,10 +72,11 @@ impl std::error::Error for SessionError {
 /// stimulus. This is the workhorse of tests, examples and benchmarks.
 #[derive(Debug)]
 pub struct LocalSession {
-    /// The UniInt server endpoint.
-    pub server: UniIntServer,
+    /// The UniInt server endpoint; the proxy is its one client.
+    pub server: MultiServer,
     /// The UniInt proxy endpoint.
     pub proxy: UniIntProxy,
+    client: ClientId,
     last_frame: Option<DeviceFrame>,
     bells: u32,
 }
@@ -85,8 +86,10 @@ impl LocalSession {
     /// returning). Server and proxy share one telemetry [`Registry`].
     pub fn connect(ui: &mut Ui) -> LocalSession {
         let registry = Registry::new();
+        let mut server = MultiServer::with_telemetry(registry.clone());
         let mut s = LocalSession {
-            server: UniIntServer::with_telemetry(ui, registry.clone()),
+            client: server.accept(ui),
+            server,
             proxy: UniIntProxy::with_telemetry("local-proxy", registry),
             last_frame: None,
             bells: 0,
@@ -127,24 +130,25 @@ impl LocalSession {
     /// Renders pending UI changes and flushes updates to the proxy.
     /// Call after the application mutates widgets programmatically.
     pub fn pump(&mut self, ui: &mut Ui) {
-        let msgs = self.server.pump(ui);
+        let msgs = only_client(self.server.pump_all(ui));
         self.deliver_to_proxy(ui, msgs);
     }
 
     /// Announces a window resize (panel recomposition) to the proxy.
     pub fn notify_resize(&mut self, ui: &mut Ui) {
-        let msgs = self.server.notify_resize(ui);
+        let msgs = only_client(self.server.notify_resize_all(ui));
         self.deliver_to_proxy(ui, msgs);
     }
 
-    /// Delivers client messages to the server, then pumps replies back.
+    /// Delivers client messages to the server, then pumps replies back:
+    /// the pump answers any update request among them, and flushes the
+    /// repaints their input caused.
     pub fn deliver_to_server(&mut self, ui: &mut Ui, msgs: Vec<ClientMessage>) {
         let mut replies = Vec::new();
         for m in msgs {
-            replies.extend(self.server.handle_message(ui, m));
+            replies.extend(self.server.handle_message(ui, self.client, m));
         }
-        // Input may have produced repaints worth flushing now.
-        replies.extend(self.server.pump(ui));
+        replies.extend(only_client(self.server.pump_all(ui)));
         self.deliver_to_proxy(ui, replies);
     }
 
@@ -164,15 +168,15 @@ impl LocalSession {
             to_server.extend(out.messages);
         }
         if !to_server.is_empty() {
-            let mut replies = Vec::new();
-            for m in to_server {
-                replies.extend(self.server.handle_message(ui, m));
-            }
-            if !replies.is_empty() {
-                self.deliver_to_proxy(ui, replies);
-            }
+            self.deliver_to_server(ui, to_server);
         }
     }
+}
+
+/// The messages in the batches of a server whose only client is a
+/// session's proxy.
+fn only_client(batches: Vec<(ClientId, Vec<ServerMessage>)>) -> Vec<ServerMessage> {
+    batches.into_iter().flat_map(|(_, msgs)| msgs).collect()
 }
 
 /// The simulator's reconnect schedule: 20 ms doubling to 1 s, 16 tries.
@@ -197,10 +201,11 @@ const BACKOFF: BackoffPolicy = BackoffPolicy {
 /// [`crate::proxy::ProxyStats`].
 #[derive(Debug)]
 pub struct SimSession {
-    /// The UniInt server endpoint.
-    pub server: UniIntServer,
+    /// The UniInt server endpoint; the proxy is its one client.
+    pub server: MultiServer,
     /// The UniInt proxy endpoint.
     pub proxy: UniIntProxy,
+    client: ClientId,
     /// The virtual network.
     pub sim: Simulator,
     server_ep: Endpoint,
@@ -238,8 +243,10 @@ impl SimSession {
         let mut sim = Simulator::new(seed);
         sim.attach_telemetry(&registry);
         let (proxy_ep, server_ep) = sim.link(link);
+        let mut server = MultiServer::with_telemetry(registry.clone());
         let mut s = SimSession {
-            server: UniIntServer::with_telemetry(ui, registry.clone()),
+            client: server.accept(ui),
+            server,
             proxy: UniIntProxy::with_telemetry("sim-proxy", registry),
             sim,
             server_ep,
@@ -326,8 +333,9 @@ impl SimSession {
     /// until idle, recovering from any connection breaks on the way.
     pub fn settle(&mut self, ui: &mut Ui) -> Result<(), SessionError> {
         loop {
-            // Drain server-side application damage first.
-            for m in self.server.pump(ui) {
+            // Answer parked update requests and flush application
+            // damage first.
+            for m in only_client(self.server.pump_all(ui)) {
                 self.send_server(&m);
             }
             if self.sim.step().is_none() {
@@ -348,7 +356,7 @@ impl SimSession {
                     tap.record(self.sim.now_us(), 0, Direction::ToServer, &frame);
                 }
                 let msg = ClientMessage::decode_body(&mut frame.as_slice())?;
-                for reply in self.server.handle_message(ui, msg) {
+                for reply in self.server.handle_message(ui, self.client, msg) {
                     self.send_server(&reply);
                 }
             }

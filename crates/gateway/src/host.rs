@@ -82,7 +82,8 @@ pub struct GatewayConfig {
     /// forever — unbounded memory under client-name churn.
     pub session_grace: Option<Duration>,
     /// How long the state thread waits for an event before running a
-    /// housekeeping pass (application tick + damage pump).
+    /// housekeeping pass (application tick + damage pump), and the most
+    /// time it spends handling events between two pumps.
     pub tick: Duration,
     /// Flight-recorder tap (see `uniint-trace`). When set, the state
     /// thread records every client message it processes and every
@@ -575,7 +576,7 @@ fn state_loop(
     mut tick: Box<dyn FnMut(&mut Ui) + Send>,
 ) -> Ui {
     let mut st = State {
-        multi: MultiServer::new(),
+        multi: MultiServer::with_telemetry(registry.clone()),
         conns: HashMap::new(),
         names: HashMap::new(),
         attached: HashMap::new(),
@@ -592,6 +593,10 @@ fn state_loop(
             Err(RecvTimeoutError::Timeout) => None,
             Err(RecvTimeoutError::Disconnected) => break,
         };
+        // Pump at least once a tick however fast events arrive: update
+        // requests wait for the pump, so a client flooding the channel
+        // must not starve the others.
+        let began = Instant::now();
         let mut stop = false;
         for ev in first.into_iter().chain(rx.try_iter()) {
             match ev {
@@ -608,6 +613,9 @@ fn state_loop(
                 Event::Msg(id, msg) => st.handle_msg(&mut ui, id, msg),
                 Event::Disconnected(id) => st.drop_conn(id),
                 Event::Shutdown => stop = true,
+            }
+            if began.elapsed() >= cfg.tick {
+                break;
             }
         }
         if stop {
@@ -669,7 +677,7 @@ impl State {
         if !self.conns.contains_key(&id) {
             return;
         }
-        let sid = self.multi.accept_with_telemetry(ui, self.registry.clone());
+        let sid = self.multi.accept(ui);
         if let Some(old_sid) = self.names.insert(name.clone(), sid) {
             if let Some(old_conn) = self.attached.remove(&old_sid) {
                 if old_conn != id {
@@ -827,7 +835,7 @@ impl State {
                         Some((msg, Instant::now()));
                     return;
                 }
-                let sid = self.multi.accept_with_telemetry(ui, self.registry.clone());
+                let sid = self.multi.accept(ui);
                 self.names.insert(name.clone(), sid);
                 self.attached.insert(sid, id);
                 self.conns.get_mut(&id).expect("checked").session = Some(sid);

@@ -13,11 +13,13 @@
 //!   after every update. Two replays of one trace are byte-identical
 //!   (digest sequence and telemetry snapshot), which is what the CI
 //!   record/replay job checks.
-//! - [`Replayer::verify`] additionally drives a **fresh server** over a
-//!   caller-provided [`Ui`] (in the same initial state as the recorded
-//!   run): the `ToServer` half is fed in, and every message the server
-//!   regenerates is byte-compared against the recorded `ToClient`
-//!   record at the same position. The first mismatch is reported as a
+//! - [`Replayer::verify`] additionally drives a **fresh server** (a
+//!   `MultiServer` with one client) over a caller-provided [`Ui`] (in
+//!   the same initial state as the recorded run): the `ToServer` half
+//!   is fed in, and every message the server regenerates is
+//!   byte-compared against the recorded `ToClient` record at the same
+//!   position. A recorded message that no reply accounts for came from
+//!   a pump, so the fresh server pumps there too. The first mismatch is reported as a
 //!   [`Divergence`] carrying the record index, timestamp and reason —
 //!   pinpointing exactly where a mutated trace (or a behaviour change
 //!   in the server) departs from the recording.
@@ -29,9 +31,9 @@
 
 use std::collections::VecDeque;
 
+use uniint_core::multi::MultiServer;
 use uniint_core::plugin::OutputPlugin;
 use uniint_core::proxy::UniIntProxy;
-use uniint_core::server::UniIntServer;
 use uniint_core::tap::Direction;
 use uniint_protocol::error::ProtocolError;
 use uniint_protocol::message::{encode_server, ClientMessage, ServerMessage};
@@ -254,9 +256,12 @@ impl Replayer {
             // already part of the recorded conversation; drop them.
             let _ = proxy.attach_output(plugin);
         }
-        let mut server = ui
-            .as_deref()
-            .map(|ui| UniIntServer::with_telemetry(ui, registry.clone()));
+        // A fresh server with the recorded client as its one client.
+        let mut server = ui.as_deref().map(|ui| {
+            let mut server = MultiServer::with_telemetry(registry.clone());
+            let client = server.accept(ui);
+            (server, client)
+        });
         // Server messages regenerated by `server` but not yet matched
         // against a recorded ToClient record (bodies, no length prefix).
         let mut pending: VecDeque<Vec<u8>> = VecDeque::new();
@@ -284,22 +289,24 @@ impl Replayer {
             match record.dir {
                 Direction::ToServer => {
                     outcome.to_server += 1;
-                    if let (Some(server), Some(ui)) = (server.as_mut(), ui.as_deref_mut()) {
+                    if let (Some((server, client)), Some(ui)) = (server.as_mut(), ui.as_deref_mut())
+                    {
                         let msg = decode_client(index, &record)?;
-                        for reply in server.handle_message(ui, msg) {
+                        for reply in server.handle_message(ui, *client, msg) {
                             pending.push_back(body(&reply));
                         }
                     }
                 }
                 Direction::ToClient => {
                     outcome.to_client += 1;
-                    if let (Some(server), Some(ui)) = (server.as_mut(), ui.as_deref_mut()) {
+                    if let (Some((server, _)), Some(ui)) = (server.as_mut(), ui.as_deref_mut()) {
                         if pending.is_empty() {
-                            // The recorded message came from a pump
-                            // (application damage flush), not a reply:
+                            // The recorded message came from a pump (a
+                            // parked update request answered, or
+                            // application damage flushed), not a reply:
                             // pump the fresh server at the same point.
-                            for m in server.pump(ui) {
-                                pending.push_back(body(&m));
+                            for (_, msgs) in server.pump_all(ui) {
+                                pending.extend(msgs.iter().map(body));
                             }
                         }
                         match pending.pop_front() {

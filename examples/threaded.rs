@@ -22,7 +22,8 @@ fn main() {
         );
         net.attach(DeviceSpec::new("Amp", "living-room").with_fcm(AmplifierFcm::new("Amp")));
         let mut app = ControlPanelApp::new(&mut net, None, Theme::classic());
-        let mut server = UniIntServer::new(app.ui());
+        let mut server = MultiServer::new();
+        let client = server.accept(app.ui());
         let mut reader = FrameReader::new();
         let mut commands = 0u32;
 
@@ -36,18 +37,19 @@ fn main() {
                 let Ok(msg) = ClientMessage::decode_body(&mut frame.as_slice()) else {
                     continue;
                 };
-                for reply in server.handle_message(app.ui_mut(), msg) {
+                for reply in server.handle_message(app.ui_mut(), client, msg) {
                     server_pipe.send(encode_server(&reply));
                 }
             }
             let report = app.process(&mut net);
             commands += report.commands_sent;
+            let mut batches = Vec::new();
             if report.recomposed {
-                for reply in server.notify_resize(app.ui_mut()) {
-                    server_pipe.send(encode_server(&reply));
-                }
+                batches = server.notify_resize_all(app.ui_mut());
             }
-            for reply in server.pump(app.ui_mut()) {
+            // Answers the requests parked above and flushes app damage.
+            batches.extend(server.pump_all(app.ui_mut()));
+            for reply in batches.into_iter().flat_map(|(_, msgs)| msgs) {
                 server_pipe.send(encode_server(&reply));
             }
             if commands >= 3 {

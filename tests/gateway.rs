@@ -372,3 +372,111 @@ fn client_stalls_out_when_the_gateway_is_gone() {
     assert_eq!(st.stalls, 1, "{st:?}");
     assert_eq!(st.backoff_attempts, 10, "{st:?}");
 }
+
+#[test]
+fn flooding_clients_do_not_starve_a_passive_viewer() {
+    use std::io::Write;
+    use std::net::TcpStream;
+    use uniint::protocol::message::{encode_client, PROTOCOL_VERSION};
+
+    let gw =
+        Gateway::spawn(panel(), GatewayConfig::default(), Registry::new()).expect("gateway binds");
+    let addr = gw.local_addr();
+
+    // The viewer drains its first update, so its next request is parked
+    // at the gateway before the flood starts.
+    let mut viewer = [GatewayClient::connect(addr, "passive", 1).expect("connect")];
+    pump_quiescent(&mut viewer, Duration::from_millis(100));
+    let before = viewer[0].stats().updates_applied;
+
+    // Seven clients send a burst of clicks each and never read. The
+    // state thread takes a while to work through the backlog, and it
+    // must pump on the way.
+    let burst: Vec<u8> = click_msgs()
+        .iter()
+        .map(encode_client)
+        .cycle()
+        .take(40_000)
+        .flatten()
+        .collect();
+    let flooders: Vec<TcpStream> = (0..7)
+        .map(|i| {
+            let mut s = TcpStream::connect(addr).expect("connect flooder");
+            let hello = ClientMessage::Hello {
+                version: PROTOCOL_VERSION,
+                name: format!("flooder-{i}"),
+            };
+            s.write_all(&encode_client(&hello)).expect("hello");
+            s.write_all(&burst).expect("burst");
+            s
+        })
+        .collect();
+
+    let flooded = Instant::now();
+    while viewer[0].stats().updates_applied == before {
+        viewer[0].pump_once().expect("pump");
+        assert!(
+            flooded.elapsed() < Duration::from_secs(3),
+            "the passive viewer starved behind the flood"
+        );
+    }
+    drop(flooders);
+    gw.shutdown();
+}
+
+#[test]
+fn passive_viewer_keeps_up_with_many_clicking_clients() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    let gw =
+        Gateway::spawn(panel(), GatewayConfig::default(), Registry::new()).expect("gateway binds");
+    let addr = gw.local_addr();
+    let mut viewer = [GatewayClient::connect(addr, "passive", 0).expect("connect")];
+
+    // Each clicker waits for its click's update before clicking again.
+    let stop = Arc::new(AtomicBool::new(false));
+    let clickers: Vec<_> = (1..=64)
+        .map(|i| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut c =
+                    GatewayClient::connect(addr, format!("clicker-{i}"), i).expect("connect");
+                while !stop.load(Ordering::Relaxed) {
+                    let before = c.stats().updates_applied;
+                    c.send_messages(click_msgs());
+                    let deadline = Instant::now() + Duration::from_secs(5);
+                    while c.stats().updates_applied == before && Instant::now() < deadline {
+                        c.pump_once().expect("pump");
+                    }
+                }
+            })
+        })
+        .collect();
+
+    // The viewer never clicks, yet gets updates in every window.
+    for window in 0..4 {
+        let before = viewer[0].stats().updates_applied;
+        let start = Instant::now();
+        while start.elapsed() < Duration::from_millis(500) {
+            viewer[0].pump_once().expect("pump");
+        }
+        assert!(
+            viewer[0].stats().updates_applied > before,
+            "no update for the passive viewer in window {window}"
+        );
+    }
+    stop.store(true, Ordering::Relaxed);
+    for c in clickers {
+        c.join().expect("clicker");
+    }
+
+    pump_quiescent(&mut viewer, Duration::from_millis(300));
+    let frame = viewer[0].proxy.server_frame().expect("framebuffer").clone();
+    let ui = gw.shutdown();
+    assert_eq!(
+        &frame,
+        ui.framebuffer(),
+        "the viewer ends equal to the panel"
+    );
+}
