@@ -61,8 +61,8 @@ pub mod prelude {
     pub use crate::server::ServerStats;
     pub use crate::session::{LocalSession, SessionError, SimSession};
     pub use crate::supervisor::{
-        FallbackTerminal, HealthEvent, HealthState, Supervisor, SupervisorConfig, SupervisorReport,
-        SupervisorStats, TransitionCause,
+        FallbackTerminal, HealthEvent, HealthState, Supervisor, SupervisorReport, SupervisorStats,
+        TransitionCause,
     };
     pub use crate::tap::{Direction, SessionTap, SharedTap};
 }

@@ -49,15 +49,24 @@ impl MultiServer {
         }
     }
 
-    /// Accepts a new connection, returning its id. The client still has
-    /// to send `Hello` through [`handle_message`](Self::handle_message).
+    /// Accepts a new connection, returning its id: the lowest id no live
+    /// client holds, so a disconnected client's id may be handed out
+    /// again. The client still has to send `Hello` through
+    /// [`handle_message`](Self::handle_message).
     pub fn accept(&mut self, ui: &Ui) -> ClientId {
-        self.clients.push(Some(Client::new(ui)));
+        let client = Some(Client::new(ui));
+        if let Some(id) = self.clients.iter().position(Option::is_none) {
+            self.clients[id] = client;
+            return id;
+        }
+        self.clients.push(client);
         self.clients.len() - 1
     }
 
     /// Drops a client (its proxy disconnected). Ids of other clients stay
-    /// stable; messages for a disconnected id are ignored.
+    /// stable. Messages for a disconnected id are ignored until
+    /// [`accept`](Self::accept) reuses it, so a caller must forget the
+    /// id once it disconnects it.
     pub fn disconnect(&mut self, client: ClientId) {
         if let Some(slot) = self.clients.get_mut(client) {
             *slot = None;
@@ -386,6 +395,46 @@ mod disconnect_tests {
         let batches = rig.server.pump_all(&mut rig.ui);
         assert_eq!(batches.len(), 1);
         assert_eq!(batches[0].0, 1);
+    }
+
+    #[test]
+    fn churned_slots_are_reused_as_fresh_clients() {
+        use uniint_protocol::message::{ClientMessage, ServerMessage};
+
+        let mut rig = Rig::new(2);
+        let bounds = rig.ui.framebuffer().bounds();
+        for i in 0..1_000 {
+            let id = rig.server.accept(&rig.ui);
+            assert_eq!(id, 2, "cycle {i}: the freed slot is reused");
+            // The slot's last holder said Hello and parked a request;
+            // its successor has done neither, so it gets no Bell and no
+            // update.
+            rig.ui.ring_bell();
+            for (client, msgs) in rig.server.pump_all(&mut rig.ui) {
+                assert_ne!(client, id, "cycle {i}: {msgs:?}");
+                rig.receive(client, msgs);
+            }
+            for msg in [
+                ClientMessage::Hello {
+                    version: 1,
+                    name: format!("churn-{i}"),
+                },
+                ClientMessage::UpdateRequest {
+                    incremental: false,
+                    rect: bounds,
+                },
+            ] {
+                let replies = rig.server.handle_message(&mut rig.ui, id, msg);
+                assert!(!replies.contains(&ServerMessage::Bell));
+            }
+            rig.server.disconnect(id);
+        }
+        assert!(rig.server.clients.len() <= 3, "slots stay bounded");
+        assert_eq!(rig.server.client_count(), 2);
+        rig.settle();
+        for p in &rig.proxies {
+            assert_eq!(p.server_frame().unwrap(), rig.ui.framebuffer());
+        }
     }
 }
 

@@ -233,48 +233,26 @@ pub struct HealthEvent {
     pub cause: TransitionCause,
 }
 
-/// Thresholds and budgets of the supervision policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SupervisorConfig {
-    /// Step budget per supervised plug-in call.
-    pub call_fuel: u64,
-    /// Consecutive faults before `Healthy` drops to `Degraded`.
-    pub degrade_after: u32,
-    /// Consecutive faults before the device is quarantined.
-    pub quarantine_after: u32,
-    /// Quarantines before the device is declared `Dead`.
-    pub max_quarantines: u32,
-    /// First probation backoff, microseconds (doubles per quarantine).
-    pub probation_base_us: u64,
-    /// Probation backoff ceiling, microseconds.
-    pub probation_cap_us: u64,
-    /// Clean calls on probation before the device is `Healthy` again.
-    pub probation_successes: u32,
-    /// Heartbeat silence counting as one miss, microseconds.
-    pub heartbeat_timeout_us: u64,
-    /// Missed heartbeats before the device is declared `Dead`.
-    pub heartbeat_dead_misses: u32,
-    /// Attach the built-in [`FallbackTerminal`] when a failover leaves
-    /// the proxy with no output plug-in at all.
-    pub fallback_terminal: bool,
-}
+// The supervision policy.
 
-impl Default for SupervisorConfig {
-    fn default() -> SupervisorConfig {
-        SupervisorConfig {
-            call_fuel: 1_000_000,
-            degrade_after: 1,
-            quarantine_after: 3,
-            max_quarantines: 3,
-            probation_base_us: 200_000,
-            probation_cap_us: 5_000_000,
-            probation_successes: 8,
-            heartbeat_timeout_us: 500_000,
-            heartbeat_dead_misses: 3,
-            fallback_terminal: true,
-        }
-    }
-}
+/// Step budget per supervised plug-in call.
+const CALL_FUEL: u64 = 1_000_000;
+/// Consecutive faults before `Healthy` drops to `Degraded`.
+const DEGRADE_AFTER: u32 = 1;
+/// Consecutive faults before the device is quarantined.
+const QUARANTINE_AFTER: u32 = 3;
+/// Quarantines before the device is declared `Dead`.
+const MAX_QUARANTINES: u32 = 3;
+/// First probation backoff, microseconds (doubles per quarantine).
+const PROBATION_BASE_US: u64 = 200_000;
+/// Probation backoff ceiling, microseconds.
+const PROBATION_CAP_US: u64 = 5_000_000;
+/// Clean calls on probation before the device is `Healthy` again.
+const PROBATION_SUCCESSES: u32 = 8;
+/// Heartbeat silence counting as one miss, microseconds.
+const HEARTBEAT_TIMEOUT_US: u64 = 500_000;
+/// Missed heartbeats before the device is declared `Dead`.
+const HEARTBEAT_DEAD_MISSES: u32 = 3;
 
 /// Counters accumulated by the supervisor.
 ///
@@ -391,14 +369,9 @@ impl SupervisorReport {
 /// Runs one plug-in call under panic containment and a step budget.
 /// `Err` means the call failed (already recorded); `Ok` still needs
 /// result validation by the caller.
-fn guarded_call<T>(
-    id: &str,
-    ledger: &SharedLedger,
-    fuel: u64,
-    call: impl FnOnce() -> T,
-) -> Result<T, ()> {
+fn guarded_call<T>(id: &str, ledger: &SharedLedger, call: impl FnOnce() -> T) -> Result<T, ()> {
     install_quiet_hook();
-    arm_fuel(fuel);
+    arm_fuel(CALL_FUEL);
     QUIET_PANICS.with(|q| q.set(true));
     let result = panic::catch_unwind(AssertUnwindSafe(call));
     QUIET_PANICS.with(|q| q.set(false));
@@ -422,7 +395,6 @@ fn guarded_call<T>(
 struct IsolatedInput {
     device: String,
     kind: &'static str,
-    fuel: u64,
     ledger: SharedLedger,
     inner: Box<dyn InputPlugin>,
 }
@@ -438,9 +410,8 @@ impl InputPlugin for IsolatedInput {
         ctx: &InputContext,
     ) -> Vec<InputEvent> {
         let inner = &mut self.inner;
-        let Ok(mut events) = guarded_call(&self.device, &self.ledger, self.fuel, || {
-            inner.translate(ev, ctx)
-        }) else {
+        let Ok(mut events) = guarded_call(&self.device, &self.ledger, || inner.translate(ev, ctx))
+        else {
             return Vec::new();
         };
         // Validate: pointer events must land inside the server space the
@@ -467,7 +438,6 @@ struct IsolatedOutput {
     device: String,
     kind: &'static str,
     caps: OutputCaps,
-    fuel: u64,
     ledger: SharedLedger,
     inner: Box<dyn OutputPlugin>,
     last_good: Option<DeviceFrame>,
@@ -498,9 +468,8 @@ impl OutputPlugin for IsolatedOutput {
 
     fn adapt(&mut self, server_frame: &Framebuffer) -> DeviceFrame {
         let inner = &mut self.inner;
-        let Ok(frame) = guarded_call(&self.device, &self.ledger, self.fuel, || {
-            inner.adapt(server_frame)
-        }) else {
+        let Ok(frame) = guarded_call(&self.device, &self.ledger, || inner.adapt(server_frame))
+        else {
             return self.safe_frame();
         };
         // Validate: the frame must fit the declared device screen.
@@ -562,7 +531,6 @@ impl OutputPlugin for FallbackTerminal {
 /// fails the session over when the active device goes bad. See the
 /// module docs for the state machine.
 pub struct Supervisor {
-    cfg: SupervisorConfig,
     ledger: SharedLedger,
     records: BTreeMap<String, DeviceRecord>,
     metrics: SupervisorMetrics,
@@ -581,25 +549,14 @@ impl core::fmt::Debug for Supervisor {
 }
 
 impl Supervisor {
-    /// Creates a supervisor with the default policy and a private
-    /// registry.
+    /// Creates a supervisor recording into a private registry; `seed`
+    /// drives the probation backoff jitter.
     pub fn new(seed: u64) -> Supervisor {
-        Supervisor::with_config(seed, SupervisorConfig::default())
-    }
-
-    /// Creates a supervisor with an explicit policy.
-    pub fn with_config(seed: u64, cfg: SupervisorConfig) -> Supervisor {
-        Supervisor::with_telemetry(seed, cfg, Registry::new())
-    }
-
-    /// Creates a supervisor recording into a shared session `registry`.
-    pub fn with_telemetry(seed: u64, cfg: SupervisorConfig, registry: Registry) -> Supervisor {
         install_quiet_hook();
         Supervisor {
-            cfg,
             ledger: Arc::new(Mutex::new(Vec::new())),
             records: BTreeMap::new(),
-            metrics: SupervisorMetrics::new(registry),
+            metrics: SupervisorMetrics::new(Registry::new()),
             rng: StdRng::seed_from_u64(seed ^ 0x5afe_0de7_ec70_ca11),
         }
     }
@@ -607,11 +564,6 @@ impl Supervisor {
     /// The registry this supervisor records into.
     pub fn telemetry(&self) -> &Registry {
         &self.metrics.registry
-    }
-
-    /// The active policy.
-    pub fn config(&self) -> SupervisorConfig {
-        self.cfg
     }
 
     /// Accumulated counters, reconstructed from the registry.
@@ -648,16 +600,15 @@ impl Supervisor {
     pub fn supervise(&mut self, device: InteractionDevice) -> InteractionDevice {
         let id = device.descriptor().id.clone();
         self.records.entry(id.clone()).or_default();
-        let fuel = self.cfg.call_fuel;
         let (in_id, in_ledger) = (id.clone(), self.ledger.clone());
         let device = device.map_input_factory(move |f| {
             let (id, ledger) = (in_id.clone(), in_ledger.clone());
-            Box::new(move || isolate_input(&id, &ledger, fuel, f()))
+            Box::new(move || isolate_input(&id, &ledger, f()))
         });
         let (out_id, out_ledger) = (id, self.ledger.clone());
         device.map_output_factory(move |f| {
             let (id, ledger) = (out_id.clone(), out_ledger.clone());
-            Box::new(move || isolate_output(&id, &ledger, fuel, f()))
+            Box::new(move || isolate_output(&id, &ledger, f()))
         })
     }
 
@@ -665,7 +616,7 @@ impl Supervisor {
     /// plug-ins directly, without a coordinator).
     pub fn wrap_input(&mut self, id: &str, plugin: Box<dyn InputPlugin>) -> Box<dyn InputPlugin> {
         self.records.entry(id.to_owned()).or_default();
-        isolate_input(id, &self.ledger, self.cfg.call_fuel, plugin)
+        isolate_input(id, &self.ledger, plugin)
     }
 
     /// Shims a bare output plug-in under `id`.
@@ -675,7 +626,7 @@ impl Supervisor {
         plugin: Box<dyn OutputPlugin>,
     ) -> Box<dyn OutputPlugin> {
         self.records.entry(id.to_owned()).or_default();
-        isolate_output(id, &self.ledger, self.cfg.call_fuel, plugin)
+        isolate_output(id, &self.ledger, plugin)
     }
 
     /// Records a liveness heartbeat from `id` at virtual time `now_us`.
@@ -720,17 +671,17 @@ impl Supervisor {
             let Some(last) = rec.last_heartbeat_us else {
                 continue;
             };
-            if rec.state == HealthState::Dead || self.cfg.heartbeat_timeout_us == 0 {
+            if rec.state == HealthState::Dead {
                 continue;
             }
-            let misses = (now_us.saturating_sub(last) / self.cfg.heartbeat_timeout_us) as u32;
+            let misses = (now_us.saturating_sub(last) / HEARTBEAT_TIMEOUT_US) as u32;
             if misses > rec.hb_misses_seen {
                 self.metrics
                     .heartbeat_misses
                     .add((misses - rec.hb_misses_seen) as u64);
                 rec.hb_misses_seen = misses;
             }
-            if misses >= self.cfg.heartbeat_dead_misses {
+            if misses >= HEARTBEAT_DEAD_MISSES {
                 let from = rec.state;
                 rec.state = HealthState::Dead;
                 self.metrics.deaths.inc();
@@ -799,7 +750,7 @@ impl Supervisor {
         }
 
         // 6. Last resort: the session had a screen and now has none.
-        if self.cfg.fallback_terminal && had_output && proxy.attached().1.is_none() {
+        if had_output && proxy.attached().1.is_none() {
             self.metrics.fallback_activations.inc();
             report.fallback_attached = true;
             self.metrics
@@ -853,7 +804,6 @@ impl Supervisor {
         now_us: u64,
         events: &mut Vec<HealthEvent>,
     ) {
-        let cfg = self.cfg;
         let Some(rec) = self.records.get_mut(id) else {
             return;
         };
@@ -864,8 +814,7 @@ impl Supervisor {
             CallOutcome::Clean => {
                 rec.consecutive_faults = 0;
                 rec.clean_streak += 1;
-                if rec.state == HealthState::Degraded && rec.clean_streak >= cfg.probation_successes
-                {
+                if rec.state == HealthState::Degraded && rec.clean_streak >= PROBATION_SUCCESSES {
                     rec.state = HealthState::Healthy;
                     rec.on_probation = false;
                     // A full recovery wipes the quarantine history: the
@@ -900,10 +849,10 @@ impl Supervisor {
                     return; // Stale record from before the exclusion took.
                 }
                 let relapse = rec.on_probation; // Any fault on probation re-quarantines.
-                if relapse || rec.consecutive_faults >= cfg.quarantine_after {
+                if relapse || rec.consecutive_faults >= QUARANTINE_AFTER {
                     let from = rec.state;
                     rec.quarantine_count += 1;
-                    if rec.quarantine_count > cfg.max_quarantines {
+                    if rec.quarantine_count > MAX_QUARANTINES {
                         rec.state = HealthState::Dead;
                         self.metrics.deaths.inc();
                         events.push(HealthEvent {
@@ -918,10 +867,9 @@ impl Supervisor {
                         rec.consecutive_faults = 0;
                         self.metrics.quarantines.inc();
                         let shift = rec.quarantine_count.saturating_sub(1).min(20);
-                        let backoff = cfg
-                            .probation_base_us
+                        let backoff = PROBATION_BASE_US
                             .saturating_mul(1u64 << shift)
-                            .min(cfg.probation_cap_us);
+                            .min(PROBATION_CAP_US);
                         let jitter = self.rng.gen_range(0..=backoff / 4);
                         rec.probation_until_us = now_us + backoff + jitter;
                         events.push(HealthEvent {
@@ -931,7 +879,7 @@ impl Supervisor {
                             cause,
                         });
                     }
-                } else if rec.consecutive_faults >= cfg.degrade_after
+                } else if rec.consecutive_faults >= DEGRADE_AFTER
                     && rec.state == HealthState::Healthy
                 {
                     rec.state = HealthState::Degraded;
@@ -950,7 +898,6 @@ impl Supervisor {
 fn isolate_input(
     id: &str,
     ledger: &SharedLedger,
-    fuel: u64,
     inner: Box<dyn InputPlugin>,
 ) -> Box<dyn InputPlugin> {
     install_quiet_hook();
@@ -961,7 +908,6 @@ fn isolate_input(
     Box::new(IsolatedInput {
         device: id.to_owned(),
         kind,
-        fuel,
         ledger: ledger.clone(),
         inner,
     })
@@ -970,7 +916,6 @@ fn isolate_input(
 fn isolate_output(
     id: &str,
     ledger: &SharedLedger,
-    fuel: u64,
     inner: Box<dyn OutputPlugin>,
 ) -> Box<dyn OutputPlugin> {
     install_quiet_hook();
@@ -987,7 +932,6 @@ fn isolate_output(
         device: id.to_owned(),
         kind,
         caps,
-        fuel,
         ledger: ledger.clone(),
         inner,
         last_good: None,
@@ -1133,7 +1077,7 @@ mod tests {
             &mut proxy,
         );
         assert_eq!(proxy.attached().0, Some("panic-input"));
-        for _ in 0..sup.config().quarantine_after {
+        for _ in 0..QUARANTINE_AFTER {
             proxy.device_input(&DeviceEvent::KeypadSelect);
         }
         let report = sup.tick(1_000, &mut c, &mut proxy);
@@ -1165,7 +1109,7 @@ mod tests {
         let mut now = 0u64;
         let mut windows = Vec::new();
         for _ in 0..2 {
-            for _ in 0..sup.config().quarantine_after {
+            for _ in 0..QUARANTINE_AFTER {
                 proxy.device_input(&DeviceEvent::KeypadSelect);
             }
             sup.tick(now, &mut c, &mut proxy);
@@ -1208,7 +1152,7 @@ mod tests {
         proxy.device_input(&DeviceEvent::KeypadSelect);
         sup.tick(0, &mut c, &mut proxy);
         assert_eq!(sup.health("flip"), Some(HealthState::Degraded));
-        for _ in 0..sup.config().probation_successes {
+        for _ in 0..PROBATION_SUCCESSES {
             proxy.device_input(&DeviceEvent::KeypadSelect);
         }
         sup.tick(1, &mut c, &mut proxy);
@@ -1226,14 +1170,14 @@ mod tests {
             &mut proxy,
         );
         sup.heartbeat("hb", 0);
-        let to = sup.config().heartbeat_timeout_us;
+        let to = HEARTBEAT_TIMEOUT_US;
         sup.tick(to + 1, &mut c, &mut proxy);
         assert_eq!(sup.health("hb"), Some(HealthState::Degraded));
         // Heartbeat resumes: healthy again.
         sup.heartbeat("hb", to + 2);
         assert_eq!(sup.health("hb"), Some(HealthState::Healthy));
         // Then silence long enough to die.
-        let deadline = to + 2 + to * sup.config().heartbeat_dead_misses as u64 + 1;
+        let deadline = to + 2 + to * HEARTBEAT_DEAD_MISSES as u64 + 1;
         let report = sup.tick(deadline, &mut c, &mut proxy);
         assert_eq!(sup.health("hb"), Some(HealthState::Dead));
         assert_eq!(sup.stats().deaths, 1);
@@ -1255,7 +1199,7 @@ mod tests {
             &mut proxy,
         );
         sup.heartbeat("d", 0);
-        let to = sup.config().heartbeat_timeout_us;
+        let to = HEARTBEAT_TIMEOUT_US;
         sup.tick(to * 10, &mut c, &mut proxy);
         assert_eq!(sup.health("d"), Some(HealthState::Dead));
         sup.heartbeat("d", to * 10 + 1); // Ignored.
@@ -1299,7 +1243,7 @@ mod tests {
         c.register(sup.supervise(dev), &mut proxy);
         assert_eq!(proxy.attached().1, Some("panic-screen"));
         // Three faulting adapts → quarantine; frames were safe blanks.
-        for _ in 0..sup.config().quarantine_after {
+        for _ in 0..QUARANTINE_AFTER {
             let f = proxy.adapt_current().expect("safe frame substituted");
             assert_eq!(f.frame.size(), Size::new(32, 32));
         }
@@ -1409,7 +1353,6 @@ mod tests {
             device: "once".into(),
             kind: "once-screen",
             caps: OnceScreen(false).caps(),
-            fuel: SupervisorConfig::default().call_fuel,
             ledger: SharedLedger::default(),
             inner: Box::new(OnceScreen(false)),
             last_good: None,

@@ -27,6 +27,14 @@
 //! `Resume` re-binds the existing server session — with its damage
 //! account and send log intact — to the new socket, so the resume is
 //! incremental instead of a full refresh.
+//!
+//! Each session has one record in the state thread: its name, and
+//! whether it is attached to a connection or detached since some
+//! instant. Every lifecycle path goes through one `attach`/`detach`
+//! pair, and a connection speaks for a session only while that
+//! session's record names it: late messages from a displaced socket are
+//! dropped. Retired sessions free their [`MultiServer`] slot, which the
+//! next session reuses.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -49,7 +57,30 @@ use crate::codec::{check_hello_version, FramedSocket, ReadStatus, DEFAULT_MAX_FR
 /// survives reconnects, a connection does not.
 pub type ConnId = usize;
 
-/// Tuning knobs for a [`Gateway`].
+/// Outbound queue capacity per connection, messages. A client that
+/// stays this far behind even after update coalescing is dropped.
+const MAX_QUEUE: usize = 64;
+
+/// Largest total pixel payload, bytes, that update coalescing may
+/// accumulate into one queue entry. A merge that would exceed this
+/// starts a new entry instead, so queue memory stays bounded by roughly
+/// `MAX_QUEUE * MAX_COALESCE_BYTES` even for a stalled client under a
+/// continuously changing panel.
+const MAX_COALESCE_BYTES: usize = 8 << 20;
+
+/// How long a `Hello` for an already-known name is held back waiting
+/// for a `Resume` to disambiguate reconnect from name reuse. A fresh
+/// client (crashed and restarted) sends only the Hello, so once this
+/// grace elapses the Hello is resolved as a replacement and the
+/// handshake completes.
+const HELLO_GRACE: Duration = Duration::from_millis(250);
+
+/// How long the state thread waits for an event before running a
+/// housekeeping pass (held Hellos, session expiry, damage pump), and the
+/// most time it spends handling events between two pumps.
+const TICK: Duration = Duration::from_millis(10);
+
+/// Settings of a [`Gateway`].
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
     /// Address the gateway listens on. Defaults to `127.0.0.1:0`
@@ -59,32 +90,9 @@ pub struct GatewayConfig {
     /// Largest frame accepted from a client, bytes. Frames declaring
     /// more are rejected before allocation and the connection dropped.
     pub max_frame: usize,
-    /// Outbound queue capacity per connection, messages. A client that
-    /// stays this far behind even after update coalescing is dropped.
-    pub max_queue: usize,
-    /// Largest total pixel payload, bytes, that update coalescing may
-    /// accumulate into one queue entry. A merge that would exceed this
-    /// starts a new entry instead, so queue memory stays bounded by
-    /// roughly `max_queue * max_coalesce_bytes` even for a stalled
-    /// client under a continuously changing panel.
-    pub max_coalesce_bytes: usize,
-    /// Drop a connection after this long without a single byte from it.
-    /// `None` disables the idle check (the default).
-    pub idle_timeout: Option<Duration>,
-    /// How long a `Hello` for an already-known name is held back
-    /// waiting for a `Resume` to disambiguate reconnect from name
-    /// reuse. A fresh client (crashed and restarted) sends only the
-    /// Hello, so once this grace elapses the Hello is resolved as a
-    /// replacement and the handshake completes.
-    pub hello_grace: Duration,
     /// How long a session may stay detached (no socket) before it is
-    /// reaped and its name freed. `None` keeps detached sessions
-    /// forever — unbounded memory under client-name churn.
-    pub session_grace: Option<Duration>,
-    /// How long the state thread waits for an event before running a
-    /// housekeeping pass (application tick + damage pump), and the most
-    /// time it spends handling events between two pumps.
-    pub tick: Duration,
+    /// reaped and its name and server slot freed. Defaults to 60 s.
+    pub session_grace: Duration,
     /// Flight-recorder tap (see `uniint-trace`). When set, the state
     /// thread records every client message it processes and every
     /// server message it queues, stamped with microseconds since
@@ -98,12 +106,7 @@ impl Default for GatewayConfig {
         GatewayConfig {
             bind_addr: SocketAddr::from(([127, 0, 0, 1], 0)),
             max_frame: DEFAULT_MAX_FRAME,
-            max_queue: 64,
-            max_coalesce_bytes: 8 << 20,
-            idle_timeout: None,
-            hello_grace: Duration::from_millis(250),
-            session_grace: Some(Duration::from_secs(60)),
-            tick: Duration::from_millis(10),
+            session_grace: Duration::from_secs(60),
             recorder: None,
         }
     }
@@ -258,7 +261,7 @@ enum Event {
     Connected(ConnId, Arc<OutQueue>),
     /// One decoded message from a connection.
     Msg(ConnId, ClientMessage),
-    /// Socket gone (EOF, error, idle timeout, oversized frame...).
+    /// Socket gone (EOF, error, oversized frame...).
     Disconnected(ConnId),
     /// Orderly gateway shutdown.
     Shutdown,
@@ -295,14 +298,38 @@ impl StateMetrics {
 /// Per-connection bookkeeping inside the state thread.
 struct Conn {
     queue: Arc<OutQueue>,
+    /// The session this connection last bound. It speaks for that
+    /// session only while the session's record names it.
     session: Option<ClientId>,
     /// A `Hello` for an already-known name, held back until either the
     /// next message disambiguates reconnect (`Resume` follows) from a
     /// fresh client reusing the name (anything else follows), or
-    /// `hello_grace` elapses — a fresh client sends nothing after its
+    /// [`HELLO_GRACE`] elapses — a fresh client sends nothing after its
     /// Hello, so the timeout resolves it as a replacement instead of
     /// hanging its handshake.
-    pending_hello: Option<(ClientMessage, Instant)>,
+    held: Option<HeldHello>,
+}
+
+/// A version-checked `Hello` waiting for its follow-up message.
+struct HeldHello {
+    name: String,
+    version: u16,
+    since: Instant,
+}
+
+/// Where a session's output goes. A session is attached to exactly one
+/// connection or to none, never both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Link {
+    Attached(ConnId),
+    /// No socket since this instant; reaped after `session_grace`.
+    Detached(Instant),
+}
+
+/// One name-keyed session; it survives its sockets.
+struct Session {
+    name: String,
+    link: Link,
 }
 
 /// A running gateway: an appliance panel listening on a TCP port.
@@ -324,18 +351,6 @@ impl Gateway {
     /// Binds `config.bind_addr` (loopback + ephemeral port by default)
     /// and starts serving `ui`.
     pub fn spawn(ui: Ui, config: GatewayConfig, registry: Registry) -> io::Result<Gateway> {
-        Gateway::spawn_with_tick(ui, config, registry, Box::new(|_| {}))
-    }
-
-    /// Like [`spawn`](Gateway::spawn), with an application tick closure
-    /// run by the state thread between events — the appliance's own
-    /// logic (clocks, sensor readouts) mutating the panel it serves.
-    pub fn spawn_with_tick(
-        ui: Ui,
-        config: GatewayConfig,
-        registry: Registry,
-        tick: Box<dyn FnMut(&mut Ui) + Send>,
-    ) -> io::Result<Gateway> {
         let listener = TcpListener::bind(config.bind_addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -348,19 +363,18 @@ impl Gateway {
             let stop = stop.clone();
             let tx = tx.clone();
             let io_handles = io_handles.clone();
-            let cfg = config.clone();
+            let max_frame = config.max_frame;
             let registry = registry.clone();
             std::thread::Builder::new()
                 .name("gw-accept".into())
-                .spawn(move || accept_loop(listener, stop, tx, io_handles, cfg, registry))?
+                .spawn(move || accept_loop(listener, stop, tx, io_handles, max_frame, registry))?
         };
 
         let state_handle = {
-            let cfg = config.clone();
             let registry = registry.clone();
             std::thread::Builder::new()
                 .name("gw-state".into())
-                .spawn(move || state_loop(ui, rx, cfg, registry, tick))?
+                .spawn(move || state_loop(ui, rx, config, registry))?
         };
 
         Ok(Gateway {
@@ -412,7 +426,7 @@ fn accept_loop(
     stop: Arc<AtomicBool>,
     tx: Sender<Event>,
     io_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    cfg: GatewayConfig,
+    max_frame: usize,
     registry: Registry,
 ) {
     let next_id = AtomicUsize::new(0);
@@ -422,7 +436,7 @@ fn accept_loop(
             Ok((stream, _peer)) => {
                 let id = next_id.fetch_add(1, Ordering::SeqCst);
                 accepted.inc();
-                match spawn_conn(id, stream, &stop, &tx, &cfg, &registry) {
+                match spawn_conn(id, stream, &stop, &tx, max_frame, &registry) {
                     Ok(mut handles) => {
                         io_handles
                             .lock()
@@ -448,44 +462,32 @@ fn spawn_conn(
     stream: TcpStream,
     stop: &Arc<AtomicBool>,
     tx: &Sender<Event>,
-    cfg: &GatewayConfig,
+    max_frame: usize,
     registry: &Registry,
 ) -> io::Result<Vec<JoinHandle<()>>> {
-    let queue = Arc::new(OutQueue::new(cfg.max_queue, cfg.max_coalesce_bytes));
+    let queue = Arc::new(OutQueue::new(MAX_QUEUE, MAX_COALESCE_BYTES));
     let write_half = stream.try_clone()?;
-    let mut sock = FramedSocket::new(stream, cfg.max_frame, Duration::from_millis(20))?;
+    let mut sock = FramedSocket::new(stream, max_frame, Duration::from_millis(20))?;
     let _ = tx.send(Event::Connected(id, queue.clone()));
 
     let reader = {
         let stop = stop.clone();
         let tx = tx.clone();
         let queue = queue.clone();
-        let idle_timeout = cfg.idle_timeout;
         let frames_in = registry.counter("gateway.frames_in");
         let bytes_in = registry.counter("gateway.bytes_in");
         let decode_errors = registry.counter("gateway.decode_errors");
         std::thread::Builder::new()
             .name(format!("gw-read-{id}"))
             .spawn(move || {
-                let mut last_byte = Instant::now();
                 'conn: loop {
                     if stop.load(Ordering::SeqCst) {
                         break;
                     }
                     match sock.fill() {
                         Ok(ReadStatus::Eof) | Err(_) => break,
-                        Ok(ReadStatus::Idle) => {
-                            if let Some(limit) = idle_timeout {
-                                if last_byte.elapsed() > limit {
-                                    break;
-                                }
-                            }
-                            continue;
-                        }
-                        Ok(ReadStatus::Data(n)) => {
-                            last_byte = Instant::now();
-                            bytes_in.add(n as u64);
-                        }
+                        Ok(ReadStatus::Idle) => continue,
+                        Ok(ReadStatus::Data(n)) => bytes_in.add(n as u64),
                     }
                     loop {
                         match sock.next_frame() {
@@ -551,14 +553,11 @@ fn spawn_conn(
 struct State {
     multi: MultiServer,
     conns: HashMap<ConnId, Conn>,
-    /// Session bindings survive their sockets: name → session...
-    names: HashMap<String, ClientId>,
-    /// ...and which socket (if any) a session's output currently goes to.
-    attached: HashMap<ClientId, ConnId>,
-    /// When each currently-detached session lost its socket, so stale
-    /// ones can be reaped after `session_grace` instead of accumulating
-    /// forever under client-name churn.
-    detached_at: HashMap<ClientId, Instant>,
+    /// One record per live `MultiServer` client. Sessions survive their
+    /// sockets, so a name can come back and resume incrementally.
+    sessions: HashMap<ClientId, Session>,
+    /// How long a detached session lives before it is reaped.
+    session_grace: Duration,
     metrics: StateMetrics,
     registry: Registry,
     /// Flight-recorder tap from [`GatewayConfig::recorder`].
@@ -568,27 +567,10 @@ struct State {
 }
 
 /// The single thread owning the panel and all protocol sessions.
-fn state_loop(
-    mut ui: Ui,
-    rx: Receiver<Event>,
-    cfg: GatewayConfig,
-    registry: Registry,
-    mut tick: Box<dyn FnMut(&mut Ui) + Send>,
-) -> Ui {
-    let mut st = State {
-        multi: MultiServer::with_telemetry(registry.clone()),
-        conns: HashMap::new(),
-        names: HashMap::new(),
-        attached: HashMap::new(),
-        detached_at: HashMap::new(),
-        metrics: StateMetrics::new(&registry),
-        registry,
-        recorder: cfg.recorder.clone(),
-        started: Instant::now(),
-    };
-
+fn state_loop(mut ui: Ui, rx: Receiver<Event>, cfg: GatewayConfig, registry: Registry) -> Ui {
+    let mut st = State::new(registry, cfg.session_grace, cfg.recorder);
     loop {
-        let first = match rx.recv_timeout(cfg.tick) {
+        let first = match rx.recv_timeout(TICK) {
             Ok(ev) => Some(ev),
             Err(RecvTimeoutError::Timeout) => None,
             Err(RecvTimeoutError::Disconnected) => break,
@@ -600,30 +582,20 @@ fn state_loop(
         let mut stop = false;
         for ev in first.into_iter().chain(rx.try_iter()) {
             match ev {
-                Event::Connected(id, queue) => {
-                    st.conns.insert(
-                        id,
-                        Conn {
-                            queue,
-                            session: None,
-                            pending_hello: None,
-                        },
-                    );
-                }
+                Event::Connected(id, queue) => st.connect(id, queue),
                 Event::Msg(id, msg) => st.handle_msg(&mut ui, id, msg),
                 Event::Disconnected(id) => st.drop_conn(id),
                 Event::Shutdown => stop = true,
             }
-            if began.elapsed() >= cfg.tick {
+            if began.elapsed() >= TICK {
                 break;
             }
         }
         if stop {
             break;
         }
-        st.resolve_stale_hellos(&mut ui, cfg.hello_grace);
-        st.expire_detached_sessions(cfg.session_grace);
-        tick(&mut ui);
+        st.resolve_stale_hellos(&mut ui);
+        st.expire_detached_sessions();
         let batches = st.multi.pump_all(&mut ui);
         st.route_batches(batches);
     }
@@ -635,63 +607,109 @@ fn state_loop(
 }
 
 impl State {
-    /// Unbinds a dead socket. Its *session* stays alive: damage keeps
+    fn new(registry: Registry, session_grace: Duration, recorder: Option<SharedTap>) -> State {
+        State {
+            multi: MultiServer::with_telemetry(registry.clone()),
+            conns: HashMap::new(),
+            sessions: HashMap::new(),
+            session_grace,
+            metrics: StateMetrics::new(&registry),
+            registry,
+            recorder,
+            started: Instant::now(),
+        }
+    }
+
+    fn connect(&mut self, id: ConnId, queue: Arc<OutQueue>) {
+        let conn = Conn {
+            queue,
+            session: None,
+            held: None,
+        };
+        self.conns.insert(id, conn);
+    }
+
+    /// The session named `name`, if one is live.
+    fn find(&self, name: &str) -> Option<ClientId> {
+        self.sessions
+            .iter()
+            .find(|(_, s)| s.name == name)
+            .map(|(sid, _)| *sid)
+    }
+
+    /// Points session `sid` at connection `id`. The connection the
+    /// record named before, if any, is displaced: its queue closes, and
+    /// its late messages no longer reach the session.
+    fn attach(&mut self, sid: ClientId, id: ConnId) {
+        let Some(session) = self.sessions.get_mut(&sid) else {
+            return;
+        };
+        if let Link::Attached(old) = std::mem::replace(&mut session.link, Link::Attached(id)) {
+            if let Some(stale) = self.conns.get(&old) {
+                stale.queue.close();
+            }
+        }
+        if let Some(conn) = self.conns.get_mut(&id) {
+            conn.session = Some(sid);
+        }
+    }
+
+    /// Detaches session `sid` from connection `id`, if its record names
+    /// that connection. The session stays alive: damage keeps
     /// accumulating in the server session (bounded by the screen area),
     /// so the same client name can come back and resume incrementally —
     /// until `session_grace` reaps it.
+    fn detach(&mut self, sid: ClientId, id: ConnId) {
+        if let Some(session) = self.sessions.get_mut(&sid) {
+            if session.link == Link::Attached(id) {
+                session.link = Link::Detached(Instant::now());
+            }
+        }
+    }
+
+    /// Ends session `sid`: frees its name and its server slot, and
+    /// closes the connection it was attached to. Returns its name.
+    fn retire(&mut self, sid: ClientId) -> Option<String> {
+        let session = self.sessions.remove(&sid)?;
+        if let Link::Attached(id) = session.link {
+            if let Some(conn) = self.conns.get(&id) {
+                conn.queue.close();
+            }
+        }
+        self.multi.disconnect(sid);
+        Some(session.name)
+    }
+
+    /// Unbinds a dead socket; its session stays, detached.
     fn drop_conn(&mut self, id: ConnId) {
         if let Some(conn) = self.conns.remove(&id) {
             conn.queue.close();
             if let Some(sid) = conn.session {
-                if self.attached.get(&sid) == Some(&id) {
-                    self.attached.remove(&sid);
-                    self.detached_at.insert(sid, Instant::now());
-                }
+                self.detach(sid, id);
             }
         }
     }
 
-    /// Detaches the session a connection is currently bound to (if
-    /// any), leaving the session alive under its name. Called when a
-    /// bound connection sends another `Hello`: the old session must
-    /// stop writing to this socket *before* a new one binds, or two
-    /// independent seq streams would interleave onto one client.
-    fn unbind_conn(&mut self, id: ConnId) {
-        if let Some(conn) = self.conns.get_mut(&id) {
-            if let Some(sid) = conn.session.take() {
-                if self.attached.get(&sid) == Some(&id) {
-                    self.attached.remove(&sid);
-                    self.detached_at.insert(sid, Instant::now());
-                }
-            }
-        }
-    }
-
-    /// Binds `id` to a brand-new session for `hello`'s name, displacing
-    /// (and disconnecting) any previous session under that name, and
+    /// Binds `id` to a brand-new session for `name`, displacing (and
+    /// disconnecting) any previous session under that name, and
     /// forwards the Hello so the normal handshake replies flow.
-    fn bind_fresh_session(&mut self, ui: &mut Ui, id: ConnId, hello: ClientMessage) {
-        let ClientMessage::Hello { ref name, .. } = hello else {
-            unreachable!("only Hello is ever held back");
-        };
-        if !self.conns.contains_key(&id) {
-            return;
+    fn open_session(&mut self, ui: &mut Ui, id: ConnId, name: String, version: u16) {
+        if let Some(old) = self.find(&name) {
+            self.retire(old);
         }
         let sid = self.multi.accept(ui);
-        if let Some(old_sid) = self.names.insert(name.clone(), sid) {
-            if let Some(old_conn) = self.attached.remove(&old_sid) {
-                if old_conn != id {
-                    if let Some(stale) = self.conns.get(&old_conn) {
-                        stale.queue.close();
-                    }
-                }
-            }
-            self.detached_at.remove(&old_sid);
-            self.multi.disconnect(old_sid);
-        }
-        self.attached.insert(sid, id);
-        self.conns.get_mut(&id).expect("checked").session = Some(sid);
-        let replies = self.multi.handle_message(ui, sid, hello);
+        let link = Link::Detached(Instant::now());
+        self.sessions.insert(
+            sid,
+            Session {
+                name: name.clone(),
+                link,
+            },
+        );
+        self.attach(sid, id);
+        let replies = self
+            .multi
+            .handle_message(ui, sid, ClientMessage::Hello { version, name });
         self.push_to(id, replies);
     }
 
@@ -699,49 +717,37 @@ impl State {
     /// message: the peer is a fresh client reusing a known name (a
     /// reconnecting client sends `Resume` immediately after its Hello),
     /// so it displaces the old session and handshakes normally.
-    fn resolve_stale_hellos(&mut self, ui: &mut Ui, grace: Duration) {
+    fn resolve_stale_hellos(&mut self, ui: &mut Ui) {
         let stale: Vec<ConnId> = self
             .conns
             .iter()
             .filter(|(_, c)| {
-                c.pending_hello
+                c.held
                     .as_ref()
-                    .is_some_and(|(_, held)| held.elapsed() >= grace)
+                    .is_some_and(|h| h.since.elapsed() >= HELLO_GRACE)
             })
             .map(|(id, _)| *id)
             .collect();
         for id in stale {
-            if let Some((hello, _)) = self.conns.get_mut(&id).and_then(|c| c.pending_hello.take()) {
-                self.bind_fresh_session(ui, id, hello);
+            if let Some(held) = self.conns.get_mut(&id).and_then(|c| c.held.take()) {
+                self.open_session(ui, id, held.name, held.version);
             }
         }
     }
 
-    /// Reaps sessions that have been detached longer than `grace`,
-    /// freeing their name and their `MultiServer` slot.
-    fn expire_detached_sessions(&mut self, grace: Option<Duration>) {
-        let Some(grace) = grace else { return };
+    /// Reaps sessions that have been detached longer than
+    /// `session_grace`, freeing their name and their `MultiServer` slot.
+    fn expire_detached_sessions(&mut self) {
+        let grace = self.session_grace;
         let expired: Vec<ClientId> = self
-            .detached_at
+            .sessions
             .iter()
-            .filter(|(_, since)| since.elapsed() >= grace)
+            .filter(|(_, s)| matches!(s.link, Link::Detached(since) if since.elapsed() >= grace))
             .map(|(sid, _)| *sid)
             .collect();
         for sid in expired {
-            self.detached_at.remove(&sid);
-            self.attached.remove(&sid);
-            let mut expired_name = None;
-            self.names.retain(|name, s| {
-                if *s == sid {
-                    expired_name = Some(name.clone());
-                    false
-                } else {
-                    true
-                }
-            });
-            self.multi.disconnect(sid);
-            self.metrics.expired_sessions.inc();
-            if let Some(name) = expired_name {
+            if let Some(name) = self.retire(sid) {
+                self.metrics.expired_sessions.inc();
                 self.registry
                     .journal()
                     .record("gateway.session_expired", name);
@@ -752,9 +758,12 @@ impl State {
     /// Applies one client message: version policy, name-keyed session
     /// adoption, then normal protocol dispatch into the [`MultiServer`].
     fn handle_msg(&mut self, ui: &mut Ui, id: ConnId, msg: ClientMessage) {
-        if !self.conns.contains_key(&id) {
+        let Some(conn) = self.conns.get_mut(&id) else {
             return;
-        }
+        };
+        // A held-back Hello resolves on the very next message (or, if
+        // none comes, on the `HELLO_GRACE` timeout in housekeeping).
+        let held = conn.held.take();
         if let Some(tap) = &self.recorder {
             // Recorded at the moment the state thread consumes the
             // message (held-back Hellos are recorded here too, in
@@ -767,55 +776,33 @@ impl State {
             );
         }
 
-        // A held-back Hello resolves on the very next message (or, if
-        // none comes, on the `hello_grace` timeout in housekeeping).
-        let held = self
-            .conns
-            .get_mut(&id)
-            .expect("checked")
-            .pending_hello
-            .take();
-        if let Some((hello, _)) = held {
-            let ClientMessage::Hello { ref name, .. } = hello else {
-                unreachable!("only Hello is ever held back");
-            };
+        if let Some(held) = held {
             // Adopt the existing session only on Resume; its name may
             // also have been reaped between hold and resolution, in
             // which case a fresh session is the only option left.
-            let known = self.names.get(name).copied();
-            match (&msg, known) {
+            match (&msg, self.find(&held.name)) {
                 (ClientMessage::Resume { .. }, Some(sid)) => {
                     // Reconnect: adopt the existing session wholesale.
                     // The Hello is deliberately *not* forwarded — a
                     // Hello resets server-side session state, which is
                     // exactly what an incremental resume must avoid.
-                    if let Some(old) = self.attached.insert(sid, id) {
-                        if old != id {
-                            if let Some(stale) = self.conns.get(&old) {
-                                stale.queue.close();
-                            }
-                        }
-                    }
-                    self.detached_at.remove(&sid);
-                    self.conns.get_mut(&id).expect("checked").session = Some(sid);
+                    self.attach(sid, id);
                     self.metrics.reconnects.inc();
                     self.registry
                         .journal()
-                        .record("gateway.reconnect", name.clone());
+                        .record("gateway.reconnect", held.name);
                 }
-                _ => {
-                    // A fresh client reusing a known name: the old
-                    // session is abandoned in its favour.
-                    self.bind_fresh_session(ui, id, hello);
-                }
+                // A fresh client reusing a known name: the old session
+                // is abandoned in its favour.
+                _ => self.open_session(ui, id, held.name, held.version),
             }
             // Fall through: `msg` itself is processed below.
         }
 
-        let session = self.conns.get(&id).and_then(|c| c.session);
-        match (&msg, session) {
-            (ClientMessage::Hello { version, name }, _) => {
-                if check_hello_version(*version).is_err() {
+        let session = self.conns[&id].session;
+        match msg {
+            ClientMessage::Hello { version, name } => {
+                if check_hello_version(version).is_err() {
                     self.metrics.rejected_version.inc();
                     self.registry
                         .journal()
@@ -826,34 +813,48 @@ impl State {
                 // A re-Hello from a bound connection rebinds it: detach
                 // the old session first so only one seq stream ever
                 // writes to this socket.
-                self.unbind_conn(id);
-                if self.names.contains_key(name) {
+                if let Some(sid) = session {
+                    self.detach(sid, id);
+                }
+                if self.find(&name).is_some() {
                     // Known name: reconnect or collision? The next
                     // message tells (Resume means reconnect), and the
-                    // hello_grace timeout resolves the silent case.
-                    self.conns.get_mut(&id).expect("checked").pending_hello =
-                        Some((msg, Instant::now()));
+                    // HELLO_GRACE timeout resolves the silent case.
+                    let since = Instant::now();
+                    if let Some(conn) = self.conns.get_mut(&id) {
+                        conn.held = Some(HeldHello {
+                            name,
+                            version,
+                            since,
+                        });
+                    }
                     return;
                 }
-                let sid = self.multi.accept(ui);
-                self.names.insert(name.clone(), sid);
-                self.attached.insert(sid, id);
-                self.conns.get_mut(&id).expect("checked").session = Some(sid);
-                let replies = self.multi.handle_message(ui, sid, msg);
-                self.push_to(id, replies);
+                self.open_session(ui, id, name, version);
             }
-            (_, Some(sid)) => {
-                if matches!(msg, ClientMessage::Resume { .. }) {
-                    self.metrics.resumes.inc();
+            // A connection speaks for the session it bound only while
+            // that session's record names it.
+            msg => match session {
+                Some(sid)
+                    if self
+                        .sessions
+                        .get(&sid)
+                        .is_some_and(|s| s.link == Link::Attached(id)) =>
+                {
+                    if matches!(msg, ClientMessage::Resume { .. }) {
+                        self.metrics.resumes.inc();
+                    }
+                    let replies = self.multi.handle_message(ui, sid, msg);
+                    self.push_to(id, replies);
                 }
-                let replies = self.multi.handle_message(ui, sid, msg);
-                self.push_to(id, replies);
-            }
-            (_, None) => {
-                // Message before any Hello: protocol abuse, drop the peer.
-                self.metrics.decode_errors.inc();
-                self.conns[&id].queue.close();
-            }
+                // Displaced: the session answers to another socket now.
+                Some(_) => {}
+                None => {
+                    // Message before any Hello: protocol abuse, drop the peer.
+                    self.metrics.decode_errors.inc();
+                    self.conns[&id].queue.close();
+                }
+            },
         }
     }
 
@@ -886,12 +887,15 @@ impl State {
 
     fn route_batches(&mut self, batches: Vec<(ClientId, Vec<ServerMessage>)>) {
         for (sid, msgs) in batches {
-            let Some(id) = self.attached.get(&sid).copied() else {
-                // Session currently detached: its updates stay as damage
-                // inside the server session until the name resumes.
-                continue;
-            };
-            self.push_to(id, msgs);
+            // A detached session's updates stay as damage inside the
+            // server session until the name resumes.
+            if let Some(&Session {
+                link: Link::Attached(id),
+                ..
+            }) = self.sessions.get(&sid)
+            {
+                self.push_to(id, msgs);
+            }
         }
     }
 }
@@ -899,9 +903,11 @@ impl State {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uniint_protocol::input::InputEvent;
     use uniint_protocol::message::RectUpdate;
     use uniint_raster::geom::Rect;
     use uniint_raster::pixel::PixelFormat;
+    use uniint_wsys::prelude::{Button, Theme};
 
     fn update(seq: u64, x: i32) -> ServerMessage {
         ServerMessage::Update {
@@ -991,5 +997,106 @@ mod tests {
     fn queue_pop_times_out_empty() {
         let q = OutQueue::new(2, usize::MAX);
         assert_eq!(q.pop(Duration::from_millis(5)), Ok(None));
+    }
+
+    /// The state thread's logic without sockets: each connection is a
+    /// bare outbound queue.
+    struct Harness {
+        st: State,
+        ui: Ui,
+        queues: HashMap<ConnId, Arc<OutQueue>>,
+    }
+
+    impl Harness {
+        fn new() -> Harness {
+            let mut ui = Ui::new(160, 120, Theme::classic(), "state");
+            ui.add(Button::new("Power"), Rect::new(20, 20, 80, 24));
+            let grace = GatewayConfig::default().session_grace;
+            Harness {
+                st: State::new(Registry::new(), grace, None),
+                ui,
+                queues: HashMap::new(),
+            }
+        }
+
+        fn connect(&mut self, id: ConnId) {
+            let queue = Arc::new(OutQueue::new(MAX_QUEUE, MAX_COALESCE_BYTES));
+            self.queues.insert(id, queue.clone());
+            self.st.connect(id, queue);
+        }
+
+        fn send(&mut self, id: ConnId, msgs: impl IntoIterator<Item = ClientMessage>) {
+            for msg in msgs {
+                self.st.handle_msg(&mut self.ui, id, msg);
+            }
+        }
+
+        /// Whether connection `id`'s queue was closed (and drained).
+        fn closed(&self, id: ConnId) -> bool {
+            let q = &self.queues[&id];
+            while let Ok(Some(_)) = q.pop(Duration::ZERO) {}
+            q.pop(Duration::ZERO).is_err()
+        }
+
+        /// Clicks the panel fired since the last call.
+        fn clicks(&mut self) -> usize {
+            self.ui.take_actions().len()
+        }
+    }
+
+    fn hello(name: &str) -> ClientMessage {
+        ClientMessage::Hello {
+            version: uniint_protocol::message::PROTOCOL_VERSION,
+            name: name.into(),
+        }
+    }
+
+    fn click() -> Vec<ClientMessage> {
+        InputEvent::click(40, 30)
+            .into_iter()
+            .map(ClientMessage::Input)
+            .collect()
+    }
+
+    #[test]
+    fn a_connection_displaced_by_resume_no_longer_speaks_for_the_session() {
+        let mut h = Harness::new();
+        h.connect(0);
+        h.send(0, [hello("x")]);
+        h.connect(1);
+        h.send(
+            1,
+            [hello("x"), ClientMessage::Resume { last_update_seq: 0 }],
+        );
+        assert!(h.closed(0), "the adopting socket displaces the first");
+
+        h.send(0, click());
+        assert_eq!(h.clicks(), 0, "a late click from the displaced socket");
+        h.send(1, click());
+        assert_eq!(h.clicks(), 1, "the adopting socket's click");
+        assert!(!h.closed(1));
+    }
+
+    #[test]
+    fn a_replaced_connection_does_not_reach_the_session_in_its_freed_slot() {
+        let mut h = Harness::new();
+        h.connect(0);
+        h.send(0, [hello("x")]);
+        let replaced = h.st.conns[&0].session.expect("bound");
+        // A fresh client reusing the name: anything but Resume after the
+        // Hello replaces the old session instead of adopting it.
+        h.connect(1);
+        h.send(1, [hello("x"), ClientMessage::SetEncodings(vec![])]);
+        assert!(h.closed(0), "the replacing socket displaces the first");
+        assert_eq!(
+            h.st.conns[&1].session,
+            Some(replaced),
+            "the new session reuses the freed slot"
+        );
+
+        h.send(0, click());
+        assert_eq!(h.clicks(), 0, "a late click from the replaced socket");
+        h.send(1, click());
+        assert_eq!(h.clicks(), 1, "the new session's click");
     }
 }

@@ -220,7 +220,7 @@ fn detached_sessions_expire_and_free_their_name() {
     let gw = Gateway::spawn(
         panel(),
         GatewayConfig {
-            session_grace: Some(Duration::from_millis(100)),
+            session_grace: Duration::from_millis(100),
             ..GatewayConfig::default()
         },
         registry.clone(),
@@ -253,6 +253,53 @@ fn detached_sessions_expire_and_free_their_name() {
 }
 
 #[test]
+fn churning_names_expire_and_the_gateway_keeps_serving() {
+    let registry = Registry::new();
+    let gw = Gateway::spawn(
+        panel(),
+        GatewayConfig {
+            session_grace: Duration::from_millis(50),
+            ..GatewayConfig::default()
+        },
+        registry.clone(),
+    )
+    .expect("gateway binds");
+    let addr = gw.local_addr();
+
+    // A hundred one-off clients, each gone without a goodbye.
+    for i in 0..100 {
+        let c = GatewayClient::connect(addr, format!("churn-{i}"), i).expect("connect");
+        c.kill_socket();
+    }
+    let expired = || {
+        registry
+            .snapshot()
+            .counters
+            .get("gateway.expired_sessions")
+            .copied()
+            .unwrap_or(0)
+    };
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while expired() < 100 {
+        assert!(Instant::now() < deadline, "only {} expired", expired());
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(expired(), 100);
+
+    // A client arriving after the churn is served in full.
+    let mut last = [GatewayClient::connect(addr, "survivor", 100).expect("connect")];
+    let before = last[0].stats().updates_applied;
+    last[0].send_messages(click_msgs());
+    pump_until(&mut last, "the click's update", |cs| {
+        cs[0].stats().updates_applied > before
+    });
+    pump_quiescent(&mut last, Duration::from_millis(200));
+    let frame = last[0].proxy.server_frame().expect("framebuffer").clone();
+    let ui = gw.shutdown();
+    assert_eq!(&frame, ui.framebuffer(), "the survivor converged");
+}
+
+#[test]
 fn second_hello_on_a_bound_connection_detaches_the_first_session() {
     use std::net::TcpStream;
     use uniint::protocol::message::PROTOCOL_VERSION;
@@ -261,7 +308,7 @@ fn second_hello_on_a_bound_connection_detaches_the_first_session() {
     let gw = Gateway::spawn(
         panel(),
         GatewayConfig {
-            session_grace: Some(Duration::from_millis(100)),
+            session_grace: Duration::from_millis(100),
             ..GatewayConfig::default()
         },
         registry.clone(),
