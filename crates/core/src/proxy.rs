@@ -240,14 +240,14 @@ impl UniIntProxy {
 
     /// Builds the reattach message after a connection break: asks the
     /// server to re-damage everything past the last applied update.
-    pub fn make_resume(&self) -> ClientMessage {
+    pub(crate) fn make_resume(&self) -> ClientMessage {
         ClientMessage::Resume {
             last_update_seq: self.last_update_seq,
         }
     }
 
     /// Records a detected stall (connection found dead mid-session).
-    pub fn record_stall(&mut self) {
+    pub(crate) fn record_stall(&mut self) {
         self.metrics.stalls.inc();
         self.metrics
             .registry
@@ -256,12 +256,12 @@ impl UniIntProxy {
     }
 
     /// Records one reconnect attempt made under backoff.
-    pub fn record_backoff_attempt(&mut self) {
+    pub(crate) fn record_backoff_attempt(&mut self) {
         self.metrics.backoff_attempts.inc();
     }
 
     /// Records `n` client messages retransmitted after reattach.
-    pub fn record_retransmits(&mut self, n: u64) {
+    pub(crate) fn record_retransmits(&mut self, n: u64) {
         self.metrics.retransmits.add(n);
     }
 

@@ -1,11 +1,24 @@
-//! The reconnect/resume state machine every proxy transport drives.
+//! The proxy side of a connection: what goes on the wire, and how a
+//! broken connection is brought back.
 //!
-//! [`ResumeMachine`] holds all recovery state and does no I/O. Events go
-//! in (message sent, link broke, attempt failed, reconnected, `ResumeAck`);
-//! out come backoff delays and messages to send. Waiting, reconnecting and
-//! writing bytes stay with the transport: [`crate::session::SimSession`]
-//! over the network simulator, `uniint_gateway::client::GatewayClient`
-//! over TCP.
+//! [`ResumeMachine`] holds all recovery state and does no I/O. A
+//! transport ([`crate::session::SimSession`] over the network simulator,
+//! `uniint_gateway::client::GatewayClient` over TCP) moves bytes and
+//! hands everything else to three entry points:
+//!
+//! - [`send`](ResumeMachine::send) logs each client message and writes
+//!   it, unless a `Resume` is waiting for its ack: then the message is
+//!   held, unwritten, and goes out with the ack's retransmissions.
+//! - [`receive`](ResumeMachine::receive) takes each decoded server
+//!   message. A `ResumeAck` first resends the log tail the server never
+//!   saw (and escalates if it must); then the proxy handles the message
+//!   and its replies go through `send`.
+//! - [`recover`](ResumeMachine::recover) runs the backoff loop after the
+//!   transport finds the connection dead. A closure per attempt waits
+//!   out the delay, tries to reconnect and reports whether it worked;
+//!   the machine answers how to restart the conversation ([`Reattach`]).
+//!
+//! The rules behind them:
 //!
 //! - **Backoff.** Attempt delays start at the policy's base and double up
 //!   to its cap, plus jitter drawn from `0..=delay/4` by an RNG seeded
@@ -15,15 +28,18 @@
 //!   because the server leaves it out of its received-message count.
 //! - **Retransmission.** Every other client message is logged in send
 //!   order; `ResumeAck::client_msgs_received` indexes into the log, and
-//!   the tail past it is resent verbatim. The log is trimmed only on acks.
+//!   the tail past it is resent verbatim. Messages held while the resume
+//!   was unacked are part of that tail, so each reaches the server once
+//!   and in order. The log is trimmed only on acks.
 //! - **Escalation.** After [`MAX_FAILED_RESUMES`] resumes in a row die
 //!   before their ack, the next ack's retransmissions are followed by a
 //!   full refresh ([`UniIntProxy::recover`]).
 
-use crate::proxy::UniIntProxy;
+use crate::proxy::{ProxyOutput, UniIntProxy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use uniint_protocol::message::ClientMessage;
+use uniint_protocol::error::ProtocolError;
+use uniint_protocol::message::{ClientMessage, ServerMessage};
 
 /// Mixed into the session seed for the backoff RNG, so jitter draws are
 /// independent of every other RNG seeded from the same session seed.
@@ -54,14 +70,25 @@ pub struct Stalled {
 /// How to restart the protocol conversation on a fresh connection.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Reattach {
-    /// The break beat the handshake: send these (a new `Hello`) as
-    /// regular logged traffic.
+    /// The break beat the handshake: the session starts over with these
+    /// messages (a new `Hello`), already logged.
     Fresh(Vec<ClientMessage>),
-    /// Resume the established session: send this `Resume` unlogged.
+    /// Resume the established session with this `Resume`, unlogged.
+    /// Until its ack arrives, [`ResumeMachine::send`] holds new traffic.
     Resume(ClientMessage),
 }
 
-/// Recovery state for one proxy connection; see the module docs.
+impl Reattach {
+    /// The messages to write on the new connection, in order.
+    pub fn messages(&self) -> &[ClientMessage] {
+        match self {
+            Reattach::Fresh(msgs) => msgs,
+            Reattach::Resume(resume) => std::slice::from_ref(resume),
+        }
+    }
+}
+
+/// The proxy side of one connection; see the module docs.
 #[derive(Debug)]
 pub struct ResumeMachine {
     policy: BackoffPolicy,
@@ -71,13 +98,10 @@ pub struct ResumeMachine {
     log_offset: u64,
     rng: StdRng,
     /// Resumes sent since the last ack: all but the newest were lost.
+    /// While it is nonzero, new traffic is logged but not written.
     unacked_resumes: u32,
     /// The next ack must be followed by a full refresh.
     escalate: bool,
-    /// Un-jittered delay of the current attempt, microseconds.
-    delay_us: u64,
-    /// Attempts made in the current stall.
-    attempts: u32,
 }
 
 impl ResumeMachine {
@@ -90,54 +114,86 @@ impl ResumeMachine {
             rng: StdRng::seed_from_u64(seed ^ BACKOFF_SEED_SALT),
             unacked_resumes: 0,
             escalate: false,
-            delay_us: policy.base_us,
-            attempts: 0,
         }
     }
 
-    /// Logs a regular client message the transport has just sent.
+    /// Logs regular client messages in order and writes each one, or
+    /// holds it while a `Resume` waits for its ack.
     ///
-    /// Every message except `Resume` and retransmissions must pass
+    /// All client traffic except the [`Reattach`] messages must pass
     /// through here, so the log stays aligned with the server's count.
-    pub fn sent(&mut self, m: ClientMessage) {
-        self.log.push(m);
-    }
-
-    /// The connection broke: records the stall and returns the delay
-    /// before the first reconnect attempt, in microseconds.
-    pub fn link_broke(&mut self, proxy: &mut UniIntProxy) -> Result<u64, Stalled> {
-        proxy.record_stall();
-        self.delay_us = self.policy.base_us;
-        self.attempts = 0;
-        self.next_attempt(proxy)
-    }
-
-    /// The last reconnect attempt failed: returns the delay before the
-    /// next one, or [`Stalled`] once the attempt budget is spent.
-    pub fn attempt_failed(&mut self, proxy: &mut UniIntProxy) -> Result<u64, Stalled> {
-        self.delay_us = (self.delay_us * 2).min(self.policy.cap_us);
-        self.next_attempt(proxy)
-    }
-
-    fn next_attempt(&mut self, proxy: &mut UniIntProxy) -> Result<u64, Stalled> {
-        if self.attempts >= self.policy.max_attempts {
-            return Err(Stalled {
-                attempts: self.attempts,
-            });
+    pub fn send(&mut self, msgs: Vec<ClientMessage>, mut write: impl FnMut(&ClientMessage)) {
+        for m in msgs {
+            if self.unacked_resumes == 0 {
+                write(&m);
+            }
+            self.log.push(m);
         }
-        self.attempts += 1;
-        proxy.record_backoff_attempt();
-        Ok(self.delay_us + self.rng.gen_range(0..=self.delay_us / 4))
     }
 
-    /// A reconnect attempt succeeded: how to restart the conversation.
-    pub fn reconnected(&mut self, proxy: &mut UniIntProxy) -> Reattach {
+    /// Handles one server message: a `ResumeAck` first writes the
+    /// client messages the server reports missing (then a full refresh
+    /// if the session escalated); then the proxy handles the message and
+    /// its replies go through [`send`](Self::send). Returns the proxy's
+    /// output with its messages already sent.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`UniIntProxy::handle_server`]'s errors.
+    pub fn receive(
+        &mut self,
+        proxy: &mut UniIntProxy,
+        msg: &ServerMessage,
+        mut write: impl FnMut(&ClientMessage),
+    ) -> Result<ProxyOutput, ProtocolError> {
+        if let ServerMessage::ResumeAck {
+            client_msgs_received,
+            ..
+        } = msg
+        {
+            self.acked(proxy, *client_msgs_received);
+            self.log.iter().for_each(&mut write);
+        }
+        let mut out = proxy.handle_server(msg)?;
+        self.send(std::mem::take(&mut out.messages), write);
+        Ok(out)
+    }
+
+    /// The connection broke: runs reconnect attempts under the backoff
+    /// schedule. `attempt(delay_us)` waits `delay_us`, tries to reconnect
+    /// and returns whether it worked. On success, returns how to restart
+    /// the conversation; the transport writes [`Reattach::messages`].
+    ///
+    /// # Errors
+    ///
+    /// [`Stalled`] once the attempt budget is spent.
+    pub fn recover(
+        &mut self,
+        proxy: &mut UniIntProxy,
+        mut attempt: impl FnMut(u64) -> bool,
+    ) -> Result<Reattach, Stalled> {
+        proxy.record_stall();
+        let mut delay_us = self.policy.base_us;
+        for _ in 0..self.policy.max_attempts {
+            proxy.record_backoff_attempt();
+            if attempt(delay_us + self.rng.gen_range(0..=delay_us / 4)) {
+                return Ok(self.reattach(proxy));
+            }
+            delay_us = (delay_us * 2).min(self.policy.cap_us);
+        }
+        Err(Stalled {
+            attempts: self.policy.max_attempts,
+        })
+    }
+
+    fn reattach(&mut self, proxy: &mut UniIntProxy) -> Reattach {
         if !proxy.is_connected() {
-            self.log.clear();
+            let hello = proxy.connect();
+            self.log = hello.clone();
             self.log_offset = 0;
             self.unacked_resumes = 0;
             self.escalate = false;
-            return Reattach::Fresh(proxy.connect());
+            return Reattach::Fresh(hello);
         }
         self.unacked_resumes += 1;
         if self.unacked_resumes > MAX_FAILED_RESUMES {
@@ -149,14 +205,10 @@ impl ResumeMachine {
     }
 
     /// The server acknowledged a resume having received
-    /// `client_msgs_received` client messages. Returns what to send, in
-    /// order and all already logged: every message the server reports
-    /// missing, then the full-refresh request if the session escalated.
-    pub fn resume_acked(
-        &mut self,
-        proxy: &mut UniIntProxy,
-        client_msgs_received: u64,
-    ) -> &[ClientMessage] {
+    /// `client_msgs_received` client messages: trims the log to the
+    /// messages it is missing, which are now to be resent, and appends
+    /// the full refresh if the session escalated.
+    fn acked(&mut self, proxy: &mut UniIntProxy, client_msgs_received: u64) {
         self.unacked_resumes = 0;
         let start = client_msgs_received.saturating_sub(self.log_offset) as usize;
         if start > 0 {
@@ -168,6 +220,5 @@ impl ResumeMachine {
         if std::mem::take(&mut self.escalate) {
             self.log.extend(proxy.recover());
         }
-        &self.log
     }
 }

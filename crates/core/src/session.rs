@@ -1,12 +1,13 @@
 //! End-to-end sessions wiring application window, UniInt server and
 //! UniInt proxy together — in memory ([`LocalSession`]) or across the
-//! network simulator ([`SimSession`]), whose connection recovery is a
-//! thin driver around [`crate::resume::ResumeMachine`].
+//! network simulator ([`SimSession`]), whose proxy side only moves
+//! bytes: [`crate::resume::ResumeMachine`] decides every send and
+//! receive and runs the recovery.
 
 use crate::multi::{ClientId, MultiServer};
 use crate::plugin::{DeviceEvent, DeviceFrame};
 use crate::proxy::UniIntProxy;
-use crate::resume::{BackoffPolicy, Reattach, ResumeMachine, Stalled};
+use crate::resume::{BackoffPolicy, ResumeMachine, Stalled};
 use crate::tap::{Direction, SharedTap};
 use uniint_netsim::link::LinkProfile;
 use uniint_netsim::sim::{Endpoint, Simulator};
@@ -193,12 +194,12 @@ const BACKOFF: BackoffPolicy = BackoffPolicy {
 /// The session is **self-healing**: hard link faults (flap windows,
 /// Gilbert–Elliott burst drops) tear the simulated connection down, and
 /// [`SimSession::settle`] detects the stall (network idle while the link
-/// is down) and drives a [`ResumeMachine`] through the recovery: it
-/// waits out each backoff delay on the virtual clock, reconnects the
-/// simulated link and sends what the machine asks for — a `Resume`, the
-/// client messages the server reports missing, and after repeated lost
-/// resumes a full refresh. All recovery activity is visible in
-/// [`crate::proxy::ProxyStats`].
+/// is down) and lets a [`ResumeMachine`] run the recovery: each attempt
+/// waits out its backoff delay on the virtual clock and reconnects the
+/// simulated link, and the machine's `Resume` goes out on it. Every
+/// proxy-side message passes through the machine, which resends what the
+/// server reports missing when the ack arrives. All recovery activity is
+/// visible in [`crate::proxy::ProxyStats`].
 #[derive(Debug)]
 pub struct SimSession {
     /// The UniInt server endpoint; the proxy is its one client.
@@ -259,8 +260,7 @@ impl SimSession {
             recorder,
         };
         let hello = s.proxy.connect();
-        s.send_logged(hello);
-        s.settle(ui)?;
+        s.send_client(ui, hello)?;
         Ok(s)
     }
 
@@ -305,8 +305,7 @@ impl SimSession {
     /// until idle.
     pub fn device_input(&mut self, ui: &mut Ui, ev: &DeviceEvent) -> Result<(), SessionError> {
         let msgs = self.proxy.device_input(ev);
-        self.send_logged(msgs);
-        self.settle(ui)
+        self.send_client(ui, msgs)
     }
 
     /// Sends proxy-originated protocol messages (e.g. the renegotiation
@@ -317,16 +316,9 @@ impl SimSession {
         ui: &mut Ui,
         msgs: Vec<ClientMessage>,
     ) -> Result<(), SessionError> {
-        self.send_logged(msgs);
+        self.resume
+            .send(msgs, |m| self.sim.send(self.proxy_ep, encode_client(m)));
         self.settle(ui)
-    }
-
-    /// Sends regular client messages and logs them for retransmission.
-    fn send_logged(&mut self, msgs: Vec<ClientMessage>) {
-        for m in msgs {
-            self.sim.send(self.proxy_ep, encode_client(&m));
-            self.resume.sent(m);
-        }
     }
 
     /// Flushes application-side UI changes into the network and runs it
@@ -343,8 +335,16 @@ impl SimSession {
                     return Ok(());
                 }
                 // Idle with the link down: the pending exchange is dead
-                // in the water. Recover, then settle the resumed traffic.
-                self.recover_connection()?;
+                // in the water. Recover (the span records the virtual
+                // time it takes), then settle the resumed traffic.
+                let _span = self.proxy.telemetry().span("session.recovery");
+                let reattach = self.resume.recover(&mut self.proxy, |delay_us| {
+                    self.sim.advance(delay_us);
+                    self.sim.reconnect(self.proxy_ep)
+                })?;
+                for m in reattach.messages() {
+                    self.sim.send(self.proxy_ep, encode_client(m));
+                }
                 continue;
             }
             // Deliver everything that has arrived by now at both ends.
@@ -365,24 +365,13 @@ impl SimSession {
             }
             while let Some(frame) = self.proxy_rx.next_frame()? {
                 let msg = ServerMessage::decode_body(&mut frame.as_slice())?;
-                if let ServerMessage::ResumeAck {
-                    client_msgs_received,
-                    ..
-                } = &msg
-                {
-                    let resend = self
-                        .resume
-                        .resume_acked(&mut self.proxy, *client_msgs_received);
-                    for m in resend {
-                        self.sim.send(self.proxy_ep, encode_client(m));
-                    }
-                }
-                let out = self.proxy.handle_server(&msg)?;
+                let out = self.resume.receive(&mut self.proxy, &msg, |m| {
+                    self.sim.send(self.proxy_ep, encode_client(m));
+                })?;
                 if let Some(f) = out.frame {
                     self.last_frame = Some(f);
                     self.frames_delivered += 1;
                 }
-                self.send_logged(out.messages);
             }
         }
     }
@@ -395,24 +384,6 @@ impl SimSession {
             tap.record(self.sim.now_us(), 0, Direction::ToClient, &bytes[4..]);
         }
         self.sim.send(self.server_ep, bytes);
-    }
-
-    /// Brings a torn-down link back up under the backoff schedule and
-    /// restarts the protocol conversation on top of it.
-    fn recover_connection(&mut self) -> Result<(), SessionError> {
-        // Records elapsed virtual time into `session.recovery_us` when
-        // it drops, whichever way the recovery ends.
-        let _span = self.proxy.telemetry().span("session.recovery");
-        self.sim.advance(self.resume.link_broke(&mut self.proxy)?);
-        while !self.sim.reconnect(self.proxy_ep) {
-            self.sim
-                .advance(self.resume.attempt_failed(&mut self.proxy)?);
-        }
-        match self.resume.reconnected(&mut self.proxy) {
-            Reattach::Fresh(msgs) => self.send_logged(msgs),
-            Reattach::Resume(resume) => self.sim.send(self.proxy_ep, encode_client(&resume)),
-        }
-        Ok(())
     }
 }
 

@@ -1,11 +1,13 @@
-//! Property test for the reconnect/resume state machine: random scripts
-//! of sends, link breaks, failed reconnect attempts, lost resumes and
-//! acks, checked against a model of the server's received stream.
+//! Property test for the proxy side of a connection: random scripts of
+//! sends, link breaks, failed reconnect attempts, lost resumes, traffic
+//! sent while a resume is unacked, and acks, checked against a model of
+//! the server's received stream.
 
 use proptest::prelude::*;
 use uniint_core::proxy::UniIntProxy;
 use uniint_core::resume::{BackoffPolicy, Reattach, ResumeMachine, Stalled, MAX_FAILED_RESUMES};
 use uniint_protocol::message::{ClientMessage, ServerMessage, PROTOCOL_VERSION};
+use uniint_raster::geom::Rect;
 use uniint_raster::pixel::PixelFormat;
 
 /// One loss of the connection.
@@ -17,6 +19,8 @@ struct Break {
     /// Reconnect attempts that fail before one succeeds. At the policy's
     /// limit or above, the recovery stalls out and is run again.
     failures: u32,
+    /// Messages sent after the reconnect, while its `Resume` is unacked.
+    held: usize,
 }
 
 /// Messages sent on a healthy link, then breaks until an ack lands.
@@ -34,7 +38,7 @@ enum Out {
     Delay(u64),
     Stalled(u32),
     Reattach(Reattach),
-    Resend(Vec<ClientMessage>),
+    Written(Vec<ClientMessage>),
 }
 
 /// The machine plus a FIFO wire and the server's received stream.
@@ -46,17 +50,18 @@ struct Model {
     logged: Vec<ClientMessage>,
     /// Messages the server counted (`Resume` is never counted).
     server: Vec<ClientMessage>,
-    /// Sent on the current connection and not yet delivered.
+    /// Written on the current connection and not yet delivered.
     in_flight: Vec<ClientMessage>,
     /// Server count when it last handled a `Resume`.
     resume_count: Option<u64>,
+    next_id: u64,
     delays: u64,
     out: Vec<Out>,
 }
 
 impl Model {
     /// A model whose proxy has completed its handshake.
-    fn connected(policy: BackoffPolicy, seed: u64) -> Model {
+    fn connected(policy: BackoffPolicy, seed: u64) -> Result<Model, TestCaseError> {
         let mut m = Model {
             policy,
             proxy: UniIntProxy::new("prop-proxy"),
@@ -65,29 +70,60 @@ impl Model {
             server: Vec::new(),
             in_flight: Vec::new(),
             resume_count: None,
+            next_id: 0,
             delays: 0,
             out: Vec::new(),
         };
-        for hello in m.proxy.connect() {
-            m.send_logged(hello);
-        }
+        let hello = m.proxy.connect();
+        m.send(hello);
         m.deliver(m.in_flight.len());
-        m.proxy
-            .handle_server(&ServerMessage::Init {
-                version: PROTOCOL_VERSION,
-                width: 16,
-                height: 16,
-                format: PixelFormat::Rgb888,
-                name: "panel".into(),
-            })
-            .expect("init applies");
-        m
+        let init = ServerMessage::Init {
+            version: PROTOCOL_VERSION,
+            width: 16,
+            height: 16,
+            format: PixelFormat::Rgb888,
+            name: "panel".into(),
+        };
+        let (retransmits, _) = m.receive(&init)?;
+        prop_assert_eq!(retransmits, 0);
+        m.deliver(m.in_flight.len());
+        prop_assert_eq!(&m.server, &m.logged);
+        Ok(m)
     }
 
-    fn send_logged(&mut self, m: ClientMessage) {
-        self.in_flight.push(m.clone());
-        self.logged.push(m.clone());
-        self.machine.sent(m);
+    /// Sends `n` distinct regular messages through the machine.
+    fn send_fresh(&mut self, n: usize) {
+        let msgs = (self.next_id..self.next_id + n as u64)
+            .map(|id| ClientMessage::CutText(format!("m{id}")))
+            .collect();
+        self.next_id += n as u64;
+        self.send(msgs);
+    }
+
+    fn send(&mut self, msgs: Vec<ClientMessage>) {
+        self.logged.extend_from_slice(&msgs);
+        let in_flight = &mut self.in_flight;
+        self.machine.send(msgs, |m| in_flight.push(m.clone()));
+    }
+
+    /// Feeds a server message to the machine. Returns how many of the
+    /// messages it wrote were retransmissions, and all of them; the rest
+    /// are newly logged.
+    fn receive(
+        &mut self,
+        msg: &ServerMessage,
+    ) -> Result<(usize, Vec<ClientMessage>), TestCaseError> {
+        let before = self.proxy.stats().retransmits;
+        let mut written = Vec::new();
+        self.machine
+            .receive(&mut self.proxy, msg, |m| written.push(m.clone()))
+            .map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let retransmits = (self.proxy.stats().retransmits - before) as usize;
+        prop_assert!(retransmits <= written.len());
+        self.logged.extend_from_slice(&written[retransmits..]);
+        self.in_flight.extend_from_slice(&written);
+        self.out.push(Out::Written(written.clone()));
+        Ok((retransmits, written))
     }
 
     /// The server receives the first `n` messages in flight.
@@ -106,54 +142,61 @@ impl Model {
         self.deliver(n);
         // The rest dies with the connection.
         self.in_flight.clear();
-        self.recover(b.failures)
+        self.recover(b.failures)?;
+        self.send_fresh(b.held);
+        prop_assert!(
+            matches!(self.in_flight.as_slice(), [ClientMessage::Resume { .. }]),
+            "only the Resume may be written before its ack, got {:?}",
+            self.in_flight
+        );
+        Ok(())
     }
 
     /// Runs one recovery in which `failures` attempts fail.
     fn recover(&mut self, failures: u32) -> TestCaseResult {
-        let max = self.policy.max_attempts;
+        let mut delays = Vec::new();
+        let result = self.machine.recover(&mut self.proxy, |delay| {
+            delays.push(delay);
+            delays.len() as u32 > failures
+        });
         let mut d = self.policy.base_us;
-        let mut attempt = 1;
-        let mut step = self.machine.link_broke(&mut self.proxy);
-        loop {
-            match step {
-                Ok(delay) => {
-                    prop_assert!(attempt <= max, "attempt {attempt} past the budget");
-                    prop_assert!(
-                        delay >= d && delay <= d + d / 4,
-                        "attempt {attempt}: delay {delay} outside [{d}, {}]",
-                        d + d / 4
-                    );
-                    self.delays += 1;
-                    self.out.push(Out::Delay(delay));
-                }
-                Err(Stalled { attempts }) => {
-                    prop_assert_eq!(attempts, max);
-                    prop_assert_eq!(attempt, max + 1);
-                    self.out.push(Out::Stalled(attempts));
-                    // The link is still down: the next operation runs a
-                    // new recovery, which here succeeds at once.
-                    return self.recover(0);
-                }
-            }
-            if attempt > failures {
-                break;
-            }
-            attempt += 1;
+        for (i, &delay) in delays.iter().enumerate() {
+            prop_assert!(
+                delay >= d && delay <= d + d / 4,
+                "attempt {}: delay {delay} outside [{d}, {}]",
+                i + 1,
+                d + d / 4
+            );
             d = (d * 2).min(self.policy.cap_us);
-            step = self.machine.attempt_failed(&mut self.proxy);
+            self.out.push(Out::Delay(delay));
         }
-        let reattach = self.machine.reconnected(&mut self.proxy);
-        self.out.push(Out::Reattach(reattach.clone()));
-        match reattach {
-            Reattach::Resume(m @ ClientMessage::Resume { .. }) => self.in_flight.push(m),
-            other => prop_assert!(false, "connected proxy must resume, got {other:?}"),
+        self.delays += delays.len() as u64;
+        let max = self.policy.max_attempts;
+        match result {
+            Err(Stalled { attempts }) => {
+                prop_assert!(failures >= max, "stalled with a budget left");
+                prop_assert_eq!(attempts, max);
+                prop_assert_eq!(delays.len(), max as usize);
+                self.out.push(Out::Stalled(attempts));
+                // The link is still down: the next operation runs a new
+                // recovery, which here succeeds at once.
+                self.recover(0)
+            }
+            Ok(reattach) => {
+                prop_assert!(failures < max, "reconnected past the budget");
+                prop_assert_eq!(delays.len(), failures as usize + 1);
+                self.out.push(Out::Reattach(reattach.clone()));
+                match reattach {
+                    Reattach::Resume(m @ ClientMessage::Resume { .. }) => self.in_flight.push(m),
+                    other => prop_assert!(false, "connected proxy must resume, got {other:?}"),
+                }
+                Ok(())
+            }
         }
-        Ok(())
     }
 
-    /// The link holds until the resume's ack and the resent messages
-    /// have all reached the server.
+    /// The link holds until the resume's ack and everything written in
+    /// answer to it have all reached the server.
     fn ack(&mut self, lost_resumes: usize) -> TestCaseResult {
         self.resume_count = None;
         self.deliver(self.in_flight.len());
@@ -161,25 +204,39 @@ impl Model {
             return Err(TestCaseError::fail("no resume reached the server"));
         };
         let before = self.proxy.stats();
-        let resend = self.machine.resume_acked(&mut self.proxy, count).to_vec();
+        let (retransmits, written) = self.receive(&ServerMessage::ResumeAck {
+            client_msgs_received: count,
+            replayed: true,
+        })?;
         let after = self.proxy.stats();
-        self.out.push(Out::Resend(resend.clone()));
 
         prop_assert!(
-            !resend
+            !written
                 .iter()
                 .any(|m| matches!(m, ClientMessage::Resume { .. })),
             "a Resume was logged"
         );
-        let retransmits = (after.retransmits - before.retransmits) as usize;
-        prop_assert_eq!(&resend[..retransmits], &self.logged[count as usize..]);
+        let logged_before = self.logged.len() - (written.len() - retransmits);
+        prop_assert_eq!(
+            &written[..retransmits],
+            &self.logged[count as usize..logged_before]
+        );
         let escalated = lost_resumes >= MAX_FAILED_RESUMES as usize;
         prop_assert_eq!(after.full_resyncs - before.full_resyncs, escalated as u64);
-        let fresh = &resend[retransmits..];
+        let fetch = ClientMessage::UpdateRequest {
+            incremental: true,
+            rect: Rect::new(0, 0, 16, 16),
+        };
+        // The proxy answers every ack with an incremental fetch, sent
+        // after the retransmissions and any full refresh.
+        let Some((last, refresh)) = written[retransmits..].split_last() else {
+            return Err(TestCaseError::fail("the ack's fetch was not sent"));
+        };
+        prop_assert_eq!(last, &fetch);
         if escalated {
             prop_assert!(
                 matches!(
-                    fresh,
+                    refresh,
                     [
                         ClientMessage::SetPixelFormat(_),
                         ClientMessage::SetEncodings(_),
@@ -189,13 +246,11 @@ impl Model {
                         }
                     ]
                 ),
-                "expected a full refresh after the retransmissions, got {fresh:?}"
+                "expected a full refresh after the retransmissions, got {refresh:?}"
             );
         } else {
-            prop_assert!(fresh.is_empty(), "unexpected messages {fresh:?}");
+            prop_assert!(refresh.is_empty(), "unexpected messages {refresh:?}");
         }
-        self.logged.extend_from_slice(fresh);
-        self.in_flight = resend;
         self.deliver(self.in_flight.len());
         prop_assert_eq!(&self.server, &self.logged);
         Ok(())
@@ -203,13 +258,9 @@ impl Model {
 }
 
 fn run(policy: BackoffPolicy, seed: u64, rounds: &[Round]) -> Result<Vec<Out>, TestCaseError> {
-    let mut model = Model::connected(policy, seed);
-    let mut next_id = 0u64;
+    let mut model = Model::connected(policy, seed)?;
     for round in rounds {
-        for _ in 0..round.sends {
-            model.send_logged(ClientMessage::CutText(format!("m{next_id}")));
-            next_id += 1;
-        }
+        model.send_fresh(round.sends);
         for b in &round.breaks {
             model.run_break(b)?;
         }
@@ -228,9 +279,10 @@ fn arb_policy() -> impl Strategy<Value = BackoffPolicy> {
 }
 
 fn arb_round() -> impl Strategy<Value = Round> {
-    let arb_break = (0usize..8, 0u32..8).prop_map(|(delivered, failures)| Break {
+    let arb_break = (0usize..8, 0u32..8, 0usize..4).prop_map(|(delivered, failures, held)| Break {
         delivered,
         failures,
+        held,
     });
     (0usize..5, proptest::collection::vec(arb_break, 1..6))
         .prop_map(|(sends, breaks)| Round { sends, breaks })
@@ -260,18 +312,22 @@ fn break_before_handshake_starts_over() {
     };
     let mut proxy = UniIntProxy::new("early");
     let mut machine = ResumeMachine::new(policy, 1);
-    for m in proxy.connect() {
-        machine.sent(m);
-    }
-    machine.sent(ClientMessage::CutText("lost with the old session".into()));
-    machine.link_broke(&mut proxy).expect("first attempt");
-    let Reattach::Fresh(hello) = machine.reconnected(&mut proxy) else {
+    let mut lost = proxy.connect();
+    lost.push(ClientMessage::CutText("lost with the old session".into()));
+    machine.send(lost, |_| {});
+    let Ok(Reattach::Fresh(hello)) = machine.recover(&mut proxy, |_| true) else {
         panic!("a proxy without a handshake must start over");
     };
     assert!(matches!(hello.as_slice(), [ClientMessage::Hello { .. }]));
-    for m in hello.clone() {
-        machine.sent(m);
-    }
     // The log restarted with the new Hello: nothing older is resent.
-    assert_eq!(machine.resume_acked(&mut proxy, 0), hello.as_slice());
+    let mut written = Vec::new();
+    let ack = ServerMessage::ResumeAck {
+        client_msgs_received: 0,
+        replayed: false,
+    };
+    machine
+        .receive(&mut proxy, &ack, |m| written.push(m.clone()))
+        .expect("ack applies");
+    assert_eq!(proxy.stats().retransmits, 1);
+    assert_eq!(&written[..1], hello.as_slice());
 }

@@ -2,11 +2,13 @@
 //!
 //! [`GatewayClient`] wraps a [`uniint_core::proxy::UniIntProxy`] and
 //! detects broken connections (EOF or read error; a failed write shows
-//! up as EOF on the next read). Recovery is the same [`ResumeMachine`]
-//! that [`uniint_core::session::SimSession`] drives; the client supplies
-//! only the I/O: it sleeps out each backoff delay, reconnects with a
-//! fresh `TcpStream`, and sends a raw `Hello` before the machine's
-//! `Resume`, since the gateway keys sessions by name.
+//! up as EOF on the next read). Everything else is the same
+//! [`ResumeMachine`] that [`uniint_core::session::SimSession`] uses: it
+//! decides what is written and when, and runs the recovery. The client
+//! only moves bytes: it fills and writes the socket, sleeps out each
+//! backoff delay, reconnects with a fresh `TcpStream`, and sends a raw
+//! `Hello` before the machine's `Resume`, since the gateway keys
+//! sessions by name.
 
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -217,20 +219,9 @@ impl GatewayClient {
                 while let Some(frame) = self.sock.next_frame()? {
                     processed = true;
                     let msg = ServerMessage::decode_body(&mut frame.as_slice())?;
-                    if let ServerMessage::ResumeAck {
-                        client_msgs_received,
-                        ..
-                    } = &msg
-                    {
-                        let resend = self
-                            .resume
-                            .resume_acked(&mut self.proxy, *client_msgs_received);
-                        for m in resend {
-                            // Already logged the first time around.
-                            let _ = self.sock.send_client(m);
-                        }
-                    }
-                    let out = self.proxy.handle_server(&msg)?;
+                    let out = self.resume.receive(&mut self.proxy, &msg, |m| {
+                        let _ = self.sock.send_client(m);
+                    })?;
                     if let Some(f) = out.frame {
                         self.last_frame = Some(f);
                         self.frames_delivered += 1;
@@ -238,7 +229,6 @@ impl GatewayClient {
                     if out.bell {
                         self.bells += 1;
                     }
-                    self.send_logged(out.messages);
                 }
                 Ok(processed)
             }
@@ -254,41 +244,38 @@ impl GatewayClient {
         Ok(())
     }
 
-    /// Sends regular client messages and logs them for retransmission.
+    /// Hands client messages to the resume machine, which logs them and
+    /// writes them (or holds them while a resume awaits its ack).
     ///
     /// Write errors are deliberately swallowed: the messages *are* logged,
     /// the broken socket surfaces as EOF on the next read, and the
     /// resume handshake retransmits everything the server never saw.
     fn send_logged(&mut self, msgs: Vec<ClientMessage>) {
-        for m in msgs {
-            let _ = self.sock.send_client(&m);
-            self.resume.sent(m);
-        }
+        self.resume.send(msgs, |m| {
+            let _ = self.sock.send_client(m);
+        });
     }
 
     /// Re-establishes TCP under the backoff schedule, then reattaches
-    /// the protocol session.
+    /// the protocol session. A fresh `FramedSocket` also discards any
+    /// half-received frame from the dead connection.
     fn reconnect(&mut self) -> Result<(), GatewayError> {
-        let mut delay_us = self.resume.link_broke(&mut self.proxy)?;
-        let stream = loop {
+        let reattach = self.resume.recover(&mut self.proxy, |delay_us| {
             thread::sleep(Duration::from_micros(delay_us));
-            match TcpStream::connect(self.addr) {
-                Ok(s) => break s,
-                Err(_) => delay_us = self.resume.attempt_failed(&mut self.proxy)?,
-            }
-        };
-        // A fresh FramedSocket also discards any half-received frame
-        // from the dead connection.
-        self.sock = FramedSocket::new(stream, DEFAULT_MAX_FRAME, POLL)?;
-        match self.resume.reconnected(&mut self.proxy) {
-            Reattach::Fresh(msgs) => self.send_logged(msgs),
-            Reattach::Resume(resume) => {
-                let _ = self.sock.send_client(&ClientMessage::Hello {
-                    version: PROTOCOL_VERSION,
-                    name: self.proxy.name().to_owned(),
-                });
-                let _ = self.sock.send_client(&resume);
-            }
+            TcpStream::connect(self.addr)
+                .and_then(|s| FramedSocket::new(s, DEFAULT_MAX_FRAME, POLL))
+                .map(|fresh| self.sock = fresh)
+                .is_ok()
+        })?;
+        if let Reattach::Resume(_) = reattach {
+            // The gateway keys sessions by name: announce it first.
+            let _ = self.sock.send_client(&ClientMessage::Hello {
+                version: PROTOCOL_VERSION,
+                name: self.proxy.name().to_owned(),
+            });
+        }
+        for m in reattach.messages() {
+            let _ = self.sock.send_client(m);
         }
         Ok(())
     }

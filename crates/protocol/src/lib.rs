@@ -11,8 +11,8 @@
 //! authors build on (VNC, Citrix, Sun Ray). This crate provides:
 //!
 //! - [`input`] — universal input events ([`input::InputEvent`]);
-//! - [`encoding`] — five framebuffer-update encodings (Raw, CopyRect,
-//!   RRE, Hextile, RLE) with content-based selection;
+//! - [`encoding`] — six framebuffer-update encodings (Raw, CopyRect,
+//!   RRE, Hextile, RLE, PaletteRle) with content-based selection;
 //! - [`message`] — the client/server message vocabulary with robust
 //!   length-prefixed framing ([`message::FrameReader`]);
 //! - [`error`] — decoder errors that are returned, never panicked.

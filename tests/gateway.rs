@@ -177,6 +177,47 @@ fn killed_socket_reconnects_with_backoff_and_resumes_incrementally() {
 }
 
 #[test]
+fn killed_socket_reconnects_and_holds_a_click_until_the_resume_ack() {
+    let registry = Registry::new();
+    let gw =
+        Gateway::spawn(panel(), GatewayConfig::default(), registry.clone()).expect("gateway binds");
+    let mut c = [GatewayClient::connect(gw.local_addr(), "holder", 44).expect("connect")];
+    pump_quiescent(&mut c, Duration::from_millis(200));
+
+    // The pump that detects the break reconnects and sends `Resume`, but
+    // returns before the ack is read: the click goes out while the
+    // resume is unacknowledged.
+    c[0].kill_socket();
+    pump_until(&mut c, "the break to be detected", |cs| {
+        cs[0].stats().stalls == 1
+    });
+    assert_eq!(c[0].stats().resumes, 0, "ack not read yet");
+    c[0].send_messages(click_msgs());
+    pump_until(&mut c, "the resume to be acknowledged", |cs| {
+        cs[0].stats().resumes == 1
+    });
+    pump_quiescent(&mut c, Duration::from_millis(300));
+
+    let st = c[0].stats();
+    let snap = registry.snapshot();
+    let injected = snap
+        .counters
+        .get("server.inputs_injected")
+        .copied()
+        .unwrap_or(0);
+    assert_eq!(injected, 2, "the click's two events were applied once");
+    let fb = c[0].proxy.server_frame().expect("framebuffer").clone();
+    let ui = gw.shutdown();
+    assert_eq!(&fb, ui.framebuffer(), "client converged with the appliance");
+
+    // Deterministic, like the line above: diffed across two CI runs.
+    println!(
+        "RESUME-COUNTERS held_click inputs_injected={injected} retransmits={} resumes={}",
+        st.retransmits, st.resumes,
+    );
+}
+
+#[test]
 fn restarted_client_reuses_its_name_without_hanging() {
     // Regression: a Hello for a known name used to be held back waiting
     // for a follow-up message that a freshly started client never sends
