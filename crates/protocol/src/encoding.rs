@@ -211,15 +211,17 @@ struct SubRect {
     h: u16,
 }
 
-/// Finds the most frequent color (the RRE background).
+/// Finds the most frequent color (the RRE background); of colors with
+/// equal counts, the one that appears first wins.
 fn dominant_color(pixels: &[Color]) -> Color {
-    let mut counts: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-    for p in pixels {
-        *counts.entry(p.to_u32()).or_insert(0) += 1;
+    // Colour → (count, index of first appearance).
+    let mut counts: std::collections::HashMap<u32, (u32, usize)> = std::collections::HashMap::new();
+    for (i, p) in pixels.iter().enumerate() {
+        counts.entry(p.to_u32()).or_insert((0, i)).0 += 1;
     }
     counts
         .into_iter()
-        .max_by_key(|&(_, n)| n)
+        .max_by_key(|&(_, (n, first))| (n, std::cmp::Reverse(first)))
         .map(|(c, _)| Color::from_u32(c))
         .unwrap_or(Color::BLACK)
 }
@@ -825,6 +827,22 @@ mod tests {
         for e in &decodable {
             assert!(Encoding::ALL.contains(e), "{e} decodable but not in ALL");
         }
+    }
+
+    #[test]
+    fn rre_background_tie_goes_to_the_first_color() {
+        // Red and green cover 8 pixels each: the background must not
+        // depend on a hash map's iteration order.
+        let rect = Rect::new(0, 0, 8, 2);
+        let mut px = vec![Color::RED; 8];
+        px.extend([Color::GREEN; 8]);
+        let payloads: std::collections::BTreeSet<Vec<u8>> = (0..200)
+            .map(|_| encode_rect(&px, rect, Encoding::Rre, PixelFormat::Rgb888))
+            .collect();
+        assert_eq!(payloads.len(), 1, "one payload across 200 calls");
+        let payload = payloads.into_iter().next().unwrap();
+        assert_eq!(payload[4..7], [255, 0, 0], "red background");
+        roundtrip(Encoding::Rre, PixelFormat::Rgb888, rect, &px);
     }
 
     #[test]
