@@ -112,14 +112,24 @@ impl MultiServer {
     /// client, and answers all pending update requests. Returns per-client
     /// message batches (empty batches omitted).
     ///
-    /// Each damaged rect is encoded once per pump for every distinct
-    /// `(pixel format, allowed encodings)` among the clients owed it;
-    /// clients that share that key are sent copies of the same payload.
+    /// Each damaged rect is read and analysed once per pump, whatever the
+    /// clients' pixel formats; its bytes are emitted once per distinct
+    /// `(encoding, pixel format)` among the clients owed it, and clients
+    /// that share that pair are sent copies of the same payload.
     pub fn pump_all(&mut self, ui: &mut Ui) -> Vec<(ClientId, Vec<ServerMessage>)> {
+        self.pump_with(ui, &mut EncodeMemo::default())
+    }
+
+    /// [`pump_all`](Self::pump_all) through `memo`, which must be fresh:
+    /// tests read back what the pump analysed.
+    pub(crate) fn pump_with(
+        &mut self,
+        ui: &mut Ui,
+        memo: &mut EncodeMemo,
+    ) -> Vec<(ClientId, Vec<ServerMessage>)> {
         ui.render();
         let bell = ui.take_bell();
         let damage = ui.framebuffer_mut().take_damage();
-        let mut memo = EncodeMemo::default();
         let mut out = Vec::new();
         for (id, slot) in self.clients.iter_mut().enumerate() {
             let Some(c) = slot else { continue };
@@ -128,7 +138,7 @@ impl MultiServer {
                 msgs.push(ServerMessage::Bell);
             }
             c.add_damage(&damage);
-            msgs.extend(c.answer_pending(ui, &self.metrics, &mut memo));
+            msgs.extend(c.answer_pending(ui, &self.metrics, memo));
             if !msgs.is_empty() {
                 out.push((id, msgs));
             }
@@ -516,6 +526,9 @@ mod sharing_tests {
         ui: Ui,
         server: MultiServer,
         viewers: Vec<Viewer>,
+        /// Per pump that sent anything: the rects its memo analysed, and
+        /// every rect it sent, one entry per viewer that got it.
+        pumps: Vec<(Vec<Rect>, Vec<Rect>)>,
     }
 
     impl Mixed {
@@ -524,6 +537,7 @@ mod sharing_tests {
                 ui: panel(),
                 server: MultiServer::new(),
                 viewers: Vec::new(),
+                pumps: Vec::new(),
             };
             for (i, &policy) in policies.iter().enumerate() {
                 assert_eq!(m.server.accept(&m.ui), i);
@@ -562,10 +576,22 @@ mod sharing_tests {
 
         fn settle(&mut self) {
             loop {
-                let batches = self.server.pump_all(&mut self.ui);
+                let mut memo = EncodeMemo::default();
+                let batches = self.server.pump_with(&mut self.ui, &mut memo);
                 if batches.is_empty() {
                     break;
                 }
+                let sent = batches
+                    .iter()
+                    .flat_map(|(_, msgs)| msgs)
+                    .filter_map(|m| match m {
+                        ServerMessage::Update { rects, .. } => Some(rects),
+                        _ => None,
+                    })
+                    .flatten()
+                    .map(|r| r.rect)
+                    .collect();
+                self.pumps.push((memo.analysed(), sent));
                 for (id, msgs) in batches {
                     self.receive(id, msgs);
                 }
@@ -646,25 +672,73 @@ mod sharing_tests {
                 );
             }
 
-            // Sharing is invisible per client: each one's updates equal
-            // those of a run where it watches alone, and the server's
-            // totals equal the sum of those runs'.
-            let mut solo_total = ServerStats::default();
+            assert_sharing_is_invisible(&mixed, seed, 30);
+        }
+    }
+
+    /// Sharing is invisible per client: each viewer's updates equal those
+    /// of a run where it watches alone, and the server's totals equal the
+    /// sum of those runs'.
+    fn assert_sharing_is_invisible(mixed: &Mixed, seed: u64, clicks: usize) {
+        let mut solo_total = ServerStats::default();
+        for (i, viewer) in mixed.viewers.iter().enumerate() {
+            let mut solo = Mixed::new(&[viewer.policy]);
+            solo.click(seed, clicks);
+            assert_eq!(
+                viewer.updates, solo.viewers[0].updates,
+                "seed {seed} viewer {i}"
+            );
+            let s = solo.server.stats();
+            solo_total.updates_sent += s.updates_sent;
+            solo_total.rects_sent += s.rects_sent;
+            solo_total.payload_bytes += s.payload_bytes;
+            solo_total.inputs_injected += s.inputs_injected;
+            solo_total.health_reports += s.health_reports;
+        }
+        assert_eq!(mixed.server.stats(), solo_total, "seed {seed}");
+    }
+
+    #[test]
+    fn mixed_formats_share_one_analysis_per_rect() {
+        // The paper's scenario: a TV, a PDA and a phone on one panel, each
+        // in its own pixel format with the same encodings.
+        let policies =
+            [PixelFormat::Rgb888, PixelFormat::Rgb444, PixelFormat::Mono1].map(|format| Policy {
+                format,
+                ..Policy::FULL
+            });
+        for seed in [1, 2, 3] {
+            let mut mixed = Mixed::new(&policies);
+            mixed.pumps.clear();
+            mixed.click(seed, 30);
+            assert!(mixed.pumps.len() >= 30, "seed {seed}: every click pumps");
+            for (p, (analysed, sent)) in mixed.pumps.iter().enumerate() {
+                // Each damaged rect was analysed exactly once, and each
+                // viewer was sent every one of them.
+                for (i, r) in analysed.iter().enumerate() {
+                    assert!(
+                        !analysed[..i].contains(r),
+                        "seed {seed} pump {p}: {r:?} twice"
+                    );
+                    let sends = sent.iter().filter(|s| *s == r).count();
+                    assert_eq!(sends, policies.len(), "seed {seed} pump {p}: {r:?}");
+                }
+                assert_eq!(sent.len(), analysed.len() * policies.len());
+            }
+            let v = &mixed.viewers;
             for (i, viewer) in v.iter().enumerate() {
-                let mut solo = Mixed::new(&[viewer.policy]);
-                solo.click(seed, 30);
+                assert_eq!(viewer.updates.len(), v[0].updates.len());
+                for (f, _) in &viewer.updates {
+                    assert_eq!(*f, policies[i].format);
+                }
+                let panel = mixed.ui.framebuffer();
                 assert_eq!(
-                    viewer.updates, solo.viewers[0].updates,
+                    viewer.proxy.server_frame().unwrap().pixels(),
+                    reduced(panel, panel.bounds(), viewer.policy.format),
                     "seed {seed} viewer {i}"
                 );
-                let s = solo.server.stats();
-                solo_total.updates_sent += s.updates_sent;
-                solo_total.rects_sent += s.rects_sent;
-                solo_total.payload_bytes += s.payload_bytes;
-                solo_total.inputs_injected += s.inputs_injected;
-                solo_total.health_reports += s.health_reports;
             }
-            assert_eq!(mixed.server.stats(), solo_total, "seed {seed}");
+            assert_sharing_is_invisible(&mixed, seed, 30);
         }
     }
 

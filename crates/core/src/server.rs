@@ -11,7 +11,7 @@
 //! answers it.
 
 use std::collections::VecDeque;
-use uniint_protocol::encoding::{choose_encoding, encode_rect, Encoding};
+use uniint_protocol::encoding::{Encoding, RectAnalysis};
 use uniint_protocol::message::{ClientMessage, RectUpdate, ServerMessage, PROTOCOL_VERSION};
 use uniint_raster::framebuffer::Framebuffer;
 use uniint_raster::geom::Rect;
@@ -25,25 +25,27 @@ use uniint_wsys::ui::Ui;
 /// `Resume` pointing further back than this falls back to full damage.
 pub const RESUME_RETENTION: usize = 64;
 
-/// Rects encoded during one pump, shared by every client it answers.
+/// Rects analysed during one pump, shared by every client it answers.
 ///
-/// An encoded rect depends only on the framebuffer's pixels, the clipped
-/// rect, the client's pixel format and its allowed encodings. While a
-/// pump holds `&Ui` the pixels cannot change, so two clients with equal
-/// `(rect, format, encodings)` would produce byte-identical output: the
-/// second gets a copy of the first one's instead of a second encode. A
-/// memo must not outlive its pump, because the next may see new pixels.
+/// A rect's analysis depends only on the framebuffer's pixels within it,
+/// and a payload only on that analysis, the encoding chosen from it and
+/// the pixel format. While a pump holds `&Ui` the pixels cannot change,
+/// so the memo is keyed by the clipped rect alone: it reads and analyses
+/// each damaged rect once, chooses an encoding per client from that
+/// analysis, and emits bytes once per distinct `(encoding, pixel
+/// format)`. Clients in the same format get copies of one payload, and
+/// clients in different formats share the analysis. A memo must not
+/// outlive its pump, because the next may see new pixels.
 #[derive(Debug, Default)]
 pub(crate) struct EncodeMemo {
-    entries: Vec<Encoded>,
+    entries: Vec<Analysed>,
 }
 
-/// One memo entry: a key and the rect it encoded to.
+/// One memo entry: a rect's analysis and the payloads emitted from it.
 #[derive(Debug)]
-struct Encoded {
-    format: PixelFormat,
-    encodings: Vec<Encoding>,
-    update: RectUpdate,
+struct Analysed {
+    analysis: RectAnalysis<'static>,
+    payloads: Vec<(Encoding, PixelFormat, Vec<u8>)>,
 }
 
 impl EncodeMemo {
@@ -57,26 +59,45 @@ impl EncodeMemo {
         encodings: &[Encoding],
     ) -> Option<RectUpdate> {
         let clipped = r.intersect(fb.bounds())?;
-        let hit = self
+        let at = match self
             .entries
             .iter()
-            .find(|e| e.update.rect == clipped && e.format == format && e.encodings == encodings);
-        if let Some(e) = hit {
-            return Some(e.update.clone());
-        }
-        let (_, pixels) = fb.read_rect(clipped);
-        let encoding = choose_encoding(&pixels, clipped, encodings);
-        let update = RectUpdate {
+            .position(|e| e.analysis.rect() == clipped)
+        {
+            Some(at) => at,
+            None => {
+                let (_, pixels) = fb.read_rect(clipped);
+                self.entries.push(Analysed {
+                    analysis: RectAnalysis::new(pixels, clipped),
+                    payloads: Vec::new(),
+                });
+                self.entries.len() - 1
+            }
+        };
+        let Analysed { analysis, payloads } = &mut self.entries[at];
+        let encoding = analysis.choose(encodings);
+        let emitted = payloads
+            .iter()
+            .find(|(e, f, _)| *e == encoding && *f == format);
+        let payload = match emitted {
+            Some((_, _, payload)) => payload.clone(),
+            None => {
+                let payload = analysis.encode(encoding, format);
+                payloads.push((encoding, format, payload.clone()));
+                payload
+            }
+        };
+        Some(RectUpdate {
             rect: clipped,
             encoding,
-            payload: encode_rect(&pixels, clipped, encoding, format),
-        };
-        self.entries.push(Encoded {
-            format,
-            encodings: encodings.to_vec(),
-            update: update.clone(),
-        });
-        Some(update)
+            payload,
+        })
+    }
+
+    /// The rects analysed so far, in the order they were first asked for.
+    #[cfg(test)]
+    pub(crate) fn analysed(&self) -> Vec<Rect> {
+        self.entries.iter().map(|e| e.analysis.rect()).collect()
     }
 }
 
@@ -575,7 +596,9 @@ mod tests {
     }
 
     #[test]
-    fn memo_encodes_each_key_once() {
+    fn memo_analyses_each_rect_once() {
+        use uniint_protocol::encoding::{choose_encoding, encode_rect};
+
         let (mut ui, _) = session();
         ui.render();
         let fb = ui.framebuffer();
@@ -585,24 +608,37 @@ mod tests {
         let first = memo.encode(fb, button, PixelFormat::Rgb888, all).unwrap();
         let again = memo.encode(fb, button, PixelFormat::Rgb888, all).unwrap();
         assert_eq!(again, first);
-        assert_eq!(memo.entries.len(), 1, "a repeated key is not encoded again");
         let (_, px) = fb.read_rect(button);
         assert_eq!(first.encoding, choose_encoding(&px, button, all));
         assert_eq!(
             first.payload,
             encode_rect(&px, button, first.encoding, PixelFormat::Rgb888)
         );
-        // A different format, encoding list or rect is a different key.
-        memo.encode(fb, button, PixelFormat::Mono1, all);
-        memo.encode(fb, button, PixelFormat::Rgb888, &[Encoding::Raw]);
+        // Another format or encoding list reuses the rect's analysis and
+        // emits what a fresh encode would.
+        for (format, encodings) in [
+            (PixelFormat::Mono1, all),
+            (PixelFormat::Rgb444, all),
+            (PixelFormat::Rgb888, &[Encoding::Raw][..]),
+        ] {
+            let update = memo.encode(fb, button, format, encodings).unwrap();
+            assert_eq!(update.encoding, choose_encoding(&px, button, encodings));
+            assert_eq!(
+                update.payload,
+                encode_rect(&px, button, update.encoding, format)
+            );
+        }
+        assert_eq!(memo.analysed(), [button], "one analysis per rect");
+        assert_eq!(memo.entries[0].payloads.len(), 4, "one emit per format");
+        // A different rect is analysed; rects are keyed by their clip to
+        // the framebuffer.
         memo.encode(fb, Rect::new(0, 0, 80, 20), PixelFormat::Rgb888, all);
-        assert_eq!(memo.entries.len(), 4);
-        // Rects are keyed by their clip to the framebuffer.
         let hanging = memo.encode(fb, Rect::new(100, 100, 500, 500), PixelFormat::Rgb888, all);
         assert_eq!(hanging.unwrap().rect, Rect::new(100, 100, 60, 20));
         assert!(memo
             .encode(fb, Rect::new(500, 500, 10, 10), PixelFormat::Rgb888, all)
             .is_none());
+        assert_eq!(memo.analysed().len(), 3);
     }
 
     #[test]

@@ -15,11 +15,18 @@
 //!
 //! Encoders consume canonical [`Color`] pixels and produce wire bytes in
 //! the session's negotiated [`PixelFormat`]; decoders do the reverse.
+//! Encoding is two steps. A [`RectAnalysis`] reads a rect's pixels once,
+//! in one scanline pass, into colour runs and a palette that depend on no
+//! pixel format. [`RectAnalysis::choose`] then picks the encoding from
+//! it, and [`RectAnalysis::encode`] emits it in any format, so a server
+//! with clients in several formats analyses each damaged rect once.
+//! [`choose_encoding`] and [`encode_rect`] do both steps for one call.
 
 use crate::error::{ProtocolError, Result};
 use crate::wire;
 use bytes::{Buf, BufMut};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use uniint_raster::color::Color;
 use uniint_raster::geom::{Point, Rect};
 use uniint_raster::pixel::{pack_row, unpack_row, PixelFormat};
@@ -121,22 +128,26 @@ fn get_pixel(fmt: PixelFormat, buf: &mut impl Buf) -> Result<Color> {
 }
 
 /// Encodes `pixels` (row-major, covering `rect`) with `encoding` into wire
-/// bytes.
+/// bytes: [`RectAnalysis::new`] then [`RectAnalysis::encode`].
 ///
 /// # Panics
 ///
 /// Panics if `pixels.len() != rect.area()`, or if `encoding` is
 /// [`Encoding::CopyRect`] (use [`encode_copy_rect`]).
 pub fn encode_rect(pixels: &[Color], rect: Rect, encoding: Encoding, fmt: PixelFormat) -> Vec<u8> {
-    assert_eq!(pixels.len() as u64, rect.area(), "pixel count mismatch");
-    match encoding {
-        Encoding::Raw => encode_raw(pixels, rect, fmt),
-        Encoding::CopyRect => panic!("CopyRect carries no pixels; use encode_copy_rect"),
-        Encoding::Rre => encode_rre(pixels, rect, fmt),
-        Encoding::Hextile => encode_hextile(pixels, rect, fmt),
-        Encoding::Rle => encode_rle(pixels, rect, fmt),
-        Encoding::PaletteRle => encode_palette_rle(pixels, rect, fmt),
-    }
+    RectAnalysis::new(pixels, rect).encode(encoding, fmt)
+}
+
+/// Picks an encoding for `pixels` (row-major, covering `rect`) by
+/// content inspection: [`RectAnalysis::new`] then
+/// [`RectAnalysis::choose`], whose rules this follows. `allowed`
+/// restricts the choice (from `SetEncodings`).
+///
+/// # Panics
+///
+/// Panics if `pixels.len() != rect.area()`.
+pub fn choose_encoding(pixels: &[Color], rect: Rect, allowed: &[Encoding]) -> Encoding {
+    RectAnalysis::new(pixels, rect).choose(allowed)
 }
 
 /// Encodes a CopyRect payload: the source top-left in the remote
@@ -177,14 +188,283 @@ pub fn decode_rect(
     }
 }
 
+// ----------------------------------------------------------- analysis --
+
+/// Most colours a palette holds: PaletteRle indexes them with a `u8`, and
+/// sends a rect with more colours raw.
+const PALETTE_CAP: usize = 255;
+
+/// Most distinct colours [`RectAnalysis::choose`] counts as "few".
+const FEW_COLOURS: usize = 64;
+
+/// Longest run one RLE or PaletteRle run length can carry.
+const MAX_RUN: usize = u16::MAX as usize;
+
+/// A maximal run of one colour in scanline order; it may wrap rows.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    color: Color,
+    /// The colour's palette index; 0 once the palette overflowed.
+    index: u8,
+    len: usize,
+}
+
+/// The colours of a stream of pixel rows read as one scanline sequence:
+/// its runs and its palette.
+#[derive(Debug, Default)]
+struct Colours {
+    runs: Vec<Run>,
+    /// Distinct colours ([`Color::to_u32`]) in first-appearance order.
+    palette: Vec<u32>,
+    /// Pixels of each palette colour.
+    counts: Vec<usize>,
+    /// More than [`PALETTE_CAP`] colours appeared. The palette, its
+    /// counts and the runs' indices stop at the run that brought in the
+    /// first colour that did not fit.
+    overflow: bool,
+    /// Runs up to and including the one that brings in colour number
+    /// `FEW_COLOURS + 1`, or all runs when there are fewer colours: the
+    /// transitions [`RectAnalysis::choose`] weighs.
+    transitions: usize,
+    /// Runs once those longer than [`MAX_RUN`] are split.
+    pieces: usize,
+}
+
+impl Colours {
+    /// Scans `rows` into `self`, reusing its buffers. The pass steps run
+    /// by run: a pixel repeating its predecessor costs one comparison,
+    /// and only a run's first pixel searches the palette.
+    fn scan<'p>(&mut self, rows: impl IntoIterator<Item = &'p [Color]>) {
+        self.runs.clear();
+        self.palette.clear();
+        self.counts.clear();
+        self.overflow = false;
+        for mut rest in rows {
+            while let Some(&color) = rest.first() {
+                let len = rest.iter().position(|&p| p != color).unwrap_or(rest.len());
+                rest = &rest[len..];
+                let index = match self.runs.last_mut() {
+                    // Only a run that wraps into the next row continues.
+                    Some(run) if run.color == color => {
+                        run.len += len;
+                        run.index
+                    }
+                    _ => self.open(color, len),
+                };
+                if !self.overflow {
+                    self.counts[index as usize] += len;
+                }
+            }
+        }
+        if self.palette.len() <= FEW_COLOURS {
+            self.transitions = self.runs.len();
+        }
+        self.pieces = self.runs.iter().map(|r| r.len.div_ceil(MAX_RUN)).sum();
+    }
+
+    /// Starts a run, entering its colour in the palette; returns the
+    /// colour's palette index.
+    fn open(&mut self, color: Color, len: usize) -> u8 {
+        let mut index = 0;
+        if !self.overflow {
+            let key = color.to_u32();
+            match self.palette.iter().position(|&c| c == key) {
+                Some(i) => index = i as u8,
+                None if self.palette.len() < PALETTE_CAP => {
+                    index = self.palette.len() as u8;
+                    self.palette.push(key);
+                    self.counts.push(0);
+                    if self.palette.len() == FEW_COLOURS + 1 {
+                        self.transitions = self.runs.len() + 1;
+                    }
+                }
+                None => self.overflow = true,
+            }
+        }
+        self.runs.push(Run { color, index, len });
+        index
+    }
+
+    /// Distinct colours, counted up to one past [`PALETTE_CAP`].
+    fn distinct(&self) -> usize {
+        if self.overflow {
+            PALETTE_CAP + 1
+        } else {
+            self.palette.len()
+        }
+    }
+
+    /// The most frequent colour; of colours with equal counts, the one
+    /// that appears first wins. Black when there are no pixels.
+    fn dominant(&self) -> Color {
+        if !self.overflow {
+            let mut best: Option<(usize, u32)> = None;
+            for (&c, &n) in self.palette.iter().zip(&self.counts) {
+                if best.is_none_or(|(most, _)| n > most) {
+                    best = Some((n, c));
+                }
+            }
+            return best.map_or(Color::BLACK, |(_, c)| Color::from_u32(c));
+        }
+        // Too many colours for the palette: total each colour's runs by
+        // sorting them, keeping run order within a colour for the tie.
+        let mut runs: Vec<(u32, usize, usize)> = self
+            .runs
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (r.color.to_u32(), i, r.len))
+            .collect();
+        runs.sort_unstable();
+        let mut best = (0, usize::MAX, Color::BLACK);
+        for same in runs.chunk_by(|a, b| a.0 == b.0) {
+            let n: usize = same.iter().map(|r| r.2).sum();
+            let first = same[0].1;
+            if n > best.0 || (n == best.0 && first < best.1) {
+                best = (n, first, Color::from_u32(same[0].0));
+            }
+        }
+        best.2
+    }
+
+    /// The palette packed in `fmt`, one standalone pixel per entry.
+    fn packed_palette(&self, fmt: PixelFormat) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.palette.len() * fmt.row_bytes(1));
+        for &c in &self.palette {
+            put_pixel(fmt, Color::from_u32(c), &mut out);
+        }
+        out
+    }
+
+    /// Calls `emit` with each run and a length, splitting runs longer than
+    /// [`MAX_RUN`] into [`pieces`](Self::pieces) as RLE and PaletteRle
+    /// send them.
+    fn for_each_piece(&self, mut emit: impl FnMut(&Run, u16)) {
+        for run in &self.runs {
+            let mut left = run.len;
+            while left > MAX_RUN {
+                emit(run, MAX_RUN as u16);
+                left -= MAX_RUN;
+            }
+            emit(run, left as u16);
+        }
+    }
+}
+
+/// One rect's pixels, analysed once for every encoder and pixel format.
+///
+/// [`new`](Self::new) makes one scanline pass over the rect's canonical
+/// pixels and keeps:
+///
+/// - the colour runs;
+/// - the palette in first-appearance order, with a pixel count per
+///   entry, capped at 255 entries (PaletteRle sends a rect with more
+///   colours raw);
+/// - the transition count;
+/// - the pixels, for Raw and Hextile.
+///
+/// Every encoder reads this one table. [`choose`](Self::choose) takes the
+/// palette size and the transitions; PaletteRle emits the palette and the
+/// index runs; RLE emits the runs; RRE takes its background from the
+/// counts and its subrects from the runs. Hextile analyses each tile the
+/// same way. Nothing in it depends on a pixel format, so one analysis
+/// serves clients in every format: [`encode`](Self::encode) emits it in
+/// any of them.
+#[derive(Debug)]
+pub struct RectAnalysis<'a> {
+    rect: Rect,
+    pixels: Cow<'a, [Color]>,
+    colours: Colours,
+}
+
+impl<'a> RectAnalysis<'a> {
+    /// Analyses `pixels` (row-major, covering `rect`). Pass a `Vec` for
+    /// an analysis that owns its pixels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pixels.len() != rect.area()`.
+    pub fn new(pixels: impl Into<Cow<'a, [Color]>>, rect: Rect) -> RectAnalysis<'a> {
+        let pixels = pixels.into();
+        assert_eq!(pixels.len() as u64, rect.area(), "pixel count mismatch");
+        let mut colours = Colours::default();
+        colours.scan([&pixels[..]]);
+        RectAnalysis {
+            rect,
+            pixels,
+            colours,
+        }
+    }
+
+    /// The analysed rect.
+    pub fn rect(&self) -> Rect {
+        self.rect
+    }
+
+    /// Picks a good encoding by content: at most 2 colours go to RRE, at
+    /// most 64 to PaletteRle, long runs (under 5 % transitions) to RLE,
+    /// at most 64 colours to Hextile, the rest to Raw. The first of these
+    /// that `allowed` (from `SetEncodings`) contains wins. The transitions
+    /// are counted up to the pixel that brings in the 65th colour.
+    ///
+    /// Never returns [`Encoding::CopyRect`], which carries no pixels: when
+    /// `allowed` names no pixel encoding the answer is [`Encoding::Raw`],
+    /// which every client decodes.
+    pub fn choose(&self, allowed: &[Encoding]) -> Encoding {
+        let allows = |e: Encoding| allowed.contains(&e);
+        let distinct = self.colours.distinct();
+        let few = distinct <= FEW_COLOURS;
+        let density = self.colours.transitions as f64 / self.rect.area().max(1) as f64;
+        if distinct <= 2 && allows(Encoding::Rre) {
+            return Encoding::Rre;
+        }
+        if few && allows(Encoding::PaletteRle) {
+            return Encoding::PaletteRle;
+        }
+        if density < 0.05 && allows(Encoding::Rle) {
+            return Encoding::Rle;
+        }
+        if few && allows(Encoding::Hextile) {
+            return Encoding::Hextile;
+        }
+        if allows(Encoding::Raw) {
+            return Encoding::Raw;
+        }
+        allowed
+            .iter()
+            .copied()
+            .find(|&e| e != Encoding::CopyRect)
+            .unwrap_or(Encoding::Raw)
+    }
+
+    /// The rect's wire bytes with `encoding`, in `fmt`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `encoding` is [`Encoding::CopyRect`] (use
+    /// [`encode_copy_rect`]).
+    pub fn encode(&self, encoding: Encoding, fmt: PixelFormat) -> Vec<u8> {
+        match encoding {
+            Encoding::Raw => {
+                let mut out = Vec::with_capacity(fmt.buffer_bytes(self.rect.w, self.rect.h));
+                put_raw(&self.pixels, self.rect, fmt, &mut out);
+                out
+            }
+            Encoding::CopyRect => panic!("CopyRect carries no pixels; use encode_copy_rect"),
+            Encoding::Rre => self.encode_rre(fmt),
+            Encoding::Hextile => self.encode_hextile(fmt),
+            Encoding::Rle => self.encode_rle(fmt),
+            Encoding::PaletteRle => self.encode_palette_rle(fmt),
+        }
+    }
+}
+
 // ---------------------------------------------------------------- raw --
 
-fn encode_raw(pixels: &[Color], rect: Rect, fmt: PixelFormat) -> Vec<u8> {
-    let mut out = Vec::with_capacity(fmt.buffer_bytes(rect.w, rect.h));
-    for row in pixels.chunks_exact(rect.w as usize) {
-        pack_row(fmt, row, None, &mut out);
+/// Appends `pixels` (covering `rect`) packed row by row.
+fn put_raw(pixels: &[Color], rect: Rect, fmt: PixelFormat, out: &mut Vec<u8>) {
+    for row in pixels.chunks_exact(rect.w.max(1) as usize) {
+        pack_row(fmt, row, None, out);
     }
-    out
 }
 
 fn decode_raw(buf: &mut impl Buf, rect: Rect, fmt: PixelFormat) -> Result<Vec<Color>> {
@@ -211,82 +491,80 @@ struct SubRect {
     h: u16,
 }
 
-/// Finds the most frequent color (the RRE background); of colors with
-/// equal counts, the one that appears first wins.
-fn dominant_color(pixels: &[Color]) -> Color {
-    // Colour → (count, index of first appearance).
-    let mut counts: std::collections::HashMap<u32, (u32, usize)> = std::collections::HashMap::new();
-    for (i, p) in pixels.iter().enumerate() {
-        counts.entry(p.to_u32()).or_insert((0, i)).0 += 1;
-    }
-    counts
-        .into_iter()
-        .max_by_key(|&(_, (n, first))| (n, std::cmp::Reverse(first)))
-        .map(|(c, _)| Color::from_u32(c))
-        .unwrap_or(Color::BLACK)
-}
-
-/// Extracts maximal same-color horizontal runs, merging vertically adjacent
-/// identical runs into taller subrects.
-fn subrects_for(pixels: &[Color], rect: Rect, bg: Color) -> Vec<SubRect> {
-    let w = rect.w as usize;
+/// The subrects covering every pixel not `bg` in `runs`, a scanline
+/// stream `w` pixels wide. Each run is cut at the row edges; a cut run
+/// with the same x, width and colour as one in the row above grows that
+/// one's subrect by a row, and any other starts a new subrect. The rows'
+/// runs are kept in x order, so the match is a merge, not a lookup.
+fn subrects(runs: &[Run], w: usize, bg: Color) -> Vec<SubRect> {
     let mut out: Vec<SubRect> = Vec::new();
-    // Open runs from the previous row keyed by (x, w, color) → index in out.
-    let mut prev_open: std::collections::HashMap<(u16, u16, u32), usize> =
-        std::collections::HashMap::new();
-    for y in 0..rect.h as usize {
-        let row = &pixels[y * w..(y + 1) * w];
-        let mut cur_open: std::collections::HashMap<(u16, u16, u32), usize> =
-            std::collections::HashMap::new();
-        let mut x = 0usize;
-        while x < w {
-            let c = row[x];
-            if c == bg {
-                x += 1;
-                continue;
-            }
-            let start = x;
-            while x < w && row[x] == c {
-                x += 1;
-            }
-            let run_w = (x - start) as u16;
-            let key = (start as u16, run_w, c.to_u32());
-            if let Some(&idx) = prev_open.get(&key) {
-                // Grow the rect from the previous row.
-                if out[idx].y as usize + out[idx].h as usize == y {
-                    out[idx].h += 1;
-                    cur_open.insert(key, idx);
-                    continue;
+    // (x, width, colour, index in `out`) of the previous row's and this
+    // row's runs that are not background.
+    let mut above: Vec<(usize, usize, Color, usize)> = Vec::new();
+    let mut row = Vec::new();
+    let mut next_above = 0;
+    let (mut x, mut y) = (0, 0);
+    for run in runs {
+        let mut left = run.len;
+        while left > 0 {
+            let n = left.min(w - x);
+            if run.color != bg {
+                while above.get(next_above).is_some_and(|a| a.0 < x) {
+                    next_above += 1;
                 }
+                let grown = above
+                    .get(next_above)
+                    .filter(|a| (a.0, a.1, a.2) == (x, n, run.color))
+                    .map(|a| a.3);
+                let idx = match grown {
+                    Some(idx) => {
+                        out[idx].h += 1;
+                        idx
+                    }
+                    None => {
+                        out.push(SubRect {
+                            color: run.color,
+                            x: x as u16,
+                            y: y as u16,
+                            w: n as u16,
+                            h: 1,
+                        });
+                        out.len() - 1
+                    }
+                };
+                row.push((x, n, run.color, idx));
             }
-            out.push(SubRect {
-                color: c,
-                x: start as u16,
-                y: y as u16,
-                w: run_w,
-                h: 1,
-            });
-            cur_open.insert(key, out.len() - 1);
+            x += n;
+            left -= n;
+            if x == w {
+                std::mem::swap(&mut above, &mut row);
+                row.clear();
+                next_above = 0;
+                x = 0;
+                y += 1;
+            }
         }
-        prev_open = cur_open;
     }
     out
 }
 
-fn encode_rre(pixels: &[Color], rect: Rect, fmt: PixelFormat) -> Vec<u8> {
-    let bg = dominant_color(pixels);
-    let subs = subrects_for(pixels, rect, bg);
-    let mut out = Vec::new();
-    out.put_u32(subs.len() as u32);
-    put_pixel(fmt, bg, &mut out);
-    for s in subs {
-        put_pixel(fmt, s.color, &mut out);
-        out.put_u16(s.x);
-        out.put_u16(s.y);
-        out.put_u16(s.w);
-        out.put_u16(s.h);
+impl RectAnalysis<'_> {
+    fn encode_rre(&self, fmt: PixelFormat) -> Vec<u8> {
+        let bg = self.colours.dominant();
+        let subs = subrects(&self.colours.runs, self.rect.w as usize, bg);
+        let px_bytes = fmt.row_bytes(1);
+        let mut out = Vec::with_capacity(4 + px_bytes + subs.len() * (px_bytes + 8));
+        out.put_u32(subs.len() as u32);
+        put_pixel(fmt, bg, &mut out);
+        for s in subs {
+            put_pixel(fmt, s.color, &mut out);
+            out.put_u16(s.x);
+            out.put_u16(s.y);
+            out.put_u16(s.w);
+            out.put_u16(s.h);
+        }
+        out
     }
-    out
 }
 
 fn decode_rre(buf: &mut impl Buf, rect: Rect, fmt: PixelFormat) -> Result<Vec<Color>> {
@@ -323,55 +601,58 @@ const HEX_BG: u8 = 2;
 const HEX_SUBRECTS: u8 = 8;
 const HEX_COLOURED: u8 = 16;
 
-fn encode_hextile(pixels: &[Color], rect: Rect, fmt: PixelFormat) -> Vec<u8> {
-    let w = rect.w as usize;
-    let h = rect.h as usize;
-    let mut out = Vec::new();
-    let mut last_bg: Option<Color> = None;
-    for ty in (0..h).step_by(TILE) {
-        for tx in (0..w).step_by(TILE) {
-            let tw = TILE.min(w - tx);
-            let th = TILE.min(h - ty);
-            let mut tile = Vec::with_capacity(tw * th);
-            for yy in ty..ty + th {
-                tile.extend_from_slice(&pixels[yy * w + tx..yy * w + tx + tw]);
-            }
-            let bg = dominant_color(&tile);
-            let trect = Rect::new(0, 0, tw as u32, th as u32);
-            let subs = subrects_for(&tile, trect, bg);
-            // Estimate cost: subrect path vs raw path.
-            let px_bytes = fmt.row_bytes(1);
-            let sub_cost = 1
-                + if last_bg == Some(bg) { 0 } else { px_bytes }
-                + 1
-                + subs.len() * (px_bytes + 2);
-            let raw_cost = 1 + th * fmt.row_bytes(tw as u32);
-            if subs.len() > 255 || sub_cost >= raw_cost {
-                out.push(HEX_RAW);
-                for yy in 0..th {
-                    pack_row(fmt, &tile[yy * tw..(yy + 1) * tw], None, &mut out);
+impl RectAnalysis<'_> {
+    /// Each tile is analysed like a rect (runs, palette, counts) for its
+    /// background and subrects, and sent raw when that is no larger in
+    /// `fmt`.
+    fn encode_hextile(&self, fmt: PixelFormat) -> Vec<u8> {
+        let w = self.rect.w as usize;
+        let h = self.rect.h as usize;
+        let px_bytes = fmt.row_bytes(1);
+        let mut out = Vec::new();
+        let mut tile = Colours::default();
+        let mut last_bg: Option<Color> = None;
+        for ty in (0..h).step_by(TILE) {
+            for tx in (0..w).step_by(TILE) {
+                let tw = TILE.min(w - tx);
+                let th = TILE.min(h - ty);
+                let rows = (ty..ty + th).map(|yy| &self.pixels[yy * w + tx..yy * w + tx + tw]);
+                tile.scan(rows.clone());
+                let bg = tile.dominant();
+                let subs = subrects(&tile.runs, tw, bg);
+                // Estimate cost: subrect path vs raw path.
+                let sub_cost = 1
+                    + if last_bg == Some(bg) { 0 } else { px_bytes }
+                    + 1
+                    + subs.len() * (px_bytes + 2);
+                let raw_cost = 1 + th * fmt.row_bytes(tw as u32);
+                if subs.len() > 255 || sub_cost >= raw_cost {
+                    out.push(HEX_RAW);
+                    for row in rows {
+                        pack_row(fmt, row, None, &mut out);
+                    }
+                    last_bg = None;
+                    continue;
                 }
-                last_bg = None;
-                continue;
-            }
-            let mut flags = HEX_SUBRECTS | HEX_COLOURED;
-            if last_bg != Some(bg) {
-                flags |= HEX_BG;
-            }
-            out.push(flags);
-            if flags & HEX_BG != 0 {
-                put_pixel(fmt, bg, &mut out);
-                last_bg = Some(bg);
-            }
-            out.push(subs.len() as u8);
-            for s in subs {
-                put_pixel(fmt, s.color, &mut out);
-                out.push(((s.x as u8) << 4) | (s.y as u8 & 0x0f));
-                out.push((((s.w - 1) as u8) << 4) | ((s.h - 1) as u8 & 0x0f));
+                let mut flags = HEX_SUBRECTS | HEX_COLOURED;
+                if last_bg != Some(bg) {
+                    flags |= HEX_BG;
+                }
+                out.push(flags);
+                if flags & HEX_BG != 0 {
+                    put_pixel(fmt, bg, &mut out);
+                    last_bg = Some(bg);
+                }
+                out.push(subs.len() as u8);
+                for s in subs {
+                    put_pixel(fmt, s.color, &mut out);
+                    out.push(((s.x as u8) << 4) | (s.y as u8 & 0x0f));
+                    out.push((((s.w - 1) as u8) << 4) | ((s.h - 1) as u8 & 0x0f));
+                }
             }
         }
+        out
     }
-    out
 }
 
 fn decode_hextile(buf: &mut impl Buf, rect: Rect, fmt: PixelFormat) -> Result<Vec<Color>> {
@@ -429,21 +710,26 @@ fn decode_hextile(buf: &mut impl Buf, rect: Rect, fmt: PixelFormat) -> Result<Ve
 
 // ---------------------------------------------------------------- rle --
 
-fn encode_rle(pixels: &[Color], _rect: Rect, fmt: PixelFormat) -> Vec<u8> {
-    let mut runs: Vec<(u16, Color)> = Vec::new();
-    for &p in pixels {
-        match runs.last_mut() {
-            Some((n, c)) if *c == p && *n < u16::MAX => *n += 1,
-            _ => runs.push((1, p)),
-        }
+impl RectAnalysis<'_> {
+    fn encode_rle(&self, fmt: PixelFormat) -> Vec<u8> {
+        let c = &self.colours;
+        let px_bytes = fmt.row_bytes(1);
+        let mut out = Vec::with_capacity(4 + c.pieces * (2 + px_bytes));
+        out.put_u32(c.pieces as u32);
+        // Each palette colour is packed once; past an overflow, each run.
+        let palette = (!c.overflow).then(|| c.packed_palette(fmt));
+        c.for_each_piece(|run, n| {
+            out.put_u16(n);
+            match &palette {
+                Some(packed) => {
+                    let at = run.index as usize * px_bytes;
+                    out.extend_from_slice(&packed[at..at + px_bytes]);
+                }
+                None => put_pixel(fmt, run.color, &mut out),
+            }
+        });
+        out
     }
-    let mut out = Vec::new();
-    out.put_u32(runs.len() as u32);
-    for (n, c) in runs {
-        out.put_u16(n);
-        put_pixel(fmt, c, &mut out);
-    }
-    out
 }
 
 fn decode_rle(buf: &mut impl Buf, rect: Rect, fmt: PixelFormat) -> Result<Vec<Color>> {
@@ -478,46 +764,33 @@ const PRLE_RAW: u8 = 0;
 const PRLE_SOLID: u8 = 1;
 const PRLE_INDEXED: u8 = 2;
 
-fn encode_palette_rle(pixels: &[Color], rect: Rect, fmt: PixelFormat) -> Vec<u8> {
-    // Build the palette in first-appearance order.
-    let mut palette: Vec<Color> = Vec::new();
-    let mut index: std::collections::HashMap<u32, u8> = std::collections::HashMap::new();
-    for &p in pixels {
-        if let std::collections::hash_map::Entry::Vacant(e) = index.entry(p.to_u32()) {
-            if palette.len() == 255 {
-                // Too many colors: raw fallback.
-                let mut out = vec![PRLE_RAW];
-                out.extend(encode_raw(pixels, rect, fmt));
-                return out;
-            }
-            e.insert(palette.len() as u8);
-            palette.push(p);
+impl RectAnalysis<'_> {
+    fn encode_palette_rle(&self, fmt: PixelFormat) -> Vec<u8> {
+        let c = &self.colours;
+        if c.overflow {
+            // Too many colors: raw fallback.
+            let mut out = Vec::with_capacity(1 + fmt.buffer_bytes(self.rect.w, self.rect.h));
+            out.push(PRLE_RAW);
+            put_raw(&self.pixels, self.rect, fmt, &mut out);
+            return out;
         }
-    }
-    if palette.len() == 1 {
-        let mut out = vec![PRLE_SOLID];
-        put_pixel(fmt, palette[0], &mut out);
-        return out;
-    }
-    let mut out = vec![PRLE_INDEXED, palette.len() as u8];
-    for &c in &palette {
-        put_pixel(fmt, c, &mut out);
-    }
-    // Index runs: (u8 index, u16 len).
-    let mut runs: Vec<(u8, u16)> = Vec::new();
-    for &p in pixels {
-        let idx = index[&p.to_u32()];
-        match runs.last_mut() {
-            Some((i, n)) if *i == idx && *n < u16::MAX => *n += 1,
-            _ => runs.push((idx, 1)),
+        if let [solid] = c.palette[..] {
+            let mut out = vec![PRLE_SOLID];
+            put_pixel(fmt, Color::from_u32(solid), &mut out);
+            return out;
         }
+        let mut out = Vec::with_capacity(6 + c.palette.len() * fmt.row_bytes(1) + c.pieces * 3);
+        out.push(PRLE_INDEXED);
+        out.push(c.palette.len() as u8);
+        out.extend(c.packed_palette(fmt));
+        // Index runs: (u8 index, u16 len).
+        out.put_u32(c.pieces as u32);
+        c.for_each_piece(|run, n| {
+            let [hi, lo] = n.to_be_bytes();
+            out.extend_from_slice(&[run.index, hi, lo]);
+        });
+        out
     }
-    out.put_u32(runs.len() as u32);
-    for (i, n) in runs {
-        out.push(i);
-        out.put_u16(n);
-    }
-    out
 }
 
 fn decode_palette_rle(buf: &mut impl Buf, rect: Rect, fmt: PixelFormat) -> Result<Vec<Color>> {
@@ -568,66 +841,6 @@ fn decode_palette_rle(buf: &mut impl Buf, rect: Rect, fmt: PixelFormat) -> Resul
             "palette-rle unknown subencoding {other}"
         ))),
     }
-}
-
-/// How many distinct colours [`choose_encoding`] counts before it stops
-/// scanning: one more than the most it treats as "few".
-const CHOOSE_DISTINCT_CAP: usize = 65;
-
-/// Picks a good encoding for `pixels` by content inspection: solid and
-/// low-color rects go to RRE, mid-complexity to Hextile, photographic
-/// content to Raw. `allowed` restricts the choice (from `SetEncodings`).
-///
-/// Never returns [`Encoding::CopyRect`], which carries no pixels: when
-/// `allowed` names no pixel encoding the answer is [`Encoding::Raw`],
-/// which every client decodes.
-pub fn choose_encoding(pixels: &[Color], rect: Rect, allowed: &[Encoding]) -> Encoding {
-    let allows = |e: Encoding| allowed.contains(&e);
-    // One scanline-order pass counting colour transitions and distinct
-    // colours, stopping at the pixel that brings in the 65th colour. A
-    // pixel repeating its predecessor costs one comparison; only a
-    // transition scans the (at most 64-entry) table of colours seen.
-    let mut seen = [0u32; CHOOSE_DISTINCT_CAP];
-    let mut distinct = 0usize;
-    let mut transitions = 0usize;
-    let mut prev: Option<Color> = None;
-    for &p in pixels {
-        if prev == Some(p) {
-            continue;
-        }
-        prev = Some(p);
-        transitions += 1;
-        let c = p.to_u32();
-        if !seen[..distinct].contains(&c) {
-            seen[distinct] = c;
-            distinct += 1;
-            if distinct == CHOOSE_DISTINCT_CAP {
-                break;
-            }
-        }
-    }
-    let area = rect.area().max(1) as usize;
-    let density = transitions as f64 / area as f64;
-    if distinct <= 2 && allows(Encoding::Rre) {
-        return Encoding::Rre;
-    }
-    if distinct <= 64 && allows(Encoding::PaletteRle) {
-        return Encoding::PaletteRle;
-    }
-    if density < 0.05 && allows(Encoding::Rle) {
-        return Encoding::Rle;
-    }
-    if distinct <= 64 && allows(Encoding::Hextile) {
-        return Encoding::Hextile;
-    }
-    if allows(Encoding::Raw) {
-        return Encoding::Raw;
-    }
-    allowed
-        .iter()
-        .copied()
-        .find(|&e| e != Encoding::CopyRect)
-        .unwrap_or(Encoding::Raw)
 }
 
 #[cfg(test)]
@@ -848,14 +1061,82 @@ mod tests {
     #[test]
     fn subrects_cover_non_bg_exactly() {
         let rect = Rect::new(0, 0, 8, 4);
-        let mut px = vec![Color::BLACK; 32];
+        let mut px = [Color::BLACK; 32];
         px[9] = Color::RED;
         px[10] = Color::RED;
         px[17] = Color::RED;
         px[18] = Color::RED;
-        let subs = subrects_for(&px, rect, Color::BLACK);
+        let runs = RectAnalysis::new(&px[..], rect).colours.runs;
+        let subs = subrects(&runs, 8, Color::BLACK);
         assert_eq!(subs.len(), 1, "vertically merged: {subs:?}");
         assert_eq!(subs[0].h, 2);
+    }
+
+    #[test]
+    fn subrects_cut_runs_at_row_edges() {
+        // One red run fills rows 1 and 2 and wraps into row 3: the two
+        // full rows merge, the tail of the run starts its own subrect.
+        let rect = Rect::new(0, 0, 5, 4);
+        let mut px = [Color::BLACK; 20];
+        px[5..18].fill(Color::RED);
+        let runs = RectAnalysis::new(&px[..], rect).colours.runs;
+        assert_eq!(runs.len(), 3);
+        let subs = subrects(&runs, 5, Color::BLACK);
+        let at = |x, y, w, h| SubRect {
+            color: Color::RED,
+            x,
+            y,
+            w,
+            h,
+        };
+        assert_eq!(subs, [at(0, 1, 5, 2), at(0, 3, 3, 1)]);
+    }
+
+    #[test]
+    fn background_past_the_palette_cap_breaks_ties_by_first_appearance() {
+        // 300 distinct colours, then two that cover 20 pixels each: the
+        // palette overflows, and the earlier of the two is the background.
+        let mut px: Vec<Color> = (0..300u32).map(|i| Color::from_u32(i + 1)).collect();
+        px.extend([Color::GREEN; 10]);
+        px.extend([Color::RED; 20]);
+        px.extend([Color::GREEN; 10]);
+        let rect = Rect::new(0, 0, 10, 34);
+        let analysis = RectAnalysis::new(&px[..], rect);
+        assert!(analysis.colours.overflow);
+        assert_eq!(analysis.colours.dominant(), Color::GREEN);
+        roundtrip(Encoding::Rre, PixelFormat::Rgb888, rect, &px);
+    }
+
+    #[test]
+    fn one_analysis_emits_every_format() {
+        let rect = Rect::new(0, 0, 37, 23);
+        let px = gui_like(rect);
+        let analysis = RectAnalysis::new(px.clone(), rect);
+        assert_eq!(
+            analysis.choose(&Encoding::ALL),
+            choose_encoding(&px, rect, &Encoding::ALL)
+        );
+        for fmt in PixelFormat::ALL {
+            for enc in [
+                Encoding::Raw,
+                Encoding::Rre,
+                Encoding::Hextile,
+                Encoding::Rle,
+                Encoding::PaletteRle,
+            ] {
+                let payload = analysis.encode(enc, fmt);
+                assert_eq!(payload, encode_rect(&px, rect, enc, fmt), "{enc}/{fmt}");
+                let mut buf: &[u8] = &payload;
+                let DecodedRect::Pixels(out) = decode_rect(&mut buf, rect, enc, fmt).unwrap()
+                else {
+                    panic!("{enc}/{fmt} carries pixels");
+                };
+                assert!(
+                    out.iter().zip(&px).all(|(&o, &p)| o == fmt.reduce(p)),
+                    "{enc}/{fmt}"
+                );
+            }
+        }
     }
 }
 
