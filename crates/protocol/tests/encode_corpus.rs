@@ -4,11 +4,12 @@
 //! each payload must decode to the rect's pixels reduced to its format.
 //!
 //! The corpus is seeded GUI-like panels plus edge cases: a 1×1 rect,
-//! rects of exactly 1, 2, 64, 65, 255 and 256 colours, a run longer than
-//! a `u16` run length, a two-colour background tie, and sizes that do not
-//! divide into 16×16 tiles. Any change to an encoder's wire bytes shows
-//! up here as a digest mismatch. Run with `UPDATE_GOLDEN=1` to record
-//! the file again after an intended change.
+//! rects of exactly 1, 2, 64, 65, 255 and 256 colours, a rect on the
+//! choice's 5 % transition cut-off, a run longer than a `u16` run length,
+//! a two-colour background tie, and sizes that do not divide into 16×16
+//! tiles. Any change to an encoder's wire bytes shows up here as a
+//! digest mismatch. Run with `UPDATE_GOLDEN=1` to record the file again
+//! after an intended change.
 
 use uniint_protocol::encoding::{choose_encoding, decode_rect, encode_rect, DecodedRect, Encoding};
 use uniint_raster::color::Color;
@@ -136,6 +137,13 @@ fn corpus() -> Vec<Case> {
     ] {
         cases.push(n_colours(n, w, h));
     }
+    // 65 colours in 65 runs over 1 300 pixels: the transitions counted up
+    // to the 65th colour are exactly 5 % of the area, the cut-off between
+    // RLE and Raw.
+    let px = (0..65u32 * 20)
+        .map(|i| Color::rgb((i / 20) as u8, 90, 30))
+        .collect();
+    cases.push(Case::new("choice-cutoff", 65, 20, px));
     // One run of more than u16::MAX pixels, then a short tail.
     let (w, h) = (300, 240);
     let mut px = vec![Color::GRAY; (w * h) as usize];
