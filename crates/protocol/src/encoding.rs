@@ -444,27 +444,24 @@ impl<'a> RectAnalysis<'a> {
     /// [`encode_copy_rect`]).
     pub fn encode(&self, encoding: Encoding, fmt: PixelFormat) -> Vec<u8> {
         match encoding {
-            Encoding::Raw => {
-                let mut out = Vec::with_capacity(fmt.buffer_bytes(self.rect.w, self.rect.h));
-                put_raw(&self.pixels, self.rect, fmt, &mut out);
-                out
-            }
+            Encoding::Raw => encode_raw(&self.pixels, self.rect, fmt),
             Encoding::CopyRect => panic!("CopyRect carries no pixels; use encode_copy_rect"),
-            Encoding::Rre => self.encode_rre(fmt),
-            Encoding::Hextile => self.encode_hextile(fmt),
-            Encoding::Rle => self.encode_rle(fmt),
-            Encoding::PaletteRle => self.encode_palette_rle(fmt),
+            Encoding::Rre => encode_rre(&self.colours, self.rect, fmt),
+            Encoding::Hextile => encode_hextile(&self.pixels, self.rect, fmt),
+            Encoding::Rle => encode_rle(&self.colours, fmt),
+            Encoding::PaletteRle => encode_palette_rle(self, fmt),
         }
     }
 }
 
 // ---------------------------------------------------------------- raw --
 
-/// Appends `pixels` (covering `rect`) packed row by row.
-fn put_raw(pixels: &[Color], rect: Rect, fmt: PixelFormat, out: &mut Vec<u8>) {
-    for row in pixels.chunks_exact(rect.w.max(1) as usize) {
-        pack_row(fmt, row, None, out);
+fn encode_raw(pixels: &[Color], rect: Rect, fmt: PixelFormat) -> Vec<u8> {
+    let mut out = Vec::with_capacity(fmt.buffer_bytes(rect.w, rect.h));
+    for row in pixels.chunks_exact(rect.w as usize) {
+        pack_row(fmt, row, None, &mut out);
     }
+    out
 }
 
 fn decode_raw(buf: &mut impl Buf, rect: Rect, fmt: PixelFormat) -> Result<Vec<Color>> {
@@ -548,23 +545,20 @@ fn subrects(runs: &[Run], w: usize, bg: Color) -> Vec<SubRect> {
     out
 }
 
-impl RectAnalysis<'_> {
-    fn encode_rre(&self, fmt: PixelFormat) -> Vec<u8> {
-        let bg = self.colours.dominant();
-        let subs = subrects(&self.colours.runs, self.rect.w as usize, bg);
-        let px_bytes = fmt.row_bytes(1);
-        let mut out = Vec::with_capacity(4 + px_bytes + subs.len() * (px_bytes + 8));
-        out.put_u32(subs.len() as u32);
-        put_pixel(fmt, bg, &mut out);
-        for s in subs {
-            put_pixel(fmt, s.color, &mut out);
-            out.put_u16(s.x);
-            out.put_u16(s.y);
-            out.put_u16(s.w);
-            out.put_u16(s.h);
-        }
-        out
+fn encode_rre(colours: &Colours, rect: Rect, fmt: PixelFormat) -> Vec<u8> {
+    let bg = colours.dominant();
+    let subs = subrects(&colours.runs, rect.w as usize, bg);
+    let mut out = Vec::new();
+    out.put_u32(subs.len() as u32);
+    put_pixel(fmt, bg, &mut out);
+    for s in subs {
+        put_pixel(fmt, s.color, &mut out);
+        out.put_u16(s.x);
+        out.put_u16(s.y);
+        out.put_u16(s.w);
+        out.put_u16(s.h);
     }
+    out
 }
 
 fn decode_rre(buf: &mut impl Buf, rect: Rect, fmt: PixelFormat) -> Result<Vec<Color>> {
@@ -601,58 +595,56 @@ const HEX_BG: u8 = 2;
 const HEX_SUBRECTS: u8 = 8;
 const HEX_COLOURED: u8 = 16;
 
-impl RectAnalysis<'_> {
-    /// Each tile is analysed like a rect (runs, palette, counts) for its
-    /// background and subrects, and sent raw when that is no larger in
-    /// `fmt`.
-    fn encode_hextile(&self, fmt: PixelFormat) -> Vec<u8> {
-        let w = self.rect.w as usize;
-        let h = self.rect.h as usize;
-        let px_bytes = fmt.row_bytes(1);
-        let mut out = Vec::new();
-        let mut tile = Colours::default();
-        let mut last_bg: Option<Color> = None;
-        for ty in (0..h).step_by(TILE) {
-            for tx in (0..w).step_by(TILE) {
-                let tw = TILE.min(w - tx);
-                let th = TILE.min(h - ty);
-                let rows = (ty..ty + th).map(|yy| &self.pixels[yy * w + tx..yy * w + tx + tw]);
-                tile.scan(rows.clone());
-                let bg = tile.dominant();
-                let subs = subrects(&tile.runs, tw, bg);
-                // Estimate cost: subrect path vs raw path.
-                let sub_cost = 1
-                    + if last_bg == Some(bg) { 0 } else { px_bytes }
-                    + 1
-                    + subs.len() * (px_bytes + 2);
-                let raw_cost = 1 + th * fmt.row_bytes(tw as u32);
-                if subs.len() > 255 || sub_cost >= raw_cost {
-                    out.push(HEX_RAW);
-                    for row in rows {
-                        pack_row(fmt, row, None, &mut out);
-                    }
-                    last_bg = None;
-                    continue;
+/// Each tile is analysed like a rect (runs, palette, counts) for its
+/// background and subrects, and sent raw when that is no larger in
+/// `fmt`.
+fn encode_hextile(pixels: &[Color], rect: Rect, fmt: PixelFormat) -> Vec<u8> {
+    let w = rect.w as usize;
+    let h = rect.h as usize;
+    let px_bytes = fmt.row_bytes(1);
+    let mut out = Vec::new();
+    let mut tile = Colours::default();
+    let mut last_bg: Option<Color> = None;
+    for ty in (0..h).step_by(TILE) {
+        for tx in (0..w).step_by(TILE) {
+            let tw = TILE.min(w - tx);
+            let th = TILE.min(h - ty);
+            let rows = (ty..ty + th).map(|yy| &pixels[yy * w + tx..yy * w + tx + tw]);
+            tile.scan(rows.clone());
+            let bg = tile.dominant();
+            let subs = subrects(&tile.runs, tw, bg);
+            // Estimate cost: subrect path vs raw path.
+            let sub_cost = 1
+                + if last_bg == Some(bg) { 0 } else { px_bytes }
+                + 1
+                + subs.len() * (px_bytes + 2);
+            let raw_cost = 1 + th * fmt.row_bytes(tw as u32);
+            if subs.len() > 255 || sub_cost >= raw_cost {
+                out.push(HEX_RAW);
+                for row in rows {
+                    pack_row(fmt, row, None, &mut out);
                 }
-                let mut flags = HEX_SUBRECTS | HEX_COLOURED;
-                if last_bg != Some(bg) {
-                    flags |= HEX_BG;
-                }
-                out.push(flags);
-                if flags & HEX_BG != 0 {
-                    put_pixel(fmt, bg, &mut out);
-                    last_bg = Some(bg);
-                }
-                out.push(subs.len() as u8);
-                for s in subs {
-                    put_pixel(fmt, s.color, &mut out);
-                    out.push(((s.x as u8) << 4) | (s.y as u8 & 0x0f));
-                    out.push((((s.w - 1) as u8) << 4) | ((s.h - 1) as u8 & 0x0f));
-                }
+                last_bg = None;
+                continue;
+            }
+            let mut flags = HEX_SUBRECTS | HEX_COLOURED;
+            if last_bg != Some(bg) {
+                flags |= HEX_BG;
+            }
+            out.push(flags);
+            if flags & HEX_BG != 0 {
+                put_pixel(fmt, bg, &mut out);
+                last_bg = Some(bg);
+            }
+            out.push(subs.len() as u8);
+            for s in subs {
+                put_pixel(fmt, s.color, &mut out);
+                out.push(((s.x as u8) << 4) | (s.y as u8 & 0x0f));
+                out.push((((s.w - 1) as u8) << 4) | ((s.h - 1) as u8 & 0x0f));
             }
         }
-        out
     }
+    out
 }
 
 fn decode_hextile(buf: &mut impl Buf, rect: Rect, fmt: PixelFormat) -> Result<Vec<Color>> {
@@ -710,26 +702,23 @@ fn decode_hextile(buf: &mut impl Buf, rect: Rect, fmt: PixelFormat) -> Result<Ve
 
 // ---------------------------------------------------------------- rle --
 
-impl RectAnalysis<'_> {
-    fn encode_rle(&self, fmt: PixelFormat) -> Vec<u8> {
-        let c = &self.colours;
-        let px_bytes = fmt.row_bytes(1);
-        let mut out = Vec::with_capacity(4 + c.pieces * (2 + px_bytes));
-        out.put_u32(c.pieces as u32);
-        // Each palette colour is packed once; past an overflow, each run.
-        let palette = (!c.overflow).then(|| c.packed_palette(fmt));
-        c.for_each_piece(|run, n| {
-            out.put_u16(n);
-            match &palette {
-                Some(packed) => {
-                    let at = run.index as usize * px_bytes;
-                    out.extend_from_slice(&packed[at..at + px_bytes]);
-                }
-                None => put_pixel(fmt, run.color, &mut out),
+fn encode_rle(c: &Colours, fmt: PixelFormat) -> Vec<u8> {
+    let px_bytes = fmt.row_bytes(1);
+    let mut out = Vec::with_capacity(4 + c.pieces * (2 + px_bytes));
+    out.put_u32(c.pieces as u32);
+    // Each palette colour is packed once; past an overflow, each run.
+    let palette = (!c.overflow).then(|| c.packed_palette(fmt));
+    c.for_each_piece(|run, n| {
+        out.put_u16(n);
+        match &palette {
+            Some(packed) => {
+                let at = run.index as usize * px_bytes;
+                out.extend_from_slice(&packed[at..at + px_bytes]);
             }
-        });
-        out
-    }
+            None => put_pixel(fmt, run.color, &mut out),
+        }
+    });
+    out
 }
 
 fn decode_rle(buf: &mut impl Buf, rect: Rect, fmt: PixelFormat) -> Result<Vec<Color>> {
@@ -764,33 +753,30 @@ const PRLE_RAW: u8 = 0;
 const PRLE_SOLID: u8 = 1;
 const PRLE_INDEXED: u8 = 2;
 
-impl RectAnalysis<'_> {
-    fn encode_palette_rle(&self, fmt: PixelFormat) -> Vec<u8> {
-        let c = &self.colours;
-        if c.overflow {
-            // Too many colors: raw fallback.
-            let mut out = Vec::with_capacity(1 + fmt.buffer_bytes(self.rect.w, self.rect.h));
-            out.push(PRLE_RAW);
-            put_raw(&self.pixels, self.rect, fmt, &mut out);
-            return out;
-        }
-        if let [solid] = c.palette[..] {
-            let mut out = vec![PRLE_SOLID];
-            put_pixel(fmt, Color::from_u32(solid), &mut out);
-            return out;
-        }
-        let mut out = Vec::with_capacity(6 + c.palette.len() * fmt.row_bytes(1) + c.pieces * 3);
-        out.push(PRLE_INDEXED);
-        out.push(c.palette.len() as u8);
-        out.extend(c.packed_palette(fmt));
-        // Index runs: (u8 index, u16 len).
-        out.put_u32(c.pieces as u32);
-        c.for_each_piece(|run, n| {
-            let [hi, lo] = n.to_be_bytes();
-            out.extend_from_slice(&[run.index, hi, lo]);
-        });
-        out
+fn encode_palette_rle(analysis: &RectAnalysis, fmt: PixelFormat) -> Vec<u8> {
+    let c = &analysis.colours;
+    if c.overflow {
+        // Too many colors: raw fallback.
+        let mut out = vec![PRLE_RAW];
+        out.extend(encode_raw(&analysis.pixels, analysis.rect, fmt));
+        return out;
     }
+    if let [solid] = c.palette[..] {
+        let mut out = vec![PRLE_SOLID];
+        put_pixel(fmt, Color::from_u32(solid), &mut out);
+        return out;
+    }
+    let mut out = Vec::with_capacity(6 + c.palette.len() * fmt.row_bytes(1) + c.pieces * 3);
+    out.push(PRLE_INDEXED);
+    out.push(c.palette.len() as u8);
+    out.extend(c.packed_palette(fmt));
+    // Index runs: (u8 index, u16 len).
+    out.put_u32(c.pieces as u32);
+    c.for_each_piece(|run, n| {
+        let [hi, lo] = n.to_be_bytes();
+        out.extend_from_slice(&[run.index, hi, lo]);
+    });
+    out
 }
 
 fn decode_palette_rle(buf: &mut impl Buf, rect: Rect, fmt: PixelFormat) -> Result<Vec<Color>> {
