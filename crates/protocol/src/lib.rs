@@ -57,7 +57,6 @@ pub mod wire;
 pub mod prelude {
     pub use crate::encoding::{
         choose_encoding, decode_rect, encode_copy_rect, encode_rect, DecodedRect, Encoding,
-        RectAnalysis,
     };
     pub use crate::error::ProtocolError;
     pub use crate::input::{ButtonMask, InputEvent, KeySym};
