@@ -185,7 +185,6 @@ impl Coordinator {
     pub fn unregister(&mut self, id: &str, proxy: &mut UniIntProxy) -> SwitchReport {
         let before = self.devices.len();
         self.devices.retain(|d| d.descriptor.id != id);
-        self.excluded.remove(id);
         if self.devices.len() == before {
             return SwitchReport::default();
         }
@@ -542,6 +541,21 @@ mod tests {
         coord.set_available("mic-1", true);
         let report = coord.reselect(&mut proxy);
         assert_eq!(report.input_switched_to.as_deref(), Some("mic-1"));
+    }
+
+    #[test]
+    fn exclusion_survives_reregistration() {
+        // Exclusion is orthogonal to registration: a quarantined or dead
+        // device that is unplugged and plugged back in stays excluded.
+        let mut proxy = UniIntProxy::new("p");
+        let mut coord = Coordinator::new(UserProfile::neutral("u"), cooking());
+        coord.register(kitchen_mic(), &mut proxy);
+        coord.set_available("mic-1", false);
+        coord.reselect(&mut proxy);
+        coord.unregister("mic-1", &mut proxy);
+        coord.register(kitchen_mic(), &mut proxy);
+        assert_eq!(coord.active_input(), None);
+        assert_eq!(proxy.attached().0, None);
     }
 
     #[test]
