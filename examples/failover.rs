@@ -9,6 +9,9 @@
 //! device through Degraded → Quarantined, fails the output role over —
 //! and, with no other screen registered, attaches its built-in 80×24
 //! fallback terminal so the interaction never goes dark.
+//!
+//! The run is seeded, so its output is fixed: `tests/golden/failover.txt`
+//! holds it.
 
 use uniint::prelude::*;
 
