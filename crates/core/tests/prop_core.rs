@@ -1,13 +1,27 @@
-//! Property tests for the selection policy and situation tracker:
-//! determinism, zone gating, and hands-busy safety.
+//! Property tests for the selection policy, the coordinator that applies
+//! it, and the situation tracker: determinism, zone gating, hands-busy
+//! safety, and a coordinator that always holds the policy's choice.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use uniint_core::context::{
     Activity, DeviceDescriptor, InputModality, Noise, OutputProfile, SelectionPolicy, Situation,
     UserProfile,
 };
+use uniint_core::coordinator::{Coordinator, InteractionDevice};
+use uniint_core::plugin::{
+    DeviceEvent, DeviceFrame, InputContext, InputPlugin, OutputCaps, OutputPlugin,
+};
+use uniint_core::proxy::UniIntProxy;
 use uniint_core::sensors::{SensorReading, SituationTracker};
+use uniint_protocol::input::InputEvent;
+use uniint_protocol::message::ServerMessage;
+use uniint_raster::dither::DitherMode;
+use uniint_raster::framebuffer::Framebuffer;
 use uniint_raster::geom::Size;
+use uniint_raster::pixel::PixelFormat;
+use uniint_raster::scale::{scale_to_fit, ScaleFilter};
 
 fn arb_zone() -> impl Strategy<Value = String> {
     proptest::sample::select(vec![
@@ -78,8 +92,253 @@ fn arb_situation() -> impl Strategy<Value = Situation> {
         })
 }
 
+/// Device slots the coordinator model draws from; slot `i` is `dev-{i}`.
+const SLOTS: usize = 6;
+/// Plug-in kinds per slot, so `proxy.attached()` names the device.
+const INPUT_KINDS: [&str; SLOTS] = ["in-0", "in-1", "in-2", "in-3", "in-4", "in-5"];
+const OUTPUT_KINDS: [&str; SLOTS] = ["out-0", "out-1", "out-2", "out-3", "out-4", "out-5"];
+
+#[derive(Debug)]
+struct NullInput(&'static str);
+impl InputPlugin for NullInput {
+    fn kind(&self) -> &'static str {
+        self.0
+    }
+    fn translate(&mut self, _: &DeviceEvent, _: &InputContext) -> Vec<InputEvent> {
+        Vec::new()
+    }
+}
+
+#[derive(Debug)]
+struct NullOutput(&'static str);
+impl OutputPlugin for NullOutput {
+    fn kind(&self) -> &'static str {
+        self.0
+    }
+    fn caps(&self) -> OutputCaps {
+        OutputCaps {
+            size: Size::new(32, 32),
+            format: PixelFormat::Rgb888,
+            dither: DitherMode::None,
+            scale: ScaleFilter::Nearest,
+        }
+    }
+    fn adapt(&mut self, fb: &Framebuffer) -> DeviceFrame {
+        let frame = scale_to_fit(fb, Size::new(32, 32), ScaleFilter::Nearest);
+        DeviceFrame::new(frame, PixelFormat::Rgb888, 0)
+    }
+}
+
+/// One step of the coordinator model.
+#[derive(Debug, Clone)]
+enum Op {
+    /// Register `device` into its slot, with or without each factory.
+    Register {
+        slot: usize,
+        device: DeviceDescriptor,
+        input: bool,
+        output: bool,
+    },
+    Unregister(usize),
+    /// `set_available` followed by `reselect`, as the supervisor does.
+    SetAvailable(usize, bool),
+    SetSituation(Situation),
+    SetProfile(UserProfile),
+}
+
+fn arb_profile() -> impl Strategy<Value = UserProfile> {
+    (
+        proptest::collection::vec(arb_modality(), 0..4),
+        any::<bool>(),
+    )
+        .prop_map(|(input_ranking, prefers_large_screen)| UserProfile {
+            name: "u".into(),
+            input_ranking,
+            prefers_large_screen,
+        })
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        4 => (0..SLOTS).prop_flat_map(|slot| {
+            (arb_device(slot), any::<bool>(), any::<bool>()).prop_map(
+                move |(device, input, output)| Op::Register {
+                    slot,
+                    device,
+                    input,
+                    output,
+                },
+            )
+        }),
+        2 => (0..SLOTS).prop_map(Op::Unregister),
+        2 => ((0..SLOTS), any::<bool>()).prop_map(|(slot, on)| Op::SetAvailable(slot, on)),
+        1 => arb_situation().prop_map(Op::SetSituation),
+        1 => arb_profile().prop_map(Op::SetProfile),
+    ]
+}
+
+/// What the test knows about a registered slot.
+struct Registered {
+    device: DeviceDescriptor,
+    input: bool,
+    output: bool,
+}
+
+/// The coordinator's registrations and exclusions, kept independently.
+struct Model {
+    registered: BTreeMap<usize, Registered>,
+    excluded: BTreeSet<String>,
+    situation: Situation,
+    profile: UserProfile,
+}
+
+impl Model {
+    /// The policy's choice per role over the registered, available
+    /// devices that carry that role's factory.
+    fn expected(&self) -> (Option<String>, Option<String>) {
+        let candidates = |has: fn(&Registered) -> bool| -> Vec<DeviceDescriptor> {
+            self.registered
+                .values()
+                .filter(|r| has(r) && !self.excluded.contains(&r.device.id))
+                .map(|r| r.device.clone())
+                .collect()
+        };
+        let inputs = candidates(|r| r.input);
+        let outputs = candidates(|r| r.output);
+        (
+            SelectionPolicy
+                .select_input(&inputs, &self.situation, &self.profile)
+                .map(|d| d.id.clone()),
+            SelectionPolicy
+                .select_output(&outputs, &self.situation, &self.profile)
+                .map(|d| d.id.clone()),
+        )
+    }
+}
+
+fn kind_of(kinds: &[&'static str; SLOTS], id: Option<&str>) -> Option<&'static str> {
+    id.map(|id| kinds[id.trim_start_matches("dev-").parse::<usize>().unwrap()])
+}
+
+/// A role's report entry names the new active device exactly when the
+/// active id changed, or when re-registering the active device replaced
+/// its stale plug-in with a fresh one.
+fn check_named(
+    named: Option<&str>,
+    before: Option<&str>,
+    after: Option<&str>,
+    reattached: bool,
+) -> Result<(), TestCaseError> {
+    let changed = before != after || reattached;
+    prop_assert_eq!(named, after.filter(|_| changed));
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn coordinator_always_holds_the_policy_choice(
+        ops in proptest::collection::vec(arb_op(), 1..40),
+        sit in arb_situation(),
+    ) {
+        let mut proxy = UniIntProxy::new("p");
+        proxy
+            .handle_server(&ServerMessage::Init {
+                version: 1,
+                width: 64,
+                height: 48,
+                format: PixelFormat::Rgb888,
+                name: "panel".into(),
+            })
+            .unwrap();
+        let profile = UserProfile::neutral("u");
+        let mut coord = Coordinator::new(profile.clone(), sit.clone());
+        let mut model = Model {
+            registered: BTreeMap::new(),
+            excluded: BTreeSet::new(),
+            situation: sit,
+            profile,
+        };
+        for op in ops {
+            let before = (
+                coord.active_input().map(str::to_owned),
+                coord.active_output().map(str::to_owned),
+            );
+            let mut reattached = None;
+            let report = match op.clone() {
+                Op::Register { slot, device, input, output } => {
+                    reattached = Some(device.id.clone());
+                    let mut dev = InteractionDevice::new(device.clone());
+                    if input {
+                        let kind = INPUT_KINDS[slot];
+                        dev = dev.with_input_factory(Box::new(move || Box::new(NullInput(kind))));
+                    }
+                    if output {
+                        let kind = OUTPUT_KINDS[slot];
+                        dev = dev.with_output_factory(Box::new(move || Box::new(NullOutput(kind))));
+                    }
+                    model.registered.insert(slot, Registered { device, input, output });
+                    coord.register(dev, &mut proxy)
+                }
+                Op::Unregister(slot) => {
+                    model.registered.remove(&slot);
+                    coord.unregister(&format!("dev-{slot}"), &mut proxy)
+                }
+                Op::SetAvailable(slot, on) => {
+                    let id = format!("dev-{slot}");
+                    if on {
+                        model.excluded.remove(&id);
+                    } else {
+                        model.excluded.insert(id.clone());
+                    }
+                    coord.set_available(&id, on);
+                    coord.reselect(&mut proxy)
+                }
+                Op::SetSituation(sit) => {
+                    model.situation = sit.clone();
+                    coord.set_situation(sit, &mut proxy)
+                }
+                Op::SetProfile(profile) => {
+                    model.profile = profile.clone();
+                    coord.set_profile(profile, &mut proxy)
+                }
+            };
+
+            // 1. Each role holds the policy's choice.
+            let (want_in, want_out) = model.expected();
+            prop_assert_eq!(coord.active_input(), want_in.as_deref(), "after {:?}", op);
+            prop_assert_eq!(coord.active_output(), want_out.as_deref(), "after {:?}", op);
+
+            // 2. The proxy runs the active devices' plug-ins.
+            let attached = proxy.attached();
+            prop_assert_eq!(attached.0, kind_of(&INPUT_KINDS, coord.active_input()));
+            prop_assert_eq!(attached.1, kind_of(&OUTPUT_KINDS, coord.active_output()));
+
+            // 3. The report names exactly the roles that changed.
+            let reattached = |was: &Option<String>| {
+                was.is_some() && reattached.as_ref() == was.as_ref()
+            };
+            check_named(
+                report.input_switched_to.as_deref(),
+                before.0.as_deref(),
+                coord.active_input(),
+                reattached(&before.0),
+            )?;
+            check_named(
+                report.output_switched_to.as_deref(),
+                before.1.as_deref(),
+                coord.active_output(),
+                reattached(&before.1),
+            )?;
+            prop_assert_eq!(
+                report.messages.is_empty(),
+                report.output_switched_to.is_none(),
+                "renegotiation only on an output switch, after {:?}",
+                op
+            );
+        }
+    }
 
     #[test]
     fn selection_is_deterministic(devices in arb_devices(), sit in arb_situation()) {
