@@ -10,6 +10,7 @@
 use std::time::{Duration, Instant};
 
 use uniint_apps::prelude::*;
+use uniint_core::context::rank;
 use uniint_core::prelude::*;
 use uniint_devices::prelude::*;
 use uniint_gateway::prelude::{Gateway, GatewayClient, GatewayConfig};
@@ -410,8 +411,8 @@ fn e4(at: Scale) -> Vec<Row> {
     let user = UserProfile::neutral("u");
     let rank = at.median_us(101, || {
         (
-            SelectionPolicy.rank_inputs(&devices, &situations[0], &user),
-            SelectionPolicy.rank_outputs(&devices, &situations[0], &user),
+            rank(Role::Input, &devices, &situations[0], &user),
+            rank(Role::Output, &devices, &situations[0], &user),
         )
     });
     vec![

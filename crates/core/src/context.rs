@@ -7,6 +7,8 @@
 //! on the sofa gets the remote and the TV display. This module encodes
 //! that policy as an explicit, testable scoring function.
 
+use std::borrow::Borrow;
+
 use serde::{Deserialize, Serialize};
 use uniint_raster::geom::Size;
 
@@ -214,169 +216,149 @@ impl UserProfile {
     }
 }
 
+/// The two parts a device can play in an interaction; each is chosen
+/// separately by [`select`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Role {
+    /// Turning the user's actions into input events.
+    Input,
+    /// Showing the appliance panel.
+    Output,
+}
+
+impl Role {
+    /// Both roles, input first.
+    pub(crate) const BOTH: [Role; 2] = [Role::Input, Role::Output];
+
+    /// "input" or "output", as used in counter names and journal lines.
+    pub(crate) const fn name(self) -> &'static str {
+        match self {
+            Role::Input => "input",
+            Role::Output => "output",
+        }
+    }
+}
+
+/// Scores below this mean "do not use even if it is the only device".
+pub const MIN_USABLE: i32 = -500;
+
 /// A scored candidate device.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Ranked<'a> {
+pub struct Ranked<'a, D = DeviceDescriptor> {
     /// The device.
-    pub device: &'a DeviceDescriptor,
-    /// Its score; higher is better. Candidates below
-    /// [`SelectionPolicy::MIN_USABLE`] are unusable in this situation.
+    pub device: &'a D,
+    /// Its score; higher is better. Candidates at or below
+    /// [`MIN_USABLE`] are unusable in this situation.
     pub score: i32,
 }
 
-/// The device-selection policy: deterministic scoring of candidates
-/// against a situation and a user profile.
-#[derive(Debug, Clone, Default)]
-pub struct SelectionPolicy;
+/// Ranks the usable candidates for `role`, best first (ties broken by id
+/// for determinism). Devices without the role's capability are left
+/// out. A candidate is anything that borrows as a descriptor, so callers
+/// can rank their own device records.
+pub fn rank<'a, D: Borrow<DeviceDescriptor>>(
+    role: Role,
+    devices: &'a [D],
+    sit: &Situation,
+    user: &UserProfile,
+) -> Vec<Ranked<'a, D>> {
+    let score = match role {
+        Role::Input => score_input,
+        Role::Output => score_output,
+    };
+    let mut out: Vec<Ranked<'a, D>> = devices
+        .iter()
+        .filter_map(|d| {
+            let score = score(d.borrow(), sit, user)?;
+            (score > MIN_USABLE).then_some(Ranked { device: d, score })
+        })
+        .collect();
+    out.sort_by(|a, b| {
+        let id = |r: &Ranked<'a, D>| &r.device.borrow().id;
+        b.score.cmp(&a.score).then(id(a).cmp(id(b)))
+    });
+    out
+}
 
-impl SelectionPolicy {
-    /// Scores below this mean "do not use even if it is the only device".
-    pub const MIN_USABLE: i32 = -500;
+/// The best candidate for `role`, if any is usable.
+pub fn select<'a, D: Borrow<DeviceDescriptor>>(
+    role: Role,
+    devices: &'a [D],
+    sit: &Situation,
+    user: &UserProfile,
+) -> Option<&'a D> {
+    rank(role, devices, sit, user).first().map(|r| r.device)
+}
 
-    /// Scores an input-capable device. Returns `None` when the device has
-    /// no input capability.
-    pub fn score_input(
-        &self,
-        dev: &DeviceDescriptor,
-        sit: &Situation,
-        user: &UserProfile,
-    ) -> Option<i32> {
-        let m = dev.input?;
-        let mut score = 0i32;
-        // Reachability: carried devices work everywhere; fixed devices
-        // only in their own room.
-        match &dev.zone {
-            None => score += 40,
-            Some(z) if *z == sit.zone => score += 60,
-            Some(_) => score -= 1000,
-        }
-        // Hands.
-        if sit.hands_busy {
-            score += match m.hands_needed() {
-                0 => 120,
-                1 => -150,
-                _ => -250,
-            };
-        }
-        // Noise gates voice.
-        if m == InputModality::Voice {
-            score += match sit.noise {
-                Noise::Quiet => 20,
-                Noise::Moderate => -30,
-                Noise::Loud => -400,
-            };
-            if sit.activity == Activity::Sleeping {
-                score -= 100; // do not wake the household
-            }
-        }
-        // Activity affinities.
-        score += match (sit.activity, m) {
-            (Activity::WatchingTv, InputModality::RemoteButtons) => 70,
-            (Activity::Cooking, InputModality::Voice) => 60,
-            (Activity::Working, InputModality::Keyboard) => 70,
-            (Activity::Walking, InputModality::Keypad) => 30,
-            (Activity::Walking, InputModality::Gesture) => 20,
-            _ => 0,
+/// Reachability: carried devices work everywhere, fixed devices only in
+/// their own room.
+fn reach_score(dev: &DeviceDescriptor, sit: &Situation) -> i32 {
+    match &dev.zone {
+        None => 40,
+        Some(z) if *z == sit.zone => 60,
+        Some(_) => -1000,
+    }
+}
+
+/// Scores an input-capable device; `None` when it has no input.
+fn score_input(dev: &DeviceDescriptor, sit: &Situation, user: &UserProfile) -> Option<i32> {
+    let m = dev.input?;
+    let mut score = reach_score(dev, sit);
+    // Hands.
+    if sit.hands_busy {
+        score += match m.hands_needed() {
+            0 => 120,
+            1 => -150,
+            _ => -250,
         };
-        score += user.ranking_bonus(m);
-        Some(score)
     }
-
-    /// Scores an output-capable device.
-    pub fn score_output(
-        &self,
-        dev: &DeviceDescriptor,
-        sit: &Situation,
-        user: &UserProfile,
-    ) -> Option<i32> {
-        let o = dev.output?;
-        let mut score = 0i32;
-        match &dev.zone {
-            None => score += 40,
-            Some(z) if *z == sit.zone => score += 60,
-            Some(_) => score -= 1000,
+    // Noise gates voice.
+    if m == InputModality::Voice {
+        score += match sit.noise {
+            Noise::Quiet => 20,
+            Noise::Moderate => -30,
+            Noise::Loud => -400,
+        };
+        if sit.activity == Activity::Sleeping {
+            score -= 100; // do not wake the household
         }
-        // Screen area, log-ish: bigger is better, with diminishing returns.
-        let area = o.size.area().max(1);
-        let mut area_w = 64 - area.leading_zeros() as i32; // ~log2(area)
-        if user.prefers_large_screen {
-            area_w *= 2;
-        }
-        score += area_w * 3;
-        // Depth helps legibility.
-        score += o.depth_bits as i32;
-        // Watching TV from the sofa: must be far-readable.
-        if sit.activity == Activity::WatchingTv {
-            score += if o.far_readable { 80 } else { -60 };
-        }
-        // Cooking: a handheld screen is useless with busy hands; a fixed
-        // panel in the kitchen is fine.
-        if sit.hands_busy && dev.zone.is_none() {
-            score -= 120;
-        }
-        Some(score)
     }
+    // Activity affinities.
+    score += match (sit.activity, m) {
+        (Activity::WatchingTv, InputModality::RemoteButtons) => 70,
+        (Activity::Cooking, InputModality::Voice) => 60,
+        (Activity::Working, InputModality::Keyboard) => 70,
+        (Activity::Walking, InputModality::Keypad) => 30,
+        (Activity::Walking, InputModality::Gesture) => 20,
+        _ => 0,
+    };
+    score += user.ranking_bonus(m);
+    Some(score)
+}
 
-    /// Ranks all usable input candidates, best first (ties broken by id
-    /// for determinism).
-    pub fn rank_inputs<'a>(
-        &self,
-        devices: &'a [DeviceDescriptor],
-        sit: &Situation,
-        user: &UserProfile,
-    ) -> Vec<Ranked<'a>> {
-        let mut out: Vec<Ranked<'a>> = devices
-            .iter()
-            .filter_map(|d| {
-                let score = self.score_input(d, sit, user)?;
-                (score > Self::MIN_USABLE).then_some(Ranked { device: d, score })
-            })
-            .collect();
-        out.sort_by(|a, b| b.score.cmp(&a.score).then(a.device.id.cmp(&b.device.id)));
-        out
+/// Scores an output-capable device; `None` when it has no output.
+fn score_output(dev: &DeviceDescriptor, sit: &Situation, user: &UserProfile) -> Option<i32> {
+    let o = dev.output?;
+    let mut score = reach_score(dev, sit);
+    // Screen area, log-ish: bigger is better, with diminishing returns.
+    let area = o.size.area().max(1);
+    let mut area_w = 64 - area.leading_zeros() as i32; // ~log2(area)
+    if user.prefers_large_screen {
+        area_w *= 2;
     }
-
-    /// Ranks all usable output candidates, best first.
-    pub fn rank_outputs<'a>(
-        &self,
-        devices: &'a [DeviceDescriptor],
-        sit: &Situation,
-        user: &UserProfile,
-    ) -> Vec<Ranked<'a>> {
-        let mut out: Vec<Ranked<'a>> = devices
-            .iter()
-            .filter_map(|d| {
-                let score = self.score_output(d, sit, user)?;
-                (score > Self::MIN_USABLE).then_some(Ranked { device: d, score })
-            })
-            .collect();
-        out.sort_by(|a, b| b.score.cmp(&a.score).then(a.device.id.cmp(&b.device.id)));
-        out
+    score += area_w * 3;
+    // Depth helps legibility.
+    score += o.depth_bits as i32;
+    // Watching TV from the sofa: must be far-readable.
+    if sit.activity == Activity::WatchingTv {
+        score += if o.far_readable { 80 } else { -60 };
     }
-
-    /// The best input device, if any is usable.
-    pub fn select_input<'a>(
-        &self,
-        devices: &'a [DeviceDescriptor],
-        sit: &Situation,
-        user: &UserProfile,
-    ) -> Option<&'a DeviceDescriptor> {
-        self.rank_inputs(devices, sit, user)
-            .first()
-            .map(|r| r.device)
+    // Cooking: a handheld screen is useless with busy hands; a fixed
+    // panel in the kitchen is fine.
+    if sit.hands_busy && dev.zone.is_none() {
+        score -= 120;
     }
-
-    /// The best output device, if any is usable.
-    pub fn select_output<'a>(
-        &self,
-        devices: &'a [DeviceDescriptor],
-        sit: &Situation,
-        user: &UserProfile,
-    ) -> Option<&'a DeviceDescriptor> {
-        self.rank_outputs(devices, sit, user)
-            .first()
-            .map(|r| r.device)
-    }
+    Some(score)
 }
 
 #[cfg(test)]
@@ -423,7 +405,7 @@ mod tests {
             noise: Noise::Moderate,
         };
         let user = UserProfile::neutral("u");
-        let best = SelectionPolicy.select_input(&devices, &sit, &user).unwrap();
+        let best = select(Role::Input, &devices, &sit, &user).unwrap();
         assert_eq!(best.id, "mic-kitchen");
     }
 
@@ -438,17 +420,11 @@ mod tests {
         };
         let user = UserProfile::neutral("u");
         assert_eq!(
-            SelectionPolicy
-                .select_input(&devices, &sit, &user)
-                .unwrap()
-                .id,
+            select(Role::Input, &devices, &sit, &user).unwrap().id,
             "remote-lr"
         );
         assert_eq!(
-            SelectionPolicy
-                .select_output(&devices, &sit, &user)
-                .unwrap()
-                .id,
+            select(Role::Output, &devices, &sit, &user).unwrap().id,
             "tv-lr"
         );
     }
@@ -458,7 +434,7 @@ mod tests {
         let devices = home_devices();
         let sit = Situation::idle("bedroom");
         let user = UserProfile::neutral("u");
-        let ranked = SelectionPolicy.rank_inputs(&devices, &sit, &user);
+        let ranked = rank(Role::Input, &devices, &sit, &user);
         assert!(
             ranked.iter().all(|r| r.device.zone.is_none()),
             "only carried devices usable in a room with no fixed devices: {ranked:?}"
@@ -475,7 +451,7 @@ mod tests {
             noise: Noise::Loud,
         };
         let user = UserProfile::neutral("u");
-        let best = SelectionPolicy.select_input(&devices, &sit, &user).unwrap();
+        let best = select(Role::Input, &devices, &sit, &user).unwrap();
         assert_ne!(best.id, "mic-kitchen", "voice unusable in loud kitchen");
     }
 
@@ -487,18 +463,12 @@ mod tests {
         // Both carried devices are usable; prefer the phone keypad.
         user.input_ranking = vec![InputModality::Keypad, InputModality::Stylus];
         assert_eq!(
-            SelectionPolicy
-                .select_input(&devices, &sit, &user)
-                .unwrap()
-                .id,
+            select(Role::Input, &devices, &sit, &user).unwrap().id,
             "phone-1"
         );
         user.input_ranking = vec![InputModality::Stylus, InputModality::Keypad];
         assert_eq!(
-            SelectionPolicy
-                .select_input(&devices, &sit, &user)
-                .unwrap()
-                .id,
+            select(Role::Input, &devices, &sit, &user).unwrap().id,
             "pda-1"
         );
     }
@@ -510,19 +480,13 @@ mod tests {
         let user = UserProfile::neutral("u");
         // Even neutral users get the TV in its own room (zone + area).
         assert_eq!(
-            SelectionPolicy
-                .select_output(&devices, &sit, &user)
-                .unwrap()
-                .id,
+            select(Role::Output, &devices, &sit, &user).unwrap().id,
             "tv-lr"
         );
         // Outside the room, carried PDA wins.
         let sit2 = Situation::idle("garden");
         assert_eq!(
-            SelectionPolicy
-                .select_output(&devices, &sit2, &user)
-                .unwrap()
-                .id,
+            select(Role::Output, &devices, &sit2, &user).unwrap().id,
             "pda-1"
         );
     }
@@ -530,9 +494,9 @@ mod tests {
     #[test]
     fn no_devices_no_selection() {
         let user = UserProfile::neutral("u");
-        assert!(SelectionPolicy
-            .select_input(&[], &Situation::idle("x"), &user)
-            .is_none());
+        assert!(
+            select::<DeviceDescriptor>(Role::Input, &[], &Situation::idle("x"), &user).is_none()
+        );
     }
 
     #[test]
@@ -540,7 +504,7 @@ mod tests {
         let devices = home_devices();
         let sit = Situation::idle("living-room");
         let user = UserProfile::neutral("u");
-        let outs = SelectionPolicy.rank_outputs(&devices, &sit, &user);
+        let outs = rank(Role::Output, &devices, &sit, &user);
         assert!(outs.iter().all(|r| r.device.output.is_some()));
     }
 
@@ -549,13 +513,11 @@ mod tests {
         let devices = home_devices();
         let sit = Situation::idle("living-room");
         let user = UserProfile::neutral("u");
-        let a: Vec<String> = SelectionPolicy
-            .rank_inputs(&devices, &sit, &user)
+        let a: Vec<String> = rank(Role::Input, &devices, &sit, &user)
             .iter()
             .map(|r| r.device.id.clone())
             .collect();
-        let b: Vec<String> = SelectionPolicy
-            .rank_inputs(&devices, &sit, &user)
+        let b: Vec<String> = rank(Role::Input, &devices, &sit, &user)
             .iter()
             .map(|r| r.device.id.clone())
             .collect();
@@ -575,7 +537,7 @@ mod tests {
         };
         let user = UserProfile::neutral("u");
         let devices = [mic, remote];
-        let best = SelectionPolicy.select_input(&devices, &sit, &user).unwrap();
+        let best = select(Role::Input, &devices, &sit, &user).unwrap();
         assert_eq!(best.id, "rem");
     }
 }

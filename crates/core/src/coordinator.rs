@@ -1,11 +1,12 @@
 //! The interaction coordinator: tracks which interaction devices are
-//! available, applies the [`crate::context::SelectionPolicy`] whenever
-//! the situation changes, and performs the dynamic plug-in switches on
-//! the proxy.
+//! available, applies [`crate::context::select`] to each [`Role`]
+//! whenever the situation changes, and performs the dynamic plug-in
+//! switches on the proxy.
 
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
-use crate::context::{DeviceDescriptor, SelectionPolicy, Situation, UserProfile};
+use crate::context::{select, DeviceDescriptor, Role, Situation, UserProfile};
 use crate::plugin::{InputPlugin, OutputPlugin};
 use crate::proxy::UniIntProxy;
 use uniint_protocol::message::ClientMessage;
@@ -80,6 +81,59 @@ impl InteractionDevice {
         self.output_factory = self.output_factory.take().map(wrap);
         self
     }
+
+    /// This device as a candidate for `role`; `None` when it uploads no
+    /// plug-in for that role.
+    fn candidate(&self, role: Role) -> Option<Candidate<'_>> {
+        let factory = match role {
+            Role::Input => RoleFactory::Input(self.input_factory.as_ref()?),
+            Role::Output => RoleFactory::Output(self.output_factory.as_ref()?),
+        };
+        Some(Candidate {
+            descriptor: &self.descriptor,
+            factory,
+        })
+    }
+}
+
+/// A registered device competing for one role, holding the factory of
+/// the plug-in it uploads if it wins.
+struct Candidate<'a> {
+    descriptor: &'a DeviceDescriptor,
+    factory: RoleFactory<'a>,
+}
+
+enum RoleFactory<'a> {
+    Input(&'a InputFactory),
+    Output(&'a OutputFactory),
+}
+
+impl Borrow<DeviceDescriptor> for Candidate<'_> {
+    fn borrow(&self) -> &DeviceDescriptor {
+        self.descriptor
+    }
+}
+
+impl Candidate<'_> {
+    /// Uploads a fresh plug-in to the proxy; returns the renegotiation an
+    /// output switch needs.
+    fn attach(&self, proxy: &mut UniIntProxy) -> Vec<ClientMessage> {
+        match self.factory {
+            RoleFactory::Input(f) => {
+                proxy.attach_input(f());
+                Vec::new()
+            }
+            RoleFactory::Output(f) => proxy.attach_output(f()),
+        }
+    }
+}
+
+/// Removes the proxy's plug-in for `role`.
+fn detach(role: Role, proxy: &mut UniIntProxy) {
+    match role {
+        Role::Input => proxy.detach_input(),
+        Role::Output => proxy.detach_output(),
+    }
 }
 
 /// What a reselection changed.
@@ -98,16 +152,23 @@ impl SwitchReport {
     pub fn changed(&self) -> bool {
         self.input_switched_to.is_some() || self.output_switched_to.is_some()
     }
+
+    /// The field naming `role`'s new device.
+    fn switched_to(&mut self, role: Role) -> &mut Option<String> {
+        match role {
+            Role::Input => &mut self.input_switched_to,
+            Role::Output => &mut self.output_switched_to,
+        }
+    }
 }
 
 /// Tracks devices and the user's situation, switching proxy plug-ins.
 pub struct Coordinator {
     devices: Vec<InteractionDevice>,
-    policy: SelectionPolicy,
     profile: UserProfile,
     situation: Situation,
-    active_input: Option<String>,
-    active_output: Option<String>,
+    /// The active device id per role, indexed by `Role as usize`.
+    active: [Option<String>; 2],
     /// Device ids excluded from selection (quarantined/dead, as told by
     /// the supervisor). Orthogonal to registration: an excluded device
     /// stays registered and resumes competing once readmitted.
@@ -119,8 +180,8 @@ impl core::fmt::Debug for Coordinator {
         f.debug_struct("Coordinator")
             .field("devices", &self.devices.len())
             .field("situation", &self.situation)
-            .field("active_input", &self.active_input)
-            .field("active_output", &self.active_output)
+            .field("active_input", &self.active_input())
+            .field("active_output", &self.active_output())
             .finish()
     }
 }
@@ -130,11 +191,9 @@ impl Coordinator {
     pub fn new(profile: UserProfile, situation: Situation) -> Coordinator {
         Coordinator {
             devices: Vec::new(),
-            policy: SelectionPolicy,
             profile,
             situation,
-            active_input: None,
-            active_output: None,
+            active: [None, None],
             excluded: BTreeSet::new(),
         }
     }
@@ -146,12 +205,17 @@ impl Coordinator {
 
     /// Active input device id.
     pub fn active_input(&self) -> Option<&str> {
-        self.active_input.as_deref()
+        self.active(Role::Input)
     }
 
     /// Active output device id.
     pub fn active_output(&self) -> Option<&str> {
-        self.active_output.as_deref()
+        self.active(Role::Output)
+    }
+
+    /// Active device id for `role`.
+    pub(crate) fn active(&self, role: Role) -> Option<&str> {
+        self.active[role as usize].as_deref()
     }
 
     /// Registered device descriptors.
@@ -161,20 +225,11 @@ impl Coordinator {
 
     /// Registers a device (it became reachable) and reselects.
     pub fn register(&mut self, device: InteractionDevice, proxy: &mut UniIntProxy) -> SwitchReport {
-        let id = device.descriptor.id.clone();
-        self.devices.retain(|d| d.descriptor.id != id);
         // Re-registering the active device replaces its factories, so the
-        // currently attached plug-ins are stale: detach and let reselect
-        // upload fresh ones. Without this, a churned device keeps serving
-        // through plug-ins from a registration that no longer exists.
-        if self.active_input.as_deref() == Some(id.as_str()) {
-            self.active_input = None;
-            proxy.detach_input();
-        }
-        if self.active_output.as_deref() == Some(id.as_str()) {
-            self.active_output = None;
-            proxy.detach_output();
-        }
+        // currently attached plug-ins are stale: `remove` detaches them and
+        // reselect uploads fresh ones. Without this, a churned device keeps
+        // serving through plug-ins from a registration that no longer exists.
+        self.remove(&device.descriptor.id, proxy);
         self.devices.push(device);
         self.reselect(proxy)
     }
@@ -183,20 +238,24 @@ impl Coordinator {
     /// reselects. Returns the report; `false` changes mean it was not the
     /// active device.
     pub fn unregister(&mut self, id: &str, proxy: &mut UniIntProxy) -> SwitchReport {
-        let before = self.devices.len();
-        self.devices.retain(|d| d.descriptor.id != id);
-        if self.devices.len() == before {
+        if !self.remove(id, proxy) {
             return SwitchReport::default();
         }
-        if self.active_input.as_deref() == Some(id) {
-            self.active_input = None;
-            proxy.detach_input();
-        }
-        if self.active_output.as_deref() == Some(id) {
-            self.active_output = None;
-            proxy.detach_output();
-        }
         self.reselect(proxy)
+    }
+
+    /// Drops `id`'s registration and detaches the plug-ins it serves.
+    /// Returns whether it was registered.
+    fn remove(&mut self, id: &str, proxy: &mut UniIntProxy) -> bool {
+        let before = self.devices.len();
+        self.devices.retain(|d| d.descriptor.id != id);
+        for role in Role::BOTH {
+            if self.active(role) == Some(id) {
+                self.active[role as usize] = None;
+                detach(role, proxy);
+            }
+        }
+        self.devices.len() < before
     }
 
     /// Updates the user's situation and reselects devices — the paper's
@@ -224,107 +283,40 @@ impl Coordinator {
         }
     }
 
-    /// Whether a device id is currently eligible for selection.
-    pub fn is_available(&self, id: &str) -> bool {
-        !self.excluded.contains(id)
-    }
-
-    /// Applies the policy, switching plug-ins where the best device
-    /// differs from the active one. Only devices that actually carry the
-    /// relevant plug-in factory and are not excluded compete for a role.
+    /// Applies the policy to each role, switching plug-ins where the best
+    /// device differs from the active one. Only devices that carry the
+    /// role's plug-in factory and are not excluded compete for it.
     pub fn reselect(&mut self, proxy: &mut UniIntProxy) -> SwitchReport {
         let mut report = SwitchReport::default();
-
-        let input_candidates: Vec<DeviceDescriptor> = self
-            .devices
-            .iter()
-            .filter(|d| d.input_factory.is_some() && !self.excluded.contains(&d.descriptor.id))
-            .map(|d| d.descriptor.clone())
-            .collect();
-        let best_input = self
-            .policy
-            .select_input(&input_candidates, &self.situation, &self.profile)
-            .map(|d| d.id.clone());
-        if best_input != self.active_input {
-            let from = self.active_input.clone().unwrap_or_else(|| "-".into());
-            match &best_input {
-                Some(id) => {
-                    let dev = self
-                        .devices
-                        .iter()
-                        .find(|d| &d.descriptor.id == id)
-                        .expect("selected device is registered");
-                    let f = dev
-                        .input_factory
-                        .as_ref()
-                        .expect("input candidates carry a factory");
-                    proxy.attach_input(f());
-                    proxy
-                        .telemetry()
-                        .counter("coordinator.input_switches")
-                        .inc();
-                    proxy
-                        .telemetry()
-                        .journal()
-                        .record("coordinator.switch", format!("input: {from} -> {id}"));
-                    report.input_switched_to = Some(id.clone());
-                    self.active_input = best_input.clone();
-                }
-                None => {
-                    proxy.detach_input();
-                    proxy
-                        .telemetry()
-                        .journal()
-                        .record("coordinator.switch", format!("input: {from} -> -"));
-                    self.active_input = None;
-                }
+        for role in Role::BOTH {
+            let candidates: Vec<Candidate<'_>> = self
+                .devices
+                .iter()
+                .filter(|d| !self.excluded.contains(&d.descriptor.id))
+                .filter_map(|d| d.candidate(role))
+                .collect();
+            let best = select(role, &candidates, &self.situation, &self.profile);
+            let active = &mut self.active[role as usize];
+            let to = best.map(|c| c.descriptor.id.as_str());
+            if to == active.as_deref() {
+                continue;
             }
-        }
-
-        let output_candidates: Vec<DeviceDescriptor> = self
-            .devices
-            .iter()
-            .filter(|d| d.output_factory.is_some() && !self.excluded.contains(&d.descriptor.id))
-            .map(|d| d.descriptor.clone())
-            .collect();
-        let best_output = self
-            .policy
-            .select_output(&output_candidates, &self.situation, &self.profile)
-            .map(|d| d.id.clone());
-        if best_output != self.active_output {
-            let from = self.active_output.clone().unwrap_or_else(|| "-".into());
-            match &best_output {
-                Some(id) => {
-                    let dev = self
-                        .devices
-                        .iter()
-                        .find(|d| &d.descriptor.id == id)
-                        .expect("selected device is registered");
-                    let f = dev
-                        .output_factory
-                        .as_ref()
-                        .expect("output candidates carry a factory");
-                    report.messages = proxy.attach_output(f());
-                    proxy
-                        .telemetry()
-                        .counter("coordinator.output_switches")
-                        .inc();
-                    proxy
-                        .telemetry()
-                        .journal()
-                        .record("coordinator.switch", format!("output: {from} -> {id}"));
-                    report.output_switched_to = Some(id.clone());
-                    self.active_output = best_output.clone();
+            match best {
+                Some(winner) => {
+                    report.messages.extend(winner.attach(proxy));
+                    let switches = format!("coordinator.{}_switches", role.name());
+                    proxy.telemetry().counter(&switches).inc();
                 }
-                None => {
-                    proxy.detach_output();
-                    proxy
-                        .telemetry()
-                        .journal()
-                        .record("coordinator.switch", format!("output: {from} -> -"));
-                    self.active_output = None;
-                }
+                None => detach(role, proxy),
             }
+            let from = active.as_deref().map_or("-", |id| id);
+            let line = format!("{}: {from} -> {}", role.name(), to.map_or("-", |id| id));
+            proxy
+                .telemetry()
+                .journal()
+                .record("coordinator.switch", line);
+            *active = to.map(str::to_owned);
+            *report.switched_to(role) = active.clone();
         }
         report
     }

@@ -47,8 +47,8 @@ pub mod tap;
 /// Convenient re-exports of the core surface.
 pub mod prelude {
     pub use crate::context::{
-        Activity, DeviceDescriptor, InputModality, Noise, OutputProfile, SelectionPolicy,
-        Situation, UserProfile,
+        Activity, DeviceDescriptor, InputModality, Noise, OutputProfile, Role, Situation,
+        UserProfile,
     };
     pub use crate::coordinator::{Coordinator, InteractionDevice, SwitchReport};
     pub use crate::multi::{ClientId, MultiServer};

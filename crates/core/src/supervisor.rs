@@ -69,8 +69,8 @@ use uniint_raster::pixel::PixelFormat;
 use uniint_raster::scale::{scale_to_fit, ScaleFilter};
 use uniint_telemetry::registry::{Counter, Gauge, Registry};
 
-use crate::coordinator::Coordinator;
-use crate::coordinator::InteractionDevice;
+use crate::context::Role;
+use crate::coordinator::{Coordinator, InteractionDevice};
 use crate::plugin::{DeviceFrame, InputContext, InputPlugin, OutputCaps, OutputPlugin};
 use crate::proxy::UniIntProxy;
 
@@ -153,6 +153,11 @@ pub enum HealthState {
 }
 
 impl HealthState {
+    /// Whether a device in this state may be selected.
+    fn is_usable(self) -> bool {
+        !matches!(self, HealthState::Quarantined | HealthState::Dead)
+    }
+
     /// The wire representation for health notifications.
     pub fn wire(self) -> DeviceHealthState {
         match self {
@@ -366,15 +371,22 @@ impl SupervisorReport {
 // The fault-isolating shims.
 // ---------------------------------------------------------------------------
 
+/// Runs hostile plug-in code with its panics contained and the panic
+/// hook silenced.
+fn contained<T>(call: impl FnOnce() -> T) -> std::thread::Result<T> {
+    install_quiet_hook();
+    QUIET_PANICS.with(|q| q.set(true));
+    let result = panic::catch_unwind(AssertUnwindSafe(call));
+    QUIET_PANICS.with(|q| q.set(false));
+    result
+}
+
 /// Runs one plug-in call under panic containment and a step budget.
 /// `Err` means the call failed (already recorded); `Ok` still needs
 /// result validation by the caller.
 fn guarded_call<T>(id: &str, ledger: &SharedLedger, call: impl FnOnce() -> T) -> Result<T, ()> {
-    install_quiet_hook();
     arm_fuel(CALL_FUEL);
-    QUIET_PANICS.with(|q| q.set(true));
-    let result = panic::catch_unwind(AssertUnwindSafe(call));
-    QUIET_PANICS.with(|q| q.set(false));
+    let result = contained(call);
     let exhausted = disarm_fuel();
     match result {
         Err(_) => {
@@ -587,29 +599,16 @@ impl Supervisor {
         self.records.get(id).map(|r| r.state)
     }
 
-    /// Whether a device may be selected (unknown devices are usable).
-    pub fn is_usable(&self, id: &str) -> bool {
-        !matches!(
-            self.health(id),
-            Some(HealthState::Quarantined) | Some(HealthState::Dead)
-        )
-    }
-
     /// Wraps a device registration so every plug-in it uploads runs
     /// inside the fault-isolating shim, and starts tracking its health.
     pub fn supervise(&mut self, device: InteractionDevice) -> InteractionDevice {
         let id = device.descriptor().id.clone();
         self.records.entry(id.clone()).or_default();
         let (in_id, in_ledger) = (id.clone(), self.ledger.clone());
-        let device = device.map_input_factory(move |f| {
-            let (id, ledger) = (in_id.clone(), in_ledger.clone());
-            Box::new(move || isolate_input(&id, &ledger, f()))
-        });
-        let (out_id, out_ledger) = (id, self.ledger.clone());
-        device.map_output_factory(move |f| {
-            let (id, ledger) = (out_id.clone(), out_ledger.clone());
-            Box::new(move || isolate_output(&id, &ledger, f()))
-        })
+        let device =
+            device.map_input_factory(|f| Box::new(move || isolate_input(&in_id, &in_ledger, f())));
+        let out_ledger = self.ledger.clone();
+        device.map_output_factory(|f| Box::new(move || isolate_output(&id, &out_ledger, f())))
     }
 
     /// Shims a bare input plug-in under `id` (for sessions that attach
@@ -725,25 +724,20 @@ impl Supervisor {
         // every tick so a re-registered device cannot sneak out of an
         // unexpired quarantine.
         for (id, rec) in &self.records {
-            let usable = !matches!(rec.state, HealthState::Quarantined | HealthState::Dead);
-            coord.set_available(id, usable);
+            coord.set_available(id, rec.state.is_usable());
         }
 
-        // 5. Failover: the active device lost its role, or a readmission
-        // may have produced a better candidate.
-        let active_in = coord.active_input().map(str::to_owned);
-        let active_out = coord.active_output().map(str::to_owned);
-        let in_lost = active_in.as_deref().is_some_and(|id| !self.is_usable(id));
-        let out_lost = active_out.as_deref().is_some_and(|id| !self.is_usable(id));
+        // 5. Failover: each role whose active device went bad counts one,
+        // and a readmission may have produced a better candidate.
+        let lost = Role::BOTH
+            .into_iter()
+            .filter_map(|role| self.records.get(coord.active(role)?))
+            .filter(|rec| !rec.state.is_usable())
+            .count();
         let had_output = proxy.attached().1.is_some();
-        if in_lost || out_lost || readmitted {
+        if lost > 0 || readmitted {
             let sw = coord.reselect(proxy);
-            if in_lost {
-                self.metrics.failovers.inc();
-            }
-            if out_lost {
-                self.metrics.failovers.inc();
-            }
+            self.metrics.failovers.add(lost as u64);
             report.input_switched_to = sw.input_switched_to;
             report.output_switched_to = sw.output_switched_to;
             report.messages.extend(sw.messages);
@@ -781,18 +775,11 @@ impl Supervisor {
             );
         }
         if !report.events.is_empty() {
-            let quarantined = self
-                .records
-                .values()
-                .filter(|r| r.state == HealthState::Quarantined)
-                .count();
-            let dead = self
-                .records
-                .values()
-                .filter(|r| r.state == HealthState::Dead)
-                .count();
-            self.metrics.quarantined_now.set(quarantined as i64);
-            self.metrics.dead_now.set(dead as i64);
+            let count = |s| self.records.values().filter(|r| r.state == s).count() as i64;
+            self.metrics
+                .quarantined_now
+                .set(count(HealthState::Quarantined));
+            self.metrics.dead_now.set(count(HealthState::Dead));
         }
         report
     }
@@ -900,11 +887,8 @@ fn isolate_input(
     ledger: &SharedLedger,
     inner: Box<dyn InputPlugin>,
 ) -> Box<dyn InputPlugin> {
-    install_quiet_hook();
     // Even `kind()` runs hostile code: probe it once, contained.
-    QUIET_PANICS.with(|q| q.set(true));
-    let kind = panic::catch_unwind(AssertUnwindSafe(|| inner.kind())).unwrap_or("unknown-plugin");
-    QUIET_PANICS.with(|q| q.set(false));
+    let kind = contained(|| inner.kind()).unwrap_or("unknown-plugin");
     Box::new(IsolatedInput {
         device: id.to_owned(),
         kind,
@@ -918,16 +902,8 @@ fn isolate_output(
     ledger: &SharedLedger,
     inner: Box<dyn OutputPlugin>,
 ) -> Box<dyn OutputPlugin> {
-    install_quiet_hook();
-    QUIET_PANICS.with(|q| q.set(true));
-    let kind = panic::catch_unwind(AssertUnwindSafe(|| inner.kind())).unwrap_or("unknown-plugin");
-    let caps = panic::catch_unwind(AssertUnwindSafe(|| inner.caps())).unwrap_or(OutputCaps {
-        size: Size::new(FALLBACK_COLS, FALLBACK_ROWS),
-        format: PixelFormat::Gray8,
-        dither: DitherMode::None,
-        scale: ScaleFilter::Nearest,
-    });
-    QUIET_PANICS.with(|q| q.set(false));
+    let kind = contained(|| inner.kind()).unwrap_or("unknown-plugin");
+    let caps = contained(|| inner.caps()).unwrap_or_else(|_| FallbackTerminal.caps());
     Box::new(IsolatedOutput {
         device: id.to_owned(),
         kind,

@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use uniint_core::context::{
-    Activity, DeviceDescriptor, InputModality, Noise, OutputProfile, SelectionPolicy, Situation,
+    rank, select, Activity, DeviceDescriptor, InputModality, Noise, OutputProfile, Role, Situation,
     UserProfile,
 };
 use uniint_core::coordinator::{Coordinator, InteractionDevice};
@@ -206,12 +206,8 @@ impl Model {
         let inputs = candidates(|r| r.input);
         let outputs = candidates(|r| r.output);
         (
-            SelectionPolicy
-                .select_input(&inputs, &self.situation, &self.profile)
-                .map(|d| d.id.clone()),
-            SelectionPolicy
-                .select_output(&outputs, &self.situation, &self.profile)
-                .map(|d| d.id.clone()),
+            select(Role::Input, &inputs, &self.situation, &self.profile).map(|d| d.id.clone()),
+            select(Role::Output, &outputs, &self.situation, &self.profile).map(|d| d.id.clone()),
         )
     }
 }
@@ -343,18 +339,18 @@ proptest! {
     #[test]
     fn selection_is_deterministic(devices in arb_devices(), sit in arb_situation()) {
         let user = UserProfile::neutral("u");
-        let a = SelectionPolicy.select_input(&devices, &sit, &user).map(|d| d.id.clone());
-        let b = SelectionPolicy.select_input(&devices, &sit, &user).map(|d| d.id.clone());
+        let a = select(Role::Input, &devices, &sit, &user).map(|d| d.id.clone());
+        let b = select(Role::Input, &devices, &sit, &user).map(|d| d.id.clone());
         prop_assert_eq!(a, b);
     }
 
     #[test]
     fn selected_devices_have_capability(devices in arb_devices(), sit in arb_situation()) {
         let user = UserProfile::neutral("u");
-        if let Some(d) = SelectionPolicy.select_input(&devices, &sit, &user) {
+        if let Some(d) = select(Role::Input, &devices, &sit, &user) {
             prop_assert!(d.input.is_some());
         }
-        if let Some(d) = SelectionPolicy.select_output(&devices, &sit, &user) {
+        if let Some(d) = select(Role::Output, &devices, &sit, &user) {
             prop_assert!(d.output.is_some());
         }
     }
@@ -363,8 +359,8 @@ proptest! {
     fn fixed_devices_never_selected_in_other_rooms(devices in arb_devices(), sit in arb_situation()) {
         let user = UserProfile::neutral("u");
         for sel in [
-            SelectionPolicy.select_input(&devices, &sit, &user),
-            SelectionPolicy.select_output(&devices, &sit, &user),
+            select(Role::Input, &devices, &sit, &user),
+            select(Role::Output, &devices, &sit, &user),
         ]
         .into_iter()
         .flatten()
@@ -378,7 +374,7 @@ proptest! {
     #[test]
     fn ranking_scores_are_sorted(devices in arb_devices(), sit in arb_situation()) {
         let user = UserProfile::neutral("u");
-        let ranked = SelectionPolicy.rank_inputs(&devices, &sit, &user);
+        let ranked = rank(Role::Input, &devices, &sit, &user);
         for w in ranked.windows(2) {
             prop_assert!(w[0].score >= w[1].score);
         }
@@ -393,7 +389,7 @@ proptest! {
         let mut user = UserProfile::neutral("u");
         user.input_ranking = vec![m];
         let devices = vec![far, near];
-        let best = SelectionPolicy.select_input(&devices, &sit, &user).unwrap();
+        let best = select(Role::Input, &devices, &sit, &user).unwrap();
         prop_assert_eq!(best.id.as_str(), "near");
     }
 
