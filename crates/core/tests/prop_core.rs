@@ -261,10 +261,10 @@ proptest! {
                 coord.active_input().map(str::to_owned),
                 coord.active_output().map(str::to_owned),
             );
-            let mut reattached = None;
+            let mut registered_id = None;
             let report = match op.clone() {
                 Op::Register { slot, device, input, output } => {
-                    reattached = Some(device.id.clone());
+                    registered_id = Some(device.id.clone());
                     let mut dev = InteractionDevice::new(device.clone());
                     if input {
                         let kind = INPUT_KINDS[slot];
@@ -311,10 +311,9 @@ proptest! {
             prop_assert_eq!(attached.0, kind_of(&INPUT_KINDS, coord.active_input()));
             prop_assert_eq!(attached.1, kind_of(&OUTPUT_KINDS, coord.active_output()));
 
-            // 3. The report names exactly the roles that changed.
-            let reattached = |was: &Option<String>| {
-                was.is_some() && reattached.as_ref() == was.as_ref()
-            };
+            // 3. The report names exactly the roles that changed;
+            // registering the active device again replaces its plug-in.
+            let reattached = |was: &Option<String>| was.is_some() && *was == registered_id;
             check_named(
                 report.input_switched_to.as_deref(),
                 before.0.as_deref(),
