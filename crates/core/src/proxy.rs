@@ -314,12 +314,8 @@ impl UniIntProxy {
         let mut out = ProxyOutput::default();
         match msg {
             ServerMessage::Init { width, height, .. } => {
+                self.fb = Some(server_framebuffer(*width, *height)?);
                 self.connected = true;
-                self.fb = Some(Framebuffer::new(
-                    (*width).max(1) as u32,
-                    (*height).max(1) as u32,
-                    Color::BLACK,
-                ));
                 out.messages
                     .push(ClientMessage::SetPixelFormat(self.format));
                 out.messages
@@ -362,7 +358,7 @@ impl UniIntProxy {
                 // A same-size Resize (e.g. sent defensively during resume)
                 // must not blow away the cached framebuffer.
                 if self.fb.as_ref().map(|f| f.size()) != Some(new) {
-                    self.fb = Some(Framebuffer::new(new.w, new.h, Color::BLACK));
+                    self.fb = Some(server_framebuffer(*width, *height)?);
                     out.messages.push(ClientMessage::UpdateRequest {
                         incremental: false,
                         rect: fb_bounds(&self.fb),
@@ -501,6 +497,16 @@ impl UniIntProxy {
     }
 }
 
+/// A black framebuffer of the size a server message gives (a zero side
+/// counts as one), or `Malformed` when that is larger than a framebuffer
+/// may be: the size comes from the peer, so it must not panic the proxy
+/// or make it allocate without bound.
+fn server_framebuffer(width: u16, height: u16) -> Result<Framebuffer, ProtocolError> {
+    let (w, h) = (width.max(1) as u32, height.max(1) as u32);
+    Framebuffer::try_new(w, h, Color::BLACK)
+        .ok_or_else(|| ProtocolError::Malformed(format!("server framebuffer {w}x{h} is too large")))
+}
+
 fn fb_bounds(fb: &Option<Framebuffer>) -> Rect {
     fb.as_ref().map(|f| f.bounds()).unwrap_or(Rect::EMPTY)
 }
@@ -626,6 +632,40 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn oversized_init_is_malformed_not_a_panic() {
+        let mut p = UniIntProxy::new("p");
+        let huge = ServerMessage::Init {
+            version: 1,
+            width: u16::MAX,
+            height: u16::MAX,
+            format: PixelFormat::Rgb888,
+            name: "t".into(),
+        };
+        let err = p.handle_server(&huge).unwrap_err();
+        assert!(matches!(err, ProtocolError::Malformed(_)), "{err:?}");
+        assert!(!p.is_connected());
+        assert!(p.server_frame().is_none());
+        p.handle_server(&init_msg()).unwrap();
+        assert!(p.is_connected());
+    }
+
+    #[test]
+    fn oversized_resize_is_malformed_and_keeps_the_frame() {
+        let mut p = UniIntProxy::new("p");
+        p.handle_server(&init_msg()).unwrap();
+        let huge = ServerMessage::Resize {
+            width: u16::MAX,
+            height: u16::MAX,
+        };
+        let err = p.handle_server(&huge).unwrap_err();
+        assert!(matches!(err, ProtocolError::Malformed(_)), "{err:?}");
+        assert_eq!(
+            p.server_frame().map(|f| f.size()),
+            Some(Size::new(160, 120))
+        );
     }
 
     #[test]

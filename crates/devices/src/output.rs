@@ -4,13 +4,16 @@
 //! compares or copies whole frames to find out. It keeps the
 //! [`Stamp`] of the server frame it adapted last and asks that frame's
 //! own write journal what was written since; each written rect, widened
-//! by the scaling filter's footprint, is all it rescales, reduces and
-//! diffs to compute `changed`. Error-diffusion devices keep their scaled
-//! frame and the error row entering each device row, restart the dither
-//! at the first rescaled row and stop where the error entering an
-//! unchanged row is the kept one. The first frame, a resize, a call
-//! after a panic, another server frame or one written more often than
-//! the journal remembers run the same code over the whole frame.
+//! by the scaling filter's footprint, is all it rebuilds. It rebuilds
+//! each device row in one pass: scaled and reduced into a scratch row,
+//! compared with the device row it replaces (the runs that differ make
+//! `changed`), then copied over it, so no copy of the old pixels is
+//! kept. Error-diffusion devices keep their scaled frame and the error
+//! row entering each device row, restart the dither at the first
+//! rescaled row and stop where the error entering an unchanged row is
+//! the kept one. The first frame, a resize, a call after a panic,
+//! another server frame or one written more often than the journal
+//! remembers run the same code over the whole frame.
 //!
 //! A returned frame is a shared snapshot the plug-in never writes again.
 //! The plug-in keeps two device buffers: it writes in place when nobody
@@ -23,12 +26,12 @@ use std::sync::Arc;
 
 use uniint_core::plugin::{DeviceFrame, OutputCaps, OutputPlugin};
 use uniint_raster::color::Color;
-use uniint_raster::dither::{dither_to_format, reduce_rect, Diffusion, DitherMode};
-use uniint_raster::framebuffer::{Framebuffer, Stamp};
+use uniint_raster::dither::{dither_to_format, Diffusion, DitherMode, Reducer, Reduction};
+use uniint_raster::framebuffer::{Framebuffer, RowDiff, Stamp};
 use uniint_raster::geom::{Rect, Size};
 use uniint_raster::pixel::PixelFormat;
 use uniint_raster::region::Region;
-use uniint_raster::scale::{fit_size, footprint, scale_rect, scale_to_fit, ScaleFilter};
+use uniint_raster::scale::{fit_size, footprint, scale_rect, scale_to_fit, RowScaler, ScaleFilter};
 
 /// A generic screen plug-in: aspect-fit scale, then depth reduction with
 /// dithering, parameterized by the device's [`OutputCaps`]. Reports the
@@ -46,14 +49,25 @@ pub struct ScreenPlugin {
 struct Kept {
     /// The server frame adapted last, as it was then.
     seen: Stamp,
-    /// For error-diffusion devices, the scaled frame before reduction and
-    /// the diffusion state over it.
-    diffusion: Option<(Framebuffer, Diffusion)>,
+    /// How device rows are reduced.
+    reduce: Reduce,
     /// The device frame returned last.
     device: Arc<Framebuffer>,
     /// The device frame returned before it, while the plug-in may reuse
     /// it, with the device rects written since it equalled `device`.
     spare: Option<(Arc<Framebuffer>, Vec<Rect>)>,
+    /// Scratch for the device row being rebuilt, a device row wide.
+    row: Vec<Color>,
+}
+
+/// How a [`ScreenPlugin`] reduces the device rows it rebuilds.
+#[derive(Debug, Clone)]
+enum Reduce {
+    /// Each rescaled row on its own, as it is scaled.
+    Local(Reducer),
+    /// By error diffusion, which is not local: the scaled frame before
+    /// reduction, and the diffusion state over it.
+    Diffused(Box<(Framebuffer, Diffusion)>),
 }
 
 impl Kept {
@@ -62,34 +76,21 @@ impl Kept {
         let blank = || Framebuffer::new(size.w, size.h, Color::BLACK);
         Kept {
             seen,
-            diffusion: Diffusion::new(caps.format, caps.dither, size).map(|d| (blank(), d)),
+            reduce: match Reduction::new(caps.format, caps.dither, size) {
+                Reduction::Local(reducer) => Reduce::Local(reducer),
+                Reduction::Diffused(diffusion) => Reduce::Diffused(Box::new((blank(), diffusion))),
+            },
             device: Arc::new(blank()),
             spare: None,
+            row: vec![Color::BLACK; size.w as usize],
         }
-    }
-
-    /// A device buffer no caller holds, equal to the frame returned last,
-    /// made the one returned next. The one returned last becomes the spare.
-    fn writable(&mut self) -> &mut Framebuffer {
-        if Arc::get_mut(&mut self.device).is_some() {
-            // Nobody else holds it: write in place.
-            self.spare = None;
-        } else {
-            // Reuse the frame before last if nobody else holds it, else clone.
-            let reuse = self.spare.take().and_then(|(mut spare, lag)| {
-                copy_rects(&self.device, Arc::get_mut(&mut spare)?, &lag);
-                Some(spare)
-            });
-            let next = reuse.unwrap_or_else(|| Arc::new(Framebuffer::clone(&self.device)));
-            let last = std::mem::replace(&mut self.device, next);
-            self.spare = Some((last, Vec::new()));
-        }
-        Arc::make_mut(&mut self.device)
     }
 
     /// Re-adapts the device pixels in `rescale` (disjoint, non-empty) from
-    /// `server`. Returns where they differ from the frame returned last if
-    /// `diff` is set, else the whole frame.
+    /// `server`, one device row at a time: each row is scaled and reduced
+    /// into a scratch row, compared with the device row it replaces, and
+    /// copied over it. Returns where the rows changed if `diff` is set,
+    /// else the whole frame.
     fn redo(
         &mut self,
         server: &Framebuffer,
@@ -97,53 +98,74 @@ impl Kept {
         rescale: Vec<Rect>,
         diff: bool,
     ) -> Region {
-        let mut diffusion = self.diffusion.take();
-        let device = self.writable();
+        let device = writable(&mut self.device, &mut self.spare);
         let size = device.size();
-        let (written, saved) = match &mut diffusion {
-            // Error diffusion is not local: rescale into the scaled frame,
-            // then re-reduce from the first rescaled row on.
-            Some((scaled, diffusion)) => {
+        let mut changed = diff.then(RowDiff::default);
+        let written = match &mut self.reduce {
+            // Rescale into the scaled frame, then re-reduce from the first
+            // rescaled row on.
+            Reduce::Diffused(state) => {
+                let (scaled, diffusion) = &mut **state;
                 for &r in &rescale {
                     scale_rect(server, scaled, r, caps.scale);
                 }
                 let from = rescale.iter().map(|r| r.y as u32).min().unwrap_or(0);
                 let through = rescale.iter().map(|r| r.bottom() as u32).max().unwrap_or(0);
-                let rest = Rect::new(0, from as i32, size.w, size.h - from);
-                let (_, mut before) = if diff {
-                    device.read_rect(rest)
-                } else {
-                    Default::default()
-                };
-                let rows = diffusion.rerun(scaled, device, from, through);
-                let rows = Rect::new(0, from as i32, size.w, rows.len() as u32);
-                before.truncate(rows.area() as usize);
-                (vec![rows], vec![(rows, before)])
+                let rows = diffusion.rerun_rows(scaled, from, through, |y, row| {
+                    replace(device, &mut changed, 0, y, row)
+                });
+                vec![Rect::new(0, from as i32, size.w, rows.len() as u32)]
             }
-            None => {
-                let saved = if diff {
-                    rescale.iter().map(|&r| device.read_rect(r)).collect()
-                } else {
-                    Vec::new()
-                };
+            Reduce::Local(reducer) => {
                 for &r in &rescale {
-                    scale_rect(server, device, r, caps.scale);
-                    reduce_rect(device, r, caps.format, caps.dither);
+                    let x = r.x as u32;
+                    let mut rows = RowScaler::new(server, size, caps.scale, x..x + r.w);
+                    let row = &mut self.row[..r.w as usize];
+                    for y in r.y as u32..r.bottom() as u32 {
+                        rows.row(y, row);
+                        reducer.row(y, x, row);
+                        replace(device, &mut changed, x, y, row);
+                    }
+                    // Bands of one rect never merge with another's.
+                    if let Some(changed) = &mut changed {
+                        changed.restart();
+                    }
                 }
-                (rescale, saved)
+                rescale
             }
         };
-        let changed = if diff {
-            device.diff_since(&saved)
-        } else {
-            Region::from_rect(device.bounds())
+        let changed = match changed {
+            Some(changed) => changed.into_region(),
+            None => Region::from_rect(device.bounds()),
         };
         if let Some((_, lag)) = &mut self.spare {
             lag.extend(written);
         }
-        self.diffusion = diffusion;
         changed
     }
+}
+
+/// A device buffer no caller holds, equal to the frame returned last
+/// (`device`), made the one returned next. The one returned last becomes
+/// the spare.
+fn writable<'a>(
+    device: &'a mut Arc<Framebuffer>,
+    spare: &mut Option<(Arc<Framebuffer>, Vec<Rect>)>,
+) -> &'a mut Framebuffer {
+    if Arc::get_mut(device).is_some() {
+        // Nobody else holds it: write in place.
+        *spare = None;
+    } else {
+        // Reuse the frame before last if nobody else holds it, else clone.
+        let reuse = spare.take().and_then(|(mut spare, lag)| {
+            copy_rects(device, Arc::get_mut(&mut spare)?, &lag);
+            Some(spare)
+        });
+        let next = reuse.unwrap_or_else(|| Arc::new(Framebuffer::clone(device)));
+        let last = std::mem::replace(device, next);
+        *spare = Some((last, Vec::new()));
+    }
+    Arc::make_mut(device)
 }
 
 impl ScreenPlugin {
@@ -253,6 +275,16 @@ impl OutputPlugin for ScreenPlugin {
         self.kept = Some(kept);
         out.with_changed(changed)
     }
+}
+
+/// Copies `row` over device row `y` from column `x` on, first adding
+/// where the two differ to `changed` if there is one.
+fn replace(device: &mut Framebuffer, changed: &mut Option<RowDiff>, x: u32, y: u32, row: &[Color]) {
+    let old = &mut device.row_mut(y)[x as usize..x as usize + row.len()];
+    if let Some(changed) = changed {
+        changed.push(x, y, row, old);
+    }
+    old.copy_from_slice(row);
 }
 
 /// Copies the pixels of `rects` (inside both frames) from `from` to `to`.

@@ -83,15 +83,11 @@ impl Color {
     }
 
     /// Linear interpolation between two colors; `t` in `0..=256` where 0 is
-    /// `self` and 256 is `other`.
+    /// `self` and 256 is `other`. Each channel is
+    /// `(a * (256 - t) + b * t) >> 8`.
+    #[inline]
     pub fn lerp(self, other: Color, t: u32) -> Color {
-        let t = t.min(256);
-        let mix = |a: u8, b: u8| -> u8 { ((a as u32 * (256 - t) + b as u32 * t) >> 8) as u8 };
-        Color::rgb(
-            mix(self.r, other.r),
-            mix(self.g, other.g),
-            mix(self.b, other.b),
-        )
+        Lanes::from(self).lerp(Lanes::from(other), t).color()
     }
 
     /// A lighter version of the color (for bevel highlights).
@@ -102,6 +98,37 @@ impl Color {
     /// A darker version of the color (for bevel shadows).
     pub fn darken(self) -> Color {
         self.lerp(Color::BLACK, 96)
+    }
+}
+
+/// A colour with each channel in the low byte of its own 16-bit lane of
+/// a `u64`, so that one multiplication scales all three: a channel times
+/// a weight of at most 256 stays below 2¹⁶ and never carries into the
+/// next lane. Bilinear scaling keeps its interpolated rows in this form.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Lanes(u64);
+
+impl Lanes {
+    /// The low byte of each lane.
+    const CHANNELS: u64 = 0x0000_00ff_00ff_00ff;
+
+    /// [`Color::lerp`], every channel at once.
+    #[inline]
+    pub(crate) fn lerp(self, other: Lanes, t: u32) -> Lanes {
+        let t = t.min(256) as u64;
+        Lanes(((self.0 * (256 - t) + other.0 * t) >> 8) & Lanes::CHANNELS)
+    }
+
+    #[inline]
+    pub(crate) fn color(self) -> Color {
+        Color::rgb(self.0 as u8, (self.0 >> 16) as u8, (self.0 >> 32) as u8)
+    }
+}
+
+impl From<Color> for Lanes {
+    #[inline]
+    fn from(c: Color) -> Lanes {
+        Lanes(c.r as u64 | (c.g as u64) << 16 | (c.b as u64) << 32)
     }
 }
 
@@ -127,6 +154,85 @@ impl From<Color> for u32 {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Palette {
     entries: Vec<Color>,
+    /// How `entries` are laid out, as [`Palette::new`] recognised it.
+    shape: Shape,
+}
+
+/// The layouts [`Palette::nearest`] has a closed form for. A function of
+/// the entries alone, so two palettes with equal entries have equal
+/// shapes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Shape {
+    /// Anything else: a linear scan.
+    Scan,
+    /// `n` grey levels `i * 255 / (n - 1)`, as [`Palette::grayscale`]
+    /// (and so [`Palette::mono`]) makes them, with the nearest level's
+    /// index and grey value for each channel sum `r + g + b` (see
+    /// [`Shape::ramp`]).
+    Ramp(Box<[(u8, u8)]>),
+    /// The web-safe cube in [`Palette::websafe`]'s order.
+    Cube,
+}
+
+impl Shape {
+    fn of(entries: &[Color]) -> Shape {
+        let n = entries.len();
+        let ramp = |(i, &e): (usize, &Color)| e == Color::gray((i * 255 / (n - 1)) as u8);
+        if n >= 2 && entries.iter().enumerate().all(ramp) {
+            Shape::ramp(entries)
+        } else if n == 216
+            && entries
+                .iter()
+                .enumerate()
+                .all(|(i, &e)| e == websafe_color(i as u8))
+        {
+            Shape::Cube
+        } else {
+            Shape::Scan
+        }
+    }
+
+    /// The nearest-level table of a grey ramp. Level `v` lies
+    /// `(r-v)² + (g-v)² + (b-v)² = ((3v - s)² + 3(r²+g²+b²) - s²) / 3`
+    /// from `(r, g, b)`, where `s = r + g + b`, so the nearest level is
+    /// the one with the least `|3v - s|`: it depends on `s` alone. Levels
+    /// rise strictly, so level `i + 1` is nearer than level `i` exactly
+    /// when `2s > 3(v_i + v_{i+1})`, and on a tie the lower index wins,
+    /// as it does in a scan.
+    fn ramp(levels: &[Color]) -> Shape {
+        let v = |i: usize| levels[i].r as u32;
+        let mut i = 0;
+        let nearest = (0..=765u32).map(|s| {
+            while i + 1 < levels.len() && 2 * s > 3 * (v(i) + v(i + 1)) {
+                i += 1;
+            }
+            (i as u8, v(i) as u8)
+        });
+        Shape::Ramp(nearest.collect())
+    }
+}
+
+/// `r + g + b`, which is all a grey ramp's nearest level depends on.
+fn channel_sum(c: Color) -> usize {
+    c.r as usize + c.g as usize + c.b as usize
+}
+
+/// The web-safe cube's level nearest `v`, `0..6`: a channel is 51 apart
+/// from the next level, and no value lies half way, so there are no ties.
+fn cube_level(v: u8) -> u8 {
+    ((v as u32 + 25) / 51) as u8
+}
+
+/// Index of the web-safe cube entry nearest `c`, as
+/// `Palette::websafe().nearest(c)` returns it. The distance is a sum over
+/// channels, so each channel rounds to its nearest level on its own.
+pub(crate) fn websafe_nearest(c: Color) -> u8 {
+    cube_level(c.r) * 36 + cube_level(c.g) * 6 + cube_level(c.b)
+}
+
+/// The colour of web-safe cube entry `index` (`0..216`).
+pub(crate) fn websafe_color(index: u8) -> Color {
+    Color::rgb(index / 36 * 51, index / 6 % 6 * 51, index % 6 * 51)
 }
 
 impl Palette {
@@ -140,7 +246,8 @@ impl Palette {
             !entries.is_empty() && entries.len() <= 256,
             "palette must hold 1..=256 colors"
         );
-        Palette { entries }
+        let shape = Shape::of(&entries);
+        Palette { entries, shape }
     }
 
     /// Black-and-white palette (1-bit displays).
@@ -185,15 +292,7 @@ impl Palette {
 
     /// The 216-color "web-safe" cube (6 levels per channel).
     pub fn websafe() -> Palette {
-        let mut entries = Vec::with_capacity(216);
-        for r in 0..6 {
-            for g in 0..6 {
-                for b in 0..6 {
-                    entries.push(Color::rgb(r * 51, g * 51, b * 51));
-                }
-            }
-        }
-        Palette::new(entries)
+        Palette::new((0..216).map(websafe_color).collect())
     }
 
     /// Number of entries.
@@ -220,8 +319,19 @@ impl Palette {
         self.entries[index as usize]
     }
 
-    /// Index of the entry closest (RGB distance) to `c`.
+    /// Index of the entry closest (RGB distance) to `c`; the first one
+    /// on a tie.
+    #[inline]
     pub fn nearest(&self, c: Color) -> u8 {
+        match &self.shape {
+            Shape::Ramp(by_sum) => by_sum[channel_sum(c)].0,
+            Shape::Cube => websafe_nearest(c),
+            Shape::Scan => self.scan_nearest(c),
+        }
+    }
+
+    /// [`nearest`](Self::nearest) over any entries, one by one.
+    fn scan_nearest(&self, c: Color) -> u8 {
         let mut best = 0usize;
         let mut best_d = u32::MAX;
         for (i, &e) in self.entries.iter().enumerate() {
@@ -237,9 +347,19 @@ impl Palette {
         best as u8
     }
 
-    /// Quantizes `c` to the nearest palette color.
+    /// Quantizes `c` to the nearest palette color: the entry
+    /// [`nearest`](Self::nearest) picks, read without its index where
+    /// the layout gives it directly.
+    #[inline]
     pub fn quantize(&self, c: Color) -> Color {
-        self.color(self.nearest(c))
+        match &self.shape {
+            Shape::Ramp(by_sum) => Color::gray(by_sum[channel_sum(c)].1),
+            Shape::Cube => {
+                let ch = |v: u8| cube_level(v) * 51;
+                Color::rgb(ch(c.r), ch(c.g), ch(c.b))
+            }
+            Shape::Scan => self.color(self.scan_nearest(c)),
+        }
     }
 }
 
@@ -269,6 +389,23 @@ mod tests {
         assert_eq!(a.lerp(b, 256), b);
         let mid = a.lerp(b, 128);
         assert!(mid.r > a.r && mid.r < b.r);
+    }
+
+    #[test]
+    fn lerp_is_the_per_channel_formula() {
+        let formula = |a: u8, b: u8, t: u32| ((a as u32 * (256 - t) + b as u32 * t) >> 8) as u8;
+        for (a, b) in [(0, 255), (255, 0), (255, 255), (17, 200), (128, 127)] {
+            for t in [0, 1, 64, 127, 128, 255, 256] {
+                let (x, y) = (Color::rgb(a, b, a ^ b), Color::rgb(b, a, 255 - a));
+                let want = Color::rgb(
+                    formula(x.r, y.r, t),
+                    formula(x.g, y.g, t),
+                    formula(x.b, y.b, t),
+                );
+                assert_eq!(x.lerp(y, t), want, "{x} {y} {t}");
+            }
+        }
+        assert_eq!(Color::BLACK.lerp(Color::WHITE, 1000), Color::WHITE);
     }
 
     #[test]
@@ -315,6 +452,85 @@ mod tests {
         for (i, &c) in p.colors().iter().enumerate() {
             assert_eq!(p.nearest(c) as usize, i);
         }
+    }
+
+    /// Channel triples summing to `s`: the extremes (one channel full
+    /// before the next, in three orders), the most even split and two
+    /// lopsided ones.
+    fn splits(s: u32) -> Vec<Color> {
+        let rgb = |ch: [u32; 3]| Color::rgb(ch[0] as u8, ch[1] as u8, ch[2] as u8);
+        let fill = |order: [usize; 3]| {
+            let mut ch = [0u32; 3];
+            let mut left = s;
+            for i in order {
+                ch[i] = left.min(255);
+                left -= ch[i];
+            }
+            rgb(ch)
+        };
+        let lopsided = |a: u32| {
+            let a = a.clamp(s.saturating_sub(510), s.min(255));
+            let g = (s - a) / 2;
+            rgb([a, g, s - a - g])
+        };
+        vec![
+            fill([0, 1, 2]),
+            fill([2, 1, 0]),
+            fill([1, 0, 2]),
+            rgb([s / 3, (s + 1) / 3, s.div_ceil(3)]),
+            lopsided(s / 5),
+            lopsided(s * 3 / 5),
+        ]
+    }
+
+    #[test]
+    fn grey_ramps_match_the_linear_scan_at_every_channel_sum() {
+        for levels in [2, 16, 256, 7, 3] {
+            let p = Palette::grayscale(levels);
+            assert!(matches!(p.shape, Shape::Ramp(_)), "{levels} levels");
+            for s in 0..=765 {
+                for c in splits(s) {
+                    let sum = c.r as u32 + c.g as u32 + c.b as u32;
+                    assert_eq!(sum, s, "{c} splits {s}");
+                    assert_eq!(p.nearest(c), p.scan_nearest(c), "{levels} levels, {c}");
+                    assert_eq!(p.quantize(c), p.color(p.nearest(c)), "{levels} levels, {c}");
+                }
+            }
+        }
+        assert_eq!(Palette::mono(), Palette::grayscale(2));
+    }
+
+    #[test]
+    fn websafe_cube_matches_the_linear_scan_on_every_channel_value() {
+        let p = Palette::websafe();
+        assert_eq!(p.shape, Shape::Cube);
+        let others = [0u8, 25, 26, 51, 127, 128, 204, 229, 230, 255];
+        for v in 0..=255u8 {
+            for &a in &others {
+                for &b in &others {
+                    for c in [
+                        Color::rgb(v, a, b),
+                        Color::rgb(a, v, b),
+                        Color::rgb(a, b, v),
+                    ] {
+                        assert_eq!(p.nearest(c), p.scan_nearest(c), "{c}");
+                        assert_eq!(p.quantize(c), p.color(p.scan_nearest(c)), "{c}");
+                        assert_eq!(websafe_nearest(c), p.nearest(c), "{c}");
+                    }
+                }
+            }
+        }
+        for i in 0..216u8 {
+            assert_eq!(websafe_color(i), p.color(i));
+        }
+    }
+
+    #[test]
+    fn other_palettes_scan() {
+        assert_eq!(Palette::vga16().shape, Shape::Scan);
+        let almost = Palette::new(vec![Color::BLACK, Color::rgb(255, 255, 254)]);
+        assert_eq!(almost.shape, Shape::Scan);
+        assert_eq!(almost.nearest(Color::rgb(200, 200, 200)), 1);
     }
 
     #[test]

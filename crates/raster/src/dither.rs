@@ -43,7 +43,7 @@ const BAYER4: [[i32; 4]; 4] = [[0, 8, 2, 10], [12, 4, 14, 6], [3, 11, 1, 9], [15
 pub fn dither_to_palette(src: &Framebuffer, palette: &Palette, mode: DitherMode) -> Framebuffer {
     let mut out = src.clone();
     let bounds = out.bounds();
-    quantize_rect(&mut out, bounds, palette, mode);
+    reduce(&mut out, bounds, Target::Palette(palette.clone()), mode);
     out
 }
 
@@ -63,112 +63,183 @@ pub fn dither_to_format(src: &Framebuffer, format: PixelFormat, mode: DitherMode
 /// [`Diffusion`]), that is true only when `rect` spans the whole frame.
 /// Records no damage.
 pub fn reduce_rect(fb: &mut Framebuffer, rect: Rect, format: PixelFormat, mode: DitherMode) {
-    let Some(rect) = rect.intersect(fb.bounds()) else {
-        return;
-    };
-    match palette_of(format) {
-        Some(palette) => quantize_rect(fb, rect, &palette, mode),
-        None if format == PixelFormat::Rgb888 => {}
-        None => {
-            // Channel-wise reduction; error diffusion is overkill for >=12bpp
-            // GUI content, so only ordered/none modes perturb here.
-            for y in rect.y as usize..rect.bottom() as usize {
-                let row = &mut fb.row_mut(y as u32)[rect.x as usize..rect.right() as usize];
-                for (p, x) in row.iter_mut().zip(rect.x as usize..) {
-                    let adj = if mode == DitherMode::Ordered4x4 {
-                        let t = BAYER4[y % 4][x % 4] - 8;
-                        let bias = if format == PixelFormat::Rgb444 {
-                            t
-                        } else {
-                            t / 2
-                        };
-                        Color::rgb(
-                            (p.r as i32 + bias).clamp(0, 255) as u8,
-                            (p.g as i32 + bias).clamp(0, 255) as u8,
-                            (p.b as i32 + bias).clamp(0, 255) as u8,
-                        )
-                    } else {
-                        *p
-                    };
-                    *p = format.reduce(adj);
+    if let Some(rect) = rect.intersect(fb.bounds()) {
+        reduce(fb, rect, Target::of(format), mode);
+    }
+}
+
+/// Reduces the pixels of `rect` (already clipped) through `target` in
+/// place, applying `mode`. Error diffusion starts afresh at the rect's
+/// top-left.
+fn reduce(fb: &mut Framebuffer, rect: Rect, target: Target, mode: DitherMode) {
+    let cols = rect.x as usize..rect.right() as usize;
+    let rows = rect.y as u32..rect.bottom() as u32;
+    match Reducer::of(target, mode) {
+        Ok(reducer) => {
+            for y in rows {
+                reducer.row(y, rect.x as u32, &mut fb.row_mut(y)[cols.clone()]);
+            }
+        }
+        Err(palette) => {
+            let mut band = Band::new(cols.len());
+            let mut above: ErrorRow = vec![[0; 3]; cols.len() + 2];
+            let mut y = rows.start;
+            while y < rows.end {
+                let n = ((rows.end - y) as usize).min(BAND);
+                for (row, sy) in band.rows[..n].iter_mut().zip(y..) {
+                    row.copy_from_slice(&fb.row(sy)[cols.clone()]);
                 }
+                band.diffuse(&palette, &above, n);
+                for row in &band.rows[..n] {
+                    fb.row_mut(y)[cols.clone()].copy_from_slice(row);
+                    y += 1;
+                }
+                core::mem::swap(&mut above, &mut band.leaving[n - 1]);
             }
         }
     }
 }
 
-/// The palette a palette-ish format reduces through, or `None` for the
-/// channel-wise formats.
-fn palette_of(format: PixelFormat) -> Option<Palette> {
-    match format {
-        PixelFormat::Rgb888 | PixelFormat::Rgb565 | PixelFormat::Rgb444 => None,
-        PixelFormat::Mono1 => Some(Palette::mono()),
-        PixelFormat::Gray4 => Some(Palette::grayscale(16)),
-        PixelFormat::Indexed8 => Some(Palette::websafe()),
-        PixelFormat::Gray8 => Some(Palette::grayscale(256)),
+/// What pixels are reduced to.
+#[derive(Debug, Clone)]
+enum Target {
+    /// Every colour as it is (`Rgb888`).
+    Keep,
+    /// The nearest `Rgb565` colour, channel by channel.
+    Rgb565,
+    /// The nearest `Rgb444` colour, channel by channel.
+    Rgb444,
+    /// The nearest palette entry.
+    Palette(Palette),
+}
+
+impl Target {
+    fn of(format: PixelFormat) -> Target {
+        match format {
+            PixelFormat::Rgb888 => Target::Keep,
+            PixelFormat::Rgb565 => Target::Rgb565,
+            PixelFormat::Rgb444 => Target::Rgb444,
+            PixelFormat::Mono1 => Target::Palette(Palette::mono()),
+            PixelFormat::Gray4 => Target::Palette(Palette::grayscale(16)),
+            PixelFormat::Indexed8 => Target::Palette(Palette::websafe()),
+            PixelFormat::Gray8 => Target::Palette(Palette::grayscale(256)),
+        }
     }
+}
+
+/// How a format and dither mode reduce frames of one size: pixel by
+/// pixel, or by error diffusion that runs down the frame.
+#[derive(Debug, Clone)]
+pub enum Reduction {
+    /// Each pixel's result depends only on its colour and position.
+    Local(Reducer),
+    /// Floyd–Steinberg onto a palette format: a pixel's result depends
+    /// on the pixels above and left of it.
+    Diffused(Diffusion),
+}
+
+impl Reduction {
+    /// The reduction of `size` frames to `format` with `mode`.
+    pub fn new(format: PixelFormat, mode: DitherMode, size: Size) -> Reduction {
+        match Reducer::of(Target::of(format), mode) {
+            Ok(reducer) => Reduction::Local(reducer),
+            Err(palette) => Reduction::Diffused(Diffusion {
+                palette,
+                size,
+                entering: vec![vec![[0; 3]; size.w as usize + 2]; size.h as usize],
+                band: Band::new(size.w as usize),
+            }),
+        }
+    }
+}
+
+/// A reduction in which each pixel's result depends only on its colour
+/// and position, applied a row at a time: the kernel behind every
+/// reduction here except error diffusion onto a palette, which
+/// [`Diffusion`] and [`reduce_rect`] run with the same quantizer.
+#[derive(Debug, Clone)]
+pub struct Reducer {
+    target: Target,
+    mode: DitherMode,
+}
+
+impl Reducer {
+    /// The reduction to `target` with `mode`, or the palette to diffuse
+    /// error onto. Error diffusion is overkill for >=12bpp GUI content,
+    /// so the channel-wise formats take it as no dithering.
+    fn of(target: Target, mode: DitherMode) -> Result<Reducer, Palette> {
+        match target {
+            Target::Palette(palette) if mode == DitherMode::FloydSteinberg => Err(palette),
+            target => Ok(Reducer { target, mode }),
+        }
+    }
+
+    /// Reduces `row`, the pixels from column `x0` on of row `y`, in
+    /// place.
+    pub fn row(&self, y: u32, x0: u32, row: &mut [Color]) {
+        let bayer = &BAYER4[y as usize % 4];
+        // -8..8 at column `x0 + i`.
+        let threshold = |i: usize| bayer[(x0 as usize + i) % 4] - 8;
+        let ordered = self.mode == DitherMode::Ordered4x4;
+        // One loop per format and mode, so that no pixel dispatches on
+        // either.
+        fn each(row: &mut [Color], f: impl Fn(usize, Color) -> Color) {
+            for (i, p) in row.iter_mut().enumerate() {
+                *p = f(i, *p);
+            }
+        }
+        let (rgb565, rgb444) = (PixelFormat::Rgb565, PixelFormat::Rgb444);
+        match (&self.target, ordered) {
+            (Target::Keep, _) => {}
+            (Target::Rgb565, false) => each(row, |_, c| rgb565.reduce(c)),
+            // Rgb565 keeps more bits per channel: half the bias.
+            (Target::Rgb565, true) => each(row, |i, c| rgb565.reduce(offset(c, threshold(i) / 2))),
+            (Target::Rgb444, false) => each(row, |_, c| rgb444.reduce(c)),
+            (Target::Rgb444, true) => each(row, |i, c| rgb444.reduce(offset(c, threshold(i)))),
+            (Target::Palette(palette), false) => each(row, |_, c| palette.quantize(c)),
+            (Target::Palette(palette), true) => {
+                // Bias amplitude scaled to the palette's average
+                // quantization step so 2-color and 256-color palettes
+                // both dither sensibly.
+                let amp = (256 / (palette.len().min(64)) as i32).max(8);
+                each(row, |i, c| {
+                    palette.quantize(offset(c, threshold(i) * amp / 8))
+                })
+            }
+        }
+    }
+}
+
+/// `c` with `bias` added to every channel, clamped.
+fn offset(c: Color, bias: i32) -> Color {
+    let ch = |v: u8| (v as i32 + bias).clamp(0, 255) as u8;
+    Color::rgb(ch(c.r), ch(c.g), ch(c.b))
 }
 
 /// Per-channel Floyd–Steinberg error, in sixteenths, for one row plus a
 /// cell of margin at each end.
 type ErrorRow = Vec<[i32; 3]>;
 
-/// Quantizes the pixels of `rect` (already clipped) to `palette` in place,
-/// applying `mode`. Error diffusion starts afresh at the rect's top-left.
-fn quantize_rect(fb: &mut Framebuffer, rect: Rect, palette: &Palette, mode: DitherMode) {
-    let (x0, x1) = (rect.x as usize, rect.right() as usize);
-    let rows = rect.y as usize..rect.bottom() as usize;
-    match mode {
-        DitherMode::None => {
-            for y in rows {
-                for p in &mut fb.row_mut(y as u32)[x0..x1] {
-                    *p = palette.quantize(*p);
-                }
-            }
-        }
-        DitherMode::Ordered4x4 => {
-            // Bias amplitude scaled to the palette's average quantization
-            // step so 2-color and 256-color palettes both dither sensibly.
-            let amp = (256 / (palette.len().min(64)) as i32).max(8);
-            for y in rows {
-                for (p, x) in fb.row_mut(y as u32)[x0..x1].iter_mut().zip(x0..) {
-                    let t = BAYER4[y % 4][x % 4] - 8; // -8..8
-                    let bias = t * amp / 8;
-                    let adj = Color::rgb(
-                        (p.r as i32 + bias).clamp(0, 255) as u8,
-                        (p.g as i32 + bias).clamp(0, 255) as u8,
-                        (p.b as i32 + bias).clamp(0, 255) as u8,
-                    );
-                    *p = palette.quantize(adj);
-                }
-            }
-        }
-        DitherMode::FloydSteinberg => {
-            let mut cur: ErrorRow = vec![[0; 3]; x1 - x0 + 2];
-            let mut next = cur.clone();
-            for y in rows {
-                diffuse_row(
-                    &mut fb.row_mut(y as u32)[x0..x1],
-                    palette,
-                    &mut cur,
-                    &mut next,
-                );
-            }
-        }
-    }
+/// What Floyd–Steinberg carries along a row from pixel to pixel, in
+/// locals rather than through the error rows.
+#[derive(Default)]
+struct Carry {
+    /// 7/16 of the last pixel's error, for the next pixel.
+    right: [i32; 3],
+    /// What the pixels so far owe the two cells below, left to right,
+    /// that are not finished yet.
+    owed: [[i32; 3]; 2],
 }
 
-/// Floyd–Steinberg over one row, in place: `cur` holds the error entering
-/// the row and `next` must be zero. Afterwards `cur` holds the error
-/// entering the row below and `next` is zero again.
-fn diffuse_row(row: &mut [Color], palette: &Palette, cur: &mut ErrorRow, next: &mut ErrorRow) {
-    for (x, p) in row.iter_mut().enumerate() {
-        let e = cur[x + 1];
-        let adj = Color::rgb(
-            (p.r as i32 + e[0] / 16).clamp(0, 255) as u8,
-            (p.g as i32 + e[1] / 16).clamp(0, 255) as u8,
-            (p.b as i32 + e[2] / 16).clamp(0, 255) as u8,
-        );
+impl Carry {
+    /// Reduces `p`, the next pixel, with `above`, the error the row
+    /// above left for it. Returns the error below its left neighbour,
+    /// now finished: 3/16 of this pixel's error on top of 5/16 and 1/16
+    /// of the two before it.
+    #[inline(always)]
+    fn step(&mut self, p: &mut Color, above: [i32; 3], palette: &Palette) -> [i32; 3] {
+        let ch = |v: u8, k: usize| (v as i32 + (above[k] + self.right[k]) / 16).clamp(0, 255) as u8;
+        let adj = Color::rgb(ch(p.r, 0), ch(p.g, 1), ch(p.b, 2));
         let q = palette.quantize(adj);
         *p = q;
         let err = [
@@ -176,15 +247,84 @@ fn diffuse_row(row: &mut [Color], palette: &Palette, cur: &mut ErrorRow, next: &
             adj.g as i32 - q.g as i32,
             adj.b as i32 - q.b as i32,
         ];
-        for ch in 0..3 {
-            cur[x + 2][ch] += err[ch] * 7;
-            next[x][ch] += err[ch] * 3;
-            next[x + 1][ch] += err[ch] * 5;
-            next[x + 2][ch] += err[ch];
+        let mut done = [0; 3];
+        for k in 0..3 {
+            self.right[k] = err[k] * 7;
+            done[k] = self.owed[0][k] + err[k] * 3;
+            self.owed[0][k] = self.owed[1][k] + err[k] * 5;
+            self.owed[1][k] = err[k];
+        }
+        done
+    }
+}
+
+/// Floyd–Steinberg over one row, in place: `above` holds the error
+/// entering the row; every cell of `below` is overwritten with the error
+/// entering the row below.
+fn diffuse_row(row: &mut [Color], palette: &Palette, above: &[[i32; 3]], below: &mut [[i32; 3]]) {
+    let w = row.len();
+    let mut carry = Carry::default();
+    for (x, p) in row.iter_mut().enumerate() {
+        below[x] = carry.step(p, above[x + 1], palette);
+    }
+    [below[w], below[w + 1]] = carry.owed;
+}
+
+/// [`diffuse_row`] over row `a` and then row `b` below it, interleaved:
+/// a pixel of `b` needs only the error below the pixel right of it in
+/// `a`, so `b` runs one pixel behind `a`, and the two chains of
+/// dependent pixels overlap in the processor. `mid` gets the error
+/// entering `b`, `below` the error leaving it. (Two rows keep both
+/// carries in registers; more rows spill them and run slower.)
+fn diffuse_rows(
+    [a, b]: [&mut [Color]; 2],
+    palette: &Palette,
+    above: &[[i32; 3]],
+    mid: &mut [[i32; 3]],
+    below: &mut [[i32; 3]],
+) {
+    let w = a.len();
+    let (mut ca, mut cb) = (Carry::default(), Carry::default());
+    mid[0] = ca.step(&mut a[0], above[1], palette);
+    for x in 1..w {
+        let m = ca.step(&mut a[x], above[x + 1], palette);
+        mid[x] = m;
+        below[x - 1] = cb.step(&mut b[x - 1], m, palette);
+    }
+    [mid[w], mid[w + 1]] = ca.owed;
+    below[w - 1] = cb.step(&mut b[w - 1], mid[w], palette);
+    [below[w], below[w + 1]] = cb.owed;
+}
+
+/// How many rows Floyd–Steinberg reduces at a time.
+const BAND: usize = 2;
+
+/// Scratch for Floyd–Steinberg over rows of one width, up to [`BAND`]
+/// rows at a time: the rows and the error leaving each.
+#[derive(Debug, Clone)]
+struct Band {
+    rows: [Vec<Color>; BAND],
+    leaving: [ErrorRow; BAND],
+}
+
+impl Band {
+    fn new(w: usize) -> Band {
+        Band {
+            rows: core::array::from_fn(|_| vec![Color::BLACK; w]),
+            leaving: core::array::from_fn(|_| vec![[0; 3]; w + 2]),
         }
     }
-    core::mem::swap(cur, next);
-    next.iter_mut().for_each(|e| *e = [0; 3]);
+
+    /// Reduces the first `n` rows (`1..=BAND`) in place, with `above`
+    /// the error entering the first.
+    fn diffuse(&mut self, palette: &Palette, above: &[[i32; 3]], n: usize) {
+        let [a, b] = &mut self.rows;
+        let [mid, below] = &mut self.leaving;
+        match n {
+            1 => diffuse_row(a, palette, above, mid),
+            _ => diffuse_rows([a, b], palette, above, mid, below),
+        }
+    }
 }
 
 /// Floyd–Steinberg reduction of a whole frame that can restart at any
@@ -200,6 +340,8 @@ pub struct Diffusion {
     size: Size,
     /// The error entering each row.
     entering: Vec<ErrorRow>,
+    /// Scratch for the rows being reduced.
+    band: Band,
 }
 
 impl Diffusion {
@@ -208,16 +350,10 @@ impl Diffusion {
     /// (Floyd–Steinberg onto a palette format), so that a pixel's result
     /// depends on the pixels above and left of it.
     pub fn new(format: PixelFormat, mode: DitherMode, size: Size) -> Option<Diffusion> {
-        if mode != DitherMode::FloydSteinberg {
-            return None;
+        match Reduction::new(format, mode, size) {
+            Reduction::Diffused(diffusion) => Some(diffusion),
+            Reduction::Local(_) => None,
         }
-        let palette = palette_of(format)?;
-        let row = vec![[0; 3]; size.w as usize + 2];
-        Some(Diffusion {
-            palette,
-            size,
-            entering: vec![row; size.h as usize],
-        })
     }
 
     /// Reduces `src` into `dst` (both the size given to
@@ -236,24 +372,56 @@ impl Diffusion {
         from: u32,
         through: u32,
     ) -> Range<u32> {
-        let size = self.size;
-        assert!(src.size() == size && dst.size() == size, "diffusion size");
-        let Some(start) = self.entering.get(from as usize) else {
+        assert!(dst.size() == self.size, "diffusion size");
+        self.rerun_rows(src, from, through, |y, row| {
+            dst.row_mut(y).copy_from_slice(row)
+        })
+    }
+
+    /// [`rerun`](Self::rerun), handing each reduced row to `emit` with
+    /// its index instead of writing it to a frame, so that the caller
+    /// can compare it with the row it replaces first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is not the size given to [`new`](Self::new).
+    pub fn rerun_rows(
+        &mut self,
+        src: &Framebuffer,
+        from: u32,
+        through: u32,
+        mut emit: impl FnMut(u32, &[Color]),
+    ) -> Range<u32> {
+        let h = self.size.h;
+        assert!(src.size() == self.size, "diffusion size");
+        if from >= h.min(through) {
             return from..from;
-        };
-        let mut cur = start.clone();
-        let mut next = vec![[0; 3]; cur.len()];
-        for y in from..size.h {
-            let kept = &mut self.entering[y as usize];
-            if y >= through && *kept == cur {
-                return from..y;
-            }
-            kept.clone_from(&cur);
-            let row = dst.row_mut(y);
-            row.copy_from_slice(src.row(y));
-            diffuse_row(row, &self.palette, &mut cur, &mut next);
         }
-        from..size.h
+        // Nothing above `from` changed, so the error entering it is the
+        // kept one.
+        let mut y = from;
+        while y < h {
+            let n = ((h - y) as usize).min(BAND);
+            for (row, sy) in self.band.rows[..n].iter_mut().zip(y..) {
+                row.copy_from_slice(src.row(sy));
+            }
+            let above = &self.entering[y as usize];
+            self.band.diffuse(&self.palette, above, n);
+            for i in 0..n {
+                emit(y, &self.band.rows[i]);
+                y += 1;
+                if y == h {
+                    break;
+                }
+                // Rows reduced past this point are dropped unseen.
+                let kept = &mut self.entering[y as usize];
+                if y >= through && *kept == self.band.leaving[i] {
+                    return from..y;
+                }
+                core::mem::swap(kept, &mut self.band.leaving[i]);
+            }
+        }
+        from..h
     }
 }
 

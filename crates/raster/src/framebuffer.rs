@@ -26,6 +26,10 @@ use crate::region::Region;
 /// [`Framebuffer::changes_since`].
 pub const JOURNAL_CAPACITY: usize = 128;
 
+/// The largest area a framebuffer may have: 64 Mpixels, a guard against
+/// nonsense sizes, not a real display limit.
+pub const MAX_PIXELS: u64 = 64 * 1024 * 1024;
+
 /// One state of one framebuffer: its id and its write generation, as
 /// [`Framebuffer::stamp`] returned them.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -80,23 +84,39 @@ impl Framebuffer {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero or the area exceeds 64 Mpixels
-    /// (a guard against nonsense sizes, not a real display limit).
+    /// Panics if either dimension is zero or the area exceeds
+    /// [`MAX_PIXELS`]; [`try_new`](Self::try_new) returns `None` instead.
     pub fn new(width: u32, height: u32, background: Color) -> Framebuffer {
         assert!(width > 0 && height > 0, "framebuffer must be non-empty");
-        assert!(
-            width as u64 * height as u64 <= 64 * 1024 * 1024,
-            "framebuffer too large"
-        );
-        Framebuffer {
+        Framebuffer::try_new(width, height, background).expect("framebuffer too large")
+    }
+
+    /// Creates a framebuffer filled with `background`, or `None` if
+    /// either dimension is zero or the area exceeds [`MAX_PIXELS`]. Sizes
+    /// a peer sends go through here, so that no message can make the
+    /// receiver allocate past the limit or panic.
+    ///
+    /// ```
+    /// use uniint_raster::framebuffer::Framebuffer;
+    /// use uniint_raster::color::Color;
+    /// assert!(Framebuffer::try_new(640, 480, Color::BLACK).is_some());
+    /// assert!(Framebuffer::try_new(65_535, 65_535, Color::BLACK).is_none());
+    /// assert!(Framebuffer::try_new(0, 1, Color::BLACK).is_none());
+    /// ```
+    pub fn try_new(width: u32, height: u32, background: Color) -> Option<Framebuffer> {
+        let area = width as u64 * height as u64;
+        if area == 0 || area > MAX_PIXELS {
+            return None;
+        }
+        Some(Framebuffer {
             width,
             height,
-            pixels: vec![background; (width * height) as usize],
+            pixels: vec![background; area as usize],
             damage: Region::from_rect(Rect::new(0, 0, width, height)),
             id: fresh_id(),
             gen: 0,
             journal: VecDeque::new(),
-        }
+        })
     }
 
     /// This framebuffer's current state, to pass back to
@@ -363,86 +383,93 @@ impl Framebuffer {
     }
 
     /// Computes the region where `self` and `other` differ, as row bands
-    /// coalesced into a [`Region`]. Output plug-ins use this to ship only
-    /// the device rows that actually changed.
+    /// coalesced into a [`Region`] (see [`RowDiff`]).
     ///
     /// # Panics
     ///
     /// Panics if the framebuffers have different sizes.
     pub fn diff_region(&self, other: &Framebuffer) -> Region {
         assert_eq!(self.size(), other.size(), "diff requires equal sizes");
-        let mut rects = Vec::new();
-        let rows = (0..self.height).map(|y| (self.row(y), other.row(y)));
-        push_diff_runs(&mut rects, self.bounds(), rows);
-        Region::from_disjoint_rects(rects)
-    }
-
-    /// The region where `self` now differs from pixels saved earlier with
-    /// [`read_rect`](Self::read_rect), each `(rect, pixels)` pair as that
-    /// call returned it. Pixels outside the saved rects are taken as
-    /// unchanged. The same row bands as [`diff_region`](Self::diff_region),
-    /// cut at the rect edges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a saved rect lies outside the framebuffer or its pixel
-    /// count does not match; debug builds also check the rects are
-    /// pairwise disjoint.
-    pub fn diff_since(&self, saved: &[(Rect, Vec<Color>)]) -> Region {
-        let mut rects = Vec::new();
-        for (r, before) in saved {
-            if r.is_empty() {
-                continue;
-            }
-            assert_eq!(before.len() as u64, r.area(), "saved pixels do not match");
-            let cols = r.x as usize..r.right() as usize;
-            let rows = (r.y as u32..r.bottom() as u32).map(|y| &self.row(y)[cols.clone()]);
-            push_diff_runs(&mut rects, *r, rows.zip(before.chunks(r.w as usize)));
+        let mut diff = RowDiff::default();
+        for y in 0..self.height {
+            diff.push(0, y, self.row(y), other.row(y));
         }
-        Region::from_disjoint_rects(rects)
+        diff.into_region()
     }
 }
 
-/// Appends the scanline runs where the row pairs of `area` differ, top row
-/// first, each row `area.w` wide. Runs are disjoint by construction, so
-/// the caller assembles the region directly instead of via `Region::add`,
-/// whose per-insert subtract scan goes quadratic on the tens of thousands
-/// of runs a dithered-noise diff produces. Runs with identical spans on
-/// consecutive rows merge into taller bands.
-fn push_diff_runs<'a>(
-    rects: &mut Vec<Rect>,
-    area: Rect,
-    rows: impl Iterator<Item = (&'a [Color], &'a [Color])>,
-) {
-    // Open bands touching the previous row, keyed (x, w) → index.
-    let mut prev_open: std::collections::HashMap<(i32, usize), usize> =
-        std::collections::HashMap::new();
-    for ((a, b), y) in rows.zip(area.y..) {
-        let mut cur_open = std::collections::HashMap::new();
-        let w = a.len();
-        let mut x = 0usize;
-        while x < w {
-            if a[x] == b[x] {
-                x += 1;
-                continue;
-            }
-            let start = x;
-            while x < w && a[x] != b[x] {
-                x += 1;
-            }
-            let key = (area.x + start as i32, x - start);
-            if let Some(&idx) = prev_open.get(&key) {
-                let r: Rect = rects[idx];
-                if r.bottom() == y {
-                    rects[idx] = Rect::new(r.x, r.y, r.w, r.h + 1);
-                    cur_open.insert(key, idx);
-                    continue;
+/// The region where rows changed, built one row at a time: each pushed
+/// row adds its runs of differing pixels, left to right, and a run with
+/// the same span as one on the row above extends that run's band
+/// downwards. The runs are disjoint by construction, so the region is
+/// assembled directly instead of via `Region::add`, whose per-insert
+/// subtract scan goes quadratic on the tens of thousands of runs a
+/// dithered-noise diff produces.
+///
+/// Output plug-ins push each device row as they rebuild it, compared
+/// with the row it replaces, so no copy of the old pixels is kept.
+#[derive(Debug, Default)]
+pub struct RowDiff {
+    rects: Vec<Rect>,
+    /// Indices in `rects` of the runs on the row pushed last, left to
+    /// right: the bands the next row may extend.
+    open: Vec<usize>,
+    /// The same for the row being pushed.
+    next: Vec<usize>,
+}
+
+impl RowDiff {
+    /// Closes every band: no run pushed from now on extends a run pushed
+    /// before, even on the row below it.
+    pub fn restart(&mut self) {
+        self.open.clear();
+    }
+
+    /// Adds the runs where `now` and `before` (equally long) differ, the
+    /// row starting at `(x, y)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows differ in length.
+    pub fn push(&mut self, x: u32, y: u32, now: &[Color], before: &[Color]) {
+        assert_eq!(now.len(), before.len(), "diff rows differ in length");
+        self.next.clear();
+        if now != before {
+            let (x, y) = (x as i32, y as i32);
+            let mut above = self.open.iter().copied().peekable();
+            let mut i = 0;
+            while let Some(skip) = now[i..].iter().zip(&before[i..]).position(|(a, b)| a != b) {
+                let start = i + skip;
+                let len = now[start..]
+                    .iter()
+                    .zip(&before[start..])
+                    .position(|(a, b)| a == b)
+                    .unwrap_or(now.len() - start);
+                i = start + len;
+                let run = Rect::new(x + start as i32, y, len as u32, 1);
+                while above.next_if(|&k| self.rects[k].x < run.x).is_some() {}
+                match above.peek() {
+                    Some(&k)
+                        if self.rects[k].x == run.x
+                            && self.rects[k].w == run.w
+                            && self.rects[k].bottom() == y =>
+                    {
+                        self.rects[k].h += 1;
+                        self.next.push(k);
+                    }
+                    _ => {
+                        self.next.push(self.rects.len());
+                        self.rects.push(run);
+                    }
                 }
             }
-            rects.push(Rect::new(key.0, y, key.1 as u32, 1));
-            cur_open.insert(key, rects.len() - 1);
         }
-        prev_open = cur_open;
+        core::mem::swap(&mut self.open, &mut self.next);
+    }
+
+    /// The region of every run pushed.
+    pub fn into_region(self) -> Region {
+        Region::from_disjoint_rects(self.rects)
     }
 }
 
@@ -583,6 +610,22 @@ mod tests {
         let d = fb.take_damage();
         assert_eq!(d.area(), 16);
         assert!(!fb.is_damaged());
+    }
+
+    #[test]
+    fn try_new_refuses_empty_and_oversized_areas() {
+        assert!(Framebuffer::try_new(0, 10, Color::BLACK).is_none());
+        assert!(Framebuffer::try_new(10, 0, Color::BLACK).is_none());
+        assert!(Framebuffer::try_new(MAX_PIXELS as u32 + 1, 1, Color::BLACK).is_none());
+        assert!(Framebuffer::try_new(u32::MAX, u32::MAX, Color::BLACK).is_none());
+        let fb = Framebuffer::try_new(3, 2, Color::RED).expect("small frame");
+        assert_eq!(fb, Framebuffer::new(3, 2, Color::RED));
+    }
+
+    #[test]
+    #[should_panic(expected = "framebuffer too large")]
+    fn oversized_new_panics() {
+        Framebuffer::new(65_535, 65_535, Color::BLACK);
     }
 
     #[test]
@@ -763,6 +806,95 @@ mod diff_tests {
         for p in [Point::new(0, 0), Point::new(239, 179)] {
             assert_eq!(d.contains(p), a.pixel(p) != b.pixel(p), "pixel {p}");
         }
+    }
+
+    /// The band builder as it was, with a hash map from each open run's
+    /// span to its band: the reference `RowDiff` must reproduce.
+    fn hashed_runs(rects: &mut Vec<Rect>, area: Rect, rows: &[(&[Color], &[Color])]) {
+        let mut prev_open: std::collections::HashMap<(i32, usize), usize> =
+            std::collections::HashMap::new();
+        for (&(a, b), y) in rows.iter().zip(area.y..) {
+            let mut cur_open = std::collections::HashMap::new();
+            let mut x = 0usize;
+            while x < a.len() {
+                if a[x] == b[x] {
+                    x += 1;
+                    continue;
+                }
+                let start = x;
+                while x < a.len() && a[x] != b[x] {
+                    x += 1;
+                }
+                let key = (area.x + start as i32, x - start);
+                if let Some(&idx) = prev_open.get(&key) {
+                    let r: Rect = rects[idx];
+                    if r.bottom() == y {
+                        rects[idx] = Rect::new(r.x, r.y, r.w, r.h + 1);
+                        cur_open.insert(key, idx);
+                        continue;
+                    }
+                }
+                rects.push(Rect::new(key.0, y, key.1 as u32, 1));
+                cur_open.insert(key, rects.len() - 1);
+            }
+            prev_open = cur_open;
+        }
+    }
+
+    /// A 1-bit error-diffused ramp, so neighbouring rows share some runs.
+    fn dithered(w: u32, h: u32, seed: u32) -> Framebuffer {
+        let mut fb = Framebuffer::new(w, h, Color::BLACK);
+        let mut err = vec![0i32; w as usize + 1];
+        for y in 0..h {
+            for (x, p) in fb.row_mut(y).iter_mut().enumerate() {
+                let v = ((x as u32 * 7 + y * seed) % 256) as i32 + err[x];
+                let out = if v >= 128 { 255 } else { 0 };
+                err[x + 1] += (v - out) / 2;
+                err[x] = (v - out) / 2;
+                *p = Color::gray(out as u8);
+            }
+        }
+        fb
+    }
+
+    #[test]
+    fn row_diff_matches_the_hashed_band_builder() {
+        let (w, h) = (96u32, 40u32);
+        let a = dithered(w, h, 3);
+        let mut b = dithered(w, h, 5);
+        // Columns that differ all the way down merge into tall bands.
+        for y in 0..h as i32 {
+            for x in [10, 11, 12, 50] {
+                let c = a.pixel(Point::new(x, y)).unwrap();
+                b.set_pixel(Point::new(x, y), Color::rgb(!c.r, c.g, c.b));
+            }
+        }
+        // Two areas side by side and one below, each its own band set.
+        let areas = [
+            Rect::new(0, 0, 48, 20),
+            Rect::new(48, 0, 48, 20),
+            Rect::new(0, 20, 96, 20),
+        ];
+        let mut want = Vec::new();
+        let mut diff = RowDiff::default();
+        for r in areas {
+            let cols = r.x as usize..r.right() as usize;
+            let rows: Vec<_> = (r.y as u32..r.bottom() as u32)
+                .map(|y| (&b.row(y)[cols.clone()], &a.row(y)[cols.clone()]))
+                .collect();
+            hashed_runs(&mut want, r, &rows);
+            diff.restart();
+            for (&(now, before), y) in rows.iter().zip(r.y as u32..) {
+                diff.push(r.x as u32, y, now, before);
+            }
+        }
+        assert!(want.iter().any(|r| r.h > 2), "no band merged: {want:?}");
+        assert!(want.len() > 200, "too few runs: {}", want.len());
+        assert_eq!(diff.into_region().rects(), &want[..]);
+        let mut whole = Vec::new();
+        let rows: Vec<_> = (0..h).map(|y| (b.row(y), a.row(y))).collect();
+        hashed_runs(&mut whole, b.bounds(), &rows);
+        assert_eq!(b.diff_region(&a).rects(), &whole[..]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! server's canonical 24-bit pixels to the format an output device can
 //! actually display.
 
-use crate::color::{Color, Palette};
+use crate::color::{websafe_color, websafe_nearest, Color, Palette};
 use serde::{Deserialize, Serialize};
 
 /// Wire/display pixel formats supported by the stack.
@@ -109,6 +109,7 @@ impl PixelFormat {
     /// Reduces `c` to the nearest color representable in this format
     /// (identity for `Rgb888`; `Indexed8` requires the session palette and
     /// uses web-safe here as the documented default).
+    #[inline]
     pub fn reduce(self, c: Color) -> Color {
         match self {
             PixelFormat::Rgb888 => c,
@@ -137,7 +138,7 @@ impl PixelFormat {
                     Color::BLACK
                 }
             }
-            PixelFormat::Indexed8 => Palette::websafe().quantize(c),
+            PixelFormat::Indexed8 => websafe_color(websafe_nearest(c)),
         }
     }
 }
@@ -213,19 +214,10 @@ pub fn pack_row(format: PixelFormat, row: &[Color], palette: Option<&Palette>, o
                 out.push(byte << (8 - nbits));
             }
         }
-        PixelFormat::Indexed8 => {
-            let default_palette;
-            let pal = match palette {
-                Some(p) => p,
-                None => {
-                    default_palette = Palette::websafe();
-                    &default_palette
-                }
-            };
-            for c in row {
-                out.push(pal.nearest(*c));
-            }
-        }
+        PixelFormat::Indexed8 => match palette {
+            Some(pal) => out.extend(row.iter().map(|&c| pal.nearest(c))),
+            None => out.extend(row.iter().map(|&c| websafe_nearest(c))),
+        },
     }
 }
 
@@ -287,17 +279,10 @@ pub fn unpack_row(
             }
         }
         PixelFormat::Indexed8 => {
-            let default_palette;
-            let pal = match palette {
-                Some(p) => p,
-                None => {
-                    default_palette = Palette::websafe();
-                    &default_palette
-                }
-            };
-            for &v in bytes.iter().take(w) {
-                let idx = (v as usize).min(pal.len() - 1) as u8;
-                row.push(pal.color(idx));
+            let bytes = bytes.iter().take(w);
+            match palette {
+                Some(pal) => row.extend(bytes.map(|&v| pal.color(v.min((pal.len() - 1) as u8)))),
+                None => row.extend(bytes.map(|&v| websafe_color(v.min(215)))),
             }
         }
     }

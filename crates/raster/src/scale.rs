@@ -1,9 +1,10 @@
 //! Image scaling: the UniInt proxy rescales server frames to each output
 //! device's native resolution (TV overscan, QVGA PDA, 128×128 phone LCD...).
 
-use crate::color::Color;
+use crate::color::{Color, Lanes};
 use crate::framebuffer::Framebuffer;
 use crate::geom::{Rect, Size};
+use core::ops::Range;
 use serde::{Deserialize, Serialize};
 
 /// Scaling filter selection.
@@ -74,52 +75,163 @@ pub fn scale_rect(src: &Framebuffer, dst: &mut Framebuffer, rect: Rect, filter: 
     let Some(rect) = rect.intersect(dst.bounds()) else {
         return;
     };
-    let (s, d) = (src.size(), dst.size());
-    let (x0, x1) = (rect.x as u32, rect.right() as u32);
-    if s == d {
-        // Every filter maps a pixel to itself at scale 1.
-        let cols = x0 as usize..x1 as usize;
-        for y in rect.y as u32..rect.bottom() as u32 {
-            dst.row_mut(y)[cols.clone()].copy_from_slice(&src.row(y)[cols.clone()]);
-        }
-        return;
-    }
-    let cols: Vec<Taps> = (x0..x1).map(|x| taps(filter, x, s.w, d.w)).collect();
+    let cols = rect.x as usize..rect.right() as usize;
+    let mut rows = RowScaler::new(src, dst.size(), filter, rect.x as u32..rect.right() as u32);
     for y in rect.y as u32..rect.bottom() as u32 {
-        let ty = taps(filter, y, s.h, d.h);
-        let out = &mut dst.row_mut(y)[x0 as usize..x1 as usize];
-        match filter {
+        rows.row(y, &mut dst.row_mut(y)[cols.clone()]);
+    }
+}
+
+/// Scales `src` to a `dst`-sized frame one destination row at a time,
+/// over a fixed range of columns: the kernel behind [`scale`] and
+/// [`scale_rect`]. Bilinear scaling interpolates across before it
+/// interpolates down, so the scaler keeps the across-interpolated source
+/// rows it used last: destination rows that read the same two source
+/// rows, as rows of an upscale do, interpolate them once.
+#[derive(Debug)]
+pub struct RowScaler<'a> {
+    src: &'a Framebuffer,
+    filter: ScaleFilter,
+    dst_h: u32,
+    /// The columns' taps; empty when the size does not change.
+    cols: Vec<Taps>,
+    x0: usize,
+    /// Bilinear only: source rows interpolated across `cols`, each with
+    /// the row it came from (`u32::MAX` before it is filled).
+    across: [(u32, Vec<Lanes>); 2],
+    /// Box only: each column's channel sums over the window rows, and
+    /// the [`reciprocal`] of its window width.
+    sums: Vec<[u64; 3]>,
+    widths: Vec<u64>,
+}
+
+impl<'a> RowScaler<'a> {
+    /// A scaler of `src` to `dst` for destination columns `cols`.
+    pub fn new(src: &'a Framebuffer, dst: Size, filter: ScaleFilter, cols: Range<u32>) -> Self {
+        let s = src.size();
+        let taps: Vec<Taps> = if s == dst {
+            Vec::new()
+        } else {
+            cols.clone().map(|x| taps(filter, x, s.w, dst.w)).collect()
+        };
+        // Scratch is as wide as the columns for the filter that uses it.
+        let wide = |f| if filter == f { taps.len() } else { 0 };
+        let across = || {
+            (
+                u32::MAX,
+                vec![Lanes::default(); wide(ScaleFilter::Bilinear)],
+            )
+        };
+        let widths = taps[..wide(ScaleFilter::Box)]
+            .iter()
+            .map(|t| reciprocal((t.hi - t.lo) as u64))
+            .collect();
+        RowScaler {
+            src,
+            filter,
+            dst_h: dst.h,
+            x0: cols.start as usize,
+            across: [across(), across()],
+            sums: vec![[0; 3]; wide(ScaleFilter::Box)],
+            widths,
+            cols: taps,
+        }
+    }
+
+    /// Writes destination row `y` of the scaler's columns into `out`,
+    /// which must be exactly as wide as they are.
+    pub fn row(&mut self, y: u32, out: &mut [Color]) {
+        let s = self.src.size();
+        if self.cols.is_empty() {
+            // Every filter maps a pixel to itself at scale 1.
+            out.copy_from_slice(&self.src.row(y)[self.x0..self.x0 + out.len()]);
+            return;
+        }
+        assert_eq!(out.len(), self.cols.len(), "scaled row width");
+        let ty = taps(self.filter, y, s.h, self.dst_h);
+        match self.filter {
             ScaleFilter::Nearest => {
-                let row = src.row(ty.lo);
-                for (px, tx) in out.iter_mut().zip(&cols) {
+                let row = self.src.row(ty.lo);
+                for (px, tx) in out.iter_mut().zip(&self.cols) {
                     *px = row[tx.lo as usize];
                 }
             }
             ScaleFilter::Bilinear => {
-                let (row0, row1) = (src.row(ty.lo), src.row(ty.hi - 1));
-                for (px, tx) in out.iter_mut().zip(&cols) {
-                    let (a, b) = (tx.lo as usize, tx.hi as usize - 1);
-                    let top = row0[a].lerp(row0[b], tx.t);
-                    let bot = row1[a].lerp(row1[b], tx.t);
-                    *px = top.lerp(bot, ty.t);
+                let (top, bottom) = (ty.lo, ty.hi - 1);
+                self.interpolate(top, bottom);
+                let [(_, a), (_, b)] = &self.across;
+                if ty.t == 0 || top == bottom {
+                    // `lerp` by 0, or of a row with itself, is the row.
+                    for (px, &a) in out.iter_mut().zip(a) {
+                        *px = a.color();
+                    }
+                } else {
+                    for ((px, &a), &b) in out.iter_mut().zip(a).zip(b) {
+                        *px = a.lerp(b, ty.t).color();
+                    }
                 }
             }
             ScaleFilter::Box => {
-                for (px, tx) in out.iter_mut().zip(&cols) {
-                    let (mut r, mut g, mut b) = (0u64, 0u64, 0u64);
-                    for sy in ty.lo..ty.hi {
-                        for c in &src.row(sy)[tx.lo as usize..tx.hi as usize] {
-                            r += c.r as u64;
-                            g += c.g as u64;
-                            b += c.b as u64;
+                self.sums.fill([0; 3]);
+                for sy in ty.lo..ty.hi {
+                    let row = self.src.row(sy);
+                    for (sum, tx) in self.sums.iter_mut().zip(&self.cols) {
+                        for c in &row[tx.lo as usize..tx.hi as usize] {
+                            sum[0] += c.r as u64;
+                            sum[1] += c.g as u64;
+                            sum[2] += c.b as u64;
                         }
                     }
-                    let n = ((ty.hi - ty.lo) * (tx.hi - tx.lo)) as u64;
-                    *px = Color::rgb((r / n) as u8, (g / n) as u8, (b / n) as u8);
+                }
+                // The window mean, `sum / (height * width)` rounded down,
+                // is `sum / height / width`, each rounded down.
+                let height = reciprocal((ty.hi - ty.lo) as u64);
+                let pixels = out.iter_mut().zip(&self.sums).zip(&self.widths);
+                for ((px, sum), &width) in pixels {
+                    let mean = |v: u64| divide(divide(v, height), width) as u8;
+                    *px = Color::rgb(mean(sum[0]), mean(sum[1]), mean(sum[2]));
                 }
             }
         }
     }
+
+    /// Makes `across[0]` source row `top` and, unless that is the same
+    /// row, `across[1]` source row `bottom`, both interpolated across,
+    /// reusing what the previous row left.
+    fn interpolate(&mut self, top: u32, bottom: u32) {
+        let [(a, _), (b, _)] = &self.across;
+        if *a != top && (*b == top || *a == bottom) {
+            self.across.swap(0, 1);
+        }
+        for (slot, sy) in [(0, top), (1, bottom)] {
+            if self.across[slot].0 == sy || (slot == 1 && sy == top) {
+                continue;
+            }
+            let row = self.src.row(sy);
+            let (held, out) = &mut self.across[slot];
+            *held = sy;
+            for (px, tx) in out.iter_mut().zip(&self.cols) {
+                let (a, b) = (row[tx.lo as usize], row[tx.hi as usize - 1]);
+                *px = Lanes::from(a).lerp(Lanes::from(b), tx.t);
+            }
+        }
+    }
+}
+
+/// `⌈2⁶⁰ / n⌉`, with which [`divide`] divides by `n`.
+fn reciprocal(n: u64) -> u64 {
+    (1u64 << 60).div_ceil(n)
+}
+
+/// `x / n`, rounded down, by a multiplication with `m = reciprocal(n)`.
+/// Exact whenever `x · n < 2⁶⁰`: `x·m / 2⁶⁰` exceeds `x / n` by less
+/// than `x / 2⁶⁰ < 1 / n`, too little to reach the next integer. A box
+/// mean divides a sum of at most `255 · w · h` channel values by `h`,
+/// then a quotient of at most `255 · w` by `w`. The window lies inside a
+/// framebuffer, so `w · h`, `w` and `h` are each at most 2²⁶, and both
+/// products `x · n` are at most `255 · 2⁵²`.
+fn divide(x: u64, m: u64) -> u64 {
+    ((x as u128 * m as u128) >> 60) as u64
 }
 
 /// The destination rectangle whose pixels read at least one source pixel
@@ -368,6 +480,17 @@ mod tests {
                 scale_rect(&src, &mut dst, fp, filter);
                 assert_eq!(dst, scale(&src, target, filter), "{filter} to {target}");
                 src = checkerboard(19, 11);
+            }
+        }
+    }
+
+    #[test]
+    fn reciprocal_division_is_exact_for_box_means() {
+        let max = crate::framebuffer::MAX_PIXELS;
+        for n in [1, 2, 3, 7, 255, 256, 1_000_003, max / 3, max - 1, max] {
+            let m = reciprocal(n);
+            for x in [0, 1, n - 1, n, n + 1, 127 * n + n / 2, 255 * n - 1, 255 * n] {
+                assert_eq!(divide(x, m), x / n, "{x} / {n}");
             }
         }
     }
