@@ -89,8 +89,9 @@ impl Kept {
     /// Re-adapts the device pixels in `rescale` (disjoint, non-empty) from
     /// `server`, one device row at a time: each row is scaled and reduced
     /// into a scratch row, compared with the device row it replaces, and
-    /// copied over it. Returns where the rows changed if `diff` is set,
-    /// else the whole frame.
+    /// copied over it. Returns where the rows changed if `diff` is set.
+    /// Without `diff` there is nothing to compare: position-local rows
+    /// are built in place, and the whole frame is returned.
     fn redo(
         &mut self,
         server: &Framebuffer,
@@ -119,12 +120,20 @@ impl Kept {
             Reduce::Local(reducer) => {
                 for &r in &rescale {
                     let x = r.x as u32;
+                    let span = r.x as usize..r.right() as usize;
                     let mut rows = RowScaler::new(server, size, caps.scale, x..x + r.w);
-                    let row = &mut self.row[..r.w as usize];
                     for y in r.y as u32..r.bottom() as u32 {
-                        rows.row(y, row);
-                        reducer.row(y, x, row);
-                        replace(device, &mut changed, x, y, row);
+                        if changed.is_none() {
+                            // Nothing to compare with: build the row in place.
+                            let row = &mut device.row_mut(y)[span.clone()];
+                            rows.row(y, row);
+                            reducer.row(y, x, row);
+                        } else {
+                            let row = &mut self.row[..r.w as usize];
+                            rows.row(y, row);
+                            reducer.row(y, x, row);
+                            replace(device, &mut changed, x, y, row);
+                        }
                     }
                     // Bands of one rect never merge with another's.
                     if let Some(changed) = &mut changed {

@@ -99,10 +99,10 @@ pub struct RowScaler<'a> {
     /// Bilinear only: source rows interpolated across `cols`, each with
     /// the row it came from (`u32::MAX` before it is filled).
     across: [(u32, Vec<Lanes>); 2],
-    /// Box only: each column's channel sums over the window rows, and
-    /// the [`reciprocal`] of its window width.
-    sums: Vec<[u64; 3]>,
+    /// Box only: the [`reciprocal`] of each column's window width, and
+    /// the source rows of the window being summed.
     widths: Vec<u64>,
+    window: Vec<&'a [Color]>,
 }
 
 impl<'a> RowScaler<'a> {
@@ -132,8 +132,8 @@ impl<'a> RowScaler<'a> {
             dst_h: dst.h,
             x0: cols.start as usize,
             across: [across(), across()],
-            sums: vec![[0; 3]; wide(ScaleFilter::Box)],
             widths,
+            window: Vec::new(),
             cols: taps,
         }
     }
@@ -172,22 +172,21 @@ impl<'a> RowScaler<'a> {
                 }
             }
             ScaleFilter::Box => {
-                self.sums.fill([0; 3]);
-                for sy in ty.lo..ty.hi {
-                    let row = self.src.row(sy);
-                    for (sum, tx) in self.sums.iter_mut().zip(&self.cols) {
+                // The window mean, `sum / (height * width)` rounded down,
+                // is `sum / height / width`, each rounded down.
+                let height = reciprocal((ty.hi - ty.lo) as u64);
+                self.window.clear();
+                self.window
+                    .extend((ty.lo..ty.hi).map(|sy| self.src.row(sy)));
+                for ((px, tx), &width) in out.iter_mut().zip(&self.cols).zip(&self.widths) {
+                    let mut sum = [0u64; 3];
+                    for row in &self.window {
                         for c in &row[tx.lo as usize..tx.hi as usize] {
                             sum[0] += c.r as u64;
                             sum[1] += c.g as u64;
                             sum[2] += c.b as u64;
                         }
                     }
-                }
-                // The window mean, `sum / (height * width)` rounded down,
-                // is `sum / height / width`, each rounded down.
-                let height = reciprocal((ty.hi - ty.lo) as u64);
-                let pixels = out.iter_mut().zip(&self.sums).zip(&self.widths);
-                for ((px, sum), &width) in pixels {
                     let mean = |v: u64| divide(divide(v, height), width) as u8;
                     *px = Color::rgb(mean(sum[0]), mean(sum[1]), mean(sum[2]));
                 }
