@@ -3,7 +3,8 @@
 //! Spawns one gateway serving a small appliance panel and N concurrent
 //! socket clients, each in its own thread clicking the panel and
 //! waiting for the resulting framebuffer update. Reports aggregate
-//! update throughput and per-interaction latency percentiles.
+//! update throughput, per-interaction latency percentiles, and CPU per
+//! update split between the gateway and the load clients.
 //!
 //! ```text
 //! gateway_load [--clients N] [--duration-ms MS] [--record PATH]
@@ -12,6 +13,16 @@
 //! With `--record`, the gateway's state thread captures every message
 //! it processes into a flight-recorder trace written to `PATH` on exit
 //! (inspect it with `trace_dump`).
+//!
+//! CPU comes from `/proc` (Linux). Each `gl-client-N` thread reads its
+//! own `/proc/thread-self/schedstat` when its run ends; the gateway's
+//! share is the whole process (`/proc/self/stat`, which still counts
+//! the `gw-*` socket threads that exited with their connections) minus
+//! the clients and the main thread. On other systems both read 0.
+//!
+//! The run exits with status 1 if the gateway dropped any connection
+//! (`gateway.dropped_connections`): every load client reads all it is
+//! sent, so a drop means the outbound bound cut off a healthy client.
 
 use std::time::{Duration, Instant};
 
@@ -63,6 +74,30 @@ fn parse_args() -> Args {
     args
 }
 
+/// CPU time of the calling thread, nanoseconds.
+fn thread_cpu_ns() -> u64 {
+    std::fs::read_to_string("/proc/thread-self/schedstat")
+        .ok()
+        .and_then(|s| s.split_whitespace().next()?.parse().ok())
+        .unwrap_or(0)
+}
+
+/// User + system CPU of the whole process, every thread that ever ran
+/// included, nanoseconds (clock ticks of 1/100 s).
+fn process_cpu_ns() -> u64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
+    // utime and stime are fields 14 and 15; the command name before them
+    // is parenthesised and may hold spaces.
+    let rest = stat.rsplit_once(')').map(|(_, r)| r).unwrap_or("");
+    let ticks: u64 = rest
+        .split_whitespace()
+        .skip(11)
+        .take(2)
+        .filter_map(|v| v.parse::<u64>().ok())
+        .sum();
+    ticks * 10_000_000
+}
+
 fn main() {
     let args = parse_args();
 
@@ -80,13 +115,13 @@ fn main() {
         config.recorder = Some(rec.tap());
         rec
     });
-    let gw = Gateway::spawn(ui, config, registry).expect("gateway binds loopback");
+    let gw = Gateway::spawn(ui, config, registry.clone()).expect("gateway binds loopback");
     let addr = gw.local_addr();
 
     let workers: Vec<_> = (0..args.clients)
         .map(|i| {
             let duration = args.duration;
-            std::thread::spawn(move || -> (u64, Vec<u64>) {
+            let worker = move || -> (u64, Vec<u64>, u64) {
                 let mut c = GatewayClient::connect(addr, format!("load-{i}"), i as u64)
                     .expect("client connects");
                 // Drain the initial full update before timing starts.
@@ -113,19 +148,34 @@ fn main() {
                     }
                     latencies_us.push(sent.elapsed().as_micros() as u64);
                 }
-                (c.stats().updates_applied, latencies_us)
-            })
+                (c.stats().updates_applied, latencies_us, thread_cpu_ns())
+            };
+            std::thread::Builder::new()
+                .name(format!("gl-client-{i}"))
+                .spawn(worker)
+                .expect("spawn load client")
         })
         .collect();
 
     let mut total_updates = 0u64;
     let mut latencies: Vec<u64> = Vec::new();
+    let mut client_cpu_ns = 0u64;
     for w in workers {
-        let (updates, lat) = w.join().expect("worker");
+        let (updates, lat, cpu_ns) = w.join().expect("worker");
         total_updates += updates;
         latencies.extend(lat);
+        client_cpu_ns += cpu_ns;
     }
     let _panel = gw.shutdown();
+    let gateway_cpu_ns = process_cpu_ns()
+        .saturating_sub(client_cpu_ns)
+        .saturating_sub(thread_cpu_ns());
+    let dropped = registry
+        .snapshot()
+        .counters
+        .get("gateway.dropped_connections")
+        .copied()
+        .unwrap_or(0);
 
     if let (Some(rec), Some(path)) = (recorder, args.record.as_ref()) {
         let records = rec.records_written();
@@ -153,4 +203,16 @@ fn main() {
         pct(0.50),
         pct(0.99),
     );
+    let per_update_us = |ns: u64| ns as f64 / 1e3 / total_updates.max(1) as f64;
+    println!(
+        "gateway_load: cpu per update: gateway {:.1} us (gw-* threads), \
+         load clients {:.1} us (gl-client-* threads)",
+        per_update_us(gateway_cpu_ns),
+        per_update_us(client_cpu_ns),
+    );
+    println!("gateway_load: gateway.dropped_connections {dropped}");
+    if dropped > 0 {
+        eprintln!("gateway_load: the gateway dropped {dropped} load client(s)");
+        std::process::exit(1);
+    }
 }
