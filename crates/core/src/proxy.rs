@@ -288,15 +288,7 @@ impl UniIntProxy {
         if !self.connected {
             return Vec::new();
         }
-        let bounds = self.fb.as_ref().map(|f| f.bounds()).unwrap_or(Rect::EMPTY);
-        vec![
-            ClientMessage::SetPixelFormat(self.format),
-            ClientMessage::SetEncodings(Encoding::ALL.to_vec()),
-            ClientMessage::UpdateRequest {
-                incremental: false,
-                rect: bounds,
-            },
-        ]
+        self.negotiation()
     }
 
     /// Removes the output plug-in.
@@ -316,14 +308,7 @@ impl UniIntProxy {
             ServerMessage::Init { width, height, .. } => {
                 self.fb = Some(server_framebuffer(*width, *height)?);
                 self.connected = true;
-                out.messages
-                    .push(ClientMessage::SetPixelFormat(self.format));
-                out.messages
-                    .push(ClientMessage::SetEncodings(Encoding::ALL.to_vec()));
-                out.messages.push(ClientMessage::UpdateRequest {
-                    incremental: false,
-                    rect: Rect::new(0, 0, *width as u32, *height as u32),
-                });
+                out.messages = self.negotiation();
             }
             ServerMessage::Update { seq, format, rects } => {
                 let Some(fb) = &mut self.fb else {
@@ -424,6 +409,12 @@ impl UniIntProxy {
             // update that was partially applied.
             fb.clear(Color::BLACK);
         }
+        self.negotiation()
+    }
+
+    /// The session setup for the current device: its pixel format, every
+    /// encoding, and a full refresh of the server framebuffer.
+    fn negotiation(&self) -> Vec<ClientMessage> {
         vec![
             ClientMessage::SetPixelFormat(self.format),
             ClientMessage::SetEncodings(Encoding::ALL.to_vec()),

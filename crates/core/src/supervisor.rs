@@ -903,7 +903,12 @@ fn isolate_output(
     inner: Box<dyn OutputPlugin>,
 ) -> Box<dyn OutputPlugin> {
     let kind = contained(|| inner.kind()).unwrap_or("unknown-plugin");
-    let caps = contained(|| inner.caps()).unwrap_or_else(|_| FallbackTerminal.caps());
+    // Caps too large for a frame are as useless as a panicking `caps()`:
+    // `safe_frame` could not build its blank at that size.
+    let caps = contained(|| inner.caps())
+        .ok()
+        .filter(|c| Framebuffer::fits(c.size.w.max(1), c.size.h.max(1)))
+        .unwrap_or_else(|| FallbackTerminal.caps());
     Box::new(IsolatedOutput {
         device: id.to_owned(),
         kind,
@@ -1301,6 +1306,33 @@ mod tests {
         assert_eq!(f.frame.size(), Size::new(16, 16), "safe frame at caps size");
         sup.tick(0, &mut c, &mut proxy);
         assert_eq!(sup.stats().garbage_events, 1);
+    }
+
+    #[test]
+    fn caps_too_large_for_a_frame_fall_back_to_the_terminal() {
+        #[derive(Debug)]
+        struct VastScreen;
+        impl OutputPlugin for VastScreen {
+            fn kind(&self) -> &'static str {
+                "vast"
+            }
+            fn caps(&self) -> OutputCaps {
+                OutputCaps {
+                    size: Size::new(100_000, 100_000),
+                    format: PixelFormat::Rgb888,
+                    dither: DitherMode::None,
+                    scale: ScaleFilter::Nearest,
+                }
+            }
+            fn adapt(&mut self, _: &Framebuffer) -> DeviceFrame {
+                panic!("vast screen crashed");
+            }
+        }
+        let mut sup = Supervisor::new(11);
+        let mut out = sup.wrap_output("vast", Box::new(VastScreen));
+        let f = out.adapt(&Framebuffer::new(32, 32, Color::BLACK));
+        assert_eq!(f.frame.size(), Size::new(FALLBACK_COLS, FALLBACK_ROWS));
+        assert_eq!(out.caps(), FallbackTerminal.caps());
     }
 
     #[test]

@@ -235,15 +235,6 @@ impl GatewayClient {
         }
     }
 
-    /// Pumps continuously for (at least) `dur` wall-clock time.
-    pub fn pump_for(&mut self, dur: Duration) -> Result<(), GatewayError> {
-        let deadline = Instant::now() + dur;
-        while Instant::now() < deadline {
-            self.pump_once()?;
-        }
-        Ok(())
-    }
-
     /// Hands client messages to the resume machine, which logs them and
     /// writes them (or holds them while a resume awaits its ack).
     ///

@@ -101,11 +101,6 @@ impl FramedSocket {
         Ok(bytes.len())
     }
 
-    /// Writes pre-encoded frame bytes.
-    pub fn send_bytes(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        self.stream.write_all(bytes)
-    }
-
     /// Attempts one read from the socket, feeding whatever arrives into
     /// the frame reassembler. Timeouts are reported as
     /// [`ReadStatus::Idle`], not errors.

@@ -7,20 +7,28 @@
 //!            accept thread ──spawns──► reader thread (per conn)
 //!                                      writer thread (per conn)
 //!                   │                        │          ▲
-//!                   ▼         events        ▼          │ bounded OutQueue
+//!                   ▼         events        ▼          │ bounded ByteQueue
 //!              state thread ◄────────────────          │
 //!          (owns Ui + MultiServer) ─────────────────────
 //! ```
 //!
-//! Every reader forwards decoded [`ClientMessage`]s into one unbounded
-//! channel; the single state thread owns the [`Ui`] and the
-//! [`MultiServer`] so protocol handling stays strictly serialized — the
-//! concurrency lives at the sockets, not in the session logic. Outbound
-//! traffic flows through a **bounded** per-connection [`OutQueue`]: when
-//! a slow client falls behind, consecutive `Update`s coalesce into one
-//! (their damage rectangles concatenate, exactly like server-side damage
-//! merging), and a client that cannot even keep up with that is dropped
-//! rather than allowed to buffer the gateway into the ground.
+//! Every reader forwards decoded [`ClientMessage`]s, each with the
+//! frame body it came in, into one unbounded channel; the single state
+//! thread owns the [`Ui`] and the [`MultiServer`] so protocol handling
+//! stays strictly serialized — the concurrency lives at the sockets,
+//! not in the session logic.
+//!
+//! Outbound, the state thread encodes each connection's replies, or its
+//! share of a pump, into one batch of frames and appends it to the
+//! connection's bounded byte queue with one lock and one wake. The
+//! flight recorder reads each frame's body from that batch, and the
+//! writer thread sends everything queued with one `write_all`, so every
+//! byte is encoded once. Nothing merges at the queue: the protocol is
+//! pull-driven, so a session sends an update only in answer to the
+//! client's request, and damage that piles up in between merges inside
+//! the server session. A client that still falls `MAX_QUEUED_BYTES`
+//! behind is dropped rather than allowed to buffer the gateway into the
+//! ground.
 //!
 //! Reconnects are handled by *session adoption*: sessions are keyed by
 //! the client name from `Hello`. A `Hello` for a known name followed by
@@ -36,7 +44,7 @@
 //! dropped. Retired sessions free their [`MultiServer`] slot, which the
 //! next session reuses.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -47,7 +55,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use uniint_core::multi::{ClientId, MultiServer};
 use uniint_core::tap::{Direction, SharedTap};
-use uniint_protocol::message::{encode_client, encode_server, ClientMessage, ServerMessage};
+use uniint_protocol::message::{ClientMessage, ServerMessage};
 use uniint_telemetry::registry::{Counter, Gauge, Registry};
 use uniint_wsys::ui::Ui;
 
@@ -57,16 +65,10 @@ use crate::codec::{check_hello_version, FramedSocket, ReadStatus, DEFAULT_MAX_FR
 /// survives reconnects, a connection does not.
 pub type ConnId = usize;
 
-/// Outbound queue capacity per connection, messages. A client that
-/// stays this far behind even after update coalescing is dropped.
-const MAX_QUEUE: usize = 64;
-
-/// Largest total pixel payload, bytes, that update coalescing may
-/// accumulate into one queue entry. A merge that would exceed this
-/// starts a new entry instead, so queue memory stays bounded by roughly
-/// `MAX_QUEUE * MAX_COALESCE_BYTES` even for a stalled client under a
-/// continuously changing panel.
-const MAX_COALESCE_BYTES: usize = 8 << 20;
+/// Most encoded bytes one connection's outbound queue may hold. A push
+/// that would take a non-empty queue past this closes the connection;
+/// an empty queue always takes the next batch, however large.
+const MAX_QUEUED_BYTES: usize = 8 << 20;
 
 /// How long a `Hello` for an already-known name is held back waiting
 /// for a `Resume` to disambiguate reconnect from name reuse. A fresh
@@ -94,10 +96,11 @@ pub struct GatewayConfig {
     /// reaped and its name and server slot freed. Defaults to 60 s.
     pub session_grace: Duration,
     /// Flight-recorder tap (see `uniint-trace`). When set, the state
-    /// thread records every client message it processes and every
-    /// server message it queues, stamped with microseconds since
-    /// gateway start and channelled by connection id. `None` (the
-    /// default) costs one branch per message.
+    /// thread records the body of every client frame it processes and
+    /// of every server frame it queues, the same bytes the socket
+    /// carries, stamped with microseconds since gateway start and
+    /// channelled by connection id. `None` (the default) costs one
+    /// branch per message.
     pub recorder: Option<SharedTap>,
 }
 
@@ -112,145 +115,89 @@ impl Default for GatewayConfig {
     }
 }
 
-/// What [`OutQueue`]'s push did with a message.
+/// What [`ByteQueue::push`] did with a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Pushed {
-    /// Appended as a new entry.
+    /// Appended after whatever was queued.
     Queued,
-    /// Folded into the `Update` already at the tail.
-    Coalesced,
-    /// Queue was full and the message could not coalesce: the queue is
-    /// now closed and the connection must be dropped.
+    /// The batch would have taken the queue past its bound: the queue is
+    /// now closed and emptied, and the connection must be dropped.
     Overflow,
-    /// Queue already closed; message discarded.
+    /// Queue already closed; batch discarded.
     Closed,
 }
 
-/// A bounded, coalescing outbound message queue (one per connection).
-///
-/// Built on `Mutex` + `Condvar` because the vendored channel offers no
-/// bounded variant — and a hand-rolled queue is what lets pending
-/// updates coalesce in place instead of blindly buffering.
+/// A bounded queue of encoded frames, one per connection. The state
+/// thread appends each pump's frames as one batch; the connection's
+/// writer thread takes everything queued and sends it.
 #[derive(Debug)]
-pub struct OutQueue {
+struct ByteQueue {
     inner: Mutex<QueueInner>,
     ready: Condvar,
+    /// Most bytes the queue may hold; see [`MAX_QUEUED_BYTES`].
     cap: usize,
-    /// Largest total pixel payload one coalesced tail may carry; merges
-    /// that would exceed it start a new entry instead.
-    coalesce_cap: usize,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct QueueInner {
-    items: VecDeque<ServerMessage>,
+    bytes: Vec<u8>,
     closed: bool,
-    /// Payload bytes accumulated in the tail entry (0 if not an
-    /// `Update`). Only mutated at push time, which is also the only
-    /// time the tail's identity can change.
-    tail_bytes: usize,
 }
 
-/// Total pixel payload carried by one `Update`'s rects.
-fn update_payload_bytes(msg: &ServerMessage) -> usize {
-    match msg {
-        ServerMessage::Update { rects, .. } => rects.iter().map(|r| r.payload.len()).sum(),
-        _ => 0,
-    }
-}
-
-impl OutQueue {
-    fn new(cap: usize, coalesce_cap: usize) -> OutQueue {
-        OutQueue {
-            inner: Mutex::new(QueueInner {
-                items: VecDeque::new(),
-                closed: false,
-                tail_bytes: 0,
-            }),
+impl ByteQueue {
+    fn new(cap: usize) -> ByteQueue {
+        ByteQueue {
+            inner: Mutex::default(),
             ready: Condvar::new(),
-            cap: cap.max(1),
-            coalesce_cap,
+            cap,
         }
     }
 
-    /// Enqueues `msg`, coalescing consecutive `Update`s: if the tail of
-    /// the queue is an `Update` in the same pixel format, the new rects
-    /// are appended to it and the sequence advances to the newer one.
-    /// Applying the merged update is pixel-identical to applying both in
-    /// order, and ordering relative to `Resize`/`Bell` is preserved
-    /// because only the *tail* merges. A merge never grows the tail past
-    /// `coalesce_cap` payload bytes — beyond that the update starts a
-    /// new entry, so a stalled client is bounded by `cap` entries of
-    /// bounded size and eventually overflows instead of absorbing the
-    /// panel's whole change history into one giant message.
-    fn push(&self, msg: ServerMessage) -> Pushed {
+    /// Appends `batch` (whole frames) with one lock and one wake.
+    fn push(&self, batch: Vec<u8>) -> Pushed {
         let mut q = self.inner.lock().expect("queue poisoned");
         if q.closed {
             return Pushed::Closed;
         }
-        let msg_bytes = update_payload_bytes(&msg);
-        if let ServerMessage::Update { seq, format, rects } = &msg {
-            let fits = q.tail_bytes.saturating_add(msg_bytes) <= self.coalesce_cap;
-            if let Some(ServerMessage::Update {
-                seq: tail_seq,
-                format: tail_format,
-                rects: tail_rects,
-            }) = q.items.back_mut()
-            {
-                if tail_format == format && fits {
-                    tail_rects.extend(rects.iter().cloned());
-                    *tail_seq = (*tail_seq).max(*seq);
-                    q.tail_bytes += msg_bytes;
-                    self.ready.notify_one();
-                    return Pushed::Coalesced;
-                }
-            }
-        }
-        if q.items.len() >= self.cap {
+        if q.bytes.is_empty() {
+            q.bytes = batch;
+        } else if q.bytes.len() + batch.len() > self.cap {
             q.closed = true;
-            q.items.clear();
+            q.bytes = Vec::new();
             self.ready.notify_all();
             return Pushed::Overflow;
+        } else {
+            q.bytes.extend_from_slice(&batch);
         }
-        q.items.push_back(msg);
-        q.tail_bytes = msg_bytes;
         self.ready.notify_one();
         Pushed::Queued
     }
 
-    /// Blocks up to `timeout` for the next message. `Ok(None)` means the
-    /// timeout elapsed; `Err(())` means closed and drained (writer done).
-    #[allow(clippy::result_unit_err)]
-    fn pop(&self, timeout: Duration) -> Result<Option<ServerMessage>, ()> {
+    /// Blocks until bytes are queued or the queue is closed, then takes
+    /// everything queued. `None` once the queue is closed and empty.
+    fn pop(&self) -> Option<Vec<u8>> {
         let mut q = self.inner.lock().expect("queue poisoned");
         loop {
-            if let Some(m) = q.items.pop_front() {
-                return Ok(Some(m));
+            if !q.bytes.is_empty() {
+                return Some(std::mem::take(&mut q.bytes));
             }
             if q.closed {
-                return Err(());
+                return None;
             }
-            let (guard, res) = self.ready.wait_timeout(q, timeout).expect("queue poisoned");
-            q = guard;
-            if res.timed_out() {
-                return match q.items.pop_front() {
-                    Some(m) => Ok(Some(m)),
-                    None if q.closed => Err(()),
-                    None => Ok(None),
-                };
-            }
+            q = self.ready.wait(q).expect("queue poisoned");
         }
     }
 
-    /// Closes the queue; the writer drains what is left and exits.
+    /// Closes the queue; the writer sends what is left and exits.
     fn close(&self) {
         let mut q = self.inner.lock().expect("queue poisoned");
         q.closed = true;
         self.ready.notify_all();
     }
 
-    fn depth(&self) -> usize {
-        self.inner.lock().expect("queue poisoned").items.len()
+    /// Bytes queued and not yet taken by the writer.
+    fn len(&self) -> usize {
+        self.inner.lock().expect("queue poisoned").bytes.len()
     }
 }
 
@@ -258,9 +205,10 @@ impl OutQueue {
 #[derive(Debug)]
 enum Event {
     /// A socket connected; its writer listens on the queue.
-    Connected(ConnId, Arc<OutQueue>),
-    /// One decoded message from a connection.
-    Msg(ConnId, ClientMessage),
+    Connected(ConnId, Arc<ByteQueue>),
+    /// One decoded message from a connection, with the frame body it
+    /// was decoded from.
+    Msg(ConnId, ClientMessage, Vec<u8>),
     /// Socket gone (EOF, error, oversized frame...).
     Disconnected(ConnId),
     /// Orderly gateway shutdown.
@@ -276,8 +224,7 @@ struct StateMetrics {
     decode_errors: Counter,
     dropped_connections: Counter,
     expired_sessions: Counter,
-    write_coalesced: Counter,
-    queue_depth: Gauge,
+    queue_bytes: Gauge,
 }
 
 impl StateMetrics {
@@ -289,15 +236,14 @@ impl StateMetrics {
             decode_errors: r.counter("gateway.decode_errors"),
             dropped_connections: r.counter("gateway.dropped_connections"),
             expired_sessions: r.counter("gateway.expired_sessions"),
-            write_coalesced: r.counter("gateway.write_coalesced"),
-            queue_depth: r.gauge("gateway.queue_depth"),
+            queue_bytes: r.gauge("gateway.queue_bytes"),
         }
     }
 }
 
 /// Per-connection bookkeeping inside the state thread.
 struct Conn {
-    queue: Arc<OutQueue>,
+    queue: Arc<ByteQueue>,
     /// The session this connection last bound. It speaks for that
     /// session only while the session's record names it.
     session: Option<ClientId>,
@@ -465,7 +411,7 @@ fn spawn_conn(
     max_frame: usize,
     registry: &Registry,
 ) -> io::Result<Vec<JoinHandle<()>>> {
-    let queue = Arc::new(OutQueue::new(MAX_QUEUE, MAX_COALESCE_BYTES));
+    let queue = Arc::new(ByteQueue::new(MAX_QUEUED_BYTES));
     let write_half = stream.try_clone()?;
     let mut sock = FramedSocket::new(stream, max_frame, Duration::from_millis(20))?;
     let _ = tx.send(Event::Connected(id, queue.clone()));
@@ -495,7 +441,7 @@ fn spawn_conn(
                                 match ClientMessage::decode_body(&mut frame.as_slice()) {
                                     Ok(msg) => {
                                         frames_in.inc();
-                                        let _ = tx.send(Event::Msg(id, msg));
+                                        let _ = tx.send(Event::Msg(id, msg, frame));
                                     }
                                     Err(_) => {
                                         decode_errors.inc();
@@ -526,19 +472,12 @@ fn spawn_conn(
             .spawn(move || {
                 use std::io::Write;
                 let mut out = write_half;
-                loop {
-                    match queue.pop(Duration::from_millis(50)) {
-                        Ok(Some(msg)) => {
-                            let bytes = encode_server(&msg);
-                            if out.write_all(&bytes).is_err() {
-                                queue.close();
-                                break;
-                            }
-                            bytes_out.add(bytes.len() as u64);
-                        }
-                        Ok(None) => {}
-                        Err(()) => break,
+                while let Some(bytes) = queue.pop() {
+                    if out.write_all(&bytes).is_err() {
+                        queue.close();
+                        break;
                     }
+                    bytes_out.add(bytes.len() as u64);
                 }
                 // Waking the reader (EOF) is what turns "writer gave up"
                 // into a full disconnect.
@@ -583,7 +522,7 @@ fn state_loop(mut ui: Ui, rx: Receiver<Event>, cfg: GatewayConfig, registry: Reg
         for ev in first.into_iter().chain(rx.try_iter()) {
             match ev {
                 Event::Connected(id, queue) => st.connect(id, queue),
-                Event::Msg(id, msg) => st.handle_msg(&mut ui, id, msg),
+                Event::Msg(id, msg, body) => st.handle_msg(&mut ui, id, msg, &body),
                 Event::Disconnected(id) => st.drop_conn(id),
                 Event::Shutdown => stop = true,
             }
@@ -620,7 +559,7 @@ impl State {
         }
     }
 
-    fn connect(&mut self, id: ConnId, queue: Arc<OutQueue>) {
+    fn connect(&mut self, id: ConnId, queue: Arc<ByteQueue>) {
         let conn = Conn {
             queue,
             session: None,
@@ -710,7 +649,7 @@ impl State {
         let replies = self
             .multi
             .handle_message(ui, sid, ClientMessage::Hello { version, name });
-        self.push_to(id, replies);
+        self.push_to(id, &replies);
     }
 
     /// Resolves held-back `Hello`s whose grace elapsed with no follow-up
@@ -755,9 +694,10 @@ impl State {
         }
     }
 
-    /// Applies one client message: version policy, name-keyed session
-    /// adoption, then normal protocol dispatch into the [`MultiServer`].
-    fn handle_msg(&mut self, ui: &mut Ui, id: ConnId, msg: ClientMessage) {
+    /// Applies one client message, decoded from frame `body`: version
+    /// policy, name-keyed session adoption, then normal protocol
+    /// dispatch into the [`MultiServer`].
+    fn handle_msg(&mut self, ui: &mut Ui, id: ConnId, msg: ClientMessage, body: &[u8]) {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
@@ -772,7 +712,7 @@ impl State {
                 self.started.elapsed().as_micros() as u64,
                 id as u32,
                 Direction::ToServer,
-                &encode_client(&msg)[4..],
+                body,
             );
         }
 
@@ -845,7 +785,7 @@ impl State {
                         self.metrics.resumes.inc();
                     }
                     let replies = self.multi.handle_message(ui, sid, msg);
-                    self.push_to(id, replies);
+                    self.push_to(id, &replies);
                 }
                 // Displaced: the session answers to another socket now.
                 Some(_) => {}
@@ -858,31 +798,34 @@ impl State {
         }
     }
 
-    fn push_to(&mut self, id: ConnId, replies: Vec<ServerMessage>) {
+    /// Encodes `replies` into one batch of frames, records each frame's
+    /// body from that batch, and queues it for connection `id`.
+    fn push_to(&mut self, id: ConnId, replies: &[ServerMessage]) {
         let Some(conn) = self.conns.get(&id) else {
             return;
         };
+        if replies.is_empty() {
+            return;
+        }
+        let mut batch = Vec::new();
         for r in replies {
+            let start = batch.len();
+            r.encode(&mut batch);
             if let Some(tap) = &self.recorder {
-                // Recorded pre-queue, i.e. in the order the sessions
-                // produced the messages, before any coalescing.
+                // Recorded as queued, in the order the sessions produced
+                // the messages.
                 tap.record(
                     self.started.elapsed().as_micros() as u64,
                     id as u32,
                     Direction::ToClient,
-                    &encode_server(&r)[4..],
+                    &batch[start + 4..],
                 );
             }
-            match conn.queue.push(r) {
-                Pushed::Coalesced => self.metrics.write_coalesced.inc(),
-                Pushed::Overflow => {
-                    self.metrics.dropped_connections.inc();
-                    break;
-                }
-                Pushed::Queued | Pushed::Closed => {}
-            }
         }
-        self.metrics.queue_depth.set(conn.queue.depth() as i64);
+        if conn.queue.push(batch) == Pushed::Overflow {
+            self.metrics.dropped_connections.inc();
+        }
+        self.metrics.queue_bytes.set(conn.queue.len() as i64);
     }
 
     fn route_batches(&mut self, batches: Vec<(ClientId, Vec<ServerMessage>)>) {
@@ -894,7 +837,7 @@ impl State {
                 ..
             }) = self.sessions.get(&sid)
             {
-                self.push_to(id, msgs);
+                self.push_to(id, &msgs);
             }
         }
     }
@@ -904,7 +847,7 @@ impl State {
 mod tests {
     use super::*;
     use uniint_protocol::input::InputEvent;
-    use uniint_protocol::message::RectUpdate;
+    use uniint_protocol::message::{encode_client, encode_server, FrameReader, RectUpdate};
     use uniint_raster::geom::Rect;
     use uniint_raster::pixel::PixelFormat;
     use uniint_wsys::prelude::{Button, Theme};
@@ -922,81 +865,62 @@ mod tests {
     }
 
     #[test]
-    fn queue_coalesces_consecutive_updates() {
-        let q = OutQueue::new(4, usize::MAX);
-        assert_eq!(q.push(update(1, 0)), Pushed::Queued);
-        assert_eq!(q.push(update(2, 1)), Pushed::Coalesced);
-        assert_eq!(q.push(update(3, 2)), Pushed::Coalesced);
-        assert_eq!(q.depth(), 1);
-        let m = q.pop(Duration::from_millis(1)).unwrap().unwrap();
-        match m {
-            ServerMessage::Update { seq, rects, .. } => {
-                assert_eq!(seq, 3, "merged update carries the newest seq");
-                assert_eq!(rects.len(), 3, "all damage retained in order");
-            }
-            other => panic!("expected update, got {other:?}"),
+    fn a_push_past_the_bound_closes_the_queue() {
+        let q = ByteQueue::new(8);
+        assert_eq!(q.push(vec![1; 5]), Pushed::Queued);
+        assert_eq!(q.push(vec![2; 3]), Pushed::Queued, "exactly at the bound");
+        assert_eq!(q.push(vec![3]), Pushed::Overflow);
+        assert_eq!(q.len(), 0, "an overflowing queue lets go of its bytes");
+        assert_eq!(q.push(vec![4]), Pushed::Closed);
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn an_empty_queue_takes_a_batch_larger_than_the_bound() {
+        let q = ByteQueue::new(4);
+        assert_eq!(q.push(vec![7; 10]), Pushed::Queued);
+        assert_eq!(q.pop(), Some(vec![7; 10]));
+        assert_eq!(q.push(vec![8; 10]), Pushed::Queued, "empty again");
+    }
+
+    #[test]
+    fn a_closed_queue_hands_out_what_it_held_then_ends() {
+        let q = ByteQueue::new(64);
+        q.push(vec![1, 2]);
+        q.push(vec![3]);
+        q.close();
+        assert_eq!(q.push(vec![4]), Pushed::Closed);
+        assert_eq!(q.pop(), Some(vec![1, 2, 3]));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn frames_leave_in_the_order_they_were_queued() {
+        // Update / Resize / Update reach the socket as three frames in
+        // that order: replaying the second update before the resize
+        // would paint it into the old geometry.
+        let msgs = [
+            update(1, 0),
+            ServerMessage::Resize {
+                width: 10,
+                height: 10,
+            },
+            update(2, 1),
+        ];
+        let q = ByteQueue::new(MAX_QUEUED_BYTES);
+        for m in &msgs {
+            q.push(encode_server(m));
         }
-    }
-
-    #[test]
-    fn queue_does_not_merge_across_interleaved_messages() {
-        // Update / Resize / Update must stay three messages: merging the
-        // second update into the first would replay its rects *before*
-        // the resize that invalidated the old geometry.
-        let q = OutQueue::new(4, usize::MAX);
-        q.push(update(1, 0));
-        q.push(ServerMessage::Resize {
-            width: 10,
-            height: 10,
-        });
-        assert_eq!(q.push(update(2, 1)), Pushed::Queued);
-        assert_eq!(q.depth(), 3);
-    }
-
-    #[test]
-    fn queue_coalescing_is_bounded_in_bytes() {
-        // Each test update carries a 3-byte payload; a 4-byte coalesce
-        // cap lets no pair merge, so a backed-up client marches toward
-        // the queue cap (and Overflow) instead of growing one tail
-        // entry without bound.
-        let q = OutQueue::new(3, 4);
-        assert_eq!(q.push(update(1, 0)), Pushed::Queued);
-        assert_eq!(
-            q.push(update(2, 1)),
-            Pushed::Queued,
-            "merge would exceed cap"
-        );
-        assert_eq!(q.push(update(3, 2)), Pushed::Queued);
-        assert_eq!(q.depth(), 3);
-        assert_eq!(q.push(update(4, 3)), Pushed::Overflow);
-    }
-
-    #[test]
-    fn queue_coalesces_again_after_a_new_tail_starts() {
-        // A 7-byte cap fits two 3-byte payloads but not three: the third
-        // update starts a fresh tail, and the fourth merges into *it*.
-        let q = OutQueue::new(4, 7);
-        assert_eq!(q.push(update(1, 0)), Pushed::Queued);
-        assert_eq!(q.push(update(2, 1)), Pushed::Coalesced);
-        assert_eq!(q.push(update(3, 2)), Pushed::Queued, "cap reached");
-        assert_eq!(q.push(update(4, 3)), Pushed::Coalesced, "new tail merges");
-        assert_eq!(q.depth(), 2);
-    }
-
-    #[test]
-    fn queue_overflow_closes() {
-        let q = OutQueue::new(2, usize::MAX);
-        assert_eq!(q.push(ServerMessage::Bell), Pushed::Queued);
-        assert_eq!(q.push(ServerMessage::Bell), Pushed::Queued);
-        assert_eq!(q.push(ServerMessage::Bell), Pushed::Overflow);
-        assert_eq!(q.push(ServerMessage::Bell), Pushed::Closed);
-        assert!(q.pop(Duration::from_millis(1)).is_err(), "closed + drained");
-    }
-
-    #[test]
-    fn queue_pop_times_out_empty() {
-        let q = OutQueue::new(2, usize::MAX);
-        assert_eq!(q.pop(Duration::from_millis(5)), Ok(None));
+        let mut reader = FrameReader::new();
+        reader.feed(&q.pop().expect("queued bytes"));
+        for m in &msgs {
+            let frame = reader.next_frame().unwrap().expect("whole frame");
+            assert_eq!(
+                &ServerMessage::decode_body(&mut frame.as_slice()).unwrap(),
+                m
+            );
+        }
+        assert_eq!(reader.buffered(), 0);
     }
 
     /// The state thread's logic without sockets: each connection is a
@@ -1004,7 +928,7 @@ mod tests {
     struct Harness {
         st: State,
         ui: Ui,
-        queues: HashMap<ConnId, Arc<OutQueue>>,
+        queues: HashMap<ConnId, Arc<ByteQueue>>,
     }
 
     impl Harness {
@@ -1020,22 +944,21 @@ mod tests {
         }
 
         fn connect(&mut self, id: ConnId) {
-            let queue = Arc::new(OutQueue::new(MAX_QUEUE, MAX_COALESCE_BYTES));
+            let queue = Arc::new(ByteQueue::new(MAX_QUEUED_BYTES));
             self.queues.insert(id, queue.clone());
             self.st.connect(id, queue);
         }
 
         fn send(&mut self, id: ConnId, msgs: impl IntoIterator<Item = ClientMessage>) {
             for msg in msgs {
-                self.st.handle_msg(&mut self.ui, id, msg);
+                let frame = encode_client(&msg);
+                self.st.handle_msg(&mut self.ui, id, msg, &frame[4..]);
             }
         }
 
-        /// Whether connection `id`'s queue was closed (and drained).
+        /// Whether connection `id`'s queue was closed.
         fn closed(&self, id: ConnId) -> bool {
-            let q = &self.queues[&id];
-            while let Ok(Some(_)) = q.pop(Duration::ZERO) {}
-            q.pop(Duration::ZERO).is_err()
+            self.queues[&id].inner.lock().unwrap().closed
         }
 
         /// Clicks the panel fired since the last call.

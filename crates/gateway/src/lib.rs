@@ -12,9 +12,9 @@
 //!   protocol-version check applied to every `Hello`;
 //! - [`host`] — the concurrent connection host ([`host::Gateway`]):
 //!   one accept thread, one reader + one writer thread per connection
-//!   with a **bounded** outbound queue (pending `Update`s for a slow
-//!   client coalesce into one instead of buffering without bound), and
-//!   a single state thread driving a shared
+//!   with a queue of encoded frames bounded in bytes (a client that
+//!   falls too far behind is dropped), and a single state thread that
+//!   encodes each message once and drives a shared
 //!   [`uniint_core::multi::MultiServer`] so a TV proxy and a phone
 //!   proxy on real sockets watch one panel concurrently;
 //! - [`client`] — the connection lifecycle ([`client::GatewayClient`]):

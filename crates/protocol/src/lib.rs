@@ -18,7 +18,6 @@
 //! - [`error`] — decoder errors that are returned, never panicked.
 //!
 //! ```
-//! use bytes::BytesMut;
 //! use uniint_protocol::prelude::*;
 //! use uniint_raster::prelude::*;
 //!
@@ -27,7 +26,7 @@
 //! let rect = Rect::new(0, 0, 8, 8);
 //! let enc = choose_encoding(&pixels, rect, &Encoding::ALL);
 //! let payload = encode_rect(&pixels, rect, enc, PixelFormat::Mono1);
-//! let mut wire_bytes = BytesMut::new();
+//! let mut wire_bytes = Vec::new();
 //! ServerMessage::Update {
 //!     seq: 1,
 //!     format: PixelFormat::Mono1,

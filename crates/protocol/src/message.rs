@@ -199,6 +199,21 @@ fn put_rect(buf: &mut impl BufMut, r: Rect) {
     buf.put_u16(r.h.min(u16::MAX as u32) as u16);
 }
 
+/// Reserves a frame's length prefix at the end of `out` and returns
+/// where the frame starts; [`end_frame`] fills the prefix in.
+fn begin_frame(out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    start
+}
+
+/// Writes the length of the body appended since [`begin_frame`]
+/// returned `start` into that frame's prefix.
+fn end_frame(out: &mut [u8], start: usize) {
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_be_bytes());
+}
+
 fn get_rect(buf: &mut impl Buf) -> Result<Rect> {
     let x = wire::get_u16(buf)? as i32;
     let y = wire::get_u16(buf)? as i32;
@@ -208,58 +223,58 @@ fn get_rect(buf: &mut impl Buf) -> Result<Rect> {
 }
 
 impl ClientMessage {
-    /// Appends the framed message to `out`.
-    pub fn encode(&self, out: &mut BytesMut) {
-        let mut body = BytesMut::new();
+    /// Appends the framed message to `out`: its 4-byte length, then
+    /// its body.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        let start = begin_frame(out);
         match self {
             ClientMessage::Hello { version, name } => {
-                body.put_u8(CT_HELLO);
-                body.put_u16(*version);
-                wire::put_string(&mut body, name);
+                out.put_u8(CT_HELLO);
+                out.put_u16(*version);
+                wire::put_string(out, name);
             }
             ClientMessage::SetPixelFormat(f) => {
-                body.put_u8(CT_SET_PIXEL_FORMAT);
-                body.put_u8(f.wire_id());
+                out.put_u8(CT_SET_PIXEL_FORMAT);
+                out.put_u8(f.wire_id());
             }
             ClientMessage::SetEncodings(encs) => {
-                body.put_u8(CT_SET_ENCODINGS);
-                body.put_u8(encs.len() as u8);
+                out.put_u8(CT_SET_ENCODINGS);
+                out.put_u8(encs.len() as u8);
                 for e in encs {
-                    body.put_u8(e.wire_id());
+                    out.put_u8(e.wire_id());
                 }
             }
             ClientMessage::UpdateRequest { incremental, rect } => {
-                body.put_u8(CT_UPDATE_REQUEST);
-                body.put_u8(u8::from(*incremental));
-                put_rect(&mut body, *rect);
+                out.put_u8(CT_UPDATE_REQUEST);
+                out.put_u8(u8::from(*incremental));
+                put_rect(out, *rect);
             }
             ClientMessage::Input(InputEvent::Key { down, sym }) => {
-                body.put_u8(CT_KEY);
-                body.put_u8(u8::from(*down));
-                body.put_u32(sym.0);
+                out.put_u8(CT_KEY);
+                out.put_u8(u8::from(*down));
+                out.put_u32(sym.0);
             }
             ClientMessage::Input(InputEvent::Pointer { x, y, buttons }) => {
-                body.put_u8(CT_POINTER);
-                body.put_u8(buttons.0);
-                body.put_u16(*x);
-                body.put_u16(*y);
+                out.put_u8(CT_POINTER);
+                out.put_u8(buttons.0);
+                out.put_u16(*x);
+                out.put_u16(*y);
             }
             ClientMessage::CutText(text) => {
-                body.put_u8(CT_CUT_TEXT);
-                wire::put_string(&mut body, text);
+                out.put_u8(CT_CUT_TEXT);
+                wire::put_string(out, text);
             }
             ClientMessage::Resume { last_update_seq } => {
-                body.put_u8(CT_RESUME);
-                body.put_u64(*last_update_seq);
+                out.put_u8(CT_RESUME);
+                out.put_u64(*last_update_seq);
             }
             ClientMessage::DeviceHealth { device, state } => {
-                body.put_u8(CT_DEVICE_HEALTH);
-                body.put_u8(state.wire_id());
-                wire::put_string(&mut body, device);
+                out.put_u8(CT_DEVICE_HEALTH);
+                out.put_u8(state.wire_id());
+                wire::put_string(out, device);
             }
         }
-        out.put_u32(body.len() as u32);
-        out.extend_from_slice(&body);
+        end_frame(out, start);
     }
 
     /// Decodes one message body (without the length prefix).
@@ -318,9 +333,10 @@ impl ClientMessage {
 }
 
 impl ServerMessage {
-    /// Appends the framed message to `out`.
-    pub fn encode(&self, out: &mut BytesMut) {
-        let mut body = BytesMut::new();
+    /// Appends the framed message to `out`: its 4-byte length, then
+    /// its body.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        let start = begin_frame(out);
         match self {
             ServerMessage::Init {
                 version,
@@ -329,46 +345,45 @@ impl ServerMessage {
                 format,
                 name,
             } => {
-                body.put_u8(ST_INIT);
-                body.put_u16(*version);
-                body.put_u16(*width);
-                body.put_u16(*height);
-                body.put_u8(format.wire_id());
-                wire::put_string(&mut body, name);
+                out.put_u8(ST_INIT);
+                out.put_u16(*version);
+                out.put_u16(*width);
+                out.put_u16(*height);
+                out.put_u8(format.wire_id());
+                wire::put_string(out, name);
             }
             ServerMessage::Update { seq, format, rects } => {
-                body.put_u8(ST_UPDATE);
-                body.put_u64(*seq);
-                body.put_u8(format.wire_id());
-                body.put_u16(rects.len() as u16);
+                out.put_u8(ST_UPDATE);
+                out.put_u64(*seq);
+                out.put_u8(format.wire_id());
+                out.put_u16(rects.len() as u16);
                 for r in rects {
-                    put_rect(&mut body, r.rect);
-                    body.put_u8(r.encoding.wire_id());
-                    body.put_u32(r.payload.len() as u32);
-                    body.extend_from_slice(&r.payload);
+                    put_rect(out, r.rect);
+                    out.put_u8(r.encoding.wire_id());
+                    out.put_u32(r.payload.len() as u32);
+                    out.extend_from_slice(&r.payload);
                 }
             }
-            ServerMessage::Bell => body.put_u8(ST_BELL),
+            ServerMessage::Bell => out.put_u8(ST_BELL),
             ServerMessage::CutText(text) => {
-                body.put_u8(ST_CUT_TEXT);
-                wire::put_string(&mut body, text);
+                out.put_u8(ST_CUT_TEXT);
+                wire::put_string(out, text);
             }
             ServerMessage::Resize { width, height } => {
-                body.put_u8(ST_RESIZE);
-                body.put_u16(*width);
-                body.put_u16(*height);
+                out.put_u8(ST_RESIZE);
+                out.put_u16(*width);
+                out.put_u16(*height);
             }
             ServerMessage::ResumeAck {
                 client_msgs_received,
                 replayed,
             } => {
-                body.put_u8(ST_RESUME_ACK);
-                body.put_u64(*client_msgs_received);
-                body.put_u8(u8::from(*replayed));
+                out.put_u8(ST_RESUME_ACK);
+                out.put_u64(*client_msgs_received);
+                out.put_u8(u8::from(*replayed));
             }
         }
-        out.put_u32(body.len() as u32);
-        out.extend_from_slice(&body);
+        end_frame(out, start);
     }
 
     /// Decodes one message body (without the length prefix).
@@ -436,9 +451,8 @@ impl ServerMessage {
 /// Incremental stream decoder: feed byte chunks, pull whole messages.
 ///
 /// ```
-/// use bytes::BytesMut;
 /// use uniint_protocol::message::{ClientMessage, FrameReader};
-/// let mut wire_bytes = BytesMut::new();
+/// let mut wire_bytes = Vec::new();
 /// ClientMessage::CutText("hi".into()).encode(&mut wire_bytes);
 /// let mut reader = FrameReader::new();
 /// reader.feed(&wire_bytes);
@@ -518,16 +532,16 @@ impl FrameReader {
 
 /// Encodes any client message to a standalone byte vector.
 pub fn encode_client(msg: &ClientMessage) -> Vec<u8> {
-    let mut out = BytesMut::new();
+    let mut out = Vec::new();
     msg.encode(&mut out);
-    out.to_vec()
+    out
 }
 
 /// Encodes any server message to a standalone byte vector.
 pub fn encode_server(msg: &ServerMessage) -> Vec<u8> {
-    let mut out = BytesMut::new();
+    let mut out = Vec::new();
     msg.encode(&mut out);
-    out.to_vec()
+    out
 }
 
 #[cfg(test)]

@@ -91,6 +91,14 @@ impl Framebuffer {
         Framebuffer::try_new(width, height, background).expect("framebuffer too large")
     }
 
+    /// Whether [`try_new`](Self::try_new) accepts a `width`×`height`
+    /// frame: both dimensions non-zero and the area at most
+    /// [`MAX_PIXELS`].
+    pub fn fits(width: u32, height: u32) -> bool {
+        let area = width as u64 * height as u64;
+        area != 0 && area <= MAX_PIXELS
+    }
+
     /// Creates a framebuffer filled with `background`, or `None` if
     /// either dimension is zero or the area exceeds [`MAX_PIXELS`]. Sizes
     /// a peer sends go through here, so that no message can make the
@@ -104,10 +112,10 @@ impl Framebuffer {
     /// assert!(Framebuffer::try_new(0, 1, Color::BLACK).is_none());
     /// ```
     pub fn try_new(width: u32, height: u32, background: Color) -> Option<Framebuffer> {
-        let area = width as u64 * height as u64;
-        if area == 0 || area > MAX_PIXELS {
+        if !Framebuffer::fits(width, height) {
             return None;
         }
+        let area = width as u64 * height as u64;
         Some(Framebuffer {
             width,
             height,

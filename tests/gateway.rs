@@ -568,3 +568,108 @@ fn passive_viewer_keeps_up_with_many_clicking_clients() {
         "the viewer ends equal to the panel"
     );
 }
+
+#[test]
+fn recorded_frames_are_the_bytes_on_the_wire() {
+    use std::io::{ErrorKind, Read, Write};
+    use std::net::TcpStream;
+    use uniint::protocol::message::{encode_client, FrameReader, ServerMessage, PROTOCOL_VERSION};
+    use uniint::raster::pixel::PixelFormat;
+    use uniint::trace::prelude::{Direction, Recorder, TraceHeader, TraceReader};
+
+    let recorder = Recorder::new(TraceHeader {
+        seed: 0,
+        protocol_version: PROTOCOL_VERSION,
+        pixel_format: PixelFormat::Rgb888,
+    });
+    let gw = Gateway::spawn(
+        panel(),
+        GatewayConfig {
+            recorder: Some(recorder.tap()),
+            ..GatewayConfig::default()
+        },
+        Registry::new(),
+    )
+    .expect("gateway binds");
+
+    let mut sock = TcpStream::connect(gw.local_addr()).expect("connect");
+    sock.set_read_timeout(Some(Duration::from_millis(10)))
+        .expect("read timeout");
+    let mut sent: Vec<Vec<u8>> = Vec::new();
+    let mut received: Vec<u8> = Vec::new();
+    let mut frames = FrameReader::new();
+    let mut updates = 0;
+    let mut buf = [0u8; 4096];
+    let full = Rect::new(0, 0, 160, 120);
+
+    // Each step ends with an update request, and waits for its update:
+    // the gateway has then handled every message sent so far.
+    let steps = [
+        vec![
+            ClientMessage::Hello {
+                version: PROTOCOL_VERSION,
+                name: "recorded".into(),
+            },
+            ClientMessage::UpdateRequest {
+                incremental: false,
+                rect: full,
+            },
+        ],
+        click_msgs(),
+        click_msgs(),
+    ];
+    for (i, mut step) in steps.into_iter().enumerate() {
+        if i > 0 {
+            step.push(ClientMessage::UpdateRequest {
+                incremental: true,
+                rect: full,
+            });
+        }
+        for m in &step {
+            let frame = encode_client(m);
+            sock.write_all(&frame).expect("send");
+            sent.push(frame[4..].to_vec());
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while updates <= i {
+            assert!(Instant::now() < deadline, "no update for step {i}");
+            match sock.read(&mut buf) {
+                Ok(0) => panic!("gateway closed the socket"),
+                Ok(n) => {
+                    received.extend_from_slice(&buf[..n]);
+                    frames.feed(&buf[..n]);
+                }
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                Err(e) => panic!("read: {e}"),
+            }
+            while let Some(body) = frames.next_frame().expect("frame") {
+                let msg = ServerMessage::decode_body(&mut body.as_slice()).expect("decode");
+                updates += usize::from(matches!(msg, ServerMessage::Update { .. }));
+            }
+        }
+    }
+
+    // Shutdown closes the queue; the writer sends what is left, then
+    // shuts the socket, so reading to EOF sees every byte.
+    gw.shutdown();
+    sock.set_read_timeout(None).expect("blocking reads");
+    sock.read_to_end(&mut received).expect("read to EOF");
+
+    let trace = TraceReader::parse(recorder.finish().expect("trace")).expect("parse");
+    let mut to_client = Vec::new();
+    let mut to_server = Vec::new();
+    for rec in trace.records() {
+        let rec = rec.expect("record");
+        assert_eq!(rec.channel, 0, "one connection");
+        match rec.dir {
+            Direction::ToClient => {
+                to_client.extend_from_slice(&(rec.payload.len() as u32).to_be_bytes());
+                to_client.extend_from_slice(&rec.payload);
+            }
+            Direction::ToServer => to_server.push(rec.payload),
+        }
+    }
+    assert!(updates >= 3, "three updates, {updates} seen");
+    assert_eq!(to_client, received, "recorded frames are the bytes sent");
+    assert_eq!(to_server, sent, "recorded bodies are the bytes received");
+}
