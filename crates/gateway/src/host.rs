@@ -205,7 +205,7 @@ impl ByteQueue {
 #[derive(Debug)]
 enum Event {
     /// A socket connected; its writer listens on the queue.
-    Connected(ConnId, Arc<ByteQueue>),
+    Connected(ConnId, Arc<ByteQueue>, TcpStream),
     /// One decoded message from a connection, with the frame body it
     /// was decoded from.
     Msg(ConnId, ClientMessage, Vec<u8>),
@@ -244,6 +244,10 @@ impl StateMetrics {
 /// Per-connection bookkeeping inside the state thread.
 struct Conn {
     queue: Arc<ByteQueue>,
+    /// A handle on the socket, to shut it when the queue overflows: the
+    /// writer may be blocked sending to a client that stopped reading.
+    /// `None` only in tests without sockets.
+    socket: Option<TcpStream>,
     /// The session this connection last bound. It speaks for that
     /// session only while the session's record names it.
     session: Option<ClientId>,
@@ -413,8 +417,9 @@ fn spawn_conn(
 ) -> io::Result<Vec<JoinHandle<()>>> {
     let queue = Arc::new(ByteQueue::new(MAX_QUEUED_BYTES));
     let write_half = stream.try_clone()?;
+    let handle = stream.try_clone()?;
     let mut sock = FramedSocket::new(stream, max_frame, Duration::from_millis(20))?;
-    let _ = tx.send(Event::Connected(id, queue.clone()));
+    let _ = tx.send(Event::Connected(id, queue.clone(), handle));
 
     let reader = {
         let stop = stop.clone();
@@ -521,7 +526,7 @@ fn state_loop(mut ui: Ui, rx: Receiver<Event>, cfg: GatewayConfig, registry: Reg
         let mut stop = false;
         for ev in first.into_iter().chain(rx.try_iter()) {
             match ev {
-                Event::Connected(id, queue) => st.connect(id, queue),
+                Event::Connected(id, queue, socket) => st.connect(id, queue, Some(socket)),
                 Event::Msg(id, msg, body) => st.handle_msg(&mut ui, id, msg, &body),
                 Event::Disconnected(id) => st.drop_conn(id),
                 Event::Shutdown => stop = true,
@@ -559,9 +564,10 @@ impl State {
         }
     }
 
-    fn connect(&mut self, id: ConnId, queue: Arc<ByteQueue>) {
+    fn connect(&mut self, id: ConnId, queue: Arc<ByteQueue>, socket: Option<TcpStream>) {
         let conn = Conn {
             queue,
+            socket,
             session: None,
             held: None,
         };
@@ -824,6 +830,11 @@ impl State {
         }
         if conn.queue.push(batch) == Pushed::Overflow {
             self.metrics.dropped_connections.inc();
+            if let Some(socket) = &conn.socket {
+                // Unblocks the writer and ends the reader with EOF, so the
+                // connection goes; its session stays, detached.
+                let _ = socket.shutdown(std::net::Shutdown::Both);
+            }
         }
         self.metrics.queue_bytes.set(conn.queue.len() as i64);
     }
@@ -946,7 +957,7 @@ mod tests {
         fn connect(&mut self, id: ConnId) {
             let queue = Arc::new(ByteQueue::new(MAX_QUEUED_BYTES));
             self.queues.insert(id, queue.clone());
-            self.st.connect(id, queue);
+            self.st.connect(id, queue, None);
         }
 
         fn send(&mut self, id: ConnId, msgs: impl IntoIterator<Item = ClientMessage>) {

@@ -673,3 +673,76 @@ fn recorded_frames_are_the_bytes_on_the_wire() {
     assert_eq!(to_client, received, "recorded frames are the bytes sent");
     assert_eq!(to_server, sent, "recorded bodies are the bytes received");
 }
+
+#[test]
+fn a_client_that_stops_reading_is_dropped_and_shutdown_still_returns() {
+    use std::io::{ErrorKind, Read, Write};
+    use std::net::TcpStream;
+    use uniint::protocol::message::{encode_client, PROTOCOL_VERSION};
+
+    let registry = Registry::new();
+    let gw =
+        Gateway::spawn(panel(), GatewayConfig::default(), registry.clone()).expect("gateway binds");
+    let dropped = || {
+        registry
+            .snapshot()
+            .counters
+            .get("gateway.dropped_connections")
+            .copied()
+            .unwrap_or(0)
+    };
+
+    // Full refreshes, asked for and never read, fill the socket and then
+    // the connection's queue until the gateway gives up on it.
+    let mut sock = TcpStream::connect(gw.local_addr()).expect("connect");
+    let hello = ClientMessage::Hello {
+        version: PROTOCOL_VERSION,
+        name: "stalled".into(),
+    };
+    sock.write_all(&encode_client(&hello)).expect("hello");
+    let refresh = encode_client(&ClientMessage::UpdateRequest {
+        incremental: false,
+        rect: Rect::new(0, 0, 160, 120),
+    });
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while dropped() == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the stalled client was never dropped"
+        );
+        if sock.write_all(&refresh).is_err() {
+            break;
+        }
+    }
+    assert_eq!(dropped(), 1);
+
+    // The client still reads nothing, yet no writer stays blocked on it.
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        gw.shutdown();
+        let _ = done.send(());
+    });
+    assert!(
+        finished.recv_timeout(Duration::from_secs(10)).is_ok(),
+        "shutdown hung on the dropped connection"
+    );
+
+    // The gateway shut the socket: the client reads what was in flight,
+    // then the end of the stream.
+    sock.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut buf = vec![0u8; 64 * 1024];
+    loop {
+        match sock.read(&mut buf) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) => {
+                assert!(
+                    !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+                    "the socket was never closed"
+                );
+                break;
+            }
+        }
+    }
+}
