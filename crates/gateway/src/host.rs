@@ -807,12 +807,12 @@ impl State {
     /// Encodes `replies` into one batch of frames, records each frame's
     /// body from that batch, and queues it for connection `id`.
     fn push_to(&mut self, id: ConnId, replies: &[ServerMessage]) {
-        let Some(conn) = self.conns.get(&id) else {
-            return;
-        };
         if replies.is_empty() {
             return;
         }
+        let Some(conn) = self.conns.get(&id) else {
+            return;
+        };
         let mut batch = Vec::new();
         for r in replies {
             let start = batch.len();
