@@ -10,7 +10,7 @@
 //! situation".
 
 use crate::plugin::{DeviceEvent, DeviceFrame, InputContext, InputPlugin, OutputPlugin};
-use uniint_protocol::encoding::{decode_rect, DecodedRect, Encoding};
+use uniint_protocol::encoding::{decode_copy_rect, decode_into, Encoding};
 use uniint_protocol::error::ProtocolError;
 use uniint_protocol::input::InputEvent;
 use uniint_protocol::message::{ClientMessage, ServerMessage, PROTOCOL_VERSION};
@@ -296,12 +296,15 @@ impl UniIntProxy {
         self.output_plugin = None;
     }
 
-    /// Handles one server message.
+    /// Handles one server message. Update rects decode straight into the
+    /// server framebuffer.
     ///
     /// # Errors
     ///
-    /// Propagates [`ProtocolError`] from rectangle decoding; the caller
-    /// should tear the session down on error.
+    /// Propagates [`ProtocolError`] from rectangle decoding; a rect that
+    /// does not lie inside the framebuffer is `Malformed`. A failed update
+    /// may leave the framebuffer partly written: the caller should
+    /// [`recover`](Self::recover) or tear the session down.
     pub fn handle_server(&mut self, msg: &ServerMessage) -> Result<ProxyOutput, ProtocolError> {
         let mut out = ProxyOutput::default();
         match msg {
@@ -315,14 +318,27 @@ impl UniIntProxy {
                     return Err(ProtocolError::Malformed("update before init".into()));
                 };
                 self.last_update_seq = *seq;
+                let frame = fb.bounds();
                 for ru in rects {
                     let mut cursor: &[u8] = &ru.payload;
-                    match decode_rect(&mut cursor, ru.rect, ru.encoding, *format)? {
-                        DecodedRect::Pixels(px) => fb.write_rect(ru.rect, &px),
-                        DecodedRect::CopyFrom(src) => fb.copy_rect(
+                    let outside = || {
+                        ProtocolError::Malformed(format!(
+                            "rect {:?} outside the {}x{} frame",
+                            ru.rect, frame.w, frame.h
+                        ))
+                    };
+                    if ru.encoding == Encoding::CopyRect {
+                        let src = decode_copy_rect(&mut cursor)?;
+                        if !frame.contains_rect(ru.rect) {
+                            return Err(outside());
+                        }
+                        fb.copy_rect(
                             Rect::new(src.x, src.y, ru.rect.w, ru.rect.h),
                             ru.rect.origin(),
-                        ),
+                        );
+                    } else {
+                        let mut target = fb.rect_mut(ru.rect).ok_or_else(outside)?;
+                        decode_into(&mut cursor, ru.encoding, *format, &mut target)?;
                     }
                     self.metrics.rects_decoded.inc();
                     self.metrics
@@ -907,6 +923,7 @@ mod tests {
 mod recovery_tests {
     use super::*;
     use uniint_protocol::message::RectUpdate;
+    use uniint_raster::geom::Point;
 
     #[test]
     fn recover_before_connect_is_empty() {
@@ -946,6 +963,71 @@ mod recovery_tests {
             }
         ));
         // The session keeps working afterwards.
+        assert!(p.is_connected());
+    }
+
+    fn connected_64x48() -> UniIntProxy {
+        let mut p = UniIntProxy::new("p");
+        p.handle_server(&ServerMessage::Init {
+            version: 1,
+            width: 64,
+            height: 48,
+            format: PixelFormat::Rgb888,
+            name: "x".into(),
+        })
+        .unwrap();
+        p
+    }
+
+    #[test]
+    fn rect_partly_outside_the_frame_is_malformed() {
+        use uniint_protocol::encoding::encode_rect;
+        let mut p = connected_64x48();
+        let before = p.server_frame().unwrap().clone();
+        // Every encoding: each would have written the part inside.
+        for (rect, encoding) in [
+            (Rect::new(60, 40, 8, 8), Encoding::Raw),
+            (Rect::new(0, 44, 64, 8), Encoding::Rre),
+            (Rect::new(56, 0, 16, 16), Encoding::Hextile),
+            (Rect::new(63, 0, 2, 1), Encoding::Rle),
+            (Rect::new(0, 0, 65, 48), Encoding::PaletteRle),
+        ] {
+            let px = vec![Color::WHITE; rect.area() as usize];
+            let bad = ServerMessage::Update {
+                seq: 1,
+                format: PixelFormat::Rgb888,
+                rects: vec![RectUpdate {
+                    rect,
+                    encoding,
+                    payload: encode_rect(&px, rect, encoding, PixelFormat::Rgb888),
+                }],
+            };
+            let err = p.handle_server(&bad).unwrap_err();
+            assert!(matches!(err, ProtocolError::Malformed(_)), "{err:?}");
+            assert_eq!(p.server_frame(), Some(&before), "{encoding} wrote pixels");
+        }
+        let copy = ServerMessage::Update {
+            seq: 2,
+            format: PixelFormat::Rgb888,
+            rects: vec![RectUpdate {
+                rect: Rect::new(60, 0, 8, 8),
+                encoding: Encoding::CopyRect,
+                payload: uniint_protocol::encoding::encode_copy_rect(Point::new(0, 0)),
+            }],
+        };
+        let err = p.handle_server(&copy).unwrap_err();
+        assert!(matches!(err, ProtocolError::Malformed(_)), "{err:?}");
+        assert_eq!(p.server_frame(), Some(&before));
+        assert_eq!(p.stats().rects_decoded, 0);
+        // Recovery still asks for everything again.
+        let msgs = p.recover();
+        assert_eq!(
+            msgs.last(),
+            Some(&ClientMessage::UpdateRequest {
+                incremental: false,
+                rect: Rect::new(0, 0, 64, 48),
+            })
+        );
         assert!(p.is_connected());
     }
 }

@@ -14,15 +14,19 @@
 //! it processes into a flight-recorder trace written to `PATH` on exit
 //! (inspect it with `trace_dump`).
 //!
-//! CPU comes from `/proc` (Linux). Each `gl-client-N` thread reads its
-//! own `/proc/thread-self/schedstat` when its run ends; the gateway's
-//! share is the whole process (`/proc/self/stat`, which still counts
-//! the `gw-*` socket threads that exited with their connections) minus
-//! the clients and the main thread. On other systems both read 0.
+//! CPU comes from the C library's `clock_gettime` (Linux). Each
+//! `gl-client-N` thread reads its own `CLOCK_THREAD_CPUTIME_ID` when its
+//! run ends; the gateway's share is the whole process
+//! (`CLOCK_PROCESS_CPUTIME_ID`, which still counts the `gw-*` socket
+//! threads that exited with their connections) minus the clients and
+//! the main thread. On other systems both read 0.
 //!
 //! The run exits with status 1 if the gateway dropped any connection
 //! (`gateway.dropped_connections`): every load client reads all it is
 //! sent, so a drop means the outbound bound cut off a healthy client.
+//! On Linux it also exits with status 1 if a client that applied
+//! updates reports no CPU time: the gateway's share would then silently
+//! include the clients'.
 
 use std::time::{Duration, Instant};
 
@@ -74,28 +78,57 @@ fn parse_args() -> Args {
     args
 }
 
-/// CPU time of the calling thread, nanoseconds.
-fn thread_cpu_ns() -> u64 {
-    std::fs::read_to_string("/proc/thread-self/schedstat")
-        .ok()
-        .and_then(|s| s.split_whitespace().next()?.parse().ok())
-        .unwrap_or(0)
+#[cfg(target_os = "linux")]
+mod clock {
+    /// `struct timespec` on Linux: `time_t` and `long`, both the width
+    /// of a pointer.
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: isize,
+        tv_nsec: isize,
+    }
+
+    extern "C" {
+        fn clock_gettime(clock_id: i32, tp: *mut Timespec) -> i32;
+    }
+
+    pub const PROCESS_CPUTIME: i32 = 2;
+    pub const THREAD_CPUTIME: i32 = 3;
+
+    /// The clock's reading in nanoseconds, or 0 if it cannot be read.
+    pub fn read_ns(clock_id: i32) -> u64 {
+        let mut ts = Timespec {
+            tv_sec: 0,
+            tv_nsec: 0,
+        };
+        // SAFETY: `ts` is a valid, writable `struct timespec`, and the
+        // call writes nothing else.
+        if unsafe { clock_gettime(clock_id, &mut ts) } != 0 {
+            return 0;
+        }
+        ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
+    }
 }
 
-/// User + system CPU of the whole process, every thread that ever ran
-/// included, nanoseconds (clock ticks of 1/100 s).
+#[cfg(not(target_os = "linux"))]
+mod clock {
+    pub const PROCESS_CPUTIME: i32 = 0;
+    pub const THREAD_CPUTIME: i32 = 0;
+
+    pub fn read_ns(_clock_id: i32) -> u64 {
+        0
+    }
+}
+
+/// CPU time of the calling thread, nanoseconds.
+fn thread_cpu_ns() -> u64 {
+    clock::read_ns(clock::THREAD_CPUTIME)
+}
+
+/// CPU time of the whole process, every thread that ever ran included,
+/// nanoseconds.
 fn process_cpu_ns() -> u64 {
-    let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
-    // utime and stime are fields 14 and 15; the command name before them
-    // is parenthesised and may hold spaces.
-    let rest = stat.rsplit_once(')').map(|(_, r)| r).unwrap_or("");
-    let ticks: u64 = rest
-        .split_whitespace()
-        .skip(11)
-        .take(2)
-        .filter_map(|v| v.parse::<u64>().ok())
-        .sum();
-    ticks * 10_000_000
+    clock::read_ns(clock::PROCESS_CPUTIME)
 }
 
 fn main() {
@@ -160,11 +193,13 @@ fn main() {
     let mut total_updates = 0u64;
     let mut latencies: Vec<u64> = Vec::new();
     let mut client_cpu_ns = 0u64;
+    let mut clients_without_cpu = 0;
     for w in workers {
         let (updates, lat, cpu_ns) = w.join().expect("worker");
         total_updates += updates;
         latencies.extend(lat);
         client_cpu_ns += cpu_ns;
+        clients_without_cpu += usize::from(updates > 0 && cpu_ns == 0);
     }
     let _panel = gw.shutdown();
     let gateway_cpu_ns = process_cpu_ns()
@@ -213,6 +248,13 @@ fn main() {
     println!("gateway_load: gateway.dropped_connections {dropped}");
     if dropped > 0 {
         eprintln!("gateway_load: the gateway dropped {dropped} load client(s)");
+        std::process::exit(1);
+    }
+    // Only Linux has the clock; elsewhere every client reads 0.
+    if cfg!(target_os = "linux") && clients_without_cpu > 0 {
+        eprintln!(
+            "gateway_load: {clients_without_cpu} client(s) applied updates but read no CPU time"
+        );
         std::process::exit(1);
     }
 }

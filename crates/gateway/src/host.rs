@@ -82,6 +82,11 @@ const HELLO_GRACE: Duration = Duration::from_millis(250);
 /// most time it spends handling events between two pumps.
 const TICK: Duration = Duration::from_millis(10);
 
+/// How long [`Gateway::shutdown`] lets the writers flush what is queued
+/// before it shuts the sockets of those still sending: a writer blocked
+/// on a client that stopped reading would otherwise never return.
+const SHUTDOWN_FLUSH: Duration = Duration::from_secs(1);
+
 /// Settings of a [`Gateway`].
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
@@ -293,7 +298,9 @@ pub struct Gateway {
     stop: Arc<AtomicBool>,
     events: Sender<Event>,
     accept_handle: Option<JoinHandle<()>>,
-    state_handle: Option<JoinHandle<Ui>>,
+    /// The state thread; it returns the panel and the sockets of the
+    /// connections it still had.
+    state_handle: Option<JoinHandle<(Ui, Vec<TcpStream>)>>,
     io_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
@@ -350,11 +357,13 @@ impl Gateway {
     }
 
     /// Stops every thread, closes every connection and returns the
-    /// panel [`Ui`] in its final state.
+    /// panel [`Ui`] in its final state. Writers get a second to send
+    /// what is queued; then every socket is shut, which ends a writer
+    /// still blocked on a client that stopped reading.
     pub fn shutdown(mut self) -> Ui {
         self.stop.store(true, Ordering::SeqCst);
         let _ = self.events.send(Event::Shutdown);
-        let ui = self
+        let (ui, sockets) = self
             .state_handle
             .take()
             .expect("shutdown runs once")
@@ -364,6 +373,13 @@ impl Gateway {
             let _ = h.join();
         }
         let handles = std::mem::take(&mut *self.io_handles.lock().expect("io handles poisoned"));
+        let deadline = Instant::now() + SHUTDOWN_FLUSH;
+        while handles.iter().any(|h| !h.is_finished()) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        for socket in sockets {
+            let _ = socket.shutdown(std::net::Shutdown::Both);
+        }
         for h in handles {
             let _ = h.join();
         }
@@ -510,8 +526,15 @@ struct State {
     started: Instant,
 }
 
-/// The single thread owning the panel and all protocol sessions.
-fn state_loop(mut ui: Ui, rx: Receiver<Event>, cfg: GatewayConfig, registry: Registry) -> Ui {
+/// The single thread owning the panel and all protocol sessions. On
+/// exit it closes every queue, so each writer sends what is left, and
+/// returns the connections' sockets with the panel.
+fn state_loop(
+    mut ui: Ui,
+    rx: Receiver<Event>,
+    cfg: GatewayConfig,
+    registry: Registry,
+) -> (Ui, Vec<TcpStream>) {
     let mut st = State::new(registry, cfg.session_grace, cfg.recorder);
     loop {
         let first = match rx.recv_timeout(TICK) {
@@ -544,10 +567,12 @@ fn state_loop(mut ui: Ui, rx: Receiver<Event>, cfg: GatewayConfig, registry: Reg
         st.route_batches(batches);
     }
 
-    for conn in st.conns.values() {
+    let mut sockets = Vec::new();
+    for conn in st.conns.into_values() {
         conn.queue.close();
+        sockets.extend(conn.socket);
     }
-    ui
+    (ui, sockets)
 }
 
 impl State {

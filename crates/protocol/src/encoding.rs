@@ -15,12 +15,18 @@
 //!
 //! Encoders consume canonical [`Color`] pixels and produce wire bytes in
 //! the session's negotiated [`PixelFormat`]; decoders do the reverse.
+//! Each decoder writes its rows, fills and runs straight into a
+//! [`RectMut`]: [`decode_into`] takes a rect of the receiver's
+//! framebuffer ([`Framebuffer::rect_mut`]), [`decode_rect`] decodes into
+//! a fresh buffer through the same decoders.
 //! Encoding is two steps. A [`RectAnalysis`] reads a rect's pixels once,
 //! in one scanline pass, into colour runs and a palette that depend on no
 //! pixel format. [`RectAnalysis::choose`] then picks the encoding from
 //! it, and [`RectAnalysis::encode`] emits it in any format, so a server
 //! with clients in several formats analyses each damaged rect once.
 //! [`choose_encoding`] and [`encode_rect`] do both steps for one call.
+//!
+//! [`Framebuffer::rect_mut`]: uniint_raster::framebuffer::Framebuffer::rect_mut
 
 use crate::error::{ProtocolError, Result};
 use crate::wire;
@@ -28,8 +34,9 @@ use bytes::{Buf, BufMut};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use uniint_raster::color::Color;
+use uniint_raster::framebuffer::RectMut;
 use uniint_raster::geom::{Point, Rect};
-use uniint_raster::pixel::{pack_row, unpack_row, PixelFormat};
+use uniint_raster::pixel::{pack_row, unpack_row_into, PixelFormat};
 
 /// Sanity limit on a single update rectangle (pixels).
 pub const MAX_RECT_AREA: u64 = 16 * 1024 * 1024;
@@ -118,13 +125,65 @@ fn put_pixel(fmt: PixelFormat, c: Color, out: &mut Vec<u8>) {
     pack_row(fmt, &[c], None, out);
 }
 
-/// Reads one pixel in `fmt`.
+/// The pixel `bytes` (at least one pixel's worth) start with, in `fmt`.
+fn pixel_at(fmt: PixelFormat, bytes: &[u8]) -> Result<Color> {
+    let mut px = [Color::BLACK];
+    unpack_row_into(fmt, bytes, &mut px, None)
+        .ok_or_else(|| ProtocolError::Malformed("pixel decode failed".into()))?;
+    Ok(px[0])
+}
+
+/// Reads one pixel in `fmt`, allocating nothing.
 fn get_pixel(fmt: PixelFormat, buf: &mut impl Buf) -> Result<Color> {
     let n = fmt.row_bytes(1);
-    let bytes = wire::get_bytes(buf, n)?;
-    unpack_row(fmt, &bytes, 1, None)
-        .and_then(|v| v.first().copied())
-        .ok_or_else(|| ProtocolError::Malformed("pixel decode failed".into()))
+    if buf.remaining() < n {
+        return Err(ProtocolError::Truncated {
+            needed: n - buf.remaining(),
+        });
+    }
+    // No format packs a pixel in more than 3 bytes.
+    let mut bytes = [0u8; 3];
+    buf.copy_to_slice(&mut bytes[..n]);
+    pixel_at(fmt, &bytes[..n])
+}
+
+/// Calls `read` with the next `n` bytes of `buf`. They are read where
+/// they lie when the buffer's current chunk holds them all, as a `&[u8]`
+/// always does; otherwise they are gathered in `scratch` first.
+fn with_bytes<T>(
+    buf: &mut impl Buf,
+    n: usize,
+    scratch: &mut Vec<u8>,
+    read: impl FnOnce(&[u8]) -> Result<T>,
+) -> Result<T> {
+    if buf.remaining() < n {
+        return Err(ProtocolError::Truncated {
+            needed: n - buf.remaining(),
+        });
+    }
+    if buf.chunk().len() >= n {
+        let out = read(&buf.chunk()[..n]);
+        buf.advance(n);
+        return out;
+    }
+    scratch.clear();
+    scratch.resize(n, 0);
+    buf.copy_to_slice(scratch);
+    read(scratch)
+}
+
+/// Reads the next row of `out.len()` pixels in `fmt` into `out`.
+fn get_row(
+    fmt: PixelFormat,
+    buf: &mut impl Buf,
+    out: &mut [Color],
+    scratch: &mut Vec<u8>,
+) -> Result<()> {
+    let n = fmt.row_bytes(out.len() as u32);
+    with_bytes(buf, n, scratch, |bytes| {
+        unpack_row_into(fmt, bytes, out, None)
+            .ok_or_else(|| ProtocolError::Malformed("row decode failed".into()))
+    })
 }
 
 /// Encodes `pixels` (row-major, covering `rect`) with `encoding` into wire
@@ -159,7 +218,20 @@ pub fn encode_copy_rect(src: Point) -> Vec<u8> {
     out
 }
 
-/// Decodes one rectangle payload.
+/// Decodes a CopyRect payload: the source top-left in the receiver's
+/// framebuffer.
+///
+/// # Errors
+///
+/// Returns [`ProtocolError::Truncated`] when the payload is short.
+pub fn decode_copy_rect(buf: &mut impl Buf) -> Result<Point> {
+    let x = wire::get_u16(buf)?;
+    let y = wire::get_u16(buf)?;
+    Ok(Point::new(x as i32, y as i32))
+}
+
+/// Decodes one rectangle payload into a fresh buffer, through the same
+/// decoders as [`decode_into`].
 ///
 /// # Errors
 ///
@@ -174,17 +246,112 @@ pub fn decode_rect(
     if rect.area() > MAX_RECT_AREA {
         return Err(ProtocolError::OversizedRect { area: rect.area() });
     }
+    if encoding == Encoding::CopyRect {
+        return decode_copy_rect(buf).map(DecodedRect::CopyFrom);
+    }
+    let mut pixels = vec![Color::BLACK; rect.area() as usize];
+    decode_into(
+        buf,
+        encoding,
+        fmt,
+        &mut RectMut::packed(&mut pixels, rect.w, rect.h),
+    )?;
+    Ok(DecodedRect::Pixels(pixels))
+}
+
+/// Decodes one rectangle payload that carries pixels straight into
+/// `target`, which has the rectangle's size: a receiver passes the rect
+/// of its framebuffer the update names.
+///
+/// # Errors
+///
+/// Returns [`ProtocolError`] when bytes are truncated or malformed, the
+/// rectangle exceeds [`MAX_RECT_AREA`], or `encoding` is
+/// [`Encoding::CopyRect`], which carries no pixels (use
+/// [`decode_copy_rect`]). A payload that fails may leave `target` partly
+/// written.
+pub fn decode_into(
+    buf: &mut impl Buf,
+    encoding: Encoding,
+    fmt: PixelFormat,
+    target: &mut RectMut<'_>,
+) -> Result<()> {
+    let area = target.bounds().area();
+    if area > MAX_RECT_AREA {
+        return Err(ProtocolError::OversizedRect { area });
+    }
     match encoding {
-        Encoding::Raw => decode_raw(buf, rect, fmt).map(DecodedRect::Pixels),
-        Encoding::CopyRect => {
-            let x = wire::get_u16(buf)?;
-            let y = wire::get_u16(buf)?;
-            Ok(DecodedRect::CopyFrom(Point::new(x as i32, y as i32)))
+        Encoding::Raw => decode_raw(buf, fmt, target),
+        Encoding::CopyRect => Err(ProtocolError::Malformed(
+            "copyrect carries no pixels".into(),
+        )),
+        Encoding::Rre => decode_rre(buf, fmt, target),
+        Encoding::Hextile => decode_hextile(buf, fmt, target),
+        Encoding::Rle => decode_rle(buf, fmt, target),
+        Encoding::PaletteRle => decode_palette_rle(buf, fmt, target),
+    }
+}
+
+/// The error for runs that pass the last pixel: out of line, so the
+/// per-run path stays small.
+#[cold]
+fn overrun(what: &str) -> ProtocolError {
+    ProtocolError::Malformed(format!("{what} overruns rect"))
+}
+
+/// Writes runs of one colour into a target in scanline order. A run may
+/// wrap rows; no run may pass the last pixel.
+struct Scanline<'t, 'a> {
+    target: &'t mut RectMut<'a>,
+    x: usize,
+    y: u32,
+    /// Pixels not yet written.
+    left: u64,
+}
+
+impl<'t, 'a> Scanline<'t, 'a> {
+    fn new(target: &'t mut RectMut<'a>) -> Scanline<'t, 'a> {
+        let left = target.bounds().area();
+        Scanline {
+            target,
+            x: 0,
+            y: 0,
+            left,
         }
-        Encoding::Rre => decode_rre(buf, rect, fmt).map(DecodedRect::Pixels),
-        Encoding::Hextile => decode_hextile(buf, rect, fmt).map(DecodedRect::Pixels),
-        Encoding::Rle => decode_rle(buf, rect, fmt).map(DecodedRect::Pixels),
-        Encoding::PaletteRle => decode_palette_rle(buf, rect, fmt).map(DecodedRect::Pixels),
+    }
+
+    /// Writes the next `n` pixels in `c`. `what` names the encoding in
+    /// the error when they pass the last pixel.
+    fn run(&mut self, n: usize, c: Color, what: &str) -> Result<()> {
+        if n as u64 > self.left {
+            return Err(overrun(what));
+        }
+        self.left -= n as u64;
+        let w = self.target.width() as usize;
+        let mut n = n;
+        while n > 0 {
+            let take = n.min(w - self.x);
+            self.target.row(self.y)[self.x..self.x + take].fill(c);
+            self.x += take;
+            n -= take;
+            if self.x == w {
+                self.x = 0;
+                self.y += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Fails unless the runs covered every pixel.
+    fn finish(&self, what: &str) -> Result<()> {
+        if self.left == 0 {
+            return Ok(());
+        }
+        let area = self.target.bounds().area();
+        Err(ProtocolError::Malformed(format!(
+            "{what} covered {} of {area} pixels",
+            area - self.left
+        )))
     }
 }
 
@@ -464,16 +631,12 @@ fn encode_raw(pixels: &[Color], rect: Rect, fmt: PixelFormat) -> Vec<u8> {
     out
 }
 
-fn decode_raw(buf: &mut impl Buf, rect: Rect, fmt: PixelFormat) -> Result<Vec<Color>> {
-    let row_bytes = fmt.row_bytes(rect.w);
-    let mut pixels = Vec::with_capacity(rect.area() as usize);
-    for _ in 0..rect.h {
-        let bytes = wire::get_bytes(buf, row_bytes)?;
-        let row = unpack_row(fmt, &bytes, rect.w as usize, None)
-            .ok_or_else(|| ProtocolError::Malformed("raw row decode failed".into()))?;
-        pixels.extend(row);
+fn decode_raw(buf: &mut impl Buf, fmt: PixelFormat, target: &mut RectMut) -> Result<()> {
+    let mut scratch = Vec::new();
+    for y in 0..target.height() {
+        get_row(fmt, buf, target.row(y), &mut scratch)?;
     }
-    Ok(pixels)
+    Ok(())
 }
 
 // ---------------------------------------------------------------- rre --
@@ -561,30 +724,28 @@ fn encode_rre(colours: &Colours, rect: Rect, fmt: PixelFormat) -> Vec<u8> {
     out
 }
 
-fn decode_rre(buf: &mut impl Buf, rect: Rect, fmt: PixelFormat) -> Result<Vec<Color>> {
-    let count = wire::get_u32(buf)? as usize;
-    if count as u64 > rect.area().max(1) {
+fn decode_rre(buf: &mut impl Buf, fmt: PixelFormat, target: &mut RectMut) -> Result<()> {
+    let bounds = target.bounds();
+    let count = wire::get_u32(buf)?;
+    if count as u64 > bounds.area().max(1) {
         return Err(ProtocolError::Malformed(format!(
             "rre subrect count {count} exceeds rect area"
         )));
     }
-    let bg = get_pixel(fmt, buf)?;
-    let mut pixels = vec![bg; rect.area() as usize];
-    let w = rect.w as usize;
+    target.fill(bounds, get_pixel(fmt, buf)?);
     for _ in 0..count {
         let c = get_pixel(fmt, buf)?;
-        let x = wire::get_u16(buf)? as usize;
-        let y = wire::get_u16(buf)? as usize;
-        let sw = wire::get_u16(buf)? as usize;
-        let sh = wire::get_u16(buf)? as usize;
-        if x + sw > w || y + sh > rect.h as usize {
+        let x = wire::get_u16(buf)?;
+        let y = wire::get_u16(buf)?;
+        let sw = wire::get_u16(buf)? as u32;
+        let sh = wire::get_u16(buf)? as u32;
+        let sub = Rect::new(x as i32, y as i32, sw, sh);
+        if !bounds.contains_rect(sub) {
             return Err(ProtocolError::Malformed("rre subrect out of bounds".into()));
         }
-        for yy in y..y + sh {
-            pixels[yy * w + x..yy * w + x + sw].fill(c);
-        }
+        target.fill(sub, c);
     }
-    Ok(pixels)
+    Ok(())
 }
 
 // ------------------------------------------------------------ hextile --
@@ -647,31 +808,32 @@ fn encode_hextile(pixels: &[Color], rect: Rect, fmt: PixelFormat) -> Vec<u8> {
     out
 }
 
-fn decode_hextile(buf: &mut impl Buf, rect: Rect, fmt: PixelFormat) -> Result<Vec<Color>> {
-    let w = rect.w as usize;
-    let h = rect.h as usize;
-    let mut pixels = vec![Color::BLACK; w * h];
+fn decode_hextile(buf: &mut impl Buf, fmt: PixelFormat, target: &mut RectMut) -> Result<()> {
+    let w = target.width() as usize;
+    let h = target.height() as usize;
+    let mut scratch = Vec::new();
     let mut last_bg = Color::BLACK;
     for ty in (0..h).step_by(TILE) {
         for tx in (0..w).step_by(TILE) {
             let tw = TILE.min(w - tx);
             let th = TILE.min(h - ty);
+            // The `sw`×`sh` rect at `(x, y)` in this tile, in the
+            // target's space.
+            let at = |x: usize, y: usize, sw: usize, sh: usize| {
+                Rect::new((tx + x) as i32, (ty + y) as i32, sw as u32, sh as u32)
+            };
             let flags = wire::get_u8(buf)?;
             if flags & HEX_RAW != 0 {
-                for yy in 0..th {
-                    let bytes = wire::get_bytes(buf, fmt.row_bytes(tw as u32))?;
-                    let row = unpack_row(fmt, &bytes, tw, None)
-                        .ok_or_else(|| ProtocolError::Malformed("hextile raw row".into()))?;
-                    pixels[(ty + yy) * w + tx..(ty + yy) * w + tx + tw].copy_from_slice(&row);
+                for y in ty..ty + th {
+                    let row = &mut target.row(y as u32)[tx..tx + tw];
+                    get_row(fmt, buf, row, &mut scratch)?;
                 }
                 continue;
             }
             if flags & HEX_BG != 0 {
                 last_bg = get_pixel(fmt, buf)?;
             }
-            for yy in 0..th {
-                pixels[(ty + yy) * w + tx..(ty + yy) * w + tx + tw].fill(last_bg);
-            }
+            target.fill(at(0, 0, tw, th), last_bg);
             if flags & HEX_SUBRECTS != 0 {
                 let n = wire::get_u8(buf)? as usize;
                 for _ in 0..n {
@@ -689,15 +851,12 @@ fn decode_hextile(buf: &mut impl Buf, rect: Rect, fmt: PixelFormat) -> Result<Ve
                     if sx + sw > tw || sy + sh > th {
                         return Err(ProtocolError::Malformed("hextile subrect oob".into()));
                     }
-                    for yy in sy..sy + sh {
-                        let base = (ty + yy) * w + tx + sx;
-                        pixels[base..base + sw].fill(c);
-                    }
+                    target.fill(at(sx, sy, sw, sh), c);
                 }
             }
         }
     }
-    Ok(pixels)
+    Ok(())
 }
 
 // ---------------------------------------------------------------- rle --
@@ -721,30 +880,23 @@ fn encode_rle(c: &Colours, fmt: PixelFormat) -> Vec<u8> {
     out
 }
 
-fn decode_rle(buf: &mut impl Buf, rect: Rect, fmt: PixelFormat) -> Result<Vec<Color>> {
-    let nruns = wire::get_u32(buf)? as usize;
-    if nruns as u64 > rect.area() {
+fn decode_rle(buf: &mut impl Buf, fmt: PixelFormat, target: &mut RectMut) -> Result<()> {
+    let mut out = Scanline::new(target);
+    let nruns = wire::get_u32(buf)?;
+    if nruns as u64 > out.left {
         return Err(ProtocolError::Malformed(
             "rle has more runs than pixels".into(),
         ));
     }
-    let mut pixels = Vec::with_capacity(rect.area() as usize);
-    for _ in 0..nruns {
-        let n = wire::get_u16(buf)? as usize;
-        let c = get_pixel(fmt, buf)?;
-        if pixels.len() + n > rect.area() as usize {
-            return Err(ProtocolError::Malformed("rle overruns rect".into()));
+    // Each run is a u16 length and a pixel.
+    let run_bytes = 2 + fmt.row_bytes(1);
+    with_bytes(buf, nruns as usize * run_bytes, &mut Vec::new(), |runs| {
+        for run in runs.chunks_exact(run_bytes) {
+            let c = pixel_at(fmt, &run[2..])?;
+            out.run(u16::from_be_bytes([run[0], run[1]]) as usize, c, "rle")?;
         }
-        pixels.extend(std::iter::repeat_n(c, n));
-    }
-    if pixels.len() as u64 != rect.area() {
-        return Err(ProtocolError::Malformed(format!(
-            "rle covered {} of {} pixels",
-            pixels.len(),
-            rect.area()
-        )));
-    }
-    Ok(pixels)
+        out.finish("rle")
+    })
 }
 
 // -------------------------------------------------------- palette-rle --
@@ -779,13 +931,13 @@ fn encode_palette_rle(analysis: &RectAnalysis, fmt: PixelFormat) -> Vec<u8> {
     out
 }
 
-fn decode_palette_rle(buf: &mut impl Buf, rect: Rect, fmt: PixelFormat) -> Result<Vec<Color>> {
+fn decode_palette_rle(buf: &mut impl Buf, fmt: PixelFormat, target: &mut RectMut) -> Result<()> {
     let mode = wire::get_u8(buf)?;
     match mode {
-        PRLE_RAW => decode_raw(buf, rect, fmt),
+        PRLE_RAW => decode_raw(buf, fmt, target),
         PRLE_SOLID => {
-            let c = get_pixel(fmt, buf)?;
-            Ok(vec![c; rect.area() as usize])
+            target.fill(target.bounds(), get_pixel(fmt, buf)?);
+            Ok(())
         }
         PRLE_INDEXED => {
             let n = wire::get_u8(buf)? as usize;
@@ -794,34 +946,30 @@ fn decode_palette_rle(buf: &mut impl Buf, rect: Rect, fmt: PixelFormat) -> Resul
                     "palette-rle palette too small".into(),
                 ));
             }
-            let mut palette = Vec::with_capacity(n);
-            for _ in 0..n {
-                palette.push(get_pixel(fmt, buf)?);
+            let mut entries = [Color::BLACK; PALETTE_CAP];
+            for entry in &mut entries[..n] {
+                *entry = get_pixel(fmt, buf)?;
             }
-            let nruns = wire::get_u32(buf)? as usize;
-            if nruns as u64 > rect.area() {
+            let palette = &entries[..n];
+            let mut out = Scanline::new(target);
+            let nruns = wire::get_u32(buf)?;
+            if nruns as u64 > out.left {
                 return Err(ProtocolError::Malformed("palette-rle too many runs".into()));
             }
-            let mut pixels = Vec::with_capacity(rect.area() as usize);
-            for _ in 0..nruns {
-                let idx = wire::get_u8(buf)? as usize;
-                let len = wire::get_u16(buf)? as usize;
-                let c = *palette
-                    .get(idx)
-                    .ok_or_else(|| ProtocolError::Malformed("palette-rle index oob".into()))?;
-                if pixels.len() + len > rect.area() as usize {
-                    return Err(ProtocolError::Malformed("palette-rle overruns rect".into()));
+            // Each run is a u8 palette index and a u16 length.
+            with_bytes(buf, nruns as usize * 3, &mut Vec::new(), |runs| {
+                for run in runs.chunks_exact(3) {
+                    let c = *palette
+                        .get(run[0] as usize)
+                        .ok_or_else(|| ProtocolError::Malformed("palette-rle index oob".into()))?;
+                    out.run(
+                        u16::from_be_bytes([run[1], run[2]]) as usize,
+                        c,
+                        "palette-rle",
+                    )?;
                 }
-                pixels.extend(std::iter::repeat_n(c, len));
-            }
-            if pixels.len() as u64 != rect.area() {
-                return Err(ProtocolError::Malformed(format!(
-                    "palette-rle covered {} of {} pixels",
-                    pixels.len(),
-                    rect.area()
-                )));
-            }
-            Ok(pixels)
+                out.finish("palette-rle")
+            })
         }
         other => Err(ProtocolError::Malformed(format!(
             "palette-rle unknown subencoding {other}"

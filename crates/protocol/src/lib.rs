@@ -55,7 +55,8 @@ pub mod wire;
 /// Convenient re-exports of the protocol surface.
 pub mod prelude {
     pub use crate::encoding::{
-        choose_encoding, decode_rect, encode_copy_rect, encode_rect, DecodedRect, Encoding,
+        choose_encoding, decode_copy_rect, decode_into, decode_rect, encode_copy_rect, encode_rect,
+        DecodedRect, Encoding,
     };
     pub use crate::error::ProtocolError;
     pub use crate::input::{ButtonMask, InputEvent, KeySym};

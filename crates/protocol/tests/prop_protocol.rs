@@ -1,17 +1,20 @@
-//! Property tests: every encoding round-trips arbitrary images; arbitrary
-//! messages survive encode→frame→decode; and the decoders never panic on
-//! arbitrary bytes (robustness against hostile/corrupt streams).
+//! Property tests: every encoding round-trips arbitrary images; decoding
+//! straight into a framebuffer matches decoding into a fresh buffer and
+//! copying it in; arbitrary messages survive encode→frame→decode; and the
+//! decoders never panic on arbitrary bytes (robustness against
+//! hostile/corrupt streams), nor write outside their rect.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use uniint_protocol::encoding::{
-    choose_encoding, decode_rect, encode_copy_rect, encode_rect, DecodedRect, Encoding,
+    choose_encoding, decode_into, decode_rect, encode_copy_rect, encode_rect, DecodedRect, Encoding,
 };
 use uniint_protocol::input::{ButtonMask, InputEvent, KeySym};
 use uniint_protocol::message::{
     encode_client, encode_server, ClientMessage, FrameReader, RectUpdate, ServerMessage,
 };
 use uniint_raster::color::Color;
+use uniint_raster::framebuffer::Framebuffer;
 use uniint_raster::geom::{Point, Rect};
 use uniint_raster::pixel::PixelFormat;
 
@@ -259,6 +262,98 @@ proptest! {
             // must never panic or read past the buffer.
             let _ = decode_rect(&mut cursor, rect, enc, PixelFormat::Rgb888);
         }
+    }
+}
+
+/// A patterned frame with room for `rect` at `origin` and a margin on
+/// every side, so a stray write shows.
+fn canvas(rect: Rect, origin: Point) -> Framebuffer {
+    let (w, h) = (rect.w + origin.x as u32 + 3, rect.h + origin.y as u32 + 2);
+    let mut fb = Framebuffer::new(w, h, Color::BLACK);
+    for y in 0..h {
+        for (x, p) in fb.row_mut(y).iter_mut().enumerate() {
+            *p = Color::rgb(x as u8, y as u8, 0x5a);
+        }
+    }
+    fb
+}
+
+/// Whether `a` and `b` hold the same pixels outside `rect`.
+fn same_outside(a: &Framebuffer, b: &Framebuffer, rect: Rect) -> bool {
+    let (mut a, mut b) = (a.clone(), b.clone());
+    a.fill_rect(rect, Color::BLACK);
+    b.fill_rect(rect, Color::BLACK);
+    a == b
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn decode_into_a_frame_matches_decode_then_write(
+        (rect, px) in arb_image(),
+        (ox, oy) in (1i32..9, 1i32..9),
+    ) {
+        let placed = Rect::new(ox, oy, rect.w, rect.h);
+        let before = canvas(rect, placed.origin());
+        for enc in PIXEL_ENCODINGS {
+            for fmt in PixelFormat::ALL {
+                let bytes = encode_rect(&px, rect, enc, fmt);
+                let mut want = before.clone();
+                match decode_rect(&mut bytes.as_slice(), placed, enc, fmt) {
+                    Ok(DecodedRect::Pixels(out)) => want.write_rect(placed, &out),
+                    other => return Err(TestCaseError::fail(format!("{enc}/{fmt}: {other:?}"))),
+                }
+                let mut got = before.clone();
+                let mut cursor: &[u8] = &bytes;
+                let mut target = got.rect_mut(placed).expect("rect inside the canvas");
+                prop_assert_eq!(decode_into(&mut cursor, enc, fmt, &mut target), Ok(()));
+                prop_assert!(cursor.is_empty(), "{}/{} trailing bytes", enc, fmt);
+                prop_assert!(got == want, "{}/{}", enc, fmt);
+                prop_assert!(same_outside(&got, &before, placed), "{}/{}", enc, fmt);
+            }
+        }
+    }
+
+    #[test]
+    fn bad_payloads_never_write_outside_the_rect(
+        (rect, px) in arb_image(),
+        (ox, oy) in (1i32..9, 1i32..9),
+        keep_frac in 0.0f64..1.0,
+        garbage in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let placed = Rect::new(ox, oy, rect.w, rect.h);
+        let before = canvas(rect, placed.origin());
+        for enc in PIXEL_ENCODINGS {
+            for fmt in PixelFormat::ALL {
+                let bytes = encode_rect(&px, rect, enc, fmt);
+                // Every decoder reads its whole payload, so any strict
+                // prefix runs out of bytes.
+                let keep = ((bytes.len() as f64) * keep_frac) as usize;
+                let mut fb = before.clone();
+                let mut target = fb.rect_mut(placed).expect("rect inside the canvas");
+                let res = decode_into(&mut &bytes[..keep], enc, fmt, &mut target);
+                prop_assert!(res.is_err(), "{}/{}: {} of {} bytes decoded", enc, fmt, keep, bytes.len());
+                prop_assert!(same_outside(&fb, &before, placed), "{}/{} truncated", enc, fmt);
+                // Garbage may decode (payload bytes are data), but stays
+                // inside the rect either way.
+                let mut fb = before.clone();
+                let mut target = fb.rect_mut(placed).expect("rect inside the canvas");
+                let _ = decode_into(&mut garbage.as_slice(), enc, fmt, &mut target);
+                prop_assert!(same_outside(&fb, &before, placed), "{}/{} garbage", enc, fmt);
+            }
+        }
+    }
+}
+
+#[test]
+fn copy_rect_does_not_decode_into_a_frame() {
+    let bytes = encode_copy_rect(Point::new(0, 0));
+    for fmt in PixelFormat::ALL {
+        let mut fb = Framebuffer::new(8, 8, Color::BLACK);
+        let mut target = fb.rect_mut(Rect::new(1, 1, 4, 4)).expect("inside");
+        let res = decode_into(&mut bytes.as_slice(), Encoding::CopyRect, fmt, &mut target);
+        assert!(res.is_err(), "{fmt}");
     }
 }
 

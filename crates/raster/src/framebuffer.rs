@@ -310,6 +310,55 @@ impl Framebuffer {
         self.log(clipped);
     }
 
+    /// The pixels of `rect`, to write in place (a protocol decoder writes
+    /// an update rect straight into the frame this way), or `None` unless
+    /// `rect` lies inside the frame. An empty rect always fits.
+    ///
+    /// The call records damage and journals `rect` once, before any write
+    /// through the view, so the view's writes are covered even when the
+    /// writer stops halfway.
+    ///
+    /// ```
+    /// use uniint_raster::framebuffer::Framebuffer;
+    /// use uniint_raster::color::Color;
+    /// use uniint_raster::geom::{Point, Rect};
+    /// let mut fb = Framebuffer::new(8, 8, Color::BLACK);
+    /// let seen = fb.stamp();
+    /// let mut view = fb.rect_mut(Rect::new(2, 3, 4, 2)).unwrap();
+    /// view.row(1)[3] = Color::RED;
+    /// assert_eq!(fb.pixel(Point::new(5, 4)), Some(Color::RED));
+    /// assert_eq!(fb.changes_since(seen), Some(vec![Rect::new(2, 3, 4, 2)]));
+    /// assert!(fb.rect_mut(Rect::new(6, 0, 4, 1)).is_none());
+    /// ```
+    pub fn rect_mut(&mut self, rect: Rect) -> Option<RectMut<'_>> {
+        if rect.is_empty() {
+            return Some(RectMut {
+                pixels: &mut [],
+                width: rect.w as usize,
+                height: rect.h as usize,
+                stride: 0,
+            });
+        }
+        let inside = rect.x >= 0
+            && rect.y >= 0
+            && rect.x as u64 + rect.w as u64 <= self.width as u64
+            && rect.y as u64 + rect.h as u64 <= self.height as u64;
+        if !inside {
+            return None;
+        }
+        self.damage.add(rect);
+        self.log(rect);
+        let stride = self.width as usize;
+        let (w, h) = (rect.w as usize, rect.h as usize);
+        let start = rect.y as usize * stride + rect.x as usize;
+        Some(RectMut {
+            pixels: &mut self.pixels[start..start + (h - 1) * stride + w],
+            width: w,
+            height: h,
+            stride,
+        })
+    }
+
     /// Fills `rect` (clipped) with `c`. Records damage and journals the
     /// clipped rect.
     pub fn fill_rect(&mut self, rect: Rect, c: Color) {
@@ -403,6 +452,82 @@ impl Framebuffer {
             diff.push(0, y, self.row(y), other.row(y));
         }
         diff.into_region()
+    }
+}
+
+/// A rect of pixels to write in place: `height` rows of `width` pixels,
+/// each row `stride` pixels after the one above. It is either a rect of a
+/// [`Framebuffer`] ([`Framebuffer::rect_mut`]) or a packed buffer of its
+/// own ([`RectMut::packed`]), so one writer serves both.
+#[derive(Debug)]
+pub struct RectMut<'a> {
+    pixels: &'a mut [Color],
+    width: usize,
+    height: usize,
+    stride: usize,
+}
+
+impl<'a> RectMut<'a> {
+    /// A `width`×`height` rect over `pixels`, row-major with no gaps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pixels.len()` is not `width * height`.
+    pub fn packed(pixels: &'a mut [Color], width: u32, height: u32) -> RectMut<'a> {
+        assert_eq!(
+            pixels.len() as u64,
+            width as u64 * height as u64,
+            "packed rect length mismatch"
+        );
+        RectMut {
+            pixels,
+            width: width as usize,
+            height: height as usize,
+            stride: width as usize,
+        }
+    }
+
+    /// Width in pixels.
+    #[inline]
+    pub fn width(&self) -> u32 {
+        self.width as u32
+    }
+
+    /// Height in pixels.
+    #[inline]
+    pub fn height(&self) -> u32 {
+        self.height as u32
+    }
+
+    /// The rectangle `(0, 0, width, height)`.
+    #[inline]
+    pub fn bounds(&self) -> Rect {
+        Rect::new(0, 0, self.width(), self.height())
+    }
+
+    /// Row `y` of the rect, `width` pixels long.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y` is out of range.
+    #[inline]
+    pub fn row(&mut self, y: u32) -> &mut [Color] {
+        assert!((y as usize) < self.height, "row {y} out of range");
+        let start = y as usize * self.stride;
+        &mut self.pixels[start..start + self.width]
+    }
+
+    /// Fills `rect`, given relative to the rect's top-left, with `c`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `rect` lies inside the rect.
+    #[inline]
+    pub fn fill(&mut self, rect: Rect, c: Color) {
+        let (x, w) = (rect.x as usize, rect.w as usize);
+        for y in rect.y..rect.bottom() {
+            self.row(y as u32)[x..x + w].fill(c);
+        }
     }
 }
 
@@ -682,6 +807,65 @@ mod journal_tests {
         assert_eq!(fb.changes_since(now), Some(Vec::new()));
         other.fill_rect(other.bounds(), Color::BLACK);
         assert_eq!(fb.changes_since(now), Some(Vec::new()), "own journal only");
+    }
+
+    #[test]
+    fn rect_mut_writes_in_place_and_journals_once() {
+        let mut fb = Framebuffer::new(8, 6, Color::BLACK);
+        fb.take_damage();
+        let seen = fb.stamp();
+        let rect = Rect::new(3, 1, 4, 3);
+        let mut view = fb.rect_mut(rect).expect("inside");
+        assert_eq!((view.width(), view.height()), (4, 3));
+        view.fill(Rect::new(0, 0, 4, 3), Color::BLUE);
+        view.fill(Rect::new(1, 1, 2, 2), Color::RED);
+        view.row(0)[3] = Color::GREEN;
+        let mut want = Framebuffer::new(8, 6, Color::BLACK);
+        want.fill_rect(rect, Color::BLUE);
+        want.fill_rect(Rect::new(4, 2, 2, 2), Color::RED);
+        want.set_pixel(Point::new(6, 1), Color::GREEN);
+        assert_eq!(fb, want);
+        assert_eq!(fb.changes_since(seen), Some(vec![rect]));
+        assert_eq!(fb.damage().bounding_rect(), rect);
+    }
+
+    #[test]
+    fn rect_mut_refuses_rects_outside_the_frame() {
+        let mut fb = Framebuffer::new(8, 6, Color::BLACK);
+        fb.take_damage();
+        let seen = fb.stamp();
+        for rect in [
+            Rect::new(5, 0, 4, 1),
+            Rect::new(0, 5, 1, 2),
+            Rect::new(-1, 0, 2, 2),
+            Rect::new(0, -1, 2, 2),
+            Rect::new(8, 0, 1, 1),
+        ] {
+            assert!(fb.rect_mut(rect).is_none(), "{rect:?}");
+        }
+        let empty = fb.rect_mut(Rect::new(100, 100, 0, 3)).expect("empty fits");
+        assert_eq!((empty.width(), empty.height()), (0, 3));
+        assert!(fb.rect_mut(fb.bounds()).is_some());
+        assert_eq!(fb.changes_since(seen), Some(vec![fb.bounds()]));
+    }
+
+    #[test]
+    fn packed_rect_is_row_major() {
+        let mut px = [Color::BLACK; 6];
+        let mut view = RectMut::packed(&mut px, 3, 2);
+        view.fill(Rect::new(1, 0, 2, 2), Color::WHITE);
+        view.row(1)[2] = Color::RED;
+        assert_eq!(
+            px,
+            [
+                Color::BLACK,
+                Color::WHITE,
+                Color::WHITE,
+                Color::BLACK,
+                Color::WHITE,
+                Color::RED
+            ]
+        );
     }
 
     #[test]

@@ -230,63 +230,87 @@ pub fn unpack_row(
     w: usize,
     palette: Option<&Palette>,
 ) -> Option<Vec<Color>> {
+    // Checked before allocating, so a short buffer costs nothing.
     if bytes.len() < format.row_bytes(w as u32) {
         return None;
     }
-    let mut row = Vec::with_capacity(w);
+    let mut row = vec![Color::BLACK; w];
+    unpack_row_into(format, bytes, &mut row, palette)?;
+    Some(row)
+}
+
+/// Unpacks `out.len()` pixels from `format` bytes into `out`, allocating
+/// nothing.
+///
+/// Returns `None`, and leaves `out` as it was, if `bytes` is too short.
+pub fn unpack_row_into(
+    format: PixelFormat,
+    bytes: &[u8],
+    out: &mut [Color],
+    palette: Option<&Palette>,
+) -> Option<()> {
+    if bytes.len() < format.row_bytes(out.len() as u32) {
+        return None;
+    }
     match format {
         PixelFormat::Rgb888 => {
-            for px in bytes.chunks_exact(3).take(w) {
-                row.push(Color::rgb(px[0], px[1], px[2]));
+            for (o, px) in out.iter_mut().zip(bytes.chunks_exact(3)) {
+                *o = Color::rgb(px[0], px[1], px[2]);
             }
         }
         PixelFormat::Rgb565 => {
-            for px in bytes.chunks_exact(2).take(w) {
+            for (o, px) in out.iter_mut().zip(bytes.chunks_exact(2)) {
                 let v = u16::from_be_bytes([px[0], px[1]]);
                 let r = ((v >> 11) as u8) << 3;
                 let g = ((v >> 5) as u8 & 0x3f) << 2;
                 let b = (v as u8 & 0x1f) << 3;
-                row.push(Color::rgb(r | (r >> 5), g | (g >> 6), b | (b >> 5)));
+                *o = Color::rgb(r | (r >> 5), g | (g >> 6), b | (b >> 5));
             }
         }
         PixelFormat::Rgb444 => {
-            for px in bytes.chunks_exact(2).take(w) {
+            for (o, px) in out.iter_mut().zip(bytes.chunks_exact(2)) {
                 let v = u16::from_be_bytes([px[0], px[1]]);
                 let r = ((v >> 8) as u8 & 0x0f) << 4;
                 let g = ((v >> 4) as u8 & 0x0f) << 4;
                 let b = (v as u8 & 0x0f) << 4;
-                row.push(Color::rgb(r | (r >> 4), g | (g >> 4), b | (b >> 4)));
+                *o = Color::rgb(r | (r >> 4), g | (g >> 4), b | (b >> 4));
             }
         }
         PixelFormat::Gray8 => {
-            for &v in bytes.iter().take(w) {
-                row.push(Color::gray(v));
+            for (o, &v) in out.iter_mut().zip(bytes) {
+                *o = Color::gray(v);
             }
         }
         PixelFormat::Gray4 => {
-            for i in 0..w {
+            for (i, o) in out.iter_mut().enumerate() {
                 let byte = bytes[i / 2];
                 let nib = if i % 2 == 0 { byte >> 4 } else { byte & 0x0f };
-                let v = (nib << 4) | nib;
-                row.push(Color::gray(v));
+                *o = Color::gray((nib << 4) | nib);
             }
         }
         PixelFormat::Mono1 => {
-            for i in 0..w {
-                let byte = bytes[i / 8];
-                let bit = (byte >> (7 - (i % 8))) & 1;
-                row.push(if bit == 1 { Color::WHITE } else { Color::BLACK });
+            for (i, o) in out.iter_mut().enumerate() {
+                let bit = (bytes[i / 8] >> (7 - (i % 8))) & 1;
+                *o = if bit == 1 { Color::WHITE } else { Color::BLACK };
             }
         }
         PixelFormat::Indexed8 => {
-            let bytes = bytes.iter().take(w);
+            let pixels = out.iter_mut().zip(bytes);
             match palette {
-                Some(pal) => row.extend(bytes.map(|&v| pal.color(v.min((pal.len() - 1) as u8)))),
-                None => row.extend(bytes.map(|&v| websafe_color(v.min(215)))),
+                Some(pal) => {
+                    for (o, &v) in pixels {
+                        *o = pal.color(v.min((pal.len() - 1) as u8));
+                    }
+                }
+                None => {
+                    for (o, &v) in pixels {
+                        *o = websafe_color(v.min(215));
+                    }
+                }
             }
         }
     }
-    Some(row)
+    Some(())
 }
 
 #[cfg(test)]

@@ -746,3 +746,56 @@ fn a_client_that_stops_reading_is_dropped_and_shutdown_still_returns() {
         }
     }
 }
+
+#[test]
+fn shutdown_returns_while_a_writer_is_blocked_on_a_client_that_stopped_reading() {
+    use std::io::Write;
+    use std::net::TcpStream;
+    use uniint::protocol::message::{encode_client, PROTOCOL_VERSION};
+
+    let registry = Registry::new();
+    let gw =
+        Gateway::spawn(panel(), GatewayConfig::default(), registry.clone()).expect("gateway binds");
+    let counter = |name: &str| registry.snapshot().counters.get(name).copied().unwrap_or(0);
+
+    // Full refreshes, asked for and never read, until the socket buffers
+    // are full: the writer is then blocked sending, and the queue holds
+    // less than its bound, so the connection is not dropped.
+    let mut sock = TcpStream::connect(gw.local_addr()).expect("connect");
+    let hello = ClientMessage::Hello {
+        version: PROTOCOL_VERSION,
+        name: "stopped-reading".into(),
+    };
+    sock.write_all(&encode_client(&hello)).expect("hello");
+    let refresh = encode_client(&ClientMessage::UpdateRequest {
+        incremental: false,
+        rect: Rect::new(0, 0, 160, 120),
+    });
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let (mut sent, mut still) = (0, 0);
+    while still < 5 {
+        assert!(Instant::now() < deadline, "bytes_out never stopped growing");
+        for _ in 0..20 {
+            sock.write_all(&refresh).expect("request");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        let out = counter("gateway.bytes_out");
+        if out > 0 && out == sent {
+            still += 1;
+        } else {
+            (sent, still) = (out, 0);
+        }
+    }
+    assert_eq!(counter("gateway.dropped_connections"), 0);
+
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        gw.shutdown();
+        let _ = done.send(());
+    });
+    assert!(
+        finished.recv_timeout(Duration::from_secs(5)).is_ok(),
+        "shutdown hung on a writer blocked by a client that stopped reading"
+    );
+    drop(sock);
+}
