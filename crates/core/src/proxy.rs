@@ -302,7 +302,8 @@ impl UniIntProxy {
     /// # Errors
     ///
     /// Propagates [`ProtocolError`] from rectangle decoding; a rect that
-    /// does not lie inside the framebuffer is `Malformed`. A failed update
+    /// does not lie inside the framebuffer, or a CopyRect whose source
+    /// does not, is `Malformed`. A failed update
     /// may leave the framebuffer partly written: the caller should
     /// [`recover`](Self::recover) or tear the session down.
     pub fn handle_server(&mut self, msg: &ServerMessage) -> Result<ProxyOutput, ProtocolError> {
@@ -328,14 +329,12 @@ impl UniIntProxy {
                         ))
                     };
                     if ru.encoding == Encoding::CopyRect {
-                        let src = decode_copy_rect(&mut cursor)?;
-                        if !frame.contains_rect(ru.rect) {
+                        let from = decode_copy_rect(&mut cursor)?;
+                        let src = Rect::new(from.x, from.y, ru.rect.w, ru.rect.h);
+                        if !frame.contains_rect(ru.rect) || !frame.contains_rect(src) {
                             return Err(outside());
                         }
-                        fb.copy_rect(
-                            Rect::new(src.x, src.y, ru.rect.w, ru.rect.h),
-                            ru.rect.origin(),
-                        );
+                        fb.copy_rect(src, ru.rect.origin());
                     } else {
                         let mut target = fb.rect_mut(ru.rect).ok_or_else(outside)?;
                         decode_into(&mut cursor, ru.encoding, *format, &mut target)?;
@@ -1006,18 +1005,24 @@ mod recovery_tests {
             assert!(matches!(err, ProtocolError::Malformed(_)), "{err:?}");
             assert_eq!(p.server_frame(), Some(&before), "{encoding} wrote pixels");
         }
-        let copy = ServerMessage::Update {
-            seq: 2,
-            format: PixelFormat::Rgb888,
-            rects: vec![RectUpdate {
-                rect: Rect::new(60, 0, 8, 8),
-                encoding: Encoding::CopyRect,
-                payload: uniint_protocol::encoding::encode_copy_rect(Point::new(0, 0)),
-            }],
-        };
-        let err = p.handle_server(&copy).unwrap_err();
-        assert!(matches!(err, ProtocolError::Malformed(_)), "{err:?}");
-        assert_eq!(p.server_frame(), Some(&before));
+        // CopyRect: the destination, then the source, runs past the frame.
+        for (dst, src) in [
+            (Rect::new(60, 0, 8, 8), Point::new(0, 0)),
+            (Rect::new(0, 0, 8, 8), Point::new(60, 44)),
+        ] {
+            let copy = ServerMessage::Update {
+                seq: 2,
+                format: PixelFormat::Rgb888,
+                rects: vec![RectUpdate {
+                    rect: dst,
+                    encoding: Encoding::CopyRect,
+                    payload: uniint_protocol::encoding::encode_copy_rect(src),
+                }],
+            };
+            let err = p.handle_server(&copy).unwrap_err();
+            assert!(matches!(err, ProtocolError::Malformed(_)), "{err:?}");
+            assert_eq!(p.server_frame(), Some(&before), "copy {src:?} -> {dst:?}");
+        }
         assert_eq!(p.stats().rects_decoded, 0);
         // Recovery still asks for everything again.
         let msgs = p.recover();
@@ -1029,5 +1034,26 @@ mod recovery_tests {
             })
         );
         assert!(p.is_connected());
+    }
+
+    #[test]
+    fn rre_empty_subrect_outside_its_rect_is_malformed() {
+        let mut p = connected_64x48();
+        // One 0x1 subrect far below an 8x8 rect.
+        let mut payload = vec![0, 0, 0, 1];
+        payload.extend([0, 0, 0, 255, 255, 255]);
+        payload.extend([0, 0, 0, 100, 0, 0, 0, 1]);
+        let bad = ServerMessage::Update {
+            seq: 1,
+            format: PixelFormat::Rgb888,
+            rects: vec![RectUpdate {
+                rect: Rect::new(0, 0, 8, 8),
+                encoding: Encoding::Rre,
+                payload,
+            }],
+        };
+        let err = p.handle_server(&bad).unwrap_err();
+        assert!(matches!(err, ProtocolError::Malformed(_)), "{err:?}");
+        assert_eq!(p.stats().rects_decoded, 0);
     }
 }

@@ -298,10 +298,24 @@ pub struct Gateway {
     stop: Arc<AtomicBool>,
     events: Sender<Event>,
     accept_handle: Option<JoinHandle<()>>,
-    /// The state thread; it returns the panel and the sockets of the
-    /// connections it still had.
-    state_handle: Option<JoinHandle<(Ui, Vec<TcpStream>)>>,
-    io_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    state_handle: Option<JoinHandle<Ui>>,
+    conn_io: Arc<Mutex<Vec<ConnIo>>>,
+}
+
+/// The reader and writer threads of one accepted connection, with a
+/// handle on its socket: shutting the socket ends a writer blocked on a
+/// client that stopped reading, whether or not the state thread still
+/// knows the connection.
+#[derive(Debug)]
+struct ConnIo {
+    socket: TcpStream,
+    threads: [JoinHandle<()>; 2],
+}
+
+impl ConnIo {
+    fn finished(&self) -> bool {
+        self.threads.iter().all(|t| t.is_finished())
+    }
 }
 
 impl Gateway {
@@ -314,17 +328,17 @@ impl Gateway {
 
         let stop = Arc::new(AtomicBool::new(false));
         let (tx, rx) = unbounded::<Event>();
-        let io_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conn_io: Arc<Mutex<Vec<ConnIo>>> = Arc::new(Mutex::new(Vec::new()));
 
         let accept_handle = {
             let stop = stop.clone();
             let tx = tx.clone();
-            let io_handles = io_handles.clone();
+            let conn_io = conn_io.clone();
             let max_frame = config.max_frame;
             let registry = registry.clone();
             std::thread::Builder::new()
                 .name("gw-accept".into())
-                .spawn(move || accept_loop(listener, stop, tx, io_handles, max_frame, registry))?
+                .spawn(move || accept_loop(listener, stop, tx, conn_io, max_frame, registry))?
         };
 
         let state_handle = {
@@ -341,7 +355,7 @@ impl Gateway {
             events: tx,
             accept_handle: Some(accept_handle),
             state_handle: Some(state_handle),
-            io_handles,
+            conn_io,
         })
     }
 
@@ -363,7 +377,7 @@ impl Gateway {
     pub fn shutdown(mut self) -> Ui {
         self.stop.store(true, Ordering::SeqCst);
         let _ = self.events.send(Event::Shutdown);
-        let (ui, sockets) = self
+        let ui = self
             .state_handle
             .take()
             .expect("shutdown runs once")
@@ -372,16 +386,16 @@ impl Gateway {
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
-        let handles = std::mem::take(&mut *self.io_handles.lock().expect("io handles poisoned"));
+        let conns = std::mem::take(&mut *self.conn_io.lock().expect("conn io poisoned"));
         let deadline = Instant::now() + SHUTDOWN_FLUSH;
-        while handles.iter().any(|h| !h.is_finished()) && Instant::now() < deadline {
+        while conns.iter().any(|c| !c.finished()) && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        for socket in sockets {
-            let _ = socket.shutdown(std::net::Shutdown::Both);
-        }
-        for h in handles {
-            let _ = h.join();
+        for conn in conns {
+            let _ = conn.socket.shutdown(std::net::Shutdown::Both);
+            for t in conn.threads {
+                let _ = t.join();
+            }
         }
         ui
     }
@@ -391,7 +405,7 @@ fn accept_loop(
     listener: TcpListener,
     stop: Arc<AtomicBool>,
     tx: Sender<Event>,
-    io_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conn_io: Arc<Mutex<Vec<ConnIo>>>,
     max_frame: usize,
     registry: Registry,
 ) {
@@ -403,11 +417,12 @@ fn accept_loop(
                 let id = next_id.fetch_add(1, Ordering::SeqCst);
                 accepted.inc();
                 match spawn_conn(id, stream, &stop, &tx, max_frame, &registry) {
-                    Ok(mut handles) => {
-                        io_handles
-                            .lock()
-                            .expect("io handles poisoned")
-                            .append(&mut handles);
+                    Ok(io) => {
+                        let mut conns = conn_io.lock().expect("conn io poisoned");
+                        // Connections that ended release their socket
+                        // and threads here, not at shutdown.
+                        conns.retain(|c| !c.finished());
+                        conns.push(io);
                     }
                     Err(_) => {
                         let _ = tx.send(Event::Disconnected(id));
@@ -430,10 +445,11 @@ fn spawn_conn(
     tx: &Sender<Event>,
     max_frame: usize,
     registry: &Registry,
-) -> io::Result<Vec<JoinHandle<()>>> {
+) -> io::Result<ConnIo> {
     let queue = Arc::new(ByteQueue::new(MAX_QUEUED_BYTES));
     let write_half = stream.try_clone()?;
     let handle = stream.try_clone()?;
+    let socket = stream.try_clone()?;
     let mut sock = FramedSocket::new(stream, max_frame, Duration::from_millis(20))?;
     let _ = tx.send(Event::Connected(id, queue.clone(), handle));
 
@@ -506,7 +522,10 @@ fn spawn_conn(
             })?
     };
 
-    Ok(vec![reader, writer])
+    Ok(ConnIo {
+        socket,
+        threads: [reader, writer],
+    })
 }
 
 /// The whole mutable world of the state thread.
@@ -527,14 +546,8 @@ struct State {
 }
 
 /// The single thread owning the panel and all protocol sessions. On
-/// exit it closes every queue, so each writer sends what is left, and
-/// returns the connections' sockets with the panel.
-fn state_loop(
-    mut ui: Ui,
-    rx: Receiver<Event>,
-    cfg: GatewayConfig,
-    registry: Registry,
-) -> (Ui, Vec<TcpStream>) {
+/// exit it closes every queue, so each writer sends what is left.
+fn state_loop(mut ui: Ui, rx: Receiver<Event>, cfg: GatewayConfig, registry: Registry) -> Ui {
     let mut st = State::new(registry, cfg.session_grace, cfg.recorder);
     loop {
         let first = match rx.recv_timeout(TICK) {
@@ -567,12 +580,10 @@ fn state_loop(
         st.route_batches(batches);
     }
 
-    let mut sockets = Vec::new();
-    for conn in st.conns.into_values() {
+    for conn in st.conns.values() {
         conn.queue.close();
-        sockets.extend(conn.socket);
     }
-    (ui, sockets)
+    ui
 }
 
 impl State {

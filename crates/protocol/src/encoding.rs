@@ -739,11 +739,12 @@ fn decode_rre(buf: &mut impl Buf, fmt: PixelFormat, target: &mut RectMut) -> Res
         let y = wire::get_u16(buf)?;
         let sw = wire::get_u16(buf)? as u32;
         let sh = wire::get_u16(buf)? as u32;
-        let sub = Rect::new(x as i32, y as i32, sw, sh);
-        if !bounds.contains_rect(sub) {
+        // Per axis, so that an empty subrect must lie inside too:
+        // `contains_rect` passes every empty rect.
+        if x as u32 + sw > bounds.w || y as u32 + sh > bounds.h {
             return Err(ProtocolError::Malformed("rre subrect out of bounds".into()));
         }
-        target.fill(sub, c);
+        target.fill(Rect::new(x as i32, y as i32, sw, sh), c);
     }
     Ok(())
 }
@@ -1023,6 +1024,32 @@ mod tests {
                 roundtrip(enc, fmt, rect, &px);
             }
         }
+    }
+
+    #[test]
+    fn rre_empty_subrect_outside_the_rect_is_malformed() {
+        let rect = Rect::new(0, 0, 8, 8);
+        let rre = |x: u16, y: u16, w: u16, h: u16| {
+            let mut out = Vec::new();
+            out.put_u32(1);
+            put_pixel(PixelFormat::Rgb888, Color::BLACK, &mut out);
+            put_pixel(PixelFormat::Rgb888, Color::RED, &mut out);
+            for v in [x, y, w, h] {
+                out.put_u16(v);
+            }
+            out
+        };
+        for (x, y, w, h) in [(0, 100, 0, 1), (1000, 0, 0, 1), (0, 9, 1, 0), (7, 0, 2, 1)] {
+            let payload = rre(x, y, w, h);
+            let err = decode_rect(&mut &payload[..], rect, Encoding::Rre, PixelFormat::Rgb888)
+                .unwrap_err();
+            assert!(matches!(err, ProtocolError::Malformed(_)), "{err:?}");
+        }
+        // An empty subrect that lies inside writes nothing.
+        let payload = rre(8, 8, 0, 0);
+        let decoded =
+            decode_rect(&mut &payload[..], rect, Encoding::Rre, PixelFormat::Rgb888).unwrap();
+        assert_eq!(decoded, DecodedRect::Pixels(vec![Color::BLACK; 64]));
     }
 
     #[test]

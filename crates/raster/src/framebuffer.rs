@@ -331,6 +331,9 @@ impl Framebuffer {
     /// assert!(fb.rect_mut(Rect::new(6, 0, 4, 1)).is_none());
     /// ```
     pub fn rect_mut(&mut self, rect: Rect) -> Option<RectMut<'_>> {
+        if !self.bounds().contains_rect(rect) {
+            return None;
+        }
         if rect.is_empty() {
             return Some(RectMut {
                 pixels: &mut [],
@@ -338,13 +341,6 @@ impl Framebuffer {
                 height: rect.h as usize,
                 stride: 0,
             });
-        }
-        let inside = rect.x >= 0
-            && rect.y >= 0
-            && rect.x as u64 + rect.w as u64 <= self.width as u64
-            && rect.y as u64 + rect.h as u64 <= self.height as u64;
-        if !inside {
-            return None;
         }
         self.damage.add(rect);
         self.log(rect);
@@ -517,13 +513,17 @@ impl<'a> RectMut<'a> {
         &mut self.pixels[start..start + self.width]
     }
 
-    /// Fills `rect`, given relative to the rect's top-left, with `c`.
+    /// Fills `rect`, given relative to the rect's top-left, with `c`. An
+    /// empty `rect` writes nothing, wherever it lies.
     ///
     /// # Panics
     ///
-    /// Panics unless `rect` lies inside the rect.
+    /// Panics unless a non-empty `rect` lies inside the rect.
     #[inline]
     pub fn fill(&mut self, rect: Rect, c: Color) {
+        if rect.is_empty() {
+            return;
+        }
         let (x, w) = (rect.x as usize, rect.w as usize);
         for y in rect.y..rect.bottom() {
             self.row(y as u32)[x..x + w].fill(c);
@@ -820,6 +820,9 @@ mod journal_tests {
         view.fill(Rect::new(0, 0, 4, 3), Color::BLUE);
         view.fill(Rect::new(1, 1, 2, 2), Color::RED);
         view.row(0)[3] = Color::GREEN;
+        // Empty rects write nothing, even where a row would be out of range.
+        view.fill(Rect::new(0, 100, 0, 1), Color::WHITE);
+        view.fill(Rect::new(1000, 0, 0, 3), Color::WHITE);
         let mut want = Framebuffer::new(8, 6, Color::BLACK);
         want.fill_rect(rect, Color::BLUE);
         want.fill_rect(Rect::new(4, 2, 2, 2), Color::RED);
@@ -840,6 +843,7 @@ mod journal_tests {
             Rect::new(-1, 0, 2, 2),
             Rect::new(0, -1, 2, 2),
             Rect::new(8, 0, 1, 1),
+            Rect::new(1, 0, u32::MAX, 1),
         ] {
             assert!(fb.rect_mut(rect).is_none(), "{rect:?}");
         }

@@ -197,13 +197,15 @@ impl Rect {
     }
 
     /// Whether `other` lies entirely inside `self`. An empty `other` is
-    /// contained by everything.
+    /// contained by everything. Edges are compared in `i64`, so a width
+    /// or height past `i32::MAX` cannot wrap into range.
     pub fn contains_rect(self, other: Rect) -> bool {
+        let end = |at: i32, len: u32| at as i64 + len as i64;
         other.is_empty()
             || (other.x >= self.x
                 && other.y >= self.y
-                && other.right() <= self.right()
-                && other.bottom() <= self.bottom())
+                && end(other.x, other.w) <= end(self.x, self.w)
+                && end(other.y, other.h) <= end(self.y, self.h))
     }
 
     /// Whether the two rectangles share at least one pixel.
@@ -362,6 +364,8 @@ mod tests {
         assert!(big.contains_rect(Rect::new(2, 2, 3, 3)));
         assert!(big.contains_rect(Rect::EMPTY));
         assert!(!big.contains_rect(Rect::new(8, 8, 4, 4)));
+        assert!(!big.contains_rect(Rect::new(1, 0, u32::MAX, 1)));
+        assert!(!big.contains_rect(Rect::new(0, 1, 1, 1 << 31)));
     }
 
     #[test]

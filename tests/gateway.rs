@@ -747,21 +747,16 @@ fn a_client_that_stops_reading_is_dropped_and_shutdown_still_returns() {
     }
 }
 
-#[test]
-fn shutdown_returns_while_a_writer_is_blocked_on_a_client_that_stopped_reading() {
+/// Connects a raw client that asks for full refreshes and never reads,
+/// until the socket buffers are full: the writer is then blocked
+/// sending, and the queue holds less than its bound, so the connection
+/// is not dropped.
+fn block_the_writer(gw: &Gateway, registry: &Registry) -> std::net::TcpStream {
     use std::io::Write;
-    use std::net::TcpStream;
     use uniint::protocol::message::{encode_client, PROTOCOL_VERSION};
 
-    let registry = Registry::new();
-    let gw =
-        Gateway::spawn(panel(), GatewayConfig::default(), registry.clone()).expect("gateway binds");
     let counter = |name: &str| registry.snapshot().counters.get(name).copied().unwrap_or(0);
-
-    // Full refreshes, asked for and never read, until the socket buffers
-    // are full: the writer is then blocked sending, and the queue holds
-    // less than its bound, so the connection is not dropped.
-    let mut sock = TcpStream::connect(gw.local_addr()).expect("connect");
+    let mut sock = std::net::TcpStream::connect(gw.local_addr()).expect("connect");
     let hello = ClientMessage::Hello {
         version: PROTOCOL_VERSION,
         name: "stopped-reading".into(),
@@ -787,7 +782,12 @@ fn shutdown_returns_while_a_writer_is_blocked_on_a_client_that_stopped_reading()
         }
     }
     assert_eq!(counter("gateway.dropped_connections"), 0);
+    sock
+}
 
+/// Shuts `gw` down on another thread and fails unless that returns
+/// within five seconds.
+fn assert_shutdown_returns(gw: Gateway) {
     let (done, finished) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         gw.shutdown();
@@ -797,5 +797,44 @@ fn shutdown_returns_while_a_writer_is_blocked_on_a_client_that_stopped_reading()
         finished.recv_timeout(Duration::from_secs(5)).is_ok(),
         "shutdown hung on a writer blocked by a client that stopped reading"
     );
+}
+
+#[test]
+fn shutdown_returns_while_a_writer_is_blocked_on_a_client_that_stopped_reading() {
+    let registry = Registry::new();
+    let gw =
+        Gateway::spawn(panel(), GatewayConfig::default(), registry.clone()).expect("gateway binds");
+    let sock = block_the_writer(&gw, &registry);
+    assert_shutdown_returns(gw);
+    drop(sock);
+}
+
+#[test]
+fn shutdown_returns_when_a_blocked_writer_outlives_its_reader() {
+    use std::io::Write;
+
+    let registry = Registry::new();
+    let gw =
+        Gateway::spawn(panel(), GatewayConfig::default(), registry.clone()).expect("gateway binds");
+    let mut sock = block_the_writer(&gw, &registry);
+    // A frame with an unknown message tag ends the reader, and the
+    // state thread forgets the connection; its writer stays blocked.
+    sock.write_all(&[0, 0, 0, 1, 0xee]).expect("bad frame");
+    let decode_errors = || {
+        registry
+            .snapshot()
+            .counters
+            .get("gateway.decode_errors")
+            .copied()
+            .unwrap_or(0)
+    };
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while decode_errors() == 0 {
+        assert!(Instant::now() < deadline, "the bad frame was never read");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // A few ticks for the state thread to drop the connection.
+    std::thread::sleep(Duration::from_millis(100));
+    assert_shutdown_returns(gw);
     drop(sock);
 }
