@@ -281,11 +281,6 @@ impl SimSession {
         self.proxy_ep
     }
 
-    /// The server's network endpoint.
-    pub fn server_endpoint(&self) -> Endpoint {
-        self.server_ep
-    }
-
     /// Frames delivered to the output device so far.
     pub fn frames_delivered(&self) -> u64 {
         self.frames_delivered

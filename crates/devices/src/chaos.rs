@@ -107,12 +107,6 @@ impl DeviceFaultSchedule {
         self
     }
 
-    /// The `n`-th `adapt` call returns an oversized frame.
-    pub fn garbage_on_adapt(mut self, n: u64) -> DeviceFaultSchedule {
-        self.adapt.insert(n, Fault::Garbage);
-        self
-    }
-
     /// After `n` `translate` calls the device goes silent: later calls
     /// return nothing (the harness should also stop heartbeating it).
     pub fn die_after_inputs(mut self, n: u64) -> DeviceFaultSchedule {

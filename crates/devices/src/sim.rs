@@ -81,12 +81,6 @@ impl SimPhone {
         }
     }
 
-    /// A digit pressed while in "typing" mode (bypasses the D-pad
-    /// overloading of 2/4/5/6/8).
-    pub fn type_digit(d: u8) -> DeviceEvent {
-        DeviceEvent::KeypadDigit(d.min(9))
-    }
-
     /// The coordinator registration for this phone.
     pub fn interaction_device(id: &str) -> InteractionDevice {
         InteractionDevice::new(

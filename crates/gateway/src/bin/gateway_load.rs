@@ -17,16 +17,17 @@
 //! CPU comes from the C library's `clock_gettime` (Linux). Each
 //! `gl-client-N` thread reads its own `CLOCK_THREAD_CPUTIME_ID` when its
 //! run ends; the gateway's share is the whole process
-//! (`CLOCK_PROCESS_CPUTIME_ID`, which still counts the `gw-*` socket
-//! threads that exited with their connections) minus the clients and
-//! the main thread. On other systems both read 0.
+//! (`CLOCK_PROCESS_CPUTIME_ID`) minus the clients and the main thread.
+//! On other systems both read 0.
 //!
 //! The run exits with status 1 if the gateway dropped any connection
 //! (`gateway.dropped_connections`): every load client reads all it is
 //! sent, so a drop means the outbound bound cut off a healthy client.
 //! On Linux it also exits with status 1 if a client that applied
-//! updates reports no CPU time: the gateway's share would then silently
-//! include the clients'.
+//! updates reports no CPU time (the gateway's share would then silently
+//! include the clients'), or unless, once every client has connected,
+//! exactly one thread is named `gw-*` (`/proc/self/task/*/comm`): the
+//! gateway serves every socket from its `gw-state` thread.
 
 use std::time::{Duration, Instant};
 
@@ -131,6 +132,14 @@ fn process_cpu_ns() -> u64 {
     clock::read_ns(clock::PROCESS_CPUTIME)
 }
 
+/// Threads of this process whose name starts with `gw-`; `None` where
+/// `/proc/self/task` cannot be read.
+fn gateway_threads() -> Option<usize> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    let names = tasks.filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok());
+    Some(names.filter(|name| name.starts_with("gw-")).count())
+}
+
 fn main() {
     let args = parse_args();
 
@@ -151,12 +160,15 @@ fn main() {
     let gw = Gateway::spawn(ui, config, registry.clone()).expect("gateway binds loopback");
     let addr = gw.local_addr();
 
+    let (connected, all_connected) = std::sync::mpsc::channel();
     let workers: Vec<_> = (0..args.clients)
         .map(|i| {
             let duration = args.duration;
+            let connected = connected.clone();
             let worker = move || -> (u64, Vec<u64>, u64) {
                 let mut c = GatewayClient::connect(addr, format!("load-{i}"), i as u64)
                     .expect("client connects");
+                let _ = connected.send(());
                 // Drain the initial full update before timing starts.
                 let warmup = Instant::now();
                 while c.stats().updates_applied == 0 && warmup.elapsed() < Duration::from_secs(5) {
@@ -189,6 +201,10 @@ fn main() {
                 .expect("spawn load client")
         })
         .collect();
+    drop(connected);
+    // Stops early only if a client failed to connect; its join says why.
+    let _ = (0..args.clients).try_for_each(|_| all_connected.recv());
+    let gw_threads = gateway_threads();
 
     let mut total_updates = 0u64;
     let mut latencies: Vec<u64> = Vec::new();
@@ -240,17 +256,23 @@ fn main() {
     );
     let per_update_us = |ns: u64| ns as f64 / 1e3 / total_updates.max(1) as f64;
     println!(
-        "gateway_load: cpu per update: gateway {:.1} us (gw-* threads), \
+        "gateway_load: cpu per update: gateway {:.1} us (gw-state thread), \
          load clients {:.1} us (gl-client-* threads)",
         per_update_us(gateway_cpu_ns),
         per_update_us(client_cpu_ns),
     );
+    let counted = gw_threads.map_or("unknown".to_string(), |n| n.to_string());
+    println!("gateway_load: gateway threads (gw-*) {counted}");
     println!("gateway_load: gateway.dropped_connections {dropped}");
     if dropped > 0 {
         eprintln!("gateway_load: the gateway dropped {dropped} load client(s)");
         std::process::exit(1);
     }
-    // Only Linux has the clock; elsewhere every client reads 0.
+    // Only Linux has the clock and `/proc`; elsewhere both read nothing.
+    if cfg!(target_os = "linux") && gw_threads != Some(1) {
+        eprintln!("gateway_load: the gateway should run on one gw-* thread");
+        std::process::exit(1);
+    }
     if cfg!(target_os = "linux") && clients_without_cpu > 0 {
         eprintln!(
             "gateway_load: {clients_without_cpu} client(s) applied updates but read no CPU time"

@@ -1,8 +1,9 @@
-//! The socket frame codec shared by the gateway host and client ends.
+//! The socket frame codec of the gateway's two ends.
 //!
 //! Frames on the wire are exactly the protocol's native framing —
 //! `[u32 body_len][body]` — reassembled by
-//! [`uniint_protocol::message::FrameReader`] with a **configurable
+//! [`uniint_protocol::message::FrameReader`] (on the client inside a
+//! [`FramedSocket`], on the host directly) with a **configurable
 //! max-frame-size bound** enforced before any allocation, so a hostile
 //! or corrupted peer cannot make either end reserve memory for a length
 //! field it invented. On top of that the codec applies the
@@ -14,14 +15,15 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use uniint_protocol::error::{ProtocolError, Result as ProtocolResult};
-use uniint_protocol::message::{
-    encode_client, encode_server, ClientMessage, FrameReader, ServerMessage, PROTOCOL_VERSION,
-};
+use uniint_protocol::message::{encode_client, ClientMessage, FrameReader, PROTOCOL_VERSION};
 
 /// Default max frame size a gateway end accepts from an untrusted peer
 /// (1 MiB — far above any real panel update, far below the 8 MiB
 /// protocol ceiling).
 pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
+
+/// Most bytes one socket read takes, on either end.
+pub(crate) const READ_CHUNK: usize = 16 * 1024;
 
 /// Outcome of one non-blocking read attempt on a [`FramedSocket`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,7 +78,7 @@ impl FramedSocket {
         Ok(FramedSocket {
             stream,
             reader: FrameReader::with_max_body(max_frame),
-            buf: vec![0u8; 16 * 1024],
+            buf: vec![0u8; READ_CHUNK],
         })
     }
 
@@ -89,14 +91,6 @@ impl FramedSocket {
     /// size in bytes.
     pub fn send_client(&mut self, msg: &ClientMessage) -> std::io::Result<usize> {
         let bytes = encode_client(msg);
-        self.stream.write_all(&bytes)?;
-        Ok(bytes.len())
-    }
-
-    /// Encodes and writes one server→client message; returns the frame
-    /// size in bytes.
-    pub fn send_server(&mut self, msg: &ServerMessage) -> std::io::Result<usize> {
-        let bytes = encode_server(msg);
         self.stream.write_all(&bytes)?;
         Ok(bytes.len())
     }
@@ -134,6 +128,7 @@ impl FramedSocket {
 mod tests {
     use super::*;
     use std::net::TcpListener;
+    use uniint_protocol::message::{encode_server, ServerMessage};
 
     #[test]
     fn hello_version_policy() {
@@ -160,7 +155,9 @@ mod tests {
                         if let Some(frame) = fs.next_frame().unwrap() {
                             let msg = ClientMessage::decode_body(&mut frame.as_slice()).unwrap();
                             assert_eq!(msg, ClientMessage::CutText("over tcp".into()));
-                            fs.send_server(&ServerMessage::Bell).unwrap();
+                            let mut sock = fs.stream();
+                            sock.write_all(&encode_server(&ServerMessage::Bell))
+                                .unwrap();
                             return;
                         }
                     }

@@ -1,34 +1,33 @@
-//! The concurrent connection host: one appliance panel served to many
-//! real TCP clients.
-//!
-//! Thread layout (all plain `std::thread`, no async runtime):
+//! The connection host: one appliance panel served to many real TCP
+//! clients from one thread.
 //!
 //! ```text
-//!            accept thread ──spawns──► reader thread (per conn)
-//!                                      writer thread (per conn)
-//!                   │                        │          ▲
-//!                   ▼         events        ▼          │ bounded ByteQueue
-//!              state thread ◄────────────────          │
-//!          (owns Ui + MultiServer) ─────────────────────
+//!   listener, conn 0..N ──► poll(2) ──┬─► accept
+//!                                     ├─► read ──► FrameReader ──► handle_msg
+//!                                     └─► write ◄── pending bytes ◄── push_to
+//!                                          (replies and pump_all shares)
 //! ```
 //!
-//! Every reader forwards decoded [`ClientMessage`]s, each with the
-//! frame body it came in, into one unbounded channel; the single state
-//! thread owns the [`Ui`] and the [`MultiServer`] so protocol handling
-//! stays strictly serialized — the concurrency lives at the sockets,
-//! not in the session logic.
+//! The `gw-state` thread owns the listener, every non-blocking socket,
+//! the [`Ui`] and the [`MultiServer`]: no socket threads, locks or
+//! channels, so protocol handling stays strictly serialized. Each pass
+//! waits in one `poll(2)` on every socket, moves the bytes that are
+//! ready, handles whole frames, then pumps. One read takes at most
+//! 16 KiB, and at most one frame of the largest size accepted; a
+//! connection whose reader holds a whole frame is not read again until
+//! it is handled, so unread bytes wait in the kernel.
 //!
-//! Outbound, the state thread encodes each connection's replies, or its
-//! share of a pump, into one batch of frames and appends it to the
-//! connection's bounded byte queue with one lock and one wake. The
-//! flight recorder reads each frame's body from that batch, and the
-//! writer thread sends everything queued with one `write_all`, so every
-//! byte is encoded once. Nothing merges at the queue: the protocol is
-//! pull-driven, so a session sends an update only in answer to the
-//! client's request, and damage that piles up in between merges inside
-//! the server session. A client that still falls `MAX_QUEUED_BYTES`
-//! behind is dropped rather than allowed to buffer the gateway into the
-//! ground.
+//! Outbound, each connection's replies, or its share of a pump, are
+//! encoded into one batch of frames, appended to its pending bytes and
+//! written at once; what the socket does not take waits for `POLLOUT`.
+//! The flight recorder reads each frame's body from that batch, so every
+//! byte is encoded once. The protocol is pull-driven, so damage that
+//! piles up between a client's requests merges inside its server
+//! session; a client that still falls `MAX_QUEUED_BYTES` behind is
+//! dropped. A connection that closes (its peer sent its last byte,
+//! another socket displaced it, or it broke the protocol) is no longer
+//! read and gets at most `SHUTDOWN_FLUSH` to write what it holds;
+//! [`Gateway::shutdown`] closes every connection that way.
 //!
 //! Reconnects are handled by *session adoption*: sessions are keyed by
 //! the client name from `Hello`. A `Hello` for a known name followed by
@@ -36,38 +35,37 @@
 //! account and send log intact — to the new socket, so the resume is
 //! incremental instead of a full refresh.
 //!
-//! Each session has one record in the state thread: its name, and
-//! whether it is attached to a connection or detached since some
-//! instant. Every lifecycle path goes through one `attach`/`detach`
-//! pair, and a connection speaks for a session only while that
-//! session's record names it: late messages from a displaced socket are
-//! dropped. Retired sessions free their [`MultiServer`] slot, which the
-//! next session reuses.
+//! Each session has one record: its name, and whether it is attached to
+//! a connection or detached since some instant. Every lifecycle path
+//! goes through one `attach`/`detach` pair, and a connection speaks for
+//! a session only while that session's record names it: late messages
+//! from a displaced socket are dropped. Retired sessions free their
+//! [`MultiServer`] slot, which the next session reuses.
 
-use std::collections::HashMap;
-use std::io;
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use uniint_core::multi::{ClientId, MultiServer};
 use uniint_core::tap::{Direction, SharedTap};
-use uniint_protocol::message::{ClientMessage, ServerMessage};
+use uniint_protocol::message::{ClientMessage, FrameReader, ServerMessage};
 use uniint_telemetry::registry::{Counter, Gauge, Registry};
 use uniint_wsys::ui::Ui;
 
-use crate::codec::{check_hello_version, FramedSocket, ReadStatus, DEFAULT_MAX_FRAME};
+use crate::codec::{check_hello_version, DEFAULT_MAX_FRAME, READ_CHUNK};
+use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 
 /// Identifies one TCP connection. Not the same as a session: a session
 /// survives reconnects, a connection does not.
 pub type ConnId = usize;
 
-/// Most encoded bytes one connection's outbound queue may hold. A push
-/// that would take a non-empty queue past this closes the connection;
-/// an empty queue always takes the next batch, however large.
+/// Most encoded bytes one connection may hold unwritten. A batch that
+/// would take non-empty pending bytes past this drops the connection;
+/// empty pending bytes always take the next batch, however large.
 const MAX_QUEUED_BYTES: usize = 8 << 20;
 
 /// How long a `Hello` for an already-known name is held back waiting
@@ -77,14 +75,14 @@ const MAX_QUEUED_BYTES: usize = 8 << 20;
 /// handshake completes.
 const HELLO_GRACE: Duration = Duration::from_millis(250);
 
-/// How long the state thread waits for an event before running a
-/// housekeeping pass (held Hellos, session expiry, damage pump), and the
-/// most time it spends handling events between two pumps.
+/// How long the loop waits for a socket before a housekeeping pass
+/// (held Hellos, session expiry, damage pump), and the most time it
+/// spends handling frames between two pumps.
 const TICK: Duration = Duration::from_millis(10);
 
-/// How long [`Gateway::shutdown`] lets the writers flush what is queued
-/// before it shuts the sockets of those still sending: a writer blocked
-/// on a client that stopped reading would otherwise never return.
+/// How long a closing connection may take to write what it holds before
+/// its socket is closed anyway: a client that stopped reading would
+/// otherwise keep it forever.
 const SHUTDOWN_FLUSH: Duration = Duration::from_secs(1);
 
 /// Settings of a [`Gateway`].
@@ -120,109 +118,27 @@ impl Default for GatewayConfig {
     }
 }
 
-/// What [`ByteQueue::push`] did with a batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pushed {
-    /// Appended after whatever was queued.
-    Queued,
-    /// The batch would have taken the queue past its bound: the queue is
-    /// now closed and emptied, and the connection must be dropped.
-    Overflow,
-    /// Queue already closed; batch discarded.
-    Closed,
+/// Appends `batch` (whole frames) to a connection's `pending` bytes.
+/// Returns false, having freed `pending`, if that would take non-empty
+/// pending bytes past `cap`: the connection must then be dropped.
+fn enqueue(pending: &mut VecDeque<u8>, batch: Vec<u8>, cap: usize) -> bool {
+    if pending.is_empty() {
+        *pending = batch.into();
+    } else if pending.len() + batch.len() > cap {
+        *pending = VecDeque::new();
+        return false;
+    } else {
+        pending.extend(batch);
+    }
+    true
 }
 
-/// A bounded queue of encoded frames, one per connection. The state
-/// thread appends each pump's frames as one batch; the connection's
-/// writer thread takes everything queued and sends it.
-#[derive(Debug)]
-struct ByteQueue {
-    inner: Mutex<QueueInner>,
-    ready: Condvar,
-    /// Most bytes the queue may hold; see [`MAX_QUEUED_BYTES`].
-    cap: usize,
-}
-
-#[derive(Debug, Default)]
-struct QueueInner {
-    bytes: Vec<u8>,
-    closed: bool,
-}
-
-impl ByteQueue {
-    fn new(cap: usize) -> ByteQueue {
-        ByteQueue {
-            inner: Mutex::default(),
-            ready: Condvar::new(),
-            cap,
-        }
-    }
-
-    /// Appends `batch` (whole frames) with one lock and one wake.
-    fn push(&self, batch: Vec<u8>) -> Pushed {
-        let mut q = self.inner.lock().expect("queue poisoned");
-        if q.closed {
-            return Pushed::Closed;
-        }
-        if q.bytes.is_empty() {
-            q.bytes = batch;
-        } else if q.bytes.len() + batch.len() > self.cap {
-            q.closed = true;
-            q.bytes = Vec::new();
-            self.ready.notify_all();
-            return Pushed::Overflow;
-        } else {
-            q.bytes.extend_from_slice(&batch);
-        }
-        self.ready.notify_one();
-        Pushed::Queued
-    }
-
-    /// Blocks until bytes are queued or the queue is closed, then takes
-    /// everything queued. `None` once the queue is closed and empty.
-    fn pop(&self) -> Option<Vec<u8>> {
-        let mut q = self.inner.lock().expect("queue poisoned");
-        loop {
-            if !q.bytes.is_empty() {
-                return Some(std::mem::take(&mut q.bytes));
-            }
-            if q.closed {
-                return None;
-            }
-            q = self.ready.wait(q).expect("queue poisoned");
-        }
-    }
-
-    /// Closes the queue; the writer sends what is left and exits.
-    fn close(&self) {
-        let mut q = self.inner.lock().expect("queue poisoned");
-        q.closed = true;
-        self.ready.notify_all();
-    }
-
-    /// Bytes queued and not yet taken by the writer.
-    fn len(&self) -> usize {
-        self.inner.lock().expect("queue poisoned").bytes.len()
-    }
-}
-
-/// Events flowing from accept/reader threads into the state thread.
-#[derive(Debug)]
-enum Event {
-    /// A socket connected; its writer listens on the queue.
-    Connected(ConnId, Arc<ByteQueue>, TcpStream),
-    /// One decoded message from a connection, with the frame body it
-    /// was decoded from.
-    Msg(ConnId, ClientMessage, Vec<u8>),
-    /// Socket gone (EOF, error, oversized frame...).
-    Disconnected(ConnId),
-    /// Orderly gateway shutdown.
-    Shutdown,
-}
-
-/// Counters the state thread maintains (socket-side counters live in
-/// the reader/writer threads and share the registry by name).
+/// The gateway's counters.
 struct StateMetrics {
+    accepted: Counter,
+    frames_in: Counter,
+    bytes_in: Counter,
+    bytes_out: Counter,
     reconnects: Counter,
     resumes: Counter,
     rejected_version: Counter,
@@ -235,6 +151,10 @@ struct StateMetrics {
 impl StateMetrics {
     fn new(r: &Registry) -> StateMetrics {
         StateMetrics {
+            accepted: r.counter("gateway.accepted"),
+            frames_in: r.counter("gateway.frames_in"),
+            bytes_in: r.counter("gateway.bytes_in"),
+            bytes_out: r.counter("gateway.bytes_out"),
             reconnects: r.counter("gateway.reconnects"),
             resumes: r.counter("gateway.resumes"),
             rejected_version: r.counter("gateway.rejected_version"),
@@ -246,13 +166,21 @@ impl StateMetrics {
     }
 }
 
-/// Per-connection bookkeeping inside the state thread.
+/// One accepted connection.
 struct Conn {
-    queue: Arc<ByteQueue>,
-    /// A handle on the socket, to shut it when the queue overflows: the
-    /// writer may be blocked sending to a client that stopped reading.
-    /// `None` only in tests without sockets.
-    socket: Option<TcpStream>,
+    /// Non-blocking, like the listener.
+    socket: TcpStream,
+    /// Bytes read and not yet handled.
+    reader: FrameReader,
+    /// Whether `reader` may hold a whole frame not yet handled. The
+    /// socket is not read again until it holds none.
+    backlog: bool,
+    /// Encoded frames not yet written, oldest first; see
+    /// [`MAX_QUEUED_BYTES`].
+    pending: VecDeque<u8>,
+    /// Once the connection is closing: when its socket is closed even if
+    /// `pending` has not drained.
+    closing: Option<Instant>,
     /// The session this connection last bound. It speaks for that
     /// session only while the session's record names it.
     session: Option<ClientId>,
@@ -263,6 +191,17 @@ struct Conn {
     /// Hello, so the timeout resolves it as a replacement instead of
     /// hanging its handshake.
     held: Option<HeldHello>,
+}
+
+impl Conn {
+    /// What the loop waits for on this connection.
+    fn poll_fd(&self) -> PollFd {
+        let mut events = if self.pending.is_empty() { 0 } else { POLLOUT };
+        if self.closing.is_none() && !self.backlog {
+            events |= POLLIN;
+        }
+        PollFd::new(Some(&self.socket), events)
+    }
 }
 
 /// A version-checked `Hello` waiting for its follow-up message.
@@ -296,26 +235,7 @@ pub struct Gateway {
     addr: SocketAddr,
     registry: Registry,
     stop: Arc<AtomicBool>,
-    events: Sender<Event>,
-    accept_handle: Option<JoinHandle<()>>,
-    state_handle: Option<JoinHandle<Ui>>,
-    conn_io: Arc<Mutex<Vec<ConnIo>>>,
-}
-
-/// The reader and writer threads of one accepted connection, with a
-/// handle on its socket: shutting the socket ends a writer blocked on a
-/// client that stopped reading, whether or not the state thread still
-/// knows the connection.
-#[derive(Debug)]
-struct ConnIo {
-    socket: TcpStream,
-    threads: [JoinHandle<()>; 2],
-}
-
-impl ConnIo {
-    fn finished(&self) -> bool {
-        self.threads.iter().all(|t| t.is_finished())
-    }
+    state: JoinHandle<Ui>,
 }
 
 impl Gateway {
@@ -325,37 +245,19 @@ impl Gateway {
         let listener = TcpListener::bind(config.bind_addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-
         let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = unbounded::<Event>();
-        let conn_io: Arc<Mutex<Vec<ConnIo>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let accept_handle = {
+        let state = {
             let stop = stop.clone();
-            let tx = tx.clone();
-            let conn_io = conn_io.clone();
-            let max_frame = config.max_frame;
-            let registry = registry.clone();
-            std::thread::Builder::new()
-                .name("gw-accept".into())
-                .spawn(move || accept_loop(listener, stop, tx, conn_io, max_frame, registry))?
-        };
-
-        let state_handle = {
             let registry = registry.clone();
             std::thread::Builder::new()
                 .name("gw-state".into())
-                .spawn(move || state_loop(ui, rx, config, registry))?
+                .spawn(move || state_loop(ui, listener, &stop, config, registry))?
         };
-
         Ok(Gateway {
             addr,
             registry,
             stop,
-            events: tx,
-            accept_handle: Some(accept_handle),
-            state_handle: Some(state_handle),
-            conn_io,
+            state,
         })
     }
 
@@ -370,173 +272,94 @@ impl Gateway {
         &self.registry
     }
 
-    /// Stops every thread, closes every connection and returns the
-    /// panel [`Ui`] in its final state. Writers get a second to send
-    /// what is queued; then every socket is shut, which ends a writer
-    /// still blocked on a client that stopped reading.
-    pub fn shutdown(mut self) -> Ui {
+    /// Stops serving and returns the panel [`Ui`] in its final state.
+    /// The state thread notices within one `TICK`; every connection then
+    /// gets `SHUTDOWN_FLUSH` to write what it holds before its socket is
+    /// closed.
+    pub fn shutdown(self) -> Ui {
         self.stop.store(true, Ordering::SeqCst);
-        let _ = self.events.send(Event::Shutdown);
-        let ui = self
-            .state_handle
-            .take()
-            .expect("shutdown runs once")
-            .join()
-            .expect("state thread never panics");
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-        let conns = std::mem::take(&mut *self.conn_io.lock().expect("conn io poisoned"));
-        let deadline = Instant::now() + SHUTDOWN_FLUSH;
-        while conns.iter().any(|c| !c.finished()) && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        for conn in conns {
-            let _ = conn.socket.shutdown(std::net::Shutdown::Both);
-            for t in conn.threads {
-                let _ = t.join();
-            }
-        }
-        ui
+        self.state.join().expect("state thread never panics")
     }
 }
 
-fn accept_loop(
+/// The gateway's one thread: waits on every socket, moves their bytes,
+/// and drives the panel and every session. Once `stop` is set it closes
+/// every connection, and returns when the last one is gone.
+fn state_loop(
+    mut ui: Ui,
     listener: TcpListener,
-    stop: Arc<AtomicBool>,
-    tx: Sender<Event>,
-    conn_io: Arc<Mutex<Vec<ConnIo>>>,
-    max_frame: usize,
+    stop: &AtomicBool,
+    cfg: GatewayConfig,
     registry: Registry,
-) {
-    let next_id = AtomicUsize::new(0);
-    let accepted = registry.counter("gateway.accepted");
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let id = next_id.fetch_add(1, Ordering::SeqCst);
-                accepted.inc();
-                match spawn_conn(id, stream, &stop, &tx, max_frame, &registry) {
-                    Ok(io) => {
-                        let mut conns = conn_io.lock().expect("conn io poisoned");
-                        // Connections that ended release their socket
-                        // and threads here, not at shutdown.
-                        conns.retain(|c| !c.finished());
-                        conns.push(io);
-                    }
-                    Err(_) => {
-                        let _ = tx.send(Event::Disconnected(id));
-                    }
+) -> Ui {
+    // One read takes no more than the client's, and at most one frame
+    // of the largest size accepted.
+    let mut scratch = vec![0; cfg.max_frame.saturating_add(4).min(READ_CHUNK)];
+    let mut st = State::new(registry, cfg);
+    let mut fds: Vec<PollFd> = Vec::new();
+    let mut ids: Vec<ConnId> = Vec::new();
+    let mut listening = true;
+    let mut stopping = false;
+    loop {
+        if !stopping && stop.load(Ordering::SeqCst) {
+            stopping = true;
+            let all: Vec<ConnId> = st.conns.keys().copied().collect();
+            for id in all {
+                st.close(id, SHUTDOWN_FLUSH);
+            }
+        }
+        st.sweep();
+        if stopping && st.conns.is_empty() {
+            return ui;
+        }
+
+        fds.clear();
+        ids.clear();
+        fds.push(PollFd::new(
+            (listening && !stopping).then_some(&listener),
+            POLLIN,
+        ));
+        for (&id, conn) in &st.conns {
+            ids.push(id);
+            fds.push(conn.poll_fd());
+        }
+        // Whole frames already read are handled now, not after a wait.
+        let backlog = st.conns.values().any(|c| c.backlog);
+        poll::wait(&mut fds, if backlog { Duration::ZERO } else { TICK });
+
+        // A listener that failed to accept sits out the next wait: it may
+        // stay readable while the process is out of descriptors.
+        listening = fds[0].revents == 0 || st.accept(&listener);
+        for (fd, &id) in fds[1..].iter().zip(&ids) {
+            if fd.revents != 0 {
+                if fd.events & POLLIN != 0 {
+                    st.read(id, &mut scratch);
                 }
+                st.flush(id);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+        }
+        if !stopping {
+            st.handle_frames(&mut ui);
+            st.resolve_stale_hellos(&mut ui);
+            st.expire_detached_sessions();
+            let batches = st.multi.pump_all(&mut ui);
+            st.route_batches(batches);
         }
     }
-}
-
-/// Starts the reader and writer threads for one accepted socket.
-fn spawn_conn(
-    id: ConnId,
-    stream: TcpStream,
-    stop: &Arc<AtomicBool>,
-    tx: &Sender<Event>,
-    max_frame: usize,
-    registry: &Registry,
-) -> io::Result<ConnIo> {
-    let queue = Arc::new(ByteQueue::new(MAX_QUEUED_BYTES));
-    let write_half = stream.try_clone()?;
-    let handle = stream.try_clone()?;
-    let socket = stream.try_clone()?;
-    let mut sock = FramedSocket::new(stream, max_frame, Duration::from_millis(20))?;
-    let _ = tx.send(Event::Connected(id, queue.clone(), handle));
-
-    let reader = {
-        let stop = stop.clone();
-        let tx = tx.clone();
-        let queue = queue.clone();
-        let frames_in = registry.counter("gateway.frames_in");
-        let bytes_in = registry.counter("gateway.bytes_in");
-        let decode_errors = registry.counter("gateway.decode_errors");
-        std::thread::Builder::new()
-            .name(format!("gw-read-{id}"))
-            .spawn(move || {
-                'conn: loop {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match sock.fill() {
-                        Ok(ReadStatus::Eof) | Err(_) => break,
-                        Ok(ReadStatus::Idle) => continue,
-                        Ok(ReadStatus::Data(n)) => bytes_in.add(n as u64),
-                    }
-                    loop {
-                        match sock.next_frame() {
-                            Ok(Some(frame)) => {
-                                match ClientMessage::decode_body(&mut frame.as_slice()) {
-                                    Ok(msg) => {
-                                        frames_in.inc();
-                                        let _ = tx.send(Event::Msg(id, msg, frame));
-                                    }
-                                    Err(_) => {
-                                        decode_errors.inc();
-                                        break 'conn;
-                                    }
-                                }
-                            }
-                            Ok(None) => break,
-                            Err(_) => {
-                                // Oversized or corrupt framing: the peer
-                                // is hostile or broken either way.
-                                decode_errors.inc();
-                                break 'conn;
-                            }
-                        }
-                    }
-                }
-                queue.close();
-                let _ = tx.send(Event::Disconnected(id));
-            })?
-    };
-
-    let writer = {
-        let queue = queue.clone();
-        let bytes_out = registry.counter("gateway.bytes_out");
-        std::thread::Builder::new()
-            .name(format!("gw-write-{id}"))
-            .spawn(move || {
-                use std::io::Write;
-                let mut out = write_half;
-                while let Some(bytes) = queue.pop() {
-                    if out.write_all(&bytes).is_err() {
-                        queue.close();
-                        break;
-                    }
-                    bytes_out.add(bytes.len() as u64);
-                }
-                // Waking the reader (EOF) is what turns "writer gave up"
-                // into a full disconnect.
-                let _ = out.shutdown(std::net::Shutdown::Both);
-            })?
-    };
-
-    Ok(ConnIo {
-        socket,
-        threads: [reader, writer],
-    })
 }
 
 /// The whole mutable world of the state thread.
 struct State {
     multi: MultiServer,
     conns: HashMap<ConnId, Conn>,
+    next_conn: ConnId,
     /// One record per live `MultiServer` client. Sessions survive their
     /// sockets, so a name can come back and resume incrementally.
     sessions: HashMap<ClientId, Session>,
     /// How long a detached session lives before it is reaped.
     session_grace: Duration,
+    /// Largest frame accepted from a client.
+    max_frame: usize,
     metrics: StateMetrics,
     registry: Registry,
     /// Flight-recorder tap from [`GatewayConfig::recorder`].
@@ -545,69 +368,178 @@ struct State {
     started: Instant,
 }
 
-/// The single thread owning the panel and all protocol sessions. On
-/// exit it closes every queue, so each writer sends what is left.
-fn state_loop(mut ui: Ui, rx: Receiver<Event>, cfg: GatewayConfig, registry: Registry) -> Ui {
-    let mut st = State::new(registry, cfg.session_grace, cfg.recorder);
-    loop {
-        let first = match rx.recv_timeout(TICK) {
-            Ok(ev) => Some(ev),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        // Pump at least once a tick however fast events arrive: update
-        // requests wait for the pump, so a client flooding the channel
-        // must not starve the others.
-        let began = Instant::now();
-        let mut stop = false;
-        for ev in first.into_iter().chain(rx.try_iter()) {
-            match ev {
-                Event::Connected(id, queue, socket) => st.connect(id, queue, Some(socket)),
-                Event::Msg(id, msg, body) => st.handle_msg(&mut ui, id, msg, &body),
-                Event::Disconnected(id) => st.drop_conn(id),
-                Event::Shutdown => stop = true,
-            }
-            if began.elapsed() >= TICK {
-                break;
-            }
-        }
-        if stop {
-            break;
-        }
-        st.resolve_stale_hellos(&mut ui);
-        st.expire_detached_sessions();
-        let batches = st.multi.pump_all(&mut ui);
-        st.route_batches(batches);
-    }
-
-    for conn in st.conns.values() {
-        conn.queue.close();
-    }
-    ui
-}
-
 impl State {
-    fn new(registry: Registry, session_grace: Duration, recorder: Option<SharedTap>) -> State {
+    fn new(registry: Registry, cfg: GatewayConfig) -> State {
         State {
             multi: MultiServer::with_telemetry(registry.clone()),
             conns: HashMap::new(),
+            next_conn: 0,
             sessions: HashMap::new(),
-            session_grace,
+            session_grace: cfg.session_grace,
+            max_frame: cfg.max_frame,
             metrics: StateMetrics::new(&registry),
             registry,
-            recorder,
+            recorder: cfg.recorder,
             started: Instant::now(),
         }
     }
 
-    fn connect(&mut self, id: ConnId, queue: Arc<ByteQueue>, socket: Option<TcpStream>) {
+    /// Accepts every connection waiting on `listener`. Returns false if
+    /// accepting failed for another reason than none being left.
+    fn accept(&mut self, listener: &TcpListener) -> bool {
+        loop {
+            match listener.accept() {
+                Ok((socket, _peer)) => {
+                    self.metrics.accepted.inc();
+                    self.connect(socket);
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return false,
+            }
+        }
+    }
+
+    /// Takes on an accepted socket as a new connection, unless the socket
+    /// cannot be set up.
+    fn connect(&mut self, socket: TcpStream) -> Option<ConnId> {
+        // Frames are latency-sensitive, and no socket may block the loop.
+        socket.set_nodelay(true).ok()?;
+        socket.set_nonblocking(true).ok()?;
+        let id = self.next_conn;
+        self.next_conn += 1;
         let conn = Conn {
-            queue,
             socket,
+            reader: FrameReader::with_max_body(self.max_frame),
+            backlog: false,
+            pending: VecDeque::new(),
+            closing: None,
             session: None,
             held: None,
         };
         self.conns.insert(id, conn);
+        Some(id)
+    }
+
+    /// Reads once from connection `id` into its frame reader.
+    fn read(&mut self, id: ConnId, scratch: &mut [u8]) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        match (&conn.socket).read(scratch) {
+            // The peer sent its last byte.
+            Ok(0) => self.close(id, SHUTDOWN_FLUSH),
+            Ok(n) => {
+                self.metrics.bytes_in.add(n as u64);
+                conn.reader.feed(&scratch[..n]);
+                conn.backlog = true;
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
+            Err(_) => self.abort(id),
+        }
+    }
+
+    /// Writes as much of connection `id`'s pending bytes as its socket
+    /// takes now.
+    fn flush(&mut self, id: ConnId) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        while !conn.pending.is_empty() {
+            match (&conn.socket).write(conn.pending.as_slices().0) {
+                Ok(n) if n > 0 => {
+                    self.metrics.bytes_out.add(n as u64);
+                    conn.pending.drain(..n);
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                _ => return self.abort(id),
+            }
+        }
+        // Lets go of the batch just written.
+        conn.pending = VecDeque::new();
+    }
+
+    /// Starts closing connection `id`: it is no longer read, its session
+    /// is detached, and [`State::sweep`] drops it once its pending bytes
+    /// are written, or once `flush` has passed. A connection already
+    /// closing keeps its first deadline.
+    fn close(&mut self, id: ConnId, flush: Duration) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        conn.closing.get_or_insert(Instant::now() + flush);
+        conn.backlog = false;
+        conn.held = None;
+        if let Some(sid) = conn.session {
+            self.detach(sid, id);
+        }
+    }
+
+    /// Drops connection `id` at the next sweep, with whatever it holds.
+    fn abort(&mut self, id: ConnId) {
+        if let Some(conn) = self.conns.get_mut(&id) {
+            conn.pending = VecDeque::new();
+        }
+        self.close(id, Duration::ZERO);
+    }
+
+    /// Closes connection `id` for breaking the protocol.
+    fn reject(&mut self, id: ConnId) {
+        self.metrics.decode_errors.inc();
+        self.close(id, SHUTDOWN_FLUSH);
+    }
+
+    /// Drops the closing connections that wrote what they held or ran
+    /// out of time, which closes their sockets.
+    fn sweep(&mut self) {
+        let now = Instant::now();
+        self.conns.retain(|_, c| {
+            c.closing
+                .is_none_or(|end| !c.pending.is_empty() && now < end)
+        });
+    }
+
+    /// Handles the whole frames read so far, one per connection per
+    /// round, for at most one [`TICK`]: update requests wait for the pump
+    /// that follows, so a client flooding frames must not hold back the
+    /// others.
+    fn handle_frames(&mut self, ui: &mut Ui) {
+        let began = Instant::now();
+        let mut busy: Vec<ConnId> = self
+            .conns
+            .iter()
+            .filter(|(_, c)| c.backlog)
+            .map(|(&id, _)| id)
+            .collect();
+        while !busy.is_empty() && began.elapsed() < TICK {
+            busy.retain(|&id| self.handle_next_frame(ui, id));
+        }
+    }
+
+    /// Handles the next whole frame read from connection `id`. Returns
+    /// whether the connection may hold another.
+    fn handle_next_frame(&mut self, ui: &mut Ui, id: ConnId) -> bool {
+        let Some(conn) = self.conns.get_mut(&id).filter(|c| c.backlog) else {
+            return false;
+        };
+        let decoded = match conn.reader.next_frame() {
+            Ok(None) => {
+                conn.backlog = false;
+                return false;
+            }
+            Ok(Some(body)) => ClientMessage::decode_body(&mut body.as_slice()).map(|m| (m, body)),
+            Err(e) => Err(e),
+        };
+        // An oversized frame or an undecodable body: the peer is hostile
+        // or broken.
+        let Ok((msg, body)) = decoded else {
+            self.reject(id);
+            return false;
+        };
+        self.metrics.frames_in.inc();
+        self.handle_msg(ui, id, msg, &body);
+        true
     }
 
     /// The session named `name`, if one is live.
@@ -619,16 +551,14 @@ impl State {
     }
 
     /// Points session `sid` at connection `id`. The connection the
-    /// record named before, if any, is displaced: its queue closes, and
-    /// its late messages no longer reach the session.
+    /// record named before, if any, is displaced: it closes, and its
+    /// late messages no longer reach the session.
     fn attach(&mut self, sid: ClientId, id: ConnId) {
         let Some(session) = self.sessions.get_mut(&sid) else {
             return;
         };
         if let Link::Attached(old) = std::mem::replace(&mut session.link, Link::Attached(id)) {
-            if let Some(stale) = self.conns.get(&old) {
-                stale.queue.close();
-            }
+            self.close(old, SHUTDOWN_FLUSH);
         }
         if let Some(conn) = self.conns.get_mut(&id) {
             conn.session = Some(sid);
@@ -653,22 +583,10 @@ impl State {
     fn retire(&mut self, sid: ClientId) -> Option<String> {
         let session = self.sessions.remove(&sid)?;
         if let Link::Attached(id) = session.link {
-            if let Some(conn) = self.conns.get(&id) {
-                conn.queue.close();
-            }
+            self.close(id, SHUTDOWN_FLUSH);
         }
         self.multi.disconnect(sid);
         Some(session.name)
-    }
-
-    /// Unbinds a dead socket; its session stays, detached.
-    fn drop_conn(&mut self, id: ConnId) {
-        if let Some(conn) = self.conns.remove(&id) {
-            conn.queue.close();
-            if let Some(sid) = conn.session {
-                self.detach(sid, id);
-            }
-        }
     }
 
     /// Binds `id` to a brand-new session for `name`, displacing (and
@@ -789,7 +707,7 @@ impl State {
                     self.registry
                         .journal()
                         .record("gateway.rejected_version", format!("{name}: v{version}"));
-                    self.conns[&id].queue.close();
+                    self.close(id, SHUTDOWN_FLUSH);
                     return;
                 }
                 // A re-Hello from a bound connection rebinds it: detach
@@ -831,22 +749,20 @@ impl State {
                 }
                 // Displaced: the session answers to another socket now.
                 Some(_) => {}
-                None => {
-                    // Message before any Hello: protocol abuse, drop the peer.
-                    self.metrics.decode_errors.inc();
-                    self.conns[&id].queue.close();
-                }
+                // Message before any Hello: protocol abuse, drop the peer.
+                None => self.reject(id),
             },
         }
     }
 
     /// Encodes `replies` into one batch of frames, records each frame's
-    /// body from that batch, and queues it for connection `id`.
+    /// body from that batch, and queues it for connection `id`, which
+    /// writes it at once. A closing connection takes nothing more.
     fn push_to(&mut self, id: ConnId, replies: &[ServerMessage]) {
         if replies.is_empty() {
             return;
         }
-        let Some(conn) = self.conns.get(&id) else {
+        let Some(conn) = self.conns.get_mut(&id).filter(|c| c.closing.is_none()) else {
             return;
         };
         let mut batch = Vec::new();
@@ -864,15 +780,15 @@ impl State {
                 );
             }
         }
-        if conn.queue.push(batch) == Pushed::Overflow {
+        if enqueue(&mut conn.pending, batch, MAX_QUEUED_BYTES) {
+            self.flush(id);
+        } else {
+            // The session stays, detached.
             self.metrics.dropped_connections.inc();
-            if let Some(socket) = &conn.socket {
-                // Unblocks the writer and ends the reader with EOF, so the
-                // connection goes; its session stays, detached.
-                let _ = socket.shutdown(std::net::Shutdown::Both);
-            }
+            self.abort(id);
         }
-        self.metrics.queue_bytes.set(conn.queue.len() as i64);
+        let queued = self.conns.get(&id).map_or(0, |c| c.pending.len());
+        self.metrics.queue_bytes.set(queued as i64);
     }
 
     fn route_batches(&mut self, batches: Vec<(ClientId, Vec<ServerMessage>)>) {
@@ -894,51 +810,50 @@ impl State {
 mod tests {
     use super::*;
     use uniint_protocol::input::InputEvent;
-    use uniint_protocol::message::{encode_client, encode_server, FrameReader, RectUpdate};
+    use uniint_protocol::message::{encode_client, encode_server, RectUpdate};
     use uniint_raster::geom::Rect;
     use uniint_raster::pixel::PixelFormat;
     use uniint_wsys::prelude::{Button, Theme};
 
-    fn update(seq: u64, x: i32) -> ServerMessage {
+    fn update(seq: u64, x: i32, payload_len: usize) -> ServerMessage {
         ServerMessage::Update {
             seq,
             format: PixelFormat::Rgb888,
             rects: vec![RectUpdate {
                 rect: Rect::new(x, 0, 1, 1),
                 encoding: uniint_protocol::encoding::Encoding::Raw,
-                payload: vec![0, 0, 0],
+                payload: vec![0; payload_len],
             }],
         }
     }
 
-    #[test]
-    fn a_push_past_the_bound_closes_the_queue() {
-        let q = ByteQueue::new(8);
-        assert_eq!(q.push(vec![1; 5]), Pushed::Queued);
-        assert_eq!(q.push(vec![2; 3]), Pushed::Queued, "exactly at the bound");
-        assert_eq!(q.push(vec![3]), Pushed::Overflow);
-        assert_eq!(q.len(), 0, "an overflowing queue lets go of its bytes");
-        assert_eq!(q.push(vec![4]), Pushed::Closed);
-        assert_eq!(q.pop(), None);
+    /// Decodes every whole frame in `bytes`.
+    fn frames(bytes: &[u8]) -> Vec<ServerMessage> {
+        let mut reader = FrameReader::new();
+        reader.feed(bytes);
+        let mut msgs = Vec::new();
+        while let Some(frame) = reader.next_frame().unwrap() {
+            msgs.push(ServerMessage::decode_body(&mut frame.as_slice()).unwrap());
+        }
+        assert_eq!(reader.buffered(), 0, "only whole frames");
+        msgs
     }
 
     #[test]
-    fn an_empty_queue_takes_a_batch_larger_than_the_bound() {
-        let q = ByteQueue::new(4);
-        assert_eq!(q.push(vec![7; 10]), Pushed::Queued);
-        assert_eq!(q.pop(), Some(vec![7; 10]));
-        assert_eq!(q.push(vec![8; 10]), Pushed::Queued, "empty again");
+    fn a_batch_past_the_bound_frees_the_pending_bytes() {
+        let mut pending = VecDeque::new();
+        assert!(enqueue(&mut pending, vec![1; 5], 8));
+        assert!(enqueue(&mut pending, vec![2; 3], 8), "exactly at the bound");
+        assert!(!enqueue(&mut pending, vec![3], 8));
+        assert_eq!(pending.capacity(), 0, "an overflow lets go of the bytes");
     }
 
     #[test]
-    fn a_closed_queue_hands_out_what_it_held_then_ends() {
-        let q = ByteQueue::new(64);
-        q.push(vec![1, 2]);
-        q.push(vec![3]);
-        q.close();
-        assert_eq!(q.push(vec![4]), Pushed::Closed);
-        assert_eq!(q.pop(), Some(vec![1, 2, 3]));
-        assert_eq!(q.pop(), None);
+    fn empty_pending_bytes_take_a_batch_larger_than_the_bound() {
+        let mut pending = VecDeque::new();
+        assert!(enqueue(&mut pending, vec![7; 10], 4));
+        assert_eq!(Vec::from(std::mem::take(&mut pending)), vec![7; 10]);
+        assert!(enqueue(&mut pending, vec![8; 10], 4), "empty again");
     }
 
     #[test]
@@ -947,53 +862,80 @@ mod tests {
         // that order: replaying the second update before the resize
         // would paint it into the old geometry.
         let msgs = [
-            update(1, 0),
+            update(1, 0, 3),
             ServerMessage::Resize {
                 width: 10,
                 height: 10,
             },
-            update(2, 1),
+            update(2, 1, 3),
         ];
-        let q = ByteQueue::new(MAX_QUEUED_BYTES);
+        let mut pending = VecDeque::new();
         for m in &msgs {
-            q.push(encode_server(m));
+            assert!(enqueue(&mut pending, encode_server(m), MAX_QUEUED_BYTES));
         }
-        let mut reader = FrameReader::new();
-        reader.feed(&q.pop().expect("queued bytes"));
-        for m in &msgs {
-            let frame = reader.next_frame().unwrap().expect("whole frame");
-            assert_eq!(
-                &ServerMessage::decode_body(&mut frame.as_slice()).unwrap(),
-                m
-            );
-        }
-        assert_eq!(reader.buffered(), 0);
+        assert_eq!(frames(pending.make_contiguous()), msgs);
     }
 
-    /// The state thread's logic without sockets: each connection is a
-    /// bare outbound queue.
+    #[test]
+    fn a_closing_connection_writes_what_it_holds_then_is_dropped() {
+        let mut h = Harness::new();
+        let id = h.connect();
+        // Fill the socket until bytes wait in the connection.
+        let mut queued = 0;
+        while h.st.conns[&id].pending.is_empty() {
+            h.st.push_to(id, &[update(queued, 0, 1 << 20)]);
+            queued += 1;
+        }
+        h.st.close(id, SHUTDOWN_FLUSH);
+        h.st.push_to(id, &[ServerMessage::Bell]);
+        h.st.sweep();
+        assert!(h.st.conns.contains_key(&id), "kept while it holds bytes");
+
+        let mut peer = h.peers.pop().expect("peer");
+        let read = std::thread::spawn(move || {
+            let mut bytes = Vec::new();
+            peer.read_to_end(&mut bytes).map(|_| bytes)
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while h.st.conns.contains_key(&id) {
+            assert!(Instant::now() < deadline, "never drained");
+            h.st.flush(id);
+            h.st.sweep();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let sent = frames(&read.join().unwrap().expect("read to EOF"));
+        let expected: Vec<_> = (0..queued).map(|seq| update(seq, 0, 1 << 20)).collect();
+        assert_eq!(
+            sent, expected,
+            "every queued frame, and nothing after the close"
+        );
+    }
+
+    /// The state thread's logic on loopback sockets whose peers never
+    /// read.
     struct Harness {
         st: State,
         ui: Ui,
-        queues: HashMap<ConnId, Arc<ByteQueue>>,
+        peers: Vec<TcpStream>,
     }
 
     impl Harness {
         fn new() -> Harness {
             let mut ui = Ui::new(160, 120, Theme::classic(), "state");
             ui.add(Button::new("Power"), Rect::new(20, 20, 80, 24));
-            let grace = GatewayConfig::default().session_grace;
             Harness {
-                st: State::new(Registry::new(), grace, None),
+                st: State::new(Registry::new(), GatewayConfig::default()),
                 ui,
-                queues: HashMap::new(),
+                peers: Vec::new(),
             }
         }
 
-        fn connect(&mut self, id: ConnId) {
-            let queue = Arc::new(ByteQueue::new(MAX_QUEUED_BYTES));
-            self.queues.insert(id, queue.clone());
-            self.st.connect(id, queue, None);
+        fn connect(&mut self) -> ConnId {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            self.peers.push(peer);
+            let socket = listener.accept().unwrap().0;
+            self.st.connect(socket).expect("socket set up")
         }
 
         fn send(&mut self, id: ConnId, msgs: impl IntoIterator<Item = ClientMessage>) {
@@ -1003,9 +945,9 @@ mod tests {
             }
         }
 
-        /// Whether connection `id`'s queue was closed.
+        /// Whether connection `id` is closing.
         fn closed(&self, id: ConnId) -> bool {
-            self.queues[&id].inner.lock().unwrap().closed
+            self.st.conns[&id].closing.is_some()
         }
 
         /// Clicks the panel fired since the last call.
@@ -1031,42 +973,42 @@ mod tests {
     #[test]
     fn a_connection_displaced_by_resume_no_longer_speaks_for_the_session() {
         let mut h = Harness::new();
-        h.connect(0);
-        h.send(0, [hello("x")]);
-        h.connect(1);
+        let first = h.connect();
+        h.send(first, [hello("x")]);
+        let second = h.connect();
         h.send(
-            1,
+            second,
             [hello("x"), ClientMessage::Resume { last_update_seq: 0 }],
         );
-        assert!(h.closed(0), "the adopting socket displaces the first");
+        assert!(h.closed(first), "the adopting socket displaces the first");
 
-        h.send(0, click());
+        h.send(first, click());
         assert_eq!(h.clicks(), 0, "a late click from the displaced socket");
-        h.send(1, click());
+        h.send(second, click());
         assert_eq!(h.clicks(), 1, "the adopting socket's click");
-        assert!(!h.closed(1));
+        assert!(!h.closed(second));
     }
 
     #[test]
     fn a_replaced_connection_does_not_reach_the_session_in_its_freed_slot() {
         let mut h = Harness::new();
-        h.connect(0);
-        h.send(0, [hello("x")]);
-        let replaced = h.st.conns[&0].session.expect("bound");
+        let first = h.connect();
+        h.send(first, [hello("x")]);
+        let replaced = h.st.conns[&first].session.expect("bound");
         // A fresh client reusing the name: anything but Resume after the
         // Hello replaces the old session instead of adopting it.
-        h.connect(1);
-        h.send(1, [hello("x"), ClientMessage::SetEncodings(vec![])]);
-        assert!(h.closed(0), "the replacing socket displaces the first");
+        let second = h.connect();
+        h.send(second, [hello("x"), ClientMessage::SetEncodings(vec![])]);
+        assert!(h.closed(first), "the replacing socket displaces the first");
         assert_eq!(
-            h.st.conns[&1].session,
+            h.st.conns[&second].session,
             Some(replaced),
             "the new session reuses the freed slot"
         );
 
-        h.send(0, click());
+        h.send(first, click());
         assert_eq!(h.clicks(), 0, "a late click from the replaced socket");
-        h.send(1, click());
+        h.send(second, click());
         assert_eq!(h.clicks(), 1, "the new session's click");
     }
 }

@@ -10,12 +10,12 @@
 //! - [`codec`] — the length-prefixed frame codec shared by both ends:
 //!   a hard max-frame-size bound enforced before allocation, and the
 //!   protocol-version check applied to every `Hello`;
-//! - [`host`] — the concurrent connection host ([`host::Gateway`]):
-//!   one accept thread, one reader + one writer thread per connection
-//!   with a queue of encoded frames bounded in bytes (a client that
-//!   falls too far behind is dropped), and a single state thread that
-//!   encodes each message once and drives a shared
-//!   [`uniint_core::multi::MultiServer`] so a TV proxy and a phone
+//! - [`host`] — the connection host ([`host::Gateway`]): one thread
+//!   that waits in `poll(2)` on the listener and every non-blocking
+//!   connection, keeps each connection's unwritten frames bounded in
+//!   bytes (a client that falls too far behind is dropped), encodes
+//!   each message once and drives a shared
+//!   [`uniint_core::multi::MultiServer`], so a TV proxy and a phone
 //!   proxy on real sockets watch one panel concurrently;
 //! - [`client`] — the connection lifecycle ([`client::GatewayClient`]):
 //!   stall detection, seeded exponential backoff on reconnect, and
@@ -39,12 +39,14 @@
 //! let _panel = gw.shutdown();
 //! ```
 
-#![forbid(unsafe_code)]
+// Only the `poll` module may use unsafe code, for its one FFI call.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
 pub mod codec;
 pub mod host;
+mod poll;
 
 /// Convenient re-exports of the gateway surface.
 pub mod prelude {

@@ -728,11 +728,6 @@ impl CameraFcm {
             residue_ms: 0,
         }
     }
-
-    /// Frames produced so far.
-    pub fn frame_counter(&self) -> u32 {
-        self.counter
-    }
 }
 
 impl Fcm for CameraFcm {

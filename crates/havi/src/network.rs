@@ -61,7 +61,6 @@ impl DeviceSpec {
 
 #[derive(Debug)]
 struct DeviceEntry {
-    name: String,
     fcms: BTreeMap<u32, Box<dyn Fcm>>,
 }
 
@@ -111,7 +110,7 @@ impl HomeNetwork {
             seid: Seid::new(guid, 0),
             kind: ElementKind::Dcm,
             class: None,
-            name: spec.name.clone(),
+            name: spec.name,
             zone: spec.zone.clone(),
         });
         self.messaging.open(Seid::new(guid, 0));
@@ -128,13 +127,7 @@ impl HomeNetwork {
             });
             fcms.insert(handle, fcm);
         }
-        self.devices.insert(
-            guid,
-            DeviceEntry {
-                name: spec.name,
-                fcms,
-            },
-        );
+        self.devices.insert(guid, DeviceEntry { fcms });
         self.events.post(HaviEvent::DeviceAdded(guid));
         guid
     }
@@ -174,11 +167,6 @@ impl HomeNetwork {
     /// Attached device GUIDs.
     pub fn device_guids(&self) -> Vec<Guid> {
         self.devices.keys().copied().collect()
-    }
-
-    /// Device name for a GUID.
-    pub fn device_name(&self, guid: Guid) -> Option<&str> {
-        self.devices.get(&guid).map(|d| d.name.as_str())
     }
 
     /// Sends a control command to an FCM, posting state-change events for

@@ -48,11 +48,6 @@ pub fn get_u64(buf: &mut impl Buf) -> Result<u64> {
     Ok(buf.get_u64())
 }
 
-/// Reads a big-endian i32.
-pub fn get_i32(buf: &mut impl Buf) -> Result<i32> {
-    Ok(get_u32(buf)? as i32)
-}
-
 /// Reads exactly `n` bytes.
 ///
 /// The declared count is validated against what the buffer actually

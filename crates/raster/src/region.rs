@@ -72,11 +72,6 @@ impl Region {
         self.rects.iter().any(|r| r.contains(p))
     }
 
-    /// Whether `rect` overlaps the region anywhere.
-    pub fn intersects_rect(&self, rect: Rect) -> bool {
-        self.rects.iter().any(|r| r.intersects(rect))
-    }
-
     /// Adds a rectangle to the region (set union with one rectangle).
     ///
     /// Keeps the invariant that stored rectangles are pairwise disjoint by

@@ -167,16 +167,6 @@ impl Ui {
         self.index_of(id).map(|i| self.nodes[i].rect)
     }
 
-    /// Moves/resizes a widget.
-    pub fn set_widget_rect(&mut self, id: WidgetId, rect: Rect) {
-        if let Some(i) = self.index_of(id) {
-            let old = self.nodes[i].rect;
-            self.nodes[i].rect = rect;
-            self.fb.fill_rect(old, self.theme.background);
-            self.dirty.push(id);
-        }
-    }
-
     /// Shows or hides a widget.
     pub fn set_visible(&mut self, id: WidgetId, visible: bool) {
         if let Some(i) = self.index_of(id) {

@@ -34,11 +34,6 @@ impl Checkbox {
         self.checked
     }
 
-    /// Sets the state silently.
-    pub fn set_checked(&mut self, checked: bool) {
-        self.checked = checked;
-    }
-
     /// Enables or disables the checkbox.
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;

@@ -838,3 +838,57 @@ fn shutdown_returns_when_a_blocked_writer_outlives_its_reader() {
     assert_shutdown_returns(gw);
     drop(sock);
 }
+
+#[test]
+fn a_displaced_client_that_stopped_reading_is_closed_within_the_flush() {
+    use std::io::Write;
+    use std::net::TcpStream;
+    use uniint::protocol::message::{encode_client, PROTOCOL_VERSION};
+
+    let registry = Registry::new();
+    let gw =
+        Gateway::spawn(panel(), GatewayConfig::default(), registry.clone()).expect("gateway binds");
+    let mut stalled = block_the_writer(&gw, &registry);
+
+    // The same name comes back on a new socket and resumes, which
+    // displaces the socket that stopped reading.
+    let mut fresh = TcpStream::connect(gw.local_addr()).expect("connect");
+    let hello = ClientMessage::Hello {
+        version: PROTOCOL_VERSION,
+        name: "stopped-reading".into(),
+    };
+    for m in [hello, ClientMessage::Resume { last_update_seq: 0 }] {
+        fresh.write_all(&encode_client(&m)).expect("send");
+    }
+    let reconnects = || {
+        registry
+            .snapshot()
+            .counters
+            .get("gateway.reconnects")
+            .copied()
+            .unwrap_or(0)
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while reconnects() == 0 {
+        assert!(Instant::now() < deadline, "the resume was never adopted");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let displaced = Instant::now();
+
+    // The displaced client still reads nothing, yet the gateway closes
+    // its socket once the one-second flush runs out. Bytes sent to a
+    // closed socket are answered with a reset, so a later send fails.
+    let probe = encode_client(&ClientMessage::UpdateRequest {
+        incremental: true,
+        rect: Rect::new(0, 0, 160, 120),
+    });
+    while stalled.write_all(&probe).is_ok() {
+        assert!(
+            displaced.elapsed() < Duration::from_secs(3),
+            "the gateway kept the displaced socket open"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    drop(fresh);
+    gw.shutdown();
+}
