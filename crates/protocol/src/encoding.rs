@@ -18,7 +18,10 @@
 //! Each decoder writes its rows, fills and runs straight into a
 //! [`RectMut`]: [`decode_into`] takes a rect of the receiver's
 //! framebuffer ([`Framebuffer::rect_mut`]), [`decode_rect`] decodes into
-//! a fresh buffer through the same decoders.
+//! a fresh buffer through the same decoders. They read a `&mut &[u8]`
+//! cursor through [`crate::wire`]: pixel rows and run tables are read
+//! where they lie in the payload, and a short payload is
+//! [`ProtocolError::Truncated`], never a panic.
 //! Encoding is two steps. A [`RectAnalysis`] reads a rect's pixels once,
 //! in one scanline pass, into colour runs and a palette that depend on no
 //! pixel format. [`RectAnalysis::choose`] then picks the encoding from
@@ -30,7 +33,6 @@
 
 use crate::error::{ProtocolError, Result};
 use crate::wire;
-use bytes::{Buf, BufMut};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use uniint_raster::color::Color;
@@ -134,56 +136,16 @@ fn pixel_at(fmt: PixelFormat, bytes: &[u8]) -> Result<Color> {
 }
 
 /// Reads one pixel in `fmt`, allocating nothing.
-fn get_pixel(fmt: PixelFormat, buf: &mut impl Buf) -> Result<Color> {
-    let n = fmt.row_bytes(1);
-    if buf.remaining() < n {
-        return Err(ProtocolError::Truncated {
-            needed: n - buf.remaining(),
-        });
-    }
-    // No format packs a pixel in more than 3 bytes.
-    let mut bytes = [0u8; 3];
-    buf.copy_to_slice(&mut bytes[..n]);
-    pixel_at(fmt, &bytes[..n])
+fn get_pixel(fmt: PixelFormat, buf: &mut &[u8]) -> Result<Color> {
+    pixel_at(fmt, wire::get_bytes(buf, fmt.row_bytes(1))?)
 }
 
-/// Calls `read` with the next `n` bytes of `buf`. They are read where
-/// they lie when the buffer's current chunk holds them all, as a `&[u8]`
-/// always does; otherwise they are gathered in `scratch` first.
-fn with_bytes<T>(
-    buf: &mut impl Buf,
-    n: usize,
-    scratch: &mut Vec<u8>,
-    read: impl FnOnce(&[u8]) -> Result<T>,
-) -> Result<T> {
-    if buf.remaining() < n {
-        return Err(ProtocolError::Truncated {
-            needed: n - buf.remaining(),
-        });
-    }
-    if buf.chunk().len() >= n {
-        let out = read(&buf.chunk()[..n]);
-        buf.advance(n);
-        return out;
-    }
-    scratch.clear();
-    scratch.resize(n, 0);
-    buf.copy_to_slice(scratch);
-    read(scratch)
-}
-
-/// Reads the next row of `out.len()` pixels in `fmt` into `out`.
-fn get_row(
-    fmt: PixelFormat,
-    buf: &mut impl Buf,
-    out: &mut [Color],
-    scratch: &mut Vec<u8>,
-) -> Result<()> {
-    let n = fmt.row_bytes(out.len() as u32);
-    with_bytes(buf, n, scratch, |bytes| {
-        unpack_row_into(fmt, bytes, out, None)
-            .ok_or_else(|| ProtocolError::Malformed("row decode failed".into()))
-    })
+/// Reads the next row of `out.len()` pixels in `fmt` into `out`, from
+/// where its bytes lie.
+fn get_row(fmt: PixelFormat, buf: &mut &[u8], out: &mut [Color]) -> Result<()> {
+    let bytes = wire::get_bytes(buf, fmt.row_bytes(out.len() as u32))?;
+    unpack_row_into(fmt, bytes, out, None)
+        .ok_or_else(|| ProtocolError::Malformed("row decode failed".into()))
 }
 
 /// Encodes `pixels` (row-major, covering `rect`) with `encoding` into wire
@@ -212,10 +174,9 @@ pub fn choose_encoding(pixels: &[Color], rect: Rect, allowed: &[Encoding]) -> En
 /// Encodes a CopyRect payload: the source top-left in the remote
 /// framebuffer.
 pub fn encode_copy_rect(src: Point) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4);
-    out.put_u16(src.x.max(0) as u16);
-    out.put_u16(src.y.max(0) as u16);
-    out
+    [src.x, src.y]
+        .map(|v| (v.max(0) as u16).to_be_bytes())
+        .concat()
 }
 
 /// Decodes a CopyRect payload: the source top-left in the receiver's
@@ -224,7 +185,7 @@ pub fn encode_copy_rect(src: Point) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`ProtocolError::Truncated`] when the payload is short.
-pub fn decode_copy_rect(buf: &mut impl Buf) -> Result<Point> {
+pub fn decode_copy_rect(buf: &mut &[u8]) -> Result<Point> {
     let x = wire::get_u16(buf)?;
     let y = wire::get_u16(buf)?;
     Ok(Point::new(x as i32, y as i32))
@@ -238,7 +199,7 @@ pub fn decode_copy_rect(buf: &mut impl Buf) -> Result<Point> {
 /// Returns [`ProtocolError`] when bytes are truncated or malformed, or the
 /// rectangle exceeds [`MAX_RECT_AREA`].
 pub fn decode_rect(
-    buf: &mut impl Buf,
+    buf: &mut &[u8],
     rect: Rect,
     encoding: Encoding,
     fmt: PixelFormat,
@@ -271,7 +232,7 @@ pub fn decode_rect(
 /// [`decode_copy_rect`]). A payload that fails may leave `target` partly
 /// written.
 pub fn decode_into(
-    buf: &mut impl Buf,
+    buf: &mut &[u8],
     encoding: Encoding,
     fmt: PixelFormat,
     target: &mut RectMut<'_>,
@@ -631,10 +592,9 @@ fn encode_raw(pixels: &[Color], rect: Rect, fmt: PixelFormat) -> Vec<u8> {
     out
 }
 
-fn decode_raw(buf: &mut impl Buf, fmt: PixelFormat, target: &mut RectMut) -> Result<()> {
-    let mut scratch = Vec::new();
+fn decode_raw(buf: &mut &[u8], fmt: PixelFormat, target: &mut RectMut) -> Result<()> {
     for y in 0..target.height() {
-        get_row(fmt, buf, target.row(y), &mut scratch)?;
+        get_row(fmt, buf, target.row(y))?;
     }
     Ok(())
 }
@@ -712,19 +672,18 @@ fn encode_rre(colours: &Colours, rect: Rect, fmt: PixelFormat) -> Vec<u8> {
     let bg = colours.dominant();
     let subs = subrects(&colours.runs, rect.w as usize, bg);
     let mut out = Vec::new();
-    out.put_u32(subs.len() as u32);
+    out.extend_from_slice(&(subs.len() as u32).to_be_bytes());
     put_pixel(fmt, bg, &mut out);
     for s in subs {
         put_pixel(fmt, s.color, &mut out);
-        out.put_u16(s.x);
-        out.put_u16(s.y);
-        out.put_u16(s.w);
-        out.put_u16(s.h);
+        for v in [s.x, s.y, s.w, s.h] {
+            out.extend_from_slice(&v.to_be_bytes());
+        }
     }
     out
 }
 
-fn decode_rre(buf: &mut impl Buf, fmt: PixelFormat, target: &mut RectMut) -> Result<()> {
+fn decode_rre(buf: &mut &[u8], fmt: PixelFormat, target: &mut RectMut) -> Result<()> {
     let bounds = target.bounds();
     let count = wire::get_u32(buf)?;
     if count as u64 > bounds.area().max(1) {
@@ -809,10 +768,9 @@ fn encode_hextile(pixels: &[Color], rect: Rect, fmt: PixelFormat) -> Vec<u8> {
     out
 }
 
-fn decode_hextile(buf: &mut impl Buf, fmt: PixelFormat, target: &mut RectMut) -> Result<()> {
+fn decode_hextile(buf: &mut &[u8], fmt: PixelFormat, target: &mut RectMut) -> Result<()> {
     let w = target.width() as usize;
     let h = target.height() as usize;
-    let mut scratch = Vec::new();
     let mut last_bg = Color::BLACK;
     for ty in (0..h).step_by(TILE) {
         for tx in (0..w).step_by(TILE) {
@@ -827,7 +785,7 @@ fn decode_hextile(buf: &mut impl Buf, fmt: PixelFormat, target: &mut RectMut) ->
             if flags & HEX_RAW != 0 {
                 for y in ty..ty + th {
                     let row = &mut target.row(y as u32)[tx..tx + tw];
-                    get_row(fmt, buf, row, &mut scratch)?;
+                    get_row(fmt, buf, row)?;
                 }
                 continue;
             }
@@ -865,11 +823,11 @@ fn decode_hextile(buf: &mut impl Buf, fmt: PixelFormat, target: &mut RectMut) ->
 fn encode_rle(c: &Colours, fmt: PixelFormat) -> Vec<u8> {
     let px_bytes = fmt.row_bytes(1);
     let mut out = Vec::with_capacity(4 + c.pieces * (2 + px_bytes));
-    out.put_u32(c.pieces as u32);
+    out.extend_from_slice(&(c.pieces as u32).to_be_bytes());
     // Each palette colour is packed once; past an overflow, each run.
     let palette = (!c.overflow).then(|| c.packed_palette(fmt));
     c.for_each_piece(|run, n| {
-        out.put_u16(n);
+        out.extend_from_slice(&n.to_be_bytes());
         match &palette {
             Some(packed) => {
                 let at = run.index as usize * px_bytes;
@@ -881,7 +839,7 @@ fn encode_rle(c: &Colours, fmt: PixelFormat) -> Vec<u8> {
     out
 }
 
-fn decode_rle(buf: &mut impl Buf, fmt: PixelFormat, target: &mut RectMut) -> Result<()> {
+fn decode_rle(buf: &mut &[u8], fmt: PixelFormat, target: &mut RectMut) -> Result<()> {
     let mut out = Scanline::new(target);
     let nruns = wire::get_u32(buf)?;
     if nruns as u64 > out.left {
@@ -891,13 +849,12 @@ fn decode_rle(buf: &mut impl Buf, fmt: PixelFormat, target: &mut RectMut) -> Res
     }
     // Each run is a u16 length and a pixel.
     let run_bytes = 2 + fmt.row_bytes(1);
-    with_bytes(buf, nruns as usize * run_bytes, &mut Vec::new(), |runs| {
-        for run in runs.chunks_exact(run_bytes) {
-            let c = pixel_at(fmt, &run[2..])?;
-            out.run(u16::from_be_bytes([run[0], run[1]]) as usize, c, "rle")?;
-        }
-        out.finish("rle")
-    })
+    let runs = wire::get_bytes(buf, nruns as usize * run_bytes)?;
+    for run in runs.chunks_exact(run_bytes) {
+        let c = pixel_at(fmt, &run[2..])?;
+        out.run(u16::from_be_bytes([run[0], run[1]]) as usize, c, "rle")?;
+    }
+    out.finish("rle")
 }
 
 // -------------------------------------------------------- palette-rle --
@@ -924,7 +881,7 @@ fn encode_palette_rle(analysis: &RectAnalysis, fmt: PixelFormat) -> Vec<u8> {
     out.push(c.palette.len() as u8);
     out.extend(c.packed_palette(fmt));
     // Index runs: (u8 index, u16 len).
-    out.put_u32(c.pieces as u32);
+    out.extend_from_slice(&(c.pieces as u32).to_be_bytes());
     c.for_each_piece(|run, n| {
         let [hi, lo] = n.to_be_bytes();
         out.extend_from_slice(&[run.index, hi, lo]);
@@ -932,7 +889,7 @@ fn encode_palette_rle(analysis: &RectAnalysis, fmt: PixelFormat) -> Vec<u8> {
     out
 }
 
-fn decode_palette_rle(buf: &mut impl Buf, fmt: PixelFormat, target: &mut RectMut) -> Result<()> {
+fn decode_palette_rle(buf: &mut &[u8], fmt: PixelFormat, target: &mut RectMut) -> Result<()> {
     let mode = wire::get_u8(buf)?;
     match mode {
         PRLE_RAW => decode_raw(buf, fmt, target),
@@ -958,19 +915,18 @@ fn decode_palette_rle(buf: &mut impl Buf, fmt: PixelFormat, target: &mut RectMut
                 return Err(ProtocolError::Malformed("palette-rle too many runs".into()));
             }
             // Each run is a u8 palette index and a u16 length.
-            with_bytes(buf, nruns as usize * 3, &mut Vec::new(), |runs| {
-                for run in runs.chunks_exact(3) {
-                    let c = *palette
-                        .get(run[0] as usize)
-                        .ok_or_else(|| ProtocolError::Malformed("palette-rle index oob".into()))?;
-                    out.run(
-                        u16::from_be_bytes([run[1], run[2]]) as usize,
-                        c,
-                        "palette-rle",
-                    )?;
-                }
-                out.finish("palette-rle")
-            })
+            let runs = wire::get_bytes(buf, nruns as usize * 3)?;
+            for run in runs.chunks_exact(3) {
+                let c = *palette
+                    .get(run[0] as usize)
+                    .ok_or_else(|| ProtocolError::Malformed("palette-rle index oob".into()))?;
+                out.run(
+                    u16::from_be_bytes([run[1], run[2]]) as usize,
+                    c,
+                    "palette-rle",
+                )?;
+            }
+            out.finish("palette-rle")
         }
         other => Err(ProtocolError::Malformed(format!(
             "palette-rle unknown subencoding {other}"
@@ -1002,7 +958,7 @@ mod tests {
         let bytes = encode_rect(&reduced, rect, enc, fmt);
         let mut buf: &[u8] = &bytes;
         let decoded = decode_rect(&mut buf, rect, enc, fmt).unwrap();
-        assert_eq!(buf.remaining(), 0, "{enc}/{fmt}: trailing bytes");
+        assert_eq!(buf.len(), 0, "{enc}/{fmt}: trailing bytes");
         match decoded {
             DecodedRect::Pixels(px) => assert_eq!(px, reduced, "{enc}/{fmt}"),
             DecodedRect::CopyFrom(_) => panic!("unexpected copyrect"),
@@ -1031,11 +987,11 @@ mod tests {
         let rect = Rect::new(0, 0, 8, 8);
         let rre = |x: u16, y: u16, w: u16, h: u16| {
             let mut out = Vec::new();
-            out.put_u32(1);
+            out.extend_from_slice(&1u32.to_be_bytes());
             put_pixel(PixelFormat::Rgb888, Color::BLACK, &mut out);
             put_pixel(PixelFormat::Rgb888, Color::RED, &mut out);
             for v in [x, y, w, h] {
-                out.put_u16(v);
+                out.extend_from_slice(&v.to_be_bytes());
             }
             out
         };
@@ -1104,13 +1060,13 @@ mod tests {
     #[test]
     fn malformed_rre_subrect_rejected() {
         let mut bytes = Vec::new();
-        bytes.put_u32(1);
+        bytes.extend_from_slice(&1u32.to_be_bytes());
         bytes.extend_from_slice(&[0, 0, 0]); // bg
         bytes.extend_from_slice(&[255, 0, 0]); // sub color
-        bytes.put_u16(90); // x out of bounds for 10-wide rect
-        bytes.put_u16(0);
-        bytes.put_u16(5);
-        bytes.put_u16(1);
+        bytes.extend_from_slice(&90u16.to_be_bytes()); // x out of bounds for 10-wide rect
+        bytes.extend_from_slice(&0u16.to_be_bytes());
+        bytes.extend_from_slice(&5u16.to_be_bytes());
+        bytes.extend_from_slice(&1u16.to_be_bytes());
         let mut buf: &[u8] = &bytes;
         assert!(matches!(
             decode_rect(
@@ -1126,8 +1082,8 @@ mod tests {
     #[test]
     fn rle_wrong_total_rejected() {
         let mut bytes = Vec::new();
-        bytes.put_u32(1);
-        bytes.put_u16(3);
+        bytes.extend_from_slice(&1u32.to_be_bytes());
+        bytes.extend_from_slice(&3u16.to_be_bytes());
         bytes.extend_from_slice(&[1, 2, 3]);
         let mut buf: &[u8] = &bytes;
         assert!(matches!(
@@ -1352,9 +1308,9 @@ mod palette_rle_tests {
         let mut bytes: Vec<u8> = vec![2, 2]; // indexed, 2 colors
         bytes.extend_from_slice(&[0, 0, 0]);
         bytes.extend_from_slice(&[255, 255, 255]);
-        bytes.put_u32(1);
+        bytes.extend_from_slice(&1u32.to_be_bytes());
         bytes.push(9); // index out of palette
-        bytes.put_u16(4);
+        bytes.extend_from_slice(&4u16.to_be_bytes());
         let mut cursor: &[u8] = &bytes;
         assert!(matches!(
             decode_rect(

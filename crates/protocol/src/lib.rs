@@ -15,6 +15,8 @@
 //!   RRE, Hextile, RLE, PaletteRle) with content-based selection;
 //! - [`message`] — the client/server message vocabulary with robust
 //!   length-prefixed framing ([`message::FrameReader`]);
+//! - [`wire`] — checked big-endian getters over `&[u8]`, through which
+//!   every decoder (and the trace reader) reads its bytes;
 //! - [`error`] — decoder errors that are returned, never panicked.
 //!
 //! ```

@@ -13,7 +13,6 @@ use crate::encoding::Encoding;
 use crate::error::{ProtocolError, Result};
 use crate::input::{ButtonMask, InputEvent, KeySym};
 use crate::wire;
-use bytes::{Buf, BufMut, BytesMut};
 use uniint_raster::geom::Rect;
 use uniint_raster::pixel::PixelFormat;
 
@@ -192,11 +191,11 @@ const ST_CUT_TEXT: u8 = 0x83;
 const ST_RESIZE: u8 = 0x84;
 const ST_RESUME_ACK: u8 = 0x85;
 
-fn put_rect(buf: &mut impl BufMut, r: Rect) {
-    buf.put_u16(r.x.max(0) as u16);
-    buf.put_u16(r.y.max(0) as u16);
-    buf.put_u16(r.w.min(u16::MAX as u32) as u16);
-    buf.put_u16(r.h.min(u16::MAX as u32) as u16);
+fn put_rect(out: &mut Vec<u8>, r: Rect) {
+    out.extend_from_slice(&(r.x.max(0) as u16).to_be_bytes());
+    out.extend_from_slice(&(r.y.max(0) as u16).to_be_bytes());
+    out.extend_from_slice(&(r.w.min(u16::MAX as u32) as u16).to_be_bytes());
+    out.extend_from_slice(&(r.h.min(u16::MAX as u32) as u16).to_be_bytes());
 }
 
 /// Reserves a frame's length prefix at the end of `out` and returns
@@ -214,7 +213,7 @@ fn end_frame(out: &mut [u8], start: usize) {
     out[start..start + 4].copy_from_slice(&len.to_be_bytes());
 }
 
-fn get_rect(buf: &mut impl Buf) -> Result<Rect> {
+fn get_rect(buf: &mut &[u8]) -> Result<Rect> {
     let x = wire::get_u16(buf)? as i32;
     let y = wire::get_u16(buf)? as i32;
     let w = wire::get_u16(buf)? as u32;
@@ -229,48 +228,48 @@ impl ClientMessage {
         let start = begin_frame(out);
         match self {
             ClientMessage::Hello { version, name } => {
-                out.put_u8(CT_HELLO);
-                out.put_u16(*version);
+                out.push(CT_HELLO);
+                out.extend_from_slice(&version.to_be_bytes());
                 wire::put_string(out, name);
             }
             ClientMessage::SetPixelFormat(f) => {
-                out.put_u8(CT_SET_PIXEL_FORMAT);
-                out.put_u8(f.wire_id());
+                out.push(CT_SET_PIXEL_FORMAT);
+                out.push(f.wire_id());
             }
             ClientMessage::SetEncodings(encs) => {
-                out.put_u8(CT_SET_ENCODINGS);
-                out.put_u8(encs.len() as u8);
+                out.push(CT_SET_ENCODINGS);
+                out.push(encs.len() as u8);
                 for e in encs {
-                    out.put_u8(e.wire_id());
+                    out.push(e.wire_id());
                 }
             }
             ClientMessage::UpdateRequest { incremental, rect } => {
-                out.put_u8(CT_UPDATE_REQUEST);
-                out.put_u8(u8::from(*incremental));
+                out.push(CT_UPDATE_REQUEST);
+                out.push(u8::from(*incremental));
                 put_rect(out, *rect);
             }
             ClientMessage::Input(InputEvent::Key { down, sym }) => {
-                out.put_u8(CT_KEY);
-                out.put_u8(u8::from(*down));
-                out.put_u32(sym.0);
+                out.push(CT_KEY);
+                out.push(u8::from(*down));
+                out.extend_from_slice(&sym.0.to_be_bytes());
             }
             ClientMessage::Input(InputEvent::Pointer { x, y, buttons }) => {
-                out.put_u8(CT_POINTER);
-                out.put_u8(buttons.0);
-                out.put_u16(*x);
-                out.put_u16(*y);
+                out.push(CT_POINTER);
+                out.push(buttons.0);
+                out.extend_from_slice(&x.to_be_bytes());
+                out.extend_from_slice(&y.to_be_bytes());
             }
             ClientMessage::CutText(text) => {
-                out.put_u8(CT_CUT_TEXT);
+                out.push(CT_CUT_TEXT);
                 wire::put_string(out, text);
             }
             ClientMessage::Resume { last_update_seq } => {
-                out.put_u8(CT_RESUME);
-                out.put_u64(*last_update_seq);
+                out.push(CT_RESUME);
+                out.extend_from_slice(&last_update_seq.to_be_bytes());
             }
             ClientMessage::DeviceHealth { device, state } => {
-                out.put_u8(CT_DEVICE_HEALTH);
-                out.put_u8(state.wire_id());
+                out.push(CT_DEVICE_HEALTH);
+                out.push(state.wire_id());
                 wire::put_string(out, device);
             }
         }
@@ -278,7 +277,7 @@ impl ClientMessage {
     }
 
     /// Decodes one message body (without the length prefix).
-    pub fn decode_body(buf: &mut impl Buf) -> Result<ClientMessage> {
+    pub fn decode_body(buf: &mut &[u8]) -> Result<ClientMessage> {
         let tag = wire::get_u8(buf)?;
         match tag {
             CT_HELLO => Ok(ClientMessage::Hello {
@@ -345,49 +344,49 @@ impl ServerMessage {
                 format,
                 name,
             } => {
-                out.put_u8(ST_INIT);
-                out.put_u16(*version);
-                out.put_u16(*width);
-                out.put_u16(*height);
-                out.put_u8(format.wire_id());
+                out.push(ST_INIT);
+                out.extend_from_slice(&version.to_be_bytes());
+                out.extend_from_slice(&width.to_be_bytes());
+                out.extend_from_slice(&height.to_be_bytes());
+                out.push(format.wire_id());
                 wire::put_string(out, name);
             }
             ServerMessage::Update { seq, format, rects } => {
-                out.put_u8(ST_UPDATE);
-                out.put_u64(*seq);
-                out.put_u8(format.wire_id());
-                out.put_u16(rects.len() as u16);
+                out.push(ST_UPDATE);
+                out.extend_from_slice(&seq.to_be_bytes());
+                out.push(format.wire_id());
+                out.extend_from_slice(&(rects.len() as u16).to_be_bytes());
                 for r in rects {
                     put_rect(out, r.rect);
-                    out.put_u8(r.encoding.wire_id());
-                    out.put_u32(r.payload.len() as u32);
+                    out.push(r.encoding.wire_id());
+                    out.extend_from_slice(&(r.payload.len() as u32).to_be_bytes());
                     out.extend_from_slice(&r.payload);
                 }
             }
-            ServerMessage::Bell => out.put_u8(ST_BELL),
+            ServerMessage::Bell => out.push(ST_BELL),
             ServerMessage::CutText(text) => {
-                out.put_u8(ST_CUT_TEXT);
+                out.push(ST_CUT_TEXT);
                 wire::put_string(out, text);
             }
             ServerMessage::Resize { width, height } => {
-                out.put_u8(ST_RESIZE);
-                out.put_u16(*width);
-                out.put_u16(*height);
+                out.push(ST_RESIZE);
+                out.extend_from_slice(&width.to_be_bytes());
+                out.extend_from_slice(&height.to_be_bytes());
             }
             ServerMessage::ResumeAck {
                 client_msgs_received,
                 replayed,
             } => {
-                out.put_u8(ST_RESUME_ACK);
-                out.put_u64(*client_msgs_received);
-                out.put_u8(u8::from(*replayed));
+                out.push(ST_RESUME_ACK);
+                out.extend_from_slice(&client_msgs_received.to_be_bytes());
+                out.push(u8::from(*replayed));
             }
         }
         end_frame(out, start);
     }
 
     /// Decodes one message body (without the length prefix).
-    pub fn decode_body(buf: &mut impl Buf) -> Result<ServerMessage> {
+    pub fn decode_body(buf: &mut &[u8]) -> Result<ServerMessage> {
         let tag = wire::get_u8(buf)?;
         match tag {
             ST_INIT => {
@@ -424,7 +423,7 @@ impl ServerMessage {
                             "rect payload of {len} bytes"
                         )));
                     }
-                    let payload = wire::get_bytes(buf, len)?;
+                    let payload = wire::get_bytes(buf, len)?.to_vec();
                     rects.push(RectUpdate {
                         rect,
                         encoding,
@@ -462,7 +461,9 @@ impl ServerMessage {
 /// ```
 #[derive(Debug)]
 pub struct FrameReader {
-    buf: BytesMut,
+    buf: Vec<u8>,
+    /// Bytes of `buf` already handed out as frames.
+    head: usize,
     max_body: usize,
 }
 
@@ -483,24 +484,26 @@ impl FrameReader {
     /// than the protocol-wide [`MAX_BODY`].
     pub fn with_max_body(max_body: usize) -> FrameReader {
         FrameReader {
-            buf: BytesMut::new(),
+            buf: Vec::new(),
+            head: 0,
             max_body,
         }
     }
 
-    /// The configured frame-size bound, bytes.
-    pub fn max_body(&self) -> usize {
-        self.max_body
-    }
-
     /// Appends raw bytes received from the transport.
     pub fn feed(&mut self, bytes: &[u8]) {
+        // Reclaim consumed space occasionally so a long-lived stream's
+        // buffer does not grow without bound.
+        if self.head > 4096 && self.head * 2 > self.buf.len() {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
         self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes currently buffered but not yet consumed.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.head
     }
 
     /// Extracts the next complete frame body, if one is buffered.
@@ -511,22 +514,23 @@ impl FrameReader {
     /// body larger than the configured bound (before any allocation for
     /// it); the stream is unrecoverable after that.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>> {
-        if self.buf.len() < 4 {
+        let mut rest = &self.buf[self.head..];
+        let Ok(len) = wire::get_u32(&mut rest) else {
             return Ok(None);
-        }
-        let len = u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
+        };
+        let len = len as usize;
         if len > self.max_body {
             return Err(ProtocolError::FrameTooLarge {
                 declared: len as u64,
                 max: self.max_body as u64,
             });
         }
-        if self.buf.len() < 4 + len {
+        let Ok(body) = wire::get_bytes(&mut rest, len) else {
             return Ok(None);
-        }
-        self.buf.advance(4);
-        let body = self.buf.split_to(len);
-        Ok(Some(body.to_vec()))
+        };
+        let body = body.to_vec();
+        self.head += 4 + len;
+        Ok(Some(body))
     }
 }
 
@@ -716,7 +720,6 @@ mod tests {
                 max: 15
             })
         ));
-        assert_eq!(too_small.max_body(), 15);
     }
 
     #[test]

@@ -1,112 +1,87 @@
-//! Checked big-endian wire primitives over `bytes::Buf`.
+//! Checked big-endian wire primitives over `&[u8]`.
 //!
-//! `bytes::Buf`'s own getters panic on underflow; these helpers return
-//! [`ProtocolError::Truncated`] instead so a hostile or fragmented stream
-//! can never panic the decoder.
+//! Every binary parser in the workspace reads through a `&mut &[u8]`
+//! cursor with these getters. Each takes its bytes off the front of the
+//! cursor, or returns [`ProtocolError::Truncated`] and leaves the cursor
+//! as it was, so a hostile or fragmented stream can never panic a
+//! decoder. Writers append big-endian bytes to a `Vec<u8>`.
 
 use crate::error::{ProtocolError, Result};
-use bytes::{Buf, BufMut};
 
 /// Maximum length accepted for a counted string/blob on the wire (1 MiB).
 pub const MAX_BLOB: usize = 1 << 20;
 
+/// Takes the next `N` bytes.
+fn get_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N]> {
+    let (head, rest) = buf
+        .split_first_chunk::<N>()
+        .ok_or_else(|| ProtocolError::Truncated {
+            needed: N - buf.len(),
+        })?;
+    *buf = rest;
+    Ok(*head)
+}
+
 /// Reads one byte.
-pub fn get_u8(buf: &mut impl Buf) -> Result<u8> {
-    if buf.remaining() < 1 {
-        return Err(ProtocolError::Truncated { needed: 1 });
-    }
-    Ok(buf.get_u8())
+pub fn get_u8(buf: &mut &[u8]) -> Result<u8> {
+    get_array(buf).map(|[b]| b)
 }
 
 /// Reads a big-endian u16.
-pub fn get_u16(buf: &mut impl Buf) -> Result<u16> {
-    if buf.remaining() < 2 {
-        return Err(ProtocolError::Truncated {
-            needed: 2 - buf.remaining(),
-        });
-    }
-    Ok(buf.get_u16())
+pub fn get_u16(buf: &mut &[u8]) -> Result<u16> {
+    get_array(buf).map(u16::from_be_bytes)
 }
 
 /// Reads a big-endian u32.
-pub fn get_u32(buf: &mut impl Buf) -> Result<u32> {
-    if buf.remaining() < 4 {
-        return Err(ProtocolError::Truncated {
-            needed: 4 - buf.remaining(),
-        });
-    }
-    Ok(buf.get_u32())
+pub fn get_u32(buf: &mut &[u8]) -> Result<u32> {
+    get_array(buf).map(u32::from_be_bytes)
 }
 
 /// Reads a big-endian u64.
-pub fn get_u64(buf: &mut impl Buf) -> Result<u64> {
-    if buf.remaining() < 8 {
+pub fn get_u64(buf: &mut &[u8]) -> Result<u64> {
+    get_array(buf).map(u64::from_be_bytes)
+}
+
+/// Takes exactly `n` bytes, where they lie in the input.
+pub fn get_bytes<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
+    if buf.len() < n {
         return Err(ProtocolError::Truncated {
-            needed: 8 - buf.remaining(),
+            needed: n - buf.len(),
         });
     }
-    Ok(buf.get_u64())
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(head)
 }
 
-/// Reads exactly `n` bytes.
-///
-/// The declared count is validated against what the buffer actually
-/// holds *before* the output vector is allocated, so a hostile length
-/// field can never trigger a speculative allocation.
-pub fn get_bytes(buf: &mut impl Buf, n: usize) -> Result<Vec<u8>> {
-    if buf.remaining() < n {
-        return Err(ProtocolError::Truncated {
-            needed: n - buf.remaining(),
-        });
-    }
-    let mut out = vec![0u8; n];
-    buf.copy_to_slice(&mut out);
-    Ok(out)
-}
-
-/// Reads exactly `n` bytes, additionally enforcing a caller-chosen upper
-/// bound on `n`. Rejects with [`ProtocolError::FrameTooLarge`] before
-/// any allocation when the declared count exceeds `max`.
-pub fn get_bytes_bounded(buf: &mut impl Buf, n: usize, max: usize) -> Result<Vec<u8>> {
-    if n > max {
-        return Err(ProtocolError::FrameTooLarge {
-            declared: n as u64,
-            max: max as u64,
-        });
-    }
-    get_bytes(buf, n)
-}
-
-/// Reads a u32-counted UTF-8 string (lossy for invalid sequences),
-/// bounded by [`MAX_BLOB`].
-pub fn get_string(buf: &mut impl Buf) -> Result<String> {
-    get_string_bounded(buf, MAX_BLOB)
-}
-
-/// Reads a u32-counted UTF-8 string whose declared length must not
-/// exceed `max`. Oversized declarations are rejected with
+/// Reads a u32-counted UTF-8 string (lossy for invalid sequences). A
+/// declared length over [`MAX_BLOB`] is rejected with
 /// [`ProtocolError::FrameTooLarge`] before any allocation.
-pub fn get_string_bounded(buf: &mut impl Buf, max: usize) -> Result<String> {
+pub fn get_string(buf: &mut &[u8]) -> Result<String> {
     let len = get_u32(buf)? as usize;
-    let raw = get_bytes_bounded(buf, len, max)?;
-    Ok(String::from_utf8_lossy(&raw).into_owned())
+    if len > MAX_BLOB {
+        return Err(ProtocolError::FrameTooLarge {
+            declared: len as u64,
+            max: MAX_BLOB as u64,
+        });
+    }
+    Ok(String::from_utf8_lossy(get_bytes(buf, len)?).into_owned())
 }
 
 /// Writes a u32-counted UTF-8 string.
-pub fn put_string(buf: &mut impl BufMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+pub fn put_string(out: &mut Vec<u8>, s: &str) {
+    out.extend_from_slice(&(s.len() as u32).to_be_bytes());
+    out.extend_from_slice(s.as_bytes());
 }
 
 /// Reads a bool encoded as one byte (0 = false, anything else = true).
-pub fn get_bool(buf: &mut impl Buf) -> Result<bool> {
+pub fn get_bool(buf: &mut &[u8]) -> Result<bool> {
     Ok(get_u8(buf)? != 0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
 
     #[test]
     fn get_on_empty_is_truncated() {
@@ -124,17 +99,16 @@ mod tests {
 
     #[test]
     fn string_roundtrip() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_string(&mut buf, "héllo");
-        let mut rd = buf.freeze();
+        let mut rd = buf.as_slice();
         assert_eq!(get_string(&mut rd).unwrap(), "héllo");
     }
 
     #[test]
     fn string_length_bomb_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32(u32::MAX);
-        let mut rd = buf.freeze();
+        let buf = u32::MAX.to_be_bytes();
+        let mut rd = buf.as_slice();
         assert!(matches!(
             get_string(&mut rd),
             Err(ProtocolError::FrameTooLarge {
@@ -146,34 +120,18 @@ mod tests {
 
     #[test]
     fn bounded_reads_accept_exactly_max_and_reject_one_past() {
-        // A blob of exactly `max` bytes decodes; `max + 1` is rejected
-        // with the typed error before allocation.
-        let max = 8usize;
-        let mut buf = BytesMut::new();
-        put_string(&mut buf, "12345678");
-        let mut rd = buf.freeze();
-        assert_eq!(get_string_bounded(&mut rd, max).unwrap(), "12345678");
+        // A string of exactly `MAX_BLOB` bytes decodes; `MAX_BLOB + 1` is
+        // rejected with the typed error before allocation.
+        let mut buf = Vec::new();
+        put_string(&mut buf, &"x".repeat(MAX_BLOB));
+        assert_eq!(get_string(&mut buf.as_slice()).unwrap().len(), MAX_BLOB);
 
-        let mut buf = BytesMut::new();
-        put_string(&mut buf, "123456789");
-        let mut rd = buf.freeze();
+        let mut buf = Vec::new();
+        put_string(&mut buf, &"x".repeat(MAX_BLOB + 1));
         assert!(matches!(
-            get_string_bounded(&mut rd, max),
-            Err(ProtocolError::FrameTooLarge {
-                declared: 9,
-                max: 8
-            })
-        ));
-
-        let mut b: &[u8] = &[1, 2, 3];
-        assert_eq!(get_bytes_bounded(&mut b, 3, 3).unwrap(), vec![1, 2, 3]);
-        let mut b: &[u8] = &[1, 2, 3];
-        assert!(matches!(
-            get_bytes_bounded(&mut b, 3, 2),
-            Err(ProtocolError::FrameTooLarge {
-                declared: 3,
-                max: 2
-            })
+            get_string(&mut buf.as_slice()),
+            Err(ProtocolError::FrameTooLarge { declared, max })
+                if declared == MAX_BLOB as u64 + 1 && max == MAX_BLOB as u64
         ));
     }
 
@@ -181,9 +139,10 @@ mod tests {
     fn oversized_declaration_beats_truncation() {
         // Garbage length field on a short buffer: the bound check fires
         // first, so no allocation is ever attempted for the bogus count.
-        let mut b: &[u8] = &[0xff];
+        let mut buf = (MAX_BLOB as u32 + 1).to_be_bytes().to_vec();
+        buf.push(0xff);
         assert!(matches!(
-            get_bytes_bounded(&mut b, usize::MAX, 16),
+            get_string(&mut buf.as_slice()),
             Err(ProtocolError::FrameTooLarge { .. })
         ));
     }
@@ -191,8 +150,19 @@ mod tests {
     #[test]
     fn get_bytes_exact() {
         let mut b: &[u8] = &[1, 2, 3];
-        assert_eq!(get_bytes(&mut b, 2).unwrap(), vec![1, 2]);
+        assert_eq!(get_bytes(&mut b, 2).unwrap(), [1, 2]);
         assert_eq!(get_u8(&mut b).unwrap(), 3);
+    }
+
+    #[test]
+    fn short_reads_leave_the_cursor_where_it_was() {
+        let mut b: &[u8] = &[1, 2, 3];
+        assert_eq!(
+            get_bytes(&mut b, 5),
+            Err(ProtocolError::Truncated { needed: 2 })
+        );
+        assert_eq!(get_u64(&mut b), Err(ProtocolError::Truncated { needed: 5 }));
+        assert_eq!(b, [1, 2, 3]);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property tests: every encoding round-trips arbitrary images; decoding
 //! straight into a framebuffer matches decoding into a fresh buffer and
-//! copying it in; arbitrary messages survive encode→frame→decode; and the
+//! copying it in; arbitrary messages survive encode→frame→decode; a
+//! message body decodes exactly, and every strict prefix of it fails; and the
 //! decoders never panic on arbitrary bytes (robustness against
 //! hostile/corrupt streams), nor write outside their rect.
 
@@ -11,7 +12,8 @@ use uniint_protocol::encoding::{
 };
 use uniint_protocol::input::{ButtonMask, InputEvent, KeySym};
 use uniint_protocol::message::{
-    encode_client, encode_server, ClientMessage, FrameReader, RectUpdate, ServerMessage,
+    encode_client, encode_server, ClientMessage, DeviceHealthState, FrameReader, RectUpdate,
+    ServerMessage,
 };
 use uniint_raster::color::Color;
 use uniint_raster::framebuffer::Framebuffer;
@@ -86,6 +88,14 @@ fn arb_client_message() -> impl Strategy<Value = ClientMessage> {
         ".{0,64}".prop_map(ClientMessage::CutText),
         any::<u64>().prop_map(|last_update_seq| ClientMessage::Resume { last_update_seq }),
     ]
+}
+
+/// The one client message kind [`arb_client_message`] leaves out.
+fn arb_device_health() -> impl Strategy<Value = ClientMessage> {
+    (".{0,32}", 0u8..4).prop_map(|(device, id)| ClientMessage::DeviceHealth {
+        device,
+        state: DeviceHealthState::from_wire_id(id).expect("ids 0..4 name states"),
+    })
 }
 
 fn arb_server_message() -> impl Strategy<Value = ServerMessage> {
@@ -211,6 +221,31 @@ proptest! {
         let frame = reader.next_frame().unwrap().expect("complete frame");
         let got = ClientMessage::decode_body(&mut frame.as_slice()).unwrap();
         prop_assert_eq!(got, msg);
+    }
+
+    #[test]
+    fn bodies_decode_exactly_and_every_strict_prefix_is_an_error(
+        client in prop_oneof![arb_client_message(), arb_device_health()],
+        server in arb_server_message(),
+    ) {
+        // A whole body decodes back to its message and leaves nothing in
+        // the cursor; any strict prefix of it is an error, not a panic.
+        let body = &encode_client(&client)[4..];
+        let mut cursor = body;
+        prop_assert_eq!(ClientMessage::decode_body(&mut cursor), Ok(client));
+        prop_assert!(cursor.is_empty(), "client: {} bytes left", cursor.len());
+        for cut in 0..body.len() {
+            let res = ClientMessage::decode_body(&mut &body[..cut]);
+            prop_assert!(res.is_err(), "client prefix of {} bytes: {:?}", cut, res);
+        }
+        let body = &encode_server(&server)[4..];
+        let mut cursor = body;
+        prop_assert_eq!(ServerMessage::decode_body(&mut cursor), Ok(server));
+        prop_assert!(cursor.is_empty(), "server: {} bytes left", cursor.len());
+        for cut in 0..body.len() {
+            let res = ServerMessage::decode_body(&mut &body[..cut]);
+            prop_assert!(res.is_err(), "server prefix of {} bytes: {:?}", cut, res);
+        }
     }
 
     #[test]

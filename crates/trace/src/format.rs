@@ -1,4 +1,4 @@
-//! The binary trace format: chunked, CRC-protected, seekable.
+//! The binary trace format: chunked and CRC-protected.
 //!
 //! # Layout
 //!
@@ -24,8 +24,8 @@
 //! client→server, 1 for server→client.
 //!
 //! The tail index repeats each chunk's file offset, first timestamp and
-//! record count so a reader can seek by time without scanning payloads,
-//! and doubles as an end-of-trace marker: a file that stops mid-chunk
+//! record count, which [`TraceReader::parse`] checks against the chunks
+//! it scanned, and doubles as an end-of-trace marker: a file that stops mid-chunk
 //! (recorder crashed) is rejected with [`TraceError::Truncated`]. The
 //! `index_len` field sits just before the trailing magic so the whole
 //! index is parseable backwards from EOF.
@@ -36,11 +36,17 @@
 //! when full, the *oldest* chunk is evicted flight-recorder style and
 //! counted in `dropped_chunks` (and the `trace.dropped_chunks`
 //! telemetry counter when attached).
+//!
+//! [`TraceReader`] reads every field through the checked getters of
+//! [`uniint_protocol::wire`], so a short or corrupt file is a
+//! [`TraceError`], never a panic.
 
 use std::collections::VecDeque;
 use std::path::Path;
 
 use uniint_core::tap::Direction;
+use uniint_protocol::error::ProtocolError;
+use uniint_protocol::wire;
 use uniint_raster::pixel::PixelFormat;
 use uniint_telemetry::registry::{Counter, Registry};
 
@@ -324,7 +330,9 @@ impl TraceWriter {
         });
         self.open_records = 0;
         while self.sealed_bytes > self.config.max_trace_bytes && self.sealed.len() > 1 {
-            let evicted = self.sealed.pop_front().expect("len > 1");
+            let Some(evicted) = self.sealed.pop_front() else {
+                break;
+            };
             self.sealed_bytes -= evicted.payload.len();
             self.dropped_chunks += 1;
             if let Some(c) = &self.dropped_counter {
@@ -411,28 +419,24 @@ impl TraceReader {
     /// Parses a serialized trace, validating header, chunk framing and
     /// every chunk CRC (and the tail index when present).
     pub fn parse(data: Vec<u8>) -> Result<TraceReader, TraceError> {
-        if data.len() < HEADER_LEN {
-            if data.len() >= 8 && &data[..8] != TRACE_MAGIC {
-                return Err(TraceError::BadMagic);
-            }
-            return Err(TraceError::Truncated {
-                offset: data.len(),
-                what: "file header",
-            });
-        }
-        if &data[..8] != TRACE_MAGIC {
+        let mut cur = data.as_slice();
+        let short = truncated(data.len(), "file header");
+        if wire::get_bytes(&mut cur, 8).map_err(short)? != TRACE_MAGIC {
             return Err(TraceError::BadMagic);
         }
-        let version = u16::from_be_bytes([data[8], data[9]]);
+        let version = wire::get_u16(&mut cur).map_err(short)?;
+        let protocol_version = wire::get_u16(&mut cur).map_err(short)?;
+        let pixel_format_id = wire::get_u8(&mut cur).map_err(short)?;
+        let _reserved = wire::get_u8(&mut cur).map_err(short)?;
+        let seed = wire::get_u64(&mut cur).map_err(short)?;
         if version != FORMAT_VERSION {
             return Err(TraceError::UnsupportedVersion(version));
         }
-        let protocol_version = u16::from_be_bytes([data[10], data[11]]);
-        let pixel_format = PixelFormat::from_wire_id(data[12]).ok_or(TraceError::Malformed {
-            offset: 12,
-            what: "unknown pixel format id",
-        })?;
-        let seed = u64::from_be_bytes(data[14..22].try_into().expect("8 bytes"));
+        let pixel_format =
+            PixelFormat::from_wire_id(pixel_format_id).ok_or(TraceError::Malformed {
+                offset: 12,
+                what: "unknown pixel format id",
+            })?;
         let header = TraceHeader {
             seed,
             protocol_version,
@@ -442,18 +446,10 @@ impl TraceReader {
         let mut chunks = Vec::new();
         let mut dropped_chunks = 0u64;
         let mut has_index = false;
-        let mut pos = HEADER_LEN;
-        loop {
-            if pos == data.len() {
-                break; // Unfinished but chunk-aligned trace: usable.
-            }
-            if data.len() - pos < 4 {
-                return Err(TraceError::Truncated {
-                    offset: pos,
-                    what: "chunk magic",
-                });
-            }
-            let magic = &data[pos..pos + 4];
+        // An unfinished but chunk-aligned trace ends after a chunk: usable.
+        while !cur.is_empty() {
+            let pos = data.len() - cur.len();
+            let magic = wire::get_bytes(&mut cur, 4).map_err(truncated(pos, "chunk magic"))?;
             if magic == INDEX_MAGIC {
                 Self::parse_index(&data, pos, &chunks, &mut dropped_chunks)?;
                 has_index = true;
@@ -465,38 +461,24 @@ impl TraceReader {
                     what: "expected chunk or index magic",
                 });
             }
-            if data.len() - pos < CHUNK_HEADER_LEN {
-                return Err(TraceError::Truncated {
-                    offset: pos,
-                    what: "chunk header",
-                });
-            }
-            let payload_len =
-                u32::from_be_bytes(data[pos + 4..pos + 8].try_into().expect("4 bytes")) as usize;
-            let records = u32::from_be_bytes(data[pos + 8..pos + 12].try_into().expect("4 bytes"));
-            let first_t_us =
-                u64::from_be_bytes(data[pos + 12..pos + 20].try_into().expect("8 bytes"));
-            let crc = u32::from_be_bytes(data[pos + 20..pos + 24].try_into().expect("4 bytes"));
-            let payload_start = pos + CHUNK_HEADER_LEN;
-            if data.len() - payload_start < payload_len {
-                return Err(TraceError::Truncated {
-                    offset: pos,
-                    what: "chunk payload",
-                });
-            }
-            let payload = &data[payload_start..payload_start + payload_len];
+            let short = truncated(pos, "chunk header");
+            let payload_len = wire::get_u32(&mut cur).map_err(short)? as usize;
+            let records = wire::get_u32(&mut cur).map_err(short)?;
+            let first_t_us = wire::get_u64(&mut cur).map_err(short)?;
+            let crc = wire::get_u32(&mut cur).map_err(short)?;
+            let payload =
+                wire::get_bytes(&mut cur, payload_len).map_err(truncated(pos, "chunk payload"))?;
             if crc32(payload) != crc {
                 return Err(TraceError::CrcMismatch {
                     chunk: chunks.len(),
                 });
             }
             chunks.push(ChunkMeta {
-                payload_start,
+                payload_start: pos + CHUNK_HEADER_LEN,
                 payload_len,
                 records,
                 first_t_us,
             });
-            pos = payload_start + payload_len;
         }
 
         Ok(TraceReader {
@@ -516,17 +498,11 @@ impl TraceReader {
         chunks: &[ChunkMeta],
         dropped_chunks: &mut u64,
     ) -> Result<(), TraceError> {
-        let need = |n: usize, at: usize, what: &'static str| -> Result<(), TraceError> {
-            if data.len() - at < n {
-                Err(TraceError::Truncated { offset: at, what })
-            } else {
-                Ok(())
-            }
-        };
-        need(16, pos, "index header")?;
-        let entry_count =
-            u32::from_be_bytes(data[pos + 4..pos + 8].try_into().expect("4 bytes")) as usize;
-        let dropped = u64::from_be_bytes(data[pos + 8..pos + 16].try_into().expect("8 bytes"));
+        // The caller has read the index magic.
+        let mut cur = &data[pos + 4..];
+        let short = truncated(pos, "index header");
+        let entry_count = wire::get_u32(&mut cur).map_err(short)? as usize;
+        let dropped = wire::get_u64(&mut cur).map_err(short)?;
         let entries_start = pos + 16;
         let Some(entries_len) = entry_count.checked_mul(INDEX_ENTRY_LEN) else {
             return Err(TraceError::Malformed {
@@ -534,31 +510,32 @@ impl TraceReader {
                 what: "index entry count overflows",
             });
         };
-        need(entries_len + 4, entries_start, "index entries")?;
+        let short_entries = truncated(entries_start, "index entries");
+        let mut entries = wire::get_bytes(&mut cur, entries_len).map_err(short_entries)?;
+        let crc = wire::get_u32(&mut cur).map_err(short_entries)?;
         let crc_at = entries_start + entries_len;
-        let crc = u32::from_be_bytes(data[crc_at..crc_at + 4].try_into().expect("4 bytes"));
         if crc32(&data[pos..crc_at]) != crc {
             return Err(TraceError::Malformed {
                 offset: pos,
                 what: "index checksum mismatch",
             });
         }
-        need(12, crc_at + 4, "index trailer")?;
-        let index_len =
-            u32::from_be_bytes(data[crc_at + 4..crc_at + 8].try_into().expect("4 bytes")) as usize;
+        let short = truncated(crc_at + 4, "index trailer");
+        let index_len = wire::get_u32(&mut cur).map_err(short)? as usize;
+        let trailer = wire::get_bytes(&mut cur, 8).map_err(short)?;
         if index_len != crc_at + 4 - pos {
             return Err(TraceError::Malformed {
                 offset: crc_at + 4,
                 what: "index length disagrees with layout",
             });
         }
-        if &data[crc_at + 8..crc_at + 16] != TRAILER_MAGIC {
+        if trailer != TRAILER_MAGIC {
             return Err(TraceError::Malformed {
                 offset: crc_at + 8,
                 what: "bad trailer magic",
             });
         }
-        if crc_at + 16 != data.len() {
+        if !cur.is_empty() {
             return Err(TraceError::Malformed {
                 offset: crc_at + 16,
                 what: "bytes after trailer",
@@ -570,11 +547,11 @@ impl TraceReader {
                 what: "index entry count disagrees with chunks",
             });
         }
-        for (i, chunk) in chunks.iter().enumerate() {
-            let at = entries_start + i * INDEX_ENTRY_LEN;
-            let offset = u64::from_be_bytes(data[at..at + 8].try_into().expect("8 bytes"));
-            let first_t = u64::from_be_bytes(data[at + 8..at + 16].try_into().expect("8 bytes"));
-            let records = u32::from_be_bytes(data[at + 16..at + 20].try_into().expect("4 bytes"));
+        for chunk in chunks {
+            let at = crc_at - entries.len();
+            let offset = wire::get_u64(&mut entries).map_err(short_entries)?;
+            let first_t = wire::get_u64(&mut entries).map_err(short_entries)?;
+            let records = wire::get_u32(&mut entries).map_err(short_entries)?;
             if offset as usize != chunk.payload_start - CHUNK_HEADER_LEN
                 || first_t != chunk.first_t_us
                 || records != chunk.records
@@ -628,30 +605,6 @@ impl TraceReader {
             done: false,
         }
     }
-
-    /// Iterates records with `t_us >= from_t_us`, seeking by chunk
-    /// first-timestamps so earlier chunks are skipped without decoding.
-    pub fn records_from(
-        &self,
-        from_t_us: u64,
-    ) -> impl Iterator<Item = Result<TraceRecord, TraceError>> + '_ {
-        let start = self
-            .chunks
-            .iter()
-            .rposition(|c| c.first_t_us <= from_t_us)
-            .unwrap_or(0);
-        Records {
-            reader: self,
-            chunk: start,
-            pos: 0,
-            emitted: 0,
-            done: false,
-        }
-        .filter(move |r| match r {
-            Ok(rec) => rec.t_us >= from_t_us,
-            Err(_) => true,
-        })
-    }
 }
 
 /// Iterator over [`TraceRecord`]s; fuses after the first error.
@@ -665,24 +618,15 @@ pub struct Records<'a> {
 }
 
 impl Records<'_> {
-    fn fail(&mut self, e: TraceError) -> Option<Result<TraceRecord, TraceError>> {
-        self.done = true;
-        Some(Err(e))
-    }
-}
-
-impl Iterator for Records<'_> {
-    type Item = Result<TraceRecord, TraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
+    /// The next record, or `None` after the last chunk.
+    fn read(&mut self) -> Result<Option<TraceRecord>, TraceError> {
         loop {
-            let meta = *self.reader.chunks.get(self.chunk)?;
+            let Some(&meta) = self.reader.chunks.get(self.chunk) else {
+                return Ok(None);
+            };
             if self.pos == meta.payload_len {
                 if self.emitted != meta.records {
-                    return self.fail(TraceError::Malformed {
+                    return Err(TraceError::Malformed {
                         offset: meta.payload_start + self.pos,
                         what: "chunk record count disagrees with payload",
                     });
@@ -695,50 +639,65 @@ impl Iterator for Records<'_> {
             let payload =
                 &self.reader.data[meta.payload_start..meta.payload_start + meta.payload_len];
             let abs = meta.payload_start + self.pos;
-            if meta.payload_len - self.pos < RECORD_HEADER_LEN {
-                return self.fail(TraceError::Malformed {
-                    offset: abs,
-                    what: "record header past chunk end",
-                });
-            }
-            let p = self.pos;
-            let t_us = u64::from_be_bytes(payload[p..p + 8].try_into().expect("8 bytes"));
-            let channel = u32::from_be_bytes(payload[p + 8..p + 12].try_into().expect("4 bytes"));
-            let dir = match payload[p + 12] {
+            let mut cur = &payload[self.pos..];
+            let short = malformed(abs, "record header past chunk end");
+            let t_us = wire::get_u64(&mut cur).map_err(short)?;
+            let channel = wire::get_u32(&mut cur).map_err(short)?;
+            let dir = wire::get_u8(&mut cur).map_err(short)?;
+            let len = wire::get_u32(&mut cur).map_err(short)? as usize;
+            let dir = match dir {
                 0 => Direction::ToServer,
                 1 => Direction::ToClient,
                 _ => {
-                    return self.fail(TraceError::Malformed {
+                    return Err(TraceError::Malformed {
                         offset: abs + 12,
                         what: "unknown direction",
                     })
                 }
             };
-            let len =
-                u32::from_be_bytes(payload[p + 13..p + 17].try_into().expect("4 bytes")) as usize;
-            if meta.payload_len - (p + RECORD_HEADER_LEN) < len {
-                return self.fail(TraceError::Malformed {
-                    offset: abs,
-                    what: "record payload past chunk end",
-                });
-            }
+            let bytes = wire::get_bytes(&mut cur, len)
+                .map_err(malformed(abs, "record payload past chunk end"))?;
             if self.emitted == meta.records {
-                return self.fail(TraceError::Malformed {
+                return Err(TraceError::Malformed {
                     offset: abs,
                     what: "more records than chunk header claims",
                 });
             }
-            let start = p + RECORD_HEADER_LEN;
-            self.pos = start + len;
+            self.pos = meta.payload_len - cur.len();
             self.emitted += 1;
-            return Some(Ok(TraceRecord {
+            return Ok(Some(TraceRecord {
                 t_us,
                 channel,
                 dir,
-                payload: payload[start..start + len].to_vec(),
+                payload: bytes.to_vec(),
             }));
         }
     }
+}
+
+impl Iterator for Records<'_> {
+    type Item = Result<TraceRecord, TraceError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        let item = self.read().transpose();
+        self.done = matches!(item, Some(Err(_)));
+        item
+    }
+}
+
+/// Maps a short read inside the structure `what` at `offset` to
+/// [`TraceError::Truncated`].
+fn truncated(offset: usize, what: &'static str) -> impl Fn(ProtocolError) -> TraceError + Copy {
+    move |_| TraceError::Truncated { offset, what }
+}
+
+/// Maps a short read inside the record structure `what` at `offset` to
+/// [`TraceError::Malformed`]: a record that passes its chunk's end.
+fn malformed(offset: usize, what: &'static str) -> impl Fn(ProtocolError) -> TraceError + Copy {
+    move |_| TraceError::Malformed { offset, what }
 }
 
 #[cfg(test)]
@@ -903,28 +862,5 @@ mod tests {
             TraceReader::parse(bytes).unwrap_err(),
             TraceError::UnsupportedVersion(_)
         ));
-    }
-
-    #[test]
-    fn records_from_seeks_by_time() {
-        let records: Vec<TraceRecord> = (0..50)
-            .map(|i| TraceRecord {
-                t_us: i as u64 * 10,
-                channel: 0,
-                dir: Direction::ToClient,
-                payload: vec![i as u8; 40],
-            })
-            .collect();
-        let bytes = write(
-            &records,
-            TraceConfig {
-                chunk_bytes: 128,
-                ..TraceConfig::default()
-            },
-        );
-        let reader = TraceReader::parse(bytes).unwrap();
-        let from: Vec<TraceRecord> = reader.records_from(305).map(|r| r.unwrap()).collect();
-        assert_eq!(from.first().unwrap().t_us, 310);
-        assert_eq!(from.len(), records.iter().filter(|r| r.t_us >= 305).count());
     }
 }

@@ -649,8 +649,9 @@ fn recorded_frames_are_the_bytes_on_the_wire() {
         }
     }
 
-    // Shutdown closes the queue; the writer sends what is left, then
-    // shuts the socket, so reading to EOF sees every byte.
+    // Shutdown closes the connection: the gateway writes the bytes it
+    // still holds, then shuts the socket, so reading to EOF sees every
+    // byte.
     gw.shutdown();
     sock.set_read_timeout(None).expect("blocking reads");
     sock.read_to_end(&mut received).expect("read to EOF");
@@ -748,9 +749,9 @@ fn a_client_that_stops_reading_is_dropped_and_shutdown_still_returns() {
 }
 
 /// Connects a raw client that asks for full refreshes and never reads,
-/// until the socket buffers are full: the writer is then blocked
-/// sending, and the queue holds less than its bound, so the connection
-/// is not dropped.
+/// until the socket buffers are full: the gateway then holds pending
+/// bytes the socket will not take, fewer than its bound, so the
+/// connection is not dropped.
 fn block_the_writer(gw: &Gateway, registry: &Registry) -> std::net::TcpStream {
     use std::io::Write;
     use uniint::protocol::message::{encode_client, PROTOCOL_VERSION};
@@ -786,7 +787,8 @@ fn block_the_writer(gw: &Gateway, registry: &Registry) -> std::net::TcpStream {
 }
 
 /// Shuts `gw` down on another thread and fails unless that returns
-/// within five seconds.
+/// within five seconds: a closing connection whose client stopped
+/// reading gets `SHUTDOWN_FLUSH` (one second) to write what it holds.
 fn assert_shutdown_returns(gw: Gateway) {
     let (done, finished) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
@@ -795,7 +797,7 @@ fn assert_shutdown_returns(gw: Gateway) {
     });
     assert!(
         finished.recv_timeout(Duration::from_secs(5)).is_ok(),
-        "shutdown hung on a writer blocked by a client that stopped reading"
+        "shutdown hung on pending bytes for a client that stopped reading"
     );
 }
 
@@ -809,6 +811,8 @@ fn shutdown_returns_while_a_writer_is_blocked_on_a_client_that_stopped_reading()
     drop(sock);
 }
 
+/// A connection closed for breaking the protocol while it holds pending
+/// bytes its client never reads does not hold up shutdown.
 #[test]
 fn shutdown_returns_when_a_blocked_writer_outlives_its_reader() {
     use std::io::Write;
@@ -817,8 +821,8 @@ fn shutdown_returns_when_a_blocked_writer_outlives_its_reader() {
     let gw =
         Gateway::spawn(panel(), GatewayConfig::default(), registry.clone()).expect("gateway binds");
     let mut sock = block_the_writer(&gw, &registry);
-    // A frame with an unknown message tag ends the reader, and the
-    // state thread forgets the connection; its writer stays blocked.
+    // A frame with an unknown message tag closes the connection: it is
+    // no longer read, and its pending bytes stay unwritten.
     sock.write_all(&[0, 0, 0, 1, 0xee]).expect("bad frame");
     let decode_errors = || {
         registry
@@ -833,7 +837,7 @@ fn shutdown_returns_when_a_blocked_writer_outlives_its_reader() {
         assert!(Instant::now() < deadline, "the bad frame was never read");
         std::thread::sleep(Duration::from_millis(5));
     }
-    // A few ticks for the state thread to drop the connection.
+    // A few ticks for the gateway to start closing the connection.
     std::thread::sleep(Duration::from_millis(100));
     assert_shutdown_returns(gw);
     drop(sock);
