@@ -44,12 +44,11 @@ pub fn get_u64(buf: &mut &[u8]) -> Result<u64> {
 
 /// Takes exactly `n` bytes, where they lie in the input.
 pub fn get_bytes<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
-    if buf.len() < n {
-        return Err(ProtocolError::Truncated {
+    let (head, rest) = buf
+        .split_at_checked(n)
+        .ok_or_else(|| ProtocolError::Truncated {
             needed: n - buf.len(),
-        });
-    }
-    let (head, rest) = buf.split_at(n);
+        })?;
     *buf = rest;
     Ok(head)
 }
