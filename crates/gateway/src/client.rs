@@ -9,6 +9,12 @@
 //! backoff delay, reconnects with a fresh `TcpStream`, and sends a raw
 //! `Hello` before the machine's `Resume`, since the gateway keys
 //! sessions by name.
+//!
+//! Each batch of messages leaves in one write: the messages of one
+//! [`GatewayClient::send_messages`] (or input, or renegotiation), all
+//! replies to the frames of one [`GatewayClient::pump_once`] read, a
+//! `ResumeAck`'s retransmission among them, and a reconnect's `Hello`
+//! with its reattach messages.
 
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -215,36 +221,45 @@ impl GatewayClient {
                 Ok(false)
             }
             Ok(ReadStatus::Data(_)) => {
-                let mut processed = false;
-                while let Some(frame) = self.sock.next_frame()? {
-                    processed = true;
-                    let msg = ServerMessage::decode_body(&mut frame.as_slice())?;
-                    let out = self.resume.receive(&mut self.proxy, &msg, |m| {
-                        let _ = self.sock.send_client(m);
-                    })?;
-                    if let Some(f) = out.frame {
-                        self.last_frame = Some(f);
-                        self.frames_delivered += 1;
-                    }
-                    if out.bell {
-                        self.bells += 1;
-                    }
-                }
-                Ok(processed)
+                let handled = self.handle_frames();
+                // Replies leave even when a later frame failed.
+                let _ = self.sock.send_batch();
+                handled
             }
         }
     }
 
+    /// Handles every whole frame read so far, queueing the replies.
+    /// Returns `true` when there was at least one.
+    fn handle_frames(&mut self) -> Result<bool, GatewayError> {
+        let mut processed = false;
+        while let Some(frame) = self.sock.next_frame()? {
+            processed = true;
+            let msg = ServerMessage::decode_body(&mut frame.as_slice())?;
+            let out = self
+                .resume
+                .receive(&mut self.proxy, &msg, |m| self.sock.queue(m))?;
+            if let Some(f) = out.frame {
+                self.last_frame = Some(f);
+                self.frames_delivered += 1;
+            }
+            if out.bell {
+                self.bells += 1;
+            }
+        }
+        Ok(processed)
+    }
+
     /// Hands client messages to the resume machine, which logs them and
-    /// writes them (or holds them while a resume awaits its ack).
+    /// writes them in one batch (or holds them while a resume awaits its
+    /// ack).
     ///
     /// Write errors are deliberately swallowed: the messages *are* logged,
     /// the broken socket surfaces as EOF on the next read, and the
     /// resume handshake retransmits everything the server never saw.
     fn send_logged(&mut self, msgs: Vec<ClientMessage>) {
-        self.resume.send(msgs, |m| {
-            let _ = self.sock.send_client(m);
-        });
+        self.resume.send(msgs, |m| self.sock.queue(m));
+        let _ = self.sock.send_batch();
     }
 
     /// Re-establishes TCP under the backoff schedule, then reattaches
@@ -260,14 +275,15 @@ impl GatewayClient {
         })?;
         if let Reattach::Resume(_) = reattach {
             // The gateway keys sessions by name: announce it first.
-            let _ = self.sock.send_client(&ClientMessage::Hello {
+            self.sock.queue(&ClientMessage::Hello {
                 version: PROTOCOL_VERSION,
                 name: self.proxy.name().to_owned(),
             });
         }
         for m in reattach.messages() {
-            let _ = self.sock.send_client(m);
+            self.sock.queue(m);
         }
+        let _ = self.sock.send_batch();
         Ok(())
     }
 }

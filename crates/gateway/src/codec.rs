@@ -9,13 +9,19 @@
 //! field it invented. On top of that the codec applies the
 //! protocol-version check every `Hello` must pass before a session is
 //! admitted.
+//!
+//! A [`FramedSocket`] writes client messages in batches: each is queued
+//! ([`FramedSocket::queue`]) and a batch leaves with one `write_all`
+//! ([`FramedSocket::send_batch`]). So a click's down and up events reach
+//! the gateway in one read, and it answers them with one update, not
+//! with one per event that a read between them would cost.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use uniint_protocol::error::{ProtocolError, Result as ProtocolResult};
-use uniint_protocol::message::{encode_client, ClientMessage, FrameReader, PROTOCOL_VERSION};
+use uniint_protocol::message::{ClientMessage, FrameReader, PROTOCOL_VERSION};
 
 /// Default max frame size a gateway end accepts from an untrusted peer
 /// (1 MiB — far above any real panel update, far below the 8 MiB
@@ -57,12 +63,15 @@ pub fn check_hello_version(version: u16) -> ProtocolResult<()> {
 ///
 /// Reads are polled: the socket runs with a short read timeout so the
 /// owning thread can interleave reads with shutdown checks and idle
-/// accounting instead of blocking forever.
+/// accounting instead of blocking forever. Writes are batched: see the
+/// module docs.
 #[derive(Debug)]
 pub struct FramedSocket {
     stream: TcpStream,
     reader: FrameReader,
     buf: Vec<u8>,
+    /// The frames queued since the last [`send_batch`](Self::send_batch).
+    batch: Vec<u8>,
 }
 
 impl FramedSocket {
@@ -79,6 +88,7 @@ impl FramedSocket {
             stream,
             reader: FrameReader::with_max_body(max_frame),
             buf: vec![0u8; READ_CHUNK],
+            batch: Vec::new(),
         })
     }
 
@@ -87,12 +97,25 @@ impl FramedSocket {
         &self.stream
     }
 
-    /// Encodes and writes one client→server message; returns the frame
-    /// size in bytes.
-    pub fn send_client(&mut self, msg: &ClientMessage) -> std::io::Result<usize> {
-        let bytes = encode_client(msg);
-        self.stream.write_all(&bytes)?;
-        Ok(bytes.len())
+    /// Encodes one client→server message onto the batch; nothing is
+    /// written until [`send_batch`](Self::send_batch).
+    pub fn queue(&mut self, msg: &ClientMessage) {
+        msg.encode(&mut self.batch);
+    }
+
+    /// Writes every message queued since the last call with one
+    /// `write_all` and empties the batch, also when the write fails;
+    /// returns the batch size in bytes. An empty batch writes nothing.
+    pub fn send_batch(&mut self) -> std::io::Result<usize> {
+        if self.batch.is_empty() {
+            return Ok(0);
+        }
+        let sent = self
+            .stream
+            .write_all(&self.batch)
+            .map(|()| self.batch.len());
+        self.batch.clear();
+        sent
     }
 
     /// Attempts one read from the socket, feeding whatever arrives into
@@ -128,7 +151,7 @@ impl FramedSocket {
 mod tests {
     use super::*;
     use std::net::TcpListener;
-    use uniint_protocol::message::{encode_server, ServerMessage};
+    use uniint_protocol::message::{encode_client, encode_server, ServerMessage};
 
     #[test]
     fn hello_version_policy() {
@@ -168,8 +191,10 @@ mod tests {
         });
         let sock = TcpStream::connect(addr).unwrap();
         let mut fs = FramedSocket::new(sock, DEFAULT_MAX_FRAME, Duration::from_millis(20)).unwrap();
-        fs.send_client(&ClientMessage::CutText("over tcp".into()))
-            .unwrap();
+        let msg = ClientMessage::CutText("over tcp".into());
+        fs.queue(&msg);
+        assert_eq!(fs.send_batch().unwrap(), encode_client(&msg).len());
+        assert_eq!(fs.send_batch().unwrap(), 0, "the batch was emptied");
         loop {
             match fs.fill().unwrap() {
                 ReadStatus::Data(_) => {

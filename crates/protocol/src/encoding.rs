@@ -21,7 +21,16 @@
 //! a fresh buffer through the same decoders. They read a `&mut &[u8]`
 //! cursor through [`crate::wire`]: pixel rows and run tables are read
 //! where they lie in the payload, and a short payload is
-//! [`ProtocolError::Truncated`], never a panic.
+//! [`ProtocolError::Truncated`], never a panic. A single pixel (a palette
+//! entry, a run's or a subrect's colour) is read by a reader picked once
+//! per rect from the format. RLE and PaletteRle write through one run
+//! writer that holds the current row of the target across runs
+//! ([`RectMut::rows_mut`]) and writes a run's colour as blocks of 4
+//! pixels; a run of at most 4 pixels with at least 4 left in its row is
+//! one block store, whose extra pixels the following runs overwrite, so
+//! it never writes outside the row and a valid payload decodes to the
+//! same pixels.
+//!
 //! Encoding is two steps. A [`RectAnalysis`] reads a rect's pixels once,
 //! in one scanline pass, into colour runs and a palette that depend on no
 //! pixel format. [`RectAnalysis::choose`] then picks the encoding from
@@ -127,17 +136,57 @@ fn put_pixel(fmt: PixelFormat, c: Color, out: &mut Vec<u8>) {
     pack_row(fmt, &[c], None, out);
 }
 
-/// The pixel `bytes` (at least one pixel's worth) start with, in `fmt`.
-fn pixel_at(fmt: PixelFormat, bytes: &[u8]) -> Result<Color> {
-    let mut px = [Color::BLACK];
-    unpack_row_into(fmt, bytes, &mut px, None)
-        .ok_or_else(|| ProtocolError::Malformed("pixel decode failed".into()))?;
-    Ok(px[0])
+/// Reads one standalone pixel of one format, as [`unpack_row_into`]
+/// reads a one-pixel row with no palette. A decoder picks it once per
+/// rect, so each run's or subrect's pixel costs no dispatch on the format.
+#[derive(Clone, Copy)]
+struct PixelReader {
+    /// Bytes of one standalone pixel.
+    size: usize,
+    /// Reads the pixel from exactly `size` bytes.
+    read: fn(&[u8]) -> Color,
 }
 
-/// Reads one pixel in `fmt`, allocating nothing.
-fn get_pixel(fmt: PixelFormat, buf: &mut &[u8]) -> Result<Color> {
-    pixel_at(fmt, wire::get_bytes(buf, fmt.row_bytes(1))?)
+impl PixelReader {
+    fn new(fmt: PixelFormat) -> PixelReader {
+        let read: fn(&[u8]) -> Color = match fmt {
+            PixelFormat::Rgb888 => |p| Color::rgb(p[0], p[1], p[2]),
+            PixelFormat::Rgb565 => |p| {
+                let v = u16::from_be_bytes([p[0], p[1]]);
+                let r = ((v >> 11) as u8) << 3;
+                let g = ((v >> 5) as u8 & 0x3f) << 2;
+                let b = (v as u8 & 0x1f) << 3;
+                Color::rgb(r | (r >> 5), g | (g >> 6), b | (b >> 5))
+            },
+            PixelFormat::Rgb444 => |p| {
+                let [r, g, b] = [p[0] << 4, p[1] & 0xf0, p[1] << 4];
+                Color::rgb(r | (r >> 4), g | (g >> 4), b | (b >> 4))
+            },
+            PixelFormat::Gray8 => |p| Color::gray(p[0]),
+            PixelFormat::Gray4 => |p| Color::gray((p[0] & 0xf0) | (p[0] >> 4)),
+            PixelFormat::Mono1 => |p| {
+                if p[0] & 0x80 != 0 {
+                    Color::WHITE
+                } else {
+                    Color::BLACK
+                }
+            },
+            // The web-safe cube, as with no palette.
+            PixelFormat::Indexed8 => |p| {
+                let i = p[0].min(215);
+                Color::rgb(i / 36 * 51, i / 6 % 6 * 51, i % 6 * 51)
+            },
+        };
+        PixelReader {
+            size: fmt.row_bytes(1),
+            read,
+        }
+    }
+
+    /// Reads the next pixel, allocating nothing.
+    fn get(self, buf: &mut &[u8]) -> Result<Color> {
+        Ok((self.read)(wire::get_bytes(buf, self.size)?))
+    }
 }
 
 /// Reads the next row of `out.len()` pixels in `fmt` into `out`, from
@@ -260,59 +309,99 @@ fn overrun(what: &str) -> ProtocolError {
     ProtocolError::Malformed(format!("{what} overruns rect"))
 }
 
+/// Longest run [`RunWriter::run`] writes with one fixed-size store, and
+/// the pixels in a [`Block`].
+const SHORT_RUN: usize = 4;
+
+/// [`SHORT_RUN`] copies of a run's colour: written as one copy of 12
+/// bytes, where a fill stores each 3-byte pixel on its own.
+type Block = [Color; SHORT_RUN];
+
 /// Writes runs of one colour into a target in scanline order. A run may
 /// wrap rows; no run may pass the last pixel.
-struct Scanline<'t, 'a> {
-    target: &'t mut RectMut<'a>,
-    x: usize,
-    y: u32,
-    /// Pixels not yet written.
-    left: u64,
+///
+/// The writer holds the unwritten rest of the current row across runs,
+/// so a run costs no row lookup. A run of at most [`SHORT_RUN`] pixels
+/// that starts at least that many pixels before the row's end stores
+/// its colour's [`Block`] with no branch on its length, then advances
+/// by the length. The store never leaves the row, and the runs that
+/// follow overwrite its extra pixels, so a payload that covers the rect
+/// decodes to the same pixels as one fill per run. Longer runs are
+/// written block by block.
+struct RunWriter<'r, R> {
+    /// The unwritten rest of the current row.
+    row: &'r mut [Color],
+    /// The rows below it.
+    rows: R,
+    width: usize,
+    area: u64,
 }
 
-impl<'t, 'a> Scanline<'t, 'a> {
-    fn new(target: &'t mut RectMut<'a>) -> Scanline<'t, 'a> {
-        let left = target.bounds().area();
-        Scanline {
-            target,
-            x: 0,
-            y: 0,
-            left,
-        }
+impl<'r, R: ExactSizeIterator<Item = &'r mut [Color]>> RunWriter<'r, R> {
+    /// Pixels not yet written.
+    fn left(&self) -> u64 {
+        self.row.len() as u64 + self.rows.len() as u64 * self.width as u64
     }
 
-    /// Writes the next `n` pixels in `c`. `what` names the encoding in
-    /// the error when they pass the last pixel.
-    fn run(&mut self, n: usize, c: Color, what: &str) -> Result<()> {
-        if n as u64 > self.left {
-            return Err(overrun(what));
-        }
-        self.left -= n as u64;
-        let w = self.target.width() as usize;
-        let mut n = n;
-        while n > 0 {
-            let take = n.min(w - self.x);
-            self.target.row(self.y)[self.x..self.x + take].fill(c);
-            self.x += take;
-            n -= take;
-            if self.x == w {
-                self.x = 0;
-                self.y += 1;
+    /// Writes the next `n` pixels in the colour of `block`. `what` names
+    /// the encoding in the error when they pass the last pixel.
+    #[inline(always)]
+    fn run(&mut self, n: usize, block: &Block, what: &str) -> Result<()> {
+        if n <= SHORT_RUN {
+            if let Some(head) = self.row.first_chunk_mut::<SHORT_RUN>() {
+                *head = *block;
+                self.row = &mut std::mem::take(&mut self.row)[n..];
+                return Ok(());
             }
         }
-        Ok(())
+        self.long_run(n, block, what)
+    }
+
+    /// [`run`](Self::run) for a run that may reach the row's end: out of
+    /// line, so the short-run path stays small.
+    #[inline(never)]
+    fn long_run(&mut self, mut n: usize, block: &Block, what: &str) -> Result<()> {
+        loop {
+            let take = n.min(self.row.len());
+            let (head, rest) = std::mem::take(&mut self.row).split_at_mut(take);
+            let mut blocks = head.chunks_exact_mut(SHORT_RUN);
+            for b in &mut blocks {
+                b.copy_from_slice(block);
+            }
+            blocks.into_remainder().fill(block[0]);
+            self.row = rest;
+            n -= take;
+            if n == 0 {
+                return Ok(());
+            }
+            self.row = self.rows.next().ok_or_else(|| overrun(what))?;
+        }
     }
 
     /// Fails unless the runs covered every pixel.
     fn finish(&self, what: &str) -> Result<()> {
-        if self.left == 0 {
+        let left = self.left();
+        if left == 0 {
             return Ok(());
         }
-        let area = self.target.bounds().area();
         Err(ProtocolError::Malformed(format!(
-            "{what} covered {} of {area} pixels",
-            area - self.left
+            "{what} covered {} of {} pixels",
+            self.area - left,
+            self.area
         )))
+    }
+}
+
+/// A writer for `target`'s pixels, starting at its top-left.
+fn run_writer<'r>(
+    target: &'r mut RectMut<'_>,
+) -> RunWriter<'r, impl ExactSizeIterator<Item = &'r mut [Color]>> {
+    let (width, area) = (target.width() as usize, target.bounds().area());
+    RunWriter {
+        row: &mut [],
+        rows: target.rows_mut(),
+        width,
+        area,
     }
 }
 
@@ -685,15 +774,16 @@ fn encode_rre(colours: &Colours, rect: Rect, fmt: PixelFormat) -> Vec<u8> {
 
 fn decode_rre(buf: &mut &[u8], fmt: PixelFormat, target: &mut RectMut) -> Result<()> {
     let bounds = target.bounds();
+    let pixel = PixelReader::new(fmt);
     let count = wire::get_u32(buf)?;
     if count as u64 > bounds.area().max(1) {
         return Err(ProtocolError::Malformed(format!(
             "rre subrect count {count} exceeds rect area"
         )));
     }
-    target.fill(bounds, get_pixel(fmt, buf)?);
+    target.fill(bounds, pixel.get(buf)?);
     for _ in 0..count {
-        let c = get_pixel(fmt, buf)?;
+        let c = pixel.get(buf)?;
         let x = wire::get_u16(buf)?;
         let y = wire::get_u16(buf)?;
         let sw = wire::get_u16(buf)? as u32;
@@ -771,6 +861,7 @@ fn encode_hextile(pixels: &[Color], rect: Rect, fmt: PixelFormat) -> Vec<u8> {
 fn decode_hextile(buf: &mut &[u8], fmt: PixelFormat, target: &mut RectMut) -> Result<()> {
     let w = target.width() as usize;
     let h = target.height() as usize;
+    let pixel = PixelReader::new(fmt);
     let mut last_bg = Color::BLACK;
     for ty in (0..h).step_by(TILE) {
         for tx in (0..w).step_by(TILE) {
@@ -790,14 +881,14 @@ fn decode_hextile(buf: &mut &[u8], fmt: PixelFormat, target: &mut RectMut) -> Re
                 continue;
             }
             if flags & HEX_BG != 0 {
-                last_bg = get_pixel(fmt, buf)?;
+                last_bg = pixel.get(buf)?;
             }
             target.fill(at(0, 0, tw, th), last_bg);
             if flags & HEX_SUBRECTS != 0 {
                 let n = wire::get_u8(buf)? as usize;
                 for _ in 0..n {
                     let c = if flags & HEX_COLOURED != 0 {
-                        get_pixel(fmt, buf)?
+                        pixel.get(buf)?
                     } else {
                         last_bg
                     };
@@ -840,19 +931,24 @@ fn encode_rle(c: &Colours, fmt: PixelFormat) -> Vec<u8> {
 }
 
 fn decode_rle(buf: &mut &[u8], fmt: PixelFormat, target: &mut RectMut) -> Result<()> {
-    let mut out = Scanline::new(target);
+    let mut out = run_writer(target);
     let nruns = wire::get_u32(buf)?;
-    if nruns as u64 > out.left {
+    if nruns as u64 > out.area {
         return Err(ProtocolError::Malformed(
             "rle has more runs than pixels".into(),
         ));
     }
     // Each run is a u16 length and a pixel.
-    let run_bytes = 2 + fmt.row_bytes(1);
+    let pixel = PixelReader::new(fmt);
+    let run_bytes = 2 + pixel.size;
     let runs = wire::get_bytes(buf, nruns as usize * run_bytes)?;
     for run in runs.chunks_exact(run_bytes) {
-        let c = pixel_at(fmt, &run[2..])?;
-        out.run(u16::from_be_bytes([run[0], run[1]]) as usize, c, "rle")?;
+        let c = (pixel.read)(&run[2..]);
+        out.run(
+            u16::from_be_bytes([run[0], run[1]]) as usize,
+            &[c; SHORT_RUN],
+            "rle",
+        )?;
     }
     out.finish("rle")
 }
@@ -894,7 +990,7 @@ fn decode_palette_rle(buf: &mut &[u8], fmt: PixelFormat, target: &mut RectMut) -
     match mode {
         PRLE_RAW => decode_raw(buf, fmt, target),
         PRLE_SOLID => {
-            target.fill(target.bounds(), get_pixel(fmt, buf)?);
+            target.fill(target.bounds(), PixelReader::new(fmt).get(buf)?);
             Ok(())
         }
         PRLE_INDEXED => {
@@ -904,25 +1000,27 @@ fn decode_palette_rle(buf: &mut &[u8], fmt: PixelFormat, target: &mut RectMut) -
                     "palette-rle palette too small".into(),
                 ));
             }
-            let mut entries = [Color::BLACK; PALETTE_CAP];
+            let pixel = PixelReader::new(fmt);
+            // Each entry as the block its runs are written with.
+            let mut entries = [[Color::BLACK; SHORT_RUN]; PALETTE_CAP];
             for entry in &mut entries[..n] {
-                *entry = get_pixel(fmt, buf)?;
+                *entry = [pixel.get(buf)?; SHORT_RUN];
             }
             let palette = &entries[..n];
-            let mut out = Scanline::new(target);
+            let mut out = run_writer(target);
             let nruns = wire::get_u32(buf)?;
-            if nruns as u64 > out.left {
+            if nruns as u64 > out.area {
                 return Err(ProtocolError::Malformed("palette-rle too many runs".into()));
             }
             // Each run is a u8 palette index and a u16 length.
             let runs = wire::get_bytes(buf, nruns as usize * 3)?;
             for run in runs.chunks_exact(3) {
-                let c = *palette
+                let block = palette
                     .get(run[0] as usize)
                     .ok_or_else(|| ProtocolError::Malformed("palette-rle index oob".into()))?;
                 out.run(
                     u16::from_be_bytes([run[1], run[2]]) as usize,
-                    c,
+                    block,
                     "palette-rle",
                 )?;
             }
@@ -1338,5 +1436,134 @@ mod palette_rle_tests {
             choose_encoding(&px, rect, &Encoding::ALL),
             Encoding::PaletteRle
         );
+    }
+}
+
+#[cfg(test)]
+mod run_writer_tests {
+    use super::*;
+
+    fn pixels(
+        payload: &[u8],
+        w: u32,
+        h: u32,
+        enc: Encoding,
+        fmt: PixelFormat,
+    ) -> Result<Vec<Color>> {
+        match decode_rect(&mut &payload[..], Rect::new(0, 0, w, h), enc, fmt)? {
+            DecodedRect::Pixels(px) => Ok(px),
+            DecodedRect::CopyFrom(p) => panic!("copyrect {p:?}"),
+        }
+    }
+
+    /// Decodes a `w`×`h` PaletteRle rect in Rgb888 with a black and
+    /// white palette and `runs` of (palette index, length).
+    fn prle(runs: &[(u8, u16)], w: u32, h: u32) -> Result<Vec<Color>> {
+        let mut out = vec![PRLE_INDEXED, 2, 0, 0, 0, 255, 255, 255];
+        out.extend_from_slice(&(runs.len() as u32).to_be_bytes());
+        for &(i, n) in runs {
+            out.push(i);
+            out.extend_from_slice(&n.to_be_bytes());
+        }
+        pixels(&out, w, h, Encoding::PaletteRle, PixelFormat::Rgb888)
+    }
+
+    /// Decodes a `w`×`h` RLE rect in Gray8 with `runs` of (length, grey
+    /// level).
+    fn rle(runs: &[(u16, u8)], w: u32, h: u32) -> Result<Vec<Color>> {
+        let mut out = (runs.len() as u32).to_be_bytes().to_vec();
+        for &(n, v) in runs {
+            out.extend_from_slice(&n.to_be_bytes());
+            out.push(v);
+        }
+        pixels(&out, w, h, Encoding::Rle, PixelFormat::Gray8)
+    }
+
+    fn malformed(what: &str) -> Result<Vec<Color>> {
+        Err(ProtocolError::Malformed(what.into()))
+    }
+
+    #[test]
+    fn a_run_past_the_last_pixel_overruns() {
+        let overrun = malformed("palette-rle overruns rect");
+        // From a short run's store position, from the end of a row, and
+        // from the last row's last pixels.
+        assert_eq!(prle(&[(0, 15)], 7, 2), overrun);
+        assert_eq!(prle(&[(0, 7), (1, 8)], 7, 2), overrun);
+        assert_eq!(prle(&[(0, 12), (1, 1), (0, 2)], 7, 2), overrun);
+        assert_eq!(prle(&[(0, 14), (1, 1)], 7, 2), overrun);
+        let overrun = malformed("rle overruns rect");
+        assert_eq!(rle(&[(3, 9), (12, 1)], 7, 2), overrun);
+        assert_eq!(rle(&[(14, 9), (1, 1)], 7, 2), overrun);
+    }
+
+    #[test]
+    fn runs_that_stop_short_name_the_pixels_covered() {
+        let short = prle(&[(0, 3), (1, 1), (0, 9)], 7, 2);
+        assert_eq!(short, malformed("palette-rle covered 13 of 14 pixels"));
+        let none = prle(&[], 7, 2);
+        assert_eq!(none, malformed("palette-rle covered 0 of 14 pixels"));
+        let short = rle(&[(2, 4), (0, 5), (3, 6)], 7, 2);
+        assert_eq!(short, malformed("rle covered 5 of 14 pixels"));
+    }
+
+    #[test]
+    fn a_palette_index_past_the_palette_is_oob() {
+        let oob = prle(&[(0, 3), (2, 1), (0, 10)], 7, 2);
+        assert_eq!(oob, malformed("palette-rle index oob"));
+    }
+
+    #[test]
+    fn more_runs_than_pixels_are_refused_before_any_run() {
+        let many = prle(&[(0, 1); 15], 7, 2);
+        assert_eq!(many, malformed("palette-rle too many runs"));
+        let many = rle(&[(1, 0); 15], 7, 2);
+        assert_eq!(many, malformed("rle has more runs than pixels"));
+        // As many runs as pixels is fine, and so are empty runs.
+        assert_eq!(prle(&[(1, 1); 14], 7, 2), Ok(vec![Color::WHITE; 14]));
+        let empty = rle(&[(0, 1), (6, 2), (0, 3), (1, 4)], 7, 1);
+        let want = [vec![Color::gray(2); 6], vec![Color::gray(4)]].concat();
+        assert_eq!(empty, Ok(want));
+    }
+
+    #[test]
+    fn short_runs_leave_no_extra_pixels_behind() {
+        // Each pixel takes the colour of the run it lies in: runs of 0 to
+        // 4 pixels at every offset of rows 6 wide, some wrapping; and
+        // white runs of 4 and 5 inside rows 12 wide over a frame that
+        // starts black, where a store that misses a pixel of its run
+        // shows.
+        let narrow = [1u16, 0, 2, 4, 3, 1, 4, 0, 2, 2, 3, 1, 4, 2, 1];
+        let wide = [4u16, 4, 4, 0, 1, 5, 1, 2, 3];
+        for (lens, w, h) in [(&narrow[..], 6, 5), (&wide[..], 12, 2)] {
+            let runs: Vec<(u8, u16)> = (0..).zip(lens).map(|(i, &n)| (i % 2, n)).collect();
+            let want: Vec<Color> = runs
+                .iter()
+                .flat_map(|&(i, n)| vec![[Color::BLACK, Color::WHITE][i as usize]; n as usize])
+                .collect();
+            assert_eq!(want.len() as u32, w * h);
+            assert_eq!(prle(&runs, w, h), Ok(want), "{w}x{h}");
+        }
+    }
+
+    #[test]
+    fn the_pixel_reader_reads_as_unpack_row_does() {
+        let mut bytes: Vec<[u8; 3]> = (0..=u16::MAX)
+            .map(|v| {
+                let [a, b] = v.to_be_bytes();
+                [a, b, a ^ b]
+            })
+            .collect();
+        bytes.extend((0..=255u8).map(|v| [v, v.wrapping_mul(7), v.wrapping_mul(13)]));
+        for fmt in PixelFormat::ALL {
+            let reader = PixelReader::new(fmt);
+            assert_eq!(reader.size, fmt.row_bytes(1), "{fmt}");
+            for b in &bytes {
+                let b = &b[..reader.size];
+                let mut want = [Color::BLACK];
+                unpack_row_into(fmt, b, &mut want, None).expect("one pixel");
+                assert_eq!((reader.read)(b), want[0], "{fmt} {b:?}");
+            }
+        }
     }
 }

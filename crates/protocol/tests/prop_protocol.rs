@@ -1,9 +1,11 @@
 //! Property tests: every encoding round-trips arbitrary images; decoding
 //! straight into a framebuffer matches decoding into a fresh buffer and
-//! copying it in; arbitrary messages survive encode→frame→decode; a
-//! message body decodes exactly, and every strict prefix of it fails; and the
-//! decoders never panic on arbitrary bytes (robustness against
-//! hostile/corrupt streams), nor write outside their rect.
+//! copying it in; narrow rects of short runs decode with RLE and
+//! PaletteRle to their source pixels; arbitrary messages survive
+//! encode→frame→decode; a message body decodes exactly, and every strict
+//! prefix of it fails; and the decoders never panic on arbitrary bytes
+//! (robustness against hostile/corrupt streams), nor write outside their
+//! rect.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -376,6 +378,57 @@ proptest! {
                 let mut target = fb.rect_mut(placed).expect("rect inside the canvas");
                 let _ = decode_into(&mut garbage.as_slice(), enc, fmt, &mut target);
                 prop_assert!(same_outside(&fb, &before, placed), "{}/{} garbage", enc, fmt);
+            }
+        }
+    }
+}
+
+/// Rects 1–9 pixels wide and 1–6 high, made of runs 1–5 pixels long in
+/// four colours, each run a colour other than the one before: most runs
+/// are short and end near a row's end, where the run decoders switch
+/// between their short-run store and their row-wrapping path.
+fn arb_short_runs() -> impl Strategy<Value = (Rect, Vec<Color>)> {
+    const COLOURS: [Color; 4] = [Color::LIGHT_GRAY, Color::BLACK, Color::WHITE, Color::BLUE];
+    (
+        1u32..=9,
+        1u32..=6,
+        proptest::collection::vec((1usize..=3, 1usize..=5), 54),
+    )
+        .prop_map(|(w, h, runs)| {
+            let mut colour = 0;
+            let px = runs
+                .iter()
+                .flat_map(|&(step, n)| {
+                    colour = (colour + step) % COLOURS.len();
+                    std::iter::repeat_n(COLOURS[colour], n)
+                })
+                .take((w * h) as usize)
+                .collect();
+            (Rect::new(0, 0, w, h), px)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn short_runs_decode_to_the_source_pixels_in_a_narrow_rect(
+        (rect, px) in arb_short_runs(),
+        (ox, oy) in (1i32..5, 1i32..5),
+    ) {
+        let placed = Rect::new(ox, oy, rect.w, rect.h);
+        let before = canvas(rect, placed.origin());
+        for enc in [Encoding::PaletteRle, Encoding::Rle] {
+            for fmt in PixelFormat::ALL {
+                let reduced: Vec<Color> = px.iter().map(|&c| fmt.reduce(c)).collect();
+                let bytes = encode_rect(&reduced, rect, enc, fmt);
+                let mut got = before.clone();
+                let mut cursor: &[u8] = &bytes;
+                let mut target = got.rect_mut(placed).expect("rect inside the canvas");
+                prop_assert_eq!(decode_into(&mut cursor, enc, fmt, &mut target), Ok(()));
+                prop_assert!(cursor.is_empty(), "{}/{} trailing bytes", enc, fmt);
+                prop_assert!(got.read_rect(placed).1 == reduced, "{}/{}", enc, fmt);
+                prop_assert!(same_outside(&got, &before, placed), "{}/{}", enc, fmt);
             }
         }
     }

@@ -513,6 +513,16 @@ impl<'a> RectMut<'a> {
         &mut self.pixels[start..start + self.width]
     }
 
+    /// The rect's rows from the top, each `width` pixels long, to hold
+    /// across writes. A rect with no pixels has no rows.
+    pub fn rows_mut(&mut self) -> impl ExactSizeIterator<Item = &mut [Color]> + '_ {
+        let w = self.width;
+        // Every row but the last is followed by the gap to the next.
+        self.pixels
+            .chunks_mut(self.stride.max(1))
+            .map(move |row| &mut row[..w])
+    }
+
     /// Fills `rect`, given relative to the rect's top-left, with `c`. An
     /// empty `rect` writes nothing, wherever it lies.
     ///
@@ -870,6 +880,23 @@ mod journal_tests {
                 Color::RED
             ]
         );
+    }
+
+    #[test]
+    fn rows_of_a_frame_rect_skip_the_gaps() {
+        let mut fb = Framebuffer::new(5, 4, Color::BLACK);
+        let mut view = fb.rect_mut(Rect::new(1, 1, 3, 2)).expect("inside");
+        assert_eq!(view.rows_mut().len(), 2);
+        for (y, row) in view.rows_mut().enumerate() {
+            assert_eq!(row.len(), 3);
+            row.fill(Color::gray(y as u8 + 1));
+        }
+        let mut want = Framebuffer::new(5, 4, Color::BLACK);
+        want.fill_rect(Rect::new(1, 1, 3, 1), Color::gray(1));
+        want.fill_rect(Rect::new(1, 2, 3, 1), Color::gray(2));
+        assert_eq!(fb.read_rect(fb.bounds()), want.read_rect(want.bounds()));
+        let mut none = fb.rect_mut(Rect::new(1, 1, 0, 3)).expect("inside");
+        assert_eq!(none.rows_mut().len(), 0);
     }
 
     #[test]

@@ -363,8 +363,10 @@ fn second_hello_on_a_bound_connection_detaches_the_first_session() {
         version: PROTOCOL_VERSION,
         name: name.into(),
     };
-    sock.send_client(&hello("twin-a")).expect("hello a");
-    sock.send_client(&hello("twin-b")).expect("hello b");
+    sock.queue(&hello("twin-a"));
+    sock.send_batch().expect("hello a");
+    sock.queue(&hello("twin-b"));
+    sock.send_batch().expect("hello b");
 
     // Rebinding the connection must detach "twin-a" — with the socket
     // still open it expires alone, while "twin-b" stays attached. (The
@@ -567,6 +569,67 @@ fn passive_viewer_keeps_up_with_many_clicking_clients() {
         ui.framebuffer(),
         "the viewer ends equal to the panel"
     );
+}
+
+/// Two toggles: a click on the one without focus moves the focus on its
+/// press and flips the toggle on its release, so both events repaint.
+fn two_toggles() -> Ui {
+    let mut ui = Ui::new(160, 120, Theme::classic(), "gateway-panel");
+    ui.add(Toggle::new("Power", false), Rect::new(20, 20, 120, 28));
+    ui.add(Toggle::new("Mute", false), Rect::new(20, 60, 120, 28));
+    ui
+}
+
+#[test]
+fn a_click_is_answered_with_one_update_per_viewer() {
+    let registry = Registry::new();
+    let gw = Gateway::spawn(two_toggles(), GatewayConfig::default(), registry.clone())
+        .expect("gateway binds");
+    let addr = gw.local_addr();
+    let mut clients: Vec<GatewayClient> = (0..2)
+        .map(|i| GatewayClient::connect(addr, format!("viewer-{i}"), i).expect("connect"))
+        .collect();
+    let mut model = two_toggles();
+    model.render();
+    let shows = |cs: &[GatewayClient], model: &Ui| {
+        let want = model.framebuffer().read_rect(model.framebuffer().bounds());
+        cs.iter().all(|c| {
+            c.proxy
+                .server_frame()
+                .is_some_and(|fb| fb.read_rect(fb.bounds()) == want)
+        })
+    };
+    pump_until(&mut clients, "the panel to reach both viewers", |cs| {
+        shows(cs, &model)
+    });
+    let updates_sent = || {
+        registry
+            .snapshot()
+            .counters
+            .get("server.updates_sent")
+            .copied()
+            .unwrap_or(0)
+    };
+
+    // The first toggle starts with the focus, so the clicks alternate
+    // starting with the second: every press moves the focus.
+    for i in 0..50 {
+        let y = [74, 34][i % 2];
+        let before = updates_sent();
+        let click = InputEvent::click(80, y);
+        clients[i % 2].send_messages(click.into_iter().map(ClientMessage::Input).collect());
+        for ev in click {
+            model.dispatch(ev);
+        }
+        model.render();
+        pump_until(&mut clients, "the click to reach both viewers", |cs| {
+            shows(cs, &model)
+        });
+        // The press and the release arrive in one write, so the gateway
+        // handles both before it pumps: one update for each viewer.
+        assert_eq!(updates_sent() - before, 2, "updates sent for click {i}");
+    }
+    gw.shutdown();
 }
 
 #[test]
