@@ -21,15 +21,13 @@
 //! a fresh buffer through the same decoders. They read a `&mut &[u8]`
 //! cursor through [`crate::wire`]: pixel rows and run tables are read
 //! where they lie in the payload, and a short payload is
-//! [`ProtocolError::Truncated`], never a panic. A single pixel (a palette
-//! entry, a run's or a subrect's colour) is read by a reader picked once
-//! per rect from the format. RLE and PaletteRle write through one run
-//! writer that holds the current row of the target across runs
-//! ([`RectMut::rows_mut`]) and writes a run's colour as blocks of 4
-//! pixels; a run of at most 4 pixels with at least 4 left in its row is
-//! one block store, whose extra pixels the following runs overwrite, so
-//! it never writes outside the row and a valid payload decodes to the
-//! same pixels.
+//! [`ProtocolError::Truncated`], never a panic. RLE and PaletteRle
+//! write through one run writer that holds the current row of the target
+//! across runs ([`RectMut::rows_mut`]) and writes a run's colour as
+//! blocks of 4 pixels; a run of at most 4 pixels with at least 4 left in
+//! its row is one block store, whose extra pixels the following runs
+//! overwrite, so it never writes outside the row and a valid payload
+//! decodes to the same pixels.
 //!
 //! Encoding is two steps. A [`RectAnalysis`] reads a rect's pixels once,
 //! in one scanline pass, into colour runs and a palette that depend on no
@@ -136,57 +134,17 @@ fn put_pixel(fmt: PixelFormat, c: Color, out: &mut Vec<u8>) {
     pack_row(fmt, &[c], None, out);
 }
 
-/// Reads one standalone pixel of one format, as [`unpack_row_into`]
-/// reads a one-pixel row with no palette. A decoder picks it once per
-/// rect, so each run's or subrect's pixel costs no dispatch on the format.
-#[derive(Clone, Copy)]
-struct PixelReader {
-    /// Bytes of one standalone pixel.
-    size: usize,
-    /// Reads the pixel from exactly `size` bytes.
-    read: fn(&[u8]) -> Color,
+/// The pixel `bytes` (at least one pixel's worth) start with, in `fmt`.
+fn pixel_at(fmt: PixelFormat, bytes: &[u8]) -> Result<Color> {
+    let mut px = [Color::BLACK];
+    unpack_row_into(fmt, bytes, &mut px, None)
+        .ok_or_else(|| ProtocolError::Malformed("pixel decode failed".into()))?;
+    Ok(px[0])
 }
 
-impl PixelReader {
-    fn new(fmt: PixelFormat) -> PixelReader {
-        let read: fn(&[u8]) -> Color = match fmt {
-            PixelFormat::Rgb888 => |p| Color::rgb(p[0], p[1], p[2]),
-            PixelFormat::Rgb565 => |p| {
-                let v = u16::from_be_bytes([p[0], p[1]]);
-                let r = ((v >> 11) as u8) << 3;
-                let g = ((v >> 5) as u8 & 0x3f) << 2;
-                let b = (v as u8 & 0x1f) << 3;
-                Color::rgb(r | (r >> 5), g | (g >> 6), b | (b >> 5))
-            },
-            PixelFormat::Rgb444 => |p| {
-                let [r, g, b] = [p[0] << 4, p[1] & 0xf0, p[1] << 4];
-                Color::rgb(r | (r >> 4), g | (g >> 4), b | (b >> 4))
-            },
-            PixelFormat::Gray8 => |p| Color::gray(p[0]),
-            PixelFormat::Gray4 => |p| Color::gray((p[0] & 0xf0) | (p[0] >> 4)),
-            PixelFormat::Mono1 => |p| {
-                if p[0] & 0x80 != 0 {
-                    Color::WHITE
-                } else {
-                    Color::BLACK
-                }
-            },
-            // The web-safe cube, as with no palette.
-            PixelFormat::Indexed8 => |p| {
-                let i = p[0].min(215);
-                Color::rgb(i / 36 * 51, i / 6 % 6 * 51, i % 6 * 51)
-            },
-        };
-        PixelReader {
-            size: fmt.row_bytes(1),
-            read,
-        }
-    }
-
-    /// Reads the next pixel, allocating nothing.
-    fn get(self, buf: &mut &[u8]) -> Result<Color> {
-        Ok((self.read)(wire::get_bytes(buf, self.size)?))
-    }
+/// Reads one pixel in `fmt`, allocating nothing.
+fn get_pixel(fmt: PixelFormat, buf: &mut &[u8]) -> Result<Color> {
+    pixel_at(fmt, wire::get_bytes(buf, fmt.row_bytes(1))?)
 }
 
 /// Reads the next row of `out.len()` pixels in `fmt` into `out`, from
@@ -774,16 +732,15 @@ fn encode_rre(colours: &Colours, rect: Rect, fmt: PixelFormat) -> Vec<u8> {
 
 fn decode_rre(buf: &mut &[u8], fmt: PixelFormat, target: &mut RectMut) -> Result<()> {
     let bounds = target.bounds();
-    let pixel = PixelReader::new(fmt);
     let count = wire::get_u32(buf)?;
     if count as u64 > bounds.area().max(1) {
         return Err(ProtocolError::Malformed(format!(
             "rre subrect count {count} exceeds rect area"
         )));
     }
-    target.fill(bounds, pixel.get(buf)?);
+    target.fill(bounds, get_pixel(fmt, buf)?);
     for _ in 0..count {
-        let c = pixel.get(buf)?;
+        let c = get_pixel(fmt, buf)?;
         let x = wire::get_u16(buf)?;
         let y = wire::get_u16(buf)?;
         let sw = wire::get_u16(buf)? as u32;
@@ -861,7 +818,6 @@ fn encode_hextile(pixels: &[Color], rect: Rect, fmt: PixelFormat) -> Vec<u8> {
 fn decode_hextile(buf: &mut &[u8], fmt: PixelFormat, target: &mut RectMut) -> Result<()> {
     let w = target.width() as usize;
     let h = target.height() as usize;
-    let pixel = PixelReader::new(fmt);
     let mut last_bg = Color::BLACK;
     for ty in (0..h).step_by(TILE) {
         for tx in (0..w).step_by(TILE) {
@@ -881,14 +837,14 @@ fn decode_hextile(buf: &mut &[u8], fmt: PixelFormat, target: &mut RectMut) -> Re
                 continue;
             }
             if flags & HEX_BG != 0 {
-                last_bg = pixel.get(buf)?;
+                last_bg = get_pixel(fmt, buf)?;
             }
             target.fill(at(0, 0, tw, th), last_bg);
             if flags & HEX_SUBRECTS != 0 {
                 let n = wire::get_u8(buf)? as usize;
                 for _ in 0..n {
                     let c = if flags & HEX_COLOURED != 0 {
-                        pixel.get(buf)?
+                        get_pixel(fmt, buf)?
                     } else {
                         last_bg
                     };
@@ -939,11 +895,10 @@ fn decode_rle(buf: &mut &[u8], fmt: PixelFormat, target: &mut RectMut) -> Result
         ));
     }
     // Each run is a u16 length and a pixel.
-    let pixel = PixelReader::new(fmt);
-    let run_bytes = 2 + pixel.size;
+    let run_bytes = 2 + fmt.row_bytes(1);
     let runs = wire::get_bytes(buf, nruns as usize * run_bytes)?;
     for run in runs.chunks_exact(run_bytes) {
-        let c = (pixel.read)(&run[2..]);
+        let c = pixel_at(fmt, &run[2..])?;
         out.run(
             u16::from_be_bytes([run[0], run[1]]) as usize,
             &[c; SHORT_RUN],
@@ -990,7 +945,7 @@ fn decode_palette_rle(buf: &mut &[u8], fmt: PixelFormat, target: &mut RectMut) -
     match mode {
         PRLE_RAW => decode_raw(buf, fmt, target),
         PRLE_SOLID => {
-            target.fill(target.bounds(), PixelReader::new(fmt).get(buf)?);
+            target.fill(target.bounds(), get_pixel(fmt, buf)?);
             Ok(())
         }
         PRLE_INDEXED => {
@@ -1000,11 +955,10 @@ fn decode_palette_rle(buf: &mut &[u8], fmt: PixelFormat, target: &mut RectMut) -
                     "palette-rle palette too small".into(),
                 ));
             }
-            let pixel = PixelReader::new(fmt);
             // Each entry as the block its runs are written with.
             let mut entries = [[Color::BLACK; SHORT_RUN]; PALETTE_CAP];
             for entry in &mut entries[..n] {
-                *entry = [pixel.get(buf)?; SHORT_RUN];
+                *entry = [get_pixel(fmt, buf)?; SHORT_RUN];
             }
             let palette = &entries[..n];
             let mut out = run_writer(target);
@@ -1543,27 +1497,6 @@ mod run_writer_tests {
                 .collect();
             assert_eq!(want.len() as u32, w * h);
             assert_eq!(prle(&runs, w, h), Ok(want), "{w}x{h}");
-        }
-    }
-
-    #[test]
-    fn the_pixel_reader_reads_as_unpack_row_does() {
-        let mut bytes: Vec<[u8; 3]> = (0..=u16::MAX)
-            .map(|v| {
-                let [a, b] = v.to_be_bytes();
-                [a, b, a ^ b]
-            })
-            .collect();
-        bytes.extend((0..=255u8).map(|v| [v, v.wrapping_mul(7), v.wrapping_mul(13)]));
-        for fmt in PixelFormat::ALL {
-            let reader = PixelReader::new(fmt);
-            assert_eq!(reader.size, fmt.row_bytes(1), "{fmt}");
-            for b in &bytes {
-                let b = &b[..reader.size];
-                let mut want = [Color::BLACK];
-                unpack_row_into(fmt, b, &mut want, None).expect("one pixel");
-                assert_eq!((reader.read)(b), want[0], "{fmt} {b:?}");
-            }
         }
     }
 }

@@ -1,7 +1,8 @@
 //! Property tests: every encoding round-trips arbitrary images; decoding
 //! straight into a framebuffer matches decoding into a fresh buffer and
 //! copying it in; narrow rects of short runs decode with RLE and
-//! PaletteRle to their source pixels; arbitrary messages survive
+//! PaletteRle to their source pixels, and valid or damaged run payloads
+//! decode as a pixel-by-pixel model does; arbitrary messages survive
 //! encode→frame→decode; a message body decodes exactly, and every strict
 //! prefix of it fails; and the decoders never panic on arbitrary bytes
 //! (robustness against hostile/corrupt streams), nor write outside their
@@ -12,15 +13,17 @@ use std::collections::BTreeSet;
 use uniint_protocol::encoding::{
     choose_encoding, decode_into, decode_rect, encode_copy_rect, encode_rect, DecodedRect, Encoding,
 };
+use uniint_protocol::error::ProtocolError;
 use uniint_protocol::input::{ButtonMask, InputEvent, KeySym};
 use uniint_protocol::message::{
     encode_client, encode_server, ClientMessage, DeviceHealthState, FrameReader, RectUpdate,
     ServerMessage,
 };
+use uniint_protocol::wire;
 use uniint_raster::color::Color;
 use uniint_raster::framebuffer::Framebuffer;
 use uniint_raster::geom::{Point, Rect};
-use uniint_raster::pixel::PixelFormat;
+use uniint_raster::pixel::{unpack_row_into, PixelFormat};
 
 /// Every pixel encoding (CopyRect is exercised separately: its payload is
 /// a source point, not pixels).
@@ -429,6 +432,128 @@ proptest! {
                 prop_assert!(cursor.is_empty(), "{}/{} trailing bytes", enc, fmt);
                 prop_assert!(got.read_rect(placed).1 == reduced, "{}/{}", enc, fmt);
                 prop_assert!(same_outside(&got, &before, placed), "{}/{}", enc, fmt);
+            }
+        }
+    }
+}
+
+/// The RLE and PaletteRle run decoders as one fill per pixel: each run
+/// is checked against the pixels left before any is written, then written
+/// one pixel at a time. Errors are word for word the decoders'. PaletteRle
+/// payloads must be run-coded (subencoding 2); the raw and solid
+/// subencodings write no runs.
+fn decode_runs_pixel_by_pixel(
+    buf: &mut &[u8],
+    enc: Encoding,
+    fmt: PixelFormat,
+    fb: &mut Framebuffer,
+    at: Rect,
+) -> Result<(), ProtocolError> {
+    let rle = enc == Encoding::Rle;
+    let what = if rle { "rle" } else { "palette-rle" };
+    let malformed = |m: String| ProtocolError::Malformed(m);
+    let pixel = |bytes: &[u8]| {
+        let mut c = [Color::BLACK];
+        unpack_row_into(fmt, bytes, &mut c, None).expect("one pixel");
+        c[0]
+    };
+    let size = fmt.row_bytes(1);
+    let mut palette = Vec::new();
+    if !rle {
+        assert_eq!(wire::get_u8(buf)?, 2, "a run-coded payload");
+        let n = wire::get_u8(buf)?;
+        if n < 2 {
+            return Err(malformed("palette-rle palette too small".into()));
+        }
+        for _ in 0..n {
+            palette.push(pixel(wire::get_bytes(buf, size)?));
+        }
+    }
+    let area = at.w as u64 * at.h as u64;
+    let nruns = wire::get_u32(buf)?;
+    if nruns as u64 > area {
+        let msg = if rle {
+            "rle has more runs than pixels"
+        } else {
+            "palette-rle too many runs"
+        };
+        return Err(malformed(msg.into()));
+    }
+    let run_bytes = if rle { 2 + size } else { 3 };
+    let runs = wire::get_bytes(buf, nruns as usize * run_bytes)?;
+    let mut done = 0;
+    for run in runs.chunks_exact(run_bytes) {
+        let (n, c) = if rle {
+            (u16::from_be_bytes([run[0], run[1]]), pixel(&run[2..]))
+        } else {
+            let c = palette
+                .get(run[0] as usize)
+                .ok_or_else(|| malformed("palette-rle index oob".into()))?;
+            (u16::from_be_bytes([run[1], run[2]]), *c)
+        };
+        if done + n as u64 > area {
+            return Err(malformed(format!("{what} overruns rect")));
+        }
+        for i in done..done + n as u64 {
+            let (x, y) = ((i % at.w as u64) as i32, (i / at.w as u64) as i32);
+            fb.row_mut((at.y + y) as u32)[(at.x + x) as usize] = c;
+        }
+        done += n as u64;
+    }
+    if done < area {
+        return Err(malformed(format!("{what} covered {done} of {area} pixels")));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Valid, truncated and byte-changed RLE and PaletteRle payloads, in
+    /// every format, decoded into their own rect and into the transposed
+    /// one (same area, other row ends): every `Result` equals the
+    /// pixel-by-pixel model's, every success leaves the same pixels and
+    /// bytes, and nothing outside the rect is written.
+    #[test]
+    fn run_decoders_match_a_pixel_by_pixel_model_on_damaged_payloads(
+        (rect, px) in arb_short_runs(),
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..4),
+    ) {
+        for enc in [Encoding::PaletteRle, Encoding::Rle] {
+            for fmt in PixelFormat::ALL {
+                let reduced: Vec<Color> = px.iter().map(|&c| fmt.reduce(c)).collect();
+                let bytes = encode_rect(&reduced, rect, enc, fmt);
+                if enc == Encoding::PaletteRle && bytes[0] != 2 {
+                    continue;
+                }
+                // PaletteRle's subencoding byte stays: other values write
+                // no runs.
+                let keep = usize::from(enc == Encoding::PaletteRle);
+                let mut changed = bytes.clone();
+                for (i, b) in &edits {
+                    changed[keep + i % (bytes.len() - keep)] = *b;
+                }
+                let payloads = (0..=bytes.len()).map(|n| &bytes[..n]).chain([&changed[..]]);
+                for payload in payloads {
+                    for placed in [Rect::new(2, 1, rect.w, rect.h), Rect::new(1, 2, rect.h, rect.w)] {
+                        let before = canvas(placed, placed.origin());
+                        let mut want = before.clone();
+                        let mut model: &[u8] = payload;
+                        let expected =
+                            decode_runs_pixel_by_pixel(&mut model, enc, fmt, &mut want, placed);
+                        let mut got = before.clone();
+                        let mut cursor: &[u8] = payload;
+                        let mut target = got.rect_mut(placed).expect("rect inside the canvas");
+                        let result = decode_into(&mut cursor, enc, fmt, &mut target);
+                        let case = (enc, fmt, placed, payload);
+                        prop_assert_eq!(&result, &expected, "{:?}", case);
+                        prop_assert!(same_outside(&got, &before, placed), "{:?}", case);
+                        if result.is_ok() {
+                            prop_assert_eq!(cursor.len(), model.len(), "{:?}", case);
+                            prop_assert!(got == want, "{:?}", case);
+                        }
+                    }
+                }
             }
         }
     }
