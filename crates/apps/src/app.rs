@@ -6,8 +6,8 @@
 
 use crate::binding::{Binding, ControlKind};
 use crate::panels::{apply_state, build_section, section_height, state_key, StateKey};
-use crossbeam::channel::Receiver;
 use std::collections::HashMap;
+use std::sync::mpsc::Receiver;
 use uniint_havi::events::HaviEvent;
 use uniint_havi::fcm::FcmClass;
 use uniint_havi::id::Seid;

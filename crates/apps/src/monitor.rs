@@ -7,8 +7,8 @@
 //! network events, with no command bindings at all.
 
 use crate::panels::fmt_time;
-use crossbeam::channel::Receiver;
 use std::collections::HashMap;
+use std::sync::mpsc::Receiver;
 use uniint_havi::events::HaviEvent;
 use uniint_havi::fcm::{FcmClass, StateVar};
 use uniint_havi::id::Seid;

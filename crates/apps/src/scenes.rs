@@ -5,8 +5,8 @@
 //! panel is plain widgets, and every interaction device can fire them
 //! through the universal pipeline.
 
-use crossbeam::channel::Receiver;
 use std::collections::HashMap;
+use std::sync::mpsc::Receiver;
 use uniint_havi::events::HaviEvent;
 use uniint_havi::fcm::{FcmClass, FcmCommand};
 use uniint_havi::network::HomeNetwork;

@@ -9,11 +9,10 @@
 
 use std::borrow::Borrow;
 
-use serde::{Deserialize, Serialize};
 use uniint_raster::geom::Size;
 
 /// Input modalities an interaction device can offer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InputModality {
     /// Pen/touch pointing (PDA).
     Stylus,
@@ -67,7 +66,7 @@ impl core::fmt::Display for InputModality {
 }
 
 /// Display hardware offered by an output-capable device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OutputProfile {
     /// Native resolution.
     pub size: Size,
@@ -78,7 +77,7 @@ pub struct OutputProfile {
 }
 
 /// A device available for interaction, as advertised to the proxy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceDescriptor {
     /// Stable identifier ("pda-1", "kitchen-tv").
     pub id: String,
@@ -134,7 +133,7 @@ impl DeviceDescriptor {
 }
 
 /// What the user is currently doing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Activity {
     /// Nothing in particular.
     Idle,
@@ -151,7 +150,7 @@ pub enum Activity {
 }
 
 /// Ambient noise level, which gates voice input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Noise {
     /// Quiet room.
     Quiet,
@@ -162,7 +161,7 @@ pub enum Noise {
 }
 
 /// A snapshot of the user's situation, as a context system would provide.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Situation {
     /// The zone (room) the user is in.
     pub zone: String,
@@ -188,7 +187,7 @@ impl Situation {
 
 /// Per-user preferences: an ordered ranking of input modalities (first is
 /// most preferred) and a taste for large screens.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserProfile {
     /// User name.
     pub name: String,

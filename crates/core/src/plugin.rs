@@ -8,7 +8,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use uniint_protocol::input::InputEvent;
 use uniint_raster::dither::DitherMode;
 use uniint_raster::framebuffer::Framebuffer;
@@ -18,7 +17,7 @@ use uniint_raster::region::Region;
 use uniint_raster::scale::ScaleFilter;
 
 /// Navigation directions on directional pads / gesture vocabularies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Nav {
     /// Up.
     Up,
@@ -31,7 +30,7 @@ pub enum Nav {
 }
 
 /// Buttons on a classic infrared remote controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RemoteKey {
     /// Power toggle.
     Power,
@@ -54,7 +53,7 @@ pub enum RemoteKey {
 }
 
 /// Hand gestures recognized by a wearable device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Gesture {
     /// Swipe in a direction.
     Swipe(Nav),
@@ -68,7 +67,7 @@ pub enum Gesture {
 
 /// A device-native input event, before translation to the universal
 /// protocol. This is the vocabulary input plug-ins consume.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DeviceEvent {
     /// Stylus/touch contact on a device screen (device coordinates).
     StylusDown {
@@ -111,7 +110,7 @@ pub enum DeviceEvent {
 
 /// What an output device can display; drives the proxy's adaptation
 /// pipeline and its `SetPixelFormat` negotiation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OutputCaps {
     /// Native screen size in pixels.
     pub size: Size,
@@ -175,7 +174,7 @@ impl DeviceFrame {
 
 /// Context handed to input plug-ins so they can map device coordinates
 /// into the server's framebuffer space.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InputContext {
     /// Size of the server framebuffer (universal coordinate space).
     pub server_size: Size,

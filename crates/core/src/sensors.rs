@@ -10,10 +10,9 @@
 //! hysteresis so momentary sensor blips do not thrash device switches.
 
 use crate::context::{Activity, Noise, Situation};
-use serde::{Deserialize, Serialize};
 
 /// A discrete sensor reading, timestamped by the caller's clock (ms).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SensorReading {
     /// A location beacon saw the user's badge in a zone.
     Badge {

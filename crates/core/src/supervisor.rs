@@ -12,25 +12,34 @@
 //! # Health state machine
 //!
 //! ```text
-//!             clean streak                consecutive faults
-//!   Healthy ◄──────────────── Degraded ◄──────────────────────┐
-//!      │                         │  ▲                         │
-//!      │ fault / missed          │  │ probation expires       │ faults
-//!      │ heartbeat               │  │ (seeded backoff)        │ keep
-//!      ▼                         ▼  │                         │ coming
-//!   Degraded ────────────► Quarantined ────────────────────► Dead
-//!         consecutive faults          quarantined too often,
-//!         reach the threshold         or heartbeats stop
+//!               fault / missed heartbeat
+//!   Healthy ──────────────────────────────► Degraded
+//!      ▲                                     │  │  ▲
+//!      │     clean streak after a fault,     │  │  │ probation expires
+//!      └──── heartbeat after silence ────────┘  │  │ (seeded backoff)
+//!                                               │  │
+//!             consecutive faults, or any fault  │  │
+//!             on probation                      ▼  │
+//!                                            Quarantined ──────────► Dead
+//!                                                 quarantined too often,
+//!                                                 or heartbeats stop
 //! ```
 //!
 //! - **Healthy** — calls flow through the shim unimpeded.
 //! - **Degraded** — recent faults or a missed heartbeat; the device is
-//!   still selectable but one more burst away from quarantine.
+//!   still selectable but one more burst away from quarantine. It owes
+//!   a heartbeat if it fell silent, a clean streak if a call faulted, or
+//!   both; each complaint heals only by its own remedy.
 //! - **Quarantined** — excluded from selection; readmitted on probation
 //!   after an escalating, seeded backoff (mirroring the session-level
 //!   reconnect backoff from `crate::session`).
 //! - **Dead** — terminal: too many quarantines, or heartbeats stopped
-//!   long enough to declare the hardware gone.
+//!   long enough to declare the hardware gone (from any state).
+//!
+//! Heartbeats join the call outcomes in one ordered ledger and apply at
+//! the next [`Supervisor::tick`], the only place health changes. Every
+//! transition is reported: in [`SupervisorReport::events`], as a
+//! `DeviceHealth` message and as a `supervisor.transition` journal line.
 //!
 //! When the *active* device is quarantined or dies, [`Supervisor::tick`]
 //! drives [`Coordinator::reselect`] to fail over to the best remaining
@@ -181,7 +190,8 @@ impl core::fmt::Display for HealthState {
     }
 }
 
-/// What a supervised call did, as recorded by the shims.
+/// One entry of the supervisor's ledger: what a supervised call did, as
+/// recorded by the shims, or a heartbeat the device sent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CallOutcome {
     /// Completed and returned sane data.
@@ -192,6 +202,8 @@ enum CallOutcome {
     Timeout,
     /// Returned out-of-range events or an oversized frame.
     Garbage,
+    /// The device said it is alive at this virtual time, microseconds.
+    Heartbeat(u64),
 }
 
 /// Why a health transition happened.
@@ -209,6 +221,8 @@ pub enum TransitionCause {
     Probation,
     /// A streak of clean calls restored full health.
     CleanStreak,
+    /// A heartbeat after silence restored full health.
+    HeartbeatResumed,
 }
 
 impl core::fmt::Display for TransitionCause {
@@ -220,6 +234,7 @@ impl core::fmt::Display for TransitionCause {
             TransitionCause::HeartbeatSilence => "heartbeat silence",
             TransitionCause::Probation => "probation",
             TransitionCause::CleanStreak => "clean streak",
+            TransitionCause::HeartbeatResumed => "heartbeat resumed",
         };
         f.write_str(s)
     }
@@ -321,16 +336,117 @@ impl SupervisorMetrics {
     }
 }
 
+/// A device's health together with what it takes to leave that state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Health {
+    #[default]
+    Healthy,
+    Degraded(Owed),
+    /// Readmitted on probation at `until_us`.
+    Quarantined {
+        until_us: u64,
+    },
+    Dead,
+}
+
+/// What a degraded device still owes before it is healthy again. Each
+/// complaint heals only by its own remedy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Owed {
+    /// Heartbeats went silent: one must arrive.
+    heartbeat: bool,
+    /// Clean calls still due after a fault.
+    clean_calls: u32,
+    /// Readmitted from quarantine: any fault quarantines it again.
+    probation: bool,
+}
+
+impl Health {
+    fn state(self) -> HealthState {
+        match self {
+            Health::Healthy => HealthState::Healthy,
+            Health::Degraded(_) => HealthState::Degraded,
+            Health::Quarantined { .. } => HealthState::Quarantined,
+            Health::Dead => HealthState::Dead,
+        }
+    }
+
+    /// A selectable device's health once `change` has been applied to
+    /// what it owes: `Healthy` when nothing is left, else `Degraded`.
+    /// Quarantined and dead devices owe nothing and stay as they are.
+    fn owing(self, change: impl FnOnce(&mut Owed)) -> Health {
+        let mut owed = match self {
+            Health::Healthy => Owed::default(),
+            Health::Degraded(owed) => owed,
+            _ => return self,
+        };
+        change(&mut owed);
+        if owed.heartbeat || owed.clean_calls > 0 {
+            Health::Degraded(owed)
+        } else {
+            Health::Healthy
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct DeviceRecord {
-    state: HealthState,
+    health: Health,
     consecutive_faults: u32,
-    clean_streak: u32,
     quarantine_count: u32,
-    probation_until_us: u64,
-    on_probation: bool,
     last_heartbeat_us: Option<u64>,
     hb_misses_seen: u32,
+}
+
+impl DeviceRecord {
+    /// The one place a device's health changes. A new [`HealthState`] is
+    /// reported (event, `DeviceHealth` notice, journal line) and counted;
+    /// a degraded device whose debts change reports nothing.
+    fn set_health(
+        &mut self,
+        id: &str,
+        to: Health,
+        cause: TransitionCause,
+        m: &SupervisorMetrics,
+        report: &mut SupervisorReport,
+    ) {
+        use HealthState::{Dead, Degraded, Healthy, Quarantined};
+        let from = self.health.state();
+        self.health = to;
+        let to = to.state();
+        if from == to {
+            return;
+        }
+        match to {
+            Dead => m.deaths.inc(),
+            Quarantined => {
+                m.quarantines.inc();
+                self.consecutive_faults = 0;
+            }
+            Degraded if from == Quarantined => m.readmissions.inc(),
+            Degraded => {}
+            // A full recovery wipes the quarantine history: the device
+            // earned a fresh backoff schedule.
+            Healthy => self.quarantine_count = 0,
+        }
+        m.quarantined_now
+            .add(i64::from(to == Quarantined) - i64::from(from == Quarantined));
+        m.dead_now.add(i64::from(to == Dead));
+        m.registry.journal().record(
+            "supervisor.transition",
+            format!("{id}: {from} -> {to} ({cause})"),
+        );
+        report.messages.push(ClientMessage::DeviceHealth {
+            device: id.to_owned(),
+            state: to.wire(),
+        });
+        report.events.push(HealthEvent {
+            device: id.to_owned(),
+            from,
+            to,
+            cause,
+        });
+    }
 }
 
 type SharedLedger = Arc<Mutex<Vec<(String, CallOutcome)>>>;
@@ -596,7 +712,7 @@ impl Supervisor {
 
     /// Current health of a device, when it is tracked.
     pub fn health(&self, id: &str) -> Option<HealthState> {
-        self.records.get(id).map(|r| r.state)
+        self.records.get(id).map(|r| r.health.state())
     }
 
     /// Wraps a device registration so every plug-in it uploads runs
@@ -629,25 +745,19 @@ impl Supervisor {
     }
 
     /// Records a liveness heartbeat from `id` at virtual time `now_us`.
-    /// The first heartbeat opts the device into silence tracking.
+    /// The first heartbeat opts the device into silence tracking. Like a
+    /// plug-in call's outcome, it takes effect at the next [`tick`];
+    /// heartbeats from untracked devices are ignored there.
+    ///
+    /// [`tick`]: Supervisor::tick
     pub fn heartbeat(&mut self, id: &str, now_us: u64) {
-        let rec = self.records.entry(id.to_owned()).or_default();
-        if rec.state == HealthState::Dead {
-            return;
-        }
-        rec.last_heartbeat_us = Some(now_us);
-        rec.hb_misses_seen = 0;
-        // Silence was the only complaint: hearing from the device again
-        // restores it (fault-driven degradation heals via clean calls).
-        if rec.state == HealthState::Degraded && rec.consecutive_faults == 0 && !rec.on_probation {
-            rec.state = HealthState::Healthy;
-        }
+        record_outcome(&self.ledger, id, CallOutcome::Heartbeat(now_us));
     }
 
-    /// Applies pending fault records and heartbeat deadlines, transitions
-    /// device health, updates the coordinator's availability view, and
-    /// fails over when the active device went bad. Call after every
-    /// interaction step (the tick is cheap when nothing happened).
+    /// Applies pending call outcomes, heartbeats and heartbeat deadlines,
+    /// transitions device health, updates the coordinator's availability
+    /// view, and fails over when the active device went bad. Call after
+    /// every interaction step (the tick is cheap when nothing happened).
     pub fn tick(
         &mut self,
         now_us: u64,
@@ -656,83 +766,67 @@ impl Supervisor {
     ) -> SupervisorReport {
         let mut report = SupervisorReport::default();
 
-        // 1. Drain call outcomes recorded by the shims, in call order.
-        let outcomes: Vec<(String, CallOutcome)> = match self.ledger.lock() {
-            Ok(mut l) => l.drain(..).collect(),
+        // 1. Drain the ledger: call outcomes and heartbeats, in order.
+        // Every transition below lands in `report`, so its health notices
+        // lead any renegotiation traffic.
+        let entries = match self.ledger.lock() {
+            Ok(mut l) => std::mem::take(&mut *l),
             Err(_) => Vec::new(),
         };
-        for (id, outcome) in outcomes {
-            self.apply_outcome(&id, outcome, now_us, &mut report.events);
+        for (id, entry) in entries {
+            self.apply(&id, entry, now_us, &mut report);
         }
 
-        // 2. Heartbeat deadlines (only devices that ever heartbeated).
+        // 2. Deadlines, device by device: heartbeat silence (only for
+        // devices that ever heartbeated), then probation, which readmits
+        // a quarantined device degraded, owing a heartbeat too if it fell
+        // silent meanwhile.
+        let mut readmitted = false;
         for (id, rec) in self.records.iter_mut() {
-            let Some(last) = rec.last_heartbeat_us else {
-                continue;
+            let misses = match rec.last_heartbeat_us {
+                Some(last) if rec.health != Health::Dead => {
+                    (now_us.saturating_sub(last) / HEARTBEAT_TIMEOUT_US) as u32
+                }
+                _ => 0,
             };
-            if rec.state == HealthState::Dead {
-                continue;
-            }
-            let misses = (now_us.saturating_sub(last) / HEARTBEAT_TIMEOUT_US) as u32;
             if misses > rec.hb_misses_seen {
                 self.metrics
                     .heartbeat_misses
                     .add((misses - rec.hb_misses_seen) as u64);
                 rec.hb_misses_seen = misses;
             }
-            if misses >= HEARTBEAT_DEAD_MISSES {
-                let from = rec.state;
-                rec.state = HealthState::Dead;
-                self.metrics.deaths.inc();
-                report.events.push(HealthEvent {
-                    device: id.clone(),
-                    from,
-                    to: HealthState::Dead,
-                    cause: TransitionCause::HeartbeatSilence,
-                });
-            } else if misses >= 1 && rec.state == HealthState::Healthy {
-                rec.state = HealthState::Degraded;
-                report.events.push(HealthEvent {
-                    device: id.clone(),
-                    from: HealthState::Healthy,
-                    to: HealthState::Degraded,
-                    cause: TransitionCause::HeartbeatSilence,
-                });
-            }
+            let silence = TransitionCause::HeartbeatSilence;
+            let (to, cause) = match rec.health {
+                Health::Dead => continue,
+                _ if misses >= HEARTBEAT_DEAD_MISSES => (Health::Dead, silence),
+                Health::Quarantined { until_us } if now_us >= until_us => {
+                    readmitted = true;
+                    let owed = Owed {
+                        heartbeat: misses > 0,
+                        clean_calls: PROBATION_SUCCESSES,
+                        probation: true,
+                    };
+                    (Health::Degraded(owed), TransitionCause::Probation)
+                }
+                health if misses >= 1 => (health.owing(|o| o.heartbeat = true), silence),
+                _ => continue,
+            };
+            rec.set_health(id, to, cause, &self.metrics, &mut report);
         }
 
-        // 3. Probation: quarantine backoff expired → readmit degraded.
-        let mut readmitted = false;
-        for (id, rec) in self.records.iter_mut() {
-            if rec.state == HealthState::Quarantined && now_us >= rec.probation_until_us {
-                rec.state = HealthState::Degraded;
-                rec.on_probation = true;
-                rec.consecutive_faults = 0;
-                rec.clean_streak = 0;
-                self.metrics.readmissions.inc();
-                readmitted = true;
-                report.events.push(HealthEvent {
-                    device: id.clone(),
-                    from: HealthState::Quarantined,
-                    to: HealthState::Degraded,
-                    cause: TransitionCause::Probation,
-                });
-            }
-        }
-
-        // 4. Push availability into the coordinator. Re-asserted fully on
+        // 3. Push availability into the coordinator. Re-asserted fully on
         // every tick so a re-registered device cannot sneak out of an
         // unexpired quarantine.
         for (id, rec) in &self.records {
-            coord.set_available(id, rec.state.is_usable());
+            coord.set_available(id, rec.health.state().is_usable());
         }
 
-        // 5. Failover: each role whose active device went bad counts one,
+        // 4. Failover: each role whose active device went bad counts one,
         // and a readmission may have produced a better candidate.
         let lost = Role::BOTH
             .into_iter()
             .filter_map(|role| self.records.get(coord.active(role)?))
-            .filter(|rec| !rec.state.is_usable())
+            .filter(|rec| !rec.health.state().is_usable())
             .count();
         let had_output = proxy.attached().1.is_some();
         if lost > 0 || readmitted {
@@ -743,7 +837,7 @@ impl Supervisor {
             report.messages.extend(sw.messages);
         }
 
-        // 6. Last resort: the session had a screen and now has none.
+        // 5. Last resort: the session had a screen and now has none.
         if had_output && proxy.attached().1.is_none() {
             self.metrics.fallback_activations.inc();
             report.fallback_attached = true;
@@ -756,129 +850,63 @@ impl Supervisor {
                 .extend(proxy.attach_output(Box::new(FallbackTerminal)));
         }
 
-        // 7. Health notifications, ahead of any renegotiation traffic.
-        let notices: Vec<ClientMessage> = report
-            .events
-            .iter()
-            .map(|e| ClientMessage::DeviceHealth {
-                device: e.device.clone(),
-                state: e.to.wire(),
-            })
-            .collect();
-        report.messages.splice(0..0, notices);
-
-        // Journal every transition and refresh the health gauges.
-        for e in &report.events {
-            self.metrics.registry.journal().record(
-                "supervisor.transition",
-                format!("{}: {} -> {} ({})", e.device, e.from, e.to, e.cause),
-            );
-        }
-        if !report.events.is_empty() {
-            let count = |s| self.records.values().filter(|r| r.state == s).count() as i64;
-            self.metrics
-                .quarantined_now
-                .set(count(HealthState::Quarantined));
-            self.metrics.dead_now.set(count(HealthState::Dead));
-        }
         report
     }
 
-    fn apply_outcome(
-        &mut self,
-        id: &str,
-        outcome: CallOutcome,
-        now_us: u64,
-        events: &mut Vec<HealthEvent>,
-    ) {
+    /// Applies one ledger entry to its device's health.
+    fn apply(&mut self, id: &str, entry: CallOutcome, now_us: u64, report: &mut SupervisorReport) {
         let Some(rec) = self.records.get_mut(id) else {
             return;
         };
-        if rec.state == HealthState::Dead {
-            return;
-        }
-        match outcome {
+        let health = rec.health;
+        let m = &self.metrics;
+        let (to, cause) = match entry {
+            _ if health == Health::Dead => return,
+            CallOutcome::Heartbeat(at_us) => {
+                rec.last_heartbeat_us = Some(at_us);
+                rec.hb_misses_seen = 0;
+                let heard = |o: &mut Owed| o.heartbeat = false;
+                (health.owing(heard), TransitionCause::HeartbeatResumed)
+            }
             CallOutcome::Clean => {
                 rec.consecutive_faults = 0;
-                rec.clean_streak += 1;
-                if rec.state == HealthState::Degraded && rec.clean_streak >= PROBATION_SUCCESSES {
-                    rec.state = HealthState::Healthy;
-                    rec.on_probation = false;
-                    // A full recovery wipes the quarantine history: the
-                    // device earned a fresh backoff schedule.
-                    rec.quarantine_count = 0;
-                    events.push(HealthEvent {
-                        device: id.to_owned(),
-                        from: HealthState::Degraded,
-                        to: HealthState::Healthy,
-                        cause: TransitionCause::CleanStreak,
-                    });
-                }
+                let paid = |o: &mut Owed| o.clean_calls = o.clean_calls.saturating_sub(1);
+                (health.owing(paid), TransitionCause::CleanStreak)
             }
             fault => {
-                let cause = match fault {
-                    CallOutcome::Panic => {
-                        self.metrics.plugin_panics.inc();
-                        TransitionCause::Panic
-                    }
-                    CallOutcome::Timeout => {
-                        self.metrics.plugin_timeouts.inc();
-                        TransitionCause::Timeout
-                    }
-                    _ => {
-                        self.metrics.garbage_events.inc();
-                        TransitionCause::Garbage
-                    }
+                let (counter, cause) = match fault {
+                    CallOutcome::Panic => (&m.plugin_panics, TransitionCause::Panic),
+                    CallOutcome::Timeout => (&m.plugin_timeouts, TransitionCause::Timeout),
+                    _ => (&m.garbage_events, TransitionCause::Garbage),
                 };
-                rec.clean_streak = 0;
-                rec.consecutive_faults += 1;
-                if rec.state == HealthState::Quarantined {
+                counter.inc();
+                if let Health::Quarantined { .. } = health {
                     return; // Stale record from before the exclusion took.
                 }
-                let relapse = rec.on_probation; // Any fault on probation re-quarantines.
-                if relapse || rec.consecutive_faults >= QUARANTINE_AFTER {
-                    let from = rec.state;
+                rec.consecutive_faults += 1;
+                // Any fault on probation quarantines again.
+                let probation = matches!(health, Health::Degraded(o) if o.probation);
+                if probation || rec.consecutive_faults >= QUARANTINE_AFTER {
                     rec.quarantine_count += 1;
                     if rec.quarantine_count > MAX_QUARANTINES {
-                        rec.state = HealthState::Dead;
-                        self.metrics.deaths.inc();
-                        events.push(HealthEvent {
-                            device: id.to_owned(),
-                            from,
-                            to: HealthState::Dead,
-                            cause,
-                        });
+                        (Health::Dead, cause)
                     } else {
-                        rec.state = HealthState::Quarantined;
-                        rec.on_probation = false;
-                        rec.consecutive_faults = 0;
-                        self.metrics.quarantines.inc();
                         let shift = rec.quarantine_count.saturating_sub(1).min(20);
                         let backoff = PROBATION_BASE_US
                             .saturating_mul(1u64 << shift)
                             .min(PROBATION_CAP_US);
                         let jitter = self.rng.gen_range(0..=backoff / 4);
-                        rec.probation_until_us = now_us + backoff + jitter;
-                        events.push(HealthEvent {
-                            device: id.to_owned(),
-                            from,
-                            to: HealthState::Quarantined,
-                            cause,
-                        });
+                        let until_us = now_us + backoff + jitter;
+                        (Health::Quarantined { until_us }, cause)
                     }
-                } else if rec.consecutive_faults >= DEGRADE_AFTER
-                    && rec.state == HealthState::Healthy
-                {
-                    rec.state = HealthState::Degraded;
-                    events.push(HealthEvent {
-                        device: id.to_owned(),
-                        from: HealthState::Healthy,
-                        to: HealthState::Degraded,
-                        cause,
-                    });
+                } else if rec.consecutive_faults >= DEGRADE_AFTER {
+                    (health.owing(|o| o.clean_calls = PROBATION_SUCCESSES), cause)
+                } else {
+                    return;
                 }
             }
-        }
+        };
+        rec.set_health(id, to, cause, m, report);
     }
 }
 
@@ -978,6 +1006,19 @@ mod tests {
             "good-input"
         }
         fn translate(&mut self, _: &DeviceEvent, _: &InputContext) -> Vec<InputEvent> {
+            InputEvent::key_tap('x'.into()).to_vec()
+        }
+    }
+
+    /// Panics on its first call, then translates cleanly.
+    #[derive(Debug)]
+    struct PanicOnceInput(bool);
+    impl InputPlugin for PanicOnceInput {
+        fn kind(&self) -> &'static str {
+            "panic-once"
+        }
+        fn translate(&mut self, _: &DeviceEvent, _: &InputContext) -> Vec<InputEvent> {
+            assert!(std::mem::replace(&mut self.0, true), "first call only");
             InputEvent::key_tap('x'.into()).to_vec()
         }
     }
@@ -1094,7 +1135,9 @@ mod tests {
                 proxy.device_input(&DeviceEvent::KeypadSelect);
             }
             sup.tick(now, &mut c, &mut proxy);
-            let until = sup.records["flaky"].probation_until_us;
+            let Health::Quarantined { until_us: until } = sup.records["flaky"].health else {
+                panic!("quarantined");
+            };
             windows.push(until - now);
             now = until + 1;
             sup.tick(now, &mut c, &mut proxy); // readmission
@@ -1154,8 +1197,9 @@ mod tests {
         let to = HEARTBEAT_TIMEOUT_US;
         sup.tick(to + 1, &mut c, &mut proxy);
         assert_eq!(sup.health("hb"), Some(HealthState::Degraded));
-        // Heartbeat resumes: healthy again.
+        // Heartbeat resumes: healthy again at the next tick.
         sup.heartbeat("hb", to + 2);
+        sup.tick(to + 2, &mut c, &mut proxy);
         assert_eq!(sup.health("hb"), Some(HealthState::Healthy));
         // Then silence long enough to die.
         let deadline = to + 2 + to * HEARTBEAT_DEAD_MISSES as u64 + 1;
@@ -1168,6 +1212,95 @@ mod tests {
             .iter()
             .any(|m| matches!(m, ClientMessage::DeviceHealth { state, .. }
                 if *state == DeviceHealthState::Dead)));
+    }
+
+    #[test]
+    fn a_panic_is_healed_by_clean_calls_not_by_heartbeats() {
+        let mut sup = Supervisor::new(12);
+        let mut proxy = connected_proxy();
+        let mut c = coord();
+        proxy.attach_input(sup.wrap_input("pda", Box::new(PanicOnceInput(false))));
+        let mut events = Vec::new();
+        for now in 0..=PROBATION_SUCCESSES as u64 {
+            proxy.device_input(&DeviceEvent::KeypadSelect);
+            sup.heartbeat("pda", now);
+            events.extend(sup.tick(now, &mut c, &mut proxy).events);
+            let want = if now < PROBATION_SUCCESSES as u64 {
+                HealthState::Degraded
+            } else {
+                HealthState::Healthy
+            };
+            assert_eq!(sup.health("pda"), Some(want), "after {now} clean calls");
+        }
+        let causes: Vec<_> = events.iter().map(|e| e.cause).collect();
+        assert_eq!(
+            causes,
+            [TransitionCause::Panic, TransitionCause::CleanStreak]
+        );
+    }
+
+    #[test]
+    fn a_silent_device_with_clean_calls_degrades_once() {
+        let mut sup = Supervisor::new(13);
+        let mut proxy = connected_proxy();
+        let mut c = coord();
+        c.register(
+            sup.supervise(device("hb", || Box::new(GoodInput))),
+            &mut proxy,
+        );
+        sup.heartbeat("hb", 0);
+        let to = HEARTBEAT_TIMEOUT_US;
+        let mut events = Vec::new();
+        // Silent for just under the death deadline, calls clean throughout.
+        for now in (to..to * HEARTBEAT_DEAD_MISSES as u64).step_by(100_000) {
+            for _ in 0..PROBATION_SUCCESSES {
+                proxy.device_input(&DeviceEvent::KeypadSelect);
+            }
+            events.extend(sup.tick(now, &mut c, &mut proxy).events);
+        }
+        let silence = HealthEvent {
+            device: "hb".into(),
+            from: HealthState::Healthy,
+            to: HealthState::Degraded,
+            cause: TransitionCause::HeartbeatSilence,
+        };
+        assert_eq!(events, [silence]);
+        assert_eq!(sup.health("hb"), Some(HealthState::Degraded));
+    }
+
+    #[test]
+    fn a_heal_by_heartbeat_is_reported_like_any_transition() {
+        let mut sup = Supervisor::new(14);
+        let mut proxy = connected_proxy();
+        let mut c = coord();
+        c.register(
+            sup.supervise(device("hb", || Box::new(GoodInput))),
+            &mut proxy,
+        );
+        sup.heartbeat("hb", 0);
+        let to = HEARTBEAT_TIMEOUT_US;
+        sup.tick(to, &mut c, &mut proxy);
+        assert_eq!(sup.health("hb"), Some(HealthState::Degraded));
+        sup.heartbeat("hb", to + 1);
+        let report = sup.tick(to + 1, &mut c, &mut proxy);
+        let heal = HealthEvent {
+            device: "hb".into(),
+            from: HealthState::Degraded,
+            to: HealthState::Healthy,
+            cause: TransitionCause::HeartbeatResumed,
+        };
+        assert_eq!(report.events, [heal]);
+        assert_eq!(
+            report.messages,
+            [ClientMessage::DeviceHealth {
+                device: "hb".into(),
+                state: DeviceHealthState::Healthy,
+            }]
+        );
+        let journal = sup.telemetry().journal().events();
+        let last = journal.last().expect("journalled");
+        assert_eq!(last.name, "supervisor.transition");
+        assert_eq!(last.detail, "hb: degraded -> healthy (heartbeat resumed)");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::fcm::StateChange;
 use crate::id::Guid;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// Events posted on the home network.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,7 +33,7 @@ impl EventManager {
 
     /// Subscribes; the returned receiver sees all subsequent events.
     pub fn subscribe(&mut self) -> Receiver<HaviEvent> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.subscribers.push(tx);
         rx
     }

@@ -6,11 +6,10 @@
 //! typed commands to FCMs and observe typed state changes.
 
 use crate::id::Seid;
-use serde::{Deserialize, Serialize};
 
 /// The functional class of an FCM (HAVi's FCM type codes, extended with
 /// the white-goods classes the paper's home needs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FcmClass {
     /// Broadcast tuner (TV front end).
     Tuner,
@@ -65,7 +64,7 @@ impl core::fmt::Display for FcmClass {
 }
 
 /// VCR transport requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Transport {
     /// Stop the tape.
     Stop,
@@ -96,7 +95,7 @@ impl core::fmt::Display for Transport {
 }
 
 /// Commands an application can send to an FCM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FcmCommand {
     /// Power the function on or off.
     SetPower(bool),
@@ -127,7 +126,7 @@ pub enum FcmCommand {
 }
 
 /// Air conditioner operating modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AirconMode {
     /// Cooling.
     Cool,
@@ -152,7 +151,7 @@ impl core::fmt::Display for AirconMode {
 }
 
 /// One observable state variable of an FCM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StateVar {
     /// Power state.
     Power(bool),
@@ -185,7 +184,7 @@ pub enum StateVar {
 }
 
 /// Reply to an [`FcmCommand`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FcmResponse {
     /// Command applied; the new values of any changed state variables.
     Ok(Vec<StateVar>),
@@ -211,7 +210,7 @@ impl FcmResponse {
 }
 
 /// Why an FCM refused a command.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FcmError {
     /// The command does not apply to this FCM class.
     UnsupportedCommand,
@@ -261,7 +260,7 @@ pub trait Fcm: std::fmt::Debug + Send {
 }
 
 /// A state-change notification posted by the network when an FCM mutates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StateChange {
     /// The FCM that changed.
     pub seid: Seid,

@@ -1,11 +1,9 @@
 //! HAVi-style identifiers: GUIDs for devices and SEIDs for software
 //! elements.
 
-use serde::{Deserialize, Serialize};
-
 /// Globally unique identifier of a physical device on the home network
 /// (HAVi derives these from IEEE-1394 EUI-64s; we use an opaque u64).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Guid(pub u64);
 
 impl Guid {
@@ -23,7 +21,7 @@ impl core::fmt::Display for Guid {
 
 /// Software element identifier: the GUID of the hosting device plus a
 /// device-local handle, exactly HAVi's SEID structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Seid {
     /// Hosting device.
     pub guid: Guid,

@@ -6,8 +6,8 @@ use crate::fcm::{Fcm, FcmCommand, FcmResponse, StateChange};
 use crate::id::{Guid, GuidAllocator, Seid};
 use crate::messaging::MessagingSystem;
 use crate::registry::{ElementKind, Query, Registration, Registry};
-use crossbeam::channel::Receiver;
 use std::collections::BTreeMap;
+use std::sync::mpsc::Receiver;
 
 /// Errors from network operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -6,10 +6,9 @@
 
 use crate::fcm::FcmClass;
 use crate::id::{Guid, Seid};
-use serde::{Deserialize, Serialize};
 
 /// What kind of software element a registration describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ElementKind {
     /// Device control module (one per device).
     Dcm,
@@ -22,7 +21,7 @@ pub enum ElementKind {
 }
 
 /// One registry entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Registration {
     /// The element's SEID.
     pub seid: Seid,

@@ -1,9 +1,7 @@
 //! Link profiles: the home-network media a 2002 deployment would see.
 
-use serde::{Deserialize, Serialize};
-
 /// Physical characteristics of a (simulated) link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkProfile {
     /// One-way propagation + processing latency, microseconds.
     pub latency_us: u64,

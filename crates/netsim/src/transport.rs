@@ -1,7 +1,7 @@
 //! A live in-process transport for threaded examples: a reliable,
-//! in-order duplex byte-message pipe built on crossbeam channels.
+//! in-order duplex byte-message pipe built on `std::sync::mpsc` channels.
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::time::Duration;
 
 /// One end of a duplex message pipe.
@@ -65,8 +65,8 @@ impl Pipe {
 
 /// Creates a connected pair of pipes.
 pub fn duplex() -> (Pipe, Pipe) {
-    let (atx, brx) = unbounded();
-    let (btx, arx) = unbounded();
+    let (atx, brx) = channel();
+    let (btx, arx) = channel();
     (Pipe { tx: atx, rx: arx }, Pipe { tx: btx, rx: brx })
 }
 

@@ -40,7 +40,6 @@
 
 use crate::error::{ProtocolError, Result};
 use crate::wire;
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use uniint_raster::color::Color;
 use uniint_raster::framebuffer::RectMut;
@@ -51,7 +50,7 @@ use uniint_raster::pixel::{pack_row, unpack_row_into, PixelFormat};
 pub const MAX_RECT_AREA: u64 = 16 * 1024 * 1024;
 
 /// Available rectangle encodings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Encoding {
     /// Packed pixels row by row.
     Raw,

@@ -5,11 +5,9 @@
 //! native events (keypad presses, stylus taps, recognized voice commands,
 //! gestures) into these.
 
-use serde::{Deserialize, Serialize};
-
 /// A key symbol. Printable keys carry their Unicode scalar; special keys
 /// live in the `0xff00` block (same convention as X11 keysyms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KeySym(pub u32);
 
 impl KeySym {
@@ -87,7 +85,7 @@ impl core::fmt::Display for KeySym {
 
 /// Pointer button state as a bitmask (bit 0 = left, 1 = middle, 2 = right,
 /// bits 3/4 = scroll up/down, like the RFB pointer event).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ButtonMask(pub u8);
 
 impl ButtonMask {
@@ -149,7 +147,7 @@ impl core::fmt::Display for ButtonMask {
 
 /// A universal input event, the input half of the universal interaction
 /// protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InputEvent {
     /// A key went down or up.
     Key {

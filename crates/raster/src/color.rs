@@ -4,8 +4,6 @@
 //! with shallower displays (PDA, phone LCD, terminal) get their pixels via
 //! the palettes and pixel formats in this crate.
 
-use serde::{Deserialize, Serialize};
-
 /// A 24-bit RGB color.
 ///
 /// ```
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(c.to_u32(), 0x123456);
 /// assert_eq!(Color::from_u32(0x123456), c);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Color {
     /// Red channel.
     pub r: u8,
@@ -151,7 +149,7 @@ impl From<Color> for u32 {
 }
 
 /// An indexed palette of colors, used for shallow output devices.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Palette {
     entries: Vec<Color>,
     /// How `entries` are laid out, as [`Palette::new`] recognised it.

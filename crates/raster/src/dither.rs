@@ -10,10 +10,9 @@ use crate::framebuffer::Framebuffer;
 use crate::geom::{Rect, Size};
 use crate::pixel::PixelFormat;
 use core::ops::Range;
-use serde::{Deserialize, Serialize};
 
 /// Dithering algorithm selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DitherMode {
     /// Straight nearest-color quantization.
     #[default]

@@ -3,8 +3,6 @@
 //! All coordinates are in pixels. Rectangles are half-open: a [`Rect`]
 //! covers `x..x+w` by `y..y+h`.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in pixel coordinates.
 ///
 /// ```
@@ -12,9 +10,7 @@ use serde::{Deserialize, Serialize};
 /// let p = Point::new(3, 4) + Point::new(1, 1);
 /// assert_eq!(p, Point::new(4, 5));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct Point {
     /// Horizontal coordinate, growing rightwards.
     pub x: i32,
@@ -71,9 +67,7 @@ impl From<(i32, i32)> for Point {
 }
 
 /// A size in pixels.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct Size {
     /// Width in pixels.
     pub w: u32,
@@ -121,7 +115,7 @@ impl From<(u32, u32)> for Size {
 /// let b = Rect::new(5, 5, 10, 10);
 /// assert_eq!(a.intersect(b), Some(Rect::new(5, 5, 5, 5)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Rect {
     /// Left edge.
     pub x: i32,

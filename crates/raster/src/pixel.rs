@@ -6,10 +6,9 @@
 //! actually display.
 
 use crate::color::{websafe_color, websafe_nearest, Color, Palette};
-use serde::{Deserialize, Serialize};
 
 /// Wire/display pixel formats supported by the stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PixelFormat {
     /// 24-bit true color, 8 bits per channel, 3 bytes per pixel.
     Rgb888,

@@ -7,7 +7,6 @@
 //! mirroring the classic X server region code (in spirit, not in layout).
 
 use crate::geom::{Point, Rect};
-use serde::{Deserialize, Serialize};
 
 /// A set of pixels represented as disjoint rectangles.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// r.add(Rect::new(5, 5, 10, 10));
 /// assert_eq!(r.area(), 175);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Region {
     rects: Vec<Rect>,
 }

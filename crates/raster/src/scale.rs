@@ -5,10 +5,9 @@ use crate::color::{Color, Lanes};
 use crate::framebuffer::Framebuffer;
 use crate::geom::{Rect, Size};
 use core::ops::Range;
-use serde::{Deserialize, Serialize};
 
 /// Scaling filter selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ScaleFilter {
     /// Nearest-neighbor: fastest, blockiest. What a 2002 PDA viewer did.
     #[default]

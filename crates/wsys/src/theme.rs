@@ -1,10 +1,9 @@
 //! Toolkit theme: the colors and metrics every widget paints with.
 
-use serde::{Deserialize, Serialize};
 use uniint_raster::color::Color;
 
 /// Colors and metrics shared by all widgets of a window.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Theme {
     /// Window background.
     pub background: Color,
