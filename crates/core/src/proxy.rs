@@ -137,7 +137,6 @@ pub struct UniIntProxy {
     format: PixelFormat,
     input_plugin: Option<Box<dyn InputPlugin>>,
     output_plugin: Option<Box<dyn OutputPlugin>>,
-    connected: bool,
     metrics: ProxyMetrics,
     /// Sequence of the last applied update; echoed in `Resume`.
     last_update_seq: u64,
@@ -159,7 +158,6 @@ impl UniIntProxy {
             format: PixelFormat::Rgb888,
             input_plugin: None,
             output_plugin: None,
-            connected: false,
             metrics: ProxyMetrics::new(registry),
             last_update_seq: 0,
         }
@@ -175,9 +173,10 @@ impl UniIntProxy {
         &self.name
     }
 
-    /// Whether the session is established (Init received).
+    /// Whether the session is established (Init received): a session
+    /// exists exactly when the server framebuffer does.
     pub fn is_connected(&self) -> bool {
-        self.connected
+        self.fb.is_some()
     }
 
     /// Accumulated statistics, reconstructed from the registry counters
@@ -285,7 +284,7 @@ impl UniIntProxy {
         // Transport in the device's own format: a mono LCD session should
         // not ship 24-bit pixels over a phone link.
         self.format = caps.format;
-        if !self.connected {
+        if !self.is_connected() {
             return Vec::new();
         }
         self.negotiation()
@@ -311,7 +310,6 @@ impl UniIntProxy {
         match msg {
             ServerMessage::Init { width, height, .. } => {
                 self.fb = Some(server_framebuffer(*width, *height)?);
-                self.connected = true;
                 out.messages = self.negotiation();
             }
             ServerMessage::Update { seq, format, rects } => {
@@ -354,10 +352,13 @@ impl UniIntProxy {
                 });
             }
             ServerMessage::Resize { width, height } => {
+                let Some(fb) = &self.fb else {
+                    return Err(ProtocolError::Malformed("resize before init".into()));
+                };
                 let new = Size::new((*width).max(1) as u32, (*height).max(1) as u32);
                 // A same-size Resize (e.g. sent defensively during resume)
                 // must not blow away the cached framebuffer.
-                if self.fb.as_ref().map(|f| f.size()) != Some(new) {
+                if fb.size() != new {
                     self.fb = Some(server_framebuffer(*width, *height)?);
                     out.messages.push(ClientMessage::UpdateRequest {
                         incremental: false,
@@ -411,7 +412,7 @@ impl UniIntProxy {
     /// when [`handle_server`](Self::handle_server) fails on a transport
     /// that is still alive.
     pub fn recover(&mut self) -> Vec<ClientMessage> {
-        if !self.connected {
+        if !self.is_connected() {
             return Vec::new();
         }
         self.metrics.full_resyncs.inc();
@@ -679,6 +680,23 @@ mod tests {
         let mut p = UniIntProxy::new("p");
         let msg = update_for(Rect::new(0, 0, 4, 4), Color::WHITE, PixelFormat::Rgb888);
         assert!(p.handle_server(&msg).is_err());
+    }
+
+    #[test]
+    fn resize_before_init_is_malformed_and_opens_no_session() {
+        let mut p = UniIntProxy::new("p");
+        let resize = ServerMessage::Resize {
+            width: 64,
+            height: 48,
+        };
+        let err = p.handle_server(&resize).unwrap_err();
+        assert!(matches!(err, ProtocolError::Malformed(_)), "{err:?}");
+        assert!(p.server_frame().is_none());
+        // With no frame, an update still finds no session to apply to.
+        let msg = update_for(Rect::new(0, 0, 1, 1), Color::WHITE, PixelFormat::Rgb888);
+        assert!(p.handle_server(&msg).is_err());
+        assert!(!p.is_connected());
+        assert_eq!(p.last_update_seq(), 0);
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //! events; and the [`network::HomeNetwork`] routes typed control messages
 //! to FCM command handlers.
 //!
+//! Only the surface the applications and the proxy consume is reproduced:
+//! discovery, events and synchronous FCM control. HAVi's asynchronous
+//! element-to-element messaging system has no user here and is left out.
+//!
 //! Appliance *applications* (crate `uniint-apps`) discover FCMs here and
 //! generate control panels for whatever is currently attached — the
 //! paper's "composed GUI for TV and VCR if both are available".
@@ -22,7 +26,6 @@ pub mod events;
 pub mod fcm;
 pub mod fcms;
 pub mod id;
-pub mod messaging;
 pub mod network;
 pub mod registry;
 
@@ -37,7 +40,6 @@ pub mod prelude {
         AirconFcm, AmplifierFcm, CameraFcm, ClockFcm, DisplayFcm, LightFcm, TunerFcm, VcrFcm,
     };
     pub use crate::id::{Guid, Seid};
-    pub use crate::messaging::{Message, MessagingError, MessagingSystem};
     pub use crate::network::{DeviceSpec, HomeNetwork, NetworkError};
     pub use crate::registry::{ElementKind, Query, Registration, Registry};
 }

@@ -4,7 +4,6 @@
 use crate::events::{EventManager, HaviEvent};
 use crate::fcm::{Fcm, FcmCommand, FcmResponse, StateChange};
 use crate::id::{Guid, GuidAllocator, Seid};
-use crate::messaging::MessagingSystem;
 use crate::registry::{ElementKind, Query, Registration, Registry};
 use std::collections::BTreeMap;
 use std::sync::mpsc::Receiver;
@@ -88,7 +87,6 @@ pub struct HomeNetwork {
     devices: BTreeMap<Guid, DeviceEntry>,
     registry: Registry,
     events: EventManager,
-    messaging: MessagingSystem,
     /// Count of control messages routed (for the E8 bench).
     messages_routed: u64,
 }
@@ -113,11 +111,9 @@ impl HomeNetwork {
             name: spec.name,
             zone: spec.zone.clone(),
         });
-        self.messaging.open(Seid::new(guid, 0));
         let mut fcms = BTreeMap::new();
         for (i, fcm) in spec.fcms.into_iter().enumerate() {
             let handle = i as u32 + 1;
-            self.messaging.open(Seid::new(guid, handle));
             self.registry.register(Registration {
                 seid: Seid::new(guid, handle),
                 kind: ElementKind::Fcm,
@@ -135,12 +131,8 @@ impl HomeNetwork {
     /// Detaches a device (power unplugged). Posts
     /// [`HaviEvent::DeviceRemoved`]. Returns false when unknown.
     pub fn detach(&mut self, guid: Guid) -> bool {
-        let Some(entry) = self.devices.remove(&guid) else {
+        if self.devices.remove(&guid).is_none() {
             return false;
-        };
-        self.messaging.close(Seid::new(guid, 0));
-        for &handle in entry.fcms.keys() {
-            self.messaging.close(Seid::new(guid, handle));
         }
         self.registry.unregister_device(guid);
         self.events.post(HaviEvent::DeviceRemoved(guid));
@@ -150,13 +142,6 @@ impl HomeNetwork {
     /// The discovery registry.
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// The element-to-element messaging system. Mailboxes for attached
-    /// elements are opened and closed automatically; havlets and UI
-    /// services register their own with [`MessagingSystem::open`].
-    pub fn messaging(&mut self) -> &mut MessagingSystem {
-        &mut self.messaging
     }
 
     /// Subscribes to network events.
@@ -392,42 +377,5 @@ mod tests {
         net.detach(a);
         let b = net.attach(DeviceSpec::new("Amp", "den").with_fcm(AmplifierFcm::new("Amp")));
         assert_ne!(a, b);
-    }
-}
-
-#[cfg(test)]
-mod messaging_integration_tests {
-    use super::*;
-    use crate::fcms::TunerFcm;
-
-    #[test]
-    fn attach_opens_mailboxes_detach_closes_with_watch() {
-        let mut net = HomeNetwork::new();
-        let g = net.attach(DeviceSpec::new("TV", "lr").with_fcm(TunerFcm::new("t", 5)));
-        let dcm = Seid::new(g, 0);
-        let fcm = Seid::new(g, 1);
-        assert!(net.messaging().is_open(dcm));
-        assert!(net.messaging().is_open(fcm));
-
-        // A UI service watches the FCM and hears about its departure.
-        let ui_service = Seid::new(Guid(0xffff), 1);
-        net.messaging().open(ui_service);
-        net.messaging().watch(ui_service, fcm).unwrap();
-        net.detach(g);
-        assert!(!net.messaging().is_open(fcm));
-        let note = net.messaging().recv(ui_service).expect("watch-on fired");
-        assert_eq!(note.from, fcm);
-    }
-
-    #[test]
-    fn elements_can_exchange_messages() {
-        let mut net = HomeNetwork::new();
-        let a = net.attach(DeviceSpec::new("A", "z").with_fcm(TunerFcm::new("t", 5)));
-        let b = net.attach(DeviceSpec::new("B", "z").with_fcm(TunerFcm::new("t", 5)));
-        let (sa, sb) = (Seid::new(a, 1), Seid::new(b, 1));
-        net.messaging().send(sa, sb, b"hello".to_vec()).unwrap();
-        let msg = net.messaging().recv(sb).unwrap();
-        assert_eq!(msg.from, sa);
-        assert_eq!(msg.payload, b"hello");
     }
 }

@@ -1,8 +1,8 @@
 //! The HAVi registry: attribute-based discovery of software elements.
 //!
 //! Applications never hold device references directly; they query the
-//! registry ("all FCMs of class Vcr in zone living-room") and talk to the
-//! resulting SEIDs through the network's messaging.
+//! registry ("all FCMs of class Vcr in zone living-room") and command the
+//! resulting SEIDs through [`HomeNetwork::send`](crate::network::HomeNetwork::send).
 
 use crate::fcm::FcmClass;
 use crate::id::{Guid, Seid};
@@ -14,10 +14,6 @@ pub enum ElementKind {
     Dcm,
     /// Functional component module.
     Fcm,
-    /// A havlet/application element.
-    Application,
-    /// A user-interface service (e.g. the UniInt proxy registers as one).
-    UiService,
 }
 
 /// One registry entry.

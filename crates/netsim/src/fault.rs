@@ -154,16 +154,6 @@ impl FaultSchedule {
             .map(|s| s.extra_us)
             .sum()
     }
-
-    /// End of the flap window containing `t_us`, if any — the earliest
-    /// time a reconnect can succeed.
-    pub fn flap_end_after(&self, t_us: u64) -> Option<u64> {
-        self.flaps
-            .iter()
-            .filter(|&&(s, e)| (s..e).contains(&t_us))
-            .map(|&(_, e)| e)
-            .max()
-    }
 }
 
 /// Why a packet (or connection) was dropped.
@@ -270,14 +260,6 @@ mod tests {
         assert_eq!(s.spike_extra(75), 15);
         assert_eq!(s.spike_extra(125), 5);
         assert_eq!(s.spike_extra(200), 0);
-    }
-
-    #[test]
-    fn flap_end_after_reports_latest_containing_window() {
-        let s = FaultSchedule::new().flap(0, 100).flap(50, 300);
-        assert_eq!(s.flap_end_after(60), Some(300));
-        assert_eq!(s.flap_end_after(150), Some(300));
-        assert_eq!(s.flap_end_after(400), None);
     }
 
     #[test]

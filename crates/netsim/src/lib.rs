@@ -3,8 +3,8 @@
 //! Network substrate for the universal-interaction reproduction: a
 //! deterministic discrete-event [`sim::Simulator`] of point-to-point home
 //! links (Ethernet, 802.11b, Bluetooth, GPRS — the media a 2002 PDA or
-//! cellular phone actually had), plus a live in-process duplex
-//! [`transport::Pipe`] for threaded examples.
+//! cellular phone actually had), with scripted link faults
+//! ([`fault::FaultSchedule`]).
 //!
 //! The benchmarks use the simulator so link sweeps are exactly
 //! reproducible: all jitter and loss derives from an explicit seed.
@@ -15,7 +15,6 @@
 pub mod fault;
 pub mod link;
 pub mod sim;
-pub mod transport;
 
 /// Convenient re-exports.
 pub mod prelude {
@@ -24,5 +23,4 @@ pub mod prelude {
     };
     pub use crate::link::LinkProfile;
     pub use crate::sim::{Endpoint, Simulator};
-    pub use crate::transport::{duplex, Pipe, PipeError};
 }

@@ -317,12 +317,6 @@ impl Simulator {
         true
     }
 
-    /// Earliest time a reconnect on `ep`'s link can succeed, if the
-    /// current instant is inside a flap window.
-    pub fn flap_clears_at(&self, ep: Endpoint) -> Option<u64> {
-        self.endpoints[ep.0].faults.flap_end_after(self.now_us)
-    }
-
     /// Queues `payload` for delivery to the peer of `from`. Delivery time
     /// accounts for serialization (bandwidth), propagation (latency),
     /// jitter, and loss-induced retransmissions. Absent hard faults the
@@ -689,7 +683,6 @@ mod tests {
         sim.send(a, vec![1]); // breaks immediately
         assert!(!sim.link_up(a));
         assert!(!sim.reconnect(a), "still inside flap");
-        assert_eq!(sim.flap_clears_at(a), Some(5_000));
         sim.advance(5_000);
         assert!(sim.reconnect(a));
         assert!(sim.link_up(a));

@@ -42,7 +42,7 @@ use crate::error::{ProtocolError, Result};
 use crate::wire;
 use std::borrow::Cow;
 use uniint_raster::color::Color;
-use uniint_raster::framebuffer::RectMut;
+use uniint_raster::framebuffer::{fill_row, RectMut};
 use uniint_raster::geom::{Point, Rect};
 use uniint_raster::pixel::{pack_row, unpack_row_into, PixelFormat};
 
@@ -284,7 +284,8 @@ type Block = [Color; SHORT_RUN];
 /// by the length. The store never leaves the row, and the runs that
 /// follow overwrite its extra pixels, so a payload that covers the rect
 /// decodes to the same pixels as one fill per run. Longer runs are
-/// written block by block.
+/// written block by block through [`fill_row`], as solid RRE and
+/// Hextile rects are through [`RectMut::fill`].
 struct RunWriter<'r, R> {
     /// The unwritten rest of the current row.
     row: &'r mut [Color],
@@ -321,11 +322,7 @@ impl<'r, R: ExactSizeIterator<Item = &'r mut [Color]>> RunWriter<'r, R> {
         loop {
             let take = n.min(self.row.len());
             let (head, rest) = std::mem::take(&mut self.row).split_at_mut(take);
-            let mut blocks = head.chunks_exact_mut(SHORT_RUN);
-            for b in &mut blocks {
-                b.copy_from_slice(block);
-            }
-            blocks.into_remainder().fill(block[0]);
+            fill_row(head, block);
             self.row = rest;
             n -= take;
             if n == 0 {

@@ -1,16 +1,18 @@
 //! A live, threaded deployment: the appliance application + UniInt
 //! server run on their own thread (the "appliance side"), the UniInt
 //! proxy runs on the main thread (the "hallway proxy box"), connected by
-//! a real in-process duplex byte pipe with full protocol serialization.
+//! two `std::sync::mpsc` channels that carry encoded protocol frames.
 //!
 //! Run with `cargo run --example threaded`.
 
+use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::Duration;
 use uniint::prelude::*;
 use uniint::protocol::message::{encode_client, encode_server, FrameReader};
 
 fn main() {
-    let (proxy_pipe, server_pipe) = duplex();
+    let (to_server, server_rx) = channel::<Vec<u8>>();
+    let (to_proxy, proxy_rx) = channel::<Vec<u8>>();
 
     // ---------------------------------------------------- server thread
     let server_thread = std::thread::spawn(move || {
@@ -26,19 +28,24 @@ fn main() {
         let client = server.accept(app.ui());
         let mut reader = FrameReader::new();
         let mut commands = 0u32;
+        // A send fails only once the proxy is gone; the next receive
+        // then ends the loop.
+        let send = |reply: &ServerMessage| {
+            let _ = to_proxy.send(encode_server(reply));
+        };
 
         loop {
-            match server_pipe.recv_timeout(Duration::from_millis(50)) {
+            match server_rx.recv_timeout(Duration::from_millis(50)) {
                 Ok(bytes) => reader.feed(&bytes),
-                Err(PipeError::Empty) => {}
-                Err(PipeError::Disconnected) => break,
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => break,
             }
             while let Ok(Some(frame)) = reader.next_frame() {
                 let Ok(msg) = ClientMessage::decode_body(&mut frame.as_slice()) else {
                     continue;
                 };
                 for reply in server.handle_message(app.ui_mut(), client, msg) {
-                    server_pipe.send(encode_server(&reply));
+                    send(&reply);
                 }
             }
             let report = app.process(&mut net);
@@ -50,7 +57,7 @@ fn main() {
             // Answers the requests parked above and flushes app damage.
             batches.extend(server.pump_all(app.ui_mut()));
             for reply in batches.into_iter().flat_map(|(_, msgs)| msgs) {
-                server_pipe.send(encode_server(&reply));
+                send(&reply);
             }
             if commands >= 3 {
                 // Demo complete: report and exit.
@@ -65,9 +72,13 @@ fn main() {
     let mut proxy = UniIntProxy::new("threaded-proxy");
     proxy.attach_input(Box::new(KeypadPlugin::new()));
     let mut reader = FrameReader::new();
-    for m in proxy.connect() {
-        proxy_pipe.send(encode_client(&m));
-    }
+    // A send fails only once the server thread has finished its demo.
+    let send = |msgs: Vec<ClientMessage>| {
+        for m in msgs {
+            let _ = to_server.send(encode_client(&m));
+        }
+    };
+    send(proxy.connect());
     // Attach the phone LCD output once connected; then press keys.
     let mut frames = 0u32;
     let mut sent_output = false;
@@ -76,10 +87,10 @@ fn main() {
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
 
     while std::time::Instant::now() < deadline {
-        match proxy_pipe.recv_timeout(Duration::from_millis(100)) {
+        match proxy_rx.recv_timeout(Duration::from_millis(100)) {
             Ok(bytes) => reader.feed(&bytes),
-            Err(PipeError::Empty) => {}
-            Err(PipeError::Disconnected) => break,
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => break,
         }
         let mut got_frame = false;
         while let Ok(Some(frame)) = reader.next_frame() {
@@ -92,31 +103,23 @@ fn main() {
                         frames += 1;
                         got_frame = true;
                     }
-                    for m in out.messages {
-                        proxy_pipe.send(encode_client(&m));
-                    }
+                    send(out.messages);
                 }
                 Err(e) => {
                     eprintln!("decode error ({e}), recovering");
-                    for m in proxy.recover() {
-                        proxy_pipe.send(encode_client(&m));
-                    }
+                    send(proxy.recover());
                 }
             }
         }
         if proxy.is_connected() && !sent_output {
             sent_output = true;
-            for m in proxy.attach_output(Box::new(ScreenPlugin::phone_lcd())) {
-                proxy_pipe.send(encode_client(&m));
-            }
+            send(proxy.attach_output(Box::new(ScreenPlugin::phone_lcd())));
         }
         // After each fresh frame, press the next key.
         if got_frame && press_idx < presses.len() {
             if let Some(ev) = SimPhone::press(presses[press_idx]) {
                 press_idx += 1;
-                for m in proxy.device_input(&ev) {
-                    proxy_pipe.send(encode_client(&m));
-                }
+                send(proxy.device_input(&ev));
             }
         }
         if press_idx >= presses.len() && frames > press_idx as u32 {
@@ -124,7 +127,7 @@ fn main() {
         }
     }
 
-    drop(proxy_pipe); // disconnect → server thread exits if still looping
+    drop(to_server); // disconnect → server thread exits if still looping
     let (commands, tuner_state) = server_thread.join().expect("server thread");
     println!(
         "proxy: {frames} adapted frames, {} keypad presses sent",

@@ -112,45 +112,6 @@ fn corrupted_stream_is_rejected_not_panicking() {
 }
 
 #[test]
-fn live_pipe_transport_crosses_threads() {
-    use std::time::Duration;
-    use uniint::protocol::message::{encode_client, FrameReader};
-
-    let (proxy_pipe, server_pipe) = duplex();
-    // A server thread answering Hello with Init.
-    let handle = std::thread::spawn(move || {
-        let mut reader = FrameReader::new();
-        let bytes = server_pipe.recv_timeout(Duration::from_secs(2)).unwrap();
-        reader.feed(&bytes);
-        let frame = reader.next_frame().unwrap().unwrap();
-        let msg = ClientMessage::decode_body(&mut frame.as_slice()).unwrap();
-        assert!(matches!(msg, ClientMessage::Hello { .. }));
-        let init = ServerMessage::Init {
-            version: 1,
-            width: 100,
-            height: 80,
-            format: PixelFormat::Rgb888,
-            name: "threaded".into(),
-        };
-        server_pipe.send(uniint::protocol::message::encode_server(&init));
-    });
-
-    let mut proxy = UniIntProxy::new("threaded-proxy");
-    for m in proxy.connect() {
-        proxy_pipe.send(encode_client(&m));
-    }
-    let bytes = proxy_pipe.recv_timeout(Duration::from_secs(2)).unwrap();
-    let mut reader = FrameReader::new();
-    reader.feed(&bytes);
-    let frame = reader.next_frame().unwrap().unwrap();
-    let msg = ServerMessage::decode_body(&mut frame.as_slice()).unwrap();
-    proxy.handle_server(&msg).unwrap();
-    assert!(proxy.is_connected());
-    assert_eq!(proxy.server_size(), Some(Size::new(100, 80)));
-    handle.join().unwrap();
-}
-
-#[test]
 fn gprs_latency_dominates_input_round_trip() {
     let (mut net, mut app) = panel_net();
     let mut s = SimSession::connect(app.ui_mut(), LinkProfile::cellular_gprs(), 2).unwrap();
