@@ -20,6 +20,11 @@
 //!   [`coordinator::Coordinator`] switches plug-ins dynamically as the
 //!   situation changes — cooking selects voice, the sofa selects the
 //!   remote and the TV;
+//! - [`host::SessionHost`] is the server side of every connection's
+//!   lifecycle, with no socket and no clock: name-keyed sessions,
+//!   adoption on reconnect, displacement and expiry over one
+//!   [`multi::MultiServer`]. The gateway's `poll(2)` loop runs it over
+//!   TCP, and [`session::SimSession`] over the network simulator;
 //! - [`session`] wires the pieces end-to-end, in memory or across the
 //!   network simulator;
 //! - [`resume`] is the reconnect/resume state machine every transport
@@ -34,6 +39,7 @@
 
 pub mod context;
 pub mod coordinator;
+pub mod host;
 pub mod multi;
 pub mod plugin;
 pub mod proxy;

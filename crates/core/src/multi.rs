@@ -78,6 +78,13 @@ impl MultiServer {
         self.clients.iter().flatten().count()
     }
 
+    /// Slots the server holds, live or free: the most clients it ever
+    /// held at once, since [`accept`](Self::accept) reuses free slots.
+    #[cfg(test)]
+    pub(crate) fn slots(&self) -> usize {
+        self.clients.len()
+    }
+
     /// Whether `client` completed its handshake and is still connected.
     pub fn has_session(&self, client: ClientId) -> bool {
         self.clients

@@ -369,6 +369,9 @@ impl UniIntProxy {
             ServerMessage::Bell => out.bell = true,
             ServerMessage::CutText(_) => {}
             ServerMessage::ResumeAck { replayed, .. } => {
+                if self.fb.is_none() {
+                    return Err(ProtocolError::Malformed("resume-ack before init".into()));
+                }
                 if *replayed {
                     self.metrics.resumes.inc();
                     self.metrics
@@ -680,6 +683,20 @@ mod tests {
         let mut p = UniIntProxy::new("p");
         let msg = update_for(Rect::new(0, 0, 4, 4), Color::WHITE, PixelFormat::Rgb888);
         assert!(p.handle_server(&msg).is_err());
+    }
+
+    #[test]
+    fn resume_ack_before_init_is_malformed_and_counts_no_resume() {
+        let mut p = UniIntProxy::new("p");
+        let ack = ServerMessage::ResumeAck {
+            client_msgs_received: 0,
+            replayed: true,
+        };
+        let err = p.handle_server(&ack).unwrap_err();
+        assert!(matches!(err, ProtocolError::Malformed(_)), "{err:?}");
+        assert_eq!(p.stats().resumes, 0);
+        assert_eq!(p.stats().full_resyncs, 0);
+        assert!(!p.is_connected());
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! End-to-end sessions wiring application window, UniInt server and
 //! UniInt proxy together — in memory ([`LocalSession`]) or across the
-//! network simulator ([`SimSession`]), whose proxy side only moves
-//! bytes: [`crate::resume::ResumeMachine`] decides every send and
-//! receive and runs the recovery.
+//! network simulator ([`SimSession`]), whose two sides only move bytes:
+//! [`crate::resume::ResumeMachine`] decides every proxy-side send and
+//! receive and runs the recovery, and a [`SessionHost`] runs the server
+//! side, as it does in the gateway.
 
+use std::vec::Drain;
+
+use crate::host::{ConnId, Output, SessionHost};
 use crate::multi::{ClientId, MultiServer};
 use crate::plugin::{DeviceEvent, DeviceFrame};
 use crate::proxy::UniIntProxy;
@@ -191,6 +195,12 @@ const BACKOFF: BackoffPolicy = BackoffPolicy {
 /// simulator, with full protocol serialization. Used to measure update
 /// rates over realistic home links (wired/WLAN/Bluetooth/cellular).
 ///
+/// The server side is a [`SessionHost`] on the simulator's virtual
+/// clock, with one host connection for the session's whole life: a
+/// simulated reconnect carries on that connection, so the proxy's
+/// `Resume`, or its fresh `Hello` when the break beat the handshake,
+/// reaches the session it bound.
+///
 /// The session is **self-healing**: hard link faults (flap windows,
 /// Gilbert–Elliott burst drops) tear the simulated connection down, and
 /// [`SimSession::settle`] detects the stall (network idle while the link
@@ -202,11 +212,11 @@ const BACKOFF: BackoffPolicy = BackoffPolicy {
 /// visible in [`crate::proxy::ProxyStats`].
 #[derive(Debug)]
 pub struct SimSession {
-    /// The UniInt server endpoint; the proxy is its one client.
-    pub server: MultiServer,
+    /// The UniInt server side; the proxy is its one connection.
+    host: SessionHost,
+    conn: ConnId,
     /// The UniInt proxy endpoint.
     pub proxy: UniIntProxy,
-    client: ClientId,
     /// The virtual network.
     pub sim: Simulator,
     server_ep: Endpoint,
@@ -244,10 +254,14 @@ impl SimSession {
         let mut sim = Simulator::new(seed);
         sim.attach_telemetry(&registry);
         let (proxy_ep, server_ep) = sim.link(link);
-        let mut server = MultiServer::with_telemetry(registry.clone());
+        // The host's `gateway.*` counters stay out of the session's
+        // registry, whose snapshot reports proxy, server and links.
+        let multi = MultiServer::with_telemetry(registry.clone());
+        // Its one connection never closes, so the session never expires.
+        let mut host = SessionHost::new(multi, &Registry::new(), u64::MAX);
         let mut s = SimSession {
-            client: server.accept(ui),
-            server,
+            conn: host.open(),
+            host,
             proxy: UniIntProxy::with_telemetry("sim-proxy", registry),
             sim,
             server_ep,
@@ -267,6 +281,11 @@ impl SimSession {
     /// Virtual time, microseconds.
     pub fn now_us(&self) -> u64 {
         self.sim.now_us()
+    }
+
+    /// The UniInt server; the proxy is its one client.
+    pub fn server(&self) -> &MultiServer {
+        self.host.multi()
     }
 
     /// The telemetry registry shared by proxy, server and simulator.
@@ -322,9 +341,8 @@ impl SimSession {
         loop {
             // Answer parked update requests and flush application
             // damage first.
-            for m in only_client(self.server.pump_all(ui)) {
-                self.send_server(&m);
-            }
+            let out = self.host.tick(ui, self.sim.now_us());
+            send_server(&mut self.sim, self.server_ep, self.recorder.as_ref(), out);
             if self.sim.step().is_none() {
                 if self.sim.link_up(self.proxy_ep) {
                     return Ok(());
@@ -351,9 +369,8 @@ impl SimSession {
                     tap.record(self.sim.now_us(), 0, Direction::ToServer, &frame);
                 }
                 let msg = ClientMessage::decode_body(&mut frame.as_slice())?;
-                for reply in self.server.handle_message(ui, self.client, msg) {
-                    self.send_server(&reply);
-                }
+                let out = self.host.receive(ui, self.conn, msg, self.sim.now_us());
+                send_server(&mut self.sim, self.server_ep, self.recorder.as_ref(), out);
             }
             while let Some(bytes) = self.sim.recv(self.proxy_ep) {
                 self.proxy_rx.feed(&bytes);
@@ -370,15 +387,22 @@ impl SimSession {
             }
         }
     }
+}
 
-    /// Encodes and sends a server message across the simulated wire,
-    /// recording it (production order, body only) when a tap is set.
-    fn send_server(&mut self, m: &ServerMessage) {
-        let bytes = encode_server(m);
-        if let Some(tap) = &self.recorder {
-            tap.record(self.sim.now_us(), 0, Direction::ToClient, &bytes[4..]);
+/// Encodes the host's messages and sends them from endpoint `ep` across
+/// the simulated wire, recording each (production order, body only)
+/// when a tap is set. The host closes no connection of a proxy that
+/// opens with a current-version `Hello`, so there is no `Close` to act on.
+fn send_server(sim: &mut Simulator, ep: Endpoint, tap: Option<&SharedTap>, out: Drain<Output>) {
+    for o in out {
+        let Output::Send(_, msgs) = o else { continue };
+        for msg in &msgs {
+            let bytes = encode_server(msg);
+            if let Some(tap) = tap {
+                tap.record(sim.now_us(), 0, Direction::ToClient, &bytes[4..]);
+            }
+            sim.send(ep, bytes);
         }
-        self.sim.send(self.server_ep, bytes);
     }
 }
 

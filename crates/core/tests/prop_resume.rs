@@ -6,6 +6,7 @@
 use proptest::prelude::*;
 use uniint_core::proxy::UniIntProxy;
 use uniint_core::resume::{BackoffPolicy, Reattach, ResumeMachine, Stalled, MAX_FAILED_RESUMES};
+use uniint_protocol::error::ProtocolError;
 use uniint_protocol::message::{ClientMessage, ServerMessage, PROTOCOL_VERSION};
 use uniint_raster::geom::Rect;
 use uniint_raster::pixel::PixelFormat;
@@ -325,9 +326,12 @@ fn break_before_handshake_starts_over() {
         client_msgs_received: 0,
         replayed: false,
     };
-    machine
+    // The retransmissions go out before the proxy refuses an ack that
+    // precedes its `Init`.
+    let err = machine
         .receive(&mut proxy, &ack, |m| written.push(m.clone()))
-        .expect("ack applies");
+        .expect_err("an ack before init is malformed");
+    assert!(matches!(err, ProtocolError::Malformed(_)), "{err:?}");
     assert_eq!(proxy.stats().retransmits, 1);
     assert_eq!(&written[..1], hello.as_slice());
 }

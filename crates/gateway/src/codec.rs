@@ -6,9 +6,9 @@
 //! [`FramedSocket`], on the host directly) with a **configurable
 //! max-frame-size bound** enforced before any allocation, so a hostile
 //! or corrupted peer cannot make either end reserve memory for a length
-//! field it invented. On top of that the codec applies the
-//! protocol-version check every `Hello` must pass before a session is
-//! admitted.
+//! field it invented. The codec also re-exports
+//! [`check_hello_version`], the version check every `Hello` must pass
+//! before a session is admitted.
 //!
 //! A [`FramedSocket`] writes client messages in batches: each is queued
 //! ([`FramedSocket::queue`]) and a batch leaves with one `write_all`
@@ -20,8 +20,9 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use uniint_protocol::error::{ProtocolError, Result as ProtocolResult};
-use uniint_protocol::message::{ClientMessage, FrameReader, PROTOCOL_VERSION};
+use uniint_protocol::error::Result as ProtocolResult;
+pub use uniint_protocol::message::check_hello_version;
+use uniint_protocol::message::{ClientMessage, FrameReader};
 
 /// Default max frame size a gateway end accepts from an untrusted peer
 /// (1 MiB — far above any real panel update, far below the 8 MiB
@@ -41,22 +42,6 @@ pub enum ReadStatus {
     Idle,
     /// The peer closed the connection cleanly.
     Eof,
-}
-
-/// Validates the version carried by a `Hello`.
-///
-/// Version 0 is garbage (the protocol starts at 1) and a version newer
-/// than ours cannot be trusted to degrade; both are rejected with
-/// [`ProtocolError::UnsupportedVersion`] so the caller can refuse the
-/// session before any state is allocated for it.
-pub fn check_hello_version(version: u16) -> ProtocolResult<()> {
-    if version == 0 || version > PROTOCOL_VERSION {
-        return Err(ProtocolError::UnsupportedVersion {
-            requested: version,
-            supported: PROTOCOL_VERSION,
-        });
-    }
-    Ok(())
 }
 
 /// A TCP stream with protocol framing on both directions.
@@ -140,7 +125,7 @@ impl FramedSocket {
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::FrameTooLarge`] when the peer declares a frame
+    /// [`ProtocolError::FrameTooLarge`](uniint_protocol::error::ProtocolError::FrameTooLarge) when the peer declares a frame
     /// beyond the configured bound; the connection should be dropped.
     pub fn next_frame(&mut self) -> ProtocolResult<Option<Vec<u8>>> {
         self.reader.next_frame()
@@ -151,7 +136,8 @@ impl FramedSocket {
 mod tests {
     use super::*;
     use std::net::TcpListener;
-    use uniint_protocol::message::{encode_client, encode_server, ServerMessage};
+    use uniint_protocol::error::ProtocolError;
+    use uniint_protocol::message::{encode_client, encode_server, ServerMessage, PROTOCOL_VERSION};
 
     #[test]
     fn hello_version_policy() {

@@ -2,20 +2,30 @@
 //! clients from one thread.
 //!
 //! ```text
-//!   listener, conn 0..N ──► poll(2) ──┬─► accept
-//!                                     ├─► read ──► FrameReader ──► handle_msg
-//!                                     └─► write ◄── pending bytes ◄── push_to
-//!                                          (replies and pump_all shares)
+//!   listener, conn 0..N ──► poll(2) ──┬─► accept ──► SessionHost::open
+//!                                     ├─► read ──► FrameReader ──► SessionHost::receive
+//!                                     └─► write ◄── pending bytes ◄── Output::Send
+//!                                          (replies and pump shares)
 //! ```
 //!
 //! The `gw-state` thread owns the listener, every non-blocking socket,
-//! the [`Ui`] and the [`MultiServer`]: no socket threads, locks or
-//! channels, so protocol handling stays strictly serialized. Each pass
-//! waits in one `poll(2)` on every socket, moves the bytes that are
-//! ready, handles whole frames, then pumps. One read takes at most
-//! 16 KiB, and at most one frame of the largest size accepted; a
-//! connection whose reader holds a whole frame is not read again until
-//! it is handled, so unread bytes wait in the kernel.
+//! the [`Ui`] and a [`SessionHost`]: no socket threads, locks or
+//! channels, so protocol handling stays strictly serialized. This
+//! module keeps only the I/O: the sockets, their frame readers, the
+//! fairness rule, the pending bytes and the flight-recorder tap. The
+//! sessions (naming, adoption, displacement, expiry, and which
+//! connection each share of a pump goes to) are the sans-I/O
+//! [`SessionHost`] in `uniint_core::host`, whose docs describe session
+//! adoption. The loop hands it each decoded message and each socket it
+//! closed, stamped with the microseconds since the gateway started, and
+//! carries out what it returns.
+//!
+//! Each pass waits in one `poll(2)` on every socket, moves the bytes
+//! that are ready, handles whole frames, then ticks the host, which
+//! pumps. One read takes at most 16 KiB, and at most one frame of the
+//! largest size accepted; a connection whose reader holds a whole frame
+//! is not read again until it is handled, so unread bytes wait in the
+//! kernel.
 //!
 //! Outbound, each connection's replies, or its share of a pump, are
 //! encoded into one batch of frames, appended to its pending bytes and
@@ -24,23 +34,12 @@
 //! byte is encoded once. The protocol is pull-driven, so damage that
 //! piles up between a client's requests merges inside its server
 //! session; a client that still falls `MAX_QUEUED_BYTES` behind is
-//! dropped. A connection that closes (its peer sent its last byte,
-//! another socket displaced it, or it broke the protocol) is no longer
-//! read and gets at most `SHUTDOWN_FLUSH` to write what it holds;
-//! [`Gateway::shutdown`] closes every connection that way.
-//!
-//! Reconnects are handled by *session adoption*: sessions are keyed by
-//! the client name from `Hello`. A `Hello` for a known name followed by
-//! `Resume` re-binds the existing server session — with its damage
-//! account and send log intact — to the new socket, so the resume is
-//! incremental instead of a full refresh.
-//!
-//! Each session has one record: its name, and whether it is attached to
-//! a connection or detached since some instant. Every lifecycle path
-//! goes through one `attach`/`detach` pair, and a connection speaks for
-//! a session only while that session's record names it: late messages
-//! from a displaced socket are dropped. Retired sessions free their
-//! [`MultiServer`] slot, which the next session reuses.
+//! dropped. A connection that closes (its peer sent its last byte, the
+//! host closed it, or it sent a frame that does not decode) is no
+//! longer read and gets at most `SHUTDOWN_FLUSH` to write what it holds;
+//! [`Gateway::shutdown`] closes every connection that way. When its
+//! socket is finally closed the loop tells the host, which detaches the
+//! session it served.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind, Read, Write};
@@ -50,34 +49,25 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use uniint_core::multi::{ClientId, MultiServer};
+pub use uniint_core::host::ConnId;
+use uniint_core::host::{Output, SessionHost};
+use uniint_core::multi::MultiServer;
 use uniint_core::tap::{Direction, SharedTap};
 use uniint_protocol::message::{ClientMessage, FrameReader, ServerMessage};
 use uniint_telemetry::registry::{Counter, Gauge, Registry};
 use uniint_wsys::ui::Ui;
 
-use crate::codec::{check_hello_version, DEFAULT_MAX_FRAME, READ_CHUNK};
+use crate::codec::{DEFAULT_MAX_FRAME, READ_CHUNK};
 use crate::poll::{self, PollFd, POLLIN, POLLOUT};
-
-/// Identifies one TCP connection. Not the same as a session: a session
-/// survives reconnects, a connection does not.
-pub type ConnId = usize;
 
 /// Most encoded bytes one connection may hold unwritten. A batch that
 /// would take non-empty pending bytes past this drops the connection;
 /// empty pending bytes always take the next batch, however large.
 const MAX_QUEUED_BYTES: usize = 8 << 20;
 
-/// How long a `Hello` for an already-known name is held back waiting
-/// for a `Resume` to disambiguate reconnect from name reuse. A fresh
-/// client (crashed and restarted) sends only the Hello, so once this
-/// grace elapses the Hello is resolved as a replacement and the
-/// handshake completes.
-const HELLO_GRACE: Duration = Duration::from_millis(250);
-
 /// How long the loop waits for a socket before a housekeeping pass
-/// (held Hellos, session expiry, damage pump), and the most time it
-/// spends handling frames between two pumps.
+/// (the host's tick: held Hellos, session expiry, damage pump), and the
+/// most time it spends handling frames between two pumps.
 const TICK: Duration = Duration::from_millis(10);
 
 /// How long a closing connection may take to write what it holds before
@@ -133,39 +123,6 @@ fn enqueue(pending: &mut VecDeque<u8>, batch: Vec<u8>, cap: usize) -> bool {
     true
 }
 
-/// The gateway's counters.
-struct StateMetrics {
-    accepted: Counter,
-    frames_in: Counter,
-    bytes_in: Counter,
-    bytes_out: Counter,
-    reconnects: Counter,
-    resumes: Counter,
-    rejected_version: Counter,
-    decode_errors: Counter,
-    dropped_connections: Counter,
-    expired_sessions: Counter,
-    queue_bytes: Gauge,
-}
-
-impl StateMetrics {
-    fn new(r: &Registry) -> StateMetrics {
-        StateMetrics {
-            accepted: r.counter("gateway.accepted"),
-            frames_in: r.counter("gateway.frames_in"),
-            bytes_in: r.counter("gateway.bytes_in"),
-            bytes_out: r.counter("gateway.bytes_out"),
-            reconnects: r.counter("gateway.reconnects"),
-            resumes: r.counter("gateway.resumes"),
-            rejected_version: r.counter("gateway.rejected_version"),
-            decode_errors: r.counter("gateway.decode_errors"),
-            dropped_connections: r.counter("gateway.dropped_connections"),
-            expired_sessions: r.counter("gateway.expired_sessions"),
-            queue_bytes: r.gauge("gateway.queue_bytes"),
-        }
-    }
-}
-
 /// One accepted connection.
 struct Conn {
     /// Non-blocking, like the listener.
@@ -181,16 +138,6 @@ struct Conn {
     /// Once the connection is closing: when its socket is closed even if
     /// `pending` has not drained.
     closing: Option<Instant>,
-    /// The session this connection last bound. It speaks for that
-    /// session only while the session's record names it.
-    session: Option<ClientId>,
-    /// A `Hello` for an already-known name, held back until either the
-    /// next message disambiguates reconnect (`Resume` follows) from a
-    /// fresh client reusing the name (anything else follows), or
-    /// [`HELLO_GRACE`] elapses — a fresh client sends nothing after its
-    /// Hello, so the timeout resolves it as a replacement instead of
-    /// hanging its handshake.
-    held: Option<HeldHello>,
 }
 
 impl Conn {
@@ -202,28 +149,6 @@ impl Conn {
         }
         PollFd::new(Some(&self.socket), events)
     }
-}
-
-/// A version-checked `Hello` waiting for its follow-up message.
-struct HeldHello {
-    name: String,
-    version: u16,
-    since: Instant,
-}
-
-/// Where a session's output goes. A session is attached to exactly one
-/// connection or to none, never both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Link {
-    Attached(ConnId),
-    /// No socket since this instant; reaped after `session_grace`.
-    Detached(Instant),
-}
-
-/// One name-keyed session; it survives its sockets.
-struct Session {
-    name: String,
-    link: Link,
 }
 
 /// A running gateway: an appliance panel listening on a TCP port.
@@ -245,13 +170,15 @@ impl Gateway {
         let listener = TcpListener::bind(config.bind_addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
+        let multi = MultiServer::with_telemetry(registry.clone());
+        let host = SessionHost::new(multi, &registry, config.session_grace.as_micros() as u64);
+        let io = Io::new(listener, config, &registry);
         let stop = Arc::new(AtomicBool::new(false));
         let state = {
             let stop = stop.clone();
-            let registry = registry.clone();
             std::thread::Builder::new()
                 .name("gw-state".into())
-                .spawn(move || state_loop(ui, listener, &stop, config, registry))?
+                .spawn(move || state_loop(ui, &stop, host, io))?
         };
         Ok(Gateway {
             addr,
@@ -285,17 +212,10 @@ impl Gateway {
 /// The gateway's one thread: waits on every socket, moves their bytes,
 /// and drives the panel and every session. Once `stop` is set it closes
 /// every connection, and returns when the last one is gone.
-fn state_loop(
-    mut ui: Ui,
-    listener: TcpListener,
-    stop: &AtomicBool,
-    cfg: GatewayConfig,
-    registry: Registry,
-) -> Ui {
+fn state_loop(mut ui: Ui, stop: &AtomicBool, mut host: SessionHost, mut io: Io) -> Ui {
     // One read takes no more than the client's, and at most one frame
     // of the largest size accepted.
-    let mut scratch = vec![0; cfg.max_frame.saturating_add(4).min(READ_CHUNK)];
-    let mut st = State::new(registry, cfg);
+    let mut scratch = vec![0; io.max_frame.saturating_add(4).min(READ_CHUNK)];
     let mut fds: Vec<PollFd> = Vec::new();
     let mut ids: Vec<ConnId> = Vec::new();
     let mut listening = true;
@@ -303,122 +223,114 @@ fn state_loop(
     loop {
         if !stopping && stop.load(Ordering::SeqCst) {
             stopping = true;
-            let all: Vec<ConnId> = st.conns.keys().copied().collect();
-            for id in all {
-                st.close(id, SHUTDOWN_FLUSH);
+            for id in io.conns.keys().copied().collect::<Vec<_>>() {
+                io.close(id, SHUTDOWN_FLUSH);
             }
         }
-        st.sweep();
-        if stopping && st.conns.is_empty() {
+        io.sweep(&mut host);
+        if stopping && io.conns.is_empty() {
             return ui;
         }
 
         fds.clear();
         ids.clear();
         fds.push(PollFd::new(
-            (listening && !stopping).then_some(&listener),
+            (listening && !stopping).then_some(&io.listener),
             POLLIN,
         ));
-        for (&id, conn) in &st.conns {
+        for (&id, conn) in &io.conns {
             ids.push(id);
             fds.push(conn.poll_fd());
         }
         // Whole frames already read are handled now, not after a wait.
-        let backlog = st.conns.values().any(|c| c.backlog);
+        let backlog = io.conns.values().any(|c| c.backlog);
         poll::wait(&mut fds, if backlog { Duration::ZERO } else { TICK });
 
         // A listener that failed to accept sits out the next wait: it may
         // stay readable while the process is out of descriptors.
-        listening = fds[0].revents == 0 || st.accept(&listener);
+        listening = fds[0].revents == 0 || io.accept(&mut host);
         for (fd, &id) in fds[1..].iter().zip(&ids) {
             if fd.revents != 0 {
                 if fd.events & POLLIN != 0 {
-                    st.read(id, &mut scratch);
+                    io.read(id, &mut scratch);
                 }
-                st.flush(id);
+                io.flush(id);
             }
         }
         if !stopping {
-            st.handle_frames(&mut ui);
-            st.resolve_stale_hellos(&mut ui);
-            st.expire_detached_sessions();
-            let batches = st.multi.pump_all(&mut ui);
-            st.route_batches(batches);
+            io.handle_frames(&mut host, &mut ui);
+            let now_us = io.started.elapsed().as_micros() as u64;
+            io.deliver(host.tick(&mut ui, now_us), now_us);
         }
     }
 }
 
-/// The whole mutable world of the state thread.
-struct State {
-    multi: MultiServer,
+/// The I/O of the state thread: the listener, each connection's socket,
+/// reader and pending bytes, and the counters of the bytes they move.
+/// The sessions they serve are the loop's [`SessionHost`], which counts
+/// into the same registry.
+struct Io {
+    listener: TcpListener,
     conns: HashMap<ConnId, Conn>,
-    next_conn: ConnId,
-    /// One record per live `MultiServer` client. Sessions survive their
-    /// sockets, so a name can come back and resume incrementally.
-    sessions: HashMap<ClientId, Session>,
-    /// How long a detached session lives before it is reaped.
-    session_grace: Duration,
     /// Largest frame accepted from a client.
     max_frame: usize,
-    metrics: StateMetrics,
-    registry: Registry,
     /// Flight-recorder tap from [`GatewayConfig::recorder`].
     recorder: Option<SharedTap>,
-    /// Timestamp origin for recorded messages.
+    /// The origin of the host's clock and of recorded timestamps.
     started: Instant,
+    accepted: Counter,
+    frames_in: Counter,
+    bytes_in: Counter,
+    bytes_out: Counter,
+    decode_errors: Counter,
+    dropped_connections: Counter,
+    queue_bytes: Gauge,
 }
 
-impl State {
-    fn new(registry: Registry, cfg: GatewayConfig) -> State {
-        State {
-            multi: MultiServer::with_telemetry(registry.clone()),
+impl Io {
+    fn new(listener: TcpListener, cfg: GatewayConfig, r: &Registry) -> Io {
+        Io {
+            listener,
             conns: HashMap::new(),
-            next_conn: 0,
-            sessions: HashMap::new(),
-            session_grace: cfg.session_grace,
             max_frame: cfg.max_frame,
-            metrics: StateMetrics::new(&registry),
-            registry,
             recorder: cfg.recorder,
             started: Instant::now(),
+            accepted: r.counter("gateway.accepted"),
+            frames_in: r.counter("gateway.frames_in"),
+            bytes_in: r.counter("gateway.bytes_in"),
+            bytes_out: r.counter("gateway.bytes_out"),
+            decode_errors: r.counter("gateway.decode_errors"),
+            dropped_connections: r.counter("gateway.dropped_connections"),
+            queue_bytes: r.gauge("gateway.queue_bytes"),
         }
     }
 
-    /// Accepts every connection waiting on `listener`. Returns false if
-    /// accepting failed for another reason than none being left.
-    fn accept(&mut self, listener: &TcpListener) -> bool {
+    /// Accepts every connection waiting on the listener, each a new
+    /// connection of `host`. Returns false if accepting failed for
+    /// another reason than none being left.
+    fn accept(&mut self, host: &mut SessionHost) -> bool {
         loop {
-            match listener.accept() {
+            match self.listener.accept() {
                 Ok((socket, _peer)) => {
-                    self.metrics.accepted.inc();
-                    self.connect(socket);
+                    self.accepted.inc();
+                    // Frames are latency-sensitive, and no socket may
+                    // block the loop; one that cannot be set up is dropped.
+                    if socket.set_nodelay(true).is_ok() && socket.set_nonblocking(true).is_ok() {
+                        let conn = Conn {
+                            socket,
+                            reader: FrameReader::with_max_body(self.max_frame),
+                            backlog: false,
+                            pending: VecDeque::new(),
+                            closing: None,
+                        };
+                        self.conns.insert(host.open(), conn);
+                    }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(_) => return false,
             }
         }
-    }
-
-    /// Takes on an accepted socket as a new connection, unless the socket
-    /// cannot be set up.
-    fn connect(&mut self, socket: TcpStream) -> Option<ConnId> {
-        // Frames are latency-sensitive, and no socket may block the loop.
-        socket.set_nodelay(true).ok()?;
-        socket.set_nonblocking(true).ok()?;
-        let id = self.next_conn;
-        self.next_conn += 1;
-        let conn = Conn {
-            socket,
-            reader: FrameReader::with_max_body(self.max_frame),
-            backlog: false,
-            pending: VecDeque::new(),
-            closing: None,
-            session: None,
-            held: None,
-        };
-        self.conns.insert(id, conn);
-        Some(id)
     }
 
     /// Reads once from connection `id` into its frame reader.
@@ -430,12 +342,12 @@ impl State {
             // The peer sent its last byte.
             Ok(0) => self.close(id, SHUTDOWN_FLUSH),
             Ok(n) => {
-                self.metrics.bytes_in.add(n as u64);
+                self.bytes_in.add(n as u64);
                 conn.reader.feed(&scratch[..n]);
                 conn.backlog = true;
             }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
-            Err(_) => self.abort(id),
+            Err(_) => self.close(id, Duration::ZERO),
         }
     }
 
@@ -448,320 +360,115 @@ impl State {
         while !conn.pending.is_empty() {
             match (&conn.socket).write(conn.pending.as_slices().0) {
                 Ok(n) if n > 0 => {
-                    self.metrics.bytes_out.add(n as u64);
+                    self.bytes_out.add(n as u64);
                     conn.pending.drain(..n);
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                _ => return self.abort(id),
+                _ => return self.close(id, Duration::ZERO),
             }
         }
         // Lets go of the batch just written.
         conn.pending = VecDeque::new();
     }
 
-    /// Starts closing connection `id`: it is no longer read, its session
-    /// is detached, and [`State::sweep`] drops it once its pending bytes
-    /// are written, or once `flush` has passed. A connection already
-    /// closing keeps its first deadline.
+    /// Starts closing connection `id`: it is no longer read, and
+    /// [`Io::sweep`] drops it once its pending bytes are written, or once
+    /// `flush` has passed (a zero `flush` drops it at the next sweep,
+    /// whatever it holds). A connection already closing keeps its first
+    /// deadline.
     fn close(&mut self, id: ConnId, flush: Duration) {
-        let Some(conn) = self.conns.get_mut(&id) else {
-            return;
-        };
-        conn.closing.get_or_insert(Instant::now() + flush);
-        conn.backlog = false;
-        conn.held = None;
-        if let Some(sid) = conn.session {
-            self.detach(sid, id);
-        }
-    }
-
-    /// Drops connection `id` at the next sweep, with whatever it holds.
-    fn abort(&mut self, id: ConnId) {
         if let Some(conn) = self.conns.get_mut(&id) {
-            conn.pending = VecDeque::new();
+            conn.closing.get_or_insert(Instant::now() + flush);
+            conn.backlog = false;
         }
-        self.close(id, Duration::ZERO);
-    }
-
-    /// Closes connection `id` for breaking the protocol.
-    fn reject(&mut self, id: ConnId) {
-        self.metrics.decode_errors.inc();
-        self.close(id, SHUTDOWN_FLUSH);
     }
 
     /// Drops the closing connections that wrote what they held or ran
-    /// out of time, which closes their sockets.
-    fn sweep(&mut self) {
+    /// out of time, which closes their sockets, and tells `host` they
+    /// are gone.
+    fn sweep(&mut self, host: &mut SessionHost) {
         let now = Instant::now();
-        self.conns.retain(|_, c| {
-            c.closing
-                .is_none_or(|end| !c.pending.is_empty() && now < end)
+        let now_us = now.duration_since(self.started).as_micros() as u64;
+        self.conns.retain(|&id, c| {
+            let open = c
+                .closing
+                .is_none_or(|end| !c.pending.is_empty() && now < end);
+            if !open {
+                host.close(id, now_us);
+            }
+            open
         });
     }
 
-    /// Handles the whole frames read so far, one per connection per
-    /// round, for at most one [`TICK`]: update requests wait for the pump
-    /// that follows, so a client flooding frames must not hold back the
-    /// others.
-    fn handle_frames(&mut self, ui: &mut Ui) {
-        let began = Instant::now();
+    /// Hands the whole frames read so far to `host`, one per connection
+    /// per round, for at most one [`TICK`]: update requests wait for the
+    /// pump that follows, so a client flooding frames must not hold back
+    /// the others.
+    fn handle_frames(&mut self, host: &mut SessionHost, ui: &mut Ui) {
+        let began = self.started.elapsed();
         let mut busy: Vec<ConnId> = self
             .conns
             .iter()
             .filter(|(_, c)| c.backlog)
             .map(|(&id, _)| id)
             .collect();
-        while !busy.is_empty() && began.elapsed() < TICK {
-            busy.retain(|&id| self.handle_next_frame(ui, id));
+        while !busy.is_empty() {
+            let now = self.started.elapsed();
+            if now >= began + TICK {
+                break;
+            }
+            let now_us = now.as_micros() as u64;
+            busy.retain(|&id| match self.next_message(id, now_us) {
+                Some(msg) => {
+                    self.deliver(host.receive(ui, id, msg, now_us), now_us);
+                    true
+                }
+                None => false,
+            });
         }
     }
 
-    /// Handles the next whole frame read from connection `id`. Returns
-    /// whether the connection may hold another.
-    fn handle_next_frame(&mut self, ui: &mut Ui, id: ConnId) -> bool {
-        let Some(conn) = self.conns.get_mut(&id).filter(|c| c.backlog) else {
-            return false;
-        };
+    /// Decodes the next whole frame read from connection `id`, or `None`
+    /// once it holds none. A frame that is too large or does not decode
+    /// closes the connection: the peer is hostile or broken.
+    fn next_message(&mut self, id: ConnId, now_us: u64) -> Option<ClientMessage> {
+        let conn = self.conns.get_mut(&id).filter(|c| c.backlog)?;
         let decoded = match conn.reader.next_frame() {
             Ok(None) => {
                 conn.backlog = false;
-                return false;
+                return None;
             }
             Ok(Some(body)) => ClientMessage::decode_body(&mut body.as_slice()).map(|m| (m, body)),
             Err(e) => Err(e),
         };
-        // An oversized frame or an undecodable body: the peer is hostile
-        // or broken.
         let Ok((msg, body)) = decoded else {
-            self.reject(id);
-            return false;
-        };
-        self.metrics.frames_in.inc();
-        self.handle_msg(ui, id, msg, &body);
-        true
-    }
-
-    /// The session named `name`, if one is live.
-    fn find(&self, name: &str) -> Option<ClientId> {
-        self.sessions
-            .iter()
-            .find(|(_, s)| s.name == name)
-            .map(|(sid, _)| *sid)
-    }
-
-    /// Points session `sid` at connection `id`. The connection the
-    /// record named before, if any, is displaced: it closes, and its
-    /// late messages no longer reach the session.
-    fn attach(&mut self, sid: ClientId, id: ConnId) {
-        let Some(session) = self.sessions.get_mut(&sid) else {
-            return;
-        };
-        if let Link::Attached(old) = std::mem::replace(&mut session.link, Link::Attached(id)) {
-            self.close(old, SHUTDOWN_FLUSH);
-        }
-        if let Some(conn) = self.conns.get_mut(&id) {
-            conn.session = Some(sid);
-        }
-    }
-
-    /// Detaches session `sid` from connection `id`, if its record names
-    /// that connection. The session stays alive: damage keeps
-    /// accumulating in the server session (bounded by the screen area),
-    /// so the same client name can come back and resume incrementally —
-    /// until `session_grace` reaps it.
-    fn detach(&mut self, sid: ClientId, id: ConnId) {
-        if let Some(session) = self.sessions.get_mut(&sid) {
-            if session.link == Link::Attached(id) {
-                session.link = Link::Detached(Instant::now());
-            }
-        }
-    }
-
-    /// Ends session `sid`: frees its name and its server slot, and
-    /// closes the connection it was attached to. Returns its name.
-    fn retire(&mut self, sid: ClientId) -> Option<String> {
-        let session = self.sessions.remove(&sid)?;
-        if let Link::Attached(id) = session.link {
+            self.decode_errors.inc();
             self.close(id, SHUTDOWN_FLUSH);
-        }
-        self.multi.disconnect(sid);
-        Some(session.name)
-    }
-
-    /// Binds `id` to a brand-new session for `name`, displacing (and
-    /// disconnecting) any previous session under that name, and
-    /// forwards the Hello so the normal handshake replies flow.
-    fn open_session(&mut self, ui: &mut Ui, id: ConnId, name: String, version: u16) {
-        if let Some(old) = self.find(&name) {
-            self.retire(old);
-        }
-        let sid = self.multi.accept(ui);
-        let link = Link::Detached(Instant::now());
-        self.sessions.insert(
-            sid,
-            Session {
-                name: name.clone(),
-                link,
-            },
-        );
-        self.attach(sid, id);
-        let replies = self
-            .multi
-            .handle_message(ui, sid, ClientMessage::Hello { version, name });
-        self.push_to(id, &replies);
-    }
-
-    /// Resolves held-back `Hello`s whose grace elapsed with no follow-up
-    /// message: the peer is a fresh client reusing a known name (a
-    /// reconnecting client sends `Resume` immediately after its Hello),
-    /// so it displaces the old session and handshakes normally.
-    fn resolve_stale_hellos(&mut self, ui: &mut Ui) {
-        let stale: Vec<ConnId> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| {
-                c.held
-                    .as_ref()
-                    .is_some_and(|h| h.since.elapsed() >= HELLO_GRACE)
-            })
-            .map(|(id, _)| *id)
-            .collect();
-        for id in stale {
-            if let Some(held) = self.conns.get_mut(&id).and_then(|c| c.held.take()) {
-                self.open_session(ui, id, held.name, held.version);
-            }
-        }
-    }
-
-    /// Reaps sessions that have been detached longer than
-    /// `session_grace`, freeing their name and their `MultiServer` slot.
-    fn expire_detached_sessions(&mut self) {
-        let grace = self.session_grace;
-        let expired: Vec<ClientId> = self
-            .sessions
-            .iter()
-            .filter(|(_, s)| matches!(s.link, Link::Detached(since) if since.elapsed() >= grace))
-            .map(|(sid, _)| *sid)
-            .collect();
-        for sid in expired {
-            if let Some(name) = self.retire(sid) {
-                self.metrics.expired_sessions.inc();
-                self.registry
-                    .journal()
-                    .record("gateway.session_expired", name);
-            }
-        }
-    }
-
-    /// Applies one client message, decoded from frame `body`: version
-    /// policy, name-keyed session adoption, then normal protocol
-    /// dispatch into the [`MultiServer`].
-    fn handle_msg(&mut self, ui: &mut Ui, id: ConnId, msg: ClientMessage, body: &[u8]) {
-        let Some(conn) = self.conns.get_mut(&id) else {
-            return;
+            return None;
         };
-        // A held-back Hello resolves on the very next message (or, if
-        // none comes, on the `HELLO_GRACE` timeout in housekeeping).
-        let held = conn.held.take();
+        self.frames_in.inc();
         if let Some(tap) = &self.recorder {
-            // Recorded at the moment the state thread consumes the
-            // message (held-back Hellos are recorded here too, in
-            // arrival order, even though their processing is deferred).
-            tap.record(
-                self.started.elapsed().as_micros() as u64,
-                id as u32,
-                Direction::ToServer,
-                body,
-            );
+            // Recorded as the loop consumes it, in arrival order.
+            tap.record(now_us, id as u32, Direction::ToServer, &body);
         }
+        Some(msg)
+    }
 
-        if let Some(held) = held {
-            // Adopt the existing session only on Resume; its name may
-            // also have been reaped between hold and resolution, in
-            // which case a fresh session is the only option left.
-            match (&msg, self.find(&held.name)) {
-                (ClientMessage::Resume { .. }, Some(sid)) => {
-                    // Reconnect: adopt the existing session wholesale.
-                    // The Hello is deliberately *not* forwarded — a
-                    // Hello resets server-side session state, which is
-                    // exactly what an incremental resume must avoid.
-                    self.attach(sid, id);
-                    self.metrics.reconnects.inc();
-                    self.registry
-                        .journal()
-                        .record("gateway.reconnect", held.name);
-                }
-                // A fresh client reusing a known name: the old session
-                // is abandoned in its favour.
-                _ => self.open_session(ui, id, held.name, held.version),
+    /// Carries out what the host asked, in order.
+    fn deliver(&mut self, out: impl Iterator<Item = Output>, now_us: u64) {
+        for o in out {
+            match o {
+                Output::Send(id, msgs) => self.push_to(id, &msgs, now_us),
+                Output::Close(id) => self.close(id, SHUTDOWN_FLUSH),
             }
-            // Fall through: `msg` itself is processed below.
-        }
-
-        let session = self.conns[&id].session;
-        match msg {
-            ClientMessage::Hello { version, name } => {
-                if check_hello_version(version).is_err() {
-                    self.metrics.rejected_version.inc();
-                    self.registry
-                        .journal()
-                        .record("gateway.rejected_version", format!("{name}: v{version}"));
-                    self.close(id, SHUTDOWN_FLUSH);
-                    return;
-                }
-                // A re-Hello from a bound connection rebinds it: detach
-                // the old session first so only one seq stream ever
-                // writes to this socket.
-                if let Some(sid) = session {
-                    self.detach(sid, id);
-                }
-                if self.find(&name).is_some() {
-                    // Known name: reconnect or collision? The next
-                    // message tells (Resume means reconnect), and the
-                    // HELLO_GRACE timeout resolves the silent case.
-                    let since = Instant::now();
-                    if let Some(conn) = self.conns.get_mut(&id) {
-                        conn.held = Some(HeldHello {
-                            name,
-                            version,
-                            since,
-                        });
-                    }
-                    return;
-                }
-                self.open_session(ui, id, name, version);
-            }
-            // A connection speaks for the session it bound only while
-            // that session's record names it.
-            msg => match session {
-                Some(sid)
-                    if self
-                        .sessions
-                        .get(&sid)
-                        .is_some_and(|s| s.link == Link::Attached(id)) =>
-                {
-                    if matches!(msg, ClientMessage::Resume { .. }) {
-                        self.metrics.resumes.inc();
-                    }
-                    let replies = self.multi.handle_message(ui, sid, msg);
-                    self.push_to(id, &replies);
-                }
-                // Displaced: the session answers to another socket now.
-                Some(_) => {}
-                // Message before any Hello: protocol abuse, drop the peer.
-                None => self.reject(id),
-            },
         }
     }
 
     /// Encodes `replies` into one batch of frames, records each frame's
     /// body from that batch, and queues it for connection `id`, which
     /// writes it at once. A closing connection takes nothing more.
-    fn push_to(&mut self, id: ConnId, replies: &[ServerMessage]) {
-        if replies.is_empty() {
-            return;
-        }
+    fn push_to(&mut self, id: ConnId, replies: &[ServerMessage], now_us: u64) {
         let Some(conn) = self.conns.get_mut(&id).filter(|c| c.closing.is_none()) else {
             return;
         };
@@ -772,48 +479,27 @@ impl State {
             if let Some(tap) = &self.recorder {
                 // Recorded as queued, in the order the sessions produced
                 // the messages.
-                tap.record(
-                    self.started.elapsed().as_micros() as u64,
-                    id as u32,
-                    Direction::ToClient,
-                    &batch[start + 4..],
-                );
+                tap.record(now_us, id as u32, Direction::ToClient, &batch[start + 4..]);
             }
         }
         if enqueue(&mut conn.pending, batch, MAX_QUEUED_BYTES) {
             self.flush(id);
         } else {
-            // The session stays, detached.
-            self.metrics.dropped_connections.inc();
-            self.abort(id);
+            // The session stays, detached once the socket is swept.
+            self.dropped_connections.inc();
+            self.close(id, Duration::ZERO);
         }
         let queued = self.conns.get(&id).map_or(0, |c| c.pending.len());
-        self.metrics.queue_bytes.set(queued as i64);
-    }
-
-    fn route_batches(&mut self, batches: Vec<(ClientId, Vec<ServerMessage>)>) {
-        for (sid, msgs) in batches {
-            // A detached session's updates stay as damage inside the
-            // server session until the name resumes.
-            if let Some(&Session {
-                link: Link::Attached(id),
-                ..
-            }) = self.sessions.get(&sid)
-            {
-                self.push_to(id, &msgs);
-            }
-        }
+        self.queue_bytes.set(queued as i64);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uniint_protocol::input::InputEvent;
-    use uniint_protocol::message::{encode_client, encode_server, RectUpdate};
+    use uniint_protocol::message::{encode_server, RectUpdate};
     use uniint_raster::geom::Rect;
     use uniint_raster::pixel::PixelFormat;
-    use uniint_wsys::prelude::{Button, Theme};
 
     fn update(seq: u64, x: i32, payload_len: usize) -> ServerMessage {
         ServerMessage::Update {
@@ -883,12 +569,12 @@ mod tests {
         // Fill the socket until bytes wait in the connection.
         let mut queued = 0;
         while h.st.conns[&id].pending.is_empty() {
-            h.st.push_to(id, &[update(queued, 0, 1 << 20)]);
+            h.st.push_to(id, &[update(queued, 0, 1 << 20)], 0);
             queued += 1;
         }
         h.st.close(id, SHUTDOWN_FLUSH);
-        h.st.push_to(id, &[ServerMessage::Bell]);
-        h.st.sweep();
+        h.st.push_to(id, &[ServerMessage::Bell], 0);
+        h.st.sweep(&mut h.host);
         assert!(h.st.conns.contains_key(&id), "kept while it holds bytes");
 
         let mut peer = h.peers.pop().expect("peer");
@@ -900,7 +586,7 @@ mod tests {
         while h.st.conns.contains_key(&id) {
             assert!(Instant::now() < deadline, "never drained");
             h.st.flush(id);
-            h.st.sweep();
+            h.st.sweep(&mut h.host);
             std::thread::sleep(Duration::from_millis(1));
         }
         let sent = frames(&read.join().unwrap().expect("read to EOF"));
@@ -911,21 +597,22 @@ mod tests {
         );
     }
 
-    /// The state thread's logic on loopback sockets whose peers never
-    /// read.
+    /// The state thread's sockets, on loopback sockets whose peers
+    /// never read.
     struct Harness {
-        st: State,
-        ui: Ui,
+        st: Io,
+        host: SessionHost,
         peers: Vec<TcpStream>,
     }
 
     impl Harness {
         fn new() -> Harness {
-            let mut ui = Ui::new(160, 120, Theme::classic(), "state");
-            ui.add(Button::new("Power"), Rect::new(20, 20, 80, 24));
+            let registry = Registry::new();
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let st = Io::new(listener, GatewayConfig::default(), &registry);
             Harness {
-                st: State::new(Registry::new(), GatewayConfig::default()),
-                ui,
+                st,
+                host: SessionHost::new(MultiServer::new(), &registry, 0),
                 peers: Vec::new(),
             }
         }
@@ -935,80 +622,17 @@ mod tests {
             let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
             self.peers.push(peer);
             let socket = listener.accept().unwrap().0;
-            self.st.connect(socket).expect("socket set up")
+            socket.set_nonblocking(true).unwrap();
+            let id = self.host.open();
+            let conn = Conn {
+                socket,
+                reader: FrameReader::new(),
+                backlog: false,
+                pending: VecDeque::new(),
+                closing: None,
+            };
+            self.st.conns.insert(id, conn);
+            id
         }
-
-        fn send(&mut self, id: ConnId, msgs: impl IntoIterator<Item = ClientMessage>) {
-            for msg in msgs {
-                let frame = encode_client(&msg);
-                self.st.handle_msg(&mut self.ui, id, msg, &frame[4..]);
-            }
-        }
-
-        /// Whether connection `id` is closing.
-        fn closed(&self, id: ConnId) -> bool {
-            self.st.conns[&id].closing.is_some()
-        }
-
-        /// Clicks the panel fired since the last call.
-        fn clicks(&mut self) -> usize {
-            self.ui.take_actions().len()
-        }
-    }
-
-    fn hello(name: &str) -> ClientMessage {
-        ClientMessage::Hello {
-            version: uniint_protocol::message::PROTOCOL_VERSION,
-            name: name.into(),
-        }
-    }
-
-    fn click() -> Vec<ClientMessage> {
-        InputEvent::click(40, 30)
-            .into_iter()
-            .map(ClientMessage::Input)
-            .collect()
-    }
-
-    #[test]
-    fn a_connection_displaced_by_resume_no_longer_speaks_for_the_session() {
-        let mut h = Harness::new();
-        let first = h.connect();
-        h.send(first, [hello("x")]);
-        let second = h.connect();
-        h.send(
-            second,
-            [hello("x"), ClientMessage::Resume { last_update_seq: 0 }],
-        );
-        assert!(h.closed(first), "the adopting socket displaces the first");
-
-        h.send(first, click());
-        assert_eq!(h.clicks(), 0, "a late click from the displaced socket");
-        h.send(second, click());
-        assert_eq!(h.clicks(), 1, "the adopting socket's click");
-        assert!(!h.closed(second));
-    }
-
-    #[test]
-    fn a_replaced_connection_does_not_reach_the_session_in_its_freed_slot() {
-        let mut h = Harness::new();
-        let first = h.connect();
-        h.send(first, [hello("x")]);
-        let replaced = h.st.conns[&first].session.expect("bound");
-        // A fresh client reusing the name: anything but Resume after the
-        // Hello replaces the old session instead of adopting it.
-        let second = h.connect();
-        h.send(second, [hello("x"), ClientMessage::SetEncodings(vec![])]);
-        assert!(h.closed(first), "the replacing socket displaces the first");
-        assert_eq!(
-            h.st.conns[&second].session,
-            Some(replaced),
-            "the new session reuses the freed slot"
-        );
-
-        h.send(first, click());
-        assert_eq!(h.clicks(), 0, "a late click from the replaced socket");
-        h.send(second, click());
-        assert_eq!(h.clicks(), 1, "the new session's click");
     }
 }

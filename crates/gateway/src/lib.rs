@@ -9,14 +9,16 @@
 //!
 //! - [`codec`] — the length-prefixed frame codec shared by both ends:
 //!   a hard max-frame-size bound enforced before allocation, and the
-//!   protocol-version check applied to every `Hello`;
+//!   protocol-version check applied to every `Hello` (re-exported from
+//!   `uniint_protocol::message`);
 //! - [`host`] — the connection host ([`host::Gateway`]): one thread
 //!   that waits in `poll(2)` on the listener and every non-blocking
 //!   connection, keeps each connection's unwritten frames bounded in
 //!   bytes (a client that falls too far behind is dropped), encodes
-//!   each message once and drives a shared
-//!   [`uniint_core::multi::MultiServer`], so a TV proxy and a phone
-//!   proxy on real sockets watch one panel concurrently;
+//!   each message once, and moves the bytes of a
+//!   [`uniint_core::host::SessionHost`], which owns the sessions over
+//!   one shared [`uniint_core::multi::MultiServer`], so a TV proxy and a
+//!   phone proxy on real sockets watch one panel concurrently;
 //! - [`client`] — the connection lifecycle ([`client::GatewayClient`]):
 //!   stall detection, seeded exponential backoff on reconnect, and
 //!   incremental `Resume` so a proxy that loses TCP mid-update comes

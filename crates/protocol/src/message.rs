@@ -19,6 +19,22 @@ use uniint_raster::pixel::PixelFormat;
 /// Highest protocol version this implementation speaks.
 pub const PROTOCOL_VERSION: u16 = 1;
 
+/// Validates the version carried by a `Hello`.
+///
+/// Version 0 is garbage (the protocol starts at 1) and a version newer
+/// than ours cannot be trusted to degrade; both are rejected with
+/// [`ProtocolError::UnsupportedVersion`] so the caller can refuse the
+/// session before any state is allocated for it.
+pub fn check_hello_version(version: u16) -> Result<()> {
+    if version == 0 || version > PROTOCOL_VERSION {
+        return Err(ProtocolError::UnsupportedVersion {
+            requested: version,
+            supported: PROTOCOL_VERSION,
+        });
+    }
+    Ok(())
+}
+
 /// Maximum accepted message body (8 MiB), a guard against hostile frames.
 pub const MAX_BODY: usize = 8 * 1024 * 1024;
 

@@ -345,7 +345,7 @@ fn escalated_resume_still_applies_every_keypress_once() {
     let st = s.proxy.stats();
     assert!(st.full_resyncs >= 1, "resumes kept dying: {st:?}");
     assert_eq!(
-        s.server.stats().inputs_injected,
+        s.server().stats().inputs_injected,
         10,
         "five presses, each a key down and up, applied once: {st:?}"
     );
