@@ -27,8 +27,9 @@
 //!   TCP, and [`session::SimSession`] over the network simulator;
 //! - [`session`] wires the pieces end-to-end, in memory or across the
 //!   network simulator;
-//! - [`resume`] is the reconnect/resume state machine every transport
-//!   drives to recover from a broken connection;
+//! - [`resume`] is the one proxy-side driver both transports move bytes
+//!   for: frame decode, retransmission log, and the reconnect/resume
+//!   state machine that recovers a broken connection;
 //! - [`supervisor`] hardens the device boundary: plug-in calls run in
 //!   fault-isolating shims, per-device health drives quarantine and
 //!   automatic failover, and a built-in fallback terminal keeps the
@@ -63,9 +64,10 @@ pub mod prelude {
         OutputPlugin, RemoteKey,
     };
     pub use crate::proxy::{ProxyOutput, ProxyStats, UniIntProxy};
+    pub use crate::resume::SessionError;
     pub use crate::sensors::{SensorReading, SituationTracker};
     pub use crate::server::ServerStats;
-    pub use crate::session::{LocalSession, SessionError, SimSession};
+    pub use crate::session::{LocalSession, SimSession};
     pub use crate::supervisor::{
         FallbackTerminal, HealthEvent, HealthState, Supervisor, SupervisorReport, SupervisorStats,
         TransitionCause,

@@ -226,10 +226,15 @@ impl UniIntProxy {
     /// Opens the session: the initial Hello.
     pub fn connect(&mut self) -> Vec<ClientMessage> {
         self.last_update_seq = 0;
-        vec![ClientMessage::Hello {
+        vec![self.hello()]
+    }
+
+    /// The `Hello` that names this proxy to the server.
+    pub(crate) fn hello(&self) -> ClientMessage {
+        ClientMessage::Hello {
             version: PROTOCOL_VERSION,
             name: self.name.clone(),
-        }]
+        }
     }
 
     /// Sequence of the last server update this proxy applied.

@@ -1,31 +1,39 @@
 //! The proxy side of a connection: what goes on the wire, and how a
 //! broken connection is brought back.
 //!
-//! [`ResumeMachine`] holds all recovery state and does no I/O. A
-//! transport ([`crate::session::SimSession`] over the network simulator,
-//! `uniint_gateway::client::GatewayClient` over TCP) moves bytes and
-//! hands everything else to three entry points:
+//! [`ResumeMachine`] is the one proxy-side driver. It holds all recovery
+//! state, the frames delivered to the output device and the bells, and
+//! does no I/O. A transport ([`crate::session::SimSession`] over the
+//! network simulator, `uniint_gateway::client::GatewayClient` over TCP)
+//! moves bytes and hands everything else to three entry points:
 //!
 //! - [`send`](ResumeMachine::send) logs each client message and writes
 //!   it, unless a `Resume` is waiting for its ack: then the message is
 //!   held, unwritten, and goes out with the ack's retransmissions.
-//! - [`receive`](ResumeMachine::receive) takes each decoded server
-//!   message. A `ResumeAck` first resends the log tail the server never
-//!   saw (and escalates if it must); then the proxy handles the message
-//!   and its replies go through `send`.
+//! - [`receive_frames`](ResumeMachine::receive_frames) decodes every
+//!   whole frame the transport has read and hands each server message
+//!   to the proxy. Once the proxy has accepted a `ResumeAck`, the
+//!   machine resends the log tail the server never saw (and escalates if
+//!   it must); then the proxy's replies go through `send`.
 //! - [`recover`](ResumeMachine::recover) runs the backoff loop after the
 //!   transport finds the connection dead. A closure per attempt waits
 //!   out the delay, tries to reconnect and reports whether it worked;
 //!   the machine answers how to restart the conversation ([`Reattach`]).
+//!
+//! Both transports fail with one [`SessionError`].
 //!
 //! The rules behind them:
 //!
 //! - **Backoff.** Attempt delays start at the policy's base and double up
 //!   to its cap, plus jitter drawn from `0..=delay/4` by an RNG seeded
 //!   from the session seed; past the attempt budget the machine reports
-//!   [`Stalled`].
-//! - **Resume.** After a reconnect the proxy sends `Resume`, unlogged
-//!   because the server leaves it out of its received-message count.
+//!   [`SessionError::Stalled`].
+//! - **Reattach.** After a reconnect the proxy sends `Hello` then
+//!   `Resume` on the new connection, neither logged: the session host
+//!   finds the session by the `Hello`'s name and adopts it on the
+//!   `Resume` without forwarding that `Hello`, and the server leaves
+//!   `Resume` out of its received-message count. A break that beat the
+//!   handshake starts over with a fresh, logged `Hello`.
 //! - **Retransmission.** Every other client message is logged in send
 //!   order; `ResumeAck::client_msgs_received` indexes into the log, and
 //!   the tail past it is resent verbatim. Messages held while the resume
@@ -35,11 +43,12 @@
 //!   before their ack, the next ack's retransmissions are followed by a
 //!   full refresh ([`UniIntProxy::recover`]).
 
+use crate::plugin::DeviceFrame;
 use crate::proxy::{ProxyOutput, UniIntProxy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use uniint_protocol::error::ProtocolError;
-use uniint_protocol::message::{ClientMessage, ServerMessage};
+use uniint_protocol::message::{ClientMessage, FrameReader, ServerMessage};
 
 /// Mixed into the session seed for the backoff RNG, so jitter draws are
 /// independent of every other RNG seeded from the same session seed.
@@ -60,11 +69,53 @@ pub struct BackoffPolicy {
     pub max_attempts: u32,
 }
 
-/// Every reconnect attempt of a stall failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Stalled {
-    /// Reconnect attempts made before giving up.
-    pub attempts: u32,
+/// Why a proxy-side session operation failed, on either transport.
+#[derive(Debug)]
+pub enum SessionError {
+    /// Socket-level failure outside the recoverable set.
+    Io(std::io::Error),
+    /// The server sent something undecodable or invalid.
+    Protocol(ProtocolError),
+    /// The connection stalled and every reconnect attempt failed: the
+    /// link never came back within the backoff budget.
+    Stalled {
+        /// Reconnect attempts made before giving up.
+        attempts: u32,
+    },
+}
+
+impl From<std::io::Error> for SessionError {
+    fn from(e: std::io::Error) -> SessionError {
+        SessionError::Io(e)
+    }
+}
+
+impl From<ProtocolError> for SessionError {
+    fn from(e: ProtocolError) -> SessionError {
+        SessionError::Protocol(e)
+    }
+}
+
+impl std::fmt::Display for SessionError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SessionError::Io(e) => write!(f, "socket error: {e}"),
+            SessionError::Protocol(e) => write!(f, "protocol error: {e}"),
+            SessionError::Stalled { attempts } => {
+                write!(f, "stalled; gave up after {attempts} reconnect attempts")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SessionError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            SessionError::Io(e) => Some(e),
+            SessionError::Protocol(e) => Some(e),
+            SessionError::Stalled { .. } => None,
+        }
+    }
 }
 
 /// How to restart the protocol conversation on a fresh connection.
@@ -73,17 +124,17 @@ pub enum Reattach {
     /// The break beat the handshake: the session starts over with these
     /// messages (a new `Hello`), already logged.
     Fresh(Vec<ClientMessage>),
-    /// Resume the established session with this `Resume`, unlogged.
-    /// Until its ack arrives, [`ResumeMachine::send`] holds new traffic.
-    Resume(ClientMessage),
+    /// Resume the established session with `Hello` then `Resume`, both
+    /// unlogged. Until the ack arrives, [`ResumeMachine::send`] holds new
+    /// traffic.
+    Resume(Vec<ClientMessage>),
 }
 
 impl Reattach {
     /// The messages to write on the new connection, in order.
     pub fn messages(&self) -> &[ClientMessage] {
         match self {
-            Reattach::Fresh(msgs) => msgs,
-            Reattach::Resume(resume) => std::slice::from_ref(resume),
+            Reattach::Fresh(msgs) | Reattach::Resume(msgs) => msgs,
         }
     }
 }
@@ -102,6 +153,9 @@ pub struct ResumeMachine {
     unacked_resumes: u32,
     /// The next ack must be followed by a full refresh.
     escalate: bool,
+    last_frame: Option<DeviceFrame>,
+    frames_delivered: u64,
+    bells: u32,
 }
 
 impl ResumeMachine {
@@ -114,7 +168,30 @@ impl ResumeMachine {
             rng: StdRng::seed_from_u64(seed ^ BACKOFF_SEED_SALT),
             unacked_resumes: 0,
             escalate: false,
+            last_frame: None,
+            frames_delivered: 0,
+            bells: 0,
         }
+    }
+
+    /// The most recent frame adapted for the output device.
+    pub fn last_frame(&self) -> Option<&DeviceFrame> {
+        self.last_frame.as_ref()
+    }
+
+    /// Takes the most recent adapted frame.
+    pub fn take_frame(&mut self) -> Option<DeviceFrame> {
+        self.last_frame.take()
+    }
+
+    /// Frames delivered to the output device so far.
+    pub fn frames_delivered(&self) -> u64 {
+        self.frames_delivered
+    }
+
+    /// Bell count so far.
+    pub fn bells(&self) -> u32 {
+        self.bells
     }
 
     /// Logs regular client messages in order and writes each one, or
@@ -131,21 +208,52 @@ impl ResumeMachine {
         }
     }
 
-    /// Handles one server message: a `ResumeAck` first writes the
-    /// client messages the server reports missing (then a full refresh
-    /// if the session escalated); then the proxy handles the message and
-    /// its replies go through [`send`](Self::send). Returns the proxy's
-    /// output with its messages already sent.
+    /// Decodes every whole frame in `frames` and [`receive`](Self::receive)s
+    /// each server message, keeping the adapted frames and bells. Returns
+    /// whether there was at least one frame.
     ///
     /// # Errors
     ///
-    /// Propagates [`UniIntProxy::handle_server`]'s errors.
+    /// [`SessionError::Protocol`] for a frame that is too large or does
+    /// not decode, or a message the proxy refuses; the frames before it
+    /// were handled and their replies written.
+    pub fn receive_frames(
+        &mut self,
+        proxy: &mut UniIntProxy,
+        frames: &mut FrameReader,
+        mut write: impl FnMut(&ClientMessage),
+    ) -> Result<bool, SessionError> {
+        let mut handled = false;
+        while let Some(frame) = frames.next_frame()? {
+            handled = true;
+            let msg = ServerMessage::decode_body(&mut frame.as_slice())?;
+            let out = self.receive(proxy, &msg, &mut write)?;
+            if let Some(f) = out.frame {
+                self.last_frame = Some(f);
+                self.frames_delivered += 1;
+            }
+            self.bells += u32::from(out.bell);
+        }
+        Ok(handled)
+    }
+
+    /// Handles one server message: the proxy takes it first; an accepted
+    /// `ResumeAck` then writes the client messages the server reports
+    /// missing (then a full refresh if the session escalated); last, the
+    /// proxy's replies go through [`send`](Self::send). Returns the
+    /// proxy's output with its messages already sent.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`UniIntProxy::handle_server`]'s errors; a refused
+    /// message writes nothing.
     pub fn receive(
         &mut self,
         proxy: &mut UniIntProxy,
         msg: &ServerMessage,
         mut write: impl FnMut(&ClientMessage),
     ) -> Result<ProxyOutput, ProtocolError> {
+        let mut out = proxy.handle_server(msg)?;
         if let ServerMessage::ResumeAck {
             client_msgs_received,
             ..
@@ -154,7 +262,6 @@ impl ResumeMachine {
             self.acked(proxy, *client_msgs_received);
             self.log.iter().for_each(&mut write);
         }
-        let mut out = proxy.handle_server(msg)?;
         self.send(std::mem::take(&mut out.messages), write);
         Ok(out)
     }
@@ -166,12 +273,12 @@ impl ResumeMachine {
     ///
     /// # Errors
     ///
-    /// [`Stalled`] once the attempt budget is spent.
+    /// [`SessionError::Stalled`] once the attempt budget is spent.
     pub fn recover(
         &mut self,
         proxy: &mut UniIntProxy,
         mut attempt: impl FnMut(u64) -> bool,
-    ) -> Result<Reattach, Stalled> {
+    ) -> Result<Reattach, SessionError> {
         proxy.record_stall();
         let mut delay_us = self.policy.base_us;
         for _ in 0..self.policy.max_attempts {
@@ -181,7 +288,7 @@ impl ResumeMachine {
             }
             delay_us = (delay_us * 2).min(self.policy.cap_us);
         }
-        Err(Stalled {
+        Err(SessionError::Stalled {
             attempts: self.policy.max_attempts,
         })
     }
@@ -201,7 +308,7 @@ impl ResumeMachine {
             self.unacked_resumes = 1;
             self.escalate = true;
         }
-        Reattach::Resume(proxy.make_resume())
+        Reattach::Resume(vec![proxy.hello(), proxy.make_resume()])
     }
 
     /// The server acknowledged a resume having received

@@ -1,74 +1,23 @@
 //! End-to-end sessions wiring application window, UniInt server and
 //! UniInt proxy together — in memory ([`LocalSession`]) or across the
 //! network simulator ([`SimSession`]), whose two sides only move bytes:
-//! [`crate::resume::ResumeMachine`] decides every proxy-side send and
-//! receive and runs the recovery, and a [`SessionHost`] runs the server
-//! side, as it does in the gateway.
-
-use std::vec::Drain;
+//! [`crate::resume::ResumeMachine`] drives the proxy side, as it does in
+//! the gateway's client, and a [`SessionHost`] runs the server side, as
+//! it does in the gateway.
 
 use crate::host::{ConnId, Output, SessionHost};
 use crate::multi::{ClientId, MultiServer};
 use crate::plugin::{DeviceEvent, DeviceFrame};
 use crate::proxy::UniIntProxy;
-use crate::resume::{BackoffPolicy, ResumeMachine, Stalled};
+use crate::resume::{BackoffPolicy, ResumeMachine, SessionError};
 use crate::tap::{Direction, SharedTap};
 use uniint_netsim::link::LinkProfile;
 use uniint_netsim::sim::{Endpoint, Simulator};
-use uniint_protocol::error::ProtocolError;
 use uniint_protocol::message::{
     encode_client, encode_server, ClientMessage, FrameReader, ServerMessage,
 };
 use uniint_telemetry::registry::Registry;
 use uniint_wsys::ui::Ui;
-
-/// Why a [`SimSession`] operation failed.
-#[derive(Debug)]
-pub enum SessionError {
-    /// The byte stream decoded to something invalid.
-    Protocol(ProtocolError),
-    /// The connection stalled and every reconnect attempt failed — the
-    /// link never came back within the backoff budget.
-    Stalled {
-        /// Reconnect attempts made before giving up.
-        attempts: u32,
-    },
-}
-
-impl From<Stalled> for SessionError {
-    fn from(Stalled { attempts }: Stalled) -> SessionError {
-        SessionError::Stalled { attempts }
-    }
-}
-
-impl From<ProtocolError> for SessionError {
-    fn from(e: ProtocolError) -> SessionError {
-        SessionError::Protocol(e)
-    }
-}
-
-impl std::fmt::Display for SessionError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SessionError::Protocol(e) => write!(f, "protocol error: {e}"),
-            SessionError::Stalled { attempts } => {
-                write!(
-                    f,
-                    "connection stalled; gave up after {attempts} reconnect attempts"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for SessionError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SessionError::Protocol(e) => Some(e),
-            SessionError::Stalled { .. } => None,
-        }
-    }
-}
 
 /// A complete session with a zero-latency in-process "wire".
 ///
@@ -196,25 +145,26 @@ const BACKOFF: BackoffPolicy = BackoffPolicy {
 /// rates over realistic home links (wired/WLAN/Bluetooth/cellular).
 ///
 /// The server side is a [`SessionHost`] on the simulator's virtual
-/// clock, with one host connection for the session's whole life: a
-/// simulated reconnect carries on that connection, so the proxy's
-/// `Resume`, or its fresh `Hello` when the break beat the handshake,
-/// reaches the session it bound.
+/// clock, with one host connection per simulated connection, as the
+/// gateway has one per socket. The proxy side is a [`ResumeMachine`].
 ///
 /// The session is **self-healing**: hard link faults (flap windows,
 /// Gilbert–Elliott burst drops) tear the simulated connection down, and
 /// [`SimSession::settle`] detects the stall (network idle while the link
-/// is down) and lets a [`ResumeMachine`] run the recovery: each attempt
-/// waits out its backoff delay on the virtual clock and reconnects the
-/// simulated link, and the machine's `Resume` goes out on it. Every
-/// proxy-side message passes through the machine, which resends what the
-/// server reports missing when the ack arrives. All recovery activity is
-/// visible in [`crate::proxy::ProxyStats`].
+/// is down, or after the host closed the connection), closes the host
+/// connection and lets the machine run the recovery: each attempt waits
+/// out its backoff delay on the virtual clock and reconnects the
+/// simulated link. A new host connection then takes the machine's
+/// `Hello` and `Resume`, and the host adopts the session by name. The
+/// machine resends what the server reports missing when the ack arrives.
+/// All recovery activity is visible in [`crate::proxy::ProxyStats`].
 #[derive(Debug)]
 pub struct SimSession {
-    /// The UniInt server side; the proxy is its one connection.
+    /// The UniInt server side.
     host: SessionHost,
-    conn: ConnId,
+    /// The host connection the proxy speaks on; `None` once it closed,
+    /// until the next reconnect opens another.
+    conn: Option<ConnId>,
     /// The UniInt proxy endpoint.
     pub proxy: UniIntProxy,
     /// The virtual network.
@@ -223,13 +173,13 @@ pub struct SimSession {
     proxy_ep: Endpoint,
     server_rx: FrameReader,
     proxy_rx: FrameReader,
-    last_frame: Option<DeviceFrame>,
-    frames_delivered: u64,
-    /// Retransmission log, backoff and resume state.
+    /// The proxy-side driver: retransmission log, backoff, resume state
+    /// and delivered frames.
     resume: ResumeMachine,
     /// Flight-recorder tap, if any: sees every client message the server
-    /// consumes and every server message it produces (channel 0),
-    /// stamped with virtual time. `None` costs one branch per message.
+    /// consumes and every server message it produces, on the channel of
+    /// its host connection, stamped with virtual time. `None` costs one
+    /// branch per message.
     recorder: Option<SharedTap>,
 }
 
@@ -257,10 +207,10 @@ impl SimSession {
         // The host's `gateway.*` counters stay out of the session's
         // registry, whose snapshot reports proxy, server and links.
         let multi = MultiServer::with_telemetry(registry.clone());
-        // Its one connection never closes, so the session never expires.
+        // A detached session waits for its proxy for as long as it takes.
         let mut host = SessionHost::new(multi, &Registry::new(), u64::MAX);
         let mut s = SimSession {
-            conn: host.open(),
+            conn: Some(host.open()),
             host,
             proxy: UniIntProxy::with_telemetry("sim-proxy", registry),
             sim,
@@ -268,8 +218,6 @@ impl SimSession {
             proxy_ep,
             server_rx: FrameReader::new(),
             proxy_rx: FrameReader::new(),
-            last_frame: None,
-            frames_delivered: 0,
             resume: ResumeMachine::new(BACKOFF, seed),
             recorder,
         };
@@ -302,12 +250,12 @@ impl SimSession {
 
     /// Frames delivered to the output device so far.
     pub fn frames_delivered(&self) -> u64 {
-        self.frames_delivered
+        self.resume.frames_delivered()
     }
 
     /// The most recent adapted frame.
     pub fn last_frame(&self) -> Option<&DeviceFrame> {
-        self.last_frame.as_ref()
+        self.resume.last_frame()
     }
 
     /// Total bytes the server sent over the wire.
@@ -341,23 +289,15 @@ impl SimSession {
         loop {
             // Answer parked update requests and flush application
             // damage first.
-            let out = self.host.tick(ui, self.sim.now_us());
-            send_server(&mut self.sim, self.server_ep, self.recorder.as_ref(), out);
+            let out = self.host.tick(ui, self.sim.now_us()).collect();
+            self.carry_out(out);
             if self.sim.step().is_none() {
-                if self.sim.link_up(self.proxy_ep) {
+                if self.sim.link_up(self.proxy_ep) && self.conn.is_some() {
                     return Ok(());
                 }
-                // Idle with the link down: the pending exchange is dead
-                // in the water. Recover (the span records the virtual
-                // time it takes), then settle the resumed traffic.
-                let _span = self.proxy.telemetry().span("session.recovery");
-                let reattach = self.resume.recover(&mut self.proxy, |delay_us| {
-                    self.sim.advance(delay_us);
-                    self.sim.reconnect(self.proxy_ep)
-                })?;
-                for m in reattach.messages() {
-                    self.sim.send(self.proxy_ep, encode_client(m));
-                }
+                // Idle with the connection dead: the pending exchange is
+                // dead in the water.
+                self.reconnect()?;
                 continue;
             }
             // Deliver everything that has arrived by now at both ends.
@@ -365,44 +305,67 @@ impl SimSession {
                 self.server_rx.feed(&bytes);
             }
             while let Some(frame) = self.server_rx.next_frame()? {
+                // A closed connection's late frames reach no session.
+                let Some(conn) = self.conn else { continue };
                 if let Some(tap) = &self.recorder {
-                    tap.record(self.sim.now_us(), 0, Direction::ToServer, &frame);
+                    tap.record(self.sim.now_us(), conn as u32, Direction::ToServer, &frame);
                 }
                 let msg = ClientMessage::decode_body(&mut frame.as_slice())?;
-                let out = self.host.receive(ui, self.conn, msg, self.sim.now_us());
-                send_server(&mut self.sim, self.server_ep, self.recorder.as_ref(), out);
+                let out = self
+                    .host
+                    .receive(ui, conn, msg, self.sim.now_us())
+                    .collect();
+                self.carry_out(out);
             }
             while let Some(bytes) = self.sim.recv(self.proxy_ep) {
                 self.proxy_rx.feed(&bytes);
             }
-            while let Some(frame) = self.proxy_rx.next_frame()? {
-                let msg = ServerMessage::decode_body(&mut frame.as_slice())?;
-                let out = self.resume.receive(&mut self.proxy, &msg, |m| {
+            self.resume
+                .receive_frames(&mut self.proxy, &mut self.proxy_rx, |m| {
                     self.sim.send(self.proxy_ep, encode_client(m));
                 })?;
-                if let Some(f) = out.frame {
-                    self.last_frame = Some(f);
-                    self.frames_delivered += 1;
+        }
+    }
+
+    /// Carries out what the host asked: encodes and sends its messages
+    /// across the simulated wire, recording each (production order, body
+    /// only) when a tap is set. A connection the host closes is a broken
+    /// link to the proxy.
+    fn carry_out(&mut self, out: Vec<Output>) {
+        for o in out {
+            match o {
+                Output::Send(to, msgs) => {
+                    for msg in &msgs {
+                        let bytes = encode_server(msg);
+                        if let Some(tap) = &self.recorder {
+                            let now = self.sim.now_us();
+                            tap.record(now, to as u32, Direction::ToClient, &bytes[4..]);
+                        }
+                        self.sim.send(self.server_ep, bytes);
+                    }
                 }
+                Output::Close(closed) => self.conn = self.conn.filter(|&c| c != closed),
             }
         }
     }
-}
 
-/// Encodes the host's messages and sends them from endpoint `ep` across
-/// the simulated wire, recording each (production order, body only)
-/// when a tap is set. The host closes no connection of a proxy that
-/// opens with a current-version `Hello`, so there is no `Close` to act on.
-fn send_server(sim: &mut Simulator, ep: Endpoint, tap: Option<&SharedTap>, out: Drain<Output>) {
-    for o in out {
-        let Output::Send(_, msgs) = o else { continue };
-        for msg in &msgs {
-            let bytes = encode_server(msg);
-            if let Some(tap) = tap {
-                tap.record(sim.now_us(), 0, Direction::ToClient, &bytes[4..]);
-            }
-            sim.send(ep, bytes);
+    /// Closes the dead host connection, runs the recovery (the span
+    /// records the virtual time it takes) and writes the reattach on a
+    /// new host connection.
+    fn reconnect(&mut self) -> Result<(), SessionError> {
+        if let Some(conn) = self.conn.take() {
+            self.host.close(conn, self.sim.now_us());
         }
+        let _span = self.proxy.telemetry().span("session.recovery");
+        let reattach = self.resume.recover(&mut self.proxy, |delay_us| {
+            self.sim.advance(delay_us);
+            self.sim.reconnect(self.proxy_ep)
+        })?;
+        self.conn = Some(self.host.open());
+        for m in reattach.messages() {
+            self.sim.send(self.proxy_ep, encode_client(m));
+        }
+        Ok(())
     }
 }
 

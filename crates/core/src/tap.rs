@@ -30,9 +30,10 @@ pub enum Direction {
 /// Observer for the protocol stream of one or more sessions.
 ///
 /// `bytes` is a single message **body** (tag + payload), without the
-/// 4-byte wire length prefix. `channel` distinguishes concurrent
-/// sessions sharing one tap (a [`crate::session::SimSession`] always
-/// uses channel 0; the gateway uses the connection id).
+/// 4-byte wire length prefix. `channel` is the host connection the
+/// message travelled on, as both the gateway and a
+/// [`crate::session::SimSession`] number them: a simulated session is on
+/// channel 0 until its first reconnect.
 pub trait SessionTap: Send {
     /// Records one message.
     fn record(&mut self, t_us: u64, channel: u32, dir: Direction, bytes: &[u8]);

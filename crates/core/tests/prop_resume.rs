@@ -5,7 +5,9 @@
 
 use proptest::prelude::*;
 use uniint_core::proxy::UniIntProxy;
-use uniint_core::resume::{BackoffPolicy, Reattach, ResumeMachine, Stalled, MAX_FAILED_RESUMES};
+use uniint_core::resume::{
+    BackoffPolicy, Reattach, ResumeMachine, SessionError, MAX_FAILED_RESUMES,
+};
 use uniint_protocol::error::ProtocolError;
 use uniint_protocol::message::{ClientMessage, ServerMessage, PROTOCOL_VERSION};
 use uniint_raster::geom::Rect;
@@ -174,7 +176,7 @@ impl Model {
         self.delays += delays.len() as u64;
         let max = self.policy.max_attempts;
         match result {
-            Err(Stalled { attempts }) => {
+            Err(SessionError::Stalled { attempts }) => {
                 prop_assert!(failures >= max, "stalled with a budget left");
                 prop_assert_eq!(attempts, max);
                 prop_assert_eq!(delays.len(), max as usize);
@@ -188,11 +190,19 @@ impl Model {
                 prop_assert_eq!(delays.len(), failures as usize + 1);
                 self.out.push(Out::Reattach(reattach.clone()));
                 match reattach {
-                    Reattach::Resume(m @ ClientMessage::Resume { .. }) => self.in_flight.push(m),
+                    // The host takes the `Hello` to find the session and
+                    // counts neither message.
+                    Reattach::Resume(msgs) => match <[_; 2]>::try_from(msgs) {
+                        Ok([ClientMessage::Hello { .. }, m @ ClientMessage::Resume { .. }]) => {
+                            self.in_flight.push(m)
+                        }
+                        other => prop_assert!(false, "expected Hello then Resume, got {other:?}"),
+                    },
                     other => prop_assert!(false, "connected proxy must resume, got {other:?}"),
                 }
                 Ok(())
             }
+            Err(other) => Err(TestCaseError::fail(other.to_string())),
         }
     }
 
@@ -320,18 +330,39 @@ fn break_before_handshake_starts_over() {
         panic!("a proxy without a handshake must start over");
     };
     assert!(matches!(hello.as_slice(), [ClientMessage::Hello { .. }]));
-    // The log restarted with the new Hello: nothing older is resent.
     let mut written = Vec::new();
-    let ack = ServerMessage::ResumeAck {
-        client_msgs_received: 0,
+    let ack = |client_msgs_received| ServerMessage::ResumeAck {
+        client_msgs_received,
         replayed: false,
     };
-    // The retransmissions go out before the proxy refuses an ack that
-    // precedes its `Init`.
+    // An ack before `Init` is refused before the machine acts on it: it
+    // resends nothing and counts no retransmission.
     let err = machine
-        .receive(&mut proxy, &ack, |m| written.push(m.clone()))
+        .receive(&mut proxy, &ack(0), |m| written.push(m.clone()))
         .expect_err("an ack before init is malformed");
     assert!(matches!(err, ProtocolError::Malformed(_)), "{err:?}");
-    assert_eq!(proxy.stats().retransmits, 1);
+    assert_eq!(proxy.stats().retransmits, 0);
+    assert!(written.is_empty(), "{written:?}");
+    // Once the session exists, a valid ack resends the log, which
+    // restarted with the new Hello: nothing older is resent.
+    let init = ServerMessage::Init {
+        version: PROTOCOL_VERSION,
+        width: 16,
+        height: 16,
+        format: PixelFormat::Rgb888,
+        name: "panel".into(),
+    };
+    machine
+        .receive(&mut proxy, &init, |_| {})
+        .expect("init is accepted");
+    machine
+        .receive(&mut proxy, &ack(0), |m| written.push(m.clone()))
+        .expect("an ack after init is accepted");
     assert_eq!(&written[..1], hello.as_slice());
+    assert!(
+        !written[1..]
+            .iter()
+            .any(|m| matches!(m, ClientMessage::CutText(_) | ClientMessage::Hello { .. })),
+        "{written:?}"
+    );
 }

@@ -3,18 +3,17 @@
 //! [`GatewayClient`] wraps a [`uniint_core::proxy::UniIntProxy`] and
 //! detects broken connections (EOF or read error; a failed write shows
 //! up as EOF on the next read). Everything else is the same
-//! [`ResumeMachine`] that [`uniint_core::session::SimSession`] uses: it
-//! decides what is written and when, and runs the recovery. The client
-//! only moves bytes: it fills and writes the socket, sleeps out each
-//! backoff delay, reconnects with a fresh `TcpStream`, and sends a raw
-//! `Hello` before the machine's `Resume`, since the gateway keys
-//! sessions by name.
+//! [`ResumeMachine`] that [`uniint_core::session::SimSession`] drives:
+//! it decodes the frames read, decides what is written and when, and
+//! runs the recovery. The client only moves bytes: it fills and writes
+//! the socket, sleeps out each backoff delay, and reconnects with a
+//! fresh `TcpStream`, on which it writes the machine's reattach.
 //!
 //! Each batch of messages leaves in one write: the messages of one
 //! [`GatewayClient::send_messages`] (or input, or renegotiation), all
 //! replies to the frames of one [`GatewayClient::pump_once`] read, a
 //! `ResumeAck`'s retransmission among them, and a reconnect's `Hello`
-//! with its reattach messages.
+//! with its `Resume`.
 
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -23,9 +22,8 @@ use std::time::{Duration, Instant};
 
 use uniint_core::plugin::{DeviceEvent, DeviceFrame, InputPlugin, OutputPlugin};
 use uniint_core::proxy::{ProxyStats, UniIntProxy};
-use uniint_core::resume::{BackoffPolicy, Reattach, ResumeMachine, Stalled};
-use uniint_protocol::error::ProtocolError;
-use uniint_protocol::message::{ClientMessage, ServerMessage, PROTOCOL_VERSION};
+use uniint_core::resume::{BackoffPolicy, ResumeMachine, SessionError};
+use uniint_protocol::message::ClientMessage;
 
 use crate::codec::{FramedSocket, ReadStatus, DEFAULT_MAX_FRAME};
 
@@ -39,60 +37,6 @@ const BACKOFF: BackoffPolicy = BackoffPolicy {
 /// Socket read timeout per [`GatewayClient::pump_once`] call.
 const POLL: Duration = Duration::from_millis(10);
 
-/// Why a [`GatewayClient`] operation failed.
-#[derive(Debug)]
-pub enum GatewayError {
-    /// Socket-level failure outside the recoverable set.
-    Io(io::Error),
-    /// The server sent something undecodable.
-    Protocol(ProtocolError),
-    /// The connection stalled and every reconnect attempt failed.
-    Stalled {
-        /// Reconnect attempts made before giving up.
-        attempts: u32,
-    },
-}
-
-impl From<Stalled> for GatewayError {
-    fn from(Stalled { attempts }: Stalled) -> GatewayError {
-        GatewayError::Stalled { attempts }
-    }
-}
-
-impl From<io::Error> for GatewayError {
-    fn from(e: io::Error) -> GatewayError {
-        GatewayError::Io(e)
-    }
-}
-
-impl From<ProtocolError> for GatewayError {
-    fn from(e: ProtocolError) -> GatewayError {
-        GatewayError::Protocol(e)
-    }
-}
-
-impl std::fmt::Display for GatewayError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GatewayError::Io(e) => write!(f, "socket error: {e}"),
-            GatewayError::Protocol(e) => write!(f, "protocol error: {e}"),
-            GatewayError::Stalled { attempts } => {
-                write!(f, "stalled; gave up after {attempts} reconnect attempts")
-            }
-        }
-    }
-}
-
-impl std::error::Error for GatewayError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            GatewayError::Io(e) => Some(e),
-            GatewayError::Protocol(e) => Some(e),
-            GatewayError::Stalled { .. } => None,
-        }
-    }
-}
-
 /// A UniInt proxy attached to a [`crate::host::Gateway`] over TCP.
 #[derive(Debug)]
 pub struct GatewayClient {
@@ -100,11 +44,9 @@ pub struct GatewayClient {
     pub proxy: UniIntProxy,
     addr: SocketAddr,
     sock: FramedSocket,
-    /// Retransmission log, backoff and resume state.
+    /// The proxy-side driver: retransmission log, backoff, resume state
+    /// and delivered frames.
     resume: ResumeMachine,
-    last_frame: Option<DeviceFrame>,
-    frames_delivered: u64,
-    bells: u32,
 }
 
 impl GatewayClient {
@@ -114,16 +56,13 @@ impl GatewayClient {
         addr: SocketAddr,
         name: impl Into<String>,
         seed: u64,
-    ) -> Result<GatewayClient, GatewayError> {
+    ) -> Result<GatewayClient, SessionError> {
         let stream = TcpStream::connect(addr)?;
         let mut c = GatewayClient {
             proxy: UniIntProxy::new(name),
             addr,
             sock: FramedSocket::new(stream, DEFAULT_MAX_FRAME, POLL)?,
             resume: ResumeMachine::new(BACKOFF, seed),
-            last_frame: None,
-            frames_delivered: 0,
-            bells: 0,
         };
         let hello = c.proxy.connect();
         c.send_logged(hello);
@@ -131,7 +70,7 @@ impl GatewayClient {
         while !c.proxy.is_connected() {
             c.pump_once()?;
             if Instant::now() > deadline {
-                return Err(GatewayError::Io(io::Error::new(
+                return Err(SessionError::Io(io::Error::new(
                     io::ErrorKind::TimedOut,
                     "handshake never completed",
                 )));
@@ -152,22 +91,22 @@ impl GatewayClient {
 
     /// Bell count so far.
     pub fn bells(&self) -> u32 {
-        self.bells
+        self.resume.bells()
     }
 
     /// Frames delivered to the output device so far.
     pub fn frames_delivered(&self) -> u64 {
-        self.frames_delivered
+        self.resume.frames_delivered()
     }
 
     /// The most recent adapted device frame.
     pub fn last_frame(&self) -> Option<&DeviceFrame> {
-        self.last_frame.as_ref()
+        self.resume.last_frame()
     }
 
     /// Takes the most recent adapted frame.
     pub fn take_frame(&mut self) -> Option<DeviceFrame> {
-        self.last_frame.take()
+        self.resume.take_frame()
     }
 
     /// Installs an input plug-in (see [`UniIntProxy::attach_input`]).
@@ -202,18 +141,19 @@ impl GatewayClient {
         let _ = self.sock.stream().shutdown(Shutdown::Both);
     }
 
-    /// One poll cycle: read what arrived, decode frames, feed the proxy,
-    /// send its replies. Detects connection breaks and recovers them
-    /// (reconnect + incremental resume) transparently.
+    /// One poll cycle: read what arrived, and hand its frames to the
+    /// resume machine, which feeds the proxy and queues its replies.
+    /// Detects connection breaks and recovers them (reconnect +
+    /// incremental resume) transparently.
     ///
     /// Returns `true` when at least one server frame was processed.
     ///
     /// # Errors
     ///
-    /// [`GatewayError::Stalled`] when the gateway stayed unreachable for
-    /// the whole backoff budget; [`GatewayError::Protocol`] on an
+    /// [`SessionError::Stalled`] when the gateway stayed unreachable for
+    /// the whole backoff budget; [`SessionError::Protocol`] on an
     /// undecodable (hostile) byte stream.
-    pub fn pump_once(&mut self) -> Result<bool, GatewayError> {
+    pub fn pump_once(&mut self) -> Result<bool, SessionError> {
         match self.sock.fill() {
             Ok(ReadStatus::Idle) => Ok(false),
             Ok(ReadStatus::Eof) | Err(_) => {
@@ -221,33 +161,13 @@ impl GatewayClient {
                 Ok(false)
             }
             Ok(ReadStatus::Data(_)) => {
-                let handled = self.handle_frames();
+                let (frames, queue) = self.sock.split();
+                let handled = self.resume.receive_frames(&mut self.proxy, frames, queue);
                 // Replies leave even when a later frame failed.
                 let _ = self.sock.send_batch();
                 handled
             }
         }
-    }
-
-    /// Handles every whole frame read so far, queueing the replies.
-    /// Returns `true` when there was at least one.
-    fn handle_frames(&mut self) -> Result<bool, GatewayError> {
-        let mut processed = false;
-        while let Some(frame) = self.sock.next_frame()? {
-            processed = true;
-            let msg = ServerMessage::decode_body(&mut frame.as_slice())?;
-            let out = self
-                .resume
-                .receive(&mut self.proxy, &msg, |m| self.sock.queue(m))?;
-            if let Some(f) = out.frame {
-                self.last_frame = Some(f);
-                self.frames_delivered += 1;
-            }
-            if out.bell {
-                self.bells += 1;
-            }
-        }
-        Ok(processed)
     }
 
     /// Hands client messages to the resume machine, which logs them and
@@ -262,10 +182,10 @@ impl GatewayClient {
         let _ = self.sock.send_batch();
     }
 
-    /// Re-establishes TCP under the backoff schedule, then reattaches
-    /// the protocol session. A fresh `FramedSocket` also discards any
-    /// half-received frame from the dead connection.
-    fn reconnect(&mut self) -> Result<(), GatewayError> {
+    /// Re-establishes TCP under the backoff schedule, then writes the
+    /// machine's reattach in one batch. A fresh `FramedSocket` also
+    /// discards any half-received frame from the dead connection.
+    fn reconnect(&mut self) -> Result<(), SessionError> {
         let reattach = self.resume.recover(&mut self.proxy, |delay_us| {
             thread::sleep(Duration::from_micros(delay_us));
             TcpStream::connect(self.addr)
@@ -273,16 +193,7 @@ impl GatewayClient {
                 .map(|fresh| self.sock = fresh)
                 .is_ok()
         })?;
-        if let Reattach::Resume(_) = reattach {
-            // The gateway keys sessions by name: announce it first.
-            self.sock.queue(&ClientMessage::Hello {
-                version: PROTOCOL_VERSION,
-                name: self.proxy.name().to_owned(),
-            });
-        }
-        for m in reattach.messages() {
-            self.sock.queue(m);
-        }
+        reattach.messages().iter().for_each(|m| self.sock.queue(m));
         let _ = self.sock.send_batch();
         Ok(())
     }

@@ -121,6 +121,13 @@ impl FramedSocket {
         }
     }
 
+    /// The frames read so far and a writer onto the batch, at once: a
+    /// reply can be queued while the frame it answers is handled.
+    pub fn split(&mut self) -> (&mut FrameReader, impl FnMut(&ClientMessage) + '_) {
+        let batch = &mut self.batch;
+        (&mut self.reader, move |m: &ClientMessage| m.encode(batch))
+    }
+
     /// Extracts the next complete frame body, if one is buffered.
     ///
     /// # Errors

@@ -52,7 +52,8 @@ mod poll;
 
 /// Convenient re-exports of the gateway surface.
 pub mod prelude {
-    pub use crate::client::{GatewayClient, GatewayError};
+    pub use crate::client::GatewayClient;
     pub use crate::codec::{check_hello_version, FramedSocket};
     pub use crate::host::{Gateway, GatewayConfig};
+    pub use uniint_core::resume::SessionError;
 }

@@ -13,13 +13,17 @@
 //!   after every update. Two replays of one trace are byte-identical
 //!   (digest sequence and telemetry snapshot), which is what the CI
 //!   record/replay job checks.
-//! - [`Replayer::verify`] additionally drives a **fresh server** (a
-//!   `MultiServer` with one client) over a caller-provided [`Ui`] (in
-//!   the same initial state as the recorded run): the `ToServer` half
-//!   is fed in, and every message the server regenerates is
-//!   byte-compared against the recorded `ToClient` record at the same
-//!   position. A recorded message that no reply accounts for came from
-//!   a pump, so the fresh server pumps there too. The first mismatch is reported as a
+//! - [`Replayer::verify`] additionally drives a **fresh session host**
+//!   (a [`SessionHost`], as the recorded run had) over a caller-provided
+//!   [`Ui`] (in the same initial state as the recorded run). Each trace
+//!   channel is one host connection, opened when the channel first
+//!   speaks, so a reconnect's `Hello` and `Resume` on a new channel adopt
+//!   the session as they did live; a trace all on channel 0 is one
+//!   connection. The `ToServer` half is fed in on its channels, and
+//!   every message the host regenerates is byte-compared against the
+//!   recorded `ToClient` record at the same position. A recorded message
+//!   that no reply accounts for came from a pump, so the fresh host ticks
+//!   there too, at the record's time. The first mismatch is reported as a
 //!   [`Divergence`] carrying the record index, timestamp and reason —
 //!   pinpointing exactly where a mutated trace (or a behaviour change
 //!   in the server) departs from the recording.
@@ -29,8 +33,10 @@
 //! session in this workspace follows; application-side mutations made
 //! between messages would need their own journal to reproduce.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::vec::Drain;
 
+use uniint_core::host::{ConnId, Output, SessionHost};
 use uniint_core::multi::MultiServer;
 use uniint_core::plugin::OutputPlugin;
 use uniint_core::proxy::UniIntProxy;
@@ -41,7 +47,7 @@ use uniint_telemetry::registry::Registry;
 use uniint_telemetry::snapshot::Snapshot;
 use uniint_wsys::ui::Ui;
 
-use crate::format::{TraceError, TraceReader, TraceRecord};
+use crate::format::{TraceError, TraceReader};
 
 /// The first point where a replay departed from the recorded run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -234,12 +240,13 @@ impl Replayer {
         self.run(reader, None)
     }
 
-    /// Full divergence check: drives a fresh server over `ui` (which
-    /// must be in the recorded run's *initial* state) with the
-    /// client→server half, comparing every regenerated message
-    /// byte-for-byte against the recorded server→client half, while a
-    /// shadow proxy applies the recorded updates for digests. Returns
-    /// [`ReplayError::Diverged`] at the first mismatch.
+    /// Full divergence check: drives a fresh session host over `ui`
+    /// (which must be in the recorded run's *initial* state) with the
+    /// client→server half, one host connection per channel, comparing
+    /// every regenerated message byte-for-byte against the recorded
+    /// server→client half, while a shadow proxy applies the recorded
+    /// updates for digests. Returns [`ReplayError::Diverged`] at the
+    /// first mismatch.
     pub fn verify(self, reader: &TraceReader, ui: &mut Ui) -> Result<ReplayOutcome, ReplayError> {
         self.run(reader, Some(ui))
     }
@@ -256,13 +263,15 @@ impl Replayer {
             // already part of the recorded conversation; drop them.
             let _ = proxy.attach_output(plugin);
         }
-        // A fresh server with the recorded client as its one client.
-        let mut server = ui.as_deref().map(|ui| {
-            let mut server = MultiServer::with_telemetry(registry.clone());
-            let client = server.accept(ui);
-            (server, client)
+        // A fresh host; its `gateway.*` counters stay out of the replay
+        // registry, as they stayed out of a simulated session's.
+        let mut host = ui.is_some().then(|| {
+            let multi = MultiServer::with_telemetry(registry.clone());
+            SessionHost::new(multi, &Registry::new(), u64::MAX)
         });
-        // Server messages regenerated by `server` but not yet matched
+        // The host connection of each recorded channel.
+        let mut conns: HashMap<u32, ConnId> = HashMap::new();
+        // Server messages regenerated by `host` but not yet matched
         // against a recorded ToClient record (bodies, no length prefix).
         let mut pending: VecDeque<Vec<u8>> = VecDeque::new();
 
@@ -289,25 +298,22 @@ impl Replayer {
             match record.dir {
                 Direction::ToServer => {
                     outcome.to_server += 1;
-                    if let (Some((server, client)), Some(ui)) = (server.as_mut(), ui.as_deref_mut())
-                    {
-                        let msg = decode_client(index, &record)?;
-                        for reply in server.handle_message(ui, *client, msg) {
-                            pending.push_back(body(&reply));
-                        }
+                    if let (Some(host), Some(ui)) = (host.as_mut(), ui.as_deref_mut()) {
+                        let msg = ClientMessage::decode_body(&mut record.payload.as_slice())
+                            .map_err(undecodable(index))?;
+                        let conn = *conns.entry(record.channel).or_insert_with(|| host.open());
+                        pending.extend(bodies(host.receive(ui, conn, msg, record.t_us)));
                     }
                 }
                 Direction::ToClient => {
                     outcome.to_client += 1;
-                    if let (Some((server, _)), Some(ui)) = (server.as_mut(), ui.as_deref_mut()) {
+                    if let (Some(host), Some(ui)) = (host.as_mut(), ui.as_deref_mut()) {
                         if pending.is_empty() {
                             // The recorded message came from a pump (a
                             // parked update request answered, or
                             // application damage flushed), not a reply:
-                            // pump the fresh server at the same point.
-                            for (_, msgs) in server.pump_all(ui) {
-                                pending.extend(msgs.iter().map(body));
-                            }
+                            // tick the fresh host at the same point.
+                            pending.extend(bodies(host.tick(ui, record.t_us)));
                         }
                         match pending.pop_front() {
                             None => {
@@ -327,14 +333,10 @@ impl Replayer {
                             Some(_) => {}
                         }
                     }
-                    let msg = decode_server(index, &record)?;
+                    let msg = ServerMessage::decode_body(&mut record.payload.as_slice())
+                        .map_err(undecodable(index))?;
                     let is_update = matches!(msg, ServerMessage::Update { .. });
-                    let _ = proxy
-                        .handle_server(&msg)
-                        .map_err(|error| ReplayError::Protocol {
-                            record_index: index,
-                            error,
-                        })?;
+                    let _ = proxy.handle_server(&msg).map_err(undecodable(index))?;
                     if is_update {
                         outcome.updates_applied += 1;
                         if let Some(fb) = proxy.server_frame() {
@@ -362,27 +364,22 @@ impl Replayer {
     }
 }
 
-/// Encodes a server message body (no length prefix), as recorded.
-fn body(m: &ServerMessage) -> Vec<u8> {
-    encode_server(m)[4..].to_vec()
+/// The bodies (no length prefix) of the messages the host asks to send,
+/// as recorded; a `Close` sends none.
+fn bodies(out: Drain<'_, Output>) -> impl Iterator<Item = Vec<u8>> + '_ {
+    out.flat_map(|o| match o {
+        Output::Send(_, msgs) => msgs,
+        Output::Close(_) => Vec::new(),
+    })
+    .map(|m| encode_server(&m)[4..].to_vec())
 }
 
-fn decode_client(index: usize, record: &TraceRecord) -> Result<ClientMessage, ReplayError> {
-    ClientMessage::decode_body(&mut record.payload.as_slice()).map_err(|error| {
-        ReplayError::Protocol {
-            record_index: index,
-            error,
-        }
-    })
-}
-
-fn decode_server(index: usize, record: &TraceRecord) -> Result<ServerMessage, ReplayError> {
-    ServerMessage::decode_body(&mut record.payload.as_slice()).map_err(|error| {
-        ReplayError::Protocol {
-            record_index: index,
-            error,
-        }
-    })
+/// Tags a protocol error with the index of the record it came from.
+fn undecodable(record_index: usize) -> impl FnOnce(ProtocolError) -> ReplayError {
+    move |error| ReplayError::Protocol {
+        record_index,
+        error,
+    }
 }
 
 /// Describes the first differing byte between a regenerated and a

@@ -272,7 +272,7 @@ fn fault_matrix_converges_on_every_link() {
         LinkProfile::cellular_gprs(),
     ];
     type Fault = (&'static str, fn(u64) -> FaultSchedule);
-    let faults: [Fault; 3] = [
+    let faults: [Fault; 4] = [
         ("burst-loss", |_t0| {
             FaultSchedule::new().burst_loss(0.05, 0.7, 0.8)
         }),
@@ -280,6 +280,13 @@ fn fault_matrix_converges_on_every_link() {
         ("latency-spike", |t0| {
             FaultSchedule::new()
                 .latency_spike(t0, t0 + 3_000_000, 250_000)
+                .reorder(0.2, 5_000)
+                .duplicate(0.1)
+        }),
+        // The reconnect's Hello and Resume may arrive swapped or twice.
+        ("flap-reorder-duplicate", |t0| {
+            FaultSchedule::new()
+                .flap(t0, t0 + 2_000_000)
                 .reorder(0.2, 5_000)
                 .duplicate(0.1)
         }),

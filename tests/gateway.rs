@@ -455,7 +455,7 @@ fn client_stalls_out_when_the_gateway_is_gone() {
         }
     };
     match err {
-        GatewayError::Stalled { attempts } => assert_eq!(attempts, 10),
+        SessionError::Stalled { attempts } => assert_eq!(attempts, 10),
         other => panic!("expected Stalled, got {other}"),
     }
     let st = c.stats();
