@@ -119,24 +119,28 @@ impl MultiServer {
     /// client, and answers all pending update requests. Returns per-client
     /// message batches (empty batches omitted).
     ///
-    /// Each damaged rect is read and analysed once per pump, whatever the
-    /// clients' pixel formats; its bytes are emitted once per distinct
-    /// `(encoding, pixel format)` among the clients owed it, and clients
-    /// that share that pair are sent copies of the same payload.
+    /// Each damaged rect is analysed once per pump, in place in the
+    /// framebuffer, whatever the clients' pixel formats; each client is
+    /// sent the smallest payload its format and encodings allow, emitted
+    /// once per distinct `(encoding, pixel format)` among the clients
+    /// owed it, and clients that share that pair are sent copies of the
+    /// same payload.
     pub fn pump_all(&mut self, ui: &mut Ui) -> Vec<(ClientId, Vec<ServerMessage>)> {
-        self.pump_with(ui, &mut EncodeMemo::default())
+        self.pump_with(ui, |_| ())
     }
 
-    /// [`pump_all`](Self::pump_all) through `memo`, which must be fresh:
-    /// tests read back what the pump analysed.
+    /// [`pump_all`](Self::pump_all), showing `inspect` the pump's memo
+    /// once every client is answered: tests read back what it analysed.
     pub(crate) fn pump_with(
         &mut self,
         ui: &mut Ui,
-        memo: &mut EncodeMemo,
+        inspect: impl FnOnce(&EncodeMemo),
     ) -> Vec<(ClientId, Vec<ServerMessage>)> {
         ui.render();
         let bell = ui.take_bell();
         let damage = ui.framebuffer_mut().take_damage();
+        let ui = &*ui;
+        let mut memo = EncodeMemo::default();
         let mut out = Vec::new();
         for (id, slot) in self.clients.iter_mut().enumerate() {
             let Some(c) = slot else { continue };
@@ -145,11 +149,12 @@ impl MultiServer {
                 msgs.push(ServerMessage::Bell);
             }
             c.add_damage(&damage);
-            msgs.extend(c.answer_pending(ui, &self.metrics, memo));
+            msgs.extend(c.answer_pending(ui, &self.metrics, &mut memo));
             if !msgs.is_empty() {
                 out.push((id, msgs));
             }
         }
+        inspect(&memo);
         out
     }
 
@@ -583,8 +588,10 @@ mod sharing_tests {
 
         fn settle(&mut self) {
             loop {
-                let mut memo = EncodeMemo::default();
-                let batches = self.server.pump_with(&mut self.ui, &mut memo);
+                let mut analysed = Vec::new();
+                let batches = self
+                    .server
+                    .pump_with(&mut self.ui, |memo| analysed = memo.analysed());
                 if batches.is_empty() {
                     break;
                 }
@@ -598,7 +605,7 @@ mod sharing_tests {
                     .flatten()
                     .map(|r| r.rect)
                     .collect();
-                self.pumps.push((memo.analysed(), sent));
+                self.pumps.push((analysed, sent));
                 for (id, msgs) in batches {
                     self.receive(id, msgs);
                 }

@@ -29,31 +29,31 @@ pub const RESUME_RETENTION: usize = 64;
 ///
 /// A rect's analysis depends only on the framebuffer's pixels within it,
 /// and a payload only on that analysis, the encoding chosen from it and
-/// the pixel format. While a pump holds `&Ui` the pixels cannot change,
-/// so the memo is keyed by the clipped rect alone: it reads and analyses
-/// each damaged rect once, chooses an encoding per client from that
-/// analysis, and emits bytes once per distinct `(encoding, pixel
-/// format)`. Clients in the same format get copies of one payload, and
-/// clients in different formats share the analysis. A memo must not
-/// outlive its pump, because the next may see new pixels.
+/// the pixel format. The memo borrows the framebuffer, so the pixels
+/// cannot change while it lives, and it is keyed by the clipped rect
+/// alone: it analyses each damaged rect once where its rows lie, chooses
+/// an encoding per client from that analysis and the client's format,
+/// and emits bytes once per distinct `(encoding, pixel format)`. Clients
+/// in the same format get copies of one payload, and clients in
+/// different formats share the analysis.
 #[derive(Debug, Default)]
-pub(crate) struct EncodeMemo {
-    entries: Vec<Analysed>,
+pub(crate) struct EncodeMemo<'fb> {
+    entries: Vec<Analysed<'fb>>,
 }
 
 /// One memo entry: a rect's analysis and the payloads emitted from it.
 #[derive(Debug)]
-struct Analysed {
-    analysis: RectAnalysis<'static>,
+struct Analysed<'fb> {
+    analysis: RectAnalysis<'fb>,
     payloads: Vec<(Encoding, PixelFormat, Vec<u8>)>,
 }
 
-impl EncodeMemo {
+impl<'fb> EncodeMemo<'fb> {
     /// The update for damaged rect `r` clipped to `fb`, in `format` and
     /// restricted to `encodings`; `None` when `r` lies outside `fb`.
     fn encode(
         &mut self,
-        fb: &Framebuffer,
+        fb: &'fb Framebuffer,
         r: Rect,
         format: PixelFormat,
         encodings: &[Encoding],
@@ -66,16 +66,15 @@ impl EncodeMemo {
         {
             Some(at) => at,
             None => {
-                let (_, pixels) = fb.read_rect(clipped);
                 self.entries.push(Analysed {
-                    analysis: RectAnalysis::new(pixels, clipped),
+                    analysis: RectAnalysis::in_frame(fb, clipped)?,
                     payloads: Vec::new(),
                 });
                 self.entries.len() - 1
             }
         };
         let Analysed { analysis, payloads } = &mut self.entries[at];
-        let encoding = analysis.choose(encodings);
+        let encoding = analysis.choose(encodings, format);
         let emitted = payloads
             .iter()
             .find(|(e, f, _)| *e == encoding && *f == format);
@@ -343,11 +342,11 @@ impl Client {
     /// Answers the client's pending update request from the already
     /// rendered framebuffer. Rects are encoded through `memo`, which the
     /// pump shares between all the clients it answers.
-    pub(crate) fn answer_pending(
+    pub(crate) fn answer_pending<'fb>(
         &mut self,
-        ui: &Ui,
+        ui: &'fb Ui,
         metrics: &ServerMetrics,
-        memo: &mut EncodeMemo,
+        memo: &mut EncodeMemo<'fb>,
     ) -> Option<ServerMessage> {
         let c = self.state.as_mut()?;
         let rect = c.pending?;
@@ -610,23 +609,26 @@ mod tests {
         assert_eq!(again, first);
         let (_, px) = fb.read_rect(button);
         assert_eq!(first.encoding, choose_encoding(&px, button, all));
-        assert_eq!(
-            first.payload,
-            encode_rect(&px, button, first.encoding, PixelFormat::Rgb888)
-        );
         // Another format or encoding list reuses the rect's analysis and
-        // emits what a fresh encode would.
+        // sends the shortest payload a fresh encode of each allowed
+        // encoding gives in that format.
         for (format, encodings) in [
+            (PixelFormat::Rgb888, all),
             (PixelFormat::Mono1, all),
             (PixelFormat::Rgb444, all),
             (PixelFormat::Rgb888, &[Encoding::Raw][..]),
         ] {
             let update = memo.encode(fb, button, format, encodings).unwrap();
-            assert_eq!(update.encoding, choose_encoding(&px, button, encodings));
             assert_eq!(
                 update.payload,
                 encode_rect(&px, button, update.encoding, format)
             );
+            let shortest = encodings
+                .iter()
+                .filter(|e| ![Encoding::CopyRect, Encoding::Hextile].contains(e))
+                .map(|&e| encode_rect(&px, button, e, format).len())
+                .min();
+            assert_eq!(Some(update.payload.len()), shortest, "{format}");
         }
         assert_eq!(memo.analysed(), [button], "one analysis per rect");
         assert_eq!(memo.entries[0].payloads.len(), 4, "one emit per format");

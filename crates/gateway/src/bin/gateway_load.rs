@@ -3,8 +3,9 @@
 //! Spawns one gateway serving a small appliance panel and N concurrent
 //! socket clients, each in its own thread clicking the panel and
 //! waiting for the resulting framebuffer update. Reports aggregate
-//! update throughput, per-interaction latency percentiles, and CPU per
-//! update split between the gateway and the load clients.
+//! update throughput, per-interaction latency percentiles, CPU per
+//! update split between the gateway and the load clients, and the bytes
+//! the gateway wrote per update (`gateway.bytes_out`).
 //!
 //! ```text
 //! gateway_load [--clients N] [--duration-ms MS] [--record PATH]
@@ -221,12 +222,9 @@ fn main() {
     let gateway_cpu_ns = process_cpu_ns()
         .saturating_sub(client_cpu_ns)
         .saturating_sub(thread_cpu_ns());
-    let dropped = registry
-        .snapshot()
-        .counters
-        .get("gateway.dropped_connections")
-        .copied()
-        .unwrap_or(0);
+    let counters = registry.snapshot().counters;
+    let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
+    let dropped = counter("gateway.dropped_connections");
 
     if let (Some(rec), Some(path)) = (recorder, args.record.as_ref()) {
         let records = rec.records_written();
@@ -254,12 +252,14 @@ fn main() {
         pct(0.50),
         pct(0.99),
     );
-    let per_update_us = |ns: u64| ns as f64 / 1e3 / total_updates.max(1) as f64;
+    let per_update = |v: u64| v as f64 / total_updates.max(1) as f64;
     println!(
         "gateway_load: cpu per update: gateway {:.1} us (gw-state thread), \
-         load clients {:.1} us (gl-client-* threads)",
-        per_update_us(gateway_cpu_ns),
-        per_update_us(client_cpu_ns),
+         load clients {:.1} us (gl-client-* threads); \
+         bytes per update: gateway.bytes_out {:.1} B",
+        per_update(gateway_cpu_ns) / 1e3,
+        per_update(client_cpu_ns) / 1e3,
+        per_update(counter("gateway.bytes_out")),
     );
     let counted = gw_threads.map_or("unknown".to_string(), |n| n.to_string());
     println!("gateway_load: gateway threads (gw-*) {counted}");

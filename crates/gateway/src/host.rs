@@ -262,6 +262,8 @@ fn state_loop(mut ui: Ui, stop: &AtomicBool, mut host: SessionHost, mut io: Io) 
             let now_us = io.started.elapsed().as_micros() as u64;
             io.deliver(host.tick(&mut ui, now_us), now_us);
         }
+        io.queue_bytes
+            .set(io.conns.values().map(|c| c.pending.len()).sum::<usize>() as i64);
     }
 }
 
@@ -284,6 +286,8 @@ struct Io {
     bytes_out: Counter,
     decode_errors: Counter,
     dropped_connections: Counter,
+    /// Pending bytes summed over every connection, as each pass of the
+    /// loop leaves them.
     queue_bytes: Gauge,
 }
 
@@ -489,8 +493,6 @@ impl Io {
             self.dropped_connections.inc();
             self.close(id, Duration::ZERO);
         }
-        let queued = self.conns.get(&id).map_or(0, |c| c.pending.len());
-        self.queue_bytes.set(queued as i64);
     }
 }
 

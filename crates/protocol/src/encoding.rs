@@ -30,19 +30,29 @@
 //! decodes to the same pixels.
 //!
 //! Encoding is two steps. A [`RectAnalysis`] reads a rect's pixels once,
-//! in one scanline pass, into colour runs and a palette that depend on no
-//! pixel format. [`RectAnalysis::choose`] then picks the encoding from
-//! it, and [`RectAnalysis::encode`] emits it in any format, so a server
-//! with clients in several formats analyses each damaged rect once.
-//! [`choose_encoding`] and [`encode_rect`] do both steps for one call.
+//! in one scanline pass where they lie, into colour runs and a palette
+//! that depend on no pixel format. [`RectAnalysis::choose`] then sends
+//! the rect in as few bytes as it can: for the client's pixel format it
+//! prices Raw, RRE, RLE and PaletteRle, as far as the client allows them,
+//! from that one analysis, and picks the smallest payload. Raw, RLE and
+//! PaletteRle are priced by arithmetic on the rect's size, palette and
+//! run count; RRE by its subrects, which are built once and reused when
+//! RRE is emitted. A tie goes to the first of Raw, RRE, RLE, PaletteRle.
+//! Hextile, which would have to be emitted to be priced, is sent only to
+//! a client that allows none of the four. A client may be sent any
+//! encoding it listed in `SetEncodings`, so the choice needs no decoder
+//! or protocol change. [`RectAnalysis::encode`] emits the chosen encoding
+//! in any format, so a server with clients in several formats analyses
+//! each damaged rect once. [`choose_encoding`] and [`encode_rect`] do
+//! both steps for one call, choosing for [`PixelFormat::Rgb888`].
 //!
 //! [`Framebuffer::rect_mut`]: uniint_raster::framebuffer::Framebuffer::rect_mut
 
 use crate::error::{ProtocolError, Result};
 use crate::wire;
-use std::borrow::Cow;
+use std::cell::OnceCell;
 use uniint_raster::color::Color;
-use uniint_raster::framebuffer::{fill_row, RectMut};
+use uniint_raster::framebuffer::{fill_row, Framebuffer, RectMut};
 use uniint_raster::geom::{Point, Rect};
 use uniint_raster::pixel::{pack_row, unpack_row_into, PixelFormat};
 
@@ -165,16 +175,18 @@ pub fn encode_rect(pixels: &[Color], rect: Rect, encoding: Encoding, fmt: PixelF
     RectAnalysis::new(pixels, rect).encode(encoding, fmt)
 }
 
-/// Picks an encoding for `pixels` (row-major, covering `rect`) by
-/// content inspection: [`RectAnalysis::new`] then
-/// [`RectAnalysis::choose`], whose rules this follows. `allowed`
-/// restricts the choice (from `SetEncodings`).
+/// Picks the encoding that sends `pixels` (row-major, covering `rect`)
+/// in the fewest bytes in [`PixelFormat::Rgb888`]:
+/// [`RectAnalysis::new`] then [`RectAnalysis::choose`], whose rule this
+/// follows. `allowed` restricts the choice (from `SetEncodings`). A
+/// client in another format may be sent another encoding; the server
+/// chooses per format through [`RectAnalysis::choose`].
 ///
 /// # Panics
 ///
 /// Panics if `pixels.len() != rect.area()`.
 pub fn choose_encoding(pixels: &[Color], rect: Rect, allowed: &[Encoding]) -> Encoding {
-    RectAnalysis::new(pixels, rect).choose(allowed)
+    RectAnalysis::new(pixels, rect).choose(allowed, PixelFormat::Rgb888)
 }
 
 /// Encodes a CopyRect payload: the source top-left in the remote
@@ -365,11 +377,21 @@ fn run_writer<'r>(
 /// sends a rect with more colours raw.
 const PALETTE_CAP: usize = 255;
 
-/// Most distinct colours [`RectAnalysis::choose`] counts as "few".
-const FEW_COLOURS: usize = 64;
-
 /// Longest run one RLE or PaletteRle run length can carry.
 const MAX_RUN: usize = u16::MAX as usize;
+
+/// Runs per row [`Colours::scan`] makes room for before its pass, so that
+/// the runs of a flat GUI rect are stored without growing the buffer.
+const RUNS_PER_ROW: usize = 8;
+
+/// The encodings [`RectAnalysis::choose`] prices, in the order that breaks
+/// a tie in bytes.
+const PRICED: [Encoding; 4] = [
+    Encoding::Raw,
+    Encoding::Rre,
+    Encoding::Rle,
+    Encoding::PaletteRle,
+];
 
 /// A maximal run of one colour in scanline order; it may wrap rows.
 #[derive(Debug, Clone, Copy)]
@@ -377,7 +399,9 @@ struct Run {
     color: Color,
     /// The colour's palette index; 0 once the palette overflowed.
     index: u8,
-    len: usize,
+    /// Pixels in the run: a `u32` keeps a run in 8 bytes, and an
+    /// analysed rect holds at most `u32::MAX` pixels.
+    len: u32,
 }
 
 /// The colours of a stream of pixel rows read as one scanline sequence:
@@ -387,16 +411,10 @@ struct Colours {
     runs: Vec<Run>,
     /// Distinct colours ([`Color::to_u32`]) in first-appearance order.
     palette: Vec<u32>,
-    /// Pixels of each palette colour.
-    counts: Vec<usize>,
-    /// More than [`PALETTE_CAP`] colours appeared. The palette, its
-    /// counts and the runs' indices stop at the run that brought in the
-    /// first colour that did not fit.
+    /// More than [`PALETTE_CAP`] colours appeared. The palette and the
+    /// runs' indices stop at the run that brought in the first colour
+    /// that did not fit.
     overflow: bool,
-    /// Runs up to and including the one that brings in colour number
-    /// `FEW_COLOURS + 1`, or all runs when there are fewer colours: the
-    /// transitions [`RectAnalysis::choose`] weighs.
-    transitions: usize,
     /// Runs once those longer than [`MAX_RUN`] are split.
     pieces: usize,
 }
@@ -405,72 +423,68 @@ impl Colours {
     /// Scans `rows` into `self`, reusing its buffers. The pass steps run
     /// by run: a pixel repeating its predecessor costs one comparison,
     /// and only a run's first pixel searches the palette.
-    fn scan<'p>(&mut self, rows: impl IntoIterator<Item = &'p [Color]>) {
+    fn scan<'p>(&mut self, rows: impl ExactSizeIterator<Item = &'p [Color]>) {
         self.runs.clear();
         self.palette.clear();
-        self.counts.clear();
         self.overflow = false;
+        self.runs.reserve(rows.len() * RUNS_PER_ROW);
+        self.palette.reserve(PALETTE_CAP);
         for mut rest in rows {
             while let Some(&color) = rest.first() {
                 let len = rest.iter().position(|&p| p != color).unwrap_or(rest.len());
                 rest = &rest[len..];
-                let index = match self.runs.last_mut() {
+                match self.runs.last_mut() {
                     // Only a run that wraps into the next row continues.
-                    Some(run) if run.color == color => {
-                        run.len += len;
-                        run.index
-                    }
+                    Some(run) if run.color == color => run.len += len as u32,
                     _ => self.open(color, len),
-                };
-                if !self.overflow {
-                    self.counts[index as usize] += len;
                 }
             }
         }
-        if self.palette.len() <= FEW_COLOURS {
-            self.transitions = self.runs.len();
-        }
-        self.pieces = self.runs.iter().map(|r| r.len.div_ceil(MAX_RUN)).sum();
+        self.pieces = self
+            .runs
+            .iter()
+            .map(|r| (r.len as usize).div_ceil(MAX_RUN))
+            .sum();
     }
 
-    /// Starts a run, entering its colour in the palette; returns the
-    /// colour's palette index.
-    fn open(&mut self, color: Color, len: usize) -> u8 {
+    /// Starts a run, entering its colour in the palette.
+    fn open(&mut self, color: Color, len: usize) {
         let mut index = 0;
         if !self.overflow {
-            let key = color.to_u32();
-            match self.palette.iter().position(|&c| c == key) {
-                Some(i) => index = i as u8,
-                None if self.palette.len() < PALETTE_CAP => {
-                    index = self.palette.len() as u8;
-                    self.palette.push(key);
-                    self.counts.push(0);
-                    if self.palette.len() == FEW_COLOURS + 1 {
-                        self.transitions = self.runs.len() + 1;
+            match self.runs.len().checked_sub(2).map(|i| self.runs[i]) {
+                // The colour before the last run's, as text on a
+                // background alternates: no palette search.
+                Some(back) if back.color == color => index = back.index,
+                _ => {
+                    let key = color.to_u32();
+                    match self.palette.iter().position(|&c| c == key) {
+                        Some(i) => index = i as u8,
+                        None if self.palette.len() < PALETTE_CAP => {
+                            index = self.palette.len() as u8;
+                            self.palette.push(key);
+                        }
+                        None => self.overflow = true,
                     }
                 }
-                None => self.overflow = true,
             }
         }
-        self.runs.push(Run { color, index, len });
-        index
-    }
-
-    /// Distinct colours, counted up to one past [`PALETTE_CAP`].
-    fn distinct(&self) -> usize {
-        if self.overflow {
-            PALETTE_CAP + 1
-        } else {
-            self.palette.len()
-        }
+        self.runs.push(Run {
+            color,
+            index,
+            len: len as u32,
+        });
     }
 
     /// The most frequent colour; of colours with equal counts, the one
     /// that appears first wins. Black when there are no pixels.
     fn dominant(&self) -> Color {
         if !self.overflow {
+            let mut counts = vec![0; self.palette.len()];
+            for run in &self.runs {
+                counts[run.index as usize] += run.len as usize;
+            }
             let mut best: Option<(usize, u32)> = None;
-            for (&c, &n) in self.palette.iter().zip(&self.counts) {
+            for (&c, &n) in self.palette.iter().zip(&counts) {
                 if best.is_none_or(|(most, _)| n > most) {
                     best = Some((n, c));
                 }
@@ -483,7 +497,7 @@ impl Colours {
             .runs
             .iter()
             .enumerate()
-            .map(|(i, r)| (r.color.to_u32(), i, r.len))
+            .map(|(i, r)| (r.color.to_u32(), i, r.len as usize))
             .collect();
         runs.sort_unstable();
         let mut best = (0, usize::MAX, Color::BLACK);
@@ -511,7 +525,7 @@ impl Colours {
     /// send them.
     fn for_each_piece(&self, mut emit: impl FnMut(&Run, u16)) {
         for run in &self.runs {
-            let mut left = run.len;
+            let mut left = run.len as usize;
             while left > MAX_RUN {
                 emit(run, MAX_RUN as u16);
                 left -= MAX_RUN;
@@ -521,49 +535,79 @@ impl Colours {
     }
 }
 
+/// RRE's background, the most frequent colour, and the subrects that
+/// cover every other pixel.
+#[derive(Debug)]
+struct Rre {
+    bg: Color,
+    subs: Vec<SubRect>,
+}
+
 /// One rect's pixels, analysed once for every encoder and pixel format.
 ///
-/// [`new`](Self::new) makes one scanline pass over the rect's canonical
-/// pixels and keeps:
+/// [`new`](Self::new) and [`in_frame`](Self::in_frame) make one scanline
+/// pass over the rect's canonical pixels, where they lie, and keep:
 ///
-/// - the colour runs;
-/// - the palette in first-appearance order, with a pixel count per
-///   entry, capped at 255 entries (PaletteRle sends a rect with more
-///   colours raw);
-/// - the transition count;
-/// - the pixels, for Raw and Hextile.
+/// - the colour runs, each with its palette index;
+/// - the palette in first-appearance order, capped at 255 entries
+///   (PaletteRle sends a rect with more colours raw);
+/// - a view of the pixels, for Raw and Hextile.
 ///
-/// Every encoder reads this one table. [`choose`](Self::choose) takes the
-/// palette size and the transitions; PaletteRle emits the palette and the
-/// index runs; RLE emits the runs; RRE takes its background from the
-/// counts and its subrects from the runs. Hextile analyses each tile the
-/// same way. Nothing in it depends on a pixel format, so one analysis
-/// serves clients in every format: [`encode`](Self::encode) emits it in
-/// any of them.
+/// Every encoder reads this one table. PaletteRle emits the palette and
+/// the index runs; RLE emits the runs; Mono1 Raw sets each run's bit;
+/// RRE takes its background (the colour with the most pixels) and its
+/// subrects from the runs, built once, the first time RRE is priced or
+/// emitted. Hextile analyses each tile the same way.
+/// Nothing in it depends on a pixel format, so one analysis serves
+/// clients in every format: [`choose`](Self::choose) prices the
+/// encodings in any of them and [`encode`](Self::encode) emits them.
 #[derive(Debug)]
 pub struct RectAnalysis<'a> {
     rect: Rect,
-    pixels: Cow<'a, [Color]>,
+    /// The rect's rows: row `y` is the `rect.w` pixels from
+    /// `y * stride`.
+    pixels: &'a [Color],
+    stride: usize,
     colours: Colours,
+    rre: OnceCell<Rre>,
 }
 
 impl<'a> RectAnalysis<'a> {
-    /// Analyses `pixels` (row-major, covering `rect`). Pass a `Vec` for
-    /// an analysis that owns its pixels.
+    /// Analyses `pixels` (row-major, covering `rect`).
     ///
     /// # Panics
     ///
-    /// Panics if `pixels.len() != rect.area()`.
-    pub fn new(pixels: impl Into<Cow<'a, [Color]>>, rect: Rect) -> RectAnalysis<'a> {
-        let pixels = pixels.into();
+    /// Panics if `pixels.len() != rect.area()`, or if the rect holds
+    /// more than `u32::MAX` pixels (a run's length is a `u32`).
+    pub fn new(pixels: &'a [Color], rect: Rect) -> RectAnalysis<'a> {
         assert_eq!(pixels.len() as u64, rect.area(), "pixel count mismatch");
-        let mut colours = Colours::default();
-        colours.scan([&pixels[..]]);
-        RectAnalysis {
+        assert!(rect.area() <= u32::MAX as u64, "rect too large to analyse");
+        RectAnalysis::over(pixels, rect.w as usize, rect)
+    }
+
+    /// Analyses `rect` clipped to `fb` in place, copying no pixel; `None`
+    /// when `rect` lies outside `fb`. A framebuffer holds at most
+    /// [`MAX_PIXELS`] pixels, so any rect of it can be analysed.
+    ///
+    /// [`MAX_PIXELS`]: uniint_raster::framebuffer::MAX_PIXELS
+    pub fn in_frame(fb: &'a Framebuffer, rect: Rect) -> Option<RectAnalysis<'a>> {
+        let rect = rect.intersect(fb.bounds())?;
+        let stride = fb.width() as usize;
+        let start = rect.y as usize * stride + rect.x as usize;
+        let end = start + (rect.h as usize - 1) * stride + rect.w as usize;
+        Some(RectAnalysis::over(&fb.pixels()[start..end], stride, rect))
+    }
+
+    fn over(pixels: &'a [Color], stride: usize, rect: Rect) -> RectAnalysis<'a> {
+        let mut analysis = RectAnalysis {
             rect,
             pixels,
-            colours,
-        }
+            stride,
+            colours: Colours::default(),
+            rre: OnceCell::new(),
+        };
+        analysis.colours.scan(analysis.rows());
+        analysis
     }
 
     /// The analysed rect.
@@ -571,40 +615,68 @@ impl<'a> RectAnalysis<'a> {
         self.rect
     }
 
-    /// Picks a good encoding by content: at most 2 colours go to RRE, at
-    /// most 64 to PaletteRle, long runs (under 5 % transitions) to RLE,
-    /// at most 64 colours to Hextile, the rest to Raw. The first of these
-    /// that `allowed` (from `SetEncodings`) contains wins. The transitions
-    /// are counted up to the pixel that brings in the 65th colour.
+    /// The rect's rows of pixels, top to bottom.
+    fn rows(&self) -> impl ExactSizeIterator<Item = &'a [Color]> + Clone {
+        let (pixels, stride, w) = (self.pixels, self.stride, self.rect.w as usize);
+        (0..self.rect.h as usize).map(move |y| &pixels[y * stride..][..w])
+    }
+
+    /// RRE's background and subrects, built on first use.
+    fn rre(&self) -> &Rre {
+        self.rre.get_or_init(|| {
+            let bg = self.colours.dominant();
+            Rre {
+                bg,
+                subs: subrects(&self.colours.runs, self.rect.w as usize, bg),
+            }
+        })
+    }
+
+    /// The length of [`encode`](Self::encode)'s payload for `encoding`,
+    /// one of [`PRICED`], in `fmt`: worked out from the analysis, without
+    /// emitting a byte.
+    fn wire_len(&self, encoding: Encoding, fmt: PixelFormat) -> usize {
+        let px = fmt.row_bytes(1);
+        let raw = fmt.buffer_bytes(self.rect.w, self.rect.h);
+        let c = &self.colours;
+        match encoding {
+            Encoding::Raw => raw,
+            // Count, background, then a pixel and four u16s per subrect.
+            Encoding::Rre => 4 + px + self.rre().subs.len() * (px + 8),
+            // Count, then a u16 length and a pixel per run.
+            Encoding::Rle => 4 + c.pieces * (2 + px),
+            Encoding::PaletteRle if c.overflow => 1 + raw,
+            Encoding::PaletteRle if c.palette.len() == 1 => 1 + px,
+            // Mode, palette size, palette, run count, then an index and a
+            // u16 length per run.
+            Encoding::PaletteRle => 6 + c.palette.len() * px + c.pieces * 3,
+            Encoding::CopyRect | Encoding::Hextile => {
+                unreachable!("{encoding} is not priced")
+            }
+        }
+    }
+
+    /// The encoding whose payload in `fmt` is smallest, among Raw, RRE,
+    /// RLE and PaletteRle as far as `allowed` (from `SetEncodings`)
+    /// contains them. Each is priced from the analysis by arithmetic,
+    /// except RRE, whose subrects are built once and kept for
+    /// [`encode`](Self::encode). Of encodings with equal payloads, the
+    /// first in the order Raw, RRE, RLE, PaletteRle wins.
     ///
-    /// Never returns [`Encoding::CopyRect`], which carries no pixels: when
-    /// `allowed` names no pixel encoding the answer is [`Encoding::Raw`],
-    /// which every client decodes.
-    pub fn choose(&self, allowed: &[Encoding]) -> Encoding {
-        let allows = |e: Encoding| allowed.contains(&e);
-        let distinct = self.colours.distinct();
-        let few = distinct <= FEW_COLOURS;
-        let density = self.colours.transitions as f64 / self.rect.area().max(1) as f64;
-        if distinct <= 2 && allows(Encoding::Rre) {
-            return Encoding::Rre;
-        }
-        if few && allows(Encoding::PaletteRle) {
-            return Encoding::PaletteRle;
-        }
-        if density < 0.05 && allows(Encoding::Rle) {
-            return Encoding::Rle;
-        }
-        if few && allows(Encoding::Hextile) {
-            return Encoding::Hextile;
-        }
-        if allows(Encoding::Raw) {
-            return Encoding::Raw;
-        }
-        allowed
-            .iter()
-            .copied()
-            .find(|&e| e != Encoding::CopyRect)
-            .unwrap_or(Encoding::Raw)
+    /// Hextile is not priced: it is the answer only when `allowed` holds
+    /// none of the four. Never returns [`Encoding::CopyRect`], which
+    /// carries no pixels: when `allowed` names no pixel encoding the
+    /// answer is [`Encoding::Raw`], which every client decodes.
+    pub fn choose(&self, allowed: &[Encoding], fmt: PixelFormat) -> Encoding {
+        PRICED
+            .into_iter()
+            .filter(|e| allowed.contains(e))
+            .min_by_key(|&e| self.wire_len(e, fmt))
+            .unwrap_or(if allowed.contains(&Encoding::Hextile) {
+                Encoding::Hextile
+            } else {
+                Encoding::Raw
+            })
     }
 
     /// The rect's wire bytes with `encoding`, in `fmt`.
@@ -615,10 +687,10 @@ impl<'a> RectAnalysis<'a> {
     /// [`encode_copy_rect`]).
     pub fn encode(&self, encoding: Encoding, fmt: PixelFormat) -> Vec<u8> {
         match encoding {
-            Encoding::Raw => encode_raw(&self.pixels, self.rect, fmt),
+            Encoding::Raw => encode_raw(self, fmt),
             Encoding::CopyRect => panic!("CopyRect carries no pixels; use encode_copy_rect"),
-            Encoding::Rre => encode_rre(&self.colours, self.rect, fmt),
-            Encoding::Hextile => encode_hextile(&self.pixels, self.rect, fmt),
+            Encoding::Rre => encode_rre(self.rre(), fmt),
+            Encoding::Hextile => encode_hextile(self, fmt),
             Encoding::Rle => encode_rle(&self.colours, fmt),
             Encoding::PaletteRle => encode_palette_rle(self, fmt),
         }
@@ -627,12 +699,61 @@ impl<'a> RectAnalysis<'a> {
 
 // ---------------------------------------------------------------- raw --
 
-fn encode_raw(pixels: &[Color], rect: Rect, fmt: PixelFormat) -> Vec<u8> {
+/// Packs the rect's pixels row by row, except in Mono1, which
+/// [`encode_mono_raw`] packs from the runs.
+fn encode_raw(analysis: &RectAnalysis, fmt: PixelFormat) -> Vec<u8> {
+    let rect = analysis.rect;
+    if fmt == PixelFormat::Mono1 {
+        return encode_mono_raw(&analysis.colours, rect);
+    }
     let mut out = Vec::with_capacity(fmt.buffer_bytes(rect.w, rect.h));
-    for row in pixels.chunks_exact(rect.w as usize) {
+    for row in analysis.rows() {
         pack_row(fmt, row, None, &mut out);
     }
     out
+}
+
+/// Raw in [`PixelFormat::Mono1`], packed from the runs: each run's bit
+/// is worked out once and set across its pixels, a whole byte at a time
+/// where it covers one. The bytes are those [`pack_row`] gives.
+fn encode_mono_raw(c: &Colours, rect: Rect) -> Vec<u8> {
+    let w = rect.w as usize;
+    let row_bytes = PixelFormat::Mono1.row_bytes(rect.w);
+    let mut out = vec![0u8; row_bytes * rect.h as usize];
+    let mut rows = out.chunks_exact_mut(row_bytes.max(1));
+    let mut row: &mut [u8] = &mut [];
+    let mut x = w;
+    for run in &c.runs {
+        // All ones for a white run, no bits for a black one.
+        let bits = 0u8.wrapping_sub(u8::from(run.color.luma() >= 128));
+        let mut left = run.len as usize;
+        while left > 0 {
+            if x == w {
+                row = rows.next().expect("runs cover the rect");
+                x = 0;
+            }
+            let n = left.min(w - x);
+            set_bits(row, x, x + n, bits);
+            x += n;
+            left -= n;
+        }
+    }
+    out
+}
+
+/// ORs `bits` into bits `from..to` of `row` (`from < to`), most
+/// significant bit first.
+fn set_bits(row: &mut [u8], from: usize, to: usize, bits: u8) {
+    let (first, last) = (from / 8, (to - 1) / 8);
+    let head = bits >> (from % 8);
+    let tail = bits << (7 - (to - 1) % 8);
+    if first == last {
+        row[first] |= head & tail;
+    } else {
+        row[first] |= head;
+        row[first + 1..last].fill(bits);
+        row[last] |= tail;
+    }
 }
 
 fn decode_raw(buf: &mut &[u8], fmt: PixelFormat, target: &mut RectMut) -> Result<()> {
@@ -659,44 +780,60 @@ struct SubRect {
 /// with the same x, width and colour as one in the row above grows that
 /// one's subrect by a row, and any other starts a new subrect. The rows'
 /// runs are kept in x order, so the match is a merge, not a lookup.
+/// Background runs only move the position.
 fn subrects(runs: &[Run], w: usize, bg: Color) -> Vec<SubRect> {
-    let mut out: Vec<SubRect> = Vec::new();
-    // (x, width, colour, index in `out`) of the previous row's and this
-    // row's runs that are not background.
-    let mut above: Vec<(usize, usize, Color, usize)> = Vec::new();
-    let mut row = Vec::new();
+    let mut out: Vec<SubRect> = Vec::with_capacity(runs.len() / 2);
+    // (x, width, index in `out`) of the previous row's and this row's
+    // runs that are not background.
+    let mut above: Vec<(u32, u32, u32)> = Vec::with_capacity(w.min(runs.len()));
+    let mut row: Vec<(u32, u32, u32)> = Vec::with_capacity(w.min(runs.len()));
     let mut next_above = 0;
     let (mut x, mut y) = (0, 0);
     for run in runs {
-        let mut left = run.len;
+        let mut left = run.len as usize;
+        if run.color == bg {
+            x += left;
+            if x >= w {
+                // It ends this row, whose runs go above the next...
+                std::mem::swap(&mut above, &mut row);
+                row.clear();
+                next_above = 0;
+                y += 1;
+                x -= w;
+                if x >= w {
+                    // ...unless it fills that row too.
+                    above.clear();
+                    y += x / w;
+                    x %= w;
+                }
+            }
+            continue;
+        }
         while left > 0 {
             let n = left.min(w - x);
-            if run.color != bg {
-                while above.get(next_above).is_some_and(|a| a.0 < x) {
-                    next_above += 1;
-                }
-                let grown = above
-                    .get(next_above)
-                    .filter(|a| (a.0, a.1, a.2) == (x, n, run.color))
-                    .map(|a| a.3);
-                let idx = match grown {
-                    Some(idx) => {
-                        out[idx].h += 1;
-                        idx
-                    }
-                    None => {
-                        out.push(SubRect {
-                            color: run.color,
-                            x: x as u16,
-                            y: y as u16,
-                            w: n as u16,
-                            h: 1,
-                        });
-                        out.len() - 1
-                    }
-                };
-                row.push((x, n, run.color, idx));
+            while above.get(next_above).is_some_and(|a| (a.0 as usize) < x) {
+                next_above += 1;
             }
+            let idx = match above.get(next_above) {
+                Some(&(ax, an, i))
+                    if (ax as usize, an as usize) == (x, n)
+                        && out[i as usize].color == run.color =>
+                {
+                    out[i as usize].h += 1;
+                    i
+                }
+                _ => {
+                    out.push(SubRect {
+                        color: run.color,
+                        x: x as u16,
+                        y: y as u16,
+                        w: n as u16,
+                        h: 1,
+                    });
+                    (out.len() - 1) as u32
+                }
+            };
+            row.push((x as u32, n as u32, idx));
             x += n;
             left -= n;
             if x == w {
@@ -711,13 +848,11 @@ fn subrects(runs: &[Run], w: usize, bg: Color) -> Vec<SubRect> {
     out
 }
 
-fn encode_rre(colours: &Colours, rect: Rect, fmt: PixelFormat) -> Vec<u8> {
-    let bg = colours.dominant();
-    let subs = subrects(&colours.runs, rect.w as usize, bg);
-    let mut out = Vec::new();
-    out.extend_from_slice(&(subs.len() as u32).to_be_bytes());
-    put_pixel(fmt, bg, &mut out);
-    for s in subs {
+fn encode_rre(rre: &Rre, fmt: PixelFormat) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + (rre.subs.len() + 1) * (fmt.row_bytes(1) + 8));
+    out.extend_from_slice(&(rre.subs.len() as u32).to_be_bytes());
+    put_pixel(fmt, rre.bg, &mut out);
+    for s in &rre.subs {
         put_pixel(fmt, s.color, &mut out);
         for v in [s.x, s.y, s.w, s.h] {
             out.extend_from_slice(&v.to_be_bytes());
@@ -759,12 +894,12 @@ const HEX_BG: u8 = 2;
 const HEX_SUBRECTS: u8 = 8;
 const HEX_COLOURED: u8 = 16;
 
-/// Each tile is analysed like a rect (runs, palette, counts) for its
+/// Each tile is analysed like a rect (runs and palette) for its
 /// background and subrects, and sent raw when that is no larger in
 /// `fmt`.
-fn encode_hextile(pixels: &[Color], rect: Rect, fmt: PixelFormat) -> Vec<u8> {
-    let w = rect.w as usize;
-    let h = rect.h as usize;
+fn encode_hextile(analysis: &RectAnalysis, fmt: PixelFormat) -> Vec<u8> {
+    let w = analysis.rect.w as usize;
+    let h = analysis.rect.h as usize;
     let px_bytes = fmt.row_bytes(1);
     let mut out = Vec::new();
     let mut tile = Colours::default();
@@ -773,7 +908,11 @@ fn encode_hextile(pixels: &[Color], rect: Rect, fmt: PixelFormat) -> Vec<u8> {
         for tx in (0..w).step_by(TILE) {
             let tw = TILE.min(w - tx);
             let th = TILE.min(h - ty);
-            let rows = (ty..ty + th).map(|yy| &pixels[yy * w + tx..yy * w + tx + tw]);
+            let rows = analysis
+                .rows()
+                .skip(ty)
+                .take(th)
+                .map(|row| &row[tx..tx + tw]);
             tile.scan(rows.clone());
             let bg = tile.dominant();
             let subs = subrects(&tile.runs, tw, bg);
@@ -915,7 +1054,7 @@ fn encode_palette_rle(analysis: &RectAnalysis, fmt: PixelFormat) -> Vec<u8> {
     if c.overflow {
         // Too many colors: raw fallback.
         let mut out = vec![PRLE_RAW];
-        out.extend(encode_raw(&analysis.pixels, analysis.rect, fmt));
+        out.extend(encode_raw(analysis, fmt));
         return out;
     }
     if let [solid] = c.palette[..] {
@@ -1156,10 +1295,25 @@ mod tests {
     }
 
     #[test]
-    fn choose_encoding_heuristics() {
+    fn choose_encoding_sends_the_fewest_bytes() {
         let rect = Rect::new(0, 0, 32, 32);
+        // A solid rect: PaletteRle's mode and pixel (4 bytes) beat RRE's
+        // count and background (7).
         let solid = vec![Color::GRAY; rect.area() as usize];
-        assert_eq!(choose_encoding(&solid, rect, &Encoding::ALL), Encoding::Rre);
+        assert_eq!(
+            choose_encoding(&solid, rect, &Encoding::ALL),
+            Encoding::PaletteRle
+        );
+        assert_eq!(
+            choose_encoding(&solid, rect, &[Encoding::Rle, Encoding::Rre]),
+            Encoding::Rre
+        );
+        // A flat panel with one box: one subrect beats the box's runs.
+        let mut panel = vec![Color::LIGHT_GRAY; rect.area() as usize];
+        for row in panel.chunks_exact_mut(32).skip(8).take(10) {
+            row[4..24].fill(Color::BLUE);
+        }
+        assert_eq!(choose_encoding(&panel, rect, &Encoding::ALL), Encoding::Rre);
         let noise: Vec<Color> = (0..rect.area())
             .map(|i| {
                 Color::rgb(
@@ -1174,6 +1328,34 @@ mod tests {
             choose_encoding(&noise, rect, &[Encoding::Hextile]),
             Encoding::Hextile,
             "restricted set is honored"
+        );
+        // Hextile is not priced: Raw, when allowed, is sent instead.
+        assert_eq!(
+            choose_encoding(&noise, rect, &[Encoding::Hextile, Encoding::Raw]),
+            Encoding::Raw
+        );
+        assert_eq!(
+            choose_encoding(&noise, rect, &[Encoding::CopyRect]),
+            Encoding::Raw
+        );
+    }
+
+    #[test]
+    fn the_choice_depends_on_the_format() {
+        // A checkerboard of 2×1 cells: in Rgb888 three bytes a run beat
+        // three bytes a pixel, in Mono1 one bit a pixel beats them.
+        let rect = Rect::new(0, 0, 64, 8);
+        let px: Vec<Color> = (0..rect.area() as usize)
+            .map(|i| [Color::BLACK, Color::WHITE][(i % 64 / 2 + i / 64) % 2])
+            .collect();
+        let analysis = RectAnalysis::new(&px, rect);
+        assert_eq!(
+            analysis.choose(&Encoding::ALL, PixelFormat::Rgb888),
+            Encoding::PaletteRle
+        );
+        assert_eq!(
+            analysis.choose(&Encoding::ALL, PixelFormat::Mono1),
+            Encoding::Raw
         );
     }
 
@@ -1273,12 +1455,34 @@ mod tests {
     }
 
     #[test]
+    fn mono_raw_from_the_runs_is_what_pack_row_gives() {
+        // Widths on both sides of a byte, runs that wrap rows and runs
+        // longer than a row.
+        for w in 1..=19 {
+            let rect = Rect::new(0, 0, w, 5);
+            let mut px = gui_like(rect);
+            px[(w as usize * 2)..].fill(Color::WHITE);
+            px[(w as usize * 3 + w as usize / 2)..].fill(Color::BLACK);
+            let mut packed = Vec::new();
+            for row in px.chunks_exact(w as usize) {
+                pack_row(PixelFormat::Mono1, row, None, &mut packed);
+            }
+            let analysis = RectAnalysis::new(&px, rect);
+            assert_eq!(
+                analysis.encode(Encoding::Raw, PixelFormat::Mono1),
+                packed,
+                "{w}"
+            );
+        }
+    }
+
+    #[test]
     fn one_analysis_emits_every_format() {
         let rect = Rect::new(0, 0, 37, 23);
         let px = gui_like(rect);
-        let analysis = RectAnalysis::new(px.clone(), rect);
+        let analysis = RectAnalysis::new(&px, rect);
         assert_eq!(
-            analysis.choose(&Encoding::ALL),
+            analysis.choose(&Encoding::ALL, PixelFormat::Rgb888),
             choose_encoding(&px, rect, &Encoding::ALL)
         );
         for fmt in PixelFormat::ALL {
@@ -1291,6 +1495,9 @@ mod tests {
             ] {
                 let payload = analysis.encode(enc, fmt);
                 assert_eq!(payload, encode_rect(&px, rect, enc, fmt), "{enc}/{fmt}");
+                if PRICED.contains(&enc) {
+                    assert_eq!(analysis.wire_len(enc, fmt), payload.len(), "{enc}/{fmt}");
+                }
                 let mut buf: &[u8] = &payload;
                 let DecodedRect::Pixels(out) = decode_rect(&mut buf, rect, enc, fmt).unwrap()
                 else {

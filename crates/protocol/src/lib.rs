@@ -12,7 +12,8 @@
 //!
 //! - [`input`] — universal input events ([`input::InputEvent`]);
 //! - [`encoding`] — six framebuffer-update encodings (Raw, CopyRect,
-//!   RRE, Hextile, RLE, PaletteRle) with content-based selection;
+//!   RRE, Hextile, RLE, PaletteRle), each rect sent in the smallest
+//!   payload its client allows;
 //! - [`message`] — the client/server message vocabulary with robust
 //!   length-prefixed framing ([`message::FrameReader`]);
 //! - [`wire`] — checked big-endian getters over `&[u8]`, through which

@@ -11,7 +11,8 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use uniint_protocol::encoding::{
-    choose_encoding, decode_into, decode_rect, encode_copy_rect, encode_rect, DecodedRect, Encoding,
+    choose_encoding, decode_into, decode_rect, encode_copy_rect, encode_rect, DecodedRect,
+    Encoding, RectAnalysis,
 };
 use uniint_protocol::error::ProtocolError;
 use uniint_protocol::input::{ButtonMask, InputEvent, KeySym};
@@ -572,7 +573,7 @@ fn copy_rect_does_not_decode_into_a_frame() {
 
 /// Rects drawn from a palette of up to 80 colours in runs of up to 120
 /// pixels: they straddle both the 64-colour cut-off and the 5 % run
-/// density `choose_encoding` decides on.
+/// density the old threshold rule decided on.
 fn arb_palette_image() -> impl Strategy<Value = (Rect, Vec<Color>)> {
     (
         1u32..48,
@@ -600,9 +601,9 @@ fn arb_noise_image() -> impl Strategy<Value = (Rect, Vec<Color>)> {
 }
 
 /// Strips of 1 200–1 400 pixels holding 60–70 colours in equal runs of
-/// at most 18: when the scan stops at the 65th colour it has counted 65
-/// transitions, about 5 % of the area, so an off-by-one at the cut-off
-/// flips Rle against Hextile.
+/// at most 18: the old threshold rule counted 65 transitions up to the
+/// 65th colour, about 5 % of the area, so its choice flips between Rle
+/// and Hextile here.
 fn arb_cutoff_image() -> impl Strategy<Value = (Rect, Vec<Color>)> {
     (1u32..=4, 1200u32..1400, 60usize..=70, 1usize..=18).prop_map(|(h, area, colours, run)| {
         let w = area / h;
@@ -613,10 +614,12 @@ fn arb_cutoff_image() -> impl Strategy<Value = (Rect, Vec<Color>)> {
     })
 }
 
-/// `choose_encoding` written out plainly: the first pixels up to the one
-/// that brings in the 65th distinct colour are inspected, and the first
-/// allowed encoding whose condition holds wins.
-fn reference_choice(pixels: &[Color], allowed: &[Encoding]) -> Encoding {
+/// The threshold rule `choose_encoding` followed before it priced the
+/// encodings, written out plainly: the first pixels up to the one that
+/// brings in the 65th distinct colour are inspected, and the first
+/// allowed encoding whose condition holds wins. The byte-cost rule must
+/// never send more than this one did.
+fn threshold_choice(pixels: &[Color], allowed: &[Encoding]) -> Encoding {
     let mut distinct = BTreeSet::new();
     let mut inspected = pixels;
     for (i, p) in pixels.iter().enumerate() {
@@ -644,20 +647,71 @@ fn reference_choice(pixels: &[Color], allowed: &[Encoding]) -> Encoding {
     .unwrap_or(Encoding::Raw)
 }
 
+/// The encodings the chooser prices, in the order that breaks a tie.
+const PRICED: [Encoding; 4] = [
+    Encoding::Raw,
+    Encoding::Rre,
+    Encoding::Rle,
+    Encoding::PaletteRle,
+];
+
+/// Random `SetEncodings` lists (duplicates, CopyRect and the empty list
+/// included), and every encoding, which is what the proxy sends.
+fn arb_allowed() -> impl Strategy<Value = Vec<Encoding>> {
+    prop_oneof![
+        3 => proptest::collection::vec(proptest::sample::select(Encoding::ALL.to_vec()), 0..5),
+        1 => Just(Encoding::ALL.to_vec()),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn choose_encoding_matches_reference(
+    fn the_choice_is_the_shortest_allowed_payload(
         (rect, px) in prop_oneof![
             3 => arb_palette_image(),
             1 => arb_noise_image(),
             1 => arb_cutoff_image(),
         ],
-        allowed in proptest::collection::vec(proptest::sample::select(Encoding::ALL.to_vec()), 0..5),
+        allowed in arb_allowed(),
+        fmt in proptest::sample::select(PixelFormat::ALL.to_vec()),
     ) {
-        let chosen = choose_encoding(&px, rect, &allowed);
-        prop_assert_eq!(chosen, reference_choice(&px, &allowed));
-        prop_assert_ne!(chosen, Encoding::CopyRect);
+        let analysis = RectAnalysis::new(&px, rect);
+        let chosen = analysis.choose(&allowed, fmt);
+        let payload = analysis.encode(chosen, fmt);
+        prop_assert_eq!(&payload, &encode_rect(&px, rect, chosen, fmt));
+        // Every allowed candidate, actually encoded, in tie order.
+        let lens: Vec<(Encoding, usize)> = PRICED
+            .into_iter()
+            .filter(|e| allowed.contains(e))
+            .map(|e| (e, encode_rect(&px, rect, e, fmt).len()))
+            .collect();
+        match lens.iter().map(|&(_, n)| n).min() {
+            Some(shortest) => {
+                prop_assert_eq!(payload.len(), shortest);
+                let first = lens.iter().find(|&&(_, n)| n == shortest).map(|&(e, _)| e);
+                prop_assert_eq!(Some(chosen), first, "a tie goes to the first in {:?}", PRICED);
+            }
+            None if allowed.contains(&Encoding::Hextile) => {
+                prop_assert_eq!(chosen, Encoding::Hextile)
+            }
+            None => prop_assert_eq!(chosen, Encoding::Raw),
+        }
+        // The old rule picked Hextile only for lists without PaletteRle,
+        // and Hextile is not priced; its other picks are candidates here.
+        let old = threshold_choice(&px, &allowed);
+        if old != Encoding::Hextile {
+            let old_len = encode_rect(&px, rect, old, fmt).len();
+            prop_assert!(payload.len() <= old_len, "{} B, the old {} took {} B", payload.len(), old, old_len);
+        }
+        if fmt == PixelFormat::Rgb888 {
+            prop_assert_eq!(chosen, choose_encoding(&px, rect, &allowed));
+        }
+        let mut cursor: &[u8] = &payload;
+        let decoded = decode_rect(&mut cursor, rect, chosen, fmt).expect("own payload decodes");
+        prop_assert!(cursor.is_empty());
+        let reduced: Vec<Color> = px.iter().map(|&c| fmt.reduce(c)).collect();
+        prop_assert_eq!(decoded, DecodedRect::Pixels(reduced));
     }
 }

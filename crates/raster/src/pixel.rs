@@ -198,19 +198,16 @@ pub fn pack_row(format: PixelFormat, row: &[Color], palette: Option<&Palette>, o
             }
         }
         PixelFormat::Mono1 => {
-            let mut byte = 0u8;
-            let mut nbits = 0;
-            for c in row {
-                byte = (byte << 1) | u8::from(c.luma() >= 128);
-                nbits += 1;
-                if nbits == 8 {
-                    out.push(byte);
-                    byte = 0;
-                    nbits = 0;
-                }
-            }
-            if nbits > 0 {
-                out.push(byte << (8 - nbits));
+            // A byte at a time: eight pixels' bits, most significant first.
+            let bits = |px: &[Color]| {
+                px.iter()
+                    .fold(0u8, |byte, c| (byte << 1) | u8::from(c.luma() >= 128))
+            };
+            let mut bytes = row.chunks_exact(8);
+            out.extend(bytes.by_ref().map(bits));
+            let tail = bytes.remainder();
+            if !tail.is_empty() {
+                out.push(bits(tail) << (8 - tail.len()));
             }
         }
         PixelFormat::Indexed8 => match palette {
@@ -288,9 +285,21 @@ pub fn unpack_row_into(
             }
         }
         PixelFormat::Mono1 => {
-            for (i, o) in out.iter_mut().enumerate() {
-                let bit = (bytes[i / 8] >> (7 - (i % 8))) & 1;
-                *o = if bit == 1 { Color::WHITE } else { Color::BLACK };
+            // A byte at a time: its eight pixels, most significant bit
+            // first, stored as one array.
+            let pixel =
+                |byte: u8, i: usize| [Color::BLACK, Color::WHITE][usize::from(byte >> (7 - i) & 1)];
+            let last = bytes.get(out.len() / 8).copied();
+            let mut whole = out.chunks_exact_mut(8);
+            for (px, &byte) in whole.by_ref().zip(bytes) {
+                let px: &mut [Color; 8] = px.try_into().expect("chunks of 8");
+                *px = std::array::from_fn(|i| pixel(byte, i));
+            }
+            let tail = whole.into_remainder();
+            if let Some(byte) = last {
+                for (i, o) in tail.iter_mut().enumerate() {
+                    *o = pixel(byte, i);
+                }
             }
         }
         PixelFormat::Indexed8 => {

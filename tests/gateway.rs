@@ -819,13 +819,24 @@ fn block_the_writer(gw: &Gateway, registry: &Registry) -> std::net::TcpStream {
     use std::io::Write;
     use uniint::protocol::message::{encode_client, PROTOCOL_VERSION};
 
-    let counter = |name: &str| registry.snapshot().counters.get(name).copied().unwrap_or(0);
     let mut sock = std::net::TcpStream::connect(gw.local_addr()).expect("connect");
     let hello = ClientMessage::Hello {
         version: PROTOCOL_VERSION,
         name: "stopped-reading".into(),
     };
     sock.write_all(&encode_client(&hello)).expect("hello");
+    stall(&mut sock, registry);
+    sock
+}
+
+/// Asks for full refreshes on `sock`, reading nothing, until the
+/// gateway's writes stop: `bytes_out` has not moved for five looks
+/// 20 ms apart.
+fn stall(sock: &mut std::net::TcpStream, registry: &Registry) {
+    use std::io::Write;
+    use uniint::protocol::message::encode_client;
+
+    let counter = |name: &str| registry.snapshot().counters.get(name).copied().unwrap_or(0);
     let refresh = encode_client(&ClientMessage::UpdateRequest {
         incremental: false,
         rect: Rect::new(0, 0, 160, 120),
@@ -846,7 +857,105 @@ fn block_the_writer(gw: &Gateway, registry: &Registry) -> std::net::TcpStream {
         }
     }
     assert_eq!(counter("gateway.dropped_connections"), 0);
-    sock
+}
+
+/// The `gateway.queue_bytes` gauge once it has held one value for five
+/// looks 20 ms apart.
+fn settled_queue_bytes(registry: &Registry) -> i64 {
+    let gauge = || {
+        registry
+            .snapshot()
+            .gauges
+            .get("gateway.queue_bytes")
+            .copied()
+            .unwrap_or(0)
+    };
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let (mut last, mut still) = (gauge(), 0);
+    while still < 5 {
+        assert!(Instant::now() < deadline, "the queue gauge never settled");
+        std::thread::sleep(Duration::from_millis(20));
+        let now = gauge();
+        if now == last {
+            still += 1;
+        } else {
+            (last, still) = (now, 0);
+        }
+    }
+    last
+}
+
+#[test]
+fn the_queue_gauge_sums_every_backlog_and_drops_to_zero() {
+    use std::io::{ErrorKind, Read};
+
+    let registry = Registry::new();
+    let gw =
+        Gateway::spawn(panel(), GatewayConfig::default(), registry.clone()).expect("gateway binds");
+    let bytes_out = || {
+        registry
+            .snapshot()
+            .counters
+            .get("gateway.bytes_out")
+            .copied()
+            .unwrap_or(0)
+    };
+    // A viewer that reads everything holds nothing back, so the gauge is
+    // the backlog of the one connection that stopped reading, even when
+    // the viewer was the last connection written to.
+    let mut viewer = GatewayClient::connect(gw.local_addr(), "viewer", 1).expect("connect");
+    let mut sock = block_the_writer(&gw, &registry);
+    let updates = viewer.stats().updates_applied;
+    viewer.send_messages(click_msgs());
+    pump_until(
+        std::slice::from_mut(&mut viewer),
+        "the click's update",
+        |c| c[0].stats().updates_applied > updates,
+    );
+    pump_quiescent(
+        std::slice::from_mut(&mut viewer),
+        Duration::from_millis(100),
+    );
+    let backlog = settled_queue_bytes(&registry);
+    assert!(
+        backlog > 0,
+        "a client that stopped reading leaves a backlog"
+    );
+
+    // Reading drains it: the gateway then writes exactly the backlog,
+    // and the gauge reads 0.
+    let written_before = bytes_out();
+    sock.set_read_timeout(Some(Duration::from_millis(20)))
+        .expect("read timeout");
+    let mut buf = vec![0u8; 64 * 1024];
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while bytes_out() - written_before < backlog as u64 {
+        assert!(Instant::now() < deadline, "the backlog was never written");
+        match sock.read(&mut buf) {
+            Ok(n) => assert!(n > 0, "the gateway closed the connection"),
+            Err(e) => assert!(
+                matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+                "{e}"
+            ),
+        }
+    }
+    assert_eq!(settled_queue_bytes(&registry), 0);
+    assert_eq!(bytes_out() - written_before, backlog as u64);
+
+    // A connection closed while it holds a backlog takes the backlog
+    // with it.
+    stall(&mut sock, &registry);
+    assert!(settled_queue_bytes(&registry) > 0);
+    drop(sock);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while settled_queue_bytes(&registry) != 0 {
+        assert!(
+            Instant::now() < deadline,
+            "a closed connection's backlog stayed counted"
+        );
+    }
+    drop(viewer);
+    gw.shutdown();
 }
 
 /// Shuts `gw` down on another thread and fails unless that returns
