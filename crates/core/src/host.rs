@@ -192,11 +192,6 @@ impl SessionHost {
         msg: ClientMessage,
         now_us: u64,
     ) -> Drain<'_, Output> {
-        if self.repeats_held(conn, &msg) {
-            // A datagram transport may deliver the reattach's Hello twice:
-            // the copy says nothing new, so the Hello stays held.
-            return self.out.drain(..);
-        }
         if let Some((name, version)) = self.take_held(conn) {
             // Adopt the named session only on Resume. The name may also
             // have expired while held, leaving a fresh session.
@@ -299,15 +294,6 @@ impl SessionHost {
             }
         }
         self.out.drain(..)
-    }
-
-    /// Whether `msg` is the very `Hello` connection `conn` holds.
-    fn repeats_held(&self, conn: ConnId, msg: &ClientMessage) -> bool {
-        matches!(
-            (msg, self.conns.get(&conn)),
-            (ClientMessage::Hello { name, version }, Some(Conn::Held { name: n, version: v, .. }))
-                if name == n && version == v
-        )
     }
 
     /// Takes the name and version of the `Hello` connection `conn` holds,
@@ -607,19 +593,6 @@ mod tests {
     }
 
     #[test]
-    fn a_repeated_held_hello_stays_held_and_the_resume_still_adopts() {
-        let mut h = Rig::new();
-        let first = h.host.open();
-        h.send(first, [hello("x")]);
-        let sid = h.host.bound(first).expect("bound");
-        let second = h.host.open();
-        h.send(second, [hello("x"), hello("x"), resume()]);
-        assert_eq!(h.host.bound(second), Some(sid), "adopted, not replaced");
-        assert!(!h.took_init(second), "neither Hello is forwarded");
-        assert_eq!(h.counter("gateway.reconnects"), 1);
-    }
-
-    #[test]
     fn hello_and_anything_else_replace_the_session_in_its_slot() {
         let mut h = Rig::new();
         let first = h.host.open();
@@ -632,6 +605,19 @@ mod tests {
         assert_eq!(h.host.bound(second), Some(sid), "the freed slot");
         assert!(h.closed(first));
         assert_eq!(h.clicks(), 1, "the message that resolved the hold");
+        assert_eq!(h.host.multi().client_count(), 1);
+        assert_eq!(h.counter("gateway.reconnects"), 0);
+    }
+
+    #[test]
+    fn a_second_held_hello_resolves_the_hold_as_a_replacement() {
+        let mut h = Rig::new();
+        let first = h.host.open();
+        h.send(first, [hello("x")]);
+        let second = h.host.open();
+        h.send(second, [hello("x"), hello("x"), resume()]);
+        assert!(h.took_init(second), "a new handshake");
+        assert!(h.closed(first));
         assert_eq!(h.host.multi().client_count(), 1);
         assert_eq!(h.counter("gateway.reconnects"), 0);
     }

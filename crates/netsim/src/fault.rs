@@ -13,17 +13,18 @@
 //!   independent drops.
 //! * **Latency spikes** — windows adding a fixed extra delay to every
 //!   packet sent while they are open.
-//! * **Reorder / duplication** — raw datagram-level faults: a packet may
-//!   bypass the in-order clamp (arriving up to `skew_us` early) or be
-//!   delivered twice.
 //!
-//! Flap and burst drops are *hard* faults: they model a broken transport
-//! connection, so the simulator tears the link down — every in-flight
-//! packet on the link is purged and later sends are dropped until
+//! A link is one connection, reliable and in order between hard faults.
+//! Latency spikes are the only *soft* fault: they delay packets but
+//! never reorder, copy or lose one. Flap and burst drops are *hard*
+//! faults: they model a broken transport connection, so the simulator
+//! tears the link down — every in-flight packet on the link is purged
+//! and later sends are dropped until
 //! [`Simulator::reconnect`](crate::sim::Simulator::reconnect) succeeds.
-//! This gives the session layer a crisp invariant: the receiver always
-//! holds an exact *prefix* of what the sender pushed, which is what makes
-//! count-based resume (`ClientMessage::Resume`) sound.
+//! This gives the session layer a crisp invariant: within one
+//! connection, the receiver always holds an exact *prefix* of what the
+//! sender pushed, which is what makes count-based resume
+//! (`ClientMessage::Resume`) sound.
 //!
 //! All randomness comes from the simulator's seeded generator, so one
 //! seed plus one schedule reproduces the exact same [`TraceEvent`]
@@ -55,15 +56,6 @@ pub struct LatencySpike {
     pub extra_us: u64,
 }
 
-/// Datagram reorder fault: packets may bypass the in-order clamp.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Reorder {
-    /// Probability per packet of being reordered.
-    pub prob: f64,
-    /// How much earlier (microseconds) a reordered packet may arrive.
-    pub skew_us: u64,
-}
-
 /// A deterministic script of link faults.
 ///
 /// Build one with the fluent constructors and attach it with
@@ -87,10 +79,6 @@ pub struct FaultSchedule {
     pub burst: Option<GilbertElliott>,
     /// Scheduled latency spikes.
     pub spikes: Vec<LatencySpike>,
-    /// Optional datagram reorder fault.
-    pub reorder: Option<Reorder>,
-    /// Probability per packet of duplicate delivery.
-    pub duplicate_prob: f64,
 }
 
 impl FaultSchedule {
@@ -125,19 +113,6 @@ impl FaultSchedule {
             end_us,
             extra_us,
         });
-        self
-    }
-
-    /// Enables datagram reorder with probability `prob` and up to
-    /// `skew_us` of early arrival.
-    pub fn reorder(mut self, prob: f64, skew_us: u64) -> FaultSchedule {
-        self.reorder = Some(Reorder { prob, skew_us });
-        self
-    }
-
-    /// Enables duplicate delivery with probability `prob` per packet.
-    pub fn duplicate(mut self, prob: f64) -> FaultSchedule {
-        self.duplicate_prob = prob;
         self
     }
 
@@ -214,16 +189,6 @@ pub enum TraceKind {
         /// Higher endpoint index of the link.
         b: usize,
     },
-    /// A packet was delivered a second time (duplicate fault).
-    Duplicate {
-        /// Receiving endpoint index.
-        to: usize,
-    },
-    /// A packet bypassed the in-order clamp (reorder fault).
-    Reorder {
-        /// Receiving endpoint index.
-        to: usize,
-    },
 }
 
 /// One timestamped simulation event.
@@ -267,13 +232,9 @@ mod tests {
         let s = FaultSchedule::new()
             .flap(1, 2)
             .burst_loss(0.1, 0.5, 0.9)
-            .latency_spike(3, 4, 5)
-            .reorder(0.2, 1000)
-            .duplicate(0.1);
+            .latency_spike(3, 4, 5);
         assert_eq!(s.flaps.len(), 1);
         assert!(s.burst.is_some());
         assert_eq!(s.spikes.len(), 1);
-        assert!(s.reorder.is_some());
-        assert!(s.duplicate_prob > 0.0);
     }
 }

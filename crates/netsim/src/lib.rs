@@ -19,7 +19,7 @@ pub mod sim;
 /// Convenient re-exports.
 pub mod prelude {
     pub use crate::fault::{
-        DropCause, FaultSchedule, GilbertElliott, LatencySpike, Reorder, TraceEvent, TraceKind,
+        DropCause, FaultSchedule, GilbertElliott, LatencySpike, TraceEvent, TraceKind,
     };
     pub use crate::link::LinkProfile;
     pub use crate::sim::{Endpoint, Simulator};

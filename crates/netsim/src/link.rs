@@ -9,7 +9,7 @@ pub struct LinkProfile {
     pub bandwidth_bps: u64,
     /// Max symmetric random jitter added per packet, microseconds.
     pub jitter_us: u64,
-    /// Packet loss probability in `0..=1`; lost packets are retransmitted
+    /// Packet loss probability in `0..1`; lost packets are retransmitted
     /// after one RTT (the link stays reliable, it just stalls).
     pub loss: f64,
     /// Human-readable name.

@@ -4,10 +4,12 @@
 //! cellular) reproducibly: all randomness (jitter, loss) comes from a
 //! seeded generator, so a given seed always produces identical timings.
 //!
-//! Links can additionally carry a scripted [`FaultSchedule`] — flaps,
-//! burst loss, latency spikes, reorder, duplication. Hard faults (flaps
-//! and burst drops) model a broken transport connection: the link goes
-//! down, in-flight packets are purged, and traffic flows again only
+//! Each link is one connection, as a TCP stream is: reliable and in
+//! order in each direction. Every endpoint keeps its own queue of
+//! packets in flight towards it, in arrival order. Links can carry a
+//! scripted [`FaultSchedule`]: flaps, burst loss and latency spikes.
+//! Hard faults (flaps and burst drops) break the connection: the link
+//! goes down, its two queues are purged, and traffic flows again only
 //! after a successful [`Simulator::reconnect`]. See [`crate::fault`] for
 //! the full fault model.
 
@@ -15,8 +17,7 @@ use crate::fault::{DropCause, FaultSchedule, TraceEvent, TraceKind};
 use crate::link::LinkProfile;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use uniint_telemetry::histogram::Histogram;
 use uniint_telemetry::registry::{Counter, Registry};
 
@@ -46,15 +47,21 @@ struct EndpointState {
     ge_bad: bool,
     /// Whether the connection through this endpoint is up.
     up: bool,
+    /// Packets on their way to this endpoint. Arrivals never decrease
+    /// along the queue, so the front is always the next to land.
+    in_flight: VecDeque<Packet>,
 }
 
 #[derive(Debug)]
-struct Delivery {
-    to: usize,
-    payload: Vec<u8>,
+struct Packet {
+    arrival: u64,
+    /// Send order across the simulator: breaks arrival ties between
+    /// queues.
+    seq: u64,
     /// Virtual time the payload was handed to [`Simulator::send`];
     /// delivery latency histograms are `arrival - sent_at`.
     sent_at: u64,
+    payload: Vec<u8>,
 }
 
 /// Telemetry handles for one link (both directions share them).
@@ -122,8 +129,8 @@ impl SimTelemetry {
     }
 }
 
-/// The simulator: owns all endpoints, a virtual clock and the in-flight
-/// message queue.
+/// The simulator: owns all endpoints, their in-flight queues and a
+/// virtual clock.
 ///
 /// ```
 /// use uniint_netsim::prelude::*;
@@ -137,8 +144,6 @@ impl SimTelemetry {
 pub struct Simulator {
     now_us: u64,
     endpoints: Vec<EndpointState>,
-    queue: BinaryHeap<Reverse<(u64, u64)>>,
-    deliveries: std::collections::HashMap<u64, Delivery>,
     seq: u64,
     rng: StdRng,
     trace: Vec<TraceEvent>,
@@ -152,8 +157,6 @@ impl Simulator {
         Simulator {
             now_us: 0,
             endpoints: Vec::new(),
-            queue: BinaryHeap::new(),
-            deliveries: std::collections::HashMap::new(),
             seq: 0,
             rng: StdRng::seed_from_u64(seed),
             trace: Vec::new(),
@@ -197,7 +200,17 @@ impl Simulator {
     }
 
     /// Creates a bidirectional link, returning its two endpoints.
+    ///
+    /// # Panics
+    ///
+    /// If `profile.loss` is not in `0..1`: a link that loses every packet
+    /// would retransmit forever.
     pub fn link(&mut self, profile: LinkProfile) -> (Endpoint, Endpoint) {
+        assert!(
+            (0.0..1.0).contains(&profile.loss),
+            "link loss must be in 0..1, got {}",
+            profile.loss
+        );
         let a = self.endpoints.len();
         let b = a + 1;
         for peer in [b, a] {
@@ -211,6 +224,7 @@ impl Simulator {
                 faults: FaultSchedule::default(),
                 ge_bad: false,
                 up: true,
+                in_flight: VecDeque::new(),
             });
         }
         if let Some(t) = &mut self.telemetry {
@@ -260,22 +274,19 @@ impl Simulator {
         }
         self.endpoints[idx].up = false;
         self.endpoints[peer].up = false;
-        // Purge in-flight packets towards either end, in deterministic
-        // (send) order.
-        let mut purged: Vec<u64> = self
-            .deliveries
-            .iter()
-            .filter(|(_, d)| d.to == idx || d.to == peer)
-            .map(|(&s, _)| s)
-            .collect();
+        // Purge in-flight packets towards either end, in send order.
+        let mut purged: Vec<(u64, usize)> = Vec::new();
+        for to in [idx, peer] {
+            let queue = std::mem::take(&mut self.endpoints[to].in_flight);
+            purged.extend(queue.into_iter().map(|p| (p.seq, to)));
+        }
         purged.sort_unstable();
-        for s in purged {
-            let d = self.deliveries.remove(&s).expect("purged seq exists");
+        for (_, to) in purged {
             self.trace_push(TraceKind::Drop {
-                to: d.to,
+                to,
                 cause: DropCause::Purged,
             });
-            self.tele_drop(d.to, DropCause::Purged);
+            self.tele_drop(to, DropCause::Purged);
         }
         let (a, b) = (idx.min(peer), idx.max(peer));
         self.trace_push(TraceKind::LinkDown { a, b });
@@ -375,7 +386,7 @@ impl Simulator {
                 return;
             }
         }
-        let mut arrival = {
+        let arrival = {
             let ep = &mut self.endpoints[from.0];
             let p = ep.profile;
             let tx_start = ep.tx_free_at.max(self.now_us);
@@ -389,55 +400,18 @@ impl Simulator {
             while p.loss > 0.0 && self.rng.gen_bool(p.loss) {
                 arrival += 2 * p.latency_us + tx_time;
             }
-            arrival
+            arrival + ep.faults.spike_extra(self.now_us)
         };
-        arrival += self.endpoints[from.0].faults.spike_extra(self.now_us);
-        // In-order guarantee: never deliver before anything already queued
-        // towards the same endpoint — unless the reorder fault fires.
-        let reordered = match self.endpoints[from.0].faults.reorder {
-            Some(r) if self.rng.gen_bool(r.prob) => {
-                arrival = arrival.saturating_sub(r.skew_us).max(self.now_us);
-                self.trace_push(TraceKind::Reorder { to });
-                true
-            }
-            _ => false,
-        };
-        if !reordered {
-            arrival = arrival.max(self.last_arrival_to(to));
-        }
+        // In order: never land before what is already on its way.
+        let queue = &mut self.endpoints[to].in_flight;
+        let arrival = arrival.max(queue.back().map_or(0, |p| p.arrival));
         self.seq += 1;
-        self.deliveries.insert(
-            self.seq,
-            Delivery {
-                to,
-                payload: payload.clone(),
-                sent_at: self.now_us,
-            },
-        );
-        self.queue.push(Reverse((arrival, self.seq)));
-        let dup = self.endpoints[from.0].faults.duplicate_prob;
-        if dup > 0.0 && self.rng.gen_bool(dup) {
-            self.trace_push(TraceKind::Duplicate { to });
-            self.seq += 1;
-            self.deliveries.insert(
-                self.seq,
-                Delivery {
-                    to,
-                    payload,
-                    sent_at: self.now_us,
-                },
-            );
-            self.queue.push(Reverse((arrival + 1, self.seq)));
-        }
-    }
-
-    fn last_arrival_to(&self, to: usize) -> u64 {
-        self.queue
-            .iter()
-            .filter(|Reverse((_, s))| self.deliveries.get(s).map(|d| d.to) == Some(to))
-            .map(|Reverse((t, _))| *t)
-            .max()
-            .unwrap_or(0)
+        queue.push_back(Packet {
+            arrival,
+            seq: self.seq,
+            sent_at: self.now_us,
+            payload,
+        });
     }
 
     /// Pops one delivered message from `ep`'s inbox.
@@ -452,7 +426,7 @@ impl Simulator {
 
     /// Number of packets currently in flight (all links).
     pub fn in_flight(&self) -> usize {
-        self.deliveries.len()
+        self.endpoints.iter().map(|e| e.in_flight.len()).sum()
     }
 
     /// Bytes sent from `ep` since creation (attempted sends included).
@@ -465,41 +439,47 @@ impl Simulator {
         self.endpoints[ep.0].messages_sent
     }
 
+    /// The arrival time and receiving endpoint of the next packet to
+    /// land: the earliest queue front, the first sent on a tie.
+    fn next_due(&self) -> Option<(u64, usize)> {
+        self.endpoints
+            .iter()
+            .enumerate()
+            .filter_map(|(to, e)| e.in_flight.front().map(|p| (p.arrival, p.seq, to)))
+            .min()
+            .map(|(arrival, _, to)| (arrival, to))
+    }
+
     /// Processes the next in-flight message, advancing the clock to its
     /// arrival. Returns the new time, or `None` when nothing is in flight.
     /// A message whose arrival lands inside a flap window is dropped (and
     /// breaks the connection) instead of delivered; the clock still
     /// advances and `Some` is returned.
     pub fn step(&mut self) -> Option<u64> {
-        loop {
-            let Reverse((t, seq)) = self.queue.pop()?;
-            // Purged entries stay in the heap; skip without advancing time.
-            let Some(d) = self.deliveries.remove(&seq) else {
-                continue;
-            };
-            self.now_us = self.now_us.max(t);
-            self.drive_clock();
-            if self.endpoints[d.to].faults.in_flap(self.now_us) {
-                self.trace_push(TraceKind::Drop {
-                    to: d.to,
-                    cause: DropCause::Flap,
-                });
-                self.tele_drop(d.to, DropCause::Flap);
-                self.break_link(d.to);
-                return Some(self.now_us);
-            }
-            let bytes = d.payload.len();
-            self.endpoints[d.to].inbox.push_back(d.payload);
-            self.trace_push(TraceKind::Deliver { to: d.to, bytes });
-            if let Some(tele) = &self.telemetry {
-                tele.delivered.inc();
-                let link = &tele.links[d.to / 2];
-                link.delivered.inc();
-                link.delivery_us
-                    .record(self.now_us.saturating_sub(d.sent_at));
-            }
+        let (_, to) = self.next_due()?;
+        let p = self.endpoints[to].in_flight.pop_front()?;
+        self.now_us = self.now_us.max(p.arrival);
+        self.drive_clock();
+        if self.endpoints[to].faults.in_flap(self.now_us) {
+            self.trace_push(TraceKind::Drop {
+                to,
+                cause: DropCause::Flap,
+            });
+            self.tele_drop(to, DropCause::Flap);
+            self.break_link(to);
             return Some(self.now_us);
         }
+        let bytes = p.payload.len();
+        self.endpoints[to].inbox.push_back(p.payload);
+        self.trace_push(TraceKind::Deliver { to, bytes });
+        if let Some(tele) = &self.telemetry {
+            tele.delivered.inc();
+            let link = &tele.links[to / 2];
+            link.delivered.inc();
+            link.delivery_us
+                .record(self.now_us.saturating_sub(p.sent_at));
+        }
+        Some(self.now_us)
     }
 
     /// Runs until no messages are in flight.
@@ -507,13 +487,11 @@ impl Simulator {
         while self.step().is_some() {}
     }
 
-    /// Runs until virtual time reaches `t_us` (messages arriving later
-    /// stay in flight). The clock always ends at `t_us` or later.
+    /// Runs until virtual time reaches `t_us`: delivers every message
+    /// arriving by then and leaves later ones in flight. The clock ends
+    /// at `t_us`, or where it was if that is later.
     pub fn run_until(&mut self, t_us: u64) {
-        while let Some(&Reverse((t, _))) = self.queue.peek() {
-            if t > t_us {
-                break;
-            }
+        while self.next_due().is_some_and(|(t, _)| t <= t_us) {
             self.step();
         }
         self.now_us = self.now_us.max(t_us);
@@ -760,42 +738,27 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_fault_delivers_twice() {
-        let mut sim = Simulator::new(1);
-        let (a, b) = sim.link(LinkProfile::ideal());
-        sim.set_link_faults(a, FaultSchedule::new().duplicate(1.0));
-        sim.send(a, vec![9]);
-        sim.run_until_idle();
-        assert_eq!(sim.recv(b), Some(vec![9]));
-        assert_eq!(sim.recv(b), Some(vec![9]));
-        assert_eq!(sim.recv(b), None);
+    #[should_panic(expected = "link loss must be in 0..1")]
+    fn a_link_that_loses_every_packet_is_rejected() {
+        Simulator::new(1).link(LinkProfile {
+            loss: 1.0,
+            ..LinkProfile::ideal()
+        });
     }
 
     #[test]
-    fn reorder_fault_can_break_fifo() {
-        let mut sim = Simulator::new(5);
-        let (a, b) = sim.link(LinkProfile {
-            latency_us: 10_000,
-            ..LinkProfile::ideal()
-        });
-        sim.set_link_faults(a, FaultSchedule::new().reorder(0.5, 9_000));
-        let mut out_of_order = false;
-        let mut last = None;
-        for round in 0..20 {
-            for i in 0..5u8 {
-                sim.send(a, vec![round * 5 + i]);
-            }
-            sim.run_until_idle();
-            while let Some(v) = sim.recv(b) {
-                if let Some(prev) = last {
-                    if v[0] < prev {
-                        out_of_order = true;
-                    }
-                }
-                last = Some(v[0]);
-            }
-        }
-        assert!(out_of_order, "reorder fault should break FIFO sometimes");
+    fn run_until_delivers_nothing_after_its_target_past_a_purge() {
+        let mut sim = Simulator::new(1);
+        let (w, _) = sim.link(LinkProfile::wifi80211b());
+        let (g, h) = sim.link(LinkProfile::cellular_gprs());
+        sim.set_link_faults(w, FaultSchedule::new().flap(1, 2));
+        sim.send(w, vec![1]);
+        sim.send(g, vec![2]);
+        sim.run_until(1);
+        sim.send(w, vec![3]); // inside the flap: purges the first packet
+        sim.run_until(50_000);
+        assert_eq!(sim.now_us(), 50_000);
+        assert_eq!(sim.pending(h), 0, "the GPRS packet lands after 300 ms");
     }
 
     #[test]

@@ -264,6 +264,10 @@ fn interact_under_faults(
     (net, app, s)
 }
 
+/// Every {link} × {fault} pair over 32 seeds: one keypad press lands
+/// exactly once and the proxy converges. Prints one `FAULT-MATRIX` line
+/// of recovery counters, summed over the seeds, per pair; CI runs the
+/// test twice and diffs the lines.
 #[test]
 fn fault_matrix_converges_on_every_link() {
     let links = [
@@ -272,38 +276,45 @@ fn fault_matrix_converges_on_every_link() {
         LinkProfile::cellular_gprs(),
     ];
     type Fault = (&'static str, fn(u64) -> FaultSchedule);
-    let faults: [Fault; 4] = [
+    let faults: [Fault; 3] = [
         ("burst-loss", |_t0| {
             FaultSchedule::new().burst_loss(0.05, 0.7, 0.8)
         }),
         ("flap", |t0| FaultSchedule::new().flap(t0, t0 + 2_000_000)),
         ("latency-spike", |t0| {
-            FaultSchedule::new()
-                .latency_spike(t0, t0 + 3_000_000, 250_000)
-                .reorder(0.2, 5_000)
-                .duplicate(0.1)
-        }),
-        // The reconnect's Hello and Resume may arrive swapped or twice.
-        ("flap-reorder-duplicate", |t0| {
-            FaultSchedule::new()
-                .flap(t0, t0 + 2_000_000)
-                .reorder(0.2, 5_000)
-                .duplicate(0.1)
+            FaultSchedule::new().latency_spike(t0, t0 + 3_000_000, 250_000)
         }),
     ];
     for link in links {
         for (fault_name, schedule) in faults {
-            let (net, app, s) = interact_under_faults(link, 77, schedule);
-            let tuner = net.find_fcms(&Query::new().class(FcmClass::Tuner))[0];
-            assert!(
-                net.status(tuner).unwrap().contains(&StateVar::Power(true)),
-                "{}/{fault_name}: power command arrived exactly once",
-                link.name
-            );
-            assert_eq!(
-                s.proxy.server_frame().unwrap(),
-                app.ui().framebuffer(),
-                "{}/{fault_name}: proxy converged to the server framebuffer",
+            let (mut resumes, mut full_resyncs, mut retransmits, mut virtual_us) = (0, 0, 0, 0);
+            for seed in 0..32 {
+                let (net, app, s) = interact_under_faults(link, seed, schedule);
+                let case = format!("{}/{fault_name}/seed {seed}", link.name);
+                assert_eq!(
+                    s.server().stats().inputs_injected,
+                    2,
+                    "{case}: key down and up applied exactly once"
+                );
+                let tuner = net.find_fcms(&Query::new().class(FcmClass::Tuner))[0];
+                assert!(
+                    net.status(tuner).unwrap().contains(&StateVar::Power(true)),
+                    "{case}: power command arrived"
+                );
+                assert_eq!(
+                    s.proxy.server_frame().unwrap(),
+                    app.ui().framebuffer(),
+                    "{case}: proxy converged to the server framebuffer"
+                );
+                let st = s.proxy.stats();
+                resumes += st.resumes;
+                full_resyncs += st.full_resyncs;
+                retransmits += st.retransmits;
+                virtual_us += s.now_us();
+            }
+            println!(
+                "FAULT-MATRIX {} {fault_name} resumes={resumes} full_resyncs={full_resyncs} \
+                 retransmits={retransmits} virtual_us={virtual_us}",
                 link.name
             );
         }

@@ -30,9 +30,7 @@ fn traced_run(seed: u64) -> (Vec<TraceEvent>, ProxyStats, u64) {
         FaultSchedule::new()
             .flap(t0 + 10_000, t0 + 700_000)
             .burst_loss(0.1, 0.6, 0.7)
-            .latency_spike(t0 + 1_000_000, t0 + 1_500_000, 100_000)
-            .reorder(0.15, 3_000)
-            .duplicate(0.05),
+            .latency_spike(t0 + 1_000_000, t0 + 1_500_000, 100_000),
     );
     for _ in 0..3 {
         s.device_input(app.ui_mut(), &SimPhone::press('5').unwrap())
