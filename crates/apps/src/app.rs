@@ -266,8 +266,7 @@ impl ControlPanelApp {
 
     /// One application step: route pending widget actions to appliances
     /// and mirror appliance events back into widgets. Returns what
-    /// happened; when `recomposed` is set the caller must notify the
-    /// UniInt server of the (possible) resize.
+    /// happened.
     pub fn process(&mut self, net: &mut HomeNetwork) -> ProcessReport {
         let mut report = ProcessReport::default();
 

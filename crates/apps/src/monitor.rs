@@ -131,8 +131,7 @@ impl StatusMonitorApp {
     }
 
     /// Drains network events into the display. Returns true when the
-    /// window was rebuilt (hot-plug) and the server must announce a
-    /// resize.
+    /// window was rebuilt (hot-plug).
     pub fn process(&mut self, net: &mut HomeNetwork) -> bool {
         let mut rebuilt = false;
         let events: Vec<HaviEvent> = self.events.try_iter().collect();

@@ -2,17 +2,22 @@
 //! with no socket and no clock.
 //!
 //! A [`SessionHost`] owns the [`MultiServer`] and the table of
-//! name-keyed sessions. Its caller owns the transport: it accepts
-//! connections, reads and decodes frames, and writes and closes them
-//! (the gateway's `poll(2)` loop over TCP, [`crate::session::SimSession`]
-//! over the network simulator). The caller hands the host one event at
-//! a time, stamped with its own clock in microseconds:
+//! name-keyed sessions, and is the one router of the server's output.
+//! Its caller owns the transport: it accepts connections, reads and
+//! decodes frames, and writes and closes them. The callers are the
+//! gateway's `poll(2)` loop over TCP, [`crate::session::SimSession`]
+//! over the network simulator, [`crate::session::LocalSession`] in
+//! memory (messages as values, no clock), trace replay, and the
+//! threaded example over channels. The caller hands the host one event
+//! at a time, stamped with its own clock in microseconds:
 //!
 //! - [`open`](SessionHost::open): a connection arrived, and the host
 //!   names it;
 //! - [`receive`](SessionHost::receive): one decoded client message;
 //! - [`close`](SessionHost::close): the transport lost a connection;
-//! - [`tick`](SessionHost::tick): housekeeping, then the damage pump.
+//! - [`tick`](SessionHost::tick): housekeeping, then the damage pump,
+//!   which also announces a recomposed window's new size to every
+//!   attached session (see [`MultiServer::pump_all`]).
 //!
 //! `receive` and `tick` return what the host asks of the transport, in
 //! order ([`Output`]): messages for a connection, whether replies or a
@@ -397,6 +402,7 @@ fn keys_where<K: Copy, V>(map: &HashMap<K, V>, pick: impl Fn(&V) -> bool) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proxy::UniIntProxy;
     use uniint_protocol::input::InputEvent;
     use uniint_protocol::message::PROTOCOL_VERSION;
     use uniint_raster::geom::Rect;
@@ -620,6 +626,56 @@ mod tests {
         assert!(h.closed(first));
         assert_eq!(h.host.multi().client_count(), 1);
         assert_eq!(h.counter("gateway.reconnects"), 0);
+    }
+
+    /// Hands `msgs` to the host on `conn` and the host's replies to
+    /// `proxy`, ticking, until the proxy has nothing more to say.
+    fn converse(h: &mut Rig, conn: ConnId, proxy: &mut UniIntProxy, mut msgs: Vec<ClientMessage>) {
+        loop {
+            h.send(conn, msgs);
+            h.tick_at(h.now_us);
+            let replies = h.sent.remove(&conn).unwrap_or_default();
+            msgs = replies
+                .iter()
+                .flat_map(|m| proxy.handle_server(m).expect("clean wire").messages)
+                .collect();
+            if msgs.is_empty() {
+                return;
+            }
+        }
+    }
+
+    #[test]
+    fn a_session_detached_across_a_resize_resumes_at_the_new_size() {
+        let mut h = Rig::new();
+        let mut proxy = UniIntProxy::new("x");
+        let first = h.host.open();
+        let hello = proxy.connect();
+        converse(&mut h, first, &mut proxy, hello);
+        assert_eq!(proxy.server_frame(), Some(h.ui.framebuffer()));
+        h.host.close(first, 0);
+        h.ui.resize(200, 150);
+        h.tick_at(1_000);
+
+        let second = h.host.open();
+        h.send(second, [proxy.hello(), proxy.make_resume()]);
+        let replies = h.sent.remove(&second).unwrap_or_default();
+        let [resize, ServerMessage::ResumeAck { replayed, .. }] = &replies[..] else {
+            panic!("expected Resize and ResumeAck, got {replies:?}");
+        };
+        let expected = ServerMessage::Resize {
+            width: 200,
+            height: 150,
+        };
+        assert_eq!(resize, &expected);
+        assert!(!replayed, "the old geometry's updates are not replayed");
+        let answers = replies
+            .iter()
+            .flat_map(|m| proxy.handle_server(m).expect("clean wire").messages)
+            .collect();
+        converse(&mut h, second, &mut proxy, answers);
+        assert_eq!(proxy.server_frame(), Some(h.ui.framebuffer()));
+        assert_eq!(proxy.stats().full_resyncs, 1);
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //!   lifecycle, with no socket and no clock: name-keyed sessions,
 //!   adoption on reconnect, displacement and expiry over one
 //!   [`multi::MultiServer`]. The gateway's `poll(2)` loop runs it over
-//!   TCP, and [`session::SimSession`] over the network simulator;
+//!   TCP, [`session::SimSession`] over the network simulator, and
+//!   [`session::LocalSession`] in memory;
 //! - [`session`] wires the pieces end-to-end, in memory or across the
 //!   network simulator;
 //! - [`resume`] is the one proxy-side driver both transports move bytes

@@ -119,6 +119,11 @@ impl MultiServer {
     /// client, and answers all pending update requests. Returns per-client
     /// message batches (empty batches omitted).
     ///
+    /// A client told another window size than the window's now (the
+    /// panel was recomposed) is sent `Resize` in place of an update: it
+    /// is owed the whole screen, which the next pump sends once its
+    /// proxy asks for the new geometry.
+    ///
     /// Each damaged rect is analysed once per pump, in place in the
     /// framebuffer, whatever the clients' pixel formats; each client is
     /// sent the smallest payload its format and encodings allow, emitted
@@ -149,23 +154,15 @@ impl MultiServer {
                 msgs.push(ServerMessage::Bell);
             }
             c.add_damage(&damage);
-            msgs.extend(c.answer_pending(ui, &self.metrics, &mut memo));
+            match c.announce_resize(ui) {
+                Some(resize) => msgs.push(resize),
+                None => msgs.extend(c.answer_pending(ui, &self.metrics, &mut memo)),
+            }
             if !msgs.is_empty() {
                 out.push((id, msgs));
             }
         }
         inspect(&memo);
-        out
-    }
-
-    /// Notifies every client of a window resize.
-    pub fn notify_resize_all(&mut self, ui: &mut Ui) -> Vec<(ClientId, Vec<ServerMessage>)> {
-        let mut out = Vec::new();
-        for (id, slot) in self.clients.iter_mut().enumerate() {
-            if let Some(resize) = slot.as_mut().and_then(|c| c.notify_resize(ui)) {
-                out.push((id, vec![resize]));
-            }
-        }
         out
     }
 }

@@ -117,6 +117,9 @@ struct ClientState {
     /// Regions of the last [`RESUME_RETENTION`] updates, by sequence —
     /// the replay log incremental resume re-damages from.
     sent_log: VecDeque<(u64, Region)>,
+    /// Whether the window was resized since the last update sent: a
+    /// resume then owes the whole screen, whatever the client applied.
+    resized: bool,
 }
 
 /// Statistics the benchmarks read from a server.
@@ -191,7 +194,7 @@ impl Client {
     pub(crate) fn new(ui: &Ui) -> Client {
         Client {
             state: None,
-            size: (ui.size().w as u16, ui.size().h as u16),
+            size: size_of(ui),
         }
     }
 
@@ -218,6 +221,7 @@ impl Client {
         match msg {
             ClientMessage::Hello { version, name: _ } => {
                 let version = version.min(PROTOCOL_VERSION);
+                self.size = size_of(ui);
                 self.state = Some(ClientState {
                     format: PixelFormat::Rgb888,
                     encodings: vec![Encoding::Raw],
@@ -227,6 +231,7 @@ impl Client {
                     msgs_received: 1,
                     next_update_seq: 1,
                     sent_log: VecDeque::new(),
+                    resized: false,
                 });
                 vec![ServerMessage::Init {
                     version,
@@ -288,8 +293,9 @@ impl Client {
                     }];
                 };
                 let newest = c.next_update_seq - 1;
-                let mut replayed = true;
-                if last_update_seq < newest {
+                // A resize already owes the whole screen.
+                let mut replayed = !c.resized;
+                if replayed && last_update_seq < newest {
                     // The log must cover every update past the client's
                     // last applied one; otherwise retention was exceeded
                     // and the whole screen is owed again.
@@ -379,6 +385,7 @@ impl Client {
         metrics.update_payload_bytes.record(update_bytes);
         let seq = c.next_update_seq;
         c.next_update_seq += 1;
+        c.resized = false;
         c.sent_log.push_back((seq, to_send));
         if c.sent_log.len() > RESUME_RETENTION {
             c.sent_log.pop_front();
@@ -390,19 +397,30 @@ impl Client {
         })
     }
 
-    /// Notifies the client that the window was recomposed to a new size.
-    pub(crate) fn notify_resize(&mut self, ui: &Ui) -> Option<ServerMessage> {
-        self.size = (ui.size().w as u16, ui.size().h as u16);
+    /// Announces the window's new size if it differs from the one the
+    /// client was last told (the panel was recomposed). The whole screen
+    /// is then owed, at the new size.
+    pub(crate) fn announce_resize(&mut self, ui: &Ui) -> Option<ServerMessage> {
         let c = self.state.as_mut()?;
+        if self.size == size_of(ui) {
+            return None;
+        }
+        self.size = size_of(ui);
         c.damage = Region::from_rect(ui.framebuffer().bounds());
         // Pre-resize updates describe a dead geometry: never replay
         // them. A resume across a resize degrades to full damage.
         c.sent_log.clear();
+        c.resized = true;
         Some(ServerMessage::Resize {
             width: self.size.0,
             height: self.size.1,
         })
     }
+}
+
+/// The window size of `ui`, as the wire announces it.
+fn size_of(ui: &Ui) -> (u16, u16) {
+    (ui.size().w as u16, ui.size().h as u16)
 }
 
 #[cfg(test)]
@@ -569,18 +587,30 @@ mod tests {
     fn resize_notification() {
         let (mut ui, mut server) = session();
         connect(&mut ui, &mut server);
+        request(&mut ui, &mut server, false, Rect::new(0, 0, 160, 120));
         ui.resize(320, 240);
-        let replies = server.notify_resize_all(&mut ui);
+        ui.ring_bell();
+        // The pump announces the new size in place of an update, and
+        // still rings the bell.
+        let replies = request(&mut ui, &mut server, true, Rect::new(0, 0, 160, 120));
         assert_eq!(
             replies,
-            vec![(
-                0,
-                vec![ServerMessage::Resize {
+            [
+                ServerMessage::Bell,
+                ServerMessage::Resize {
                     width: 320,
                     height: 240
-                }]
-            )]
+                }
+            ]
         );
+        // The proxy's fresh full request gets the whole new screen, once.
+        let replies = request(&mut ui, &mut server, false, Rect::new(0, 0, 320, 240));
+        let ServerMessage::Update { rects, .. } = &replies[0] else {
+            panic!("expected update, got {replies:?}");
+        };
+        let covered: u64 = rects.iter().map(|r| r.rect.area()).sum();
+        assert_eq!(covered, 320 * 240);
+        assert!(pump(&mut ui, &mut server).is_empty());
     }
 
     #[test]

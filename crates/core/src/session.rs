@@ -1,12 +1,15 @@
 //! End-to-end sessions wiring application window, UniInt server and
 //! UniInt proxy together — in memory ([`LocalSession`]) or across the
-//! network simulator ([`SimSession`]), whose two sides only move bytes:
+//! network simulator ([`SimSession`]). Both run the server side on a
+//! [`SessionHost`], as the gateway does, so a recomposed panel reaches
+//! every viewer the same way: the host's pump announces the new size.
+//! In memory, messages cross as values between the host and any number
+//! of proxies. Across the simulator the two sides only move bytes:
 //! [`crate::resume::ResumeMachine`] drives the proxy side, as it does in
-//! the gateway's client, and a [`SessionHost`] runs the server side, as
-//! it does in the gateway.
+//! the gateway's client.
 
 use crate::host::{ConnId, Output, SessionHost};
-use crate::multi::{ClientId, MultiServer};
+use crate::multi::MultiServer;
 use crate::plugin::{DeviceEvent, DeviceFrame};
 use crate::proxy::UniIntProxy;
 use crate::resume::{BackoffPolicy, ResumeMachine, SessionError};
@@ -21,16 +24,27 @@ use uniint_wsys::ui::Ui;
 
 /// A complete session with a zero-latency in-process "wire".
 ///
-/// The appliance application owns the [`Ui`]; the session owns server and
-/// proxy and shuttles messages between them until quiescence after every
-/// stimulus. This is the workhorse of tests, examples and benchmarks.
+/// The appliance application owns the [`Ui`]; the session owns a
+/// [`SessionHost`] and the proxies of its viewers, each on its own host
+/// connection, and hands messages across as values until quiescence
+/// after every stimulus. Viewer 0 is [`proxy`](Self::proxy), which every
+/// method without a viewer argument speaks for; [`join`](Self::join)
+/// adds more. This is the workhorse of tests, examples and benchmarks.
+///
+/// The host runs with no clock (at time 0) and keeps a detached session
+/// forever, so nothing ever expires. Viewer names must be distinct: the
+/// host holds a `Hello` for a name it already knows until a `Resume` or
+/// its grace tells a reconnect from a new client, and this session's
+/// clock never moves, so such a viewer would never be answered.
 #[derive(Debug)]
 pub struct LocalSession {
-    /// The UniInt server endpoint; the proxy is its one client.
-    pub server: MultiServer,
-    /// The UniInt proxy endpoint.
+    host: SessionHost,
+    /// The UniInt proxy endpoint of viewer 0.
     pub proxy: UniIntProxy,
-    client: ClientId,
+    /// The proxies of viewers 1, 2, …, in the order they joined.
+    joined: Vec<UniIntProxy>,
+    /// Each viewer's host connection, by viewer.
+    conns: Vec<ConnId>,
     last_frame: Option<DeviceFrame>,
     bells: u32,
 }
@@ -40,17 +54,49 @@ impl LocalSession {
     /// returning). Server and proxy share one telemetry [`Registry`].
     pub fn connect(ui: &mut Ui) -> LocalSession {
         let registry = Registry::new();
-        let mut server = MultiServer::with_telemetry(registry.clone());
+        let multi = MultiServer::with_telemetry(registry.clone());
+        // As in `SimSession`, the host's `gateway.*` counters stay out of
+        // the session's registry.
         let mut s = LocalSession {
-            client: server.accept(ui),
-            server,
+            host: SessionHost::new(multi, &Registry::new(), u64::MAX),
             proxy: UniIntProxy::with_telemetry("local-proxy", registry),
+            joined: Vec::new(),
+            conns: Vec::new(),
             last_frame: None,
             bells: 0,
         };
-        let hello = s.proxy.connect();
-        s.deliver_to_server(ui, hello);
+        s.open(ui);
         s
+    }
+
+    /// Joins another viewer, a proxy named `name`, on its own host
+    /// connection (handshake completes before returning), and returns its
+    /// viewer number for [`viewer`](Self::viewer) and
+    /// [`send_as`](Self::send_as).
+    pub fn join(&mut self, ui: &mut Ui, name: &str) -> usize {
+        self.joined.push(UniIntProxy::new(name));
+        self.open(ui)
+    }
+
+    /// The proxy of `viewer` (0 is [`proxy`](Self::proxy)).
+    pub fn viewer(&self, viewer: usize) -> &UniIntProxy {
+        match viewer {
+            0 => &self.proxy,
+            v => &self.joined[v - 1],
+        }
+    }
+
+    /// The proxy of `viewer`, mutably.
+    pub fn viewer_mut(&mut self, viewer: usize) -> &mut UniIntProxy {
+        match viewer {
+            0 => &mut self.proxy,
+            v => &mut self.joined[v - 1],
+        }
+    }
+
+    /// The UniInt server all viewers share.
+    pub fn server(&self) -> &MultiServer {
+        self.host.multi()
     }
 
     /// The telemetry registry shared by this session's server and proxy.
@@ -81,56 +127,87 @@ impl LocalSession {
         self.pump(ui);
     }
 
-    /// Renders pending UI changes and flushes updates to the proxy.
+    /// Renders pending UI changes and flushes updates to the proxies,
+    /// announcing a new window size first if the panel was recomposed.
     /// Call after the application mutates widgets programmatically.
     pub fn pump(&mut self, ui: &mut Ui) {
-        let msgs = only_client(self.server.pump_all(ui));
-        self.deliver_to_proxy(ui, msgs);
-    }
-
-    /// Announces a window resize (panel recomposition) to the proxy.
-    pub fn notify_resize(&mut self, ui: &mut Ui) {
-        let msgs = only_client(self.server.notify_resize_all(ui));
-        self.deliver_to_proxy(ui, msgs);
+        self.exchange(ui, Vec::new());
     }
 
     /// Delivers client messages to the server, then pumps replies back:
     /// the pump answers any update request among them, and flushes the
     /// repaints their input caused.
     pub fn deliver_to_server(&mut self, ui: &mut Ui, msgs: Vec<ClientMessage>) {
-        let mut replies = Vec::new();
-        for m in msgs {
-            replies.extend(self.server.handle_message(ui, self.client, m));
-        }
-        replies.extend(only_client(self.server.pump_all(ui)));
-        self.deliver_to_proxy(ui, replies);
+        self.send_as(ui, 0, msgs);
     }
 
-    fn deliver_to_proxy(&mut self, ui: &mut Ui, msgs: Vec<ServerMessage>) {
-        let mut to_server = Vec::new();
+    /// [`deliver_to_server`](Self::deliver_to_server) on behalf of
+    /// `viewer`.
+    pub fn send_as(&mut self, ui: &mut Ui, viewer: usize, msgs: Vec<ClientMessage>) {
+        self.exchange(ui, vec![(viewer, msgs)]);
+    }
+
+    /// Opens a host connection for the newest viewer and completes its
+    /// handshake; returns the viewer.
+    fn open(&mut self, ui: &mut Ui) -> usize {
+        let viewer = self.conns.len();
+        self.conns.push(self.host.open());
+        let hello = self.viewer_mut(viewer).connect();
+        self.send_as(ui, viewer, hello);
+        viewer
+    }
+
+    /// Hands each viewer's messages to the host, ticks it, and hands what
+    /// it sends to the proxies; repeats with the proxies' answers until
+    /// none is left.
+    fn exchange(&mut self, ui: &mut Ui, mut inbound: Vec<(usize, Vec<ClientMessage>)>) {
+        loop {
+            let mut out = Vec::new();
+            for (viewer, msgs) in inbound {
+                for m in msgs {
+                    out.extend(self.host.receive(ui, self.conns[viewer], m, 0));
+                }
+            }
+            out.extend(self.host.tick(ui, 0));
+            inbound = Vec::new();
+            for o in out {
+                // The host closes no connection here: each viewer says
+                // `Hello` first, under a name of its own.
+                let Output::Send(conn, msgs) = o else {
+                    continue;
+                };
+                let viewer = self.conns.iter().position(|&c| c == conn);
+                let viewer = viewer.expect("the host sends only on its open connections");
+                let answers = self.deliver_to_proxy(viewer, msgs);
+                if !answers.is_empty() {
+                    inbound.push((viewer, answers));
+                }
+            }
+            if inbound.is_empty() {
+                return;
+            }
+        }
+    }
+
+    /// Hands server messages to `viewer`'s proxy; returns its answers.
+    /// Viewer 0's frames and bells are kept.
+    fn deliver_to_proxy(&mut self, viewer: usize, msgs: Vec<ServerMessage>) -> Vec<ClientMessage> {
+        let mut answers = Vec::new();
         for m in msgs {
             let out = self
-                .proxy
+                .viewer_mut(viewer)
                 .handle_server(&m)
                 .expect("local wire never corrupts messages");
-            if let Some(f) = out.frame {
-                self.last_frame = Some(f);
+            if viewer == 0 {
+                if let Some(f) = out.frame {
+                    self.last_frame = Some(f);
+                }
+                self.bells += u32::from(out.bell);
             }
-            if out.bell {
-                self.bells += 1;
-            }
-            to_server.extend(out.messages);
+            answers.extend(out.messages);
         }
-        if !to_server.is_empty() {
-            self.deliver_to_server(ui, to_server);
-        }
+        answers
     }
-}
-
-/// The messages in the batches of a server whose only client is a
-/// session's proxy.
-fn only_client(batches: Vec<(ClientId, Vec<ServerMessage>)>) -> Vec<ServerMessage> {
-    batches.into_iter().flat_map(|(_, msgs)| msgs).collect()
 }
 
 /// The simulator's reconnect schedule: 20 ms doubling to 1 s, 16 tries.
@@ -470,8 +547,30 @@ mod tests {
         let mut ui = panel();
         let mut s = LocalSession::connect(&mut ui);
         ui.resize(320, 240);
-        s.notify_resize(&mut ui);
+        s.pump(&mut ui);
         assert_eq!(s.proxy.server_size(), Some(Size::new(320, 240)));
+        assert_eq!(s.proxy.server_frame(), Some(ui.framebuffer()));
+    }
+
+    #[test]
+    fn joined_viewers_share_the_panel_and_its_resizes() {
+        let mut ui = panel();
+        let mut s = LocalSession::connect(&mut ui);
+        let other = s.join(&mut ui, "other");
+        assert_eq!(s.server().client_count(), 2);
+        s.viewer_mut(other).attach_input(Box::new(TapInput));
+        let msgs = s
+            .viewer_mut(other)
+            .device_input(&DeviceEvent::StylusDown { x: 40, y: 40 });
+        s.send_as(&mut ui, other, msgs);
+        assert_eq!(ui.take_actions().len(), 1, "the joined viewer's click");
+        ui.resize(200, 150);
+        ui.ring_bell();
+        s.pump(&mut ui);
+        for v in [0, other] {
+            assert_eq!(s.viewer(v).server_frame(), Some(ui.framebuffer()), "{v}");
+        }
+        assert_eq!(s.bells(), 1, "viewer 0's bell");
     }
 
     #[test]

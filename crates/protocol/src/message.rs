@@ -102,6 +102,8 @@ pub enum ClientMessage {
     /// Selects the pixel format for subsequent updates.
     SetPixelFormat(PixelFormat),
     /// Declares the encodings the client can decode, in preference order.
+    /// Decoding skips the ids of encodings this side does not know; an
+    /// empty list means Raw.
     SetEncodings(Vec<Encoding>),
     /// Asks for an update of `rect`; `incremental` means "only what
     /// changed since my last update".
@@ -308,14 +310,10 @@ impl ClientMessage {
             }
             CT_SET_ENCODINGS => {
                 let n = wire::get_u8(buf)? as usize;
-                let mut encs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let id = wire::get_u8(buf)?;
-                    encs.push(
-                        Encoding::from_wire_id(id).ok_or(ProtocolError::UnknownEncoding(id))?,
-                    );
-                }
-                Ok(ClientMessage::SetEncodings(encs))
+                let ids = wire::get_bytes(buf, n)?;
+                // A server ignores the encodings it does not support.
+                let encs = ids.iter().filter_map(|&id| Encoding::from_wire_id(id));
+                Ok(ClientMessage::SetEncodings(encs.collect()))
             }
             CT_UPDATE_REQUEST => Ok(ClientMessage::UpdateRequest {
                 incremental: wire::get_bool(buf)?,
@@ -735,6 +733,42 @@ mod tests {
                 declared: 16,
                 max: 15
             })
+        ));
+    }
+
+    #[test]
+    fn unknown_encodings_are_skipped_in_set_encodings_but_not_in_updates() {
+        let rre = Encoding::Rre.wire_id();
+        let mut body: &[u8] = &[CT_SET_ENCODINGS, 3, 99, rre, 200];
+        assert_eq!(
+            ClientMessage::decode_body(&mut body).unwrap(),
+            ClientMessage::SetEncodings(vec![Encoding::Rre])
+        );
+        let mut body: &[u8] = &[CT_SET_ENCODINGS, 2, 99, 200];
+        assert_eq!(
+            ClientMessage::decode_body(&mut body).unwrap(),
+            ClientMessage::SetEncodings(Vec::new())
+        );
+        let mut body: &[u8] = &[CT_SET_ENCODINGS, 2, rre];
+        assert!(ClientMessage::decode_body(&mut body).is_err(), "truncated");
+
+        let update = ServerMessage::Update {
+            seq: 1,
+            format: PixelFormat::Rgb888,
+            rects: vec![RectUpdate {
+                rect: Rect::new(0, 0, 1, 1),
+                encoding: Encoding::Raw,
+                payload: vec![0; 3],
+            }],
+        };
+        let mut body = encode_server(&update)[4..].to_vec();
+        // Tag, seq, format and rect count, then the rect's area.
+        let at = 1 + 8 + 1 + 2 + 8;
+        assert_eq!(body[at], Encoding::Raw.wire_id());
+        body[at] = 99;
+        assert!(matches!(
+            ServerMessage::decode_body(&mut body.as_slice()),
+            Err(ProtocolError::UnknownEncoding(99))
         ));
     }
 

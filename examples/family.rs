@@ -5,13 +5,8 @@
 //!
 //! Run with `cargo run --example family`.
 
-use uniint::core::multi::MultiServer;
+use uniint::core::plugin::OutputPlugin;
 use uniint::prelude::*;
-
-struct Viewer {
-    name: &'static str,
-    proxy: UniIntProxy,
-}
 
 fn main() {
     // The shared living room.
@@ -24,58 +19,50 @@ fn main() {
     net.attach(DeviceSpec::new("Amp", "living-room").with_fcm(AmplifierFcm::new("Hi-Fi")));
     let mut app = ControlPanelApp::new(&mut net, None, Theme::classic());
 
-    let mut server = MultiServer::new();
-    let mut viewers = vec![
-        Viewer {
-            name: "tv",
-            proxy: UniIntProxy::new("tv-viewer"),
-        },
-        Viewer {
-            name: "pda",
-            proxy: UniIntProxy::new("pda-viewer"),
-        },
-        Viewer {
-            name: "phone",
-            proxy: UniIntProxy::new("phone-viewer"),
-        },
+    // Each viewer connects on its own connection to the one server: the
+    // TV is the session's first viewer, the PDA and the phone join it.
+    let mut session = LocalSession::connect(app.ui_mut());
+    let viewers = [
+        ("tv", 0),
+        ("pda", session.join(app.ui_mut(), "pda-viewer")),
+        ("phone", session.join(app.ui_mut(), "phone-viewer")),
     ];
-    for _ in &viewers {
-        server.accept(app.ui());
-    }
-    // Each viewer connects and uploads its own output plug-in.
-    let outputs: Vec<Box<dyn uniint::core::plugin::OutputPlugin>> = vec![
+    // Each viewer uploads its own output plug-in.
+    let outputs: [Box<dyn OutputPlugin>; 3] = [
         Box::new(ScreenPlugin::tv()),
         Box::new(ScreenPlugin::pda()),
         Box::new(ScreenPlugin::phone_lcd()),
     ];
-    for ((i, v), out) in viewers.iter_mut().enumerate().zip(outputs) {
-        let mut pending = v.proxy.connect();
-        pending.extend(v.proxy.attach_output(out));
-        deliver(&mut server, &mut app, i, &mut v.proxy, pending);
+    for ((_, v), out) in viewers.into_iter().zip(outputs) {
+        let msgs = session.viewer_mut(v).attach_output(out);
+        session.send_as(app.ui_mut(), v, msgs);
     }
     // Dad's phone also gets the keypad input plug-in.
-    viewers[2].proxy.attach_input(Box::new(KeypadPlugin::new()));
+    let (_, phone) = viewers[2];
+    session
+        .viewer_mut(phone)
+        .attach_input(Box::new(KeypadPlugin::new()));
 
     // Dad presses select: the TV powers on; everyone's screen updates.
-    let msgs = viewers[2]
-        .proxy
+    let msgs = session
+        .viewer_mut(phone)
         .device_input(&SimPhone::press('5').unwrap());
-    deliver(&mut server, &mut app, 2, &mut viewers[2].proxy, msgs);
+    session.send_as(app.ui_mut(), phone, msgs);
     app.process(&mut net);
-    pump_all(&mut server, &mut app, &mut viewers);
+    session.pump(app.ui_mut());
 
     let tuner = net.find_fcms(&Query::new().class(FcmClass::Tuner))[0];
     println!(
         "After dad's keypress: tuner = {:?}\n",
         net.status(tuner).unwrap()
     );
-    for v in &viewers {
-        let fb = v.proxy.server_frame().expect("synced");
+    for (name, v) in viewers {
+        let fb = session.viewer(v).server_frame().expect("synced");
         // Viewers transporting in a reduced format hold format-reduced
         // pixels; the RGB888 viewer matches the server bit-for-bit.
         println!(
             "  {:<6} sees a {}x{} panel ({})",
-            v.name,
+            name,
             fb.width(),
             fb.height(),
             if fb == app.ui().framebuffer() {
@@ -87,40 +74,8 @@ fn main() {
     }
     println!(
         "\nserver sent {} update rects, {} bytes total across {} viewers",
-        server.stats().rects_sent,
-        server.stats().payload_bytes,
-        server.client_count(),
+        session.server().stats().rects_sent,
+        session.server().stats().payload_bytes,
+        session.server().client_count(),
     );
-}
-
-fn deliver(
-    server: &mut MultiServer,
-    app: &mut ControlPanelApp,
-    id: usize,
-    proxy: &mut UniIntProxy,
-    msgs: Vec<ClientMessage>,
-) {
-    for m in msgs {
-        let replies = server.handle_message(app.ui_mut(), id, m);
-        for r in replies {
-            let out = proxy.handle_server(&r).expect("clean wire");
-            deliver(server, app, id, proxy, out.messages);
-        }
-    }
-}
-
-fn pump_all(server: &mut MultiServer, app: &mut ControlPanelApp, viewers: &mut [Viewer]) {
-    loop {
-        let batches = server.pump_all(app.ui_mut());
-        if batches.is_empty() {
-            break;
-        }
-        for (id, msgs) in batches {
-            for m in msgs {
-                let out = viewers[id].proxy.handle_server(&m).expect("clean wire");
-                let back = out.messages;
-                deliver(server, app, id, &mut viewers[id].proxy, back);
-            }
-        }
-    }
 }

@@ -63,15 +63,11 @@ fn main() {
     }
     println!("Tuner after surfing: {:?}", net.status(tuner).unwrap());
 
-    // The VCR is plugged in: the application recomposes the panel and the
-    // UniInt server announces the resize to the proxy.
+    // The VCR is plugged in: the application recomposes the panel, and
+    // the next pump announces the resize to the proxy.
     println!("\n-- plugging in the VCR --");
     net.attach(DeviceSpec::new("VCR", "living-room").with_fcm(VcrFcm::new("VCR Deck", 3600)));
-    let report = app.process(&mut net);
-    if report.recomposed {
-        session.notify_resize(app.ui_mut());
-        session.pump(app.ui_mut());
-    }
+    app.process(&mut net);
     println!(
         "Panel now has {} sections, window {}.",
         app.section_count(),

@@ -41,9 +41,7 @@ fn main() {
     // A minute of simulated time passes.
     for _ in 0..12 {
         net.tick(5_000);
-        if monitor.process(&mut net) {
-            session.notify_resize(monitor.ui_mut());
-        }
+        monitor.process(&mut net);
         session.pump(monitor.ui_mut());
     }
 

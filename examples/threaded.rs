@@ -1,14 +1,17 @@
 //! A live, threaded deployment: the appliance application + UniInt
-//! server run on their own thread (the "appliance side"), the UniInt
-//! proxy runs on the main thread (the "hallway proxy box"), connected by
-//! two `std::sync::mpsc` channels that carry encoded protocol frames.
+//! server run on their own thread (the "appliance side", a
+//! `SessionHost` on the wall clock), the UniInt proxy runs on the main
+//! thread (the "hallway proxy box"), connected by two `std::sync::mpsc`
+//! channels that carry encoded protocol frames.
 //!
 //! Run with `cargo run --example threaded`.
 
 use std::sync::mpsc::{channel, RecvTimeoutError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+use uniint::core::host::{Output, SessionHost};
 use uniint::prelude::*;
 use uniint::protocol::message::{encode_client, encode_server, FrameReader};
+use uniint::telemetry::registry::Registry;
 
 fn main() {
     let (to_server, server_rx) = channel::<Vec<u8>>();
@@ -24,15 +27,12 @@ fn main() {
         );
         net.attach(DeviceSpec::new("Amp", "living-room").with_fcm(AmplifierFcm::new("Amp")));
         let mut app = ControlPanelApp::new(&mut net, None, Theme::classic());
-        let mut server = MultiServer::new();
-        let client = server.accept(app.ui());
+        // The one connection's session is never retired.
+        let mut host = SessionHost::new(MultiServer::new(), &Registry::new(), u64::MAX);
+        let conn = host.open();
+        let started = Instant::now();
         let mut reader = FrameReader::new();
         let mut commands = 0u32;
-        // A send fails only once the proxy is gone; the next receive
-        // then ends the loop.
-        let send = |reply: &ServerMessage| {
-            let _ = to_proxy.send(encode_server(reply));
-        };
 
         loop {
             match server_rx.recv_timeout(Duration::from_millis(50)) {
@@ -40,24 +40,26 @@ fn main() {
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => break,
             }
+            let now_us = started.elapsed().as_micros() as u64;
+            let mut out = Vec::new();
             while let Ok(Some(frame)) = reader.next_frame() {
                 let Ok(msg) = ClientMessage::decode_body(&mut frame.as_slice()) else {
                     continue;
                 };
-                for reply in server.handle_message(app.ui_mut(), client, msg) {
-                    send(&reply);
+                out.extend(host.receive(app.ui_mut(), conn, msg, now_us));
+            }
+            commands += app.process(&mut net).commands_sent;
+            // Answers the requests parked above, flushes app damage and
+            // announces a recomposed panel's new size.
+            out.extend(host.tick(app.ui_mut(), now_us));
+            for o in out {
+                // A send fails only once the proxy is gone; the next
+                // receive then ends the loop.
+                if let Output::Send(_, msgs) = o {
+                    for reply in &msgs {
+                        let _ = to_proxy.send(encode_server(reply));
+                    }
                 }
-            }
-            let report = app.process(&mut net);
-            commands += report.commands_sent;
-            let mut batches = Vec::new();
-            if report.recomposed {
-                batches = server.notify_resize_all(app.ui_mut());
-            }
-            // Answers the requests parked above and flushes app damage.
-            batches.extend(server.pump_all(app.ui_mut()));
-            for reply in batches.into_iter().flat_map(|(_, msgs)| msgs) {
-                send(&reply);
             }
             if commands >= 3 {
                 // Demo complete: report and exit.
@@ -84,9 +86,9 @@ fn main() {
     let mut sent_output = false;
     let presses = ['5', '8', '5', '8', '5']; // select, down, select...
     let mut press_idx = 0;
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let deadline = Instant::now() + Duration::from_secs(10);
 
-    while std::time::Instant::now() < deadline {
+    while Instant::now() < deadline {
         match proxy_rx.recv_timeout(Duration::from_millis(100)) {
             Ok(bytes) => reader.feed(&bytes),
             Err(RecvTimeoutError::Timeout) => {}

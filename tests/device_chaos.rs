@@ -533,7 +533,7 @@ fn contain_and_fail_over(schedule: DeviceFaultSchedule) -> SupervisorStats {
     assert!(sup.stats().quarantines >= 1);
     assert!(sup.stats().failovers >= 1);
     assert!(
-        session.server.stats().health_reports >= 1,
+        session.server().stats().health_reports >= 1,
         "health notifications reached the server"
     );
 

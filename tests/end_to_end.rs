@@ -165,7 +165,6 @@ fn hotplug_recomposition_propagates_resize() {
     net.attach(DeviceSpec::new("Light", "living-room").with_fcm(LightFcm::new("Lamp")));
     let report = app.process(&mut net);
     assert!(report.recomposed);
-    session.notify_resize(app.ui_mut());
     session.pump(app.ui_mut());
     let h_after = session.proxy.server_size().unwrap().h;
     assert!(h_after > h_before, "panel grew: {h_before} -> {h_after}");
@@ -316,60 +315,22 @@ fn paged_panel_operated_from_phone() {
 
 #[test]
 fn multi_viewer_family_shares_one_panel() {
-    use uniint::core::multi::MultiServer;
-
     let mut net = HomeNetwork::new();
     net.attach(DeviceSpec::new("TV", "lr").with_fcm(TunerFcm::new("Tuner", 12)));
     let mut app = ControlPanelApp::new(&mut net, None, Theme::classic());
-    let mut server = MultiServer::new();
-    let mut proxies = vec![UniIntProxy::new("a"), UniIntProxy::new("b")];
-    for _ in &proxies {
-        server.accept(app.ui());
-    }
-
-    fn deliver(
-        server: &mut MultiServer,
-        app: &mut ControlPanelApp,
-        id: usize,
-        proxy: &mut UniIntProxy,
-        msgs: Vec<ClientMessage>,
-    ) {
-        for m in msgs {
-            for r in server.handle_message(app.ui_mut(), id, m) {
-                let out = proxy.handle_server(&r).unwrap();
-                deliver(server, app, id, proxy, out.messages);
-            }
-        }
-    }
-
-    for (i, p) in proxies.iter_mut().enumerate() {
-        let hello = p.connect();
-        deliver(&mut server, &mut app, i, p, hello);
-    }
-    proxies[0].attach_input(Box::new(KeypadPlugin::new()));
+    let mut session = LocalSession::connect(app.ui_mut());
+    let viewers = [0, session.join(app.ui_mut(), "b")];
+    session.proxy.attach_input(Box::new(KeypadPlugin::new()));
 
     // Viewer 0 powers the TV; the change must reach viewer 1.
-    let msgs = proxies[0].device_input(&SimPhone::press('5').unwrap());
-    deliver(&mut server, &mut app, 0, &mut proxies[0], msgs);
+    session.device_input(app.ui_mut(), &SimPhone::press('5').unwrap());
     app.process(&mut net);
-    loop {
-        let batches = server.pump_all(app.ui_mut());
-        if batches.is_empty() {
-            break;
-        }
-        for (id, msgs) in batches {
-            for m in msgs {
-                let out = proxies[id].handle_server(&m).unwrap();
-                let back = out.messages;
-                deliver(&mut server, &mut app, id, &mut proxies[id], back);
-            }
-        }
-    }
+    session.pump(app.ui_mut());
     let tuner = net.find_fcms(&Query::new().class(FcmClass::Tuner))[0];
     assert!(net.status(tuner).unwrap().contains(&StateVar::Power(true)));
-    for (i, p) in proxies.iter().enumerate() {
+    for i in viewers {
         assert_eq!(
-            p.server_frame().unwrap(),
+            session.viewer(i).server_frame().unwrap(),
             app.ui().framebuffer(),
             "viewer {i} in sync"
         );

@@ -220,10 +220,7 @@ fn device_storm_during_hotplug_is_safe() {
                 }
             }
         }
-        let report = app.process(&mut net);
-        if report.recomposed {
-            session.notify_resize(app.ui_mut());
-        }
+        app.process(&mut net);
         session.device_input(app.ui_mut(), &SimPhone::press('5').unwrap());
         app.process(&mut net);
         session.pump(app.ui_mut());

@@ -34,6 +34,20 @@ fn session_works_over_every_link_profile() {
 }
 
 #[test]
+fn hotplug_resize_reaches_a_simulated_session() {
+    let (mut net, mut app) = panel_net();
+    let mut s = SimSession::connect(app.ui_mut(), LinkProfile::ethernet100(), 7).unwrap();
+    let before = app.ui().size();
+    net.attach(DeviceSpec::new("Light", "living-room").with_fcm(LightFcm::new("Lamp")));
+    assert!(app.process(&mut net).recomposed);
+    assert_ne!(app.ui().size(), before, "the panel grew");
+    s.settle(app.ui_mut()).unwrap();
+    // The host's pump announced the new size; the proxy holds the panel.
+    assert_eq!(s.proxy.server_size(), Some(app.ui().size()));
+    assert_eq!(s.proxy.server_frame(), Some(app.ui().framebuffer()));
+}
+
+#[test]
 fn handshake_time_ordering_matches_link_speed() {
     let mut times = Vec::new();
     for link in LinkProfile::presets() {
@@ -58,13 +72,13 @@ fn mono_transport_is_smaller_than_truecolor() {
     let payload = |mono: bool| {
         let (_net, mut app) = panel_net();
         let mut session = LocalSession::connect(app.ui_mut());
-        let before = session.server.stats().payload_bytes;
+        let before = session.server().stats().payload_bytes;
         if mono {
             let msgs = session
                 .proxy
                 .attach_output(Box::new(ScreenPlugin::phone_lcd()));
             session.deliver_to_server(app.ui_mut(), msgs);
-            session.server.stats().payload_bytes - before
+            session.server().stats().payload_bytes - before
         } else {
             before
         }
@@ -90,7 +104,7 @@ fn wire_bytes_scale_with_pixel_format() {
                 .attach_output(Box::new(ScreenPlugin::phone_lcd()));
             session.deliver_to_server(app.ui_mut(), msgs);
         }
-        session.server.stats().payload_bytes
+        session.server().stats().payload_bytes
     };
     let rgb = run(false);
     let mono = run(true);

@@ -137,10 +137,7 @@ proptest! {
             } else if let Some(g) = spare.pop() {
                 net.detach(g);
             }
-            let report = app.process(&mut net);
-            if report.recomposed {
-                session.notify_resize(app.ui_mut());
-            }
+            app.process(&mut net);
             session.pump(app.ui_mut());
             // Section count mirrors the registry.
             let fcm_count = net.find_fcms(&Query::new()).len();
