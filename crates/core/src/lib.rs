@@ -70,8 +70,9 @@ pub mod prelude {
     pub use crate::server::ServerStats;
     pub use crate::session::{LocalSession, SimSession};
     pub use crate::supervisor::{
-        FallbackTerminal, HealthEvent, HealthState, Supervisor, SupervisorReport, SupervisorStats,
+        FallbackTerminal, HealthEvent, Supervisor, SupervisorReport, SupervisorStats,
         TransitionCause,
     };
     pub use crate::tap::{Direction, SessionTap, SharedTap};
+    pub use uniint_protocol::message::DeviceHealthState;
 }

@@ -7,7 +7,7 @@
 //! UniInt proxies at once — the whole family controlling the living
 //! room from their own devices, every screen kept consistent.
 
-use crate::server::{Client, EncodeMemo, ServerMetrics, ServerStats};
+use crate::server::{EncodeMemo, ServerMetrics, ServerStats, Slot};
 use uniint_protocol::message::{ClientMessage, ServerMessage};
 use uniint_telemetry::registry::Registry;
 use uniint_wsys::ui::Ui;
@@ -24,7 +24,7 @@ pub type ClientId = usize;
 /// [`pump_all`](Self::pump_all), which answers every pending request.
 #[derive(Debug)]
 pub struct MultiServer {
-    clients: Vec<Option<Client>>,
+    clients: Vec<Slot>,
     metrics: ServerMetrics,
 }
 
@@ -51,15 +51,17 @@ impl MultiServer {
 
     /// Accepts a new connection, returning its id: the lowest id no live
     /// client holds, so a disconnected client's id may be handed out
-    /// again. The client still has to send `Hello` through
-    /// [`handle_message`](Self::handle_message).
-    pub fn accept(&mut self, ui: &Ui) -> ClientId {
-        let client = Some(Client::new(ui));
-        if let Some(id) = self.clients.iter().position(Option::is_none) {
-            self.clients[id] = client;
+    /// again. No session exists until the client's `Hello` arrives
+    /// through [`handle_message`](Self::handle_message); before it, the
+    /// server answers only `Resume` (with nothing to resume) and drops
+    /// every other message. `_ui` goes unused: a session reads the
+    /// window's size when its `Hello` opens it.
+    pub fn accept(&mut self, _ui: &Ui) -> ClientId {
+        if let Some(id) = self.clients.iter().position(|s| matches!(s, Slot::Free)) {
+            self.clients[id] = Slot::Accepted;
             return id;
         }
-        self.clients.push(client);
+        self.clients.push(Slot::Accepted);
         self.clients.len() - 1
     }
 
@@ -69,13 +71,16 @@ impl MultiServer {
     /// id once it disconnects it.
     pub fn disconnect(&mut self, client: ClientId) {
         if let Some(slot) = self.clients.get_mut(client) {
-            *slot = None;
+            *slot = Slot::Free;
         }
     }
 
     /// Number of live (not disconnected) connections.
     pub fn client_count(&self) -> usize {
-        self.clients.iter().flatten().count()
+        self.clients
+            .iter()
+            .filter(|s| !matches!(s, Slot::Free))
+            .count()
     }
 
     /// Slots the server holds, live or free: the most clients it ever
@@ -85,12 +90,9 @@ impl MultiServer {
         self.clients.len()
     }
 
-    /// Whether `client` completed its handshake and is still connected.
+    /// Whether `client` is connected and its `Hello` opened a session.
     pub fn has_session(&self, client: ClientId) -> bool {
-        self.clients
-            .get(client)
-            .and_then(Option::as_ref)
-            .is_some_and(Client::has_session)
+        matches!(self.clients.get(client), Some(Slot::Live(_)))
     }
 
     /// Statistics over every client this server has served, read from
@@ -109,10 +111,10 @@ impl MultiServer {
         client: ClientId,
         msg: ClientMessage,
     ) -> Vec<ServerMessage> {
-        let Some(Some(c)) = self.clients.get_mut(client) else {
-            return Vec::new();
-        };
-        c.handle_message(ui, &self.metrics, msg)
+        match self.clients.get_mut(client) {
+            Some(slot) => slot.handle_message(ui, &self.metrics, msg),
+            None => Vec::new(),
+        }
     }
 
     /// Renders once, distributes new damage (and the bell) to every
@@ -148,9 +150,9 @@ impl MultiServer {
         let mut memo = EncodeMemo::default();
         let mut out = Vec::new();
         for (id, slot) in self.clients.iter_mut().enumerate() {
-            let Some(c) = slot else { continue };
+            let Slot::Live(c) = slot else { continue };
             let mut msgs = Vec::new();
-            if bell && c.has_session() {
+            if bell {
                 msgs.push(ServerMessage::Bell);
             }
             c.add_damage(&damage);

@@ -33,13 +33,8 @@ pub struct ProxyOutput {
     pub bell: bool,
 }
 
-/// Counters the benchmarks read from a proxy.
-///
-/// Since the telemetry migration this is a **snapshot view**: the live
-/// values are counters in the proxy's [`Registry`], and
-/// [`UniIntProxy::stats`] reconstructs this struct from them. The
-/// `Copy + Eq` by-value API is unchanged, so existing tests and
-/// benches compile as before.
+/// A proxy's counters at one instant, as [`UniIntProxy::stats`] reads
+/// them from the `proxy.*` counters of its [`Registry`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProxyStats {
     /// Server update messages applied.
@@ -124,6 +119,10 @@ impl ProxyMetrics {
 
 /// The universal interaction proxy.
 ///
+/// A session exists only once the server's `Init` has arrived: until
+/// then the proxy holds no framebuffer, and a server message that needs
+/// one (`Update`, `Resize`, `ResumeAck`) is `Malformed`.
+///
 /// ```
 /// use uniint_core::proxy::UniIntProxy;
 /// let mut proxy = UniIntProxy::new("hallway-proxy");
@@ -133,13 +132,21 @@ impl ProxyMetrics {
 #[derive(Debug)]
 pub struct UniIntProxy {
     name: String,
-    fb: Option<Framebuffer>,
+    state: State,
     format: PixelFormat,
     input_plugin: Option<Box<dyn InputPlugin>>,
     output_plugin: Option<Box<dyn OutputPlugin>>,
     metrics: ProxyMetrics,
-    /// Sequence of the last applied update; echoed in `Resume`.
-    last_update_seq: u64,
+}
+
+/// Where the proxy is in the handshake.
+#[derive(Debug)]
+enum State {
+    /// No `Init` yet: there is no session.
+    AwaitingInit,
+    /// A session: the server framebuffer rebuilt from updates, and the
+    /// sequence of the last update applied to it (echoed in `Resume`).
+    Running { fb: Framebuffer, last_seq: u64 },
 }
 
 impl UniIntProxy {
@@ -154,12 +161,11 @@ impl UniIntProxy {
     pub fn with_telemetry(name: impl Into<String>, registry: Registry) -> UniIntProxy {
         UniIntProxy {
             name: name.into(),
-            fb: None,
+            state: State::AwaitingInit,
             format: PixelFormat::Rgb888,
             input_plugin: None,
             output_plugin: None,
             metrics: ProxyMetrics::new(registry),
-            last_update_seq: 0,
         }
     }
 
@@ -173,10 +179,9 @@ impl UniIntProxy {
         &self.name
     }
 
-    /// Whether the session is established (Init received): a session
-    /// exists exactly when the server framebuffer does.
+    /// Whether the session is established (Init received).
     pub fn is_connected(&self) -> bool {
-        self.fb.is_some()
+        matches!(self.state, State::Running { .. })
     }
 
     /// Accumulated statistics, reconstructed from the registry counters
@@ -207,12 +212,15 @@ impl UniIntProxy {
 
     /// The reconstructed server framebuffer, when connected.
     pub fn server_frame(&self) -> Option<&Framebuffer> {
-        self.fb.as_ref()
+        match &self.state {
+            State::Running { fb, .. } => Some(fb),
+            State::AwaitingInit => None,
+        }
     }
 
     /// Size of the server framebuffer, when known.
     pub fn server_size(&self) -> Option<Size> {
-        self.fb.as_ref().map(|f| f.size())
+        self.server_frame().map(Framebuffer::size)
     }
 
     /// The kinds of the currently attached plug-ins `(input, output)`.
@@ -223,9 +231,10 @@ impl UniIntProxy {
         )
     }
 
-    /// Opens the session: the initial Hello.
+    /// Starts a handshake: the proxy awaits `Init`, and this is the
+    /// `Hello` to send.
     pub fn connect(&mut self) -> Vec<ClientMessage> {
-        self.last_update_seq = 0;
+        self.state = State::AwaitingInit;
         vec![self.hello()]
     }
 
@@ -237,16 +246,20 @@ impl UniIntProxy {
         }
     }
 
-    /// Sequence of the last server update this proxy applied.
+    /// Sequence of the last server update this session applied (0 with
+    /// no session, or none applied yet).
     pub fn last_update_seq(&self) -> u64 {
-        self.last_update_seq
+        match self.state {
+            State::Running { last_seq, .. } => last_seq,
+            State::AwaitingInit => 0,
+        }
     }
 
     /// Builds the reattach message after a connection break: asks the
     /// server to re-damage everything past the last applied update.
     pub(crate) fn make_resume(&self) -> ClientMessage {
         ClientMessage::Resume {
-            last_update_seq: self.last_update_seq,
+            last_update_seq: self.last_update_seq(),
         }
     }
 
@@ -289,10 +302,8 @@ impl UniIntProxy {
         // Transport in the device's own format: a mono LCD session should
         // not ship 24-bit pixels over a phone link.
         self.format = caps.format;
-        if !self.is_connected() {
-            return Vec::new();
-        }
-        self.negotiation()
+        self.server_frame()
+            .map_or_else(Vec::new, |fb| negotiation(self.format, fb.bounds()))
     }
 
     /// Removes the output plug-in.
@@ -305,23 +316,28 @@ impl UniIntProxy {
     ///
     /// # Errors
     ///
-    /// Propagates [`ProtocolError`] from rectangle decoding; a rect that
-    /// does not lie inside the framebuffer, or a CopyRect whose source
-    /// does not, is `Malformed`. A failed update
+    /// `Malformed` for an `Update`, `Resize` or `ResumeAck` before
+    /// `Init`. Propagates [`ProtocolError`] from rectangle decoding; a
+    /// rect that does not lie inside the framebuffer, or a CopyRect whose
+    /// source does not, is `Malformed`. A failed update
     /// may leave the framebuffer partly written: the caller should
     /// [`recover`](Self::recover) or tear the session down.
     pub fn handle_server(&mut self, msg: &ServerMessage) -> Result<ProxyOutput, ProtocolError> {
         let mut out = ProxyOutput::default();
-        match msg {
-            ServerMessage::Init { width, height, .. } => {
-                self.fb = Some(server_framebuffer(*width, *height)?);
-                out.messages = self.negotiation();
+        match (&mut self.state, msg) {
+            (state, ServerMessage::Init { width, height, .. }) => {
+                let fb = server_framebuffer(*width, *height)?;
+                out.messages = negotiation(self.format, fb.bounds());
+                *state = State::Running { fb, last_seq: 0 };
             }
-            ServerMessage::Update { seq, format, rects } => {
-                let Some(fb) = &mut self.fb else {
-                    return Err(ProtocolError::Malformed("update before init".into()));
-                };
-                self.last_update_seq = *seq;
+            (_, ServerMessage::Bell) => out.bell = true,
+            (_, ServerMessage::CutText(_)) => {}
+            // Every other message needs a session.
+            (State::AwaitingInit, _) => {
+                return Err(ProtocolError::Malformed("no session before init".into()));
+            }
+            (State::Running { fb, last_seq }, ServerMessage::Update { seq, format, rects }) => {
+                *last_seq = *seq;
                 let frame = fb.bounds();
                 for ru in rects {
                     let mut cursor: &[u8] = &ru.payload;
@@ -353,49 +369,38 @@ impl UniIntProxy {
                 // Continuous update loop, as thin-client viewers do.
                 out.messages.push(ClientMessage::UpdateRequest {
                     incremental: true,
-                    rect: fb_bounds(&self.fb),
+                    rect: frame,
                 });
             }
-            ServerMessage::Resize { width, height } => {
-                let Some(fb) = &self.fb else {
-                    return Err(ProtocolError::Malformed("resize before init".into()));
-                };
+            (State::Running { fb, .. }, ServerMessage::Resize { width, height }) => {
                 let new = Size::new((*width).max(1) as u32, (*height).max(1) as u32);
                 // A same-size Resize (e.g. sent defensively during resume)
                 // must not blow away the cached framebuffer.
                 if fb.size() != new {
-                    self.fb = Some(server_framebuffer(*width, *height)?);
+                    *fb = server_framebuffer(*width, *height)?;
                     out.messages.push(ClientMessage::UpdateRequest {
                         incremental: false,
-                        rect: fb_bounds(&self.fb),
+                        rect: fb.bounds(),
                     });
                 }
             }
-            ServerMessage::Bell => out.bell = true,
-            ServerMessage::CutText(_) => {}
-            ServerMessage::ResumeAck { replayed, .. } => {
-                if self.fb.is_none() {
-                    return Err(ProtocolError::Malformed("resume-ack before init".into()));
-                }
-                if *replayed {
-                    self.metrics.resumes.inc();
-                    self.metrics
-                        .registry
-                        .journal()
-                        .record("proxy.resume", "incremental replay");
-                } else {
-                    self.metrics.full_resyncs.inc();
-                    self.metrics
-                        .registry
-                        .journal()
-                        .record("proxy.resume", "full resync (log gap)");
-                }
+            (State::Running { fb, .. }, ServerMessage::ResumeAck { replayed, .. }) => {
                 // The server re-damaged whatever the break lost; an
                 // incremental request fetches exactly that.
                 out.messages.push(ClientMessage::UpdateRequest {
                     incremental: true,
-                    rect: fb_bounds(&self.fb),
+                    rect: fb.bounds(),
                 });
+                let (counter, detail) = if *replayed {
+                    (&self.metrics.resumes, "incremental replay")
+                } else {
+                    (&self.metrics.full_resyncs, "full resync (log gap)")
+                };
+                counter.inc();
+                self.metrics
+                    .registry
+                    .journal()
+                    .record("proxy.resume", detail);
             }
         }
         Ok(out)
@@ -404,7 +409,9 @@ impl UniIntProxy {
     /// Adapts the current framebuffer through the output plug-in (a forced
     /// refresh of the output device).
     pub fn adapt_current(&mut self) -> Option<DeviceFrame> {
-        let fb = self.fb.as_ref()?;
+        let State::Running { fb, .. } = &self.state else {
+            return None;
+        };
         let plugin = self.output_plugin.as_mut()?;
         self.metrics.frames_adapted.inc();
         let frame = plugin.adapt(fb);
@@ -418,49 +425,30 @@ impl UniIntProxy {
     /// framebuffer contents and asks the server for a complete refresh.
     /// Callers should invoke this instead of tearing the session down
     /// when [`handle_server`](Self::handle_server) fails on a transport
-    /// that is still alive.
+    /// that is still alive. With no session there is nothing to recover.
     pub fn recover(&mut self) -> Vec<ClientMessage> {
-        if !self.is_connected() {
+        let State::Running { fb, .. } = &mut self.state else {
             return Vec::new();
-        }
+        };
+        // Blank the cache so stale pixels cannot survive a corrupt
+        // update that was partially applied.
+        fb.clear(Color::BLACK);
         self.metrics.full_resyncs.inc();
         self.metrics
             .registry
             .journal()
             .record("proxy.recover", "decode error: discarding cache");
-        if let Some(fb) = &mut self.fb {
-            // Blank the cache so stale pixels cannot survive a corrupt
-            // update that was partially applied.
-            fb.clear(Color::BLACK);
-        }
-        self.negotiation()
-    }
-
-    /// The session setup for the current device: its pixel format, every
-    /// encoding, and a full refresh of the server framebuffer.
-    fn negotiation(&self) -> Vec<ClientMessage> {
-        vec![
-            ClientMessage::SetPixelFormat(self.format),
-            ClientMessage::SetEncodings(Encoding::ALL.to_vec()),
-            ClientMessage::UpdateRequest {
-                incremental: false,
-                rect: fb_bounds(&self.fb),
-            },
-        ]
+        negotiation(self.format, fb.bounds())
     }
 
     /// Translates a device-native event via the input plug-in into
     /// protocol messages for the server.
     pub fn device_input(&mut self, ev: &DeviceEvent) -> Vec<ClientMessage> {
+        let server_size = self.server_size().unwrap_or(Size::new(1, 1));
         let Some(plugin) = self.input_plugin.as_mut() else {
             self.metrics.events_dropped.inc();
             return Vec::new();
         };
-        let server_size = self
-            .fb
-            .as_ref()
-            .map(|f| f.size())
-            .unwrap_or(Size::new(1, 1));
         let device_view = match self.output_plugin.as_ref() {
             Some(out) => {
                 let caps = out.caps();
@@ -522,8 +510,18 @@ fn server_framebuffer(width: u16, height: u16) -> Result<Framebuffer, ProtocolEr
         .ok_or_else(|| ProtocolError::Malformed(format!("server framebuffer {w}x{h} is too large")))
 }
 
-fn fb_bounds(fb: &Option<Framebuffer>) -> Rect {
-    fb.as_ref().map(|f| f.bounds()).unwrap_or(Rect::EMPTY)
+/// The session setup for a device transporting in `format`: its pixel
+/// format, every encoding, and a full refresh of the server framebuffer,
+/// whose bounds are `frame`.
+fn negotiation(format: PixelFormat, frame: Rect) -> Vec<ClientMessage> {
+    vec![
+        ClientMessage::SetPixelFormat(format),
+        ClientMessage::SetEncodings(Encoding::ALL.to_vec()),
+        ClientMessage::UpdateRequest {
+            incremental: false,
+            rect: frame,
+        },
+    ]
 }
 
 /// The size of `src` after aspect-preserving fit into `bounds`.
@@ -684,41 +682,48 @@ mod tests {
     }
 
     #[test]
-    fn update_before_init_is_error() {
+    fn before_init_only_bell_and_cut_text_are_accepted() {
         let mut p = UniIntProxy::new("p");
-        let msg = update_for(Rect::new(0, 0, 4, 4), Color::WHITE, PixelFormat::Rgb888);
-        assert!(p.handle_server(&msg).is_err());
-    }
-
-    #[test]
-    fn resume_ack_before_init_is_malformed_and_counts_no_resume() {
-        let mut p = UniIntProxy::new("p");
-        let ack = ServerMessage::ResumeAck {
-            client_msgs_received: 0,
-            replayed: true,
-        };
-        let err = p.handle_server(&ack).unwrap_err();
-        assert!(matches!(err, ProtocolError::Malformed(_)), "{err:?}");
-        assert_eq!(p.stats().resumes, 0);
-        assert_eq!(p.stats().full_resyncs, 0);
-        assert!(!p.is_connected());
-    }
-
-    #[test]
-    fn resize_before_init_is_malformed_and_opens_no_session() {
-        let mut p = UniIntProxy::new("p");
-        let resize = ServerMessage::Resize {
-            width: 64,
-            height: 48,
-        };
-        let err = p.handle_server(&resize).unwrap_err();
-        assert!(matches!(err, ProtocolError::Malformed(_)), "{err:?}");
-        assert!(p.server_frame().is_none());
-        // With no frame, an update still finds no session to apply to.
-        let msg = update_for(Rect::new(0, 0, 1, 1), Color::WHITE, PixelFormat::Rgb888);
-        assert!(p.handle_server(&msg).is_err());
-        assert!(!p.is_connected());
-        assert_eq!(p.last_update_seq(), 0);
+        for msg in [
+            ServerMessage::Resize {
+                width: 64,
+                height: 48,
+            },
+            update_for(Rect::new(0, 0, 1, 1), Color::WHITE, PixelFormat::Rgb888),
+            ServerMessage::ResumeAck {
+                client_msgs_received: 0,
+                replayed: true,
+            },
+            ServerMessage::ResumeAck {
+                client_msgs_received: 3,
+                replayed: false,
+            },
+            ServerMessage::Bell,
+            ServerMessage::CutText("clip".into()),
+        ] {
+            let result = p.handle_server(&msg);
+            match msg {
+                ServerMessage::Update { .. }
+                | ServerMessage::Resize { .. }
+                | ServerMessage::ResumeAck { .. } => {
+                    let err = result.unwrap_err();
+                    assert!(matches!(err, ProtocolError::Malformed(_)), "{err:?}");
+                }
+                ServerMessage::Bell | ServerMessage::CutText(_) => {
+                    let out = result.unwrap();
+                    assert!(out.messages.is_empty() && out.frame.is_none(), "{msg:?}");
+                    assert_eq!(out.bell, msg == ServerMessage::Bell);
+                }
+                ServerMessage::Init { .. } => unreachable!("Init opens the session"),
+            }
+            // No resume or resync counted, and no session opened.
+            assert_eq!(p.stats(), ProxyStats::default(), "{msg:?}");
+            assert!(!p.is_connected(), "{msg:?}");
+            assert!(p.server_frame().is_none(), "{msg:?}");
+            assert_eq!(p.last_update_seq(), 0, "{msg:?}");
+        }
+        p.handle_server(&init_msg()).unwrap();
+        assert!(p.is_connected());
     }
 
     #[test]

@@ -100,9 +100,26 @@ impl<'fb> EncodeMemo<'fb> {
     }
 }
 
-/// A client's protocol state once its `Hello` arrived.
+/// One slot of a [`MultiServer`](crate::multi::MultiServer).
 #[derive(Debug)]
-struct ClientState {
+pub(crate) enum Slot {
+    /// No connection: [`accept`](crate::multi::MultiServer::accept) may
+    /// hand the slot out.
+    Free,
+    /// An accepted connection that has not said `Hello`: no session.
+    Accepted,
+    /// The session the connection's `Hello` opened.
+    Live(Client),
+}
+
+/// A client's session, opened by its `Hello`.
+///
+/// The server does not own the [`Ui`] — the appliance application does —
+/// so every call that touches the window takes it.
+#[derive(Debug)]
+pub(crate) struct Client {
+    /// Window size announced in `Init` and `Resize`.
+    size: (u16, u16),
     format: PixelFormat,
     encodings: Vec<Encoding>,
     /// Area of the pending update request, answered by the next pump.
@@ -122,10 +139,9 @@ struct ClientState {
     resized: bool,
 }
 
-/// Statistics the benchmarks read from a server.
-///
-/// A snapshot view reconstructed from registry counters by
-/// [`MultiServer::stats`](crate::multi::MultiServer::stats).
+/// A server's counters at one instant, as
+/// [`MultiServer::stats`](crate::multi::MultiServer::stats) reads them
+/// from its `server.*` registry counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Update messages sent.
@@ -176,173 +192,156 @@ impl ServerMetrics {
     }
 }
 
-/// One accepted connection of a
-/// [`MultiServer`](crate::multi::MultiServer).
-///
-/// The server does not own the [`Ui`] — the appliance application does —
-/// so every call that touches the window takes it.
-#[derive(Debug)]
-pub(crate) struct Client {
-    /// `None` until the client's `Hello`.
-    state: Option<ClientState>,
-    /// Window size announced in `Init` and `Resize`.
-    size: (u16, u16),
-}
-
-impl Client {
-    /// A connection to a window of `ui`'s size, before its `Hello`.
-    pub(crate) fn new(ui: &Ui) -> Client {
-        Client {
-            state: None,
-            size: size_of(ui),
-        }
-    }
-
-    /// Whether the client completed its handshake.
-    pub(crate) fn has_session(&self) -> bool {
-        self.state.is_some()
-    }
-
+impl Slot {
     /// Handles one client message, possibly producing replies. Never an
-    /// `Update`: a request waits for [`answer_pending`](Self::answer_pending).
+    /// `Update`: a request waits for [`Client::answer_pending`].
+    ///
+    /// A `Hello` opens a session, afresh on a live slot. Before it, a
+    /// `Resume` learns that there is no session to resume, and every
+    /// other message is dropped.
     pub(crate) fn handle_message(
         &mut self,
         ui: &mut Ui,
         metrics: &ServerMetrics,
         msg: ClientMessage,
     ) -> Vec<ServerMessage> {
-        // Count every client message except Resume, which sits outside
-        // the session's message stream (it describes the stream itself).
-        if !matches!(msg, ClientMessage::Resume { .. }) {
-            if let Some(c) = &mut self.state {
+        if let Slot::Live(c) = self {
+            // Count every client message except Resume, which sits outside
+            // the session's message stream (it describes the stream itself).
+            if !matches!(msg, ClientMessage::Resume { .. }) {
                 c.msgs_received += 1;
             }
         }
-        match msg {
-            ClientMessage::Hello { version, name: _ } => {
-                let version = version.min(PROTOCOL_VERSION);
-                self.size = size_of(ui);
-                self.state = Some(ClientState {
-                    format: PixelFormat::Rgb888,
-                    encodings: vec![Encoding::Raw],
-                    pending: None,
-                    // A new session owes the client the whole screen.
-                    damage: Region::from_rect(ui.framebuffer().bounds()),
-                    msgs_received: 1,
-                    next_update_seq: 1,
-                    sent_log: VecDeque::new(),
-                    resized: false,
-                });
-                vec![ServerMessage::Init {
-                    version,
-                    width: self.size.0,
-                    height: self.size.1,
-                    format: PixelFormat::Rgb888,
-                    name: ui.title().to_owned(),
-                }]
+        match (self, msg) {
+            (Slot::Free, _) => {}
+            (slot, ClientMessage::Hello { version, name: _ }) => {
+                let (client, init) = Client::open(ui, version);
+                *slot = Slot::Live(client);
+                return vec![init];
             }
-            ClientMessage::SetPixelFormat(format) => {
-                if let Some(c) = &mut self.state {
-                    c.format = format;
-                    // Everything must be resent in the new format.
-                    c.damage = Region::from_rect(ui.framebuffer().bounds());
+            // No session to resume (e.g. the server restarted); the client
+            // must fall back to a fresh Hello.
+            (Slot::Accepted, ClientMessage::Resume { .. }) => {
+                return vec![ServerMessage::ResumeAck {
+                    client_msgs_received: 0,
+                    replayed: false,
+                }];
+            }
+            (Slot::Accepted, _) => {}
+            (Slot::Live(c), ClientMessage::Resume { last_update_seq }) => {
+                return c.resume(ui, last_update_seq);
+            }
+            (Slot::Live(c), ClientMessage::SetPixelFormat(format)) => {
+                c.format = format;
+                // Everything must be resent in the new format.
+                c.damage = Region::from_rect(ui.framebuffer().bounds());
+            }
+            (Slot::Live(c), ClientMessage::SetEncodings(encs)) => {
+                c.encodings = if encs.is_empty() {
+                    vec![Encoding::Raw]
+                } else {
+                    encs
+                };
+            }
+            (Slot::Live(c), ClientMessage::UpdateRequest { incremental, rect }) => {
+                if !incremental {
+                    c.damage.add(
+                        rect.intersect(ui.framebuffer().bounds())
+                            .unwrap_or(Rect::EMPTY),
+                    );
                 }
-                Vec::new()
+                c.pending = Some(rect);
             }
-            ClientMessage::SetEncodings(encs) => {
-                if let Some(c) = &mut self.state {
-                    c.encodings = if encs.is_empty() {
-                        vec![Encoding::Raw]
-                    } else {
-                        encs
-                    };
-                }
-                Vec::new()
-            }
-            ClientMessage::UpdateRequest { incremental, rect } => {
-                if let Some(c) = &mut self.state {
-                    if !incremental {
-                        c.damage.add(
-                            rect.intersect(ui.framebuffer().bounds())
-                                .unwrap_or(Rect::EMPTY),
-                        );
-                    }
-                    c.pending = Some(rect);
-                }
-                Vec::new()
-            }
-            ClientMessage::Input(ev) => {
+            (Slot::Live(_), ClientMessage::Input(ev)) => {
                 metrics.inputs_injected.inc();
                 ui.dispatch(ev);
-                Vec::new()
             }
-            ClientMessage::CutText(_) => Vec::new(),
-            ClientMessage::DeviceHealth { .. } => {
+            (Slot::Live(_), ClientMessage::CutText(_)) => {}
+            (Slot::Live(_), ClientMessage::DeviceHealth { .. }) => {
                 // Telemetry only: the appliance side may surface it to the
                 // user, but the session state does not depend on it.
                 metrics.health_reports.inc();
-                Vec::new()
-            }
-            ClientMessage::Resume { last_update_seq } => {
-                let Some(c) = &mut self.state else {
-                    // No session to resume (e.g. the server restarted);
-                    // the client must fall back to a fresh Hello.
-                    return vec![ServerMessage::ResumeAck {
-                        client_msgs_received: 0,
-                        replayed: false,
-                    }];
-                };
-                let newest = c.next_update_seq - 1;
-                // A resize already owes the whole screen.
-                let mut replayed = !c.resized;
-                if replayed && last_update_seq < newest {
-                    // The log must cover every update past the client's
-                    // last applied one; otherwise retention was exceeded
-                    // and the whole screen is owed again.
-                    let covered = c
-                        .sent_log
-                        .front()
-                        .is_some_and(|(s, _)| *s <= last_update_seq + 1);
-                    if covered {
-                        let ClientState {
-                            sent_log, damage, ..
-                        } = c;
-                        for (s, region) in sent_log.iter() {
-                            if *s > last_update_seq {
-                                damage.union_with(region);
-                            }
-                        }
-                    } else {
-                        replayed = false;
-                        c.damage = Region::from_rect(ui.framebuffer().bounds());
-                    }
-                }
-                // Answer the re-damaged area on the next pump even if the
-                // client's own UpdateRequest was among the lost messages.
-                c.pending = Some(ui.framebuffer().bounds());
-                let msgs_received = c.msgs_received;
-                vec![
-                    // Geometry may have changed while the client was gone;
-                    // a same-size Resize is a no-op client-side.
-                    ServerMessage::Resize {
-                        width: self.size.0,
-                        height: self.size.1,
-                    },
-                    ServerMessage::ResumeAck {
-                        client_msgs_received: msgs_received,
-                        replayed,
-                    },
-                ]
             }
         }
+        Vec::new()
+    }
+}
+
+impl Client {
+    /// The session a `Hello` of protocol `version` opens on `ui`'s
+    /// window, and the `Init` that answers it.
+    fn open(ui: &Ui, version: u16) -> (Client, ServerMessage) {
+        let size = size_of(ui);
+        let init = ServerMessage::Init {
+            version: version.min(PROTOCOL_VERSION),
+            width: size.0,
+            height: size.1,
+            format: PixelFormat::Rgb888,
+            name: ui.title().to_owned(),
+        };
+        let client = Client {
+            size,
+            format: PixelFormat::Rgb888,
+            encodings: vec![Encoding::Raw],
+            pending: None,
+            // A new session owes the client the whole screen.
+            damage: Region::from_rect(ui.framebuffer().bounds()),
+            msgs_received: 1,
+            next_update_seq: 1,
+            sent_log: VecDeque::new(),
+            resized: false,
+        };
+        (client, init)
+    }
+
+    /// Answers a `Resume` from a client that last applied update
+    /// `last_update_seq`: re-damages what it missed, from the send log
+    /// if that still covers it, and tells it how many of its messages
+    /// arrived.
+    fn resume(&mut self, ui: &Ui, last_update_seq: u64) -> Vec<ServerMessage> {
+        let newest = self.next_update_seq - 1;
+        // A resize already owes the whole screen.
+        let mut replayed = !self.resized;
+        if replayed && last_update_seq < newest {
+            // The log must cover every update past the client's
+            // last applied one; otherwise retention was exceeded
+            // and the whole screen is owed again.
+            let covered = self
+                .sent_log
+                .front()
+                .is_some_and(|(s, _)| *s <= last_update_seq + 1);
+            if covered {
+                for (s, region) in &self.sent_log {
+                    if *s > last_update_seq {
+                        self.damage.union_with(region);
+                    }
+                }
+            } else {
+                replayed = false;
+                self.damage = Region::from_rect(ui.framebuffer().bounds());
+            }
+        }
+        // Answer the re-damaged area on the next pump even if the
+        // client's own UpdateRequest was among the lost messages.
+        self.pending = Some(ui.framebuffer().bounds());
+        vec![
+            // Geometry may have changed while the client was gone;
+            // a same-size Resize is a no-op client-side.
+            ServerMessage::Resize {
+                width: self.size.0,
+                height: self.size.1,
+            },
+            ServerMessage::ResumeAck {
+                client_msgs_received: self.msgs_received,
+                replayed,
+            },
+        ]
     }
 
     /// Folds window damage drained by the pump into this client's
     /// account.
     pub(crate) fn add_damage(&mut self, damage: &Region) {
-        if let Some(c) = &mut self.state {
-            c.damage.union_with(damage);
-        }
+        self.damage.union_with(damage);
     }
 
     /// Answers the client's pending update request from the already
@@ -354,23 +353,22 @@ impl Client {
         metrics: &ServerMetrics,
         memo: &mut EncodeMemo<'fb>,
     ) -> Option<ServerMessage> {
-        let c = self.state.as_mut()?;
-        let rect = c.pending?;
+        let rect = self.pending?;
         // Only the area the client asked about.
-        let mut to_send = c.damage.clone();
+        let mut to_send = self.damage.clone();
         to_send.intersect_rect(rect);
         if to_send.is_empty() {
             return None;
         }
         for r in to_send.rects() {
-            c.damage.subtract(*r);
+            self.damage.subtract(*r);
         }
-        c.pending = None;
+        self.pending = None;
         let fb = ui.framebuffer();
         let mut rects = Vec::with_capacity(to_send.rect_count());
         let mut update_bytes = 0u64;
         for &r in to_send.rects() {
-            let Some(update) = memo.encode(fb, r, c.format, &c.encodings) else {
+            let Some(update) = memo.encode(fb, r, self.format, &self.encodings) else {
                 continue;
             };
             metrics.rects_sent.inc();
@@ -383,16 +381,16 @@ impl Client {
         }
         metrics.updates_sent.inc();
         metrics.update_payload_bytes.record(update_bytes);
-        let seq = c.next_update_seq;
-        c.next_update_seq += 1;
-        c.resized = false;
-        c.sent_log.push_back((seq, to_send));
-        if c.sent_log.len() > RESUME_RETENTION {
-            c.sent_log.pop_front();
+        let seq = self.next_update_seq;
+        self.next_update_seq += 1;
+        self.resized = false;
+        self.sent_log.push_back((seq, to_send));
+        if self.sent_log.len() > RESUME_RETENTION {
+            self.sent_log.pop_front();
         }
         Some(ServerMessage::Update {
             seq,
-            format: c.format,
+            format: self.format,
             rects,
         })
     }
@@ -401,16 +399,15 @@ impl Client {
     /// client was last told (the panel was recomposed). The whole screen
     /// is then owed, at the new size.
     pub(crate) fn announce_resize(&mut self, ui: &Ui) -> Option<ServerMessage> {
-        let c = self.state.as_mut()?;
         if self.size == size_of(ui) {
             return None;
         }
         self.size = size_of(ui);
-        c.damage = Region::from_rect(ui.framebuffer().bounds());
+        self.damage = Region::from_rect(ui.framebuffer().bounds());
         // Pre-resize updates describe a dead geometry: never replay
         // them. A resume across a resize degrades to full damage.
-        c.sent_log.clear();
-        c.resized = true;
+        self.sent_log.clear();
+        self.resized = true;
         Some(ServerMessage::Resize {
             width: self.size.0,
             height: self.size.1,
@@ -671,6 +668,55 @@ mod tests {
             .encode(fb, Rect::new(500, 500, 10, 10), PixelFormat::Rgb888, all)
             .is_none());
         assert_eq!(memo.analysed().len(), 3);
+    }
+
+    #[test]
+    fn nothing_before_hello_reaches_the_panel() {
+        use uniint_protocol::message::DeviceHealthState;
+
+        let (mut ui, mut server) = session();
+        let early = InputEvent::click(20, 20)
+            .map(ClientMessage::Input)
+            .into_iter();
+        for msg in early.chain([
+            ClientMessage::DeviceHealth {
+                device: "pda".into(),
+                state: DeviceHealthState::Degraded,
+            },
+            ClientMessage::SetPixelFormat(PixelFormat::Mono1),
+            ClientMessage::UpdateRequest {
+                incremental: false,
+                rect: Rect::new(0, 0, 160, 120),
+            },
+        ]) {
+            let replies = server.handle_message(&mut ui, 0, msg);
+            assert!(replies.is_empty(), "{replies:?}");
+        }
+        // A Resume learns there is no session to resume.
+        let replies =
+            server.handle_message(&mut ui, 0, ClientMessage::Resume { last_update_seq: 5 });
+        assert_eq!(
+            replies,
+            [ServerMessage::ResumeAck {
+                client_msgs_received: 0,
+                replayed: false,
+            }]
+        );
+        assert!(
+            ui.take_actions().is_empty(),
+            "the early click pressed nothing"
+        );
+        assert_eq!(server.stats().inputs_injected, 0);
+        assert_eq!(server.stats().health_reports, 0);
+        assert!(pump(&mut ui, &mut server).is_empty());
+        assert!(!server.has_session(0));
+        // The handshake then runs as usual, in the session's own format.
+        connect(&mut ui, &mut server);
+        let replies = request(&mut ui, &mut server, false, Rect::new(0, 0, 160, 120));
+        let ServerMessage::Update { format, .. } = &replies[0] else {
+            panic!("expected update, got {replies:?}");
+        };
+        assert_eq!(*format, PixelFormat::Rgb888);
     }
 
     #[test]

@@ -31,8 +31,8 @@
 //!   a heartbeat if it fell silent, a clean streak if a call faulted, or
 //!   both; each complaint heals only by its own remedy.
 //! - **Quarantined** — excluded from selection; readmitted on probation
-//!   after an escalating, seeded backoff (mirroring the session-level
-//!   reconnect backoff from `crate::session`).
+//!   after an escalating, seeded backoff (mirroring the reconnect
+//!   backoff of [`crate::resume::BackoffPolicy`]).
 //! - **Dead** — terminal: too many quarantines, or heartbeats stopped
 //!   long enough to declare the hardware gone (from any state).
 //!
@@ -44,9 +44,10 @@
 //! When the *active* device is quarantined or dies, [`Supervisor::tick`]
 //! drives [`Coordinator::reselect`] to fail over to the best remaining
 //! device without touching session state — the server never notices, so
-//! the PR 1 resume machinery keeps working underneath. If no output
-//! device remains at all, a built-in [`FallbackTerminal`] keeps the
-//! interaction alive on an 80×24 text screen.
+//! the session's resume machinery ([`crate::resume`]) keeps working
+//! underneath. If no output device remains at all, a built-in
+//! [`FallbackTerminal`] keeps the interaction alive on an 80×24 text
+//! screen.
 //!
 //! # Fault isolation
 //!
@@ -147,49 +148,6 @@ fn install_quiet_hook() {
 // Health model.
 // ---------------------------------------------------------------------------
 
-/// Per-device health as tracked by the [`Supervisor`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HealthState {
-    /// Operating normally.
-    #[default]
-    Healthy,
-    /// Recent faults or a missed heartbeat; still selectable.
-    Degraded,
-    /// Excluded from selection until probation expires.
-    Quarantined,
-    /// Gone for good (too many quarantines or heartbeats stopped).
-    Dead,
-}
-
-impl HealthState {
-    /// Whether a device in this state may be selected.
-    fn is_usable(self) -> bool {
-        !matches!(self, HealthState::Quarantined | HealthState::Dead)
-    }
-
-    /// The wire representation for health notifications.
-    pub fn wire(self) -> DeviceHealthState {
-        match self {
-            HealthState::Healthy => DeviceHealthState::Healthy,
-            HealthState::Degraded => DeviceHealthState::Degraded,
-            HealthState::Quarantined => DeviceHealthState::Quarantined,
-            HealthState::Dead => DeviceHealthState::Dead,
-        }
-    }
-}
-
-impl core::fmt::Display for HealthState {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let s = match self {
-            HealthState::Healthy => "healthy",
-            HealthState::Degraded => "degraded",
-            HealthState::Quarantined => "quarantined",
-            HealthState::Dead => "dead",
-        };
-        f.write_str(s)
-    }
-}
-
 /// One entry of the supervisor's ledger: what a supervised call did, as
 /// recorded by the shims, or a heartbeat the device sent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -246,9 +204,9 @@ pub struct HealthEvent {
     /// The device whose health changed.
     pub device: String,
     /// State before the transition.
-    pub from: HealthState,
+    pub from: DeviceHealthState,
     /// State after the transition.
-    pub to: HealthState,
+    pub to: DeviceHealthState,
     /// What drove the transition.
     pub cause: TransitionCause,
 }
@@ -274,10 +232,8 @@ const HEARTBEAT_TIMEOUT_US: u64 = 500_000;
 /// Missed heartbeats before the device is declared `Dead`.
 const HEARTBEAT_DEAD_MISSES: u32 = 3;
 
-/// Counters accumulated by the supervisor.
-///
-/// A snapshot view reconstructed from registry counters by
-/// [`Supervisor::stats`]; the `Copy` by-value API is unchanged.
+/// The supervisor's counters at one instant, as [`Supervisor::stats`]
+/// reads them from its `supervisor.*` registry counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SupervisorStats {
     /// Plug-in calls that panicked (contained by the shim).
@@ -362,13 +318,18 @@ struct Owed {
 }
 
 impl Health {
-    fn state(self) -> HealthState {
+    fn state(self) -> DeviceHealthState {
         match self {
-            Health::Healthy => HealthState::Healthy,
-            Health::Degraded(_) => HealthState::Degraded,
-            Health::Quarantined { .. } => HealthState::Quarantined,
-            Health::Dead => HealthState::Dead,
+            Health::Healthy => DeviceHealthState::Healthy,
+            Health::Degraded(_) => DeviceHealthState::Degraded,
+            Health::Quarantined { .. } => DeviceHealthState::Quarantined,
+            Health::Dead => DeviceHealthState::Dead,
         }
+    }
+
+    /// Whether a device in this state may be selected.
+    fn is_usable(self) -> bool {
+        !matches!(self, Health::Quarantined { .. } | Health::Dead)
     }
 
     /// A selectable device's health once `change` has been applied to
@@ -399,9 +360,10 @@ struct DeviceRecord {
 }
 
 impl DeviceRecord {
-    /// The one place a device's health changes. A new [`HealthState`] is
-    /// reported (event, `DeviceHealth` notice, journal line) and counted;
-    /// a degraded device whose debts change reports nothing.
+    /// The one place a device's health changes. A new
+    /// [`DeviceHealthState`] is reported (event, `DeviceHealth` notice,
+    /// journal line) and counted; a degraded device whose debts change
+    /// reports nothing.
     fn set_health(
         &mut self,
         id: &str,
@@ -410,7 +372,7 @@ impl DeviceRecord {
         m: &SupervisorMetrics,
         report: &mut SupervisorReport,
     ) {
-        use HealthState::{Dead, Degraded, Healthy, Quarantined};
+        use DeviceHealthState::{Dead, Degraded, Healthy, Quarantined};
         let from = self.health.state();
         self.health = to;
         let to = to.state();
@@ -438,7 +400,7 @@ impl DeviceRecord {
         );
         report.messages.push(ClientMessage::DeviceHealth {
             device: id.to_owned(),
-            state: to.wire(),
+            state: to,
         });
         report.events.push(HealthEvent {
             device: id.to_owned(),
@@ -711,7 +673,7 @@ impl Supervisor {
     }
 
     /// Current health of a device, when it is tracked.
-    pub fn health(&self, id: &str) -> Option<HealthState> {
+    pub fn health(&self, id: &str) -> Option<DeviceHealthState> {
         self.records.get(id).map(|r| r.health.state())
     }
 
@@ -818,7 +780,7 @@ impl Supervisor {
         // every tick so a re-registered device cannot sneak out of an
         // unexpired quarantine.
         for (id, rec) in &self.records {
-            coord.set_available(id, rec.health.state().is_usable());
+            coord.set_available(id, rec.health.is_usable());
         }
 
         // 4. Failover: each role whose active device went bad counts one,
@@ -826,7 +788,7 @@ impl Supervisor {
         let lost = Role::BOTH
             .into_iter()
             .filter_map(|role| self.records.get(coord.active(role)?))
-            .filter(|rec| !rec.health.state().is_usable())
+            .filter(|rec| !rec.health.is_usable())
             .count();
         let had_output = proxy.attached().1.is_some();
         if lost > 0 || readmitted {
@@ -1058,7 +1020,7 @@ mod tests {
         assert!(msgs.is_empty(), "panic yields no events");
         sup.tick(0, &mut c, &mut proxy);
         assert_eq!(sup.stats().plugin_panics, 1);
-        assert_eq!(sup.health("bad"), Some(HealthState::Degraded));
+        assert_eq!(sup.health("bad"), Some(DeviceHealthState::Degraded));
     }
 
     #[test]
@@ -1103,19 +1065,19 @@ mod tests {
             proxy.device_input(&DeviceEvent::KeypadSelect);
         }
         let report = sup.tick(1_000, &mut c, &mut proxy);
-        assert_eq!(sup.health("flaky"), Some(HealthState::Quarantined));
+        assert_eq!(sup.health("flaky"), Some(DeviceHealthState::Quarantined));
         assert_eq!(sup.stats().quarantines, 1);
         assert_eq!(sup.stats().failovers, 1, "active input role was lost");
         assert_eq!(proxy.attached().0, None, "no other device to select");
         assert!(report
             .events
             .iter()
-            .any(|e| e.to == HealthState::Quarantined));
+            .any(|e| e.to == DeviceHealthState::Quarantined));
         // Well past the probation backoff the device is readmitted and,
         // being the only candidate, reselected.
         let report = sup.tick(60_000_000, &mut c, &mut proxy);
         assert_eq!(sup.stats().readmissions, 1);
-        assert_eq!(sup.health("flaky"), Some(HealthState::Degraded));
+        assert_eq!(sup.health("flaky"), Some(DeviceHealthState::Degraded));
         assert_eq!(report.input_switched_to.as_deref(), Some("flaky"));
     }
 
@@ -1175,12 +1137,12 @@ mod tests {
         proxy.attach_input(sup.wrap_input("flip", Box::new(FlipInput(flip2))));
         proxy.device_input(&DeviceEvent::KeypadSelect);
         sup.tick(0, &mut c, &mut proxy);
-        assert_eq!(sup.health("flip"), Some(HealthState::Degraded));
+        assert_eq!(sup.health("flip"), Some(DeviceHealthState::Degraded));
         for _ in 0..PROBATION_SUCCESSES {
             proxy.device_input(&DeviceEvent::KeypadSelect);
         }
         sup.tick(1, &mut c, &mut proxy);
-        assert_eq!(sup.health("flip"), Some(HealthState::Healthy));
+        assert_eq!(sup.health("flip"), Some(DeviceHealthState::Healthy));
         drop(flip);
     }
 
@@ -1196,15 +1158,15 @@ mod tests {
         sup.heartbeat("hb", 0);
         let to = HEARTBEAT_TIMEOUT_US;
         sup.tick(to + 1, &mut c, &mut proxy);
-        assert_eq!(sup.health("hb"), Some(HealthState::Degraded));
+        assert_eq!(sup.health("hb"), Some(DeviceHealthState::Degraded));
         // Heartbeat resumes: healthy again at the next tick.
         sup.heartbeat("hb", to + 2);
         sup.tick(to + 2, &mut c, &mut proxy);
-        assert_eq!(sup.health("hb"), Some(HealthState::Healthy));
+        assert_eq!(sup.health("hb"), Some(DeviceHealthState::Healthy));
         // Then silence long enough to die.
         let deadline = to + 2 + to * HEARTBEAT_DEAD_MISSES as u64 + 1;
         let report = sup.tick(deadline, &mut c, &mut proxy);
-        assert_eq!(sup.health("hb"), Some(HealthState::Dead));
+        assert_eq!(sup.health("hb"), Some(DeviceHealthState::Dead));
         assert_eq!(sup.stats().deaths, 1);
         assert!(sup.stats().heartbeat_misses >= 1);
         assert!(report
@@ -1226,9 +1188,9 @@ mod tests {
             sup.heartbeat("pda", now);
             events.extend(sup.tick(now, &mut c, &mut proxy).events);
             let want = if now < PROBATION_SUCCESSES as u64 {
-                HealthState::Degraded
+                DeviceHealthState::Degraded
             } else {
-                HealthState::Healthy
+                DeviceHealthState::Healthy
             };
             assert_eq!(sup.health("pda"), Some(want), "after {now} clean calls");
         }
@@ -1260,12 +1222,12 @@ mod tests {
         }
         let silence = HealthEvent {
             device: "hb".into(),
-            from: HealthState::Healthy,
-            to: HealthState::Degraded,
+            from: DeviceHealthState::Healthy,
+            to: DeviceHealthState::Degraded,
             cause: TransitionCause::HeartbeatSilence,
         };
         assert_eq!(events, [silence]);
-        assert_eq!(sup.health("hb"), Some(HealthState::Degraded));
+        assert_eq!(sup.health("hb"), Some(DeviceHealthState::Degraded));
     }
 
     #[test]
@@ -1280,13 +1242,13 @@ mod tests {
         sup.heartbeat("hb", 0);
         let to = HEARTBEAT_TIMEOUT_US;
         sup.tick(to, &mut c, &mut proxy);
-        assert_eq!(sup.health("hb"), Some(HealthState::Degraded));
+        assert_eq!(sup.health("hb"), Some(DeviceHealthState::Degraded));
         sup.heartbeat("hb", to + 1);
         let report = sup.tick(to + 1, &mut c, &mut proxy);
         let heal = HealthEvent {
             device: "hb".into(),
-            from: HealthState::Degraded,
-            to: HealthState::Healthy,
+            from: DeviceHealthState::Degraded,
+            to: DeviceHealthState::Healthy,
             cause: TransitionCause::HeartbeatResumed,
         };
         assert_eq!(report.events, [heal]);
@@ -1315,10 +1277,10 @@ mod tests {
         sup.heartbeat("d", 0);
         let to = HEARTBEAT_TIMEOUT_US;
         sup.tick(to * 10, &mut c, &mut proxy);
-        assert_eq!(sup.health("d"), Some(HealthState::Dead));
+        assert_eq!(sup.health("d"), Some(DeviceHealthState::Dead));
         sup.heartbeat("d", to * 10 + 1); // Ignored.
         sup.tick(to * 20, &mut c, &mut proxy);
-        assert_eq!(sup.health("d"), Some(HealthState::Dead));
+        assert_eq!(sup.health("d"), Some(DeviceHealthState::Dead));
         assert_eq!(sup.stats().deaths, 1, "death counted once");
     }
 

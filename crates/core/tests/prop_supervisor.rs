@@ -12,9 +12,9 @@ use uniint_core::context::{DeviceDescriptor, InputModality, Situation, UserProfi
 use uniint_core::coordinator::{Coordinator, InteractionDevice};
 use uniint_core::plugin::{DeviceEvent, InputContext, InputPlugin};
 use uniint_core::proxy::UniIntProxy;
-use uniint_core::supervisor::{consume_fuel, HealthEvent, HealthState, Supervisor};
+use uniint_core::supervisor::{consume_fuel, HealthEvent, Supervisor};
 use uniint_protocol::input::{ButtonMask, InputEvent};
-use uniint_protocol::message::{ClientMessage, ServerMessage};
+use uniint_protocol::message::{ClientMessage, DeviceHealthState, ServerMessage};
 use uniint_raster::geom::Size;
 use uniint_raster::pixel::PixelFormat;
 
@@ -109,16 +109,16 @@ fn connected_proxy() -> UniIntProxy {
 
 /// Replays `events` from `Healthy`, checking that each starts where the
 /// previous one left its device and that nothing leaves `Dead`.
-fn replay(events: &[HealthEvent]) -> Result<BTreeMap<&str, HealthState>, String> {
+fn replay(events: &[HealthEvent]) -> Result<BTreeMap<&str, DeviceHealthState>, String> {
     let mut health = BTreeMap::new();
     for e in events {
         let at = health
             .entry(e.device.as_str())
-            .or_insert(HealthState::Healthy);
+            .or_insert(DeviceHealthState::Healthy);
         if e.from != *at {
             return Err(format!("{e:?} does not start from {at:?}"));
         }
-        if *at == HealthState::Dead {
+        if *at == DeviceHealthState::Dead {
             return Err(format!("{e:?} leaves Dead"));
         }
         *at = e.to;
@@ -173,7 +173,7 @@ proptest! {
                         .iter()
                         .map(|e| ClientMessage::DeviceHealth {
                             device: e.device.clone(),
-                            state: e.to.wire(),
+                            state: e.to,
                         })
                         .collect();
                     prop_assert!(report.messages.starts_with(&notices), "{:?}", report.messages);

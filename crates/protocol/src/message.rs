@@ -9,6 +9,8 @@
 //! update requests and input events; the *server* (UniInt server) sends
 //! framebuffer updates, bell, clipboard and resize notifications.
 
+use std::fmt;
+
 use crate::encoding::Encoding;
 use crate::error::{ProtocolError, Result};
 use crate::input::{ButtonMask, InputEvent, KeySym};
@@ -43,9 +45,10 @@ pub const MAX_BODY: usize = 8 * 1024 * 1024;
 /// these — they are telemetry so appliances can surface "your remote is
 /// misbehaving" to the user — but carrying them in-band keeps the
 /// session the single ordered channel between proxy and server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DeviceHealthState {
     /// Operating normally.
+    #[default]
     Healthy,
     /// Faults or missed heartbeats observed recently.
     Degraded,
@@ -75,6 +78,17 @@ impl DeviceHealthState {
             3 => Some(DeviceHealthState::Dead),
             _ => None,
         }
+    }
+}
+
+impl fmt::Display for DeviceHealthState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            DeviceHealthState::Healthy => "healthy",
+            DeviceHealthState::Degraded => "degraded",
+            DeviceHealthState::Quarantined => "quarantined",
+            DeviceHealthState::Dead => "dead",
+        })
     }
 }
 
