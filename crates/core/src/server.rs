@@ -340,8 +340,39 @@ impl Client {
 
     /// Folds window damage drained by the pump into this client's
     /// account.
+    ///
+    /// The pump drains `damage` from the framebuffer, which builds it by
+    /// [`Region::add`] alone: its rects are disjoint and no two of them
+    /// merge. Added one by one to an empty account they come back as they
+    /// are, in order, so an empty account takes a copy.
     pub(crate) fn add_damage(&mut self, damage: &Region) {
-        self.damage.union_with(damage);
+        if self.damage.is_empty() {
+            self.damage.clone_from(damage);
+        } else {
+            self.damage.union_with(damage);
+        }
+    }
+
+    /// Takes the part of the damage inside the request `rect` out of the
+    /// account; `None` if none is.
+    ///
+    /// A proxy asks for the whole frame, so the request mostly covers all
+    /// the damage, which then moves out whole: clipping each rect to
+    /// `rect` would keep it as it is, and subtracting it would leave
+    /// nothing.
+    fn take_requested(&mut self, rect: Rect) -> Option<Region> {
+        if self.damage.iter().all(|r| rect.contains_rect(*r)) {
+            return (!self.damage.is_empty()).then(|| std::mem::take(&mut self.damage));
+        }
+        let mut to_send = self.damage.clone();
+        to_send.intersect_rect(rect);
+        if to_send.is_empty() {
+            return None;
+        }
+        for r in to_send.rects() {
+            self.damage.subtract(*r);
+        }
+        Some(to_send)
     }
 
     /// Answers the client's pending update request from the already
@@ -353,16 +384,8 @@ impl Client {
         metrics: &ServerMetrics,
         memo: &mut EncodeMemo<'fb>,
     ) -> Option<ServerMessage> {
-        let rect = self.pending?;
         // Only the area the client asked about.
-        let mut to_send = self.damage.clone();
-        to_send.intersect_rect(rect);
-        if to_send.is_empty() {
-            return None;
-        }
-        for r in to_send.rects() {
-            self.damage.subtract(*r);
-        }
+        let to_send = self.take_requested(self.pending?)?;
         self.pending = None;
         let fb = ui.framebuffer();
         let mut rects = Vec::with_capacity(to_send.rect_count());
@@ -668,6 +691,119 @@ mod tests {
             .encode(fb, Rect::new(500, 500, 10, 10), PixelFormat::Rgb888, all)
             .is_none());
         assert_eq!(memo.analysed().len(), 3);
+    }
+
+    /// The rect-by-rect rule the hand-over must match, with no copy into
+    /// an empty account and no move for a covering request: re-add each
+    /// drained rect, clip a clone of the account to the request and
+    /// subtract each clipped rect. Returns what is sent, or `None` when
+    /// nothing is.
+    fn hand_over_rect_by_rect(
+        account: &mut Region,
+        drained: &Region,
+        rect: Rect,
+    ) -> Option<Region> {
+        account.union_with(drained);
+        let mut to_send = account.clone();
+        to_send.intersect_rect(rect);
+        if to_send.is_empty() {
+            return None;
+        }
+        for r in to_send.rects() {
+            account.subtract(*r);
+        }
+        Some(to_send)
+    }
+
+    /// Hands `drained` to a client whose account holds `account` and whose
+    /// pending request is `rect`, and checks the update's rects, the damage
+    /// left and the send log against [`hand_over_rect_by_rect`].
+    fn check_hand_over(account: &Region, drained: &Region, rect: Rect) {
+        let mut ui = Ui::new(160, 120, Theme::classic(), "test-panel");
+        ui.render();
+        let (mut c, _) = Client::open(&ui, 1);
+        c.encodings = Encoding::ALL.to_vec();
+        c.damage = account.clone();
+        c.pending = Some(rect);
+        let mut want_left = account.clone();
+        let want = hand_over_rect_by_rect(&mut want_left, drained, rect);
+        let metrics = ServerMetrics::new(&Registry::new());
+        c.add_damage(drained);
+        let update = c.answer_pending(&ui, &metrics, &mut EncodeMemo::default());
+        let case = (account, drained, rect);
+        assert_eq!(c.damage, want_left, "{case:?}");
+        let Some(sent) = want else {
+            assert_eq!(update, None, "{case:?}");
+            assert_eq!(c.pending, Some(rect), "{case:?}");
+            assert!(c.sent_log.is_empty(), "{case:?}");
+            return;
+        };
+        let Some(ServerMessage::Update { seq: 1, rects, .. }) = update else {
+            panic!("{case:?}: expected update 1, got {update:?}");
+        };
+        let got: Vec<Rect> = rects.iter().map(|r| r.rect).collect();
+        assert_eq!(got, sent.rects(), "{case:?}");
+        assert_eq!(c.sent_log, [(1, sent)], "{case:?}");
+        assert_eq!(c.pending, None, "{case:?}");
+    }
+
+    #[test]
+    fn damage_hand_over_matches_the_rect_by_rect_rule() {
+        let full = Rect::new(0, 0, 160, 120);
+        // Built as the framebuffer builds its damage: by `Region::add`.
+        let drained = Region::from_iter([
+            Rect::new(10, 10, 60, 20),
+            Rect::new(40, 20, 50, 30),
+            Rect::new(0, 100, 160, 20),
+            Rect::new(70, 10, 4, 20),
+        ]);
+        let mut carved = Region::from_rect(Rect::new(0, 0, 80, 60));
+        carved.subtract(Rect::new(20, 20, 10, 10));
+        let square = Region::from_rect(Rect::new(30, 0, 40, 40));
+        for account in [Region::new(), square, carved] {
+            // The whole frame, part of the damage, none of it, and an
+            // empty request.
+            for rect in [
+                full,
+                Rect::new(30, 15, 50, 100),
+                Rect::new(100, 40, 10, 10),
+                Rect::new(5, 5, 0, 0),
+            ] {
+                check_hand_over(&account, &drained, rect);
+                check_hand_over(&account, &Region::new(), rect);
+            }
+        }
+    }
+
+    fn arb_rect() -> impl proptest::strategy::Strategy<Value = Rect> {
+        use proptest::prelude::*;
+        (0i32..160, 0i32..120, 1u32..80, 1u32..60).prop_map(|(x, y, w, h)| {
+            Rect::new(x, y, w, h)
+                .intersect(Rect::new(0, 0, 160, 120))
+                .expect("starts inside")
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random drained damage, accounts (empty, or built by `add` and
+        /// then carved by `subtract`) and requests (the whole frame or a
+        /// random rect).
+        #[test]
+        fn random_damage_hand_over_matches_the_rect_by_rect_rule(
+            drained in proptest::collection::vec(arb_rect(), 0..12),
+            account in proptest::collection::vec(arb_rect(), 0..4),
+            carve in proptest::option::of(arb_rect()),
+            rect in proptest::option::of(arb_rect()),
+        ) {
+            let mut account = Region::from_iter(account);
+            if let Some(hole) = carve {
+                account.subtract(hole);
+            }
+            let rect = rect.unwrap_or(Rect::new(0, 0, 160, 120));
+            check_hand_over(&account, &Region::from_iter(drained), rect);
+        }
     }
 
     #[test]

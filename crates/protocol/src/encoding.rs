@@ -21,7 +21,12 @@
 //! a fresh buffer through the same decoders. They read a `&mut &[u8]`
 //! cursor through [`crate::wire`]: pixel rows and run tables are read
 //! where they lie in the payload, and a short payload is
-//! [`ProtocolError::Truncated`], never a panic. RLE and PaletteRle
+//! [`ProtocolError::Truncated`], never a panic. RRE and Hextile read each
+//! subrect record, its pixel and its geometry, with one bounds check, and
+//! take the pixel from it with [`unpack_pixel`], which shares
+//! [`unpack_row_into`]'s per-format layouts; a record cut short is read
+//! again a field at a time, off the hot path, so its error names the
+//! first field that is missing. RLE and PaletteRle
 //! write through one run writer that holds the current row of the target
 //! across runs ([`RectMut::rows_mut`]) and writes a run's colour as
 //! blocks of 4 pixels; a run of at most 4 pixels with at least 4 left in
@@ -54,7 +59,7 @@ use std::cell::OnceCell;
 use uniint_raster::color::Color;
 use uniint_raster::framebuffer::{fill_row, Framebuffer, RectMut};
 use uniint_raster::geom::{Point, Rect};
-use uniint_raster::pixel::{pack_row, unpack_row_into, PixelFormat};
+use uniint_raster::pixel::{pack_row, unpack_pixel, unpack_row_into, PixelFormat};
 
 /// Sanity limit on a single update rectangle (pixels).
 pub const MAX_RECT_AREA: u64 = 16 * 1024 * 1024;
@@ -144,11 +149,10 @@ fn put_pixel(fmt: PixelFormat, c: Color, out: &mut Vec<u8>) {
 }
 
 /// The pixel `bytes` (at least one pixel's worth) start with, in `fmt`.
+#[inline(always)]
 fn pixel_at(fmt: PixelFormat, bytes: &[u8]) -> Result<Color> {
-    let mut px = [Color::BLACK];
-    unpack_row_into(fmt, bytes, &mut px, None)
-        .ok_or_else(|| ProtocolError::Malformed("pixel decode failed".into()))?;
-    Ok(px[0])
+    unpack_pixel(fmt, bytes, None)
+        .ok_or_else(|| ProtocolError::Malformed("pixel decode failed".into()))
 }
 
 /// Reads one pixel in `fmt`, allocating nothing.
@@ -870,20 +874,38 @@ fn decode_rre(buf: &mut &[u8], fmt: PixelFormat, target: &mut RectMut) -> Result
         )));
     }
     target.fill(bounds, get_pixel(fmt, buf)?);
+    // Each subrect is a pixel, then its x, y, width and height as u16s.
+    let px = fmt.row_bytes(1);
     for _ in 0..count {
-        let c = get_pixel(fmt, buf)?;
-        let x = wire::get_u16(buf)?;
-        let y = wire::get_u16(buf)?;
-        let sw = wire::get_u16(buf)? as u32;
-        let sh = wire::get_u16(buf)? as u32;
+        let (c, [x, y, sw, sh]) = match wire::get_bytes(buf, px + 8) {
+            Ok(record) => {
+                let (c, xywh) = record.split_at(px);
+                let field = |i: usize| u16::from_be_bytes([xywh[i], xywh[i + 1]]) as u32;
+                (pixel_at(fmt, c)?, [field(0), field(2), field(4), field(6)])
+            }
+            Err(_) => rre_subrect_by_fields(buf, fmt)?,
+        };
         // Per axis, so that an empty subrect must lie inside too:
         // `contains_rect` passes every empty rect.
-        if x as u32 + sw > bounds.w || y as u32 + sh > bounds.h {
+        if x + sw > bounds.w || y + sh > bounds.h {
             return Err(ProtocolError::Malformed("rre subrect out of bounds".into()));
         }
         target.fill(Rect::new(x as i32, y as i32, sw, sh), c);
     }
     Ok(())
+}
+
+/// Reads an RRE subrect record one field at a time: the path of a record
+/// cut short, which fails at the first field that is, and leaves the
+/// cursor past the fields before it.
+#[cold]
+fn rre_subrect_by_fields(buf: &mut &[u8], fmt: PixelFormat) -> Result<(Color, [u32; 4])> {
+    let c = get_pixel(fmt, buf)?;
+    let mut xywh = [0; 4];
+    for v in &mut xywh {
+        *v = wire::get_u16(buf)? as u32;
+    }
+    Ok((c, xywh))
 }
 
 // ------------------------------------------------------------ hextile --
@@ -953,6 +975,7 @@ fn encode_hextile(analysis: &RectAnalysis, fmt: PixelFormat) -> Vec<u8> {
 fn decode_hextile(buf: &mut &[u8], fmt: PixelFormat, target: &mut RectMut) -> Result<()> {
     let w = target.width() as usize;
     let h = target.height() as usize;
+    let px = fmt.row_bytes(1);
     let mut last_bg = Color::BLACK;
     for ty in (0..h).step_by(TILE) {
         for tx in (0..w).step_by(TILE) {
@@ -977,14 +1000,18 @@ fn decode_hextile(buf: &mut &[u8], fmt: PixelFormat, target: &mut RectMut) -> Re
             target.fill(at(0, 0, tw, th), last_bg);
             if flags & HEX_SUBRECTS != 0 {
                 let n = wire::get_u8(buf)? as usize;
+                // Each subrect is its pixel, if coloured, then a byte
+                // each of position and size.
+                let px = if flags & HEX_COLOURED != 0 { px } else { 0 };
                 for _ in 0..n {
-                    let c = if flags & HEX_COLOURED != 0 {
-                        get_pixel(fmt, buf)?
-                    } else {
-                        last_bg
+                    let (c, [xy, wh]) = match wire::get_bytes(buf, px + 2) {
+                        Ok(record) => {
+                            let (c, xywh) = record.split_at(px);
+                            let c = if px == 0 { last_bg } else { pixel_at(fmt, c)? };
+                            (c, [xywh[0], xywh[1]])
+                        }
+                        Err(_) => hextile_subrect_by_fields(buf, fmt, px, last_bg)?,
                     };
-                    let xy = wire::get_u8(buf)?;
-                    let wh = wire::get_u8(buf)?;
                     let sx = (xy >> 4) as usize;
                     let sy = (xy & 0x0f) as usize;
                     let sw = ((wh >> 4) + 1) as usize;
@@ -998,6 +1025,20 @@ fn decode_hextile(buf: &mut &[u8], fmt: PixelFormat, target: &mut RectMut) -> Re
         }
     }
     Ok(())
+}
+
+/// Reads a Hextile subrect record one field at a time, its pixel only if
+/// `px` is not 0 (else the colour is `bg`): the path of a record cut
+/// short, as for [`rre_subrect_by_fields`].
+#[cold]
+fn hextile_subrect_by_fields(
+    buf: &mut &[u8],
+    fmt: PixelFormat,
+    px: usize,
+    bg: Color,
+) -> Result<(Color, [u8; 2])> {
+    let c = if px == 0 { bg } else { get_pixel(fmt, buf)? };
+    Ok((c, [wire::get_u8(buf)?, wire::get_u8(buf)?]))
 }
 
 // ---------------------------------------------------------------- rle --

@@ -1,12 +1,12 @@
 //! Property tests: every encoding round-trips arbitrary images; decoding
 //! straight into a framebuffer matches decoding into a fresh buffer and
 //! copying it in; narrow rects of short runs decode with RLE and
-//! PaletteRle to their source pixels, and valid or damaged run payloads
-//! decode as a pixel-by-pixel model does; arbitrary messages survive
-//! encode→frame→decode; a message body decodes exactly, and every strict
-//! prefix of it fails; and the decoders never panic on arbitrary bytes
-//! (robustness against hostile/corrupt streams), nor write outside their
-//! rect.
+//! PaletteRle to their source pixels, and valid or damaged run and
+//! subrect payloads decode as a pixel-by-pixel model does; arbitrary
+//! messages survive encode→frame→decode; a message body decodes exactly,
+//! and every strict prefix of it fails; and the decoders never panic on
+//! arbitrary bytes (robustness against hostile/corrupt streams), nor
+//! write outside their rect.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -553,6 +553,142 @@ proptest! {
                             prop_assert_eq!(cursor.len(), model.len(), "{:?}", case);
                             prop_assert!(got == want, "{:?}", case);
                         }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The RRE and Hextile decoders as one field read at a time and one
+/// pixel written at a time: each subrect's colour and geometry are read
+/// field by field, checked, then written pixel by pixel, in the order the
+/// decoders write. Errors are word for word the decoders', and so are the
+/// cursor and the pixels a payload that fails leaves behind.
+fn decode_subrects_pixel_by_pixel(
+    buf: &mut &[u8],
+    enc: Encoding,
+    fmt: PixelFormat,
+    fb: &mut Framebuffer,
+    at: Rect,
+) -> Result<(), ProtocolError> {
+    let malformed = |m: &str| ProtocolError::Malformed(m.into());
+    let size = fmt.row_bytes(1);
+    let pixel = |buf: &mut &[u8]| -> Result<Color, ProtocolError> {
+        let mut c = [Color::BLACK];
+        unpack_row_into(fmt, wire::get_bytes(buf, size)?, &mut c, None).expect("one pixel");
+        Ok(c[0])
+    };
+    let mut fill = |x: u32, y: u32, w: u32, h: u32, c: Color| {
+        for py in y..y + h {
+            for px in x..x + w {
+                fb.row_mut(at.y as u32 + py)[at.x as usize + px as usize] = c;
+            }
+        }
+    };
+    if enc == Encoding::Rre {
+        let count = wire::get_u32(buf)?;
+        if count as u64 > at.area().max(1) {
+            return Err(ProtocolError::Malformed(format!(
+                "rre subrect count {count} exceeds rect area"
+            )));
+        }
+        fill(0, 0, at.w, at.h, pixel(buf)?);
+        for _ in 0..count {
+            let c = pixel(buf)?;
+            let mut xywh = [0u32; 4];
+            for v in &mut xywh {
+                *v = wire::get_u16(buf)? as u32;
+            }
+            let [x, y, w, h] = xywh;
+            if x + w > at.w || y + h > at.h {
+                return Err(malformed("rre subrect out of bounds"));
+            }
+            fill(x, y, w, h, c);
+        }
+        return Ok(());
+    }
+    let mut bg = Color::BLACK;
+    for ty in (0..at.h).step_by(16) {
+        for tx in (0..at.w).step_by(16) {
+            let (tw, th) = (16.min(at.w - tx), 16.min(at.h - ty));
+            let flags = wire::get_u8(buf)?;
+            if flags & 1 != 0 {
+                for y in ty..ty + th {
+                    let mut row = vec![Color::BLACK; tw as usize];
+                    let bytes = wire::get_bytes(buf, fmt.row_bytes(tw))?;
+                    unpack_row_into(fmt, bytes, &mut row, None).expect("one row");
+                    for (x, &c) in (tx..).zip(&row) {
+                        fill(x, y, 1, 1, c);
+                    }
+                }
+                continue;
+            }
+            if flags & 2 != 0 {
+                bg = pixel(buf)?;
+            }
+            fill(tx, ty, tw, th, bg);
+            if flags & 8 == 0 {
+                continue;
+            }
+            for _ in 0..wire::get_u8(buf)? {
+                let c = if flags & 16 != 0 { pixel(buf)? } else { bg };
+                let (xy, wh) = (wire::get_u8(buf)? as u32, wire::get_u8(buf)? as u32);
+                let (x, y, w, h) = (xy >> 4, xy & 15, (wh >> 4) + 1, (wh & 15) + 1);
+                if x + w > tw || y + h > th {
+                    return Err(malformed("hextile subrect oob"));
+                }
+                fill(tx + x, ty + y, w, h, c);
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Valid, truncated and byte-changed RRE and Hextile payloads, in
+    /// every format, decoded into their own rect and into the transposed
+    /// one (same area, other tiles and bounds): every `Result`, cursor and
+    /// frame equals the one-field-at-a-time model's, and nothing outside
+    /// the rect is written.
+    #[test]
+    fn subrect_decoders_match_a_field_by_field_model_on_damaged_payloads(
+        (rect, px) in arb_image(),
+        cuts in proptest::collection::vec(any::<usize>(), 8),
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..4),
+    ) {
+        for enc in [Encoding::Rre, Encoding::Hextile] {
+            for fmt in PixelFormat::ALL {
+                let reduced: Vec<Color> = px.iter().map(|&c| fmt.reduce(c)).collect();
+                let bytes = encode_rect(&reduced, rect, enc, fmt);
+                let mut changed = bytes.clone();
+                for (i, b) in &edits {
+                    changed[i % bytes.len()] = *b;
+                }
+                // Every cut in the first records, random cuts, the whole
+                // payload and a changed one.
+                let ends = (0..bytes.len().min(40))
+                    .chain(cuts.iter().map(|c| c % bytes.len()))
+                    .chain([bytes.len()]);
+                let payloads = ends.map(|n| &bytes[..n]).chain([&changed[..]]);
+                for payload in payloads {
+                    for placed in [Rect::new(2, 1, rect.w, rect.h), Rect::new(1, 2, rect.h, rect.w)] {
+                        let before = canvas(placed, placed.origin());
+                        let mut want = before.clone();
+                        let mut model: &[u8] = payload;
+                        let expected =
+                            decode_subrects_pixel_by_pixel(&mut model, enc, fmt, &mut want, placed);
+                        let mut got = before.clone();
+                        let mut cursor: &[u8] = payload;
+                        let mut target = got.rect_mut(placed).expect("rect inside the canvas");
+                        let result = decode_into(&mut cursor, enc, fmt, &mut target);
+                        let case = (enc, fmt, placed, payload.len());
+                        prop_assert_eq!(&result, &expected, "{:?}", case);
+                        prop_assert_eq!(cursor.len(), model.len(), "{:?}", case);
+                        prop_assert!(got == want, "{:?}", case);
+                        prop_assert!(same_outside(&got, &before, placed), "{:?}", case);
                     }
                 }
             }

@@ -355,18 +355,14 @@ impl Framebuffer {
         })
     }
 
-    /// Fills `rect` (clipped) with `c`. Records damage and journals the
-    /// clipped rect.
+    /// Fills `rect` (clipped) with `c`, through [`RectMut::fill`]. Records
+    /// damage and journals the clipped rect.
     pub fn fill_rect(&mut self, rect: Rect, c: Color) {
-        let Some(clipped) = rect.intersect(self.bounds()) else {
+        let clipped = rect.intersect(self.bounds());
+        let Some(mut view) = clipped.and_then(|r| self.rect_mut(r)) else {
             return;
         };
-        for y in clipped.y..clipped.bottom() {
-            let start = (y as u32 * self.width + clipped.x as u32) as usize;
-            self.pixels[start..start + clipped.w as usize].fill(c);
-        }
-        self.damage.add(clipped);
-        self.log(clipped);
+        view.fill(view.bounds(), c);
     }
 
     /// Fills the whole framebuffer.
@@ -534,12 +530,28 @@ impl<'a> RectMut<'a> {
         if rect.is_empty() {
             return;
         }
-        let (x, w) = (rect.x as usize, rect.w as usize);
+        assert!(
+            self.bounds().contains_rect(rect),
+            "fill {rect:?} outside {:?}",
+            self.bounds()
+        );
+        let (x, w, h) = (rect.x as usize, rect.w as usize, rect.h as usize);
+        let start = rect.y as usize * self.stride + x;
+        if w < 4 {
+            // Narrower than a block: a store per pixel, a column at a
+            // time, is all it takes.
+            for col in start..start + w {
+                for p in self.pixels[col..].iter_mut().step_by(self.stride).take(h) {
+                    *p = c;
+                }
+            }
+            return;
+        }
         // Opaque, so the optimizer copies the block whole instead of
         // splitting it back into a store per pixel.
         let block = std::hint::black_box([c; 4]);
-        for y in rect.y..rect.bottom() {
-            fill_row(&mut self.row(y as u32)[x..x + w], &block);
+        for row in (start..).step_by(self.stride).take(h) {
+            fill_row(&mut self.pixels[row..row + w], &block);
         }
     }
 }

@@ -250,26 +250,18 @@ pub fn unpack_row_into(
     }
     match format {
         PixelFormat::Rgb888 => {
-            for (o, px) in out.iter_mut().zip(bytes.chunks_exact(3)) {
-                *o = Color::rgb(px[0], px[1], px[2]);
+            for (o, &px) in out.iter_mut().zip(bytes.as_chunks().0) {
+                *o = rgb888(px);
             }
         }
         PixelFormat::Rgb565 => {
-            for (o, px) in out.iter_mut().zip(bytes.chunks_exact(2)) {
-                let v = u16::from_be_bytes([px[0], px[1]]);
-                let r = ((v >> 11) as u8) << 3;
-                let g = ((v >> 5) as u8 & 0x3f) << 2;
-                let b = (v as u8 & 0x1f) << 3;
-                *o = Color::rgb(r | (r >> 5), g | (g >> 6), b | (b >> 5));
+            for (o, &px) in out.iter_mut().zip(bytes.as_chunks().0) {
+                *o = rgb565(px);
             }
         }
         PixelFormat::Rgb444 => {
-            for (o, px) in out.iter_mut().zip(bytes.chunks_exact(2)) {
-                let v = u16::from_be_bytes([px[0], px[1]]);
-                let r = ((v >> 8) as u8 & 0x0f) << 4;
-                let g = ((v >> 4) as u8 & 0x0f) << 4;
-                let b = (v as u8 & 0x0f) << 4;
-                *o = Color::rgb(r | (r >> 4), g | (g >> 4), b | (b >> 4));
+            for (o, &px) in out.iter_mut().zip(bytes.as_chunks().0) {
+                *o = rgb444(px);
             }
         }
         PixelFormat::Gray8 => {
@@ -280,15 +272,13 @@ pub fn unpack_row_into(
         PixelFormat::Gray4 => {
             for (i, o) in out.iter_mut().enumerate() {
                 let byte = bytes[i / 2];
-                let nib = if i % 2 == 0 { byte >> 4 } else { byte & 0x0f };
-                *o = Color::gray((nib << 4) | nib);
+                *o = gray4(if i % 2 == 0 { byte >> 4 } else { byte & 0x0f });
             }
         }
         PixelFormat::Mono1 => {
             // A byte at a time: its eight pixels, most significant bit
             // first, stored as one array.
-            let pixel =
-                |byte: u8, i: usize| [Color::BLACK, Color::WHITE][usize::from(byte >> (7 - i) & 1)];
+            let pixel = |byte: u8, i: usize| mono1(byte >> (7 - i));
             let last = bytes.get(out.len() / 8).copied();
             let mut whole = out.chunks_exact_mut(8);
             for (px, &byte) in whole.by_ref().zip(bytes) {
@@ -303,22 +293,78 @@ pub fn unpack_row_into(
             }
         }
         PixelFormat::Indexed8 => {
-            let pixels = out.iter_mut().zip(bytes);
-            match palette {
-                Some(pal) => {
-                    for (o, &v) in pixels {
-                        *o = pal.color(v.min((pal.len() - 1) as u8));
-                    }
-                }
-                None => {
-                    for (o, &v) in pixels {
-                        *o = websafe_color(v.min(215));
-                    }
-                }
+            for (o, &v) in out.iter_mut().zip(bytes) {
+                *o = indexed8(v, palette);
             }
         }
     }
     Some(())
+}
+
+/// The first pixel of `format` bytes, read as a row of one pixel is
+/// packed: a sub-byte format's pixel is the first byte's high bits. The
+/// one-pixel reader of [`unpack_row_into`], through the same per-format
+/// layouts, for a pixel that stands alone in a record.
+///
+/// Returns `None` if `bytes` is shorter than one pixel.
+#[inline(always)]
+pub fn unpack_pixel(format: PixelFormat, bytes: &[u8], palette: Option<&Palette>) -> Option<Color> {
+    Some(match format {
+        PixelFormat::Rgb888 => rgb888(*bytes.first_chunk()?),
+        PixelFormat::Rgb565 => rgb565(*bytes.first_chunk()?),
+        PixelFormat::Rgb444 => rgb444(*bytes.first_chunk()?),
+        PixelFormat::Gray8 => Color::gray(*bytes.first()?),
+        PixelFormat::Gray4 => gray4(bytes.first()? >> 4),
+        PixelFormat::Mono1 => mono1(bytes.first()? >> 7),
+        PixelFormat::Indexed8 => indexed8(*bytes.first()?, palette),
+    })
+}
+
+// The per-format pixel layouts, which both readers above share.
+
+#[inline(always)]
+fn rgb888([r, g, b]: [u8; 3]) -> Color {
+    Color::rgb(r, g, b)
+}
+
+#[inline(always)]
+fn rgb565(px: [u8; 2]) -> Color {
+    let v = u16::from_be_bytes(px);
+    let r = ((v >> 11) as u8) << 3;
+    let g = ((v >> 5) as u8 & 0x3f) << 2;
+    let b = (v as u8 & 0x1f) << 3;
+    Color::rgb(r | (r >> 5), g | (g >> 6), b | (b >> 5))
+}
+
+#[inline(always)]
+fn rgb444(px: [u8; 2]) -> Color {
+    let v = u16::from_be_bytes(px);
+    let r = ((v >> 8) as u8 & 0x0f) << 4;
+    let g = ((v >> 4) as u8 & 0x0f) << 4;
+    let b = (v as u8 & 0x0f) << 4;
+    Color::rgb(r | (r >> 4), g | (g >> 4), b | (b >> 4))
+}
+
+/// The grey of a 4-bit level (the low nibble of `nib`).
+#[inline(always)]
+fn gray4(nib: u8) -> Color {
+    let nib = nib & 0x0f;
+    Color::gray((nib << 4) | nib)
+}
+
+/// Black or white by the low bit of `bit`.
+#[inline(always)]
+fn mono1(bit: u8) -> Color {
+    [Color::BLACK, Color::WHITE][usize::from(bit & 1)]
+}
+
+/// Palette entry `v`, clamped to the palette; web-safe without one.
+#[inline(always)]
+fn indexed8(v: u8, palette: Option<&Palette>) -> Color {
+    match palette {
+        Some(pal) => pal.color(v.min((pal.len() - 1) as u8)),
+        None => websafe_color(v.min(215)),
+    }
 }
 
 #[cfg(test)]
@@ -407,6 +453,23 @@ mod tests {
         pack_row(PixelFormat::Indexed8, &row, Some(&pal), &mut bytes);
         let back = unpack_row(PixelFormat::Indexed8, &bytes, 16, Some(&pal)).unwrap();
         assert_eq!(back, row);
+    }
+
+    #[test]
+    fn one_pixel_reads_as_a_one_pixel_row() {
+        let pal = Palette::vga16();
+        for f in PixelFormat::ALL {
+            for palette in [None, Some(&pal)] {
+                for v in 0..=u16::MAX {
+                    let bytes = [(v >> 8) as u8, v as u8, 0x5a];
+                    let mut row = [Color::BLACK];
+                    unpack_row_into(f, &bytes, &mut row, palette).unwrap();
+                    assert_eq!(unpack_pixel(f, &bytes, palette), Some(row[0]), "{f} {v}");
+                }
+            }
+            let short = &[0u8; 3][..f.row_bytes(1) - 1];
+            assert_eq!(unpack_pixel(f, short, None), None, "{f}");
+        }
     }
 
     #[test]
