@@ -13,7 +13,7 @@ use uniint_apps::prelude::*;
 use uniint_core::context::rank;
 use uniint_core::prelude::*;
 use uniint_devices::prelude::*;
-use uniint_gateway::prelude::{Gateway, GatewayClient, GatewayConfig};
+use uniint_gateway::prelude::{pump_clients, Gateway, GatewayClient, GatewayConfig};
 use uniint_havi::prelude::*;
 use uniint_netsim::prelude::{FaultSchedule, LinkProfile};
 use uniint_protocol::encoding::{decode_rect, encode_rect, Encoding};
@@ -804,6 +804,13 @@ fn e10(at: Scale) -> Vec<Row> {
 fn e11(_at: Scale) -> Vec<Row> {
     const CLIENTS: usize = 4;
 
+    /// One wait on every client; whether any of them handled a frame.
+    fn pump(clients: &mut [GatewayClient]) -> bool {
+        pump_clients(clients)
+            .into_iter()
+            .fold(false, |any, r| r.expect("pump") | any)
+    }
+
     fn pump_until(
         clients: &mut [GatewayClient],
         what: &str,
@@ -811,9 +818,7 @@ fn e11(_at: Scale) -> Vec<Row> {
     ) {
         let deadline = Instant::now() + Duration::from_secs(20);
         loop {
-            for c in clients.iter_mut() {
-                c.pump_once().expect("pump");
-            }
+            pump(clients);
             if cond(clients) {
                 return;
             }
@@ -828,10 +833,8 @@ fn e11(_at: Scale) -> Vec<Row> {
         let deadline = Instant::now() + Duration::from_secs(20);
         let mut last_activity = Instant::now();
         while last_activity.elapsed() < Duration::from_millis(200) {
-            for c in clients.iter_mut() {
-                if c.pump_once().expect("pump") {
-                    last_activity = Instant::now();
-                }
+            if pump(clients) {
+                last_activity = Instant::now();
             }
             assert!(Instant::now() < deadline, "e11 never quiesced");
         }

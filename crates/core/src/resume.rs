@@ -8,26 +8,33 @@
 //! moves bytes and hands everything else to three entry points:
 //!
 //! - [`send`](ResumeMachine::send) logs each client message and writes
-//!   it, unless a `Resume` is waiting for its ack: then the message is
-//!   held, unwritten, and goes out with the ack's retransmissions.
+//!   it, unless the connection is down or a `Resume` is waiting for its
+//!   ack: then the message is held, unwritten, and goes out with the
+//!   ack's retransmissions.
 //! - [`receive_frames`](ResumeMachine::receive_frames) decodes every
 //!   whole frame the transport has read and hands each server message
 //!   to the proxy. Once the proxy has accepted a `ResumeAck`, the
 //!   machine resends the log tail the server never saw (and escalates if
 //!   it must); then the proxy's replies go through `send`.
-//! - [`recover`](ResumeMachine::recover) runs the backoff loop after the
-//!   transport finds the connection dead. A closure per attempt waits
-//!   out the delay, tries to reconnect and reports whether it worked;
-//!   the machine answers how to restart the conversation ([`Reattach`]).
+//! - [`retry`](ResumeMachine::retry) and
+//!   [`reconnected`](ResumeMachine::reconnected) step the backoff after
+//!   the transport finds the connection dead. Each `retry` counts one
+//!   reconnect attempt and answers how long to wait before making it;
+//!   the transport keeps that delay as its own deadline (virtual time in
+//!   the simulator, a wall-clock instant on TCP), so the machine never
+//!   waits. Once an attempt works, `reconnected` answers how to restart
+//!   the conversation ([`Reattach`]).
 //!
 //! Both transports fail with one [`SessionError`].
 //!
 //! The rules behind them:
 //!
-//! - **Backoff.** Attempt delays start at the policy's base and double up
-//!   to its cap, plus jitter drawn from `0..=delay/4` by an RNG seeded
-//!   from the session seed; past the attempt budget the machine reports
-//!   [`SessionError::Stalled`].
+//! - **Backoff.** The first `retry` after a break records the stall.
+//!   Attempt delays start at the policy's base and double up to its cap,
+//!   plus jitter drawn from `0..=delay/4` by an RNG seeded from the
+//!   session seed; past the attempt budget the machine reports
+//!   [`SessionError::Stalled`], and the next `retry` starts a new
+//!   recovery.
 //! - **Reattach.** After a reconnect the proxy sends `Hello` then
 //!   `Resume` on the new connection, neither logged: the session host
 //!   finds the session by the `Hello`'s name and adopts it on the
@@ -148,6 +155,9 @@ pub struct ResumeMachine {
     log: Vec<ClientMessage>,
     log_offset: u64,
     rng: StdRng,
+    /// While the connection is down: the attempts made so far and the
+    /// undithered delay before the next.
+    backoff: Option<(u32, u64)>,
     /// Resumes sent since the last ack: all but the newest were lost.
     /// While it is nonzero, new traffic is logged but not written.
     unacked_resumes: u32,
@@ -166,6 +176,7 @@ impl ResumeMachine {
             log: Vec::new(),
             log_offset: 0,
             rng: StdRng::seed_from_u64(seed ^ BACKOFF_SEED_SALT),
+            backoff: None,
             unacked_resumes: 0,
             escalate: false,
             last_frame: None,
@@ -195,13 +206,14 @@ impl ResumeMachine {
     }
 
     /// Logs regular client messages in order and writes each one, or
-    /// holds it while a `Resume` waits for its ack.
+    /// holds it while the connection is down or a `Resume` waits for its
+    /// ack.
     ///
     /// All client traffic except the [`Reattach`] messages must pass
     /// through here, so the log stays aligned with the server's count.
     pub fn send(&mut self, msgs: Vec<ClientMessage>, mut write: impl FnMut(&ClientMessage)) {
         for m in msgs {
-            if self.unacked_resumes == 0 {
+            if self.unacked_resumes == 0 && self.backoff.is_none() {
                 write(&m);
             }
             self.log.push(m);
@@ -266,34 +278,36 @@ impl ResumeMachine {
         Ok(out)
     }
 
-    /// The connection broke: runs reconnect attempts under the backoff
-    /// schedule. `attempt(delay_us)` waits `delay_us`, tries to reconnect
-    /// and returns whether it worked. On success, returns how to restart
-    /// the conversation; the transport writes [`Reattach::messages`].
+    /// The connection is down: counts one reconnect attempt and returns
+    /// how long to wait before making it, in microseconds. The first call
+    /// after a break records the stall.
     ///
     /// # Errors
     ///
-    /// [`SessionError::Stalled`] once the attempt budget is spent.
-    pub fn recover(
-        &mut self,
-        proxy: &mut UniIntProxy,
-        mut attempt: impl FnMut(u64) -> bool,
-    ) -> Result<Reattach, SessionError> {
-        proxy.record_stall();
-        let mut delay_us = self.policy.base_us;
-        for _ in 0..self.policy.max_attempts {
-            proxy.record_backoff_attempt();
-            if attempt(delay_us + self.rng.gen_range(0..=delay_us / 4)) {
-                return Ok(self.reattach(proxy));
-            }
-            delay_us = (delay_us * 2).min(self.policy.cap_us);
+    /// [`SessionError::Stalled`] once the attempt budget is spent; the
+    /// next call starts a new recovery.
+    pub fn retry(&mut self, proxy: &mut UniIntProxy) -> Result<u64, SessionError> {
+        let (attempts, delay_us) = self.backoff.get_or_insert_with(|| {
+            proxy.record_stall();
+            (0, self.policy.base_us)
+        });
+        if *attempts == self.policy.max_attempts {
+            self.backoff = None;
+            return Err(SessionError::Stalled {
+                attempts: self.policy.max_attempts,
+            });
         }
-        Err(SessionError::Stalled {
-            attempts: self.policy.max_attempts,
-        })
+        proxy.record_backoff_attempt();
+        *attempts += 1;
+        let delay = std::mem::replace(delay_us, (*delay_us * 2).min(self.policy.cap_us));
+        Ok(delay + self.rng.gen_range(0..=delay / 4))
     }
 
-    fn reattach(&mut self, proxy: &mut UniIntProxy) -> Reattach {
+    /// The reconnect attempt worked: ends the recovery and returns how to
+    /// restart the conversation. The transport writes
+    /// [`Reattach::messages`] on the new connection.
+    pub fn reconnected(&mut self, proxy: &mut UniIntProxy) -> Reattach {
+        self.backoff = None;
         if !proxy.is_connected() {
             let hello = proxy.connect();
             self.log = hello.clone();

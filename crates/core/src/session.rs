@@ -229,9 +229,9 @@ const BACKOFF: BackoffPolicy = BackoffPolicy {
 /// Gilbert–Elliott burst drops) tear the simulated connection down, and
 /// [`SimSession::settle`] detects the stall (network idle while the link
 /// is down, or after the host closed the connection), closes the host
-/// connection and lets the machine run the recovery: each attempt waits
-/// out its backoff delay on the virtual clock and reconnects the
-/// simulated link. A new host connection then takes the machine's
+/// connection and steps the machine's backoff: it advances the virtual
+/// clock by each delay the machine returns and reconnects the simulated
+/// link. A new host connection then takes the machine's
 /// `Hello` and `Resume`, and the host adopts the session by name. The
 /// machine resends what the server reports missing when the ack arrives.
 /// All recovery activity is visible in [`crate::proxy::ProxyStats`].
@@ -434,10 +434,13 @@ impl SimSession {
             self.host.close(conn, self.sim.now_us());
         }
         let _span = self.proxy.telemetry().span("session.recovery");
-        let reattach = self.resume.recover(&mut self.proxy, |delay_us| {
-            self.sim.advance(delay_us);
-            self.sim.reconnect(self.proxy_ep)
-        })?;
+        loop {
+            self.sim.advance(self.resume.retry(&mut self.proxy)?);
+            if self.sim.reconnect(self.proxy_ep) {
+                break;
+            }
+        }
+        let reattach = self.resume.reconnected(&mut self.proxy);
         self.conn = Some(self.host.open());
         for m in reattach.messages() {
             self.sim.send(self.proxy_ep, encode_client(m));

@@ -1,7 +1,7 @@
 //! Property test for the proxy side of a connection: random scripts of
 //! sends, link breaks, failed reconnect attempts, lost resumes, traffic
-//! sent while a resume is unacked, and acks, checked against a model of
-//! the server's received stream.
+//! sent while the link is down or a resume is unacked, and acks, checked
+//! against a model of the server's received stream.
 
 use proptest::prelude::*;
 use uniint_core::proxy::UniIntProxy;
@@ -22,6 +22,8 @@ struct Break {
     /// Reconnect attempts that fail before one succeeds. At the policy's
     /// limit or above, the recovery stalls out and is run again.
     failures: u32,
+    /// Messages sent during the backoff, before the reconnect.
+    down: usize,
     /// Messages sent after the reconnect, while its `Resume` is unacked.
     held: usize,
 }
@@ -59,6 +61,7 @@ struct Model {
     resume_count: Option<u64>,
     next_id: u64,
     delays: u64,
+    recoveries: u64,
     out: Vec<Out>,
 }
 
@@ -75,6 +78,7 @@ impl Model {
             resume_count: None,
             next_id: 0,
             delays: 0,
+            recoveries: 0,
             out: Vec::new(),
         };
         let hello = m.proxy.connect();
@@ -145,7 +149,7 @@ impl Model {
         self.deliver(n);
         // The rest dies with the connection.
         self.in_flight.clear();
-        self.recover(b.failures)?;
+        self.recover(b.failures, b.down)?;
         self.send_fresh(b.held);
         prop_assert!(
             matches!(self.in_flight.as_slice(), [ClientMessage::Resume { .. }]),
@@ -155,13 +159,28 @@ impl Model {
         Ok(())
     }
 
-    /// Runs one recovery in which `failures` attempts fail.
-    fn recover(&mut self, failures: u32) -> TestCaseResult {
+    /// Runs one recovery in which `failures` attempts fail, with `down`
+    /// messages sent while the first delay runs.
+    fn recover(&mut self, failures: u32, down: usize) -> TestCaseResult {
+        self.recoveries += 1;
         let mut delays = Vec::new();
-        let result = self.machine.recover(&mut self.proxy, |delay| {
-            delays.push(delay);
-            delays.len() as u32 > failures
-        });
+        let result = loop {
+            match self.machine.retry(&mut self.proxy) {
+                Ok(delay) => delays.push(delay),
+                Err(e) => break Err(e),
+            }
+            if delays.len() == 1 {
+                self.send_fresh(down);
+                prop_assert!(
+                    self.in_flight.is_empty(),
+                    "nothing may be written while the link is down, got {:?}",
+                    self.in_flight
+                );
+            }
+            if delays.len() as u32 > failures {
+                break Ok(self.machine.reconnected(&mut self.proxy));
+            }
+        };
         let mut d = self.policy.base_us;
         for (i, &delay) in delays.iter().enumerate() {
             prop_assert!(
@@ -183,7 +202,7 @@ impl Model {
                 self.out.push(Out::Stalled(attempts));
                 // The link is still down: the next operation runs a new
                 // recovery, which here succeeds at once.
-                self.recover(0)
+                self.recover(0, 0)
             }
             Ok(reattach) => {
                 prop_assert!(failures < max, "reconnected past the budget");
@@ -278,6 +297,7 @@ fn run(policy: BackoffPolicy, seed: u64, rounds: &[Round]) -> Result<Vec<Out>, T
         model.ack(round.breaks.len() - 1)?;
     }
     prop_assert_eq!(model.proxy.stats().backoff_attempts, model.delays);
+    prop_assert_eq!(model.proxy.stats().stalls, model.recoveries);
     Ok(model.out)
 }
 
@@ -290,11 +310,15 @@ fn arb_policy() -> impl Strategy<Value = BackoffPolicy> {
 }
 
 fn arb_round() -> impl Strategy<Value = Round> {
-    let arb_break = (0usize..8, 0u32..8, 0usize..4).prop_map(|(delivered, failures, held)| Break {
-        delivered,
-        failures,
-        held,
-    });
+    let arb_break =
+        (0usize..8, 0u32..8, 0usize..3, 0usize..4).prop_map(|(delivered, failures, down, held)| {
+            Break {
+                delivered,
+                failures,
+                down,
+                held,
+            }
+        });
     (0usize..5, proptest::collection::vec(arb_break, 1..6))
         .prop_map(|(sends, breaks)| Round { sends, breaks })
 }
@@ -326,7 +350,8 @@ fn break_before_handshake_starts_over() {
     let mut lost = proxy.connect();
     lost.push(ClientMessage::CutText("lost with the old session".into()));
     machine.send(lost, |_| {});
-    let Ok(Reattach::Fresh(hello)) = machine.recover(&mut proxy, |_| true) else {
+    machine.retry(&mut proxy).expect("a first attempt");
+    let Reattach::Fresh(hello) = machine.reconnected(&mut proxy) else {
         panic!("a proxy without a handshake must start over");
     };
     assert!(matches!(hello.as_slice(), [ClientMessage::Hello { .. }]));

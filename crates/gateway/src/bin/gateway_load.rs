@@ -1,11 +1,13 @@
 //! Loopback load generator for the TCP gateway.
 //!
-//! Spawns one gateway serving a small appliance panel and N concurrent
-//! socket clients, each in its own thread clicking the panel and
-//! waiting for the resulting framebuffer update. Reports aggregate
+//! Spawns one gateway serving a small appliance panel and N socket
+//! clients, all driven from the main thread through one
+//! `pump_clients` wait: each client clicks the panel, waits for the
+//! resulting framebuffer update, and clicks again. Reports aggregate
 //! update throughput, per-interaction latency percentiles, CPU per
-//! update split between the gateway and the load clients, and the bytes
-//! the gateway wrote per update (`gateway.bytes_out`).
+//! update split between the gateway and the load clients, the bytes the
+//! gateway wrote per update (`gateway.bytes_out`), the process's
+//! threads and its peak resident set (`VmHWM`).
 //!
 //! ```text
 //! gateway_load [--clients N] [--duration-ms MS] [--record PATH]
@@ -15,20 +17,18 @@
 //! it processes into a flight-recorder trace written to `PATH` on exit
 //! (inspect it with `trace_dump`).
 //!
-//! CPU comes from the C library's `clock_gettime` (Linux). Each
-//! `gl-client-N` thread reads its own `CLOCK_THREAD_CPUTIME_ID` when its
-//! run ends; the gateway's share is the whole process
-//! (`CLOCK_PROCESS_CPUTIME_ID`) minus the clients and the main thread.
-//! On other systems both read 0.
+//! CPU comes from the C library's `clock_gettime` (Linux): the load
+//! clients' share is the main thread's `CLOCK_THREAD_CPUTIME_ID`, and
+//! the gateway's is the whole process (`CLOCK_PROCESS_CPUTIME_ID`) minus
+//! the main thread. On other systems both read 0.
 //!
 //! The run exits with status 1 if the gateway dropped any connection
 //! (`gateway.dropped_connections`): every load client reads all it is
 //! sent, so a drop means the outbound bound cut off a healthy client.
-//! On Linux it also exits with status 1 if a client that applied
-//! updates reports no CPU time (the gateway's share would then silently
-//! include the clients'), or unless, once every client has connected,
-//! exactly one thread is named `gw-*` (`/proc/self/task/*/comm`): the
-//! gateway serves every socket from its `gw-state` thread.
+//! On Linux it also exits with status 1 unless, once every client has
+//! connected, the process runs exactly two threads
+//! (`/proc/self/task/*/comm`): the main thread with every client, and
+//! the gateway's `gw-state` thread with every socket of the gateway.
 
 use std::time::{Duration, Instant};
 
@@ -122,23 +122,35 @@ mod clock {
     }
 }
 
-/// CPU time of the calling thread, nanoseconds.
-fn thread_cpu_ns() -> u64 {
-    clock::read_ns(clock::THREAD_CPUTIME)
-}
-
-/// CPU time of the whole process, every thread that ever ran included,
-/// nanoseconds.
-fn process_cpu_ns() -> u64 {
-    clock::read_ns(clock::PROCESS_CPUTIME)
-}
-
-/// Threads of this process whose name starts with `gw-`; `None` where
-/// `/proc/self/task` cannot be read.
-fn gateway_threads() -> Option<usize> {
+/// This process's threads, and how many of them are named `gw-*`;
+/// `None` where `/proc/self/task` cannot be read.
+fn threads() -> Option<(usize, usize)> {
     let tasks = std::fs::read_dir("/proc/self/task").ok()?;
-    let names = tasks.filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok());
-    Some(names.filter(|name| name.starts_with("gw-")).count())
+    let names: Vec<String> = tasks
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .collect();
+    Some((
+        names.len(),
+        names.iter().filter(|n| n.starts_with("gw-")).count(),
+    ))
+}
+
+/// The process's peak resident set (`VmHWM`), kB; `None` where
+/// `/proc/self/status` cannot be read.
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
+/// Sends one click; returns when it left and the updates applied before.
+fn click(c: &mut GatewayClient) -> (Instant, u64) {
+    let msgs = InputEvent::click(80, 34)
+        .into_iter()
+        .map(ClientMessage::Input);
+    let sent = (Instant::now(), c.stats().updates_applied);
+    c.send_messages(msgs.collect());
+    sent
 }
 
 fn main() {
@@ -161,67 +173,47 @@ fn main() {
     let gw = Gateway::spawn(ui, config, registry.clone()).expect("gateway binds loopback");
     let addr = gw.local_addr();
 
-    let (connected, all_connected) = std::sync::mpsc::channel();
-    let workers: Vec<_> = (0..args.clients)
+    let mut clients: Vec<GatewayClient> = (0..args.clients)
         .map(|i| {
-            let duration = args.duration;
-            let connected = connected.clone();
-            let worker = move || -> (u64, Vec<u64>, u64) {
-                let mut c = GatewayClient::connect(addr, format!("load-{i}"), i as u64)
-                    .expect("client connects");
-                let _ = connected.send(());
-                // Drain the initial full update before timing starts.
-                let warmup = Instant::now();
-                while c.stats().updates_applied == 0 && warmup.elapsed() < Duration::from_secs(5) {
-                    c.pump_once().expect("pump");
-                }
-                let mut latencies_us = Vec::new();
-                let t0 = Instant::now();
-                while t0.elapsed() < duration {
-                    let before = c.stats().updates_applied;
-                    let sent = Instant::now();
-                    c.send_messages(
-                        InputEvent::click(80, 34)
-                            .into_iter()
-                            .map(ClientMessage::Input)
-                            .collect(),
-                    );
-                    // Wait for the update this click provokes.
-                    while c.stats().updates_applied == before
-                        && sent.elapsed() < Duration::from_secs(2)
-                    {
-                        c.pump_once().expect("pump");
-                    }
-                    latencies_us.push(sent.elapsed().as_micros() as u64);
-                }
-                (c.stats().updates_applied, latencies_us, thread_cpu_ns())
-            };
-            std::thread::Builder::new()
-                .name(format!("gl-client-{i}"))
-                .spawn(worker)
-                .expect("spawn load client")
+            GatewayClient::connect(addr, format!("load-{i}"), i as u64).expect("client connects")
         })
         .collect();
-    drop(connected);
-    // Stops early only if a client failed to connect; its join says why.
-    let _ = (0..args.clients).try_for_each(|_| all_connected.recv());
-    let gw_threads = gateway_threads();
-
-    let mut total_updates = 0u64;
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut client_cpu_ns = 0u64;
-    let mut clients_without_cpu = 0;
-    for w in workers {
-        let (updates, lat, cpu_ns) = w.join().expect("worker");
-        total_updates += updates;
-        latencies.extend(lat);
-        client_cpu_ns += cpu_ns;
-        clients_without_cpu += usize::from(updates > 0 && cpu_ns == 0);
+    let threads = threads();
+    // Drain the initial full updates before timing starts.
+    let warmup = Instant::now();
+    while clients.iter().any(|c| c.stats().updates_applied == 0)
+        && warmup.elapsed() < Duration::from_secs(5)
+    {
+        for r in pump_clients(&mut clients) {
+            r.expect("pump");
+        }
     }
+
+    // Closed loop: each client clicks again once the update its click
+    // provoked has arrived (or after 2 s without one), until the run
+    // ends; the last clicks are still waited for.
+    let mut latencies: Vec<u64> = Vec::new();
+    let t0 = Instant::now();
+    let mut waiting: Vec<_> = clients.iter_mut().map(|c| Some(click(c))).collect();
+    while waiting.iter().any(Option::is_some) {
+        for r in pump_clients(&mut clients) {
+            r.expect("pump");
+        }
+        let more = t0.elapsed() < args.duration;
+        for (c, w) in clients.iter_mut().zip(&mut waiting) {
+            let Some((sent, before)) = *w else { continue };
+            if c.stats().updates_applied > before || sent.elapsed() >= Duration::from_secs(2) {
+                latencies.push(sent.elapsed().as_micros() as u64);
+                *w = more.then(|| click(c));
+            }
+        }
+    }
+    let total_updates: u64 = clients.iter().map(|c| c.stats().updates_applied).sum();
     let _panel = gw.shutdown();
-    let gateway_cpu_ns = process_cpu_ns()
-        .saturating_sub(client_cpu_ns)
-        .saturating_sub(thread_cpu_ns());
+    // The main thread ran every client; every other thread that ever ran
+    // was the gateway's.
+    let client_cpu_ns = clock::read_ns(clock::THREAD_CPUTIME);
+    let gateway_cpu_ns = clock::read_ns(clock::PROCESS_CPUTIME).saturating_sub(client_cpu_ns);
     let counters = registry.snapshot().counters;
     let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
     let dropped = counter("gateway.dropped_connections");
@@ -235,11 +227,8 @@ fn main() {
 
     latencies.sort_unstable();
     let pct = |p: f64| -> u64 {
-        if latencies.is_empty() {
-            return 0;
-        }
-        let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
-        latencies[idx]
+        let idx = (latencies.len().saturating_sub(1) as f64 * p).round() as usize;
+        latencies.get(idx).copied().unwrap_or(0)
     };
     let secs = args.duration.as_secs_f64();
     println!(
@@ -255,28 +244,26 @@ fn main() {
     let per_update = |v: u64| v as f64 / total_updates.max(1) as f64;
     println!(
         "gateway_load: cpu per update: gateway {:.1} us (gw-state thread), \
-         load clients {:.1} us (gl-client-* threads); \
+         load clients {:.1} us (main thread); \
          bytes per update: gateway.bytes_out {:.1} B",
         per_update(gateway_cpu_ns) / 1e3,
         per_update(client_cpu_ns) / 1e3,
         per_update(counter("gateway.bytes_out")),
     );
-    let counted = gw_threads.map_or("unknown".to_string(), |n| n.to_string());
-    println!("gateway_load: gateway threads (gw-*) {counted}");
+    let unknown = || "unknown".to_string();
+    println!(
+        "gateway_load: threads {}, peak RSS (VmHWM) {}",
+        threads.map_or_else(unknown, |(all, gw)| format!("{all} (gw-* {gw})")),
+        peak_rss_kb().map_or_else(unknown, |kb| format!("{kb} kB")),
+    );
     println!("gateway_load: gateway.dropped_connections {dropped}");
     if dropped > 0 {
         eprintln!("gateway_load: the gateway dropped {dropped} load client(s)");
         std::process::exit(1);
     }
     // Only Linux has the clock and `/proc`; elsewhere both read nothing.
-    if cfg!(target_os = "linux") && gw_threads != Some(1) {
-        eprintln!("gateway_load: the gateway should run on one gw-* thread");
-        std::process::exit(1);
-    }
-    if cfg!(target_os = "linux") && clients_without_cpu > 0 {
-        eprintln!(
-            "gateway_load: {clients_without_cpu} client(s) applied updates but read no CPU time"
-        );
+    if cfg!(target_os = "linux") && threads != Some((2, 1)) {
+        eprintln!("gateway_load: expected two threads, main and gw-state");
         std::process::exit(1);
     }
 }

@@ -2,27 +2,30 @@
 //!
 //! Frames on the wire are exactly the protocol's native framing —
 //! `[u32 body_len][body]` — reassembled by
-//! [`uniint_protocol::message::FrameReader`] (on the client inside a
-//! [`FramedSocket`], on the host directly) with a **configurable
+//! [`uniint_protocol::message::FrameReader`] with a **configurable
 //! max-frame-size bound** enforced before any allocation, so a hostile
 //! or corrupted peer cannot make either end reserve memory for a length
 //! field it invented. The codec also re-exports
 //! [`check_hello_version`], the version check every `Hello` must pass
 //! before a session is admitted.
 //!
-//! A [`FramedSocket`] writes client messages in batches: each is queued
-//! ([`FramedSocket::queue`]) and a batch leaves with one `write_all`
-//! ([`FramedSocket::send_batch`]). So a click's down and up events reach
-//! the gateway in one read, and it answers them with one update, not
-//! with one per event that a read between them would cost.
+//! Both ends move bytes on non-blocking sockets with the same helpers:
+//! `read_into` reads once into a connection's frame reader, `queue`
+//! puts a batch behind its pending bytes (moving it in when none are
+//! pending), and `write_pending` writes as much of those as the socket
+//! takes now; what is left waits for `POLLOUT`. Each end encodes
+//! a batch of frames into one buffer and hands it over whole, so a batch
+//! that finds the pending bytes empty leaves in one `write`: a click's
+//! down and up events reach the gateway in one read, and it answers them
+//! with one update, not with one per event that a read between them
+//! would cost.
 
-use std::io::{ErrorKind, Read, Write};
+use std::collections::VecDeque;
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
 
-use uniint_protocol::error::Result as ProtocolResult;
 pub use uniint_protocol::message::check_hello_version;
-use uniint_protocol::message::{ClientMessage, FrameReader};
+use uniint_protocol::message::FrameReader;
 
 /// Default max frame size a gateway end accepts from an untrusted peer
 /// (1 MiB — far above any real panel update, far below the 8 MiB
@@ -32,111 +35,52 @@ pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
 /// Most bytes one socket read takes, on either end.
 pub(crate) const READ_CHUNK: usize = 16 * 1024;
 
-/// Outcome of one non-blocking read attempt on a [`FramedSocket`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadStatus {
-    /// `n` fresh bytes were buffered; pull frames with
-    /// [`FramedSocket::next_frame`].
-    Data(usize),
-    /// Nothing arrived within the poll interval.
-    Idle,
-    /// The peer closed the connection cleanly.
-    Eof,
+/// Reads once from `socket` into `reader`, through `scratch`. Returns
+/// the bytes read (0 at end of stream), or `None` when none are ready:
+/// the read would block, or a signal cut it short.
+pub(crate) fn read_into(
+    mut socket: &TcpStream,
+    reader: &mut FrameReader,
+    scratch: &mut [u8],
+) -> io::Result<Option<usize>> {
+    match socket.read(scratch) {
+        Ok(n) => {
+            reader.feed(&scratch[..n]);
+            Ok(Some(n))
+        }
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => Ok(None),
+        Err(e) => Err(e),
+    }
 }
 
-/// A TCP stream with protocol framing on both directions.
+/// Queues `batch` behind `pending`; into empty pending bytes it moves,
+/// without a copy.
+pub(crate) fn queue(pending: &mut VecDeque<u8>, batch: Vec<u8>) {
+    if pending.is_empty() {
+        *pending = batch.into();
+    } else {
+        pending.extend(batch);
+    }
+}
+
+/// Writes as much of `pending` as `socket` takes now, and drops what it
+/// wrote; once it is all written, lets go of the buffer.
 ///
-/// Reads are polled: the socket runs with a short read timeout so the
-/// owning thread can interleave reads with shutdown checks and idle
-/// accounting instead of blocking forever. Writes are batched: see the
-/// module docs.
-#[derive(Debug)]
-pub struct FramedSocket {
-    stream: TcpStream,
-    reader: FrameReader,
-    buf: Vec<u8>,
-    /// The frames queued since the last [`send_batch`](Self::send_batch).
-    batch: Vec<u8>,
-}
-
-impl FramedSocket {
-    /// Wraps `stream`, disabling Nagle (frames are latency-sensitive)
-    /// and installing `poll` as the read timeout.
-    pub fn new(
-        stream: TcpStream,
-        max_frame: usize,
-        poll: Duration,
-    ) -> std::io::Result<FramedSocket> {
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(poll))?;
-        Ok(FramedSocket {
-            stream,
-            reader: FrameReader::with_max_body(max_frame),
-            buf: vec![0u8; READ_CHUNK],
-            batch: Vec::new(),
-        })
-    }
-
-    /// The underlying stream (for `shutdown`, `peer_addr`...).
-    pub fn stream(&self) -> &TcpStream {
-        &self.stream
-    }
-
-    /// Encodes one client→server message onto the batch; nothing is
-    /// written until [`send_batch`](Self::send_batch).
-    pub fn queue(&mut self, msg: &ClientMessage) {
-        msg.encode(&mut self.batch);
-    }
-
-    /// Writes every message queued since the last call with one
-    /// `write_all` and empties the batch, also when the write fails;
-    /// returns the batch size in bytes. An empty batch writes nothing.
-    pub fn send_batch(&mut self) -> std::io::Result<usize> {
-        if self.batch.is_empty() {
-            return Ok(0);
-        }
-        let sent = self
-            .stream
-            .write_all(&self.batch)
-            .map(|()| self.batch.len());
-        self.batch.clear();
-        sent
-    }
-
-    /// Attempts one read from the socket, feeding whatever arrives into
-    /// the frame reassembler. Timeouts are reported as
-    /// [`ReadStatus::Idle`], not errors.
-    pub fn fill(&mut self) -> std::io::Result<ReadStatus> {
-        match self.stream.read(&mut self.buf) {
-            Ok(0) => Ok(ReadStatus::Eof),
-            Ok(n) => {
-                self.reader.feed(&self.buf[..n]);
-                Ok(ReadStatus::Data(n))
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                Ok(ReadStatus::Idle)
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => Ok(ReadStatus::Idle),
-            Err(e) => Err(e),
+/// # Errors
+///
+/// A failed write, or one that took nothing: the connection is broken.
+pub(crate) fn write_pending(mut socket: &TcpStream, pending: &mut VecDeque<u8>) -> io::Result<()> {
+    while !pending.is_empty() {
+        match socket.write(pending.as_slices().0) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => drop(pending.drain(..n)),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
+            Err(e) => return Err(e),
         }
     }
-
-    /// The frames read so far and a writer onto the batch, at once: a
-    /// reply can be queued while the frame it answers is handled.
-    pub fn split(&mut self) -> (&mut FrameReader, impl FnMut(&ClientMessage) + '_) {
-        let batch = &mut self.batch;
-        (&mut self.reader, move |m: &ClientMessage| m.encode(batch))
-    }
-
-    /// Extracts the next complete frame body, if one is buffered.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::FrameTooLarge`](uniint_protocol::error::ProtocolError::FrameTooLarge) when the peer declares a frame
-    /// beyond the configured bound; the connection should be dropped.
-    pub fn next_frame(&mut self) -> ProtocolResult<Option<Vec<u8>>> {
-        self.reader.next_frame()
-    }
+    *pending = VecDeque::new();
+    Ok(())
 }
 
 #[cfg(test)]
@@ -144,7 +88,9 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
     use uniint_protocol::error::ProtocolError;
-    use uniint_protocol::message::{encode_client, encode_server, ServerMessage, PROTOCOL_VERSION};
+    use uniint_protocol::message::{
+        encode_client, encode_server, ClientMessage, ServerMessage, PROTOCOL_VERSION,
+    };
 
     #[test]
     fn hello_version_policy() {
@@ -157,78 +103,45 @@ mod tests {
         ));
     }
 
+    /// Reads from `socket` until `reader` holds a whole frame.
+    fn next_frame(socket: &TcpStream, reader: &mut FrameReader) -> Vec<u8> {
+        let mut scratch = [0; READ_CHUNK];
+        loop {
+            if let Some(frame) = reader.next_frame().unwrap() {
+                return frame;
+            }
+            match read_into(socket, reader, &mut scratch).unwrap() {
+                Some(0) => panic!("peer closed early"),
+                Some(_) => {}
+                None => std::thread::yield_now(),
+            }
+        }
+    }
+
     #[test]
     fn frames_cross_a_real_socket() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let t = std::thread::spawn(move || {
             let (sock, _) = listener.accept().unwrap();
-            let mut fs =
-                FramedSocket::new(sock, DEFAULT_MAX_FRAME, Duration::from_millis(20)).unwrap();
-            loop {
-                match fs.fill().unwrap() {
-                    ReadStatus::Data(_) => {
-                        if let Some(frame) = fs.next_frame().unwrap() {
-                            let msg = ClientMessage::decode_body(&mut frame.as_slice()).unwrap();
-                            assert_eq!(msg, ClientMessage::CutText("over tcp".into()));
-                            let mut sock = fs.stream();
-                            sock.write_all(&encode_server(&ServerMessage::Bell))
-                                .unwrap();
-                            return;
-                        }
-                    }
-                    ReadStatus::Idle => {}
-                    ReadStatus::Eof => panic!("peer closed early"),
-                }
-            }
+            sock.set_nonblocking(true).unwrap();
+            let frame = next_frame(&sock, &mut FrameReader::new());
+            let msg = ClientMessage::decode_body(&mut frame.as_slice()).unwrap();
+            assert_eq!(msg, ClientMessage::CutText("over tcp".into()));
+            let mut pending = encode_server(&ServerMessage::Bell).into();
+            write_pending(&sock, &mut pending).unwrap();
+            assert!(pending.is_empty());
         });
         let sock = TcpStream::connect(addr).unwrap();
-        let mut fs = FramedSocket::new(sock, DEFAULT_MAX_FRAME, Duration::from_millis(20)).unwrap();
+        sock.set_nonblocking(true).unwrap();
         let msg = ClientMessage::CutText("over tcp".into());
-        fs.queue(&msg);
-        assert_eq!(fs.send_batch().unwrap(), encode_client(&msg).len());
-        assert_eq!(fs.send_batch().unwrap(), 0, "the batch was emptied");
-        loop {
-            match fs.fill().unwrap() {
-                ReadStatus::Data(_) => {
-                    if let Some(frame) = fs.next_frame().unwrap() {
-                        let msg = ServerMessage::decode_body(&mut frame.as_slice()).unwrap();
-                        assert_eq!(msg, ServerMessage::Bell);
-                        break;
-                    }
-                }
-                ReadStatus::Idle => {}
-                ReadStatus::Eof => panic!("peer closed early"),
-            }
-        }
+        let mut pending = VecDeque::from(encode_client(&msg));
+        write_pending(&sock, &mut pending).unwrap();
+        assert_eq!(pending.capacity(), 0, "the written batch was let go");
+        write_pending(&sock, &mut pending).expect("an empty batch writes nothing");
+        let frame = next_frame(&sock, &mut FrameReader::new());
+        let msg = ServerMessage::decode_body(&mut frame.as_slice()).unwrap();
+        assert_eq!(msg, ServerMessage::Bell);
         t.join().unwrap();
-    }
-
-    #[test]
-    fn oversized_frame_is_rejected_by_the_bound() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let t = std::thread::spawn(move || {
-            let (mut sock, _) = listener.accept().unwrap();
-            // A declared 1 GiB body: only the length prefix ever ships.
-            sock.write_all(&(1u32 << 30).to_be_bytes()).unwrap();
-            sock
-        });
-        let sock = TcpStream::connect(addr).unwrap();
-        let mut fs = FramedSocket::new(sock, 4096, Duration::from_millis(20)).unwrap();
-        let _keep = t.join().unwrap();
-        loop {
-            match fs.fill().unwrap() {
-                ReadStatus::Data(_) => {
-                    assert!(matches!(
-                        fs.next_frame(),
-                        Err(ProtocolError::FrameTooLarge { .. })
-                    ));
-                    return;
-                }
-                ReadStatus::Idle => {}
-                ReadStatus::Eof => panic!("expected the length prefix first"),
-            }
-        }
     }
 }

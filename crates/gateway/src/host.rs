@@ -42,7 +42,7 @@
 //! session it served.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -57,7 +57,7 @@ use uniint_protocol::message::{ClientMessage, FrameReader, ServerMessage};
 use uniint_telemetry::registry::{Counter, Gauge, Registry};
 use uniint_wsys::ui::Ui;
 
-use crate::codec::{DEFAULT_MAX_FRAME, READ_CHUNK};
+use crate::codec::{self, DEFAULT_MAX_FRAME, READ_CHUNK};
 use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 
 /// Most encoded bytes one connection may hold unwritten. A batch that
@@ -112,14 +112,11 @@ impl Default for GatewayConfig {
 /// Returns false, having freed `pending`, if that would take non-empty
 /// pending bytes past `cap`: the connection must then be dropped.
 fn enqueue(pending: &mut VecDeque<u8>, batch: Vec<u8>, cap: usize) -> bool {
-    if pending.is_empty() {
-        *pending = batch.into();
-    } else if pending.len() + batch.len() > cap {
+    if !pending.is_empty() && pending.len() + batch.len() > cap {
         *pending = VecDeque::new();
         return false;
-    } else {
-        pending.extend(batch);
     }
+    codec::queue(pending, batch);
     true
 }
 
@@ -342,15 +339,14 @@ impl Io {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        match (&conn.socket).read(scratch) {
+        match codec::read_into(&conn.socket, &mut conn.reader, scratch) {
+            Ok(None) => {}
             // The peer sent its last byte.
-            Ok(0) => self.close(id, SHUTDOWN_FLUSH),
-            Ok(n) => {
+            Ok(Some(0)) => self.close(id, SHUTDOWN_FLUSH),
+            Ok(Some(n)) => {
                 self.bytes_in.add(n as u64);
-                conn.reader.feed(&scratch[..n]);
                 conn.backlog = true;
             }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
             Err(_) => self.close(id, Duration::ZERO),
         }
     }
@@ -361,19 +357,12 @@ impl Io {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        while !conn.pending.is_empty() {
-            match (&conn.socket).write(conn.pending.as_slices().0) {
-                Ok(n) if n > 0 => {
-                    self.bytes_out.add(n as u64);
-                    conn.pending.drain(..n);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                _ => return self.close(id, Duration::ZERO),
-            }
+        let held = conn.pending.len();
+        let written = codec::write_pending(&conn.socket, &mut conn.pending);
+        self.bytes_out.add((held - conn.pending.len()) as u64);
+        if written.is_err() {
+            self.close(id, Duration::ZERO);
         }
-        // Lets go of the batch just written.
-        conn.pending = VecDeque::new();
     }
 
     /// Starts closing connection `id`: it is no longer read, and
@@ -499,6 +488,7 @@ impl Io {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
     use uniint_protocol::message::{encode_server, RectUpdate};
     use uniint_raster::geom::Rect;
     use uniint_raster::pixel::PixelFormat;

@@ -8,9 +8,10 @@
 //! Four layers, bottom up:
 //!
 //! - [`codec`] — the length-prefixed frame codec shared by both ends:
-//!   a hard max-frame-size bound enforced before allocation, and the
-//!   protocol-version check applied to every `Hello` (re-exported from
-//!   `uniint_protocol::message`);
+//!   a hard max-frame-size bound enforced before allocation, the one
+//!   read and the one write of a non-blocking socket that both ends
+//!   call, and the protocol-version check applied to every `Hello`
+//!   (re-exported from `uniint_protocol::message`);
 //! - [`host`] — the connection host ([`host::Gateway`]): one thread
 //!   that waits in `poll(2)` on the listener and every non-blocking
 //!   connection, keeps each connection's unwritten frames bounded in
@@ -20,9 +21,11 @@
 //!   one shared [`uniint_core::multi::MultiServer`], so a TV proxy and a
 //!   phone proxy on real sockets watch one panel concurrently;
 //! - [`client`] — the connection lifecycle ([`client::GatewayClient`]):
-//!   stall detection, seeded exponential backoff on reconnect, and
-//!   incremental `Resume` so a proxy that loses TCP mid-update comes
-//!   back without a full refresh;
+//!   stall detection, seeded exponential backoff on reconnect kept as a
+//!   deadline, and incremental `Resume` so a proxy that loses TCP
+//!   mid-update comes back without a full refresh. The client never
+//!   sleeps, so [`client::pump_clients`] drives any number of them from
+//!   one thread, in one `poll(2)` as the host waits;
 //! - telemetry — every layer registers counters/gauges in a
 //!   [`uniint_telemetry::registry::Registry`], so one snapshot covers
 //!   the network edge too.
@@ -52,8 +55,8 @@ mod poll;
 
 /// Convenient re-exports of the gateway surface.
 pub mod prelude {
-    pub use crate::client::GatewayClient;
-    pub use crate::codec::{check_hello_version, FramedSocket};
+    pub use crate::client::{pump_clients, GatewayClient};
+    pub use crate::codec::check_hello_version;
     pub use crate::host::{Gateway, GatewayConfig};
     pub use uniint_core::resume::SessionError;
 }

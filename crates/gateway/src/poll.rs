@@ -1,5 +1,6 @@
-//! `poll(2)` from the C library that std already links: the host's one
-//! wait on all of its sockets. This is the library's only unsafe code.
+//! `poll(2)` from the C library that std already links: the one wait of
+//! the host on all of its sockets, and of the client on a set of
+//! clients. This is the library's only unsafe code.
 
 #![allow(unsafe_code)]
 
@@ -41,12 +42,13 @@ impl PollFd {
     }
 }
 
-/// Waits until an entry of `fds` is ready or `timeout` passes, retrying
-/// when a signal interrupts it. Any other failure (the kernel out of
-/// memory) sleeps out `timeout` and reports nothing ready, so a caller
-/// looping on it cannot spin.
+/// Waits until an entry of `fds` is ready or `timeout` passes, rounded
+/// up to whole milliseconds so that a wait for a deadline does not end
+/// before it; retries when a signal interrupts it. Any other failure
+/// (the kernel out of memory) sleeps out `timeout` and reports nothing
+/// ready, so a caller looping on it cannot spin.
 pub fn wait(fds: &mut [PollFd], timeout: Duration) {
-    let ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+    let ms = i32::try_from(timeout.as_micros().div_ceil(1000)).unwrap_or(i32::MAX);
     loop {
         // SAFETY: `fds` is a valid, writable array of `struct pollfd` of
         // the length passed, and `poll` writes only their `revents`.

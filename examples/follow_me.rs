@@ -25,8 +25,13 @@ fn scenario(step: &str, link: LinkProfile, sit: Situation) {
     let connect_us = session.now_us();
 
     let mut coord = Coordinator::new(UserProfile::neutral("alice"), sit);
+    // Each switch's renegotiation (pixel format, encodings, refresh)
+    // goes to the server, so it sends the panel in the device's format.
     for d in standard_home("kitchen", "living-room") {
-        let _ = coord.register(d, &mut session.proxy);
+        let rep = coord.register(d, &mut session.proxy);
+        session
+            .send_client(app.ui_mut(), rep.messages)
+            .expect("renegotiate after switch");
     }
     session.settle(app.ui_mut()).expect("settle after switch");
 

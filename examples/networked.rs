@@ -34,10 +34,13 @@ fn main() {
     phone.attach_input(Box::new(KeypadPlugin::new()));
     phone.attach_output(Box::new(ScreenPlugin::phone_lcd()));
 
-    // Let both drain the initial full update in their own format.
-    pump_both(&mut pda, &mut phone, |p, q| {
+    // Both proxies run on this thread, in one wait. Let both drain the
+    // initial full update in their own format.
+    let mut proxies = [pda, phone];
+    pump_until(&mut proxies, |[p, q]| {
         p.frames_delivered() >= 1 && q.frames_delivered() >= 1
     });
+    let [pda, phone] = &mut proxies;
     println!(
         "connected: pda sees {}x{}, phone sees {}x{}",
         pda.last_frame().map(|f| f.frame.width()).unwrap_or(0),
@@ -52,9 +55,8 @@ fn main() {
     pda.device_input(&DeviceEvent::StylusDown { x: 120, y: 51 });
     pda.device_input(&DeviceEvent::StylusUp { x: 120, y: 51 });
     // The tap repaints the panel for *both* viewers.
-    pump_both(&mut pda, &mut phone, |_, q| {
-        q.stats().updates_applied > before
-    });
+    pump_until(&mut proxies, |[_, q]| q.stats().updates_applied > before);
+    let [pda, phone] = &proxies;
     println!("pda tapped Power; phone saw the repaint too");
 
     let pda_stats = pda.stats();
@@ -77,15 +79,12 @@ fn main() {
 }
 
 /// Pumps both clients until `done` holds (bounded by a hard deadline).
-fn pump_both(
-    a: &mut GatewayClient,
-    b: &mut GatewayClient,
-    mut done: impl FnMut(&GatewayClient, &GatewayClient) -> bool,
-) {
+fn pump_until(proxies: &mut [GatewayClient; 2], mut done: impl FnMut(&[GatewayClient; 2]) -> bool) {
     let deadline = Instant::now() + Duration::from_secs(10);
-    while !done(a, b) {
-        a.pump_once().expect("pda pump");
-        b.pump_once().expect("phone pump");
+    while !done(proxies) {
+        for r in pump_clients(proxies) {
+            r.expect("pump");
+        }
         assert!(Instant::now() < deadline, "networked example stalled");
     }
 }

@@ -466,7 +466,8 @@ fn hotplug_churn_storm_keeps_selection_consistent() {
     }
 
     // After the storm: a real command still lands exactly once.
-    coord.register(SimPhone::interaction_device("phone-1"), &mut session.proxy);
+    let rep = coord.register(SimPhone::interaction_device("phone-1"), &mut session.proxy);
+    session.deliver_to_server(app.ui_mut(), rep.messages);
     assert_eq!(session.proxy.attached().0, Some("phone-keypad"));
     session.device_input(app.ui_mut(), &SimPhone::press('5').unwrap());
     let rep = app.process(&mut net);

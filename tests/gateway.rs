@@ -24,6 +24,13 @@ fn click_msgs() -> Vec<ClientMessage> {
         .collect()
 }
 
+/// One wait on every client; whether any of them handled a frame.
+fn pump(clients: &mut [GatewayClient]) -> bool {
+    pump_clients(clients)
+        .into_iter()
+        .fold(false, |any, r| r.expect("pump") | any)
+}
+
 /// Pumps every client until `cond` holds (with a hard deadline — these
 /// are sockets, not the simulator).
 fn pump_until(
@@ -33,9 +40,7 @@ fn pump_until(
 ) {
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
-        for c in clients.iter_mut() {
-            c.pump_once().expect("pump");
-        }
+        pump(clients);
         if cond(clients) {
             return;
         }
@@ -49,10 +54,8 @@ fn pump_quiescent(clients: &mut [GatewayClient], quiet: Duration) {
     let deadline = Instant::now() + Duration::from_secs(20);
     let mut last_activity = Instant::now();
     while last_activity.elapsed() < quiet {
-        for c in clients.iter_mut() {
-            if c.pump_once().expect("pump") {
-                last_activity = Instant::now();
-            }
+        if pump(clients) {
+            last_activity = Instant::now();
         }
         assert!(Instant::now() < deadline, "update stream never quiesced");
     }
@@ -184,9 +187,9 @@ fn killed_socket_reconnects_and_holds_a_click_until_the_resume_ack() {
     let mut c = [GatewayClient::connect(gw.local_addr(), "holder", 44).expect("connect")];
     pump_quiescent(&mut c, Duration::from_millis(200));
 
-    // The pump that detects the break reconnects and sends `Resume`, but
-    // returns before the ack is read: the click goes out while the
-    // resume is unacknowledged.
+    // The pump that detects the break starts the backoff and returns:
+    // the click is sent while the client is reconnecting, and held with
+    // the log until the resume is acknowledged.
     c[0].kill_socket();
     pump_until(&mut c, "the break to be detected", |cs| {
         cs[0].stats().stalls == 1
@@ -342,8 +345,9 @@ fn churning_names_expire_and_the_gateway_keeps_serving() {
 
 #[test]
 fn second_hello_on_a_bound_connection_detaches_the_first_session() {
+    use std::io::Write;
     use std::net::TcpStream;
-    use uniint::protocol::message::PROTOCOL_VERSION;
+    use uniint::protocol::message::{encode_client, PROTOCOL_VERSION};
 
     let registry = Registry::new();
     let gw = Gateway::spawn(
@@ -356,17 +360,15 @@ fn second_hello_on_a_bound_connection_detaches_the_first_session() {
     )
     .expect("gateway binds");
 
-    let stream = TcpStream::connect(gw.local_addr()).expect("connect");
-    let mut sock =
-        FramedSocket::new(stream, 1 << 20, Duration::from_millis(10)).expect("framed socket");
-    let hello = |name: &str| ClientMessage::Hello {
-        version: PROTOCOL_VERSION,
-        name: name.into(),
+    let mut sock = TcpStream::connect(gw.local_addr()).expect("connect");
+    let hello = |name: &str| {
+        encode_client(&ClientMessage::Hello {
+            version: PROTOCOL_VERSION,
+            name: name.into(),
+        })
     };
-    sock.queue(&hello("twin-a"));
-    sock.send_batch().expect("hello a");
-    sock.queue(&hello("twin-b"));
-    sock.send_batch().expect("hello b");
+    sock.write_all(&hello("twin-a")).expect("hello a");
+    sock.write_all(&hello("twin-b")).expect("hello b");
 
     // Rebinding the connection must detach "twin-a" — with the socket
     // still open it expires alone, while "twin-b" stays attached. (The
@@ -461,6 +463,100 @@ fn client_stalls_out_when_the_gateway_is_gone() {
     let st = c.stats();
     assert_eq!(st.stalls, 1, "{st:?}");
     assert_eq!(st.backoff_attempts, 10, "{st:?}");
+}
+
+#[test]
+fn a_client_stalling_out_does_not_hold_up_its_loop() {
+    let doomed =
+        Gateway::spawn(panel(), GatewayConfig::default(), Registry::new()).expect("gateway binds");
+    let live =
+        Gateway::spawn(panel(), GatewayConfig::default(), Registry::new()).expect("gateway binds");
+    let mut clients = [
+        GatewayClient::connect(doomed.local_addr(), "orphan", 5).expect("connect orphan"),
+        GatewayClient::connect(live.local_addr(), "survivor", 6).expect("connect survivor"),
+    ];
+    pump_quiescent(&mut clients, Duration::from_millis(100));
+    doomed.shutdown();
+
+    // The survivor clicks whenever its last click has been answered,
+    // from the loop that also runs the orphan's whole backoff.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut longest = Duration::ZERO;
+    let mut answered = 0;
+    let mut awaited = None;
+    let err = loop {
+        let applied = clients[1].stats().updates_applied;
+        if awaited.is_none_or(|before| applied > before) {
+            answered += u32::from(awaited.is_some());
+            awaited = Some(applied);
+            clients[1].send_messages(click_msgs());
+        }
+        let began = Instant::now();
+        let [orphan, survivor] = <[_; 2]>::try_from(pump_clients(&mut clients)).expect("two");
+        longest = longest.max(began.elapsed());
+        survivor.expect("the survivor pumps");
+        if let Err(e) = orphan {
+            break e;
+        }
+        assert!(Instant::now() < deadline, "the orphan never stalled out");
+    };
+    match err {
+        SessionError::Stalled { attempts } => assert_eq!(attempts, 10),
+        other => panic!("expected Stalled, got {other}"),
+    }
+    let st = clients[0].stats();
+    assert_eq!(st.stalls, 1, "{st:?}");
+    assert_eq!(st.backoff_attempts, 10, "{st:?}");
+    assert!(
+        answered >= 10,
+        "only {answered} clicks answered during the backoff"
+    );
+    // Each pump waits at most 10 ms. The bound leaves room for a loaded
+    // machine's scheduling, and stays under the 500 ms backoff delays
+    // that a pump sleeping through the orphan's recovery would take.
+    assert!(
+        longest < Duration::from_millis(400),
+        "one pump took {longest:?}, past its 10 ms wait"
+    );
+
+    pump_quiescent(&mut clients[1..], Duration::from_millis(200));
+    let frame = clients[1]
+        .proxy
+        .server_frame()
+        .expect("framebuffer")
+        .clone();
+    let ui = live.shutdown();
+    assert_eq!(&frame, ui.framebuffer(), "the survivor converged");
+}
+
+#[test]
+fn many_clients_on_one_thread_converge_to_the_panel() {
+    let gw =
+        Gateway::spawn(panel(), GatewayConfig::default(), Registry::new()).expect("gateway binds");
+    let addr = gw.local_addr();
+    let mut clients: Vec<GatewayClient> = (0..256)
+        .map(|i| GatewayClient::connect(addr, format!("crowd-{i}"), i).expect("connect"))
+        .collect();
+
+    // Eight of them click in turn; every click reaches all 256.
+    for i in (0..256).step_by(32) {
+        let before: Vec<u64> = clients.iter().map(|c| c.stats().updates_applied).collect();
+        clients[i].send_messages(click_msgs());
+        pump_until(&mut clients, "a click to reach all 256 clients", |cs| {
+            cs.iter()
+                .zip(&before)
+                .all(|(c, b)| c.stats().updates_applied > *b)
+        });
+    }
+    pump_quiescent(&mut clients, Duration::from_millis(300));
+    let frames: Vec<_> = clients
+        .iter()
+        .map(|c| c.proxy.server_frame().expect("framebuffer").clone())
+        .collect();
+    let ui = gw.shutdown();
+    for (i, f) in frames.iter().enumerate() {
+        assert_eq!(f, ui.framebuffer(), "client {i} diverged from the panel");
+    }
 }
 
 #[test]
