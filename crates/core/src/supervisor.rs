@@ -411,11 +411,13 @@ impl DeviceRecord {
     }
 }
 
-type SharedLedger = Arc<Mutex<Vec<(String, CallOutcome)>>>;
+/// The ledger, shared with the shims. Each entry names its device by a
+/// shared id, so a shim records a call without allocating.
+type SharedLedger = Arc<Mutex<Vec<(Arc<str>, CallOutcome)>>>;
 
-fn record_outcome(ledger: &SharedLedger, id: &str, outcome: CallOutcome) {
+fn record_outcome(ledger: &SharedLedger, id: &Arc<str>, outcome: CallOutcome) {
     if let Ok(mut l) = ledger.lock() {
-        l.push((id.to_owned(), outcome));
+        l.push((Arc::clone(id), outcome));
     }
 }
 
@@ -462,7 +464,11 @@ fn contained<T>(call: impl FnOnce() -> T) -> std::thread::Result<T> {
 /// Runs one plug-in call under panic containment and a step budget.
 /// `Err` means the call failed (already recorded); `Ok` still needs
 /// result validation by the caller.
-fn guarded_call<T>(id: &str, ledger: &SharedLedger, call: impl FnOnce() -> T) -> Result<T, ()> {
+fn guarded_call<T>(
+    id: &Arc<str>,
+    ledger: &SharedLedger,
+    call: impl FnOnce() -> T,
+) -> Result<T, ()> {
     arm_fuel(CALL_FUEL);
     let result = contained(call);
     let exhausted = disarm_fuel();
@@ -483,7 +489,7 @@ fn guarded_call<T>(id: &str, ledger: &SharedLedger, call: impl FnOnce() -> T) ->
 
 #[derive(Debug)]
 struct IsolatedInput {
-    device: String,
+    device: Arc<str>,
     kind: &'static str,
     ledger: SharedLedger,
     inner: Box<dyn InputPlugin>,
@@ -525,7 +531,7 @@ impl InputPlugin for IsolatedInput {
 
 #[derive(Debug)]
 struct IsolatedOutput {
-    device: String,
+    device: Arc<str>,
     kind: &'static str,
     caps: OutputCaps,
     ledger: SharedLedger,
@@ -713,7 +719,7 @@ impl Supervisor {
     ///
     /// [`tick`]: Supervisor::tick
     pub fn heartbeat(&mut self, id: &str, now_us: u64) {
-        record_outcome(&self.ledger, id, CallOutcome::Heartbeat(now_us));
+        record_outcome(&self.ledger, &Arc::from(id), CallOutcome::Heartbeat(now_us));
     }
 
     /// Applies pending call outcomes, heartbeats and heartbeat deadlines,
@@ -880,7 +886,7 @@ fn isolate_input(
     // Even `kind()` runs hostile code: probe it once, contained.
     let kind = contained(|| inner.kind()).unwrap_or("unknown-plugin");
     Box::new(IsolatedInput {
-        device: id.to_owned(),
+        device: Arc::from(id),
         kind,
         ledger: ledger.clone(),
         inner,
@@ -900,7 +906,7 @@ fn isolate_output(
         .filter(|c| Framebuffer::fits(c.size.w.max(1), c.size.h.max(1)))
         .unwrap_or_else(|| FallbackTerminal.caps());
     Box::new(IsolatedOutput {
-        device: id.to_owned(),
+        device: Arc::from(id),
         kind,
         caps,
         ledger: ledger.clone(),

@@ -4,24 +4,38 @@
 //! compares or copies whole frames to find out. It keeps the
 //! [`Stamp`] of the server frame it adapted last and asks that frame's
 //! own write journal what was written since; each written rect, widened
-//! by the scaling filter's footprint, is all it rebuilds. It rebuilds
-//! each device row in one pass: scaled and reduced into a scratch row,
-//! compared with the device row it replaces (the runs that differ make
-//! `changed`), then copied over it, so no copy of the old pixels is
-//! kept. Error-diffusion devices keep their scaled frame and the error
-//! row entering each device row, restart the dither at the first
-//! rescaled row and stop where the error entering an unchanged row is
-//! the kept one. The first frame, a resize, a call after a panic,
-//! another server frame or one written more often than the journal
-//! remembers run the same code over the whole frame.
+//! by the scaling filter's footprint, is all it rebuilds.
+//!
+//! Everything that depends only on the sizes and the caps is worked out
+//! once and kept until they change: the scaling taps of every device
+//! column and row, with the box filter's reciprocals ([`Scaler`]), and
+//! the reduction's tables ([`Reducer`]). A call computes no tap and no
+//! bias; the footprint searches the kept taps.
+//!
+//! Each device row is scaled into a scratch row, then reduced, compared
+//! with the device row it replaces and stored over it in one pass
+//! ([`Reducer::row`] through [`RowDiff::replace`]); the runs that
+//! differ make `changed`, so no copy of the old pixels is kept. A row
+//! that needs no reduction (`Rgb888`) is compared and copied whole.
+//! Error-diffusion devices keep their scaled frame and the error row
+//! entering each device row, restart the dither at the first rescaled
+//! row and stop where the error entering an unchanged row is the kept
+//! one. The first frame, a resize, a call after a panic, another server
+//! frame or one written more often than the journal remembers run the
+//! same code over the whole frame.
 //!
 //! A returned frame is a shared snapshot the plug-in never writes again.
 //! The plug-in keeps two device buffers: it writes in place when nobody
 //! else holds the last one; when the caller holds only the last one it
-//! brings the one before up to date by copying the rects rewritten since,
-//! and writes there; when the caller holds both it clones. The result is
-//! always bit-for-bit what a fresh plug-in returns.
+//! brings the one before up to date and writes there; when the caller
+//! holds both it clones. A supervised plug-in's caller always holds the
+//! last one (the supervisor keeps it as `last_good`, to stand in for a
+//! failed call), so the catching up runs on nearly every call: it copies,
+//! row by row, the span between the first and the last pixel that
+//! changed, which is all the two buffers differ in. The result is always
+//! bit-for-bit what a fresh plug-in returns.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use uniint_core::plugin::{DeviceFrame, OutputCaps, OutputPlugin};
@@ -31,7 +45,7 @@ use uniint_raster::framebuffer::{Framebuffer, RowDiff, Stamp};
 use uniint_raster::geom::{Rect, Size};
 use uniint_raster::pixel::PixelFormat;
 use uniint_raster::region::Region;
-use uniint_raster::scale::{fit_size, footprint, scale_rect, scale_to_fit, RowScaler, ScaleFilter};
+use uniint_raster::scale::{fit_size, scale_to_fit, ScaleFilter, Scaler};
 
 /// A generic screen plug-in: aspect-fit scale, then depth reduction with
 /// dithering, parameterized by the device's [`OutputCaps`]. Reports the
@@ -49,12 +63,14 @@ pub struct ScreenPlugin {
 struct Kept {
     /// The server frame adapted last, as it was then.
     seen: Stamp,
+    /// The taps of scaling server frames of its size to the device.
+    scaler: Scaler,
     /// How device rows are reduced.
     reduce: Reduce,
     /// The device frame returned last.
     device: Arc<Framebuffer>,
     /// The device frame returned before it, while the plug-in may reuse
-    /// it, with the device rects written since it equalled `device`.
+    /// it, with the device rects where `device` may differ from it.
     spare: Option<(Arc<Framebuffer>, Vec<Rect>)>,
     /// Scratch for the device row being rebuilt, a device row wide.
     row: Vec<Color>,
@@ -71,11 +87,12 @@ enum Reduce {
 }
 
 impl Kept {
-    /// Blank state for `size` device frames.
-    fn new(size: Size, caps: OutputCaps, seen: Stamp) -> Kept {
+    /// Blank state for `size` device frames of `src` server frames.
+    fn new(src: Size, size: Size, caps: OutputCaps, seen: Stamp) -> Kept {
         let blank = || Framebuffer::new(size.w, size.h, Color::BLACK);
         Kept {
             seen,
+            scaler: Scaler::new(src, size, caps.scale),
             reduce: match Reduction::new(caps.format, caps.dither, size) {
                 Reduction::Local(reducer) => Reduce::Local(reducer),
                 Reduction::Diffused(diffusion) => Reduce::Diffused(Box::new((blank(), diffusion))),
@@ -87,70 +104,78 @@ impl Kept {
     }
 
     /// Re-adapts the device pixels in `rescale` (disjoint, non-empty) from
-    /// `server`, one device row at a time: each row is scaled and reduced
-    /// into a scratch row, compared with the device row it replaces, and
-    /// copied over it. Returns where the rows changed if `diff` is set.
-    /// Without `diff` there is nothing to compare: position-local rows
-    /// are built in place, and the whole frame is returned.
-    fn redo(
-        &mut self,
-        server: &Framebuffer,
-        caps: OutputCaps,
-        rescale: Vec<Rect>,
-        diff: bool,
-    ) -> Region {
-        let device = writable(&mut self.device, &mut self.spare);
-        let size = device.size();
+    /// `server`, one device row at a time: each row is scaled into a
+    /// scratch row, then reduced, compared with the device row and stored
+    /// over it in one pass. Returns where the rows changed if `diff` is
+    /// set; without `diff` the whole frame is new.
+    fn redo(&mut self, server: &Framebuffer, rescale: Vec<Rect>, diff: bool) -> Region {
+        let Kept {
+            scaler,
+            reduce,
+            device,
+            spare,
+            row,
+            ..
+        } = self;
+        let device = writable(device, spare);
         let mut changed = diff.then(RowDiff::default);
-        let written = match &mut self.reduce {
+        match reduce {
             // Rescale into the scaled frame, then re-reduce from the first
             // rescaled row on.
             Reduce::Diffused(state) => {
                 let (scaled, diffusion) = &mut **state;
                 for &r in &rescale {
-                    scale_rect(server, scaled, r, caps.scale);
+                    scaler.scale_rect(server, scaled, r);
                 }
-                let from = rescale.iter().map(|r| r.y as u32).min().unwrap_or(0);
-                let through = rescale.iter().map(|r| r.bottom() as u32).max().unwrap_or(0);
-                let rows = diffusion.rerun_rows(scaled, from, through, |y, row| {
-                    replace(device, &mut changed, 0, y, row)
+                // The rescaled rows, as sorted, disjoint ranges.
+                let mut rows: Vec<Range<u32>> = Vec::with_capacity(rescale.len());
+                let mut starts: Vec<Range<u32>> = rescale
+                    .iter()
+                    .map(|r| r.y as u32..r.bottom() as u32)
+                    .collect();
+                starts.sort_unstable_by_key(|r| r.start);
+                for r in starts {
+                    match rows.last_mut() {
+                        Some(last) if r.start <= last.end => last.end = last.end.max(r.end),
+                        _ => rows.push(r),
+                    }
+                }
+                diffusion.rerun_rows(scaled, &rows, |y, row| {
+                    let old = device.row_mut(y);
+                    if let Some(changed) = &mut changed {
+                        changed.push(0, y, row, old);
+                    }
+                    old.copy_from_slice(row);
                 });
-                vec![Rect::new(0, from as i32, size.w, rows.len() as u32)]
             }
             Reduce::Local(reducer) => {
                 for &r in &rescale {
                     let x = r.x as u32;
                     let span = r.x as usize..r.right() as usize;
-                    let mut rows = RowScaler::new(server, size, caps.scale, x..x + r.w);
+                    let scaled = &mut row[..r.w as usize];
+                    let mut rows = scaler.rows(server, x..x + r.w);
                     for y in r.y as u32..r.bottom() as u32 {
-                        if changed.is_none() {
-                            // Nothing to compare with: build the row in place.
-                            let row = &mut device.row_mut(y)[span.clone()];
-                            rows.row(y, row);
-                            reducer.row(y, x, row);
-                        } else {
-                            let row = &mut self.row[..r.w as usize];
-                            rows.row(y, row);
-                            reducer.row(y, x, row);
-                            replace(device, &mut changed, x, y, row);
-                        }
+                        rows.row(y, scaled);
+                        let old = &mut device.row_mut(y)[span.clone()];
+                        reducer.row(y, x, scaled, old, changed.as_mut());
                     }
                     // Bands of one rect never merge with another's.
                     if let Some(changed) = &mut changed {
                         changed.restart();
                     }
                 }
-                rescale
             }
-        };
-        let changed = match changed {
-            Some(changed) => changed.into_region(),
-            None => Region::from_rect(device.bounds()),
-        };
-        if let Some((_, lag)) = &mut self.spare {
-            lag.extend(written);
         }
-        changed
+        match changed {
+            Some(changed) => {
+                // The frame returned last differs from this one only there.
+                if let Some((_, lag)) = spare {
+                    lag.extend_from_slice(changed.spans());
+                }
+                changed.into_region()
+            }
+            None => Region::from_rect(device.bounds()),
+        }
     }
 }
 
@@ -260,40 +285,29 @@ impl OutputPlugin for ScreenPlugin {
         // Taken rather than borrowed: a panic below leaves no half-updated
         // state behind, and the next call adapts the whole frame.
         let (mut kept, rescale, fresh) = match self.kept.take() {
-            Some(kept) if kept.device.size() == size => {
+            Some(mut kept) if kept.device.size() == size => {
+                if kept.scaler.src() != src {
+                    kept.scaler = Scaler::new(src, size, caps.scale);
+                }
                 let rescale = match server_frame.changes_since(kept.seen) {
-                    Some(rects) => disjoint(
-                        rects
-                            .into_iter()
-                            .map(|r| footprint(src, size, caps.scale, r)),
-                    ),
+                    Some(rects) => disjoint(rects.into_iter().map(|r| kept.scaler.footprint(r))),
                     None => vec![whole],
                 };
                 (kept, rescale, false)
             }
-            _ => (Kept::new(size, caps, seen), vec![whole], true),
+            _ => (Kept::new(src, size, caps, seen), vec![whole], true),
         };
         kept.seen = seen;
         let changed = if rescale.is_empty() {
             Region::default()
         } else {
-            kept.redo(server_frame, caps, rescale, !fresh)
+            kept.redo(server_frame, rescale, !fresh)
         };
         let wire_bytes = caps.format.buffer_bytes(size.w, size.h);
         let out = DeviceFrame::new(Arc::clone(&kept.device), caps.format, wire_bytes);
         self.kept = Some(kept);
         out.with_changed(changed)
     }
-}
-
-/// Copies `row` over device row `y` from column `x` on, first adding
-/// where the two differ to `changed` if there is one.
-fn replace(device: &mut Framebuffer, changed: &mut Option<RowDiff>, x: u32, y: u32, row: &[Color]) {
-    let old = &mut device.row_mut(y)[x as usize..x as usize + row.len()];
-    if let Some(changed) = changed {
-        changed.push(x, y, row, old);
-    }
-    old.copy_from_slice(row);
 }
 
 /// Copies the pixels of `rects` (inside both frames) from `from` to `to`.

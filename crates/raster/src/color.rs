@@ -167,7 +167,7 @@ enum Shape {
     /// (and so [`Palette::mono`]) makes them, with the nearest level's
     /// index and grey value for each channel sum `r + g + b` (see
     /// [`Shape::ramp`]).
-    Ramp(Box<[(u8, u8)]>),
+    Ramp(Box<[(u8, u8); SUMS]>),
     /// The web-safe cube in [`Palette::websafe`]'s order.
     Cube,
 }
@@ -206,9 +206,13 @@ impl Shape {
             }
             (i as u8, v(i) as u8)
         });
-        Shape::Ramp(nearest.collect())
+        let nearest: Box<[(u8, u8)]> = nearest.collect();
+        Shape::Ramp(nearest.try_into().expect("one level per channel sum"))
     }
 }
+
+/// The number of channel sums `r + g + b`, `0..=765`.
+pub(crate) const SUMS: usize = 766;
 
 /// `r + g + b`, which is all a grey ramp's nearest level depends on.
 fn channel_sum(c: Color) -> usize {
@@ -306,6 +310,21 @@ impl Palette {
     /// The palette entries.
     pub fn colors(&self) -> &[Color] {
         &self.entries
+    }
+
+    /// The nearest level's index and grey value for each channel sum
+    /// `r + g + b`, when the palette is a grey ramp.
+    pub(crate) fn ramp(&self) -> Option<&[(u8, u8); SUMS]> {
+        match &self.shape {
+            Shape::Ramp(by_sum) => Some(by_sum),
+            _ => None,
+        }
+    }
+
+    /// Whether [`quantize`](Self::quantize) maps each channel on its own,
+    /// as it does onto the web-safe cube.
+    pub(crate) fn by_channel(&self) -> bool {
+        self.shape == Shape::Cube
     }
 
     /// Color at `index`.

@@ -4,9 +4,15 @@
 //! 24-bit pixels; the UniInt output plug-ins quantize frames to the device
 //! palette, optionally with error-diffusion or ordered dithering so GUI
 //! gradients and images stay legible.
+//!
+//! Position-local reductions run by table ([`Reducer`]): one lookup per
+//! channel, indexed by Bayer phase and channel value, stands for bias,
+//! clamp and reduction. Floyd–Steinberg ([`Diffusion`]) runs two rows at
+//! a time with the quantizer chosen once per pair of rows, so a pixel
+//! does not dispatch on the palette's shape.
 
-use crate::color::{Color, Palette};
-use crate::framebuffer::Framebuffer;
+use crate::color::{Color, Palette, SUMS};
+use crate::framebuffer::{Framebuffer, RowDiff};
 use crate::geom::{Rect, Size};
 use crate::pixel::PixelFormat;
 use core::ops::Range;
@@ -74,9 +80,13 @@ fn reduce(fb: &mut Framebuffer, rect: Rect, target: Target, mode: DitherMode) {
     let cols = rect.x as usize..rect.right() as usize;
     let rows = rect.y as u32..rect.bottom() as u32;
     match Reducer::of(target, mode) {
+        Ok(Reducer { map: Map::Keep }) => {}
         Ok(reducer) => {
+            let mut src = vec![Color::BLACK; cols.len()];
             for y in rows {
-                reducer.row(y, rect.x as u32, &mut fb.row_mut(y)[cols.clone()]);
+                let row = &mut fb.row_mut(y)[cols.clone()];
+                src.copy_from_slice(row);
+                reducer.row(y, rect.x as u32, &src, row, None);
             }
         }
         Err(palette) => {
@@ -156,10 +166,35 @@ impl Reduction {
 /// and position, applied a row at a time: the kernel behind every
 /// reduction here except error diffusion onto a palette, which
 /// [`Diffusion`] and [`reduce_rect`] run with the same quantizer.
+///
+/// It works by table wherever the result splits by channel. The tables
+/// hold an entry per Bayer phase, `(y % 4) * 4 + x % 4`, when dithering,
+/// else one for every pixel; an entry maps each channel value to what
+/// bias, clamp and reduction make of it, so a pixel costs one lookup per
+/// channel. `Rgb565`, `Rgb444` and the web-safe cube reduce each channel
+/// on its own; a grey ramp's nearest level depends on the sum of the
+/// biased channels alone, so the tables bias and clamp and the sum picks
+/// the level. Any other palette biases each pixel and searches it.
 #[derive(Debug, Clone)]
 pub struct Reducer {
-    target: Target,
-    mode: DitherMode,
+    map: Map,
+}
+
+/// How a [`Reducer`] maps pixels, with its tables.
+#[derive(Debug, Clone)]
+enum Map {
+    /// Every colour as it is (`Rgb888`).
+    Keep,
+    /// Channel by channel: each channel value's result, per phase.
+    Channels(Box<[[[u8; 256]; 3]]>),
+    /// Onto a grey ramp: each channel value biased and clamped, per
+    /// phase, and the nearest level's grey for each sum of three.
+    Ramp {
+        biased: Box<[[u8; 256]]>,
+        grey: Box<[u8; SUMS]>,
+    },
+    /// Onto any other palette: the bias per phase.
+    Scan { palette: Palette, bias: Box<[i32]> },
 }
 
 impl Reducer {
@@ -167,46 +202,142 @@ impl Reducer {
     /// error onto. Error diffusion is overkill for >=12bpp GUI content,
     /// so the channel-wise formats take it as no dithering.
     fn of(target: Target, mode: DitherMode) -> Result<Reducer, Palette> {
-        match target {
-            Target::Palette(palette) if mode == DitherMode::FloydSteinberg => Err(palette),
-            target => Ok(Reducer { target, mode }),
-        }
-    }
-
-    /// Reduces `row`, the pixels from column `x0` on of row `y`, in
-    /// place.
-    pub fn row(&self, y: u32, x0: u32, row: &mut [Color]) {
-        let bayer = &BAYER4[y as usize % 4];
-        // -8..8 at column `x0 + i`.
-        let threshold = |i: usize| bayer[(x0 as usize + i) % 4] - 8;
-        let ordered = self.mode == DitherMode::Ordered4x4;
-        // One loop per format and mode, so that no pixel dispatches on
-        // either.
-        fn each(row: &mut [Color], f: impl Fn(usize, Color) -> Color) {
-            for (i, p) in row.iter_mut().enumerate() {
-                *p = f(i, *p);
-            }
-        }
-        let (rgb565, rgb444) = (PixelFormat::Rgb565, PixelFormat::Rgb444);
-        match (&self.target, ordered) {
-            (Target::Keep, _) => {}
-            (Target::Rgb565, false) => each(row, |_, c| rgb565.reduce(c)),
+        // The Bayer threshold, -8..8, at each phase; one 0 undithered.
+        let thresholds: Vec<i32> = if mode == DitherMode::Ordered4x4 {
+            BAYER4.iter().flatten().map(|t| t - 8).collect()
+        } else {
+            vec![0]
+        };
+        let channels = |bias: &dyn Fn(i32) -> i32, reduce: &dyn Fn(Color) -> Color| {
+            let table = |t: i32| {
+                let mut table = [[0; 256]; 3];
+                for v in 0..=255u8 {
+                    let c = reduce(offset(Color::gray(v), bias(t)));
+                    [
+                        table[0][v as usize],
+                        table[1][v as usize],
+                        table[2][v as usize],
+                    ] = [c.r, c.g, c.b];
+                }
+                table
+            };
+            Map::Channels(thresholds.iter().map(|&t| table(t)).collect())
+        };
+        let map = match target {
+            Target::Palette(palette) if mode == DitherMode::FloydSteinberg => return Err(palette),
+            Target::Keep => Map::Keep,
             // Rgb565 keeps more bits per channel: half the bias.
-            (Target::Rgb565, true) => each(row, |i, c| rgb565.reduce(offset(c, threshold(i) / 2))),
-            (Target::Rgb444, false) => each(row, |_, c| rgb444.reduce(c)),
-            (Target::Rgb444, true) => each(row, |i, c| rgb444.reduce(offset(c, threshold(i)))),
-            (Target::Palette(palette), false) => each(row, |_, c| palette.quantize(c)),
-            (Target::Palette(palette), true) => {
+            Target::Rgb565 => channels(&|t| t / 2, &|c| PixelFormat::Rgb565.reduce(c)),
+            Target::Rgb444 => channels(&|t| t, &|c| PixelFormat::Rgb444.reduce(c)),
+            Target::Palette(palette) => {
                 // Bias amplitude scaled to the palette's average
                 // quantization step so 2-color and 256-color palettes
                 // both dither sensibly.
                 let amp = (256 / (palette.len().min(64)) as i32).max(8);
-                each(row, |i, c| {
-                    palette.quantize(offset(c, threshold(i) * amp / 8))
+                let bias = |t: i32| t * amp / 8;
+                if let Some(levels) = palette.ramp() {
+                    let biased =
+                        |t: i32| core::array::from_fn(|v| offset(Color::gray(v as u8), bias(t)).r);
+                    Map::Ramp {
+                        biased: thresholds.iter().map(|&t| biased(t)).collect(),
+                        grey: Box::new(levels.map(|(_, grey)| grey)),
+                    }
+                } else if palette.by_channel() {
+                    channels(&bias, &|c| palette.quantize(c))
+                } else {
+                    Map::Scan {
+                        bias: thresholds.iter().map(|&t| bias(t)).collect(),
+                        palette,
+                    }
+                }
+            }
+        };
+        Ok(Reducer { map })
+    }
+
+    /// Reduces `src`, the pixels from column `x0` on of row `y`, into
+    /// `dst`, as long, first adding where `dst` changes to `diff` if
+    /// there is one. A reducing map writes through [`RowDiff::replace`]:
+    /// one pass reduces, compares and stores each pixel. A row kept as
+    /// it is is compared and copied whole.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows differ in length.
+    pub fn row(
+        &self,
+        y: u32,
+        x0: u32,
+        src: &[Color],
+        dst: &mut [Color],
+        diff: Option<&mut RowDiff>,
+    ) {
+        assert_eq!(src.len(), dst.len(), "reduced rows differ in length");
+        // One loop per kind of map, so that no pixel dispatches on it.
+        match &self.map {
+            // Nothing to reduce: a whole-row compare and copy move many
+            // pixels per instruction, where the fused loop stores each
+            // pixel's bytes on their own.
+            Map::Keep => {
+                if let Some(diff) = diff {
+                    diff.push(x0, y, src, dst);
+                }
+                dst.copy_from_slice(src);
+            }
+            Map::Channels(tables) => {
+                let phase = phases(tables, y, x0);
+                write(x0, y, src, dst, diff, |i, c| {
+                    let [r, g, b] = phase[i % 4];
+                    Color::rgb(r[c.r as usize], g[c.g as usize], b[c.b as usize])
+                })
+            }
+            Map::Ramp { biased, grey } => {
+                let phase = phases(biased, y, x0);
+                write(x0, y, src, dst, diff, |i, c| {
+                    let t = phase[i % 4];
+                    let sum = t[c.r as usize] as usize
+                        + t[c.g as usize] as usize
+                        + t[c.b as usize] as usize;
+                    Color::gray(grey[sum])
+                })
+            }
+            Map::Scan { palette, bias } => {
+                let phase = phases(bias, y, x0);
+                write(x0, y, src, dst, diff, |i, c| {
+                    palette.quantize(offset(c, *phase[i % 4]))
                 })
             }
         }
     }
+}
+
+/// Writes `map(i, src[i])` over every `dst[i]`, through `diff` if there
+/// is one (the row starting at `(x, y)`).
+#[inline(always)]
+fn write(
+    x: u32,
+    y: u32,
+    src: &[Color],
+    dst: &mut [Color],
+    diff: Option<&mut RowDiff>,
+    map: impl Fn(usize, Color) -> Color,
+) {
+    match diff {
+        Some(diff) => diff.replace(x, y, dst, src, map),
+        None => {
+            for (i, (d, &s)) in dst.iter_mut().zip(src).enumerate() {
+                *d = map(i, s);
+            }
+        }
+    }
+}
+
+/// The entries of `tables` for columns `x0 + i` of row `y` by `i % 4`:
+/// `tables` holds an entry per Bayer phase, or a single one for every
+/// pixel.
+fn phases<T>(tables: &[T], y: u32, x0: u32) -> [&T; 4] {
+    let phase = |k: usize| (y as usize % 4 * 4 + (x0 as usize + k) % 4) % tables.len();
+    core::array::from_fn(|k| &tables[phase(k)])
 }
 
 /// `c` with `bias` added to every channel, clamped.
@@ -236,10 +367,15 @@ impl Carry {
     /// now finished: 3/16 of this pixel's error on top of 5/16 and 1/16
     /// of the two before it.
     #[inline(always)]
-    fn step(&mut self, p: &mut Color, above: [i32; 3], palette: &Palette) -> [i32; 3] {
+    fn step(
+        &mut self,
+        p: &mut Color,
+        above: [i32; 3],
+        quantize: impl Fn(Color) -> Color,
+    ) -> [i32; 3] {
         let ch = |v: u8, k: usize| (v as i32 + (above[k] + self.right[k]) / 16).clamp(0, 255) as u8;
         let adj = Color::rgb(ch(p.r, 0), ch(p.g, 1), ch(p.b, 2));
-        let q = palette.quantize(adj);
+        let q = quantize(adj);
         *p = q;
         let err = [
             adj.r as i32 - q.r as i32,
@@ -260,11 +396,16 @@ impl Carry {
 /// Floyd–Steinberg over one row, in place: `above` holds the error
 /// entering the row; every cell of `below` is overwritten with the error
 /// entering the row below.
-fn diffuse_row(row: &mut [Color], palette: &Palette, above: &[[i32; 3]], below: &mut [[i32; 3]]) {
+fn diffuse_row(
+    row: &mut [Color],
+    quantize: impl Fn(Color) -> Color + Copy,
+    above: &[[i32; 3]],
+    below: &mut [[i32; 3]],
+) {
     let w = row.len();
     let mut carry = Carry::default();
     for (x, p) in row.iter_mut().enumerate() {
-        below[x] = carry.step(p, above[x + 1], palette);
+        below[x] = carry.step(p, above[x + 1], quantize);
     }
     [below[w], below[w + 1]] = carry.owed;
 }
@@ -277,21 +418,21 @@ fn diffuse_row(row: &mut [Color], palette: &Palette, above: &[[i32; 3]], below: 
 /// carries in registers; more rows spill them and run slower.)
 fn diffuse_rows(
     [a, b]: [&mut [Color]; 2],
-    palette: &Palette,
+    quantize: impl Fn(Color) -> Color + Copy,
     above: &[[i32; 3]],
     mid: &mut [[i32; 3]],
     below: &mut [[i32; 3]],
 ) {
     let w = a.len();
     let (mut ca, mut cb) = (Carry::default(), Carry::default());
-    mid[0] = ca.step(&mut a[0], above[1], palette);
+    mid[0] = ca.step(&mut a[0], above[1], quantize);
     for x in 1..w {
-        let m = ca.step(&mut a[x], above[x + 1], palette);
+        let m = ca.step(&mut a[x], above[x + 1], quantize);
         mid[x] = m;
-        below[x - 1] = cb.step(&mut b[x - 1], m, palette);
+        below[x - 1] = cb.step(&mut b[x - 1], m, quantize);
     }
     [mid[w], mid[w + 1]] = ca.owed;
-    below[w - 1] = cb.step(&mut b[w - 1], mid[w], palette);
+    below[w - 1] = cb.step(&mut b[w - 1], mid[w], quantize);
     [below[w], below[w + 1]] = cb.owed;
 }
 
@@ -317,11 +458,21 @@ impl Band {
     /// Reduces the first `n` rows (`1..=BAND`) in place, with `above`
     /// the error entering the first.
     fn diffuse(&mut self, palette: &Palette, above: &[[i32; 3]], n: usize) {
+        // The quantizer is chosen once per band, not per pixel.
+        match palette.ramp() {
+            Some(levels) => self.run(above, n, |c| {
+                Color::gray(levels[c.r as usize + c.g as usize + c.b as usize].1)
+            }),
+            None => self.run(above, n, |c| palette.quantize(c)),
+        }
+    }
+
+    fn run(&mut self, above: &[[i32; 3]], n: usize, quantize: impl Fn(Color) -> Color + Copy) {
         let [a, b] = &mut self.rows;
         let [mid, below] = &mut self.leaving;
         match n {
-            1 => diffuse_row(a, palette, above, mid),
-            _ => diffuse_rows([a, b], palette, above, mid, below),
+            1 => diffuse_row(a, quantize, above, mid),
+            _ => diffuse_rows([a, b], quantize, above, mid, below),
         }
     }
 }
@@ -372,14 +523,20 @@ impl Diffusion {
         through: u32,
     ) -> Range<u32> {
         assert!(dst.size() == self.size, "diffusion size");
-        self.rerun_rows(src, from, through, |y, row| {
+        let changed = from..through;
+        self.rerun_rows(src, core::slice::from_ref(&changed), |y, row| {
             dst.row_mut(y).copy_from_slice(row)
         })
     }
 
-    /// [`rerun`](Self::rerun), handing each reduced row to `emit` with
-    /// its index instead of writing it to a frame, so that the caller
-    /// can compare it with the row it replaces first.
+    /// [`rerun`](Self::rerun) for rows of `src` changed in several ranges
+    /// (sorted, disjoint), handing each reduced row to `emit` with its
+    /// index instead of writing it to a frame, so that the caller can
+    /// compare it with the row it replaces first. Where the error
+    /// entering an unchanged row is the kept one, the output is as before
+    /// down to the next changed row, so the run skips to it, or stops if
+    /// there is none. Returns the rows from the first changed one to the
+    /// last one handed over.
     ///
     /// # Panics
     ///
@@ -387,19 +544,22 @@ impl Diffusion {
     pub fn rerun_rows(
         &mut self,
         src: &Framebuffer,
-        from: u32,
-        through: u32,
+        changed: &[Range<u32>],
         mut emit: impl FnMut(u32, &[Color]),
     ) -> Range<u32> {
         let h = self.size.h;
         assert!(src.size() == self.size, "diffusion size");
-        if from >= h.min(through) {
+        let from = changed.first().map_or(0, |r| r.start);
+        let mut ranges = changed.iter().filter(|r| r.start < h.min(r.end));
+        // The changed range holding row `y` or the first one below it.
+        let Some(mut range) = ranges.next() else {
             return from..from;
-        }
-        // Nothing above `from` changed, so the error entering it is the
-        // kept one.
-        let mut y = from;
-        while y < h {
+        };
+        // Nothing above a changed range's first row changed since the
+        // last run reached it, so the error entering that row is the kept
+        // one.
+        let mut y = range.start;
+        'bands: while y < h {
             let n = ((h - y) as usize).min(BAND);
             for (row, sy) in self.band.rows[..n].iter_mut().zip(y..) {
                 row.copy_from_slice(src.row(sy));
@@ -412,9 +572,19 @@ impl Diffusion {
                 if y == h {
                     break;
                 }
+                while range.end <= y {
+                    match ranges.next() {
+                        Some(next) => range = next,
+                        None => break,
+                    }
+                }
                 // Rows reduced past this point are dropped unseen.
                 let kept = &mut self.entering[y as usize];
-                if y >= through && *kept == self.band.leaving[i] {
+                if !range.contains(&y) && *kept == self.band.leaving[i] {
+                    if range.start > y {
+                        y = range.start;
+                        continue 'bands;
+                    }
                     return from..y;
                 }
                 core::mem::swap(kept, &mut self.band.leaving[i]);
@@ -532,6 +702,33 @@ mod tests {
             let out = dither_to_palette(&src, &Palette::mono(), mode);
             assert_eq!(out.pixel(Point::new(0, 0)), Some(Color::BLACK), "{mode}");
             assert_eq!(out.pixel(Point::new(7, 0)), Some(Color::WHITE), "{mode}");
+        }
+    }
+
+    #[test]
+    fn a_rerun_skips_the_unchanged_rows_between_changed_ones() {
+        // On white, black and white pixels are palette entries and leave
+        // no error, so the error entering every row stays the kept one
+        // (zero); on grey it does not settle, and the run goes on.
+        let size = Size::new(24, 60);
+        for (panel, skips) in [(Color::WHITE, true), (Color::gray(200), false)] {
+            let mut src = Framebuffer::new(size.w, size.h, panel);
+            let mut diffusion =
+                Diffusion::new(PixelFormat::Mono1, DitherMode::FloydSteinberg, size)
+                    .expect("diffuses");
+            let mut dst = Framebuffer::new(size.w, size.h, Color::BLACK);
+            diffusion.rerun(&src, &mut dst, 0, size.h);
+            src.fill_rect(Rect::new(3, 4, 9, 2), Color::BLACK);
+            src.fill_rect(Rect::new(10, 44, 7, 3), Color::BLACK);
+            let mut written = Vec::new();
+            diffusion.rerun_rows(&src, &[4..6, 44..47], |y, row| {
+                written.push(y);
+                dst.row_mut(y).copy_from_slice(row);
+            });
+            let fresh = dither_to_format(&src, PixelFormat::Mono1, DitherMode::FloydSteinberg);
+            assert_eq!(dst, fresh, "{panel}");
+            assert!(written.contains(&4) && written.contains(&44), "{written:?}");
+            assert_eq!(!written.contains(&30), skips, "{panel}: {written:?}");
         }
     }
 }

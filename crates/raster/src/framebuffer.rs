@@ -568,28 +568,33 @@ pub fn fill_row(row: &mut [Color], block: &[Color; 4]) {
     blocks.into_remainder().fill(block[0]);
 }
 
-/// The region where rows changed, built one row at a time: each pushed
-/// row adds its runs of differing pixels, left to right, and a run with
-/// the same span as one on the row above extends that run's band
-/// downwards. The runs are disjoint by construction, so the region is
-/// assembled directly instead of via `Region::add`, whose per-insert
-/// subtract scan goes quadratic on the tens of thousands of runs a
-/// dithered-noise diff produces.
+/// The region where rows changed, built one row at a time: each row adds
+/// its runs of differing pixels, left to right, and a run with the same
+/// span as one on the row above extends that run's band downwards. The
+/// runs are disjoint by construction, so the region is assembled directly
+/// instead of via `Region::add`, whose per-insert subtract scan goes
+/// quadratic on the tens of thousands of runs a dithered-noise diff
+/// produces.
 ///
-/// Output plug-ins push each device row as they rebuild it, compared
-/// with the row it replaces, so no copy of the old pixels is kept.
+/// Output plug-ins [`replace`](Self::replace) each device row as they
+/// rebuild it, so no copy of the old pixels is kept.
 #[derive(Debug, Default)]
 pub struct RowDiff {
     rects: Vec<Rect>,
-    /// Indices in `rects` of the runs on the row pushed last, left to
+    /// Indices in `rects` of the runs on the row added last, left to
     /// right: the bands the next row may extend.
     open: Vec<usize>,
-    /// The same for the row being pushed.
+    /// The same for the row being added.
     next: Vec<usize>,
+    /// The runs of the row being added, as `start..end` offsets from its
+    /// first pixel.
+    runs: Vec<(u32, u32)>,
+    /// Each row's span from its first run to its last.
+    spans: Vec<Rect>,
 }
 
 impl RowDiff {
-    /// Closes every band: no run pushed from now on extends a run pushed
+    /// Closes every band: no run added from now on extends a run added
     /// before, even on the row below it.
     pub fn restart(&mut self) {
         self.open.clear();
@@ -603,43 +608,101 @@ impl RowDiff {
     /// Panics if the rows differ in length.
     pub fn push(&mut self, x: u32, y: u32, now: &[Color], before: &[Color]) {
         assert_eq!(now.len(), before.len(), "diff rows differ in length");
-        self.next.clear();
+        self.runs.clear();
         if now != before {
-            let (x, y) = (x as i32, y as i32);
-            let mut above = self.open.iter().copied().peekable();
-            let mut i = 0;
-            while let Some(skip) = now[i..].iter().zip(&before[i..]).position(|(a, b)| a != b) {
-                let start = i + skip;
-                let len = now[start..]
-                    .iter()
-                    .zip(&before[start..])
-                    .position(|(a, b)| a == b)
-                    .unwrap_or(now.len() - start);
-                i = start + len;
-                let run = Rect::new(x + start as i32, y, len as u32, 1);
-                while above.next_if(|&k| self.rects[k].x < run.x).is_some() {}
-                match above.peek() {
-                    Some(&k)
-                        if self.rects[k].x == run.x
-                            && self.rects[k].w == run.w
-                            && self.rects[k].bottom() == y =>
-                    {
-                        self.rects[k].h += 1;
-                        self.next.push(k);
-                    }
-                    _ => {
-                        self.next.push(self.rects.len());
-                        self.rects.push(run);
-                    }
+            runs(&mut self.runs, now.iter().zip(before).map(|(a, b)| a != b));
+        }
+        self.add_runs(x, y);
+    }
+
+    /// Writes `map(i, src[i])` over every `row[i]` and adds the runs where
+    /// that changed the row, which starts at `(x, y)`: the runs
+    /// [`push`](Self::push) adds for the row as it was and as it is,
+    /// found in the pass that writes it. Each pixel is written whether or
+    /// not it changed, so the loop branches only where a run starts or
+    /// ends.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows differ in length.
+    #[inline]
+    pub fn replace(
+        &mut self,
+        x: u32,
+        y: u32,
+        row: &mut [Color],
+        src: &[Color],
+        map: impl Fn(usize, Color) -> Color,
+    ) {
+        assert_eq!(row.len(), src.len(), "diff rows differ in length");
+        self.runs.clear();
+        let written = row.iter_mut().zip(src).enumerate().map(|(i, (old, &s))| {
+            let new = map(i, s);
+            let differs = *old != new;
+            *old = new;
+            differs
+        });
+        runs(&mut self.runs, written);
+        self.add_runs(x, y);
+    }
+
+    /// Each row's span from its first differing pixel to its last, one
+    /// rect per row added that had any, in the order added: they cover
+    /// every run, in fewer rects than the region when runs are short.
+    pub fn spans(&self) -> &[Rect] {
+        &self.spans
+    }
+
+    /// Adds `self.runs`, found on the row starting at `(x, y)`.
+    fn add_runs(&mut self, x: u32, y: u32) {
+        self.next.clear();
+        if let Some((&(start, _), &(_, end))) = self.runs.first().zip(self.runs.last()) {
+            self.spans
+                .push(Rect::new((x + start) as i32, y as i32, end - start, 1));
+        }
+        let (x, y) = (x as i32, y as i32);
+        let mut above = self.open.iter().copied().peekable();
+        for &(start, end) in &self.runs {
+            let run = Rect::new(x + start as i32, y, end - start, 1);
+            while above.next_if(|&k| self.rects[k].x < run.x).is_some() {}
+            match above.peek() {
+                Some(&k)
+                    if self.rects[k].x == run.x
+                        && self.rects[k].w == run.w
+                        && self.rects[k].bottom() == y =>
+                {
+                    self.rects[k].h += 1;
+                    self.next.push(k);
+                }
+                _ => {
+                    self.next.push(self.rects.len());
+                    self.rects.push(run);
                 }
             }
         }
         core::mem::swap(&mut self.open, &mut self.next);
     }
 
-    /// The region of every run pushed.
+    /// The region of every run added.
     pub fn into_region(self) -> Region {
         Region::from_disjoint_rects(self.rects)
+    }
+}
+
+/// Appends to `out` the maximal runs of `true` in `differs`, as
+/// `start..end` offsets, left to right. Each item is taken once, in
+/// order: a search for the next `true`, then for the `false` that ends
+/// its run.
+#[inline]
+fn runs(out: &mut Vec<(u32, u32)>, mut differs: impl ExactSizeIterator<Item = bool>) {
+    let len = differs.len();
+    let mut at = 0;
+    while let Some(skip) = differs.position(|d| d) {
+        let start = at + skip;
+        // The item at `end`, if any, is equal and already taken.
+        let end = differs.position(|d| !d).map_or(len, |n| start + 1 + n);
+        out.push((start as u32, end as u32));
+        at = end + 1;
     }
 }
 

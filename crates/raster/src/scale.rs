@@ -1,5 +1,13 @@
 //! Image scaling: the UniInt proxy rescales server frames to each output
 //! device's native resolution (TV overscan, QVGA PDA, 128×128 phone LCD...).
+//!
+//! Every filter reads, for each destination column and row, a range of
+//! source pixels (its taps) fixed by the two sizes. [`Scaler`] works them
+//! out once per pair of sizes, in `f64` for bilinear, and keeps them: a
+//! plug-in that rescales a few rects per call slices the kept taps
+//! instead of recomputing them per rect and per row, and finds a change's
+//! [`footprint`](Scaler::footprint) by binary search over them.
+//! [`RowScaler`] is the row kernel, one per filter.
 
 use crate::color::{Color, Lanes};
 use crate::framebuffer::Framebuffer;
@@ -71,94 +79,209 @@ pub fn fit_size(src: Size, bounds: Size) -> Size {
 /// `dst`, leaving its other pixels alone. Every pixel comes out as
 /// [`scale`] would compute it. Records no damage in `dst`.
 pub fn scale_rect(src: &Framebuffer, dst: &mut Framebuffer, rect: Rect, filter: ScaleFilter) {
-    let Some(rect) = rect.intersect(dst.bounds()) else {
-        return;
-    };
-    let cols = rect.x as usize..rect.right() as usize;
-    let mut rows = RowScaler::new(src, dst.size(), filter, rect.x as u32..rect.right() as u32);
-    for y in rect.y as u32..rect.bottom() as u32 {
-        rows.row(y, &mut dst.row_mut(y)[cols.clone()]);
-    }
+    Scaler::new(src.size(), dst.size(), filter).scale_rect(src, dst, rect);
 }
 
-/// Scales `src` to a `dst`-sized frame one destination row at a time,
-/// over a fixed range of columns: the kernel behind [`scale`] and
-/// [`scale_rect`]. Bilinear scaling interpolates across before it
-/// interpolates down, so the scaler keeps the across-interpolated source
-/// rows it used last: destination rows that read the same two source
-/// rows, as rows of an upscale do, interpolate them once.
-#[derive(Debug)]
-pub struct RowScaler<'a> {
-    src: &'a Framebuffer,
+/// How `src`-sized frames are scaled to `dst` with one filter, worked
+/// out once per pair of sizes: the taps of every destination column and
+/// row, and for the box filter the reciprocals its windows divide by. A
+/// plug-in keeps one for as long as its sizes hold, so a call that
+/// rescales a few rects computes no tap; [`footprint`](Self::footprint)
+/// searches the same taps. It also keeps the scratch rows its kernels
+/// reuse.
+#[derive(Debug, Clone)]
+pub struct Scaler {
     filter: ScaleFilter,
-    dst_h: u32,
-    /// The columns' taps; empty when the size does not change.
+    src: Size,
+    dst: Size,
+    /// Every destination column's taps, and every row's.
     cols: Vec<Taps>,
-    x0: usize,
-    /// Bilinear only: source rows interpolated across `cols`, each with
-    /// the row it came from (`u32::MAX` before it is filled).
+    rows: Vec<Taps>,
+    /// Box only: the column sums of the row being scaled, in the form
+    /// every window of these sizes fits.
+    sums: Sums,
+    /// Bilinear only: source rows interpolated across the columns being
+    /// scaled, each with the row it came from (`u32::MAX` when stale),
+    /// and the source pixels the columns read, in lanes.
     across: [(u32, Vec<Lanes>); 2],
-    /// Box only: the [`reciprocal`] of each column's window width, and
-    /// the source rows of the window being summed.
-    widths: Vec<u64>,
-    window: Vec<&'a [Color]>,
+    lanes: Vec<Lanes>,
 }
 
-impl<'a> RowScaler<'a> {
-    /// A scaler of `src` to `dst` for destination columns `cols`.
-    pub fn new(src: &'a Framebuffer, dst: Size, filter: ScaleFilter, cols: Range<u32>) -> Self {
-        let s = src.size();
-        let taps: Vec<Taps> = if s == dst {
-            Vec::new()
-        } else {
-            cols.clone().map(|x| taps(filter, x, s.w, dst.w)).collect()
-        };
-        // Scratch is as wide as the columns for the filter that uses it.
-        let wide = |f| if filter == f { taps.len() } else { 0 };
-        let across = || {
-            (
-                u32::MAX,
-                vec![Lanes::default(); wide(ScaleFilter::Bilinear)],
-            )
-        };
-        let widths = taps[..wide(ScaleFilter::Box)]
-            .iter()
-            .map(|t| reciprocal((t.hi - t.lo) as u64))
-            .collect();
-        RowScaler {
-            src,
+/// The column sums of a box row, packed when every window's sums fit
+/// 16-bit lanes, else a `u64` per channel.
+#[derive(Debug, Clone)]
+enum Sums {
+    Packed(Vec<Packed>),
+    Wide(Vec<[u64; 3]>),
+}
+
+impl Scaler {
+    /// The taps of scaling `src`-sized frames to `dst` with `filter`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either size is empty.
+    pub fn new(src: Size, dst: Size, filter: ScaleFilter) -> Scaler {
+        assert!(
+            !src.is_empty() && !dst.is_empty(),
+            "scale sizes must be non-empty"
+        );
+        let mut cols: Vec<Taps> = (0..dst.w).map(|x| taps(filter, x, src.w, dst.w)).collect();
+        let mut rows: Vec<Taps> = (0..dst.h).map(|y| taps(filter, y, src.h, dst.h)).collect();
+        let widest = |t: &[Taps]| t.iter().map(|t| t.hi - t.lo).max().unwrap_or(1) as u64;
+        let packed = widest(&cols) * widest(&rows) <= Packed::MAX_AREA;
+        if filter == ScaleFilter::Box {
+            let reciprocal = if packed {
+                Packed::reciprocal
+            } else {
+                <[u64; 3]>::reciprocal
+            };
+            for t in cols.iter_mut().chain(&mut rows) {
+                t.m = reciprocal((t.hi - t.lo) as u64);
+            }
+        }
+        Scaler {
             filter,
-            dst_h: dst.h,
-            x0: cols.start as usize,
-            across: [across(), across()],
-            widths,
-            window: Vec::new(),
-            cols: taps,
+            src,
+            dst,
+            cols,
+            rows,
+            sums: if packed {
+                Sums::Packed(Vec::new())
+            } else {
+                Sums::Wide(Vec::new())
+            },
+            across: [(u32::MAX, Vec::new()), (u32::MAX, Vec::new())],
+            lanes: Vec::new(),
         }
     }
 
+    /// The source size given to [`new`](Self::new).
+    pub fn src(&self) -> Size {
+        self.src
+    }
+
+    /// The destination rectangle whose pixels read at least one source
+    /// pixel of `changed`: after `changed` is redrawn, rescaling this
+    /// rectangle brings the scaled frame up to date. Exact, because tap
+    /// ranges are contiguous and both their ends are non-decreasing.
+    pub fn footprint(&self, changed: Rect) -> Rect {
+        let Some(c) = changed.intersect(Rect::new(0, 0, self.src.w, self.src.h)) else {
+            return Rect::EMPTY;
+        };
+        // The destination range whose taps meet source range `a..b`.
+        let meet = |taps: &[Taps], a: i32, b: i32| {
+            let (a, b) = (a as u32, b as u32);
+            let lo = taps.partition_point(|t| t.hi <= a);
+            let hi = taps.partition_point(|t| t.lo < b);
+            (lo as i32, hi as u32 - lo as u32)
+        };
+        let (x, w) = meet(&self.cols, c.x, c.right());
+        let (y, h) = meet(&self.rows, c.y, c.bottom());
+        Rect::new(x, y, w, h)
+    }
+
+    /// Writes the `rect` part (clipped) of `src` scaled into `dst`, as
+    /// [`scale_rect`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frames are not the sizes given to [`new`](Self::new).
+    pub fn scale_rect(&mut self, src: &Framebuffer, dst: &mut Framebuffer, rect: Rect) {
+        assert_eq!(dst.size(), self.dst, "scaled frame size");
+        let Some(rect) = rect.intersect(dst.bounds()) else {
+            return;
+        };
+        let cols = rect.x as usize..rect.right() as usize;
+        let mut rows = self.rows(src, rect.x as u32..rect.right() as u32);
+        for y in rect.y as u32..rect.bottom() as u32 {
+            rows.row(y, &mut dst.row_mut(y)[cols.clone()]);
+        }
+    }
+
+    /// A scaler of `src` for destination columns `cols`, one row at a
+    /// time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is not the size given to [`new`](Self::new) or
+    /// `cols` is not a range of destination columns.
+    pub fn rows<'a>(&'a mut self, src: &'a Framebuffer, cols: Range<u32>) -> RowScaler<'a> {
+        assert_eq!(src.size(), self.src, "scaled source size");
+        assert!(
+            cols.start <= cols.end && cols.end <= self.dst.w,
+            "scaled columns"
+        );
+        let cols = cols.start as usize..cols.end as usize;
+        if self.filter == ScaleFilter::Bilinear {
+            // Interpolated rows of another frame or other columns are stale.
+            for (held, row) in &mut self.across {
+                *held = u32::MAX;
+                row.resize(cols.len(), Lanes::default());
+            }
+        }
+        RowScaler {
+            scaler: self,
+            src,
+            cols,
+        }
+    }
+}
+
+/// Scales a frame one destination row at a time over a fixed range of
+/// columns, with the taps and scratch of a [`Scaler`]: the kernel behind
+/// [`scale`] and [`scale_rect`].
+///
+/// * Bilinear interpolates across before it interpolates down, and keeps
+///   the across-interpolated source rows it used last: destination rows
+///   that read the same two source rows, as rows of an upscale do,
+///   interpolate them once.
+/// * Box sums each source column of the row's window once, then each
+///   window from those column sums, and divides by the window's height
+///   and width with their reciprocals. Where every window holds at most
+///   257 pixels (a downscale by at most 16:1 on each axis), the sums stay in
+///   16-bit lanes of one `u64` and divide with a `u64` multiplication;
+///   larger windows sum a `u64` per channel and divide with a `u128` one.
+#[derive(Debug)]
+pub struct RowScaler<'a> {
+    scaler: &'a mut Scaler,
+    src: &'a Framebuffer,
+    cols: Range<usize>,
+}
+
+impl RowScaler<'_> {
     /// Writes destination row `y` of the scaler's columns into `out`,
     /// which must be exactly as wide as they are.
     pub fn row(&mut self, y: u32, out: &mut [Color]) {
-        let s = self.src.size();
-        if self.cols.is_empty() {
+        let Scaler {
+            filter,
+            src: size,
+            dst,
+            cols,
+            rows,
+            sums,
+            across,
+            lanes,
+        } = &mut *self.scaler;
+        assert_eq!(out.len(), self.cols.len(), "scaled row width");
+        if size == dst {
             // Every filter maps a pixel to itself at scale 1.
-            out.copy_from_slice(&self.src.row(y)[self.x0..self.x0 + out.len()]);
+            out.copy_from_slice(&self.src.row(y)[self.cols.clone()]);
             return;
         }
-        assert_eq!(out.len(), self.cols.len(), "scaled row width");
-        let ty = taps(self.filter, y, s.h, self.dst_h);
-        match self.filter {
+        let cols = &cols[self.cols.clone()];
+        let ty = rows[y as usize];
+        match filter {
             ScaleFilter::Nearest => {
                 let row = self.src.row(ty.lo);
-                for (px, tx) in out.iter_mut().zip(&self.cols) {
+                for (px, tx) in out.iter_mut().zip(cols) {
                     *px = row[tx.lo as usize];
                 }
             }
             ScaleFilter::Bilinear => {
                 let (top, bottom) = (ty.lo, ty.hi - 1);
-                self.interpolate(top, bottom);
-                let [(_, a), (_, b)] = &self.across;
+                interpolate(self.src, cols, across, lanes, top, bottom);
+                let [(_, a), (_, b)] = &*across;
                 if ty.t == 0 || top == bottom {
                     // `lerp` by 0, or of a row with itself, is the row.
                     for (px, &a) in out.iter_mut().zip(a) {
@@ -170,49 +293,173 @@ impl<'a> RowScaler<'a> {
                     }
                 }
             }
-            ScaleFilter::Box => {
-                // The window mean, `sum / (height * width)` rounded down,
-                // is `sum / height / width`, each rounded down.
-                let height = reciprocal((ty.hi - ty.lo) as u64);
-                self.window.clear();
-                self.window
-                    .extend((ty.lo..ty.hi).map(|sy| self.src.row(sy)));
-                for ((px, tx), &width) in out.iter_mut().zip(&self.cols).zip(&self.widths) {
-                    let mut sum = [0u64; 3];
-                    for row in &self.window {
-                        for c in &row[tx.lo as usize..tx.hi as usize] {
-                            sum[0] += c.r as u64;
-                            sum[1] += c.g as u64;
-                            sum[2] += c.b as u64;
-                        }
-                    }
-                    let mean = |v: u64| divide(divide(v, height), width) as u8;
-                    *px = Color::rgb(mean(sum[0]), mean(sum[1]), mean(sum[2]));
-                }
-            }
+            ScaleFilter::Box => match sums {
+                Sums::Packed(sums) => box_row(self.src, ty, cols, sums, out),
+                Sums::Wide(sums) => box_row(self.src, ty, cols, sums, out),
+            },
         }
     }
+}
 
-    /// Makes `across[0]` source row `top` and, unless that is the same
-    /// row, `across[1]` source row `bottom`, both interpolated across,
-    /// reusing what the previous row left.
-    fn interpolate(&mut self, top: u32, bottom: u32) {
-        let [(a, _), (b, _)] = &self.across;
-        if *a != top && (*b == top || *a == bottom) {
-            self.across.swap(0, 1);
+/// Makes `across[0]` source row `top` and, unless that is the same row,
+/// `across[1]` source row `bottom`, both interpolated across `cols`,
+/// reusing what the previous row left. `lanes` is scratch for the source
+/// pixels the columns read, each spread into lanes once.
+fn interpolate(
+    src: &Framebuffer,
+    cols: &[Taps],
+    across: &mut [(u32, Vec<Lanes>); 2],
+    lanes: &mut Vec<Lanes>,
+    top: u32,
+    bottom: u32,
+) {
+    let [(a, _), (b, _)] = across;
+    if *a != top && (*b == top || *a == bottom) {
+        across.swap(0, 1);
+    }
+    let Some((first, last)) = cols.first().zip(cols.last()) else {
+        return;
+    };
+    let span = first.lo as usize..last.hi as usize;
+    for (slot, sy) in [(0, top), (1, bottom)] {
+        if across[slot].0 == sy || (slot == 1 && sy == top) {
+            continue;
         }
-        for (slot, sy) in [(0, top), (1, bottom)] {
-            if self.across[slot].0 == sy || (slot == 1 && sy == top) {
-                continue;
-            }
-            let row = self.src.row(sy);
-            let (held, out) = &mut self.across[slot];
-            *held = sy;
-            for (px, tx) in out.iter_mut().zip(&self.cols) {
-                let (a, b) = (row[tx.lo as usize], row[tx.hi as usize - 1]);
-                *px = Lanes::from(a).lerp(Lanes::from(b), tx.t);
-            }
+        lanes.clear();
+        lanes.extend(src.row(sy)[span.clone()].iter().map(|&c| Lanes::from(c)));
+        let (held, out) = &mut across[slot];
+        *held = sy;
+        for (px, tx) in out.iter_mut().zip(cols) {
+            let (a, b) = (tx.lo as usize - span.start, tx.hi as usize - 1 - span.start);
+            *px = lanes[a].lerp(lanes[b], tx.t);
         }
+    }
+}
+
+/// One box-filtered row: the window mean of each column in `cols`, over
+/// source rows `ty`. `sums` is scratch: it gets the sums of the source
+/// columns the windows read, then their running totals, so each window
+/// sum is one difference of two totals.
+fn box_row<S: WindowSum>(
+    src: &Framebuffer,
+    ty: Taps,
+    cols: &[Taps],
+    sums: &mut Vec<S>,
+    out: &mut [Color],
+) {
+    let Some((first, last)) = cols.first().zip(cols.last()) else {
+        return;
+    };
+    let span = first.lo as usize..last.hi as usize;
+    // `sums[1 + i]` sums source column `span.start + i` down the window.
+    sums.clear();
+    sums.push(S::default());
+    sums.extend(src.row(ty.lo)[span.clone()].iter().map(|&c| S::of(c)));
+    for sy in ty.lo + 1..ty.hi {
+        for (sum, &c) in sums[1..].iter_mut().zip(&src.row(sy)[span.clone()]) {
+            *sum = sum.add(S::of(c));
+        }
+    }
+    // Now `sums[i]` totals the columns before `span.start + i`.
+    let mut total = S::default();
+    for sum in &mut sums[1..] {
+        total = total.add(*sum);
+        *sum = total;
+    }
+    for (px, tx) in out.iter_mut().zip(cols) {
+        let (lo, hi) = (tx.lo as usize - span.start, tx.hi as usize - span.start);
+        *px = sums[hi].sub(sums[lo]).mean(ty.m, tx.m);
+    }
+}
+
+/// The channel sums of a box window, and their mean. Sums add and
+/// subtract modulo 2⁶⁴, so running totals may wrap: the difference of
+/// two totals is the sum of the columns between them all the same.
+trait WindowSum: Copy + Default {
+    /// The sums of the window holding only `c`.
+    fn of(c: Color) -> Self;
+    fn add(self, other: Self) -> Self;
+    fn sub(self, other: Self) -> Self;
+    /// The multiplier with which [`mean`](Self::mean) divides by `n`.
+    fn reciprocal(n: u64) -> u64;
+    /// The window mean `⌊sum / (h · w)⌋` of each channel, which is
+    /// `⌊⌊sum / h⌋ / w⌋`, given the reciprocals of `h` and `w`.
+    fn mean(self, h: u64, w: u64) -> Color;
+}
+
+/// The three channel sums of a window in 16-bit lanes of a `u64`: a
+/// channel sums to at most `255 · 257 = 65 535` over a window of at most
+/// [`MAX_AREA`](Self::MAX_AREA) pixels, so one addition adds all three.
+/// A running total's lanes carry into each other, but it is the lanes
+/// read as one integer modulo 2⁶⁴ that add up: the difference of two
+/// totals is a window's sums, each in its own lane again.
+#[derive(Debug, Clone, Copy, Default)]
+struct Packed(u64);
+
+impl Packed {
+    /// The most pixels a packed window may hold.
+    const MAX_AREA: u64 = 257;
+}
+
+impl WindowSum for Packed {
+    #[inline]
+    fn of(c: Color) -> Packed {
+        Packed(c.r as u64 | (c.g as u64) << 16 | (c.b as u64) << 32)
+    }
+
+    #[inline]
+    fn add(self, other: Packed) -> Packed {
+        Packed(self.0.wrapping_add(other.0))
+    }
+
+    #[inline]
+    fn sub(self, other: Packed) -> Packed {
+        Packed(self.0.wrapping_sub(other.0))
+    }
+
+    /// `⌈2³² / n⌉`. `x / n` rounded down is `x·m / 2³²` whenever
+    /// `x · n < 2³²`, by the argument at [`divide`]. Both divisions stay
+    /// below that: a sum of at most 65 535 by a height of at most 257,
+    /// then a quotient of at most `255 · w` by a width `w` of at most 257.
+    fn reciprocal(n: u64) -> u64 {
+        (1u64 << 32).div_ceil(n)
+    }
+
+    #[inline]
+    fn mean(self, h: u64, w: u64) -> Color {
+        let ch = |shift: u32| {
+            let sum = (self.0 >> shift) & 0xffff;
+            let rows = (sum * h) >> 32;
+            ((rows * w) >> 32) as u8
+        };
+        Color::rgb(ch(0), ch(16), ch(32))
+    }
+}
+
+impl WindowSum for [u64; 3] {
+    #[inline]
+    fn of(c: Color) -> [u64; 3] {
+        [c.r as u64, c.g as u64, c.b as u64]
+    }
+
+    #[inline]
+    fn add(self, other: [u64; 3]) -> [u64; 3] {
+        core::array::from_fn(|k| self[k].wrapping_add(other[k]))
+    }
+
+    #[inline]
+    fn sub(self, other: [u64; 3]) -> [u64; 3] {
+        core::array::from_fn(|k| self[k].wrapping_sub(other[k]))
+    }
+
+    fn reciprocal(n: u64) -> u64 {
+        reciprocal(n)
+    }
+
+    #[inline]
+    fn mean(self, h: u64, w: u64) -> Color {
+        let ch = |v: u64| divide(divide(v, h), w) as u8;
+        Color::rgb(ch(self[0]), ch(self[1]), ch(self[2]))
     }
 }
 
@@ -232,26 +479,15 @@ fn divide(x: u64, m: u64) -> u64 {
     ((x as u128 * m as u128) >> 60) as u64
 }
 
-/// The destination rectangle whose pixels read at least one source pixel
-/// of `changed` when a `src`-sized frame is scaled to `dst` with
-/// `filter`: after `changed` is redrawn, rescaling this rectangle with
-/// [`scale_rect`] brings the scaled frame up to date.
-pub fn footprint(src: Size, dst: Size, filter: ScaleFilter, changed: Rect) -> Rect {
-    let Some(c) = changed.intersect(Rect::new(0, 0, src.w, src.h)) else {
-        return Rect::EMPTY;
-    };
-    let (x0, x1) = axis_footprint(filter, src.w, dst.w, c.x as u32, c.right() as u32);
-    let (y0, y1) = axis_footprint(filter, src.h, dst.h, c.y as u32, c.bottom() as u32);
-    Rect::new(x0 as i32, y0 as i32, x1 - x0, y1 - y0)
-}
-
 /// The source pixels one destination column (or row) reads along its
-/// axis: `lo..hi`, plus for bilinear the weight of `hi - 1` in 1/256.
+/// axis: `lo..hi`, plus for bilinear the weight of `hi - 1` in 1/256,
+/// and for box the reciprocal of `hi - lo` its window sums divide by.
 #[derive(Debug, Clone, Copy)]
 struct Taps {
     lo: u32,
     hi: u32,
     t: u32,
+    m: u64,
 }
 
 /// The taps of destination coordinate `i` when scaling `src` pixels to
@@ -263,11 +499,13 @@ fn taps(filter: ScaleFilter, i: u32, src: u32, dst: u32) -> Taps {
             lo,
             hi: lo + 1,
             t: 0,
+            m: 0,
         },
         ScaleFilter::Box => Taps {
             lo,
             hi: (((i as u64 + 1) * src as u64 / dst as u64) as u32).max(lo + 1),
             t: 0,
+            m: 0,
         },
         ScaleFilter::Bilinear => {
             // Map pixel centers.
@@ -277,28 +515,10 @@ fn taps(filter: ScaleFilter, i: u32, src: u32, dst: u32) -> Taps {
                 lo,
                 hi: (lo + 1).min(src - 1) + 1,
                 t: ((f - lo as f64) * 256.0) as u32,
+                m: 0,
             }
         }
     }
-}
-
-/// The destination range `lo..hi` along one axis whose taps meet source
-/// range `a..b`. Exact, because tap ranges are contiguous and monotone.
-fn axis_footprint(filter: ScaleFilter, src: u32, dst: u32, a: u32, b: u32) -> (u32, u32) {
-    // The first `i` in `0..dst` for which `before(i)` is false.
-    let first = |before: &dyn Fn(Taps) -> bool| {
-        let (mut lo, mut hi) = (0, dst);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if before(taps(filter, mid, src, dst)) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    };
-    (first(&|t| t.hi <= a), first(&|t| t.lo < b))
 }
 
 #[cfg(test)]
@@ -438,7 +658,7 @@ mod tests {
                     for (x, y, w, h) in [(0, 0u32, 1, 1), (sw / 2, 1, 1, 1), (sw - 1, 0, 1, sw + 1)]
                     {
                         let changed = Rect::new(x as i32, y as i32, w, h);
-                        let fp = footprint(src, dst, filter, changed);
+                        let fp = Scaler::new(src, dst, filter).footprint(changed);
                         for dy in 0..dst.h {
                             let ty = taps(filter, dy, src.h, dst.h);
                             for dx in 0..dst.w {
@@ -474,7 +694,7 @@ mod tests {
                 let mut dst = scale(&src, target, filter);
                 let changed = Rect::new(4, 3, 5, 2);
                 src.fill_rect(changed, Color::rgb(200, 30, 60));
-                let fp = footprint(src.size(), target, filter, changed);
+                let fp = Scaler::new(src.size(), target, filter).footprint(changed);
                 scale_rect(&src, &mut dst, fp, filter);
                 assert_eq!(dst, scale(&src, target, filter), "{filter} to {target}");
                 src = checkerboard(19, 11);
@@ -489,6 +709,21 @@ mod tests {
             let m = reciprocal(n);
             for x in [0, 1, n - 1, n, n + 1, 127 * n + n / 2, 255 * n - 1, 255 * n] {
                 assert_eq!(divide(x, m), x / n, "{x} / {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn packed_division_is_exact_for_packed_windows() {
+        // Every divisor a packed window divides by, at every multiple of
+        // it up to the largest lane sum and one below: where a reciprocal
+        // that is too small would first round down too far.
+        for n in 1..=Packed::MAX_AREA {
+            let m = Packed::reciprocal(n);
+            for k in (0..=65_535u64).step_by(n as usize) {
+                for x in [k, k.saturating_sub(1), 65_535] {
+                    assert_eq!((x * m) >> 32, x / n, "{x} / {n}");
+                }
             }
         }
     }

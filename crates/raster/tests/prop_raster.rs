@@ -1,14 +1,15 @@
 //! Property-based tests for the raster substrate: region algebra laws,
-//! pixel packing round-trips, and dither/scale invariants.
+//! pixel packing round-trips, dither/scale invariants, and the row
+//! kernels of device adaptation against per-pixel references.
 
 use proptest::prelude::*;
 use uniint_raster::color::{Color, Palette};
-use uniint_raster::dither::{dither_to_palette, DitherMode};
-use uniint_raster::framebuffer::Framebuffer;
+use uniint_raster::dither::{dither_to_palette, reduce_rect, DitherMode};
+use uniint_raster::framebuffer::{Framebuffer, RowDiff};
 use uniint_raster::geom::{Point, Rect, Size};
 use uniint_raster::pixel::{pack_row, unpack_row, PixelFormat};
 use uniint_raster::region::Region;
-use uniint_raster::scale::{scale, ScaleFilter};
+use uniint_raster::scale::{scale, ScaleFilter, Scaler};
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
     (0i32..40, 0i32..40, 0u32..20, 0u32..20).prop_map(|(x, y, w, h)| Rect::new(x, y, w, h))
@@ -219,6 +220,234 @@ proptest! {
         for p in fb.bounds().pixels() {
             let differs = fb.pixel(p) != modified.pixel(p);
             prop_assert_eq!(diff.contains(p), differs, "pixel {}", p);
+        }
+    }
+}
+
+// The row kernels behind the output plug-ins, each against a per-pixel
+// reference that is its definition.
+
+/// A destination coordinate's source range `lo..hi` along one axis and,
+/// for bilinear, the weight of `hi - 1` in 1/256.
+fn reference_taps(filter: ScaleFilter, i: u32, src: u32, dst: u32) -> (u32, u32, u32) {
+    let lo = (i as u64 * src as u64 / dst as u64) as u32;
+    match filter {
+        ScaleFilter::Nearest => (lo, lo + 1, 0),
+        ScaleFilter::Box => {
+            let hi = ((i as u64 + 1) * src as u64 / dst as u64) as u32;
+            (lo, hi.max(lo + 1), 0)
+        }
+        ScaleFilter::Bilinear => {
+            let f = ((i as f64 + 0.5) * src as f64 / dst as f64 - 0.5).max(0.0);
+            let lo = f.floor() as u32;
+            (
+                lo,
+                (lo + 1).min(src - 1) + 1,
+                ((f - lo as f64) * 256.0) as u32,
+            )
+        }
+    }
+}
+
+/// Destination pixel `(x, y)` of `src` scaled to `dst`, one pixel at a
+/// time: the box window's mean by plain integer division, or bilinear's
+/// two-stage lerp, across and then down.
+fn reference_pixel(src: &Framebuffer, dst: Size, filter: ScaleFilter, x: u32, y: u32) -> Color {
+    let (x0, x1, tx) = reference_taps(filter, x, src.width(), dst.w);
+    let (y0, y1, ty) = reference_taps(filter, y, src.height(), dst.h);
+    let at = |x: u32, y: u32| src.pixel(Point::new(x as i32, y as i32)).unwrap();
+    match filter {
+        ScaleFilter::Nearest => at(x0, y0),
+        ScaleFilter::Bilinear => {
+            let across = |y| at(x0, y).lerp(at(x1 - 1, y), tx);
+            across(y0).lerp(across(y1 - 1), ty)
+        }
+        ScaleFilter::Box => {
+            let mut sum = [0u64; 3];
+            for sy in y0..y1 {
+                for sx in x0..x1 {
+                    let c = at(sx, sy);
+                    sum[0] += c.r as u64;
+                    sum[1] += c.g as u64;
+                    sum[2] += c.b as u64;
+                }
+            }
+            let n = ((x1 - x0) * (y1 - y0)) as u64;
+            Color::rgb((sum[0] / n) as u8, (sum[1] / n) as u8, (sum[2] / n) as u8)
+        }
+    }
+}
+
+/// 4×4 Bayer threshold matrix, values `0..16`.
+const BAYER4: [[i32; 4]; 4] = [[0, 8, 2, 10], [12, 4, 14, 6], [3, 11, 1, 9], [15, 7, 13, 5]];
+
+/// `c` with `bias` added to every channel, clamped.
+fn offset(c: Color, bias: i32) -> Color {
+    let ch = |v: u8| (v as i32 + bias).clamp(0, 255) as u8;
+    Color::rgb(ch(c.r), ch(c.g), ch(c.b))
+}
+
+/// Pixel `c` at `(x, y)` reduced to `format` with `mode` (not error
+/// diffusion), one pixel at a time.
+fn reference_reduce(format: PixelFormat, mode: DitherMode, c: Color, x: u32, y: u32) -> Color {
+    let t = match mode {
+        DitherMode::Ordered4x4 => BAYER4[y as usize % 4][x as usize % 4] - 8,
+        _ => 0,
+    };
+    let palette = |p: Palette| {
+        let amp = (256 / (p.len().min(64)) as i32).max(8);
+        p.quantize(offset(c, t * amp / 8))
+    };
+    match format {
+        PixelFormat::Rgb888 => c,
+        PixelFormat::Rgb565 => format.reduce(offset(c, t / 2)),
+        PixelFormat::Rgb444 => format.reduce(offset(c, t)),
+        PixelFormat::Mono1 => palette(Palette::mono()),
+        PixelFormat::Gray4 => palette(Palette::grayscale(16)),
+        PixelFormat::Gray8 => palette(Palette::grayscale(256)),
+        PixelFormat::Indexed8 => palette(Palette::websafe()),
+    }
+}
+
+/// Rows of colours drawn from a few, so that runs of equal and of
+/// differing pixels both occur.
+fn arb_rows(w: usize, h: usize) -> impl Strategy<Value = Vec<Vec<Color>>> {
+    let few = prop_oneof![
+        Just(Color::BLACK),
+        Just(Color::WHITE),
+        Just(Color::rgb(10, 200, 30))
+    ];
+    proptest::collection::vec(proptest::collection::vec(few, w), h)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn scaled_rows_match_the_per_pixel_definition(
+        fb in arb_fb(24),
+        w in 1u32..32,
+        h in 1u32..32,
+        cols in (0u32..32, 0u32..32),
+    ) {
+        let dst = Size::new(w, h);
+        for filter in [ScaleFilter::Nearest, ScaleFilter::Bilinear, ScaleFilter::Box] {
+            let whole = scale(&fb, dst, filter);
+            for y in 0..h {
+                for x in 0..w {
+                    let want = reference_pixel(&fb, dst, filter, x, y);
+                    prop_assert_eq!(whole.pixel(Point::new(x as i32, y as i32)), Some(want), "{} {}x{} at {},{}", filter, w, h, x, y);
+                }
+            }
+            // A range of columns, row by row, through a kept scaler.
+            let (a, b) = (cols.0.min(w), cols.1.min(w));
+            let cols = a.min(b)..a.max(b);
+            let mut scaler = Scaler::new(fb.size(), dst, filter);
+            let mut rows = scaler.rows(&fb, cols.clone());
+            let mut out = vec![Color::BLACK; cols.len()];
+            for y in (0..h).rev() {
+                rows.row(y, &mut out);
+                for (x, &px) in cols.clone().zip(&out) {
+                    prop_assert_eq!(px, reference_pixel(&fb, dst, filter, x, y), "{} row {} col {}", filter, y, x);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reduced_rows_match_offset_and_reduce_per_pixel(fb in arb_fb(12), r in arb_rect()) {
+        for format in PixelFormat::ALL {
+            for mode in [DitherMode::None, DitherMode::Ordered4x4] {
+                let mut out = fb.clone();
+                reduce_rect(&mut out, r, format, mode);
+                for p in fb.bounds().pixels() {
+                    let c = fb.pixel(p).unwrap();
+                    let want = if r.contains(p) {
+                        reference_reduce(format, mode, c, p.x as u32, p.y as u32)
+                    } else {
+                        c
+                    };
+                    prop_assert_eq!(out.pixel(p), Some(want), "{} {} at {}", format, mode, p);
+                }
+            }
+        }
+        // A palette with no closed form, searched per pixel.
+        let pal = Palette::vga16();
+        let out = dither_to_palette(&fb, &pal, DitherMode::Ordered4x4);
+        for p in fb.bounds().pixels() {
+            let t = BAYER4[p.y as usize % 4][p.x as usize % 4] - 8;
+            let want = pal.quantize(offset(fb.pixel(p).unwrap(), t * 16 / 8));
+            prop_assert_eq!(out.pixel(p), Some(want), "vga16 at {}", p);
+        }
+    }
+
+    #[test]
+    fn replaced_rows_add_the_runs_of_a_per_pixel_diff(
+        (old, new) in (1usize..24, 1usize..8).prop_flat_map(|(w, h)| (arb_rows(w, h), arb_rows(w, h))),
+        x in 0u32..8,
+        y in 0u32..8,
+        flip in any::<u8>(),
+    ) {
+        // Some pixels pass through, the others change by `flip`.
+        let map = |i: usize, c: Color| if i.is_multiple_of(3) { c } else { Color::rgb(c.r ^ flip, c.g, c.b) };
+        let mut diff = RowDiff::default();
+        let (mut want, mut spans) = (Vec::<Rect>::new(), Vec::new());
+        for (dy, (before, now)) in old.iter().zip(&new).enumerate() {
+            let row_y = y as i32 + dy as i32;
+            let mut row = before.clone();
+            diff.replace(x, row_y as u32, &mut row, now, map);
+            let written: Vec<Color> = now.iter().enumerate().map(|(i, &c)| map(i, c)).collect();
+            prop_assert_eq!(&row, &written);
+            // The runs where the row changed, found pixel by pixel, each
+            // extending a band that ended on the row above at the same span.
+            let mut runs = Vec::new();
+            let mut i = 0;
+            while i < row.len() {
+                if written[i] == before[i] {
+                    i += 1;
+                    continue;
+                }
+                let start = i;
+                while i < row.len() && written[i] != before[i] {
+                    i += 1;
+                }
+                runs.push((x as i32 + start as i32, (i - start) as u32));
+            }
+            if let (Some(first), Some(last)) = (runs.first(), runs.last()) {
+                spans.push(Rect::new(first.0, row_y, (last.0 + last.1 as i32 - first.0) as u32, 1));
+            }
+            for (rx, rw) in runs {
+                match want.iter_mut().find(|r| r.x == rx && r.w == rw && r.bottom() == row_y) {
+                    Some(band) => band.h += 1,
+                    None => want.push(Rect::new(rx, row_y, rw, 1)),
+                }
+            }
+        }
+        prop_assert_eq!(diff.spans(), &spans[..]);
+        let region = diff.into_region();
+        prop_assert_eq!(region.rects(), &want[..]);
+    }
+}
+
+#[test]
+fn box_windows_too_large_for_packed_sums_match_the_definition() {
+    // Windows of 552 to 10 800 pixels, each channel summing past 16 bits;
+    // the flat left half makes sums that are exact multiples of the area.
+    let mut fb = Framebuffer::new(120, 90, Color::rgb(90, 180, 45));
+    for (i, p) in Rect::new(60, 0, 60, 90).pixels().enumerate() {
+        let v = (i * 37) as u8;
+        fb.set_pixel(p, Color::rgb(v, v.wrapping_mul(3), 255 - v));
+    }
+    for dst in [
+        Size::new(1, 1),
+        Size::new(2, 3),
+        Size::new(5, 4),
+        Size::new(7, 1),
+    ] {
+        let out = scale(&fb, dst, ScaleFilter::Box);
+        for p in out.bounds().pixels() {
+            let want = reference_pixel(&fb, dst, ScaleFilter::Box, p.x as u32, p.y as u32);
+            assert_eq!(out.pixel(p), Some(want), "{dst} at {p}");
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Buckets are power-of-two ranges: bucket 0 holds the value `0`,
 //! bucket `k` (k ≥ 1) holds `[2^(k-1), 2^k - 1]`. The layout is fixed at
-//! compile time, so recording is a single atomic increment and two runs
+//! compile time, so recording is a bucket increment and two runs
 //! that record the same values produce identical snapshots — no
 //! adaptive resizing, no sampling.
 //!
@@ -40,8 +40,8 @@ pub fn bucket_bound(i: usize) -> u64 {
 
 #[derive(Debug)]
 struct Core {
+    /// Observations per bucket; their total is the count.
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
@@ -51,7 +51,6 @@ impl Default for Core {
     fn default() -> Core {
         Core {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -72,19 +71,30 @@ impl Histogram {
         Histogram::default()
     }
 
-    /// Records one observation.
+    /// Records one observation: two atomic additions, and a third
+    /// read-modify-write only when `v` is a new minimum or maximum. The
+    /// minimum only falls and the maximum only rises, so a value that
+    /// is not beyond the extreme a plain load reads cannot be beyond the
+    /// final one either.
     pub fn record(&self, v: u64) {
         let c = &self.core;
         c.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        c.count.fetch_add(1, Ordering::Relaxed);
         c.sum.fetch_add(v, Ordering::Relaxed);
-        c.min.fetch_min(v, Ordering::Relaxed);
-        c.max.fetch_max(v, Ordering::Relaxed);
+        if v < c.min.load(Ordering::Relaxed) {
+            c.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > c.max.load(Ordering::Relaxed) {
+            c.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
-    /// Observations recorded so far.
+    /// Observations recorded so far: the buckets' total.
     pub fn count(&self) -> u64 {
-        self.core.count.load(Ordering::Relaxed)
+        self.core
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// A consistent point-in-time view (quantiles computed here).
