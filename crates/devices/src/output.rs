@@ -30,12 +30,11 @@
 //! brings the one before up to date and writes there; when the caller
 //! holds both it clones. A supervised plug-in's caller always holds the
 //! last one (the supervisor keeps it as `last_good`, to stand in for a
-//! failed call), so the catching up runs on nearly every call: it copies,
-//! row by row, the span between the first and the last pixel that
-//! changed, which is all the two buffers differ in. The result is always
-//! bit-for-bit what a fresh plug-in returns.
+//! failed call), so the catching up runs on nearly every call: it copies
+//! the region that changed on the last call, which is all the two
+//! buffers differ in. The result is always bit-for-bit what a fresh
+//! plug-in returns.
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use uniint_core::plugin::{DeviceFrame, OutputCaps, OutputPlugin};
@@ -127,20 +126,9 @@ impl Kept {
                 for &r in &rescale {
                     scaler.scale_rect(server, scaled, r);
                 }
-                // The rescaled rows, as sorted, disjoint ranges.
-                let mut rows: Vec<Range<u32>> = Vec::with_capacity(rescale.len());
-                let mut starts: Vec<Range<u32>> = rescale
-                    .iter()
-                    .map(|r| r.y as u32..r.bottom() as u32)
-                    .collect();
-                starts.sort_unstable_by_key(|r| r.start);
-                for r in starts {
-                    match rows.last_mut() {
-                        Some(last) if r.start <= last.end => last.end = last.end.max(r.end),
-                        _ => rows.push(r),
-                    }
-                }
-                diffusion.rerun_rows(scaled, &rows, |y, row| {
+                let from = rescale.iter().map(|r| r.y as u32).min().unwrap_or(0);
+                let through = rescale.iter().map(|r| r.bottom() as u32).max().unwrap_or(0);
+                diffusion.rerun_rows(scaled, from, through, |y, row| {
                     let old = device.row_mut(y);
                     if let Some(changed) = &mut changed {
                         changed.push(0, y, row, old);
@@ -168,11 +156,12 @@ impl Kept {
         }
         match changed {
             Some(changed) => {
+                let changed = changed.into_region();
                 // The frame returned last differs from this one only there.
                 if let Some((_, lag)) = spare {
-                    lag.extend_from_slice(changed.spans());
+                    lag.extend_from_slice(changed.rects());
                 }
-                changed.into_region()
+                changed
             }
             None => Region::from_rect(device.bounds()),
         }

@@ -523,20 +523,14 @@ impl Diffusion {
         through: u32,
     ) -> Range<u32> {
         assert!(dst.size() == self.size, "diffusion size");
-        let changed = from..through;
-        self.rerun_rows(src, core::slice::from_ref(&changed), |y, row| {
+        self.rerun_rows(src, from, through, |y, row| {
             dst.row_mut(y).copy_from_slice(row)
         })
     }
 
-    /// [`rerun`](Self::rerun) for rows of `src` changed in several ranges
-    /// (sorted, disjoint), handing each reduced row to `emit` with its
-    /// index instead of writing it to a frame, so that the caller can
-    /// compare it with the row it replaces first. Where the error
-    /// entering an unchanged row is the kept one, the output is as before
-    /// down to the next changed row, so the run skips to it, or stops if
-    /// there is none. Returns the rows from the first changed one to the
-    /// last one handed over.
+    /// [`rerun`](Self::rerun), handing each reduced row to `emit` with
+    /// its index instead of writing it to a frame, so that the caller
+    /// can compare it with the row it replaces first.
     ///
     /// # Panics
     ///
@@ -544,22 +538,19 @@ impl Diffusion {
     pub fn rerun_rows(
         &mut self,
         src: &Framebuffer,
-        changed: &[Range<u32>],
+        from: u32,
+        through: u32,
         mut emit: impl FnMut(u32, &[Color]),
     ) -> Range<u32> {
         let h = self.size.h;
         assert!(src.size() == self.size, "diffusion size");
-        let from = changed.first().map_or(0, |r| r.start);
-        let mut ranges = changed.iter().filter(|r| r.start < h.min(r.end));
-        // The changed range holding row `y` or the first one below it.
-        let Some(mut range) = ranges.next() else {
+        if from >= h.min(through) {
             return from..from;
-        };
-        // Nothing above a changed range's first row changed since the
-        // last run reached it, so the error entering that row is the kept
-        // one.
-        let mut y = range.start;
-        'bands: while y < h {
+        }
+        // Nothing above `from` changed, so the error entering it is the
+        // kept one.
+        let mut y = from;
+        while y < h {
             let n = ((h - y) as usize).min(BAND);
             for (row, sy) in self.band.rows[..n].iter_mut().zip(y..) {
                 row.copy_from_slice(src.row(sy));
@@ -572,19 +563,9 @@ impl Diffusion {
                 if y == h {
                     break;
                 }
-                while range.end <= y {
-                    match ranges.next() {
-                        Some(next) => range = next,
-                        None => break,
-                    }
-                }
                 // Rows reduced past this point are dropped unseen.
                 let kept = &mut self.entering[y as usize];
-                if !range.contains(&y) && *kept == self.band.leaving[i] {
-                    if range.start > y {
-                        y = range.start;
-                        continue 'bands;
-                    }
+                if y >= through && *kept == self.band.leaving[i] {
                     return from..y;
                 }
                 core::mem::swap(kept, &mut self.band.leaving[i]);
@@ -702,33 +683,6 @@ mod tests {
             let out = dither_to_palette(&src, &Palette::mono(), mode);
             assert_eq!(out.pixel(Point::new(0, 0)), Some(Color::BLACK), "{mode}");
             assert_eq!(out.pixel(Point::new(7, 0)), Some(Color::WHITE), "{mode}");
-        }
-    }
-
-    #[test]
-    fn a_rerun_skips_the_unchanged_rows_between_changed_ones() {
-        // On white, black and white pixels are palette entries and leave
-        // no error, so the error entering every row stays the kept one
-        // (zero); on grey it does not settle, and the run goes on.
-        let size = Size::new(24, 60);
-        for (panel, skips) in [(Color::WHITE, true), (Color::gray(200), false)] {
-            let mut src = Framebuffer::new(size.w, size.h, panel);
-            let mut diffusion =
-                Diffusion::new(PixelFormat::Mono1, DitherMode::FloydSteinberg, size)
-                    .expect("diffuses");
-            let mut dst = Framebuffer::new(size.w, size.h, Color::BLACK);
-            diffusion.rerun(&src, &mut dst, 0, size.h);
-            src.fill_rect(Rect::new(3, 4, 9, 2), Color::BLACK);
-            src.fill_rect(Rect::new(10, 44, 7, 3), Color::BLACK);
-            let mut written = Vec::new();
-            diffusion.rerun_rows(&src, &[4..6, 44..47], |y, row| {
-                written.push(y);
-                dst.row_mut(y).copy_from_slice(row);
-            });
-            let fresh = dither_to_format(&src, PixelFormat::Mono1, DitherMode::FloydSteinberg);
-            assert_eq!(dst, fresh, "{panel}");
-            assert!(written.contains(&4) && written.contains(&44), "{written:?}");
-            assert_eq!(!written.contains(&30), skips, "{panel}: {written:?}");
         }
     }
 }

@@ -589,8 +589,6 @@ pub struct RowDiff {
     /// The runs of the row being added, as `start..end` offsets from its
     /// first pixel.
     runs: Vec<(u32, u32)>,
-    /// Each row's span from its first run to its last.
-    spans: Vec<Rect>,
 }
 
 impl RowDiff {
@@ -646,20 +644,9 @@ impl RowDiff {
         self.add_runs(x, y);
     }
 
-    /// Each row's span from its first differing pixel to its last, one
-    /// rect per row added that had any, in the order added: they cover
-    /// every run, in fewer rects than the region when runs are short.
-    pub fn spans(&self) -> &[Rect] {
-        &self.spans
-    }
-
     /// Adds `self.runs`, found on the row starting at `(x, y)`.
     fn add_runs(&mut self, x: u32, y: u32) {
         self.next.clear();
-        if let Some((&(start, _), &(_, end))) = self.runs.first().zip(self.runs.last()) {
-            self.spans
-                .push(Rect::new((x + start) as i32, y as i32, end - start, 1));
-        }
         let (x, y) = (x as i32, y as i32);
         let mut above = self.open.iter().copied().peekable();
         for &(start, end) in &self.runs {
