@@ -17,12 +17,14 @@
 //! ([`Reducer::row`] through [`RowDiff::replace`]); the runs that
 //! differ make `changed`, so no copy of the old pixels is kept. A row
 //! that needs no reduction (`Rgb888`) is compared and copied whole.
-//! Error-diffusion devices keep their scaled frame and the error row
-//! entering each device row, restart the dither at the first rescaled
-//! row and stop where the error entering an unchanged row is the kept
-//! one. The first frame, a resize, a call after a panic, another server
-//! frame or one written more often than the journal remembers run the
-//! same code over the whole frame.
+//! Error-diffusion devices keep their scaled frame and each device
+//! pixel's quantization error ([`Diffusion`]). From the first rescaled
+//! row down, each row is dithered again only over the columns that were
+//! rescaled or whose error from above changed, and only those are
+//! compared and stored; below the rescaled rows the dither stops at the
+//! first row whose errors above all stayed. The first frame, a resize, a
+//! call after a panic, another server frame or one written more often
+//! than the journal remembers run the same code over the whole frame.
 //!
 //! A returned frame is a shared snapshot the plug-in never writes again.
 //! The plug-in keeps two device buffers: it writes in place when nobody
@@ -119,22 +121,14 @@ impl Kept {
         let device = writable(device, spare);
         let mut changed = diff.then(RowDiff::default);
         match reduce {
-            // Rescale into the scaled frame, then re-reduce from the first
-            // rescaled row on.
+            // Rescale into the scaled frame, then reduce again what that
+            // reaches.
             Reduce::Diffused(state) => {
                 let (scaled, diffusion) = &mut **state;
                 for &r in &rescale {
                     scaler.scale_rect(server, scaled, r);
                 }
-                let from = rescale.iter().map(|r| r.y as u32).min().unwrap_or(0);
-                let through = rescale.iter().map(|r| r.bottom() as u32).max().unwrap_or(0);
-                diffusion.rerun_rows(scaled, from, through, |y, row| {
-                    let old = device.row_mut(y);
-                    if let Some(changed) = &mut changed {
-                        changed.push(0, y, row, old);
-                    }
-                    old.copy_from_slice(row);
-                });
+                diffusion.rerun(scaled, device, &rescale, changed.as_mut());
             }
             Reduce::Local(reducer) => {
                 for &r in &rescale {

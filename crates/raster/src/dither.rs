@@ -7,9 +7,11 @@
 //!
 //! Position-local reductions run by table ([`Reducer`]): one lookup per
 //! channel, indexed by Bayer phase and channel value, stands for bias,
-//! clamp and reduction. Floyd–Steinberg ([`Diffusion`]) runs two rows at
-//! a time with the quantizer chosen once per pair of rows, so a pixel
-//! does not dispatch on the palette's shape.
+//! clamp and reduction. Floyd–Steinberg runs two rows at a time through
+//! one kernel, with the quantizer chosen once per rect or rerun, so a
+//! pixel does not dispatch on the palette's shape; [`Diffusion`] keeps
+//! each pixel's error and reduces again only the columns a change can
+//! reach.
 
 use crate::color::{Color, Palette, SUMS};
 use crate::framebuffer::{Framebuffer, RowDiff};
@@ -89,23 +91,57 @@ fn reduce(fb: &mut Framebuffer, rect: Rect, target: Target, mode: DitherMode) {
                 reducer.row(y, rect.x as u32, &src, row, None);
             }
         }
-        Err(palette) => {
-            let mut band = Band::new(cols.len());
-            let mut above: ErrorRow = vec![[0; 3]; cols.len() + 2];
-            let mut y = rows.start;
-            while y < rows.end {
-                let n = ((rows.end - y) as usize).min(BAND);
-                for (row, sy) in band.rows[..n].iter_mut().zip(y..) {
-                    row.copy_from_slice(&fb.row(sy)[cols.clone()]);
-                }
-                band.diffuse(&palette, &above, n);
-                for row in &band.rows[..n] {
-                    fb.row_mut(y)[cols.clone()].copy_from_slice(row);
-                    y += 1;
-                }
-                core::mem::swap(&mut above, &mut band.leaving[n - 1]);
-            }
+        // The quantizer is chosen once per rect, not per pixel.
+        Err(palette) => match palette.ramp() {
+            Some(levels) => diffuse_rect(fb, cols, rows, &ramp(levels)),
+            None => diffuse_rect(fb, cols, rows, &|c| palette.quantize(c)),
+        },
+    }
+}
+
+/// Floyd–Steinberg over columns `cols` of rows `rows` of `fb`, in place,
+/// two rows at a time.
+fn diffuse_rect(
+    fb: &mut Framebuffer,
+    cols: Range<usize>,
+    rows: Range<u32>,
+    quantize: &impl Fn(Color) -> Color,
+) {
+    let w = cols.len();
+    let [mut src, mut out] = [(); 2].map(|_| vec![Color::BLACK; 2 * w]);
+    // The errors of the row above and of the two rows reduced. Every
+    // pixel is reduced, so only the zero cells at either end matter.
+    let mut errors = [(); 3].map(|_| vec![[0; 3]; w + 2]);
+    let mut kept = [Vec::new(), Vec::new()];
+    for y in rows.clone().step_by(2) {
+        let n = (rows.end - y).min(2) as usize;
+        for (i, sy) in (y..).take(n).enumerate() {
+            src[i * w..(i + 1) * w].copy_from_slice(&fb.row(sy)[cols.clone()]);
         }
+        let [above, mid, below] = &mut errors;
+        let (src_a, src_b) = src.split_at(w);
+        let (out_a, out_b) = out.split_at_mut(w);
+        diffuse_rows(
+            Row {
+                src: src_a,
+                out: out_a,
+            },
+            (n == 2).then_some(Row {
+                src: src_b,
+                out: out_b,
+            }),
+            above,
+            mid,
+            below,
+            &mut kept,
+            0..w,
+            0..w,
+            quantize,
+        );
+        for (i, sy) in (y..).take(n).enumerate() {
+            fb.row_mut(sy)[cols.clone()].copy_from_slice(&out[i * w..(i + 1) * w]);
+        }
+        errors.swap(0, 2);
     }
 }
 
@@ -152,12 +188,7 @@ impl Reduction {
     pub fn new(format: PixelFormat, mode: DitherMode, size: Size) -> Reduction {
         match Reducer::of(Target::of(format), mode) {
             Ok(reducer) => Reduction::Local(reducer),
-            Err(palette) => Reduction::Diffused(Diffusion {
-                palette,
-                size,
-                entering: vec![vec![[0; 3]; size.w as usize + 2]; size.h as usize],
-                band: Band::new(size.w as usize),
-            }),
+            Err(palette) => Reduction::Diffused(Diffusion::onto(palette, size)),
         }
     }
 }
@@ -346,152 +377,226 @@ fn offset(c: Color, bias: i32) -> Color {
     Color::rgb(ch(c.r), ch(c.g), ch(c.b))
 }
 
-/// Per-channel Floyd–Steinberg error, in sixteenths, for one row plus a
-/// cell of margin at each end.
-type ErrorRow = Vec<[i32; 3]>;
+/// A pixel's Floyd–Steinberg quantization error in each channel: the
+/// colour it asked for, with the error it received, minus the colour it
+/// shows. Within ±255.
+type Error = [i16; 3];
 
-/// What Floyd–Steinberg carries along a row from pixel to pixel, in
-/// locals rather than through the error rows.
-#[derive(Default)]
-struct Carry {
-    /// 7/16 of the last pixel's error, for the next pixel.
-    right: [i32; 3],
-    /// What the pixels so far owe the two cells below, left to right,
-    /// that are not finished yet.
-    owed: [[i32; 3]; 2],
+/// Reduces pixel `x` of a row by Floyd–Steinberg and returns its error:
+/// `src` holds the row's input and `out` gets its reduced pixels, both a
+/// row wide; `above` holds the errors of the row above and `errs` this
+/// row's, each with a zero cell at either end (column `x` at `x + 1`);
+/// `left` is the error of the pixel left of `x`. The error is stored in
+/// `errs` too.
+#[inline(always)]
+fn diffuse(
+    src: &[Color],
+    out: &mut [Color],
+    above: &[Error],
+    errs: &mut [Error],
+    x: usize,
+    left: Error,
+    quantize: &impl Fn(Color) -> Color,
+) -> Error {
+    // 1/16 of the error above-left, 5/16 of the one above, 3/16 of the
+    // one above-right and 7/16 of the one left, summed first.
+    let (ul, u, ur) = (above[x], above[x + 1], above[x + 2]);
+    let ch = |v: u8, k: usize| {
+        let owed = ul[k] as i32 + 5 * u[k] as i32 + 3 * ur[k] as i32 + 7 * left[k] as i32;
+        (v as i32 + owed / 16).clamp(0, 255)
+    };
+    let p = src[x];
+    let adj = [ch(p.r, 0), ch(p.g, 1), ch(p.b, 2)];
+    let q = quantize(Color::rgb(adj[0] as u8, adj[1] as u8, adj[2] as u8));
+    out[x] = q;
+    let err = [
+        (adj[0] - q.r as i32) as i16,
+        (adj[1] - q.g as i32) as i16,
+        (adj[2] - q.b as i32) as i16,
+    ];
+    errs[x + 1] = err;
+    err
 }
 
-impl Carry {
-    /// Reduces `p`, the next pixel, with `above`, the error the row
-    /// above left for it. Returns the error below its left neighbour,
-    /// now finished: 3/16 of this pixel's error on top of 5/16 and 1/16
-    /// of the two before it.
-    #[inline(always)]
-    fn step(
-        &mut self,
-        p: &mut Color,
-        above: [i32; 3],
-        quantize: impl Fn(Color) -> Color,
-    ) -> [i32; 3] {
-        let ch = |v: u8, k: usize| (v as i32 + (above[k] + self.right[k]) / 16).clamp(0, 255) as u8;
-        let adj = Color::rgb(ch(p.r, 0), ch(p.g, 1), ch(p.b, 2));
-        let q = quantize(adj);
-        *p = q;
-        let err = [
-            adj.r as i32 - q.r as i32,
-            adj.g as i32 - q.g as i32,
-            adj.b as i32 - q.b as i32,
-        ];
-        let mut done = [0; 3];
-        for k in 0..3 {
-            self.right[k] = err[k] * 7;
-            done[k] = self.owed[0][k] + err[k] * 3;
-            self.owed[0][k] = self.owed[1][k] + err[k] * 5;
-            self.owed[1][k] = err[k];
-        }
-        done
+/// A row of a Floyd–Steinberg run: its input and output, a row wide.
+struct Row<'a> {
+    src: &'a [Color],
+    out: &'a mut [Color],
+}
+
+/// What a [`diffuse_rows`] did to a row: the columns it reduced, and
+/// those whose error changed, from the first to the last.
+struct Walked {
+    cols: Range<usize>,
+    changed: Range<usize>,
+}
+
+impl Walked {
+    /// The walk over `cols` of a row whose errors were `kept` and are
+    /// `now` (column `x` at `x + 1`), where no error left of `from`
+    /// changed.
+    fn new(cols: Range<usize>, from: usize, kept: &[Error], now: &[Error]) -> Walked {
+        let cells = from + 1..cols.end + 1;
+        let (kept, now) = (&kept[cells.clone()], &now[cells]);
+        let differs = |(k, n): (&Error, &Error)| k != n;
+        let changed = match kept.iter().zip(now).position(differs) {
+            Some(first) => {
+                let last = kept.iter().zip(now).rposition(differs).unwrap_or(first);
+                from + first..from + last + 1
+            }
+            None => 0..0,
+        };
+        Walked { cols, changed }
     }
 }
 
-/// Floyd–Steinberg over one row, in place: `above` holds the error
-/// entering the row; every cell of `below` is overwritten with the error
-/// entering the row below.
-fn diffuse_row(
-    row: &mut [Color],
-    quantize: impl Fn(Color) -> Color + Copy,
-    above: &[[i32; 3]],
-    below: &mut [[i32; 3]],
-) {
-    let w = row.len();
-    let mut carry = Carry::default();
-    for (x, p) in row.iter_mut().enumerate() {
-        below[x] = carry.step(p, above[x + 1], quantize);
-    }
-    [below[w], below[w + 1]] = carry.owed;
-}
-
-/// [`diffuse_row`] over row `a` and then row `b` below it, interleaved:
-/// a pixel of `b` needs only the error below the pixel right of it in
-/// `a`, so `b` runs one pixel behind `a`, and the two chains of
-/// dependent pixels overlap in the processor. `mid` gets the error
-/// entering `b`, `below` the error leaving it. (Two rows keep both
-/// carries in registers; more rows spill them and run slower.)
+/// Floyd–Steinberg over row `a` and row `b` below it, where they need it:
+/// the one kernel behind [`Diffusion`] and [`reduce_rect`]. `above`,
+/// `mid` and `below` hold the errors of the row above `a`, of `a` and of
+/// `b` (see [`diffuse`]); each pixel reduced stores its error over the
+/// one held. `kept` is scratch for two rows of errors.
+///
+/// Row `a` is reduced from `a_cols.start`, every pixel before
+/// `a_cols.end` and on while the pixel left of the next changed its error.
+/// Row `b` is reduced, if there is one, from the first pixel in `b_input`
+/// or next to one whose error changed on `a`, up to the last such pixel
+/// and on while errors change. Where both are reduced, `b` runs one pixel
+/// behind `a`, as soon as the error above-right of its pixel is final, so
+/// the two chains of dependent pixels overlap in the processor. Which
+/// errors changed is found afterwards, by comparing each row with its
+/// errors as they were; pixel by pixel, a walk compares only while it
+/// looks for the first change on `a` and past the pixels it must reduce.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn diffuse_rows(
-    [a, b]: [&mut [Color]; 2],
-    quantize: impl Fn(Color) -> Color + Copy,
-    above: &[[i32; 3]],
-    mid: &mut [[i32; 3]],
-    below: &mut [[i32; 3]],
-) {
-    let w = a.len();
-    let (mut ca, mut cb) = (Carry::default(), Carry::default());
-    mid[0] = ca.step(&mut a[0], above[1], quantize);
-    for x in 1..w {
-        let m = ca.step(&mut a[x], above[x + 1], quantize);
-        mid[x] = m;
-        below[x - 1] = cb.step(&mut b[x - 1], m, quantize);
-    }
-    [mid[w], mid[w + 1]] = ca.owed;
-    below[w - 1] = cb.step(&mut b[w - 1], mid[w], quantize);
-    [below[w], below[w + 1]] = cb.owed;
-}
-
-/// How many rows Floyd–Steinberg reduces at a time.
-const BAND: usize = 2;
-
-/// Scratch for Floyd–Steinberg over rows of one width, up to [`BAND`]
-/// rows at a time: the rows and the error leaving each.
-#[derive(Debug, Clone)]
-struct Band {
-    rows: [Vec<Color>; BAND],
-    leaving: [ErrorRow; BAND],
-}
-
-impl Band {
-    fn new(w: usize) -> Band {
-        Band {
-            rows: core::array::from_fn(|_| vec![Color::BLACK; w]),
-            leaving: core::array::from_fn(|_| vec![[0; 3]; w + 2]),
+    a: Row,
+    b: Option<Row>,
+    above: &[Error],
+    mid: &mut [Error],
+    below: &mut [Error],
+    [kept_a, kept_b]: &mut [Vec<Error>; 2],
+    a_cols: Range<usize>,
+    b_input: Range<usize>,
+    quantize: &impl Fn(Color) -> Color,
+) -> [Option<Walked>; 2] {
+    let w = a.src.len();
+    let (above, mid) = (&above[..w + 2], &mut mid[..w + 2]);
+    kept_a.clear();
+    kept_a.extend_from_slice(mid);
+    let a_walked = |xa: usize, from: usize, mid: &[Error]| {
+        (!a_cols.is_empty()).then(|| Walked::new(a_cols.start..xa, from, kept_a, mid))
+    };
+    // Row `a` up to its first changed error.
+    let (mut xa, mut left_a) = (a_cols.start, mid[a_cols.start.min(w)]);
+    let mut first = None;
+    while xa < a_cols.end {
+        left_a = diffuse(a.src, a.out, above, mid, xa, left_a, quantize);
+        xa += 1;
+        if left_a != kept_a[xa] {
+            first = Some(xa - 1);
+            break;
         }
     }
-
-    /// Reduces the first `n` rows (`1..=BAND`) in place, with `above`
-    /// the error entering the first.
-    fn diffuse(&mut self, palette: &Palette, above: &[[i32; 3]], n: usize) {
-        // The quantizer is chosen once per band, not per pixel.
-        match palette.ramp() {
-            Some(levels) => self.run(above, n, |c| {
-                Color::gray(levels[c.r as usize + c.g as usize + c.b as usize].1)
-            }),
-            None => self.run(above, n, |c| palette.quantize(c)),
+    let Some(b) = b else {
+        while first.is_some() && (xa < a_cols.end || (xa < w && left_a != kept_a[xa])) {
+            left_a = diffuse(a.src, a.out, above, mid, xa, left_a, quantize);
+            xa += 1;
+        }
+        return [a_walked(xa, first.unwrap_or(xa), mid), None];
+    };
+    // Row `b` from the first pixel it needs: caught up to one pixel behind
+    // `a`, then beside it while `a` goes on.
+    let below = &mut below[..w + 2];
+    kept_b.clear();
+    kept_b.extend_from_slice(below);
+    let start = match first {
+        Some(f) => b_input.start.min(f.saturating_sub(1)),
+        None => b_input.start,
+    };
+    let (mut xb, mut left_b) = (start, below[start.min(w)]);
+    if first.is_some() {
+        while xb + 1 < xa {
+            left_b = diffuse(b.src, b.out, mid, below, xb, left_b, quantize);
+            xb += 1;
+        }
+        while xa < a_cols.end || (xa < w && left_a != kept_a[xa]) {
+            left_a = diffuse(a.src, a.out, above, mid, xa, left_a, quantize);
+            xa += 1;
+            left_b = diffuse(b.src, b.out, mid, below, xb, left_b, quantize);
+            xb += 1;
         }
     }
-
-    fn run(&mut self, above: &[[i32; 3]], n: usize, quantize: impl Fn(Color) -> Color + Copy) {
-        let [a, b] = &mut self.rows;
-        let [mid, below] = &mut self.leaving;
-        match n {
-            1 => diffuse_row(a, quantize, above, mid),
-            _ => diffuse_rows([a, b], quantize, above, mid, below),
-        }
+    let a = a_walked(xa, first.unwrap_or(xa), mid);
+    // The rest of `b`: up to the last pixel a changed error on `a`
+    // reaches, and on while its own errors change.
+    let reached = a.as_ref().map_or(0..0, |a| a.changed.clone());
+    let must = match reached.is_empty() {
+        true => b_input.end,
+        false => b_input.end.max((reached.end + 1).min(w)),
+    };
+    if start >= must {
+        return [a, None];
     }
+    while xb < must || (xb < w && left_b != kept_b[xb]) {
+        left_b = diffuse(b.src, b.out, mid, below, xb, left_b, quantize);
+        xb += 1;
+    }
+    [a, Some(Walked::new(start..xb, start, kept_b, below))]
 }
 
-/// Floyd–Steinberg reduction of a whole frame that can restart at any
-/// row. It keeps the error row entering each row of the frame it reduced
-/// last; when rows of the unreduced frame change, [`rerun`](Self::rerun)
-/// redoes the reduction from the first changed row and stops as soon as
-/// the error entering an unchanged row is the kept one, because from
-/// there on input and error state, and so the output, are as before.
-/// The result is bit-for-bit what [`dither_to_format`] gives.
+/// A grey ramp's nearest level, by its table of channel sums.
+fn ramp(levels: &[(u8, u8); SUMS]) -> impl Fn(Color) -> Color + '_ {
+    |c| Color::gray(levels[c.r as usize + c.g as usize + c.b as usize].1)
+}
+
+/// What a [`Diffusion::rerun`] did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Rerun {
+    /// From the first changed row to the row where the error entering it
+    /// was the kept one (or the frame's end); rows in between that
+    /// nothing reached were not touched.
+    pub rows: Range<u32>,
+    /// How many pixels were reduced again.
+    pub pixels: usize,
+}
+
+/// Floyd–Steinberg reduction of a whole frame that redoes only what a
+/// change reaches. It keeps the quantization error of every pixel of the
+/// frame it reduced last; [`rerun`](Self::rerun) takes the rects of the
+/// unreduced frame that changed since and reduces again, on each row, one
+/// span of columns, two rows at a time. The result is bit-for-bit what
+/// [`dither_to_format`] gives.
+///
+/// A pixel's result depends on its input and on the error it receives:
+/// 7/16 of its left neighbour's and 1/16, 5/16 and 3/16 of the three
+/// errors above it. On each row the span starts at the leftmost pixel
+/// whose input changed or one of whose errors above did (the row above's
+/// changed errors, a column wider on each side). Left of it input and
+/// received error are the kept ones, so the kept errors there are exact
+/// and the span's first pixel takes 7/16 of its left neighbour's. Past the
+/// last such pixel the span ends at the first pixel whose left neighbour
+/// kept its error: from there on input and received error are the kept
+/// ones again, and so are results and errors. Below the changed rects the
+/// rerun stops at the first row under a row whose errors all stayed, the
+/// row where the error entering it is the kept one.
 #[derive(Debug, Clone)]
 pub struct Diffusion {
     palette: Palette,
+    frame: Errors,
+}
+
+/// The errors a [`Diffusion`] keeps, with its scratch.
+#[derive(Debug, Clone)]
+struct Errors {
     size: Size,
-    /// The error entering each row.
-    entering: Vec<ErrorRow>,
-    /// Scratch for the rows being reduced.
-    band: Band,
+    /// The error of every pixel, a row of `size.w + 2` cells per frame row
+    /// with a zero cell at either end, below a zero row.
+    cells: Vec<Error>,
+    /// Scratch: the columns of each row whose input changed, the reduced
+    /// pixels of two rows and their errors as they were.
+    spans: Vec<Range<usize>>,
+    out: Vec<Color>,
+    kept: [Vec<Error>; 2],
 }
 
 impl Diffusion {
@@ -506,11 +611,25 @@ impl Diffusion {
         }
     }
 
+    fn onto(palette: Palette, size: Size) -> Diffusion {
+        let (w, h) = (size.w as usize, size.h as usize);
+        Diffusion {
+            palette,
+            frame: Errors {
+                size,
+                cells: vec![[0; 3]; (w + 2) * (h + 1)],
+                spans: Vec::with_capacity(h),
+                out: vec![Color::BLACK; 2 * w],
+                kept: [Vec::with_capacity(w + 2), Vec::with_capacity(w + 2)],
+            },
+        }
+    }
+
     /// Reduces `src` into `dst` (both the size given to
-    /// [`new`](Self::new)) from row `from` on, taking rows `from..through`
-    /// of `src` as changed since the previous run, and returns the rows of
-    /// `dst` written. The rest of `dst` must hold the previous run's
-    /// output; on the first run pass the whole frame as changed.
+    /// [`new`](Self::new)) again where the pixels of `changed` (clipped)
+    /// changed since the previous run, first adding where `dst` changes to
+    /// `diff` if there is one. The rest of `dst` must hold the previous
+    /// run's output; on the first run pass the whole frame as changed.
     ///
     /// # Panics
     ///
@@ -519,59 +638,101 @@ impl Diffusion {
         &mut self,
         src: &Framebuffer,
         dst: &mut Framebuffer,
-        from: u32,
-        through: u32,
-    ) -> Range<u32> {
-        assert!(dst.size() == self.size, "diffusion size");
-        self.rerun_rows(src, from, through, |y, row| {
-            dst.row_mut(y).copy_from_slice(row)
-        })
+        changed: &[Rect],
+        diff: Option<&mut RowDiff>,
+    ) -> Rerun {
+        // The quantizer is chosen once per run, not per pixel.
+        let Diffusion { palette, frame } = self;
+        match palette.ramp() {
+            Some(levels) => frame.rerun(src, dst, changed, diff, ramp(levels)),
+            None => frame.rerun(src, dst, changed, diff, |c| palette.quantize(c)),
+        }
     }
+}
 
-    /// [`rerun`](Self::rerun), handing each reduced row to `emit` with
-    /// its index instead of writing it to a frame, so that the caller
-    /// can compare it with the row it replaces first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` is not the size given to [`new`](Self::new).
-    pub fn rerun_rows(
+impl Errors {
+    fn rerun(
         &mut self,
         src: &Framebuffer,
-        from: u32,
-        through: u32,
-        mut emit: impl FnMut(u32, &[Color]),
-    ) -> Range<u32> {
-        let h = self.size.h;
+        dst: &mut Framebuffer,
+        changed: &[Rect],
+        mut diff: Option<&mut RowDiff>,
+        quantize: impl Fn(Color) -> Color,
+    ) -> Rerun {
         assert!(src.size() == self.size, "diffusion size");
-        if from >= h.min(through) {
-            return from..from;
+        assert!(dst.size() == self.size, "diffusion size");
+        let (w, h) = (self.size.w as usize, self.size.h as usize);
+        let stride = w + 2;
+        // Each row's columns of changed input: the hull of the rects on it.
+        self.spans.clear();
+        self.spans.resize(h, w..0);
+        let (mut from, mut through) = (h, 0);
+        for r in changed.iter().filter_map(|r| r.intersect(src.bounds())) {
+            let (x, right) = (r.x as usize, r.right() as usize);
+            let (top, bottom) = (r.y as usize, r.bottom() as usize);
+            for span in &mut self.spans[top..bottom] {
+                *span = span.start.min(x)..span.end.max(right);
+            }
+            (from, through) = (from.min(top), through.max(bottom));
         }
-        // Nothing above `from` changed, so the error entering it is the
-        // kept one.
+        let from = from.min(through);
+        let mut pixels = 0;
+        // The columns of the row above whose error changed.
+        let mut above: Range<usize> = 0..0;
         let mut y = from;
-        while y < h {
-            let n = ((h - y) as usize).min(BAND);
-            for (row, sy) in self.band.rows[..n].iter_mut().zip(y..) {
-                row.copy_from_slice(src.row(sy));
+        while y < h && (y < through || !above.is_empty()) {
+            let mut cols = self.spans[y].clone();
+            if !above.is_empty() {
+                cols = cols.start.min(above.start.saturating_sub(1))
+                    ..cols.end.max((above.end + 1).min(w));
             }
-            let above = &self.entering[y as usize];
-            self.band.diffuse(&self.palette, above, n);
-            for i in 0..n {
-                emit(y, &self.band.rows[i]);
-                y += 1;
-                if y == h {
-                    break;
+            let (upper, rest) = self.cells.split_at_mut((y + 1) * stride);
+            let (mid, below) = rest.split_at_mut(stride);
+            let (out_a, out_b) = self.out.split_at_mut(w);
+            let b = (y + 1 < h).then(|| Row {
+                src: src.row(y as u32 + 1),
+                out: out_b,
+            });
+            let a = Row {
+                src: src.row(y as u32),
+                out: out_a,
+            };
+            let b_input = self.spans.get(y + 1).cloned().unwrap_or(w..0);
+            let walked = diffuse_rows(
+                a,
+                b,
+                &upper[y * stride..],
+                mid,
+                below,
+                &mut self.kept,
+                cols,
+                b_input,
+                &quantize,
+            );
+            for (i, walk) in walked.iter().enumerate() {
+                let Some(Walked { cols, .. }) = walk else {
+                    continue;
+                };
+                let now = &self.out[i * w..][cols.clone()];
+                let row = (y + i) as u32;
+                let before = &mut dst.row_mut(row)[cols.clone()];
+                if let Some(diff) = diff.as_deref_mut() {
+                    diff.push(cols.start as u32, row, now, before);
                 }
-                // Rows reduced past this point are dropped unseen.
-                let kept = &mut self.entering[y as usize];
-                if y >= through && *kept == self.band.leaving[i] {
-                    return from..y;
-                }
-                core::mem::swap(kept, &mut self.band.leaving[i]);
+                before.copy_from_slice(now);
+                pixels += cols.len();
             }
+            // Go on below `b` if it was reduced; if not, `a` is the last
+            // row or changed no error.
+            (y, above) = match walked {
+                [_, Some(b)] => (y + 2, b.changed),
+                [a, None] => (y + 1, a.map_or(0..0, |a| a.changed)),
+            };
         }
-        from..h
+        Rerun {
+            rows: from as u32..y as u32,
+            pixels,
+        }
     }
 }
 
@@ -669,6 +830,112 @@ mod tests {
                 assert_eq!(f.reduce(p), p, "{f}: {p} not representable");
             }
         }
+    }
+
+    /// A 128×90 control panel as the phone shows it: on light grey, two
+    /// rows of framed buttons with white, blue and grey faces and a ramp
+    /// between them, then under a black rule a white status field.
+    fn panel() -> Framebuffer {
+        let mut fb = Framebuffer::new(128, 90, Color::LIGHT_GRAY);
+        let faces = [Color::WHITE, Color::BLUE, Color::GRAY];
+        for (i, y) in [4, 32].into_iter().enumerate() {
+            for (j, x) in [4, 46, 88].into_iter().enumerate() {
+                let r = Rect::new(x, y, 36, 22);
+                fb.fill_rect(r, Color::WHITE);
+                fb.fill_rect(Rect::new(r.x + 1, r.y + 1, r.w - 1, r.h - 1), Color::BLACK);
+                let face = Rect::new(r.x + 1, r.y + 1, r.w - 2, r.h - 2);
+                fb.fill_rect(face, faces[(i + j) % 3]);
+            }
+        }
+        for x in 0..128 {
+            let v = (x * 2) as u8;
+            fb.fill_rect(Rect::new(x, 27, 1, 3), Color::rgb(v, 60, 120));
+        }
+        fb.fill_rect(Rect::new(0, 60, 128, 1), Color::BLACK);
+        fb.fill_rect(Rect::new(0, 61, 128, 29), Color::WHITE);
+        fb
+    }
+
+    /// `src` dithered to Mono1 over the whole frame.
+    fn fresh(src: &Framebuffer) -> Framebuffer {
+        dither_to_format(src, PixelFormat::Mono1, DitherMode::FloydSteinberg)
+    }
+
+    /// [`fresh`] of `src`, and a diffusion that reduced it.
+    fn reduced(src: &Framebuffer) -> (Framebuffer, Diffusion) {
+        let fs = DitherMode::FloydSteinberg;
+        let mut diffusion = Diffusion::new(PixelFormat::Mono1, fs, src.size()).unwrap();
+        let mut dst = Framebuffer::new(src.width(), src.height(), Color::BLACK);
+        diffusion.rerun(src, &mut dst, &[src.bounds()], None);
+        assert_eq!(dst, fresh(src));
+        (dst, diffusion)
+    }
+
+    /// Greys of the given levels, one pixel each.
+    fn greys(levels: &[u8]) -> Vec<Color> {
+        levels.iter().map(|&v| Color::gray(v)).collect()
+    }
+
+    #[test]
+    fn a_rerun_reduces_only_the_columns_a_change_reaches() {
+        let mut src = panel();
+        let (mut dst, mut diffusion) = reduced(&src);
+        // One pixel of the grey face mid-panel: its error runs on down to
+        // the button's frame, but no row reduces much more than the
+        // columns below the row above's changed errors.
+        let dot = Rect::new(64, 43, 1, 1);
+        src.fill_rect(dot, Color::BLACK);
+        let run = diffusion.rerun(&src, &mut dst, &[dot], None);
+        assert_eq!(dst, fresh(&src));
+        let whole_rows = run.rows.len() * 128;
+        assert!(run.rows.len() > 1, "the change settles at once: {run:?}");
+        assert!(
+            2 * run.pixels < whole_rows,
+            "{} pixels against {whole_rows} for whole rows",
+            run.pixels
+        );
+        // A pixel of the white field turned black keeps its error, 0, so
+        // nothing past it is reduced again.
+        let dot = Rect::new(64, 75, 1, 1);
+        src.fill_rect(dot, Color::BLACK);
+        let run = diffusion.rerun(&src, &mut dst, &[dot], None);
+        assert_eq!(dst, fresh(&src));
+        let (rows, pixels) = (75..76, 1);
+        assert_eq!(run, Rerun { rows, pixels });
+    }
+
+    #[test]
+    fn a_changed_error_reaches_the_column_right_of_it_on_the_row_below() {
+        // Row 1's white pixels absorb what rows 0 leaves them, so their
+        // errors stay 0; only the 1/16 that (1, 0) leaves below right
+        // tips (2, 1), mid-grey, from black to white.
+        let mut src = Framebuffer::new(4, 2, Color::BLACK);
+        src.write_rect(Rect::new(0, 0, 4, 1), &greys(&[0, 0, 255, 255]));
+        src.write_rect(Rect::new(0, 1, 4, 1), &greys(&[255, 255, 127, 0]));
+        let (mut dst, mut diffusion) = reduced(&src);
+        let dot = Rect::new(1, 0, 1, 1);
+        src.fill_rect(dot, Color::gray(100));
+        diffusion.rerun(&src, &mut dst, &[dot], None);
+        assert_eq!(dst, fresh(&src));
+        assert_eq!(dst.pixel(Point::new(2, 1)), Some(Color::WHITE));
+    }
+
+    #[test]
+    fn a_changed_error_reaches_the_column_right_of_it_on_the_next_pair_of_rows() {
+        // Rows are reduced in pairs from the change down. The last error
+        // the change moves on row 1 is at column 2, and (3, 2), the
+        // first row of the next pair, flips on the 1/16 of it it gets.
+        let mut src = Framebuffer::new(4, 3, Color::BLACK);
+        src.write_rect(Rect::new(0, 0, 4, 1), &greys(&[0, 0, 220, 128]));
+        src.write_rect(Rect::new(0, 1, 4, 1), &greys(&[0, 40, 220, 255]));
+        src.write_rect(Rect::new(0, 2, 4, 1), &greys(&[90, 128, 0, 128]));
+        let (mut dst, mut diffusion) = reduced(&src);
+        let before = dst.pixel(Point::new(3, 2));
+        let dot = Rect::new(2, 0, 1, 1);
+        src.fill_rect(dot, Color::gray(170));
+        diffusion.rerun(&src, &mut dst, &[dot], None);
+        assert_eq!(dst, fresh(&src));
+        assert_ne!(dst.pixel(Point::new(3, 2)), before);
     }
 
     #[test]

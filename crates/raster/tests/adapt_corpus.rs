@@ -214,16 +214,19 @@ fn diffusion_section(out: &mut String) {
         let mut dst = Framebuffer::new(size.w, size.h, Color::BLACK);
         let mut diffusion =
             Diffusion::new(format, DitherMode::FloydSteinberg, size).expect("diffuses");
-        let first = diffusion.rerun(&src, &mut dst, 0, size.h);
+        let first = diffusion.rerun(&src, &mut dst, &[src.bounds()], None).rows;
         // Rewrite two middle rows, then one row whose change dies out.
-        src.fill_rect(Rect::new(3, 9, 11, 2), Color::rgb(90, 140, 210));
-        let middle = diffusion.rerun(&src, &mut dst, 9, 11);
+        let band = Rect::new(3, 9, 11, 2);
+        src.fill_rect(band, Color::rgb(90, 140, 210));
+        let middle = diffusion.rerun(&src, &mut dst, &[band], None).rows;
         assert_eq!(
             dst,
             dither_to_format(&src, format, DitherMode::FloydSteinberg)
         );
         src.set_pixel(Point::new(28, 15), Color::WHITE);
-        let late = diffusion.rerun(&src, &mut dst, 15, 16);
+        let late = diffusion
+            .rerun(&src, &mut dst, &[Rect::new(28, 15, 1, 1)], None)
+            .rows;
         assert_eq!(
             dst,
             dither_to_format(&src, format, DitherMode::FloydSteinberg)

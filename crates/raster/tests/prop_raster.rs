@@ -4,7 +4,9 @@
 
 use proptest::prelude::*;
 use uniint_raster::color::{Color, Palette};
-use uniint_raster::dither::{dither_to_palette, reduce_rect, DitherMode};
+use uniint_raster::dither::{
+    dither_to_format, dither_to_palette, reduce_rect, Diffusion, DitherMode,
+};
 use uniint_raster::framebuffer::{Framebuffer, RowDiff};
 use uniint_raster::geom::{Point, Rect, Size};
 use uniint_raster::pixel::{pack_row, unpack_row, PixelFormat};
@@ -422,6 +424,153 @@ proptest! {
         }
         let region = diff.into_region();
         prop_assert_eq!(region.rects(), &want[..]);
+    }
+}
+
+/// `src` reduced onto `palette` by Floyd–Steinberg, one pixel at a time:
+/// each pixel's error, in sixteenths, added to the four neighbours that
+/// come after it (7 right; 3, 5 and 1 below left, below and below right),
+/// and what a pixel received added to it before it is quantized.
+fn reference_floyd_steinberg(src: &Framebuffer, palette: &Palette) -> Framebuffer {
+    let (w, h) = (src.width() as i32, src.height() as i32);
+    let mut owed = vec![[0i32; 3]; (w * h) as usize];
+    let mut out = src.clone();
+    for y in 0..h {
+        for x in 0..w {
+            let c = src.pixel(Point::new(x, y)).unwrap();
+            let e = owed[(y * w + x) as usize];
+            let ch = |v: u8, k: usize| (v as i32 + e[k] / 16).clamp(0, 255) as u8;
+            let adj = Color::rgb(ch(c.r, 0), ch(c.g, 1), ch(c.b, 2));
+            let q = palette.quantize(adj);
+            out.set_pixel(Point::new(x, y), q);
+            let err = [
+                adj.r as i32 - q.r as i32,
+                adj.g as i32 - q.g as i32,
+                adj.b as i32 - q.b as i32,
+            ];
+            for (dx, dy, share) in [(1, 0, 7), (-1, 1, 3), (0, 1, 5), (1, 1, 1)] {
+                let (nx, ny) = (x + dx, y + dy);
+                if (0..w).contains(&nx) && ny < h {
+                    let cell = &mut owed[(ny * w + nx) as usize];
+                    for k in 0..3 {
+                        cell[k] += err[k] * share;
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Frame sizes of 1 to 24 columns and 1 to 16 rows, one column or one
+/// row wide often.
+fn arb_size() -> impl Strategy<Value = Size> {
+    let side = |max: u32| prop_oneof![Just(1u32), Just(2u32), 1..=max];
+    (side(24), side(16)).prop_map(|(w, h)| Size::new(w, h))
+}
+
+/// One rect of changed pixels, placed in a frame in the test: its corner
+/// and size, taken modulo what fits; which edge it is stretched to (none,
+/// column 0, the last column, the last row); and its fill, one colour or
+/// seeded noise.
+type Change = (u32, u32, u32, u32, u8, Option<Color>, u64);
+
+fn arb_change() -> impl Strategy<Value = Change> {
+    let fill = prop_oneof![
+        Just(None),
+        Just(Some(Color::BLACK)),
+        Just(Some(Color::WHITE)),
+        Just(Some(Color::LIGHT_GRAY)),
+        arb_color().prop_map(Some),
+    ];
+    (
+        any::<u32>(),
+        any::<u32>(),
+        any::<u32>(),
+        any::<u32>(),
+        0u8..4,
+        fill,
+        any::<u64>(),
+    )
+}
+
+/// Applies `change` to `src`, returning the rect it wrote.
+fn apply(src: &mut Framebuffer, change: &Change) -> Rect {
+    let &(x, y, w, h, edge, fill, seed) = change;
+    let size = src.size();
+    let (mut x, y) = (x % size.w, y % size.h);
+    let (mut w, mut h) = (1 + w % (size.w - x), 1 + h % (size.h - y));
+    match edge {
+        1 => {
+            w += x;
+            x = 0;
+        }
+        2 => w = size.w - x,
+        3 => h = size.h - y,
+        _ => {}
+    }
+    let rect = Rect::new(x as i32, y as i32, w, h);
+    let mut state = seed | 1;
+    for p in rect.pixels() {
+        let c = fill.unwrap_or_else(|| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            Color::from_u32(state as u32 & 0xff_ffff)
+        });
+        src.set_pixel(p, c);
+    }
+    rect
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn diffusion_reruns_match_a_whole_frame_dither(
+        size in arb_size(),
+        start in arb_change(),
+        steps in proptest::collection::vec(proptest::collection::vec(arb_change(), 1..4), 1..8),
+    ) {
+        for (format, palette) in [
+            (PixelFormat::Mono1, Palette::mono()),
+            (PixelFormat::Gray4, Palette::grayscale(16)),
+            (PixelFormat::Gray8, Palette::grayscale(256)),
+            (PixelFormat::Indexed8, Palette::websafe()),
+        ] {
+            let fs = DitherMode::FloydSteinberg;
+            let mut src = Framebuffer::new(size.w, size.h, Color::LIGHT_GRAY);
+            apply(&mut src, &start);
+            let mut dst = Framebuffer::new(size.w, size.h, Color::BLACK);
+            let mut diffusion = Diffusion::new(format, fs, size).unwrap();
+            let first = diffusion.rerun(&src, &mut dst, &[src.bounds()], None);
+            prop_assert_eq!(first.rows, 0..size.h);
+            prop_assert_eq!(first.pixels, size.area() as usize);
+            let whole = dither_to_format(&src, format, fs);
+            prop_assert_eq!(&whole, &reference_floyd_steinberg(&src, &palette), "{}", format);
+            prop_assert_eq!(&dst, &whole, "{} first run", format);
+            for (i, changes) in steps.iter().enumerate() {
+                let rects: Vec<Rect> = changes.iter().map(|c| apply(&mut src, c)).collect();
+                let before = dst.clone();
+                let mut diff = RowDiff::default();
+                let run = diffusion.rerun(&src, &mut dst, &rects, Some(&mut diff));
+                let whole = dither_to_format(&src, format, fs);
+                prop_assert_eq!(&dst, &whole, "{} step {} {:?}", format, i, rects);
+                let top = rects.iter().map(|r| r.y as u32).min().unwrap();
+                prop_assert_eq!(run.rows.start, top);
+                prop_assert!(run.pixels <= run.rows.len() * size.w as usize);
+                // The runs it reports are the pixels that changed, once each.
+                let region = diff.into_region();
+                let bounds = dst.bounds();
+                let differs: Vec<bool> = bounds
+                    .pixels()
+                    .map(|p| before.pixel(p) != dst.pixel(p))
+                    .collect();
+                prop_assert_eq!(covered(region.rects(), bounds), differs.clone());
+                let area: u64 = region.rects().iter().map(|r| r.area()).sum();
+                prop_assert_eq!(area as usize, differs.iter().filter(|&&d| d).count());
+            }
+        }
     }
 }
 
