@@ -356,8 +356,8 @@ fn e4(at: Scale) -> Vec<Row> {
         } else {
             Box::new(ScreenPlugin::tv())
         };
-        let msgs = s.proxy.attach_output(plugin);
-        s.deliver_to_server(app.ui_mut(), msgs);
+        s.proxy.attach_output(plugin);
+        s.pump(app.ui_mut());
         s.take_frame()
     });
 
@@ -377,14 +377,14 @@ fn e4(at: Scale) -> Vec<Row> {
     let devices: Vec<DeviceDescriptor> = home.iter().map(|d| d.descriptor().clone()).collect();
     let mut coord = Coordinator::new(UserProfile::neutral("u"), Situation::idle("hall"));
     for d in home {
-        let r = coord.register(d, &mut s.proxy);
-        s.deliver_to_server(app.ui_mut(), r.messages);
+        coord.register(d, &mut s.proxy);
+        s.pump(app.ui_mut());
     }
     let mut next = 0;
     let mut change = || {
-        let r = coord.set_situation(situations[next % 2].clone(), &mut s.proxy);
+        coord.set_situation(situations[next % 2].clone(), &mut s.proxy);
         next += 1;
-        s.deliver_to_server(app.ui_mut(), r.messages);
+        s.pump(app.ui_mut());
         s.take_frame()
     };
     change();
@@ -484,9 +484,8 @@ fn e6(at: Scale) -> Vec<Row> {
             let drag = || {
                 let mut scene = keypad_session(link);
                 let (_, app, s) = &mut scene;
-                let msgs = s.proxy.attach_output(Box::new(ScreenPlugin::phone_lcd()));
-                s.send_client(app.ui_mut(), msgs)
-                    .expect("renegotiation settles");
+                s.proxy.attach_output(Box::new(ScreenPlugin::phone_lcd()));
+                s.settle(app.ui_mut()).expect("renegotiation settles");
                 let (t0, f0) = (s.now_us(), s.frames_delivered());
                 press_n(focus, &up, &mut scene);
                 press_n(steps, &right, &mut scene);
@@ -540,8 +539,8 @@ fn e7(at: Scale) -> Vec<Row> {
     let (mut net, mut app, mut s) = standard_scene();
     let tel = s.telemetry().clone();
     s.proxy.attach_input(Box::new(KeypadPlugin::new()));
-    let msgs = s.proxy.attach_output(Box::new(ScreenPlugin::phone_lcd()));
-    s.deliver_to_server(app.ui_mut(), msgs);
+    s.proxy.attach_output(Box::new(ScreenPlugin::phone_lcd()));
+    s.pump(app.ui_mut());
     let mut round_trip = || {
         s.device_input(app.ui_mut(), &select);
         app.process(&mut net);
@@ -714,7 +713,7 @@ fn e10(at: Scale) -> Vec<Row> {
             coord.register(dev, &mut proxy);
         }
         for _ in 0..4 {
-            proxy.device_input(&DeviceEvent::StylusMove { x: 5, y: 5 });
+            let _ = proxy.device_input(&DeviceEvent::StylusMove { x: 5, y: 5 });
         }
         let mut now = 1_000u64;
         sup.tick(now, &mut coord, &mut proxy);
@@ -723,7 +722,7 @@ fn e10(at: Scale) -> Vec<Row> {
             for id in ["pda-1", "phone-1", "tv-lr"] {
                 sup.heartbeat(id, now);
             }
-            proxy.device_input(&DeviceEvent::StylusMove { x: 5, y: 5 });
+            let _ = proxy.device_input(&DeviceEvent::StylusMove { x: 5, y: 5 });
             sup.tick(now, &mut coord, &mut proxy);
         }
         sup.stats()
@@ -745,7 +744,7 @@ fn e10(at: Scale) -> Vec<Row> {
         let mut proxy = UniIntProxy::new("bench");
         let mut coord = Coordinator::new(UserProfile::neutral("u"), Situation::idle("z"));
         coord.register(dev, &mut proxy);
-        proxy.device_input(&DeviceEvent::StylusDown { x: 5, y: 5 });
+        let _ = proxy.device_input(&DeviceEvent::StylusDown { x: 5, y: 5 });
         proxy.stats()
     };
     let st = storm();
@@ -956,8 +955,9 @@ fn ablations(at: Scale) -> Vec<Row> {
     // update cycle, either damage-driven or as a full refresh.
     let slider_frames = |allowed: &[Encoding], full_refresh: bool| {
         let (_net, mut app, mut s) = standard_scene();
-        s.deliver_to_server(
+        s.send_as(
             app.ui_mut(),
+            0,
             vec![ClientMessage::SetEncodings(allowed.to_vec())],
         );
         let slider = first_slider(app.ui());
@@ -974,7 +974,7 @@ fn ablations(at: Scale) -> Vec<Row> {
                     incremental: false,
                     rect: bounds,
                 }];
-                s.deliver_to_server(app.ui_mut(), msgs);
+                s.send_as(app.ui_mut(), 0, msgs);
             } else {
                 s.pump(app.ui_mut());
             }

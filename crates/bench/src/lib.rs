@@ -230,8 +230,8 @@ pub fn record_e12_trace() -> Vec<u8> {
     )
     .expect("e12 session connects");
     s.proxy.attach_input(Box::new(KeypadPlugin::new()));
-    let msgs = s.proxy.attach_output(Box::new(ScreenPlugin::phone_lcd()));
-    s.send_client(&mut ui, msgs).expect("renegotiation settles");
+    s.proxy.attach_output(Box::new(ScreenPlugin::phone_lcd()));
+    s.settle(&mut ui).expect("renegotiation settles");
     for ev in [
         DeviceEvent::KeypadSelect,
         DeviceEvent::KeypadNav(Nav::Down),
@@ -246,8 +246,8 @@ pub fn record_e12_trace() -> Vec<u8> {
     );
     s.device_input(&mut ui, &DeviceEvent::KeypadNav(Nav::Down))
         .expect("input survives the flap");
-    let msgs = s.proxy.attach_output(Box::new(ScreenPlugin::pda()));
-    s.send_client(&mut ui, msgs).expect("renegotiation settles");
+    s.proxy.attach_output(Box::new(ScreenPlugin::pda()));
+    s.settle(&mut ui).expect("renegotiation settles");
     s.device_input(&mut ui, &DeviceEvent::KeypadSelect)
         .expect("input settles");
     rec.finish().expect("trace finishes once")

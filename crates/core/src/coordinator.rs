@@ -1,7 +1,9 @@
 //! The interaction coordinator: tracks which interaction devices are
 //! available, applies [`crate::context::select`] to each [`Role`]
 //! whenever the situation changes, and performs the dynamic plug-in
-//! switches on the proxy.
+//! switches on the proxy. An output switch's renegotiation waits in the
+//! proxy's outbox for the session to send; a [`SwitchReport`] only says
+//! what changed.
 
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
@@ -9,7 +11,6 @@ use std::collections::BTreeSet;
 use crate::context::{select, DeviceDescriptor, Role, Situation, UserProfile};
 use crate::plugin::{InputPlugin, OutputPlugin};
 use crate::proxy::UniIntProxy;
-use uniint_protocol::message::ClientMessage;
 
 /// Factory producing a fresh input plug-in (the "module the device
 /// transmits to the proxy" in the paper).
@@ -115,14 +116,10 @@ impl Borrow<DeviceDescriptor> for Candidate<'_> {
 }
 
 impl Candidate<'_> {
-    /// Uploads a fresh plug-in to the proxy; returns the renegotiation an
-    /// output switch needs.
-    fn attach(&self, proxy: &mut UniIntProxy) -> Vec<ClientMessage> {
+    /// Uploads a fresh plug-in to the proxy.
+    fn attach(&self, proxy: &mut UniIntProxy) {
         match self.factory {
-            RoleFactory::Input(f) => {
-                proxy.attach_input(f());
-                Vec::new()
-            }
+            RoleFactory::Input(f) => proxy.attach_input(f()),
             RoleFactory::Output(f) => proxy.attach_output(f()),
         }
     }
@@ -143,8 +140,6 @@ pub struct SwitchReport {
     pub input_switched_to: Option<String>,
     /// New active output device id, when it changed.
     pub output_switched_to: Option<String>,
-    /// Protocol messages the output switch produced (renegotiation).
-    pub messages: Vec<ClientMessage>,
 }
 
 impl SwitchReport {
@@ -303,7 +298,7 @@ impl Coordinator {
             }
             match best {
                 Some(winner) => {
-                    report.messages.extend(winner.attach(proxy));
+                    winner.attach(proxy);
                     let switches = format!("coordinator.{}_switches", role.name());
                     proxy.telemetry().counter(&switches).inc();
                 }
@@ -368,6 +363,12 @@ mod tests {
         }
     }
 
+    /// A proxy without a session and a coordinator for user `u` in `sit`.
+    fn rig(sit: Situation) -> (UniIntProxy, Coordinator) {
+        let coord = Coordinator::new(UserProfile::neutral("u"), sit);
+        (UniIntProxy::new("p"), coord)
+    }
+
     fn phone() -> InteractionDevice {
         InteractionDevice::new(
             DeviceDescriptor::carried("phone-1", "Phone").with_input(InputModality::Keypad),
@@ -416,8 +417,7 @@ mod tests {
 
     #[test]
     fn register_selects_first_device() {
-        let mut proxy = UniIntProxy::new("p");
-        let mut coord = Coordinator::new(UserProfile::neutral("u"), Situation::idle("kitchen"));
+        let (mut proxy, mut coord) = rig(Situation::idle("kitchen"));
         let report = coord.register(phone(), &mut proxy);
         assert_eq!(report.input_switched_to.as_deref(), Some("phone-1"));
         assert_eq!(proxy.attached().0, Some("keypad"));
@@ -425,8 +425,7 @@ mod tests {
 
     #[test]
     fn situation_change_switches_to_voice() {
-        let mut proxy = UniIntProxy::new("p");
-        let mut coord = Coordinator::new(UserProfile::neutral("u"), idle_kitchen());
+        let (mut proxy, mut coord) = rig(idle_kitchen());
         coord.register(phone(), &mut proxy);
         coord.register(kitchen_mic(), &mut proxy);
         // Idle: keypad still fine (carried). Now hands get busy:
@@ -437,8 +436,7 @@ mod tests {
 
     #[test]
     fn no_switch_when_best_unchanged() {
-        let mut proxy = UniIntProxy::new("p");
-        let mut coord = Coordinator::new(UserProfile::neutral("u"), cooking());
+        let (mut proxy, mut coord) = rig(cooking());
         coord.register(kitchen_mic(), &mut proxy);
         let report = coord.set_situation(cooking(), &mut proxy);
         assert!(!report.changed());
@@ -446,8 +444,7 @@ mod tests {
 
     #[test]
     fn unregister_active_device_falls_back() {
-        let mut proxy = UniIntProxy::new("p");
-        let mut coord = Coordinator::new(UserProfile::neutral("u"), cooking());
+        let (mut proxy, mut coord) = rig(cooking());
         coord.register(phone(), &mut proxy);
         coord.register(kitchen_mic(), &mut proxy);
         assert_eq!(coord.active_input(), Some("mic-1"));
@@ -458,8 +455,7 @@ mod tests {
 
     #[test]
     fn unregister_unknown_is_noop() {
-        let mut proxy = UniIntProxy::new("p");
-        let mut coord = Coordinator::new(UserProfile::neutral("u"), cooking());
+        let (mut proxy, mut coord) = rig(cooking());
         coord.register(phone(), &mut proxy);
         let report = coord.unregister("nope", &mut proxy);
         assert!(!report.changed());
@@ -467,8 +463,7 @@ mod tests {
 
     #[test]
     fn unregister_last_input_detaches() {
-        let mut proxy = UniIntProxy::new("p");
-        let mut coord = Coordinator::new(UserProfile::neutral("u"), cooking());
+        let (mut proxy, mut coord) = rig(cooking());
         coord.register(kitchen_mic(), &mut proxy);
         coord.unregister("mic-1", &mut proxy);
         assert_eq!(coord.active_input(), None);
@@ -476,7 +471,7 @@ mod tests {
     }
 
     #[test]
-    fn output_registration_reports_messages_when_connected() {
+    fn output_registration_queues_the_renegotiation_when_connected() {
         let mut proxy = UniIntProxy::new("p");
         proxy
             .handle_server(&uniint_protocol::message::ServerMessage::Init {
@@ -490,13 +485,13 @@ mod tests {
         let mut coord = Coordinator::new(UserProfile::neutral("u"), Situation::idle("kitchen"));
         let report = coord.register(pda_screen(), &mut proxy);
         assert_eq!(report.output_switched_to.as_deref(), Some("pda-1"));
-        assert!(!report.messages.is_empty(), "output switch renegotiates");
+        let queued = proxy.take_outbox();
+        assert!(!queued.is_empty(), "output switch renegotiates");
     }
 
     #[test]
     fn re_register_same_id_replaces() {
-        let mut proxy = UniIntProxy::new("p");
-        let mut coord = Coordinator::new(UserProfile::neutral("u"), Situation::idle("kitchen"));
+        let (mut proxy, mut coord) = rig(Situation::idle("kitchen"));
         coord.register(phone(), &mut proxy);
         coord.register(phone(), &mut proxy);
         assert_eq!(coord.descriptors().len(), 1);
@@ -504,8 +499,7 @@ mod tests {
 
     #[test]
     fn re_register_active_device_reattaches_fresh_plugin() {
-        let mut proxy = UniIntProxy::new("p");
-        let mut coord = Coordinator::new(UserProfile::neutral("u"), Situation::idle("kitchen"));
+        let (mut proxy, mut coord) = rig(Situation::idle("kitchen"));
         coord.register(phone(), &mut proxy);
         assert_eq!(proxy.attached().0, Some("keypad"));
         // Same id returns with a *different* plug-in: the proxy must not
@@ -521,8 +515,7 @@ mod tests {
 
     #[test]
     fn excluded_device_loses_selection_and_readmission_restores_it() {
-        let mut proxy = UniIntProxy::new("p");
-        let mut coord = Coordinator::new(UserProfile::neutral("u"), cooking());
+        let (mut proxy, mut coord) = rig(cooking());
         coord.register(phone(), &mut proxy);
         coord.register(kitchen_mic(), &mut proxy);
         assert_eq!(coord.active_input(), Some("mic-1"));
@@ -539,8 +532,7 @@ mod tests {
     fn exclusion_survives_reregistration() {
         // Exclusion is orthogonal to registration: a quarantined or dead
         // device that is unplugged and plugged back in stays excluded.
-        let mut proxy = UniIntProxy::new("p");
-        let mut coord = Coordinator::new(UserProfile::neutral("u"), cooking());
+        let (mut proxy, mut coord) = rig(cooking());
         coord.register(kitchen_mic(), &mut proxy);
         coord.set_available("mic-1", false);
         coord.reselect(&mut proxy);
@@ -552,8 +544,7 @@ mod tests {
 
     #[test]
     fn excluding_every_device_detaches() {
-        let mut proxy = UniIntProxy::new("p");
-        let mut coord = Coordinator::new(UserProfile::neutral("u"), cooking());
+        let (mut proxy, mut coord) = rig(cooking());
         coord.register(kitchen_mic(), &mut proxy);
         coord.set_available("mic-1", false);
         coord.reselect(&mut proxy);
@@ -566,8 +557,7 @@ mod tests {
         // A device advertising input modality but uploading no plug-in
         // must never win selection (previously it won and the attach was
         // silently skipped, wedging the active slot).
-        let mut proxy = UniIntProxy::new("p");
-        let mut coord = Coordinator::new(UserProfile::neutral("u"), cooking());
+        let (mut proxy, mut coord) = rig(cooking());
         let ghost = InteractionDevice::new(
             DeviceDescriptor::fixed("ghost", "Ghost", "kitchen").with_input(InputModality::Voice),
         );
@@ -579,8 +569,7 @@ mod tests {
 
     #[test]
     fn profile_change_reselects() {
-        let mut proxy = UniIntProxy::new("p");
-        let mut coord = Coordinator::new(UserProfile::neutral("u"), idle_kitchen());
+        let (mut proxy, mut coord) = rig(idle_kitchen());
         coord.register(phone(), &mut proxy);
         coord.register(kitchen_mic(), &mut proxy);
         let mut profile = UserProfile::neutral("u");

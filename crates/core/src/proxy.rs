@@ -8,6 +8,13 @@
 //! Both plug-ins can be swapped at any moment — that is the paper's
 //! "dynamic change of interaction devices according to the user's
 //! situation".
+//!
+//! Every client message the proxy originates (a switch's renegotiation,
+//! a recovery's refresh, answers, input) waits in one outbox until a
+//! transport drains it with [`UniIntProxy::take_outbox`] before moving
+//! bytes, so no caller forwards a switch by hand. `connect`,
+//! `device_input` and `handle_server` also return the drained outbox:
+//! the benchmark under `perfbench/` drives a bare proxy through them.
 
 use crate::plugin::{DeviceEvent, DeviceFrame, InputContext, InputPlugin, OutputPlugin};
 use uniint_protocol::encoding::{decode_copy_rect, decode_into, Encoding};
@@ -25,7 +32,7 @@ use uniint_telemetry::registry::{Counter, Registry};
 /// Messages and frames produced by one proxy step.
 #[derive(Debug, Default)]
 pub struct ProxyOutput {
-    /// Protocol messages to forward to the UniInt server.
+    /// The drained outbox: protocol messages for the UniInt server.
     pub messages: Vec<ClientMessage>,
     /// An adapted frame for the output device, when the display changed.
     pub frame: Option<DeviceFrame>,
@@ -134,6 +141,8 @@ pub struct UniIntProxy {
     name: String,
     state: State,
     format: PixelFormat,
+    /// Client messages queued for the server, oldest first.
+    outbox: Vec<ClientMessage>,
     input_plugin: Option<Box<dyn InputPlugin>>,
     output_plugin: Option<Box<dyn OutputPlugin>>,
     metrics: ProxyMetrics,
@@ -163,6 +172,7 @@ impl UniIntProxy {
             name: name.into(),
             state: State::AwaitingInit,
             format: PixelFormat::Rgb888,
+            outbox: Vec::new(),
             input_plugin: None,
             output_plugin: None,
             metrics: ProxyMetrics::new(registry),
@@ -231,10 +241,34 @@ impl UniIntProxy {
         )
     }
 
-    /// Starts a handshake: the proxy awaits `Init`, and this is the
-    /// `Hello` to send.
+    /// Takes every client message queued for the server, oldest first.
+    pub fn take_outbox(&mut self) -> Vec<ClientMessage> {
+        std::mem::take(&mut self.outbox)
+    }
+
+    /// Queues a client message the proxy originates.
+    pub(crate) fn queue(&mut self, msg: ClientMessage) {
+        self.outbox.push(msg);
+    }
+
+    /// Queues the session setup for the transport format: the format,
+    /// every encoding, and a full refresh of the server framebuffer,
+    /// whose bounds are `frame`.
+    fn negotiate(&mut self, frame: Rect) {
+        self.queue(ClientMessage::SetPixelFormat(self.format));
+        self.queue(ClientMessage::SetEncodings(Encoding::ALL.to_vec()));
+        self.queue(ClientMessage::UpdateRequest {
+            incremental: false,
+            rect: frame,
+        });
+    }
+
+    /// Starts a handshake: the proxy awaits `Init`, and the outbox holds
+    /// just the `Hello` to send (a new session owes nothing), drained.
+    #[must_use = "the Hello is the only way the handshake starts"]
     pub fn connect(&mut self) -> Vec<ClientMessage> {
         self.state = State::AwaitingInit;
+        self.outbox.clear();
         vec![self.hello()]
     }
 
@@ -293,17 +327,18 @@ impl UniIntProxy {
         self.input_plugin = None;
     }
 
-    /// Installs (or replaces) the output plug-in and renegotiates the
-    /// session for the new device: pixel format, encodings and a full
-    /// refresh. Returns the messages to send — the dynamic output switch.
-    pub fn attach_output(&mut self, plugin: Box<dyn OutputPlugin>) -> Vec<ClientMessage> {
+    /// Installs (or replaces) the output plug-in and, in a session,
+    /// queues its renegotiation for the new device: pixel format,
+    /// encodings and a full refresh — the dynamic output switch.
+    pub fn attach_output(&mut self, plugin: Box<dyn OutputPlugin>) {
         let caps = plugin.caps();
         self.output_plugin = Some(plugin);
         // Transport in the device's own format: a mono LCD session should
         // not ship 24-bit pixels over a phone link.
         self.format = caps.format;
-        self.server_frame()
-            .map_or_else(Vec::new, |fb| negotiation(self.format, fb.bounds()))
+        if let Some(frame) = self.server_frame().map(Framebuffer::bounds) {
+            self.negotiate(frame);
+        }
     }
 
     /// Removes the output plug-in.
@@ -311,8 +346,9 @@ impl UniIntProxy {
         self.output_plugin = None;
     }
 
-    /// Handles one server message. Update rects decode straight into the
-    /// server framebuffer.
+    /// Handles one server message and returns the drained outbox with
+    /// the answer in it. Update rects decode straight into the server
+    /// framebuffer.
     ///
     /// # Errors
     ///
@@ -321,14 +357,16 @@ impl UniIntProxy {
     /// rect that does not lie inside the framebuffer, or a CopyRect whose
     /// source does not, is `Malformed`. A failed update
     /// may leave the framebuffer partly written: the caller should
-    /// [`recover`](Self::recover) or tear the session down.
+    /// [`recover`](Self::recover) or tear the session down. An error
+    /// leaves the outbox as it was.
     pub fn handle_server(&mut self, msg: &ServerMessage) -> Result<ProxyOutput, ProtocolError> {
         let mut out = ProxyOutput::default();
         match (&mut self.state, msg) {
             (state, ServerMessage::Init { width, height, .. }) => {
                 let fb = server_framebuffer(*width, *height)?;
-                out.messages = negotiation(self.format, fb.bounds());
+                let frame = fb.bounds();
                 *state = State::Running { fb, last_seq: 0 };
+                self.negotiate(frame);
             }
             (_, ServerMessage::Bell) => out.bell = true,
             (_, ServerMessage::CutText(_)) => {}
@@ -367,7 +405,7 @@ impl UniIntProxy {
                 self.metrics.rects_per_update.record(rects.len() as u64);
                 out.frame = self.adapt_current();
                 // Continuous update loop, as thin-client viewers do.
-                out.messages.push(ClientMessage::UpdateRequest {
+                self.outbox.push(ClientMessage::UpdateRequest {
                     incremental: true,
                     rect: frame,
                 });
@@ -378,7 +416,7 @@ impl UniIntProxy {
                 // must not blow away the cached framebuffer.
                 if fb.size() != new {
                     *fb = server_framebuffer(*width, *height)?;
-                    out.messages.push(ClientMessage::UpdateRequest {
+                    self.outbox.push(ClientMessage::UpdateRequest {
                         incremental: false,
                         rect: fb.bounds(),
                     });
@@ -387,7 +425,7 @@ impl UniIntProxy {
             (State::Running { fb, .. }, ServerMessage::ResumeAck { replayed, .. }) => {
                 // The server re-damaged whatever the break lost; an
                 // incremental request fetches exactly that.
-                out.messages.push(ClientMessage::UpdateRequest {
+                self.outbox.push(ClientMessage::UpdateRequest {
                     incremental: true,
                     rect: fb.bounds(),
                 });
@@ -403,6 +441,7 @@ impl UniIntProxy {
                     .record("proxy.resume", detail);
             }
         }
+        out.messages = self.take_outbox();
         Ok(out)
     }
 
@@ -422,13 +461,13 @@ impl UniIntProxy {
     }
 
     /// Recovery after a decode error: discards the (possibly corrupt)
-    /// framebuffer contents and asks the server for a complete refresh.
+    /// framebuffer contents and queues a request for a complete refresh.
     /// Callers should invoke this instead of tearing the session down
     /// when [`handle_server`](Self::handle_server) fails on a transport
     /// that is still alive. With no session there is nothing to recover.
-    pub fn recover(&mut self) -> Vec<ClientMessage> {
+    pub fn recover(&mut self) {
         let State::Running { fb, .. } = &mut self.state else {
-            return Vec::new();
+            return;
         };
         // Blank the cache so stale pixels cannot survive a corrupt
         // update that was partially applied.
@@ -438,16 +477,19 @@ impl UniIntProxy {
             .registry
             .journal()
             .record("proxy.recover", "decode error: discarding cache");
-        negotiation(self.format, fb.bounds())
+        let frame = fb.bounds();
+        self.negotiate(frame);
     }
 
     /// Translates a device-native event via the input plug-in into
-    /// protocol messages for the server.
+    /// protocol messages for the server, queues them, and returns the
+    /// drained outbox.
+    #[must_use = "the outbox holds the input events for the server"]
     pub fn device_input(&mut self, ev: &DeviceEvent) -> Vec<ClientMessage> {
         let server_size = self.server_size().unwrap_or(Size::new(1, 1));
         let Some(plugin) = self.input_plugin.as_mut() else {
             self.metrics.events_dropped.inc();
-            return Vec::new();
+            return self.take_outbox();
         };
         let device_view = match self.output_plugin.as_ref() {
             Some(out) => {
@@ -496,7 +538,9 @@ impl UniIntProxy {
         } else {
             self.metrics.events_translated.add(queue.len() as u64);
         }
-        queue.into_iter().map(ClientMessage::Input).collect()
+        self.outbox
+            .extend(queue.into_iter().map(ClientMessage::Input));
+        self.take_outbox()
     }
 }
 
@@ -508,20 +552,6 @@ fn server_framebuffer(width: u16, height: u16) -> Result<Framebuffer, ProtocolEr
     let (w, h) = (width.max(1) as u32, height.max(1) as u32);
     Framebuffer::try_new(w, h, Color::BLACK)
         .ok_or_else(|| ProtocolError::Malformed(format!("server framebuffer {w}x{h} is too large")))
-}
-
-/// The session setup for a device transporting in `format`: its pixel
-/// format, every encoding, and a full refresh of the server framebuffer,
-/// whose bounds are `frame`.
-fn negotiation(format: PixelFormat, frame: Rect) -> Vec<ClientMessage> {
-    vec![
-        ClientMessage::SetPixelFormat(format),
-        ClientMessage::SetEncodings(Encoding::ALL.to_vec()),
-        ClientMessage::UpdateRequest {
-            incremental: false,
-            rect: frame,
-        },
-    ]
 }
 
 /// The size of `src` after aspect-preserving fit into `bounds`.
@@ -740,25 +770,29 @@ mod tests {
     }
 
     #[test]
-    fn attach_output_renegotiates_format() {
+    fn attach_output_queues_its_renegotiation_for_the_next_drain() {
         let mut p = UniIntProxy::new("p");
+        p.attach_output(Box::new(TestOutput));
+        assert!(p.take_outbox().is_empty(), "no session, nothing owed");
         p.handle_server(&init_msg()).unwrap();
-        let msgs = p.attach_output(Box::new(TestOutput));
-        assert!(msgs.contains(&ClientMessage::SetPixelFormat(PixelFormat::Mono1)));
-        assert!(matches!(
-            msgs.last(),
-            Some(ClientMessage::UpdateRequest {
-                incremental: false,
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn attach_output_before_connect_sends_nothing() {
-        let mut p = UniIntProxy::new("p");
-        let msgs = p.attach_output(Box::new(TestOutput));
-        assert!(msgs.is_empty());
+        p.attach_output(Box::new(TestOutput));
+        let update = update_for(Rect::new(0, 0, 8, 8), Color::WHITE, PixelFormat::Mono1);
+        let msgs = p.handle_server(&update).unwrap().messages;
+        // The renegotiation first, then the update's own request.
+        assert_eq!(msgs[0], ClientMessage::SetPixelFormat(PixelFormat::Mono1));
+        let request = |incremental| ClientMessage::UpdateRequest {
+            incremental,
+            rect: Rect::new(0, 0, 160, 120),
+        };
+        assert_eq!(msgs[2..], [request(false), request(true)], "{msgs:?}");
+        // A new session owes nothing the old one queued.
+        p.attach_output(Box::new(TestOutput));
+        let hello = p.connect();
+        assert!(
+            matches!(hello[..], [ClientMessage::Hello { .. }]),
+            "{hello:?}"
+        );
+        assert!(p.take_outbox().is_empty());
     }
 
     #[test]
@@ -774,9 +808,9 @@ mod tests {
     #[test]
     fn stylus_coordinates_mapped_to_server_space() {
         let mut p = UniIntProxy::new("p");
-        p.handle_server(&init_msg()).unwrap();
         p.attach_input(Box::new(TestInput));
         p.attach_output(Box::new(TestOutput));
+        p.handle_server(&init_msg()).unwrap();
         // Device view is 80x60 (same aspect); tapping its center must land
         // at the server center.
         let msgs = p.device_input(&DeviceEvent::StylusDown { x: 40, y: 30 });
@@ -972,42 +1006,8 @@ mod recovery_tests {
     #[test]
     fn recover_before_connect_is_empty() {
         let mut p = UniIntProxy::new("p");
-        assert!(p.recover().is_empty());
-    }
-
-    #[test]
-    fn recover_requests_full_refresh_after_corrupt_update() {
-        let mut p = UniIntProxy::new("p");
-        p.handle_server(&ServerMessage::Init {
-            version: 1,
-            width: 64,
-            height: 48,
-            format: PixelFormat::Rgb888,
-            name: "x".into(),
-        })
-        .unwrap();
-        // A corrupt update: truncated raw payload.
-        let bad = ServerMessage::Update {
-            seq: 1,
-            format: PixelFormat::Rgb888,
-            rects: vec![RectUpdate {
-                rect: Rect::new(0, 0, 64, 48),
-                encoding: Encoding::Raw,
-                payload: vec![1, 2, 3],
-            }],
-        };
-        assert!(p.handle_server(&bad).is_err());
-        let msgs = p.recover();
-        assert_eq!(msgs.len(), 3);
-        assert!(matches!(
-            msgs[2],
-            ClientMessage::UpdateRequest {
-                incremental: false,
-                ..
-            }
-        ));
-        // The session keeps working afterwards.
-        assert!(p.is_connected());
+        p.recover();
+        assert!(p.take_outbox().is_empty());
     }
 
     fn connected_64x48() -> UniIntProxy {
@@ -1021,6 +1021,41 @@ mod recovery_tests {
         })
         .unwrap();
         p
+    }
+
+    #[test]
+    fn recover_requests_full_refresh_after_corrupt_update() {
+        use uniint_protocol::encoding::encode_rect;
+        let mut p = connected_64x48();
+        let frame = Rect::new(0, 0, 64, 48);
+        let update = |seq, payload| ServerMessage::Update {
+            seq,
+            format: PixelFormat::Rgb888,
+            rects: vec![RectUpdate {
+                rect: frame,
+                encoding: Encoding::Raw,
+                payload,
+            }],
+        };
+        let paint = |c| encode_rect(&[c; 64 * 48], frame, Encoding::Raw, PixelFormat::Rgb888);
+        p.handle_server(&update(1, paint(Color::WHITE))).unwrap();
+        // A corrupt update: truncated raw payload.
+        assert!(p.handle_server(&update(2, vec![1, 2, 3])).is_err());
+        p.recover();
+        let msgs = p.take_outbox();
+        assert_eq!(msgs.len(), 3);
+        assert!(matches!(
+            msgs[2],
+            ClientMessage::UpdateRequest {
+                incremental: false,
+                ..
+            }
+        ));
+        // The session keeps working: the refresh restores a consistent
+        // screen.
+        p.handle_server(&update(3, paint(Color::GREEN))).unwrap();
+        let fb = p.server_frame().unwrap();
+        assert!(fb.pixels().iter().all(|&c| c == Color::GREEN));
     }
 
     #[test]
@@ -1070,9 +1105,9 @@ mod recovery_tests {
         }
         assert_eq!(p.stats().rects_decoded, 0);
         // Recovery still asks for everything again.
-        let msgs = p.recover();
+        p.recover();
         assert_eq!(
-            msgs.last(),
+            p.take_outbox().last(),
             Some(&ClientMessage::UpdateRequest {
                 incremental: false,
                 rect: Rect::new(0, 0, 64, 48),

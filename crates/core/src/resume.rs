@@ -10,7 +10,8 @@
 //! - [`send`](ResumeMachine::send) logs each client message and writes
 //!   it, unless the connection is down or a `Resume` is waiting for its
 //!   ack: then the message is held, unwritten, and goes out with the
-//!   ack's retransmissions.
+//!   ack's retransmissions. Each transport [`flush`](ResumeMachine::flush)es
+//!   the proxy's outbox this way before it moves bytes.
 //! - [`receive_frames`](ResumeMachine::receive_frames) decodes every
 //!   whole frame the transport has read and hands each server message
 //!   to the proxy. Once the proxy has accepted a `ResumeAck`, the
@@ -48,7 +49,8 @@
 //!   and in order. The log is trimmed only on acks.
 //! - **Escalation.** After [`MAX_FAILED_RESUMES`] resumes in a row die
 //!   before their ack, the next ack's retransmissions are followed by a
-//!   full refresh ([`UniIntProxy::recover`]).
+//!   full refresh ([`UniIntProxy::recover`], taken from the outbox and
+//!   logged), and then by the ack's own fetch.
 
 use crate::plugin::DeviceFrame;
 use crate::proxy::{ProxyOutput, UniIntProxy};
@@ -220,6 +222,11 @@ impl ResumeMachine {
         }
     }
 
+    /// [`send`](Self::send)s every message queued in `proxy`'s outbox.
+    pub fn flush(&mut self, proxy: &mut UniIntProxy, write: impl FnMut(&ClientMessage)) {
+        self.send(proxy.take_outbox(), write);
+    }
+
     /// Decodes every whole frame in `frames` and [`receive`](Self::receive)s
     /// each server message, keeping the adapted frames and bells. Returns
     /// whether there was at least one frame.
@@ -339,7 +346,8 @@ impl ResumeMachine {
         }
         proxy.record_retransmits(self.log.len() as u64);
         if std::mem::take(&mut self.escalate) {
-            self.log.extend(proxy.recover());
+            proxy.recover();
+            self.log.extend(proxy.take_outbox());
         }
     }
 }

@@ -7,6 +7,9 @@
 //! of proxies. Across the simulator the two sides only move bytes:
 //! [`crate::resume::ResumeMachine`] drives the proxy side, as it does in
 //! the gateway's client.
+//! Both drain each proxy's outbox before they move anything, so after a
+//! device switch, a supervisor tick or a recovery the caller only pumps
+//! or settles.
 
 use crate::host::{ConnId, Output, SessionHost};
 use crate::multi::MultiServer;
@@ -123,28 +126,27 @@ impl LocalSession {
     /// and pumps until quiescent. Widget actions land in `ui`.
     pub fn device_input(&mut self, ui: &mut Ui, ev: &DeviceEvent) {
         let msgs = self.proxy.device_input(ev);
-        self.deliver_to_server(ui, msgs);
+        self.send_as(ui, 0, msgs);
         self.pump(ui);
     }
 
-    /// Renders pending UI changes and flushes updates to the proxies,
-    /// announcing a new window size first if the panel was recomposed.
-    /// Call after the application mutates widgets programmatically.
+    /// Sends what every proxy queued, renders pending UI changes and
+    /// flushes updates to the proxies, announcing a new window size first
+    /// if the panel was recomposed. Call after a device switch, or after
+    /// the application mutates widgets programmatically.
     pub fn pump(&mut self, ui: &mut Ui) {
-        self.exchange(ui, Vec::new());
+        self.send_as(ui, 0, Vec::new());
     }
 
-    /// Delivers client messages to the server, then pumps replies back:
-    /// the pump answers any update request among them, and flushes the
-    /// repaints their input caused.
-    pub fn deliver_to_server(&mut self, ui: &mut Ui, msgs: Vec<ClientMessage>) {
-        self.send_as(ui, 0, msgs);
-    }
-
-    /// [`deliver_to_server`](Self::deliver_to_server) on behalf of
-    /// `viewer`.
+    /// Delivers every proxy's outbox, then client messages from `viewer`,
+    /// to the server and pumps replies back: the pump answers any update
+    /// request among them, and flushes the repaints their input caused.
     pub fn send_as(&mut self, ui: &mut Ui, viewer: usize, msgs: Vec<ClientMessage>) {
-        self.exchange(ui, vec![(viewer, msgs)]);
+        let mut inbound: Vec<_> = (0..self.conns.len())
+            .map(|v| (v, self.viewer_mut(v).take_outbox()))
+            .collect();
+        inbound[viewer].1.extend(msgs);
+        self.exchange(ui, inbound);
     }
 
     /// Opens a host connection for the newest viewer and completes its
@@ -347,22 +349,27 @@ impl SimSession {
         self.send_client(ui, msgs)
     }
 
-    /// Sends proxy-originated protocol messages (e.g. the renegotiation
-    /// produced by an output plug-in switch) across the simulated wire
+    /// Sends the proxy's outbox, then `msgs`, across the simulated wire
     /// and settles.
     pub fn send_client(
         &mut self,
         ui: &mut Ui,
         msgs: Vec<ClientMessage>,
     ) -> Result<(), SessionError> {
-        self.resume
-            .send(msgs, |m| self.sim.send(self.proxy_ep, encode_client(m)));
+        let (sim, ep) = (&mut self.sim, self.proxy_ep);
+        let mut write = |m: &ClientMessage| sim.send(ep, encode_client(m));
+        self.resume.flush(&mut self.proxy, &mut write);
+        self.resume.send(msgs, write);
         self.settle(ui)
     }
 
-    /// Flushes application-side UI changes into the network and runs it
-    /// until idle, recovering from any connection breaks on the way.
+    /// Sends what the proxy queued, flushes application-side UI changes
+    /// into the network and runs it until idle, recovering from any
+    /// connection breaks on the way.
     pub fn settle(&mut self, ui: &mut Ui) -> Result<(), SessionError> {
+        let (sim, ep) = (&mut self.sim, self.proxy_ep);
+        self.resume
+            .flush(&mut self.proxy, |m| sim.send(ep, encode_client(m)));
         loop {
             // Answer parked update requests and flush application
             // damage first.
@@ -511,8 +518,8 @@ mod tests {
         let mut s = LocalSession::connect(&mut ui);
         assert!(s.proxy.is_connected());
         s.proxy.attach_input(Box::new(TapInput));
-        let msgs = s.proxy.attach_output(Box::new(SmallScreen));
-        s.deliver_to_server(&mut ui, msgs);
+        s.proxy.attach_output(Box::new(SmallScreen));
+        s.pump(&mut ui);
         assert!(s.last_frame().is_some(), "output got the first frame");
         // Tap the middle of the (fitted 80x60) view → button click.
         s.device_input(&mut ui, &DeviceEvent::StylusDown { x: 40, y: 22 });
@@ -525,8 +532,8 @@ mod tests {
     fn local_session_frame_tracks_ui_mutation() {
         let mut ui = panel();
         let mut s = LocalSession::connect(&mut ui);
-        let msgs = s.proxy.attach_output(Box::new(SmallScreen));
-        s.deliver_to_server(&mut ui, msgs);
+        s.proxy.attach_output(Box::new(SmallScreen));
+        s.pump(&mut ui);
         let before = s.take_frame().expect("initial frame");
         // Mutate the UI: the button caption changes.
         let id = ui.widget_ids()[0];
@@ -604,7 +611,13 @@ mod tests {
     fn sim_session_counts_frames_and_bytes() {
         let mut ui = panel();
         let mut s = SimSession::connect(&mut ui, LinkProfile::ethernet100(), 1).unwrap();
-        let _ = s.proxy.attach_output(Box::new(SmallScreen));
+        // A switch after Init: settling alone sends its renegotiation.
+        s.proxy.attach_output(Box::new(SmallScreen));
+        s.settle(&mut ui).unwrap();
+        let (panel, fmt) = (ui.framebuffer().pixels(), PixelFormat::Rgb565);
+        let reduced: Vec<_> = panel.iter().map(|&c| fmt.reduce(c)).collect();
+        assert_ne!(reduced, panel, "Rgb565 loses colours");
+        assert_eq!(s.proxy.server_frame().unwrap().pixels(), &reduced[..]);
         // Force a repaint by mutating the UI.
         let id = ui.widget_ids()[0];
         ui.widget_mut::<Button>(id).unwrap().set_caption("X");

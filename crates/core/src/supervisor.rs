@@ -39,7 +39,8 @@
 //! Heartbeats join the call outcomes in one ordered ledger and apply at
 //! the next [`Supervisor::tick`], the only place health changes. Every
 //! transition is reported: in [`SupervisorReport::events`], as a
-//! `DeviceHealth` message and as a `supervisor.transition` journal line.
+//! `DeviceHealth` notice queued in the proxy's outbox, and as a
+//! `supervisor.transition` journal line.
 //!
 //! When the *active* device is quarantined or dies, [`Supervisor::tick`]
 //! drives [`Coordinator::reselect`] to fail over to the best remaining
@@ -47,7 +48,9 @@
 //! the session's resume machinery ([`crate::resume`]) keeps working
 //! underneath. If no output device remains at all, a built-in
 //! [`FallbackTerminal`] keeps the interaction alive on an 80×24 text
-//! screen.
+//! screen. A failover's renegotiation is queued in the proxy's outbox
+//! behind the tick's health notices, and the session sends both at its
+//! next pump or settle.
 //!
 //! # Fault isolation
 //!
@@ -361,9 +364,9 @@ struct DeviceRecord {
 
 impl DeviceRecord {
     /// The one place a device's health changes. A new
-    /// [`DeviceHealthState`] is reported (event, `DeviceHealth` notice,
-    /// journal line) and counted; a degraded device whose debts change
-    /// reports nothing.
+    /// [`DeviceHealthState`] is reported (event and journal line; the
+    /// tick queues the event's `DeviceHealth` notice) and counted; a
+    /// degraded device whose debts change reports nothing.
     fn set_health(
         &mut self,
         id: &str,
@@ -398,10 +401,6 @@ impl DeviceRecord {
             "supervisor.transition",
             format!("{id}: {from} -> {to} ({cause})"),
         );
-        report.messages.push(ClientMessage::DeviceHealth {
-            device: id.to_owned(),
-            state: to,
-        });
         report.events.push(HealthEvent {
             device: id.to_owned(),
             from,
@@ -424,11 +423,10 @@ fn record_outcome(ledger: &SharedLedger, id: &Arc<str>, outcome: CallOutcome) {
 /// What one [`Supervisor::tick`] did.
 #[derive(Debug, Default)]
 pub struct SupervisorReport {
-    /// Health transitions applied this tick, in order.
+    /// Health transitions applied this tick, in order. Each one's
+    /// `DeviceHealth` notice is queued in the proxy's outbox, ahead of any
+    /// renegotiation a failover queues.
     pub events: Vec<HealthEvent>,
-    /// Protocol messages to send: health notifications plus any
-    /// renegotiation a failover produced.
-    pub messages: Vec<ClientMessage>,
     /// New active input device id, when a failover switched it.
     pub input_switched_to: Option<String>,
     /// New active output device id, when a failover switched it.
@@ -724,8 +722,10 @@ impl Supervisor {
 
     /// Applies pending call outcomes, heartbeats and heartbeat deadlines,
     /// transitions device health, updates the coordinator's availability
-    /// view, and fails over when the active device went bad. Call after
-    /// every interaction step (the tick is cheap when nothing happened).
+    /// view, and fails over when the active device went bad. Queues a
+    /// `DeviceHealth` notice per transition, then any failover's
+    /// renegotiation, in `proxy`'s outbox. Call after every interaction
+    /// step (the tick is cheap when nothing happened).
     pub fn tick(
         &mut self,
         now_us: u64,
@@ -735,8 +735,7 @@ impl Supervisor {
         let mut report = SupervisorReport::default();
 
         // 1. Drain the ledger: call outcomes and heartbeats, in order.
-        // Every transition below lands in `report`, so its health notices
-        // lead any renegotiation traffic.
+        // Every transition below lands in `report`.
         let entries = match self.ledger.lock() {
             Ok(mut l) => std::mem::take(&mut *l),
             Err(_) => Vec::new(),
@@ -781,6 +780,13 @@ impl Supervisor {
             };
             rec.set_health(id, to, cause, &self.metrics, &mut report);
         }
+        // The health notices lead any renegotiation traffic.
+        for e in &report.events {
+            proxy.queue(ClientMessage::DeviceHealth {
+                device: e.device.clone(),
+                state: e.to,
+            });
+        }
 
         // 3. Push availability into the coordinator. Re-asserted fully on
         // every tick so a re-registered device cannot sneak out of an
@@ -802,7 +808,6 @@ impl Supervisor {
             self.metrics.failovers.add(lost as u64);
             report.input_switched_to = sw.input_switched_to;
             report.output_switched_to = sw.output_switched_to;
-            report.messages.extend(sw.messages);
         }
 
         // 5. Last resort: the session had a screen and now has none.
@@ -813,9 +818,7 @@ impl Supervisor {
                 .registry
                 .journal()
                 .record("supervisor.fallback", "attached built-in terminal");
-            report
-                .messages
-                .extend(proxy.attach_output(Box::new(FallbackTerminal)));
+            proxy.attach_output(Box::new(FallbackTerminal));
         }
 
         report
@@ -991,7 +994,9 @@ mod tests {
         }
     }
 
-    fn connected_proxy() -> UniIntProxy {
+    /// A supervisor seeded with `seed`, a proxy with a 64×48 session and
+    /// an empty coordinator.
+    fn rig(seed: u64) -> (Supervisor, UniIntProxy, Coordinator) {
         let mut p = UniIntProxy::new("p");
         p.handle_server(&uniint_protocol::message::ServerMessage::Init {
             version: 1,
@@ -1001,11 +1006,8 @@ mod tests {
             name: "t".into(),
         })
         .unwrap();
-        p
-    }
-
-    fn coord() -> Coordinator {
-        Coordinator::new(UserProfile::neutral("u"), Situation::idle("kitchen"))
+        let coord = Coordinator::new(UserProfile::neutral("u"), Situation::idle("kitchen"));
+        (Supervisor::new(seed), p, coord)
     }
 
     fn device(
@@ -1018,9 +1020,7 @@ mod tests {
 
     #[test]
     fn panic_is_contained_and_counted() {
-        let mut sup = Supervisor::new(1);
-        let mut proxy = connected_proxy();
-        let mut c = coord();
+        let (mut sup, mut proxy, mut c) = rig(1);
         proxy.attach_input(sup.wrap_input("bad", Box::new(PanicInput)));
         let msgs = proxy.device_input(&DeviceEvent::KeypadSelect);
         assert!(msgs.is_empty(), "panic yields no events");
@@ -1031,9 +1031,7 @@ mod tests {
 
     #[test]
     fn stall_burns_budget_and_counts_timeout() {
-        let mut sup = Supervisor::new(2);
-        let mut proxy = connected_proxy();
-        let mut c = coord();
+        let (mut sup, mut proxy, mut c) = rig(2);
         proxy.attach_input(sup.wrap_input("slow", Box::new(StallInput)));
         assert!(proxy.device_input(&DeviceEvent::KeypadSelect).is_empty());
         sup.tick(0, &mut c, &mut proxy);
@@ -1047,9 +1045,7 @@ mod tests {
 
     #[test]
     fn garbage_events_filtered_but_valid_pass() {
-        let mut sup = Supervisor::new(3);
-        let mut proxy = connected_proxy();
-        let mut c = coord();
+        let (mut sup, mut proxy, mut c) = rig(3);
         proxy.attach_input(sup.wrap_input("junk", Box::new(GarbageInput)));
         let msgs = proxy.device_input(&DeviceEvent::KeypadSelect);
         assert_eq!(msgs.len(), 1, "in-range key event passes; pointer dropped");
@@ -1059,16 +1055,14 @@ mod tests {
 
     #[test]
     fn consecutive_faults_quarantine_then_probation_readmits() {
-        let mut sup = Supervisor::new(4);
-        let mut proxy = connected_proxy();
-        let mut c = coord();
+        let (mut sup, mut proxy, mut c) = rig(4);
         c.register(
             sup.supervise(device("flaky", || Box::new(PanicInput))),
             &mut proxy,
         );
         assert_eq!(proxy.attached().0, Some("panic-input"));
         for _ in 0..QUARANTINE_AFTER {
-            proxy.device_input(&DeviceEvent::KeypadSelect);
+            let _ = proxy.device_input(&DeviceEvent::KeypadSelect);
         }
         let report = sup.tick(1_000, &mut c, &mut proxy);
         assert_eq!(sup.health("flaky"), Some(DeviceHealthState::Quarantined));
@@ -1089,9 +1083,7 @@ mod tests {
 
     #[test]
     fn probation_relapse_requarantines_with_longer_backoff() {
-        let mut sup = Supervisor::new(5);
-        let mut proxy = connected_proxy();
-        let mut c = coord();
+        let (mut sup, mut proxy, mut c) = rig(5);
         c.register(
             sup.supervise(device("flaky", || Box::new(PanicInput))),
             &mut proxy,
@@ -1100,7 +1092,7 @@ mod tests {
         let mut windows = Vec::new();
         for _ in 0..2 {
             for _ in 0..QUARANTINE_AFTER {
-                proxy.device_input(&DeviceEvent::KeypadSelect);
+                let _ = proxy.device_input(&DeviceEvent::KeypadSelect);
             }
             sup.tick(now, &mut c, &mut proxy);
             let Health::Quarantined { until_us: until } = sup.records["flaky"].health else {
@@ -1115,9 +1107,7 @@ mod tests {
 
     #[test]
     fn clean_streak_restores_health() {
-        let mut sup = Supervisor::new(6);
-        let mut proxy = connected_proxy();
-        let mut c = coord();
+        let (mut sup, mut proxy, mut c) = rig(6);
         let flip = Arc::new(Mutex::new(0u32));
         let flip2 = flip.clone();
         // One panic, then clean forever.
@@ -1141,11 +1131,11 @@ mod tests {
             }
         }
         proxy.attach_input(sup.wrap_input("flip", Box::new(FlipInput(flip2))));
-        proxy.device_input(&DeviceEvent::KeypadSelect);
+        let _ = proxy.device_input(&DeviceEvent::KeypadSelect);
         sup.tick(0, &mut c, &mut proxy);
         assert_eq!(sup.health("flip"), Some(DeviceHealthState::Degraded));
         for _ in 0..PROBATION_SUCCESSES {
-            proxy.device_input(&DeviceEvent::KeypadSelect);
+            let _ = proxy.device_input(&DeviceEvent::KeypadSelect);
         }
         sup.tick(1, &mut c, &mut proxy);
         assert_eq!(sup.health("flip"), Some(DeviceHealthState::Healthy));
@@ -1154,9 +1144,7 @@ mod tests {
 
     #[test]
     fn heartbeat_silence_degrades_then_kills() {
-        let mut sup = Supervisor::new(7);
-        let mut proxy = connected_proxy();
-        let mut c = coord();
+        let (mut sup, mut proxy, mut c) = rig(7);
         c.register(
             sup.supervise(device("hb", || Box::new(GoodInput))),
             &mut proxy,
@@ -1176,7 +1164,11 @@ mod tests {
         assert_eq!(sup.stats().deaths, 1);
         assert!(sup.stats().heartbeat_misses >= 1);
         assert!(report
-            .messages
+            .events
+            .iter()
+            .any(|e| e.to == DeviceHealthState::Dead));
+        assert!(proxy
+            .take_outbox()
             .iter()
             .any(|m| matches!(m, ClientMessage::DeviceHealth { state, .. }
                 if *state == DeviceHealthState::Dead)));
@@ -1184,13 +1176,11 @@ mod tests {
 
     #[test]
     fn a_panic_is_healed_by_clean_calls_not_by_heartbeats() {
-        let mut sup = Supervisor::new(12);
-        let mut proxy = connected_proxy();
-        let mut c = coord();
+        let (mut sup, mut proxy, mut c) = rig(12);
         proxy.attach_input(sup.wrap_input("pda", Box::new(PanicOnceInput(false))));
         let mut events = Vec::new();
         for now in 0..=PROBATION_SUCCESSES as u64 {
-            proxy.device_input(&DeviceEvent::KeypadSelect);
+            let _ = proxy.device_input(&DeviceEvent::KeypadSelect);
             sup.heartbeat("pda", now);
             events.extend(sup.tick(now, &mut c, &mut proxy).events);
             let want = if now < PROBATION_SUCCESSES as u64 {
@@ -1209,9 +1199,7 @@ mod tests {
 
     #[test]
     fn a_silent_device_with_clean_calls_degrades_once() {
-        let mut sup = Supervisor::new(13);
-        let mut proxy = connected_proxy();
-        let mut c = coord();
+        let (mut sup, mut proxy, mut c) = rig(13);
         c.register(
             sup.supervise(device("hb", || Box::new(GoodInput))),
             &mut proxy,
@@ -1222,7 +1210,7 @@ mod tests {
         // Silent for just under the death deadline, calls clean throughout.
         for now in (to..to * HEARTBEAT_DEAD_MISSES as u64).step_by(100_000) {
             for _ in 0..PROBATION_SUCCESSES {
-                proxy.device_input(&DeviceEvent::KeypadSelect);
+                let _ = proxy.device_input(&DeviceEvent::KeypadSelect);
             }
             events.extend(sup.tick(now, &mut c, &mut proxy).events);
         }
@@ -1238,9 +1226,7 @@ mod tests {
 
     #[test]
     fn a_heal_by_heartbeat_is_reported_like_any_transition() {
-        let mut sup = Supervisor::new(14);
-        let mut proxy = connected_proxy();
-        let mut c = coord();
+        let (mut sup, mut proxy, mut c) = rig(14);
         c.register(
             sup.supervise(device("hb", || Box::new(GoodInput))),
             &mut proxy,
@@ -1249,6 +1235,7 @@ mod tests {
         let to = HEARTBEAT_TIMEOUT_US;
         sup.tick(to, &mut c, &mut proxy);
         assert_eq!(sup.health("hb"), Some(DeviceHealthState::Degraded));
+        proxy.take_outbox();
         sup.heartbeat("hb", to + 1);
         let report = sup.tick(to + 1, &mut c, &mut proxy);
         let heal = HealthEvent {
@@ -1259,7 +1246,7 @@ mod tests {
         };
         assert_eq!(report.events, [heal]);
         assert_eq!(
-            report.messages,
+            proxy.take_outbox(),
             [ClientMessage::DeviceHealth {
                 device: "hb".into(),
                 state: DeviceHealthState::Healthy,
@@ -1273,9 +1260,7 @@ mod tests {
 
     #[test]
     fn dead_devices_stay_dead() {
-        let mut sup = Supervisor::new(8);
-        let mut proxy = connected_proxy();
-        let mut c = coord();
+        let (mut sup, mut proxy, mut c) = rig(8);
         c.register(
             sup.supervise(device("d", || Box::new(GoodInput))),
             &mut proxy,
@@ -1310,9 +1295,7 @@ mod tests {
                 panic!("screen controller crashed");
             }
         }
-        let mut sup = Supervisor::new(9);
-        let mut proxy = connected_proxy();
-        let mut c = coord();
+        let (mut sup, mut proxy, mut c) = rig(9);
         let dev =
             InteractionDevice::new(DeviceDescriptor::carried("screen", "Screen").with_output(
                 crate::context::OutputProfile {
@@ -1324,6 +1307,7 @@ mod tests {
             .with_output_factory(Box::new(|| Box::new(PanicScreen)));
         c.register(sup.supervise(dev), &mut proxy);
         assert_eq!(proxy.attached().1, Some("panic-screen"));
+        proxy.take_outbox();
         // Three faulting adapts → quarantine; frames were safe blanks.
         for _ in 0..QUARANTINE_AFTER {
             let f = proxy.adapt_current().expect("safe frame substituted");
@@ -1336,36 +1320,34 @@ mod tests {
         // The fallback produces a real frame.
         let f = proxy.adapt_current().expect("fallback frame");
         assert!(f.frame.width() <= FALLBACK_COLS && f.frame.height() <= FALLBACK_ROWS);
-        // Renegotiation happened exactly once (one non-incremental request).
-        let full_requests = report
-            .messages
-            .iter()
-            .filter(|m| {
-                matches!(
-                    m,
-                    ClientMessage::UpdateRequest {
-                        incremental: false,
-                        ..
-                    }
-                )
-            })
-            .count();
-        assert_eq!(full_requests, 1);
+        // The health notices, then the renegotiation, exactly once.
+        let queued = proxy.take_outbox();
+        let notice = |state| ClientMessage::DeviceHealth {
+            device: "screen".into(),
+            state,
+        };
+        let degraded = notice(DeviceHealthState::Degraded);
+        let quarantined = notice(DeviceHealthState::Quarantined);
+        assert_eq!(queued[..2], [degraded, quarantined], "{queued:?}");
+        assert_eq!(queued[2], ClientMessage::SetPixelFormat(PixelFormat::Gray8));
+        let full = ClientMessage::UpdateRequest {
+            incremental: false,
+            rect: Rect::new(0, 0, 64, 48),
+        };
+        assert_eq!(queued.iter().filter(|&m| *m == full).count(), 1);
     }
 
     #[test]
     fn same_seed_same_stats() {
         let run = |seed: u64| {
-            let mut sup = Supervisor::new(seed);
-            let mut proxy = connected_proxy();
-            let mut c = coord();
+            let (mut sup, mut proxy, mut c) = rig(seed);
             c.register(
                 sup.supervise(device("flaky", || Box::new(PanicInput))),
                 &mut proxy,
             );
             let mut now = 0;
             for round in 0..30 {
-                proxy.device_input(&DeviceEvent::KeypadSelect);
+                let _ = proxy.device_input(&DeviceEvent::KeypadSelect);
                 now += 100_000 * (round % 3 + 1);
                 sup.tick(now, &mut c, &mut proxy);
             }
@@ -1399,9 +1381,7 @@ mod tests {
                 )
             }
         }
-        let mut sup = Supervisor::new(10);
-        let mut proxy = connected_proxy();
-        let mut c = coord();
+        let (mut sup, mut proxy, mut c) = rig(10);
         proxy.attach_output(sup.wrap_output("huge", Box::new(HugeScreen)));
         let f = proxy.adapt_current().expect("substitute");
         assert_eq!(f.frame.size(), Size::new(16, 16), "safe frame at caps size");

@@ -1,6 +1,7 @@
 //! Property tests for the selection policy, the coordinator that applies
 //! it, and the situation tracker: determinism, zone gating, hands-busy
-//! safety, and a coordinator that always holds the policy's choice.
+//! safety, and a coordinator that always holds the policy's choice, whose
+//! switches reach the server by a session's pump alone.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -15,13 +16,17 @@ use uniint_core::plugin::{
 };
 use uniint_core::proxy::UniIntProxy;
 use uniint_core::sensors::{SensorReading, SituationTracker};
+use uniint_core::session::LocalSession;
 use uniint_protocol::input::InputEvent;
 use uniint_protocol::message::ServerMessage;
+use uniint_raster::color::Color;
 use uniint_raster::dither::DitherMode;
 use uniint_raster::framebuffer::Framebuffer;
-use uniint_raster::geom::Size;
+use uniint_raster::geom::{Rect, Size};
 use uniint_raster::pixel::PixelFormat;
 use uniint_raster::scale::{scale_to_fit, ScaleFilter};
+use uniint_wsys::prelude::{Button, Theme};
+use uniint_wsys::ui::Ui;
 
 fn arb_zone() -> impl Strategy<Value = String> {
     proptest::sample::select(vec![
@@ -97,6 +102,16 @@ const SLOTS: usize = 6;
 /// Plug-in kinds per slot, so `proxy.attached()` names the device.
 const INPUT_KINDS: [&str; SLOTS] = ["in-0", "in-1", "in-2", "in-3", "in-4", "in-5"];
 const OUTPUT_KINDS: [&str; SLOTS] = ["out-0", "out-1", "out-2", "out-3", "out-4", "out-5"];
+/// Transport format per slot: every format but the palette one, so an
+/// output switch changes what the server sends.
+const OUTPUT_FORMATS: [PixelFormat; SLOTS] = [
+    PixelFormat::Rgb888,
+    PixelFormat::Rgb565,
+    PixelFormat::Rgb444,
+    PixelFormat::Gray8,
+    PixelFormat::Gray4,
+    PixelFormat::Mono1,
+];
 
 #[derive(Debug)]
 struct NullInput(&'static str);
@@ -109,23 +124,24 @@ impl InputPlugin for NullInput {
     }
 }
 
+/// The output plug-in of a slot.
 #[derive(Debug)]
-struct NullOutput(&'static str);
+struct NullOutput(usize);
 impl OutputPlugin for NullOutput {
     fn kind(&self) -> &'static str {
-        self.0
+        OUTPUT_KINDS[self.0]
     }
     fn caps(&self) -> OutputCaps {
         OutputCaps {
             size: Size::new(32, 32),
-            format: PixelFormat::Rgb888,
+            format: OUTPUT_FORMATS[self.0],
             dither: DitherMode::None,
             scale: ScaleFilter::Nearest,
         }
     }
     fn adapt(&mut self, fb: &Framebuffer) -> DeviceFrame {
         let frame = scale_to_fit(fb, Size::new(32, 32), ScaleFilter::Nearest);
-        DeviceFrame::new(frame, PixelFormat::Rgb888, 0)
+        DeviceFrame::new(frame, OUTPUT_FORMATS[self.0], 0)
     }
 }
 
@@ -250,6 +266,33 @@ proptest! {
             .unwrap();
         let profile = UserProfile::neutral("u");
         let mut coord = Coordinator::new(profile.clone(), sit.clone());
+        // The same ops over a session, whose pump alone must carry each
+        // switch to the server.
+        let mut ui = Ui::new(64, 48, Theme::classic(), "panel");
+        ui.add(Button::new("Power"), Rect::new(8, 8, 48, 20));
+        let mut session = LocalSession::connect(&mut ui);
+        let mut session_coord = Coordinator::new(profile.clone(), sit.clone());
+        // Applies `op` to `coord`, switching `proxy`'s plug-ins.
+        let apply = |op: &Op, coord: &mut Coordinator, proxy: &mut UniIntProxy| match op.clone() {
+            Op::Register { slot, device, input, output } => {
+                let mut dev = InteractionDevice::new(device);
+                if input {
+                    let kind = INPUT_KINDS[slot];
+                    dev = dev.with_input_factory(Box::new(move || Box::new(NullInput(kind))));
+                }
+                if output {
+                    dev = dev.with_output_factory(Box::new(move || Box::new(NullOutput(slot))));
+                }
+                coord.register(dev, proxy)
+            }
+            Op::Unregister(slot) => coord.unregister(&format!("dev-{slot}"), proxy),
+            Op::SetAvailable(slot, on) => {
+                coord.set_available(&format!("dev-{slot}"), on);
+                coord.reselect(proxy)
+            }
+            Op::SetSituation(sit) => coord.set_situation(sit, proxy),
+            Op::SetProfile(profile) => coord.set_profile(profile, proxy),
+        };
         let mut model = Model {
             registered: BTreeMap::new(),
             excluded: BTreeSet::new(),
@@ -262,44 +305,18 @@ proptest! {
                 coord.active_output().map(str::to_owned),
             );
             let mut registered_id = None;
-            let report = match op.clone() {
+            match op.clone() {
                 Op::Register { slot, device, input, output } => {
                     registered_id = Some(device.id.clone());
-                    let mut dev = InteractionDevice::new(device.clone());
-                    if input {
-                        let kind = INPUT_KINDS[slot];
-                        dev = dev.with_input_factory(Box::new(move || Box::new(NullInput(kind))));
-                    }
-                    if output {
-                        let kind = OUTPUT_KINDS[slot];
-                        dev = dev.with_output_factory(Box::new(move || Box::new(NullOutput(kind))));
-                    }
                     model.registered.insert(slot, Registered { device, input, output });
-                    coord.register(dev, &mut proxy)
                 }
-                Op::Unregister(slot) => {
-                    model.registered.remove(&slot);
-                    coord.unregister(&format!("dev-{slot}"), &mut proxy)
-                }
-                Op::SetAvailable(slot, on) => {
-                    let id = format!("dev-{slot}");
-                    if on {
-                        model.excluded.remove(&id);
-                    } else {
-                        model.excluded.insert(id.clone());
-                    }
-                    coord.set_available(&id, on);
-                    coord.reselect(&mut proxy)
-                }
-                Op::SetSituation(sit) => {
-                    model.situation = sit.clone();
-                    coord.set_situation(sit, &mut proxy)
-                }
-                Op::SetProfile(profile) => {
-                    model.profile = profile.clone();
-                    coord.set_profile(profile, &mut proxy)
-                }
-            };
+                Op::Unregister(slot) => { model.registered.remove(&slot); }
+                Op::SetAvailable(slot, true) => { model.excluded.remove(&format!("dev-{slot}")); }
+                Op::SetAvailable(slot, false) => { model.excluded.insert(format!("dev-{slot}")); }
+                Op::SetSituation(sit) => model.situation = sit,
+                Op::SetProfile(profile) => model.profile = profile,
+            }
+            let report = apply(&op, &mut coord, &mut proxy);
 
             // 1. Each role holds the policy's choice.
             let (want_in, want_out) = model.expected();
@@ -327,11 +344,21 @@ proptest! {
                 reattached(&before.1),
             )?;
             prop_assert_eq!(
-                report.messages.is_empty(),
+                proxy.take_outbox().is_empty(),
                 report.output_switched_to.is_none(),
                 "renegotiation only on an output switch, after {:?}",
                 op
             );
+
+            // 4. Over a session, a pump after the op is all it takes: the
+            // proxy then holds the panel in its transport format.
+            prop_assert_eq!(&apply(&op, &mut session_coord, &mut session.proxy), &report);
+            session.pump(&mut ui);
+            let format = session.proxy.transport_format();
+            let panel = ui.framebuffer().pixels();
+            let want: Vec<Color> = panel.iter().map(|&c| format.reduce(c)).collect();
+            let fb = session.proxy.server_frame().expect("a session");
+            prop_assert!(fb.pixels() == &want[..], "{:?} frame, after {:?}", format, op);
         }
     }
 

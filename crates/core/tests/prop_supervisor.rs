@@ -176,9 +176,9 @@ proptest! {
                             state: e.to,
                         })
                         .collect();
-                    prop_assert!(report.messages.starts_with(&notices), "{:?}", report.messages);
-                    let all_notices = report
-                        .messages
+                    let queued = proxy.take_outbox();
+                    prop_assert!(queued.starts_with(&notices), "{:?}", queued);
+                    let all_notices = queued
                         .iter()
                         .filter(|m| matches!(m, ClientMessage::DeviceHealth { .. }))
                         .count();

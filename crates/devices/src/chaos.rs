@@ -498,10 +498,10 @@ mod tests {
         );
         coord.register(dev, &mut proxy);
         let tap = SimPda::tap(10, 10);
-        proxy.device_input(&tap[0]); // garbage fires
-        proxy.device_input(&tap[1]); // storm fires
+        let _ = proxy.device_input(&tap[0]); // garbage fires
+        let _ = proxy.device_input(&tap[1]); // storm fires
         let tap2 = SimPda::tap(10, 10);
-        proxy.device_input(&tap2[0]); // clean: no fault scripted
+        let _ = proxy.device_input(&tap2[0]); // clean: no fault scripted
         assert_eq!(registry.counter("chaos.faults_injected").get(), 2);
         let events = registry.journal().events();
         let chaos: Vec<_> = events.iter().filter(|e| e.name == "chaos.fault").collect();
@@ -523,6 +523,8 @@ mod tests {
             uniint_core::context::Situation::idle("z"),
         );
         coord.register(dev, &mut proxy);
+        // The PDA's screen queued its renegotiation.
+        assert!(!proxy.take_outbox().is_empty());
         // Unsupervised: consume_fuel returns false immediately, so this
         // returns (empty) instead of hanging the test suite.
         assert!(proxy

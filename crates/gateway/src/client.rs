@@ -21,8 +21,12 @@
 //! it, as loopback does, costs no wait, but one whose host drops the
 //! connect holds every client on the thread for that long per attempt.
 //!
-//! Each batch of messages leaves in one write: the messages of one
-//! [`GatewayClient::send_messages`] (or input, or renegotiation), all
+//! What the proxy queues between calls (a device switch, a supervisor's
+//! notices, a recovery) leaves first at the next pump or send: both
+//! flush its outbox through [`ResumeMachine::flush`].
+//!
+//! Each batch of messages leaves in one write: the proxy's outbox with
+//! the messages of one [`GatewayClient::send_messages`] (or input), all
 //! replies to the frames of one read, a `ResumeAck`'s retransmission
 //! among them, and a reconnect's `Hello` with its `Resume`.
 
@@ -31,7 +35,7 @@ use std::io;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use uniint_core::plugin::{DeviceEvent, DeviceFrame, InputPlugin, OutputPlugin};
+use uniint_core::plugin::{DeviceEvent, DeviceFrame};
 use uniint_core::proxy::{ProxyStats, UniIntProxy};
 use uniint_core::resume::{BackoffPolicy, ResumeMachine, SessionError};
 use uniint_protocol::message::{ClientMessage, FrameReader};
@@ -142,18 +146,6 @@ impl GatewayClient {
         self.resume.take_frame()
     }
 
-    /// Installs an input plug-in (see [`UniIntProxy::attach_input`]).
-    pub fn attach_input(&mut self, plugin: Box<dyn InputPlugin>) {
-        self.proxy.attach_input(plugin);
-    }
-
-    /// Installs an output plug-in and sends the session renegotiation it
-    /// requires (pixel format, encodings, full refresh).
-    pub fn attach_output(&mut self, plugin: Box<dyn OutputPlugin>) {
-        let msgs = self.proxy.attach_output(plugin);
-        self.send_messages(msgs);
-    }
-
     /// Translates a device-native event through the input plug-in and
     /// sends the resulting protocol messages.
     pub fn device_input(&mut self, ev: &DeviceEvent) {
@@ -161,13 +153,15 @@ impl GatewayClient {
         self.send_messages(msgs);
     }
 
-    /// Sends arbitrary client messages: the resume machine logs them for
-    /// retransmission like any other traffic and writes them in one
-    /// batch, or holds them while the connection is down or a resume
-    /// awaits its ack.
+    /// Sends the proxy's outbox, then arbitrary client messages: the
+    /// resume machine logs them for retransmission like any other
+    /// traffic and writes them in one batch, or holds them while the
+    /// connection is down or a resume awaits its ack.
     pub fn send_messages(&mut self, msgs: Vec<ClientMessage>) {
         let mut batch = Vec::new();
-        self.resume.send(msgs, |m| m.encode(&mut batch));
+        let mut encode = |m: &ClientMessage| m.encode(&mut batch);
+        self.resume.flush(&mut self.proxy, &mut encode);
+        self.resume.send(msgs, encode);
         self.write(batch);
     }
 
@@ -274,14 +268,18 @@ impl GatewayClient {
 }
 
 /// Moves the bytes of every client in `clients` from one thread, the way
-/// the gateway's loop does: one `poll(2)` on every connected client's
-/// socket for at most `POLL`, cut short by the earliest reconnect
-/// deadline; then each reconnect attempt that is due, and a read of each
-/// socket that polled readable, with its frames handled.
+/// the gateway's loop does: first each client's proxy outbox, then one
+/// `poll(2)` on every connected client's socket for at most `POLL`, cut
+/// short by the earliest reconnect deadline; then each reconnect attempt
+/// that is due, and a read of each socket that polled readable, with its
+/// frames handled.
 ///
 /// Returns one result per client, in order, as
 /// [`GatewayClient::pump_once`] would.
 pub fn pump_clients(clients: &mut [GatewayClient]) -> Vec<Result<bool, SessionError>> {
+    for c in clients.iter_mut() {
+        c.send_messages(Vec::new());
+    }
     let now = Instant::now();
     let timeout = clients
         .iter()

@@ -259,9 +259,9 @@ impl Replayer {
         let registry = self.registry;
         let mut proxy = UniIntProxy::with_telemetry("replay-proxy", registry.clone());
         if let Some(plugin) = self.output {
-            // The renegotiation messages an attach would send are
-            // already part of the recorded conversation; drop them.
-            let _ = proxy.attach_output(plugin);
+            // Without a session the proxy queues no renegotiation: that
+            // is already part of the recorded conversation.
+            proxy.attach_output(plugin);
         }
         // A fresh host; its `gateway.*` counters stay out of the replay
         // registry, as they stayed out of a simulated session's.

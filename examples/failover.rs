@@ -41,8 +41,8 @@ fn main() {
         )),
         sup.supervise(terminal),
     ] {
-        let rep = coord.register(dev, &mut session.proxy);
-        session.deliver_to_server(app.ui_mut(), rep.messages);
+        coord.register(dev, &mut session.proxy);
+        session.pump(app.ui_mut());
     }
     println!("attached: {:?}", session.proxy.attached());
 
@@ -68,7 +68,7 @@ fn main() {
         if report.fallback_attached {
             println!("  t={}ms  fallback terminal attached", step + 1);
         }
-        session.deliver_to_server(app.ui_mut(), report.messages);
+        session.pump(app.ui_mut());
     }
 
     let st = sup.stats();

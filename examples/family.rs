@@ -34,8 +34,8 @@ fn main() {
         Box::new(ScreenPlugin::phone_lcd()),
     ];
     for ((_, v), out) in viewers.into_iter().zip(outputs) {
-        let msgs = session.viewer_mut(v).attach_output(out);
-        session.send_as(app.ui_mut(), v, msgs);
+        session.viewer_mut(v).attach_output(out);
+        session.pump(app.ui_mut());
     }
     // Dad's phone also gets the keypad input plug-in.
     let (_, phone) = viewers[2];

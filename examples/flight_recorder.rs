@@ -39,8 +39,8 @@ fn main() {
         SimSession::connect_recorded(&mut ui, LinkProfile::wifi80211b(), SEED, Some(rec.tap()))
             .expect("connect");
     s.proxy.attach_input(Box::new(KeypadPlugin::new()));
-    let msgs = s.proxy.attach_output(Box::new(ScreenPlugin::phone_lcd()));
-    s.send_client(&mut ui, msgs).expect("renegotiation");
+    s.proxy.attach_output(Box::new(ScreenPlugin::phone_lcd()));
+    s.settle(&mut ui).expect("renegotiation");
 
     for ev in [
         DeviceEvent::KeypadSelect,
@@ -60,8 +60,8 @@ fn main() {
     s.device_input(&mut ui, &DeviceEvent::KeypadSelect)
         .expect("input");
     // ...and a device switch: the PDA takes the screen.
-    let msgs = s.proxy.attach_output(Box::new(ScreenPlugin::pda()));
-    s.send_client(&mut ui, msgs).expect("renegotiation");
+    s.proxy.attach_output(Box::new(ScreenPlugin::pda()));
+    s.settle(&mut ui).expect("renegotiation");
     s.device_input(&mut ui, &DeviceEvent::KeypadSelect)
         .expect("input");
 

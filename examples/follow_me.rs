@@ -20,17 +20,17 @@ fn scenario(step: &str, link: LinkProfile, sit: Situation) {
     net.attach(DeviceSpec::new("Amp", "living-room").with_fcm(AmplifierFcm::new("Amp")));
     let mut app = ControlPanelApp::new(&mut net, None, Theme::classic());
 
-    let t_start = std::time::Instant::now();
     let mut session = SimSession::connect(app.ui_mut(), link, 7).expect("connect");
     let connect_us = session.now_us();
 
     let mut coord = Coordinator::new(UserProfile::neutral("alice"), sit);
-    // Each switch's renegotiation (pixel format, encodings, refresh)
-    // goes to the server, so it sends the panel in the device's format.
+    // Each switch queues its renegotiation (pixel format, encodings,
+    // refresh) in the proxy, and settling sends it to the server, which
+    // then sends the panel in the device's format.
     for d in standard_home("kitchen", "living-room") {
-        let rep = coord.register(d, &mut session.proxy);
+        coord.register(d, &mut session.proxy);
         session
-            .send_client(app.ui_mut(), rep.messages)
+            .settle(app.ui_mut())
             .expect("renegotiate after switch");
     }
     session.settle(app.ui_mut()).expect("settle after switch");
@@ -46,14 +46,13 @@ fn scenario(step: &str, link: LinkProfile, sit: Situation) {
     let input_us = session.now_us() - t0;
 
     println!(
-        "{step:<14} link={:<14} in={:<10} out={:<12} connect={:>8.1}ms input-rtt={:>8.1}ms wire={:>7}B (wall {:?})",
+        "{step:<14} link={:<14} in={:<10} out={:<12} connect={:>8.1}ms input-rtt={:>8.1}ms wire={:>7}B",
         link.name,
         coord.active_input().unwrap_or("-"),
         coord.active_output().unwrap_or("-"),
         connect_us as f64 / 1000.0,
         input_us as f64 / 1000.0,
         session.server_wire_bytes(),
-        t_start.elapsed(),
     );
 }
 

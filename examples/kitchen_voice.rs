@@ -19,8 +19,8 @@ fn main() {
     let mut session = LocalSession::connect(app.ui_mut());
     let mut coord = Coordinator::new(UserProfile::neutral("bob"), Situation::idle("kitchen"));
     for d in standard_home("kitchen", "living-room") {
-        let report = coord.register(d, &mut session.proxy);
-        session.deliver_to_server(app.ui_mut(), report.messages);
+        coord.register(d, &mut session.proxy);
+        session.pump(app.ui_mut());
     }
     println!(
         "Idle in the kitchen → input {:?}, output {:?}",
@@ -30,7 +30,7 @@ fn main() {
 
     // Hands get busy: kneading dough. The situation update switches the
     // session to voice + fixed terminal without touching the application.
-    let report = coord.set_situation(
+    coord.set_situation(
         Situation {
             zone: "kitchen".into(),
             activity: Activity::Cooking,
@@ -39,7 +39,7 @@ fn main() {
         },
         &mut session.proxy,
     );
-    session.deliver_to_server(app.ui_mut(), report.messages);
+    session.pump(app.ui_mut());
     println!(
         "Cooking, hands busy → input {:?}, output {:?}",
         coord.active_input(),

@@ -32,8 +32,8 @@ fn main() {
         },
     );
     for d in standard_home("kitchen", "living-room") {
-        let report = coord.register(d, &mut session.proxy);
-        session.deliver_to_server(app.ui_mut(), report.messages);
+        coord.register(d, &mut session.proxy);
+        session.pump(app.ui_mut());
     }
     println!(
         "Selected input: {:?}, output: {:?}",

@@ -26,13 +26,15 @@ fn main() {
 
     // ------------------------------------------------- two proxy "processes"
     let mut pda = GatewayClient::connect(gw.local_addr(), "pda-proxy", 1).expect("pda connects");
-    pda.attach_input(Box::new(StylusPlugin::new()));
-    pda.attach_output(Box::new(ScreenPlugin::pda()));
+    pda.proxy.attach_input(Box::new(StylusPlugin::new()));
+    pda.proxy.attach_output(Box::new(ScreenPlugin::pda()));
 
     let mut phone =
         GatewayClient::connect(gw.local_addr(), "phone-proxy", 2).expect("phone connects");
-    phone.attach_input(Box::new(KeypadPlugin::new()));
-    phone.attach_output(Box::new(ScreenPlugin::phone_lcd()));
+    phone.proxy.attach_input(Box::new(KeypadPlugin::new()));
+    phone
+        .proxy
+        .attach_output(Box::new(ScreenPlugin::phone_lcd()));
 
     // Both proxies run on this thread, in one wait. Let both drain the
     // initial full update in their own format.

@@ -31,10 +31,10 @@ fn main() {
 
     // 4. The phone uploads its plug-ins to the proxy.
     session.proxy.attach_input(Box::new(KeypadPlugin::new()));
-    let msgs = session
+    session
         .proxy
         .attach_output(Box::new(ScreenPlugin::phone_lcd()));
-    session.deliver_to_server(app.ui_mut(), msgs);
+    session.pump(app.ui_mut());
 
     // 5. The user presses the phone's center key: the keypad plug-in
     //    turns it into a universal Return tap, the focused power toggle

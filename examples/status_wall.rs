@@ -21,10 +21,10 @@ fn main() {
     // The monitor app, exported through UniInt to the kitchen terminal.
     let mut monitor = StatusMonitorApp::new(&mut net, Theme::classic());
     let mut session = LocalSession::connect(monitor.ui_mut());
-    let msgs = session
+    session
         .proxy
         .attach_output(Box::new(TerminalPlugin::new(100, 30)));
-    session.deliver_to_server(monitor.ui_mut(), msgs);
+    session.pump(monitor.ui_mut());
 
     // Life happens in the house.
     let tuner = net.find_fcms(&Query::new().class(FcmClass::Tuner))[0];

@@ -9,6 +9,7 @@
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::{Duration, Instant};
 use uniint::core::host::{Output, SessionHost};
+use uniint::core::resume::{BackoffPolicy, ResumeMachine};
 use uniint::prelude::*;
 use uniint::protocol::message::{encode_client, encode_server, FrameReader};
 use uniint::telemetry::registry::Registry;
@@ -73,16 +74,21 @@ fn main() {
     // ------------------------------------------------------ proxy side
     let mut proxy = UniIntProxy::new("threaded-proxy");
     proxy.attach_input(Box::new(KeypadPlugin::new()));
+    // The proxy-side driver every transport shares. A channel never
+    // breaks, so its reconnect schedule is never used.
+    let never = BackoffPolicy {
+        base_us: 0,
+        cap_us: 0,
+        max_attempts: 0,
+    };
+    let mut resume = ResumeMachine::new(never, 1);
     let mut reader = FrameReader::new();
     // A send fails only once the server thread has finished its demo.
-    let send = |msgs: Vec<ClientMessage>| {
-        for m in msgs {
-            let _ = to_server.send(encode_client(&m));
-        }
+    let mut write = |m: &ClientMessage| {
+        let _ = to_server.send(encode_client(m));
     };
-    send(proxy.connect());
+    resume.send(proxy.connect(), &mut write);
     // Attach the phone LCD output once connected; then press keys.
-    let mut frames = 0u32;
     let mut sent_output = false;
     let presses = ['5', '8', '5', '8', '5']; // select, down, select...
     let mut press_idx = 0;
@@ -94,37 +100,25 @@ fn main() {
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
         }
-        let mut got_frame = false;
-        while let Ok(Some(frame)) = reader.next_frame() {
-            let Ok(msg) = ServerMessage::decode_body(&mut frame.as_slice()) else {
-                continue;
-            };
-            match proxy.handle_server(&msg) {
-                Ok(out) => {
-                    if out.frame.is_some() {
-                        frames += 1;
-                        got_frame = true;
-                    }
-                    send(out.messages);
-                }
-                Err(e) => {
-                    eprintln!("decode error ({e}), recovering");
-                    send(proxy.recover());
-                }
-            }
+        let before = resume.frames_delivered();
+        if let Err(e) = resume.receive_frames(&mut proxy, &mut reader, &mut write) {
+            eprintln!("decode error ({e}), recovering");
+            proxy.recover();
         }
         if proxy.is_connected() && !sent_output {
             sent_output = true;
-            send(proxy.attach_output(Box::new(ScreenPlugin::phone_lcd())));
+            proxy.attach_output(Box::new(ScreenPlugin::phone_lcd()));
         }
         // After each fresh frame, press the next key.
-        if got_frame && press_idx < presses.len() {
+        if resume.frames_delivered() > before && press_idx < presses.len() {
             if let Some(ev) = SimPhone::press(presses[press_idx]) {
                 press_idx += 1;
-                send(proxy.device_input(&ev));
+                resume.send(proxy.device_input(&ev), &mut write);
             }
         }
-        if press_idx >= presses.len() && frames > press_idx as u32 {
+        // The renegotiation or the refresh queued above.
+        resume.flush(&mut proxy, &mut write);
+        if press_idx >= presses.len() && resume.frames_delivered() > press_idx as u64 {
             break;
         }
     }
@@ -132,8 +126,8 @@ fn main() {
     drop(to_server); // disconnect → server thread exits if still looping
     let (commands, tuner_state) = server_thread.join().expect("server thread");
     println!(
-        "proxy: {frames} adapted frames, {} keypad presses sent",
-        press_idx
+        "proxy: {} adapted frames, {press_idx} keypad presses sent",
+        resume.frames_delivered()
     );
     println!("server: {commands} appliance commands executed");
     println!("tuner final state: {tuner_state:?}");

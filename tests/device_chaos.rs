@@ -209,11 +209,9 @@ fn run_cell(target: Target, fault: FaultKind, seed: u64) -> CellRun {
         sup.supervise(backup_dev),
         sup.supervise(faulty),
     ] {
-        let rep = coord.register(dev, &mut s.proxy);
-        s.send_client(app.ui_mut(), rep.messages)
-            .unwrap_or_else(|e| panic!("{cell}: renegotiation: {e}"));
+        coord.register(dev, &mut s.proxy);
         s.settle(app.ui_mut())
-            .unwrap_or_else(|e| panic!("{cell}: settle: {e}"));
+            .unwrap_or_else(|e| panic!("{cell}: renegotiation: {e}"));
     }
     assert_eq!(
         s.proxy.attached(),
@@ -242,13 +240,9 @@ fn run_cell(target: Target, fault: FaultKind, seed: u64) -> CellRun {
         commands_failed += rep.commands_failed;
         s.settle(app.ui_mut())
             .unwrap_or_else(|e| panic!("{cell}: settle: {e}"));
-        let report = sup.tick(s.now_us(), &mut coord, &mut s.proxy);
-        if !report.messages.is_empty() {
-            s.send_client(app.ui_mut(), report.messages)
-                .unwrap_or_else(|e| panic!("{cell}: supervisor messages: {e}"));
-            s.settle(app.ui_mut())
-                .unwrap_or_else(|e| panic!("{cell}: settle: {e}"));
-        }
+        sup.tick(s.now_us(), &mut coord, &mut s.proxy);
+        s.settle(app.ui_mut())
+            .unwrap_or_else(|e| panic!("{cell}: supervisor messages: {e}"));
     }
 
     // Who must be holding the input role now: a dead device never comes
@@ -412,7 +406,7 @@ fn hotplug_churn_storm_keeps_selection_consistent() {
             // Unregister by rotation (often a no-op: already gone).
             _ => coord.unregister(pool[i % 4].0, &mut session.proxy),
         };
-        session.deliver_to_server(app.ui_mut(), rep.messages);
+        session.pump(app.ui_mut());
 
         // The report and the coordinator tell the same story...
         if let Some(id) = &rep.input_switched_to {
@@ -466,8 +460,8 @@ fn hotplug_churn_storm_keeps_selection_consistent() {
     }
 
     // After the storm: a real command still lands exactly once.
-    let rep = coord.register(SimPhone::interaction_device("phone-1"), &mut session.proxy);
-    session.deliver_to_server(app.ui_mut(), rep.messages);
+    coord.register(SimPhone::interaction_device("phone-1"), &mut session.proxy);
+    session.pump(app.ui_mut());
     assert_eq!(session.proxy.attached().0, Some("phone-keypad"));
     session.device_input(app.ui_mut(), &SimPhone::press('5').unwrap());
     let rep = app.process(&mut net);
@@ -507,8 +501,8 @@ fn contained_session(
         // can be asserted byte-for-byte.
         sup.supervise(tv_interaction_device("tv-lr", "living-room")),
     ] {
-        let rep = coord.register(dev, &mut session.proxy);
-        session.deliver_to_server(app.ui_mut(), rep.messages);
+        coord.register(dev, &mut session.proxy);
+        session.pump(app.ui_mut());
     }
     assert_eq!(session.proxy.attached().0, Some("pda-stylus"));
     let _ = &mut net;
@@ -524,8 +518,8 @@ fn contain_and_fail_over(schedule: DeviceFaultSchedule) -> SupervisorStats {
     for _ in 0..4 {
         session.device_input(app.ui_mut(), &DeviceEvent::StylusMove { x: 5, y: 5 });
     }
-    let report = sup.tick(1_000, &mut coord, &mut session.proxy);
-    session.deliver_to_server(app.ui_mut(), report.messages);
+    sup.tick(1_000, &mut coord, &mut session.proxy);
+    session.pump(app.ui_mut());
     assert_eq!(
         session.proxy.attached().0,
         Some("phone-keypad"),
@@ -540,11 +534,13 @@ fn contain_and_fail_over(schedule: DeviceFaultSchedule) -> SupervisorStats {
 
     // recover() after the failover is idempotent: same request both
     // times, and the screen it rebuilds is consistent.
-    let r1 = session.proxy.recover();
+    session.proxy.recover();
+    let r1 = session.proxy.take_outbox();
     assert!(!r1.is_empty());
-    session.deliver_to_server(app.ui_mut(), r1.clone());
-    let r2 = session.proxy.recover();
-    session.deliver_to_server(app.ui_mut(), r2.clone());
+    session.send_as(app.ui_mut(), 0, r1.clone());
+    session.proxy.recover();
+    let r2 = session.proxy.take_outbox();
+    session.send_as(app.ui_mut(), 0, r2.clone());
     assert_eq!(r1, r2, "recover() is idempotent");
     assert_eq!(
         session.proxy.server_frame().unwrap(),
@@ -610,8 +606,8 @@ fn only_output_device_dying_falls_back_to_terminal() {
         sup.supervise(SimRemote::interaction_device("remote-lr", "living-room")),
         sup.supervise(tv),
     ] {
-        let rep = coord.register(dev, &mut session.proxy);
-        session.deliver_to_server(app.ui_mut(), rep.messages);
+        coord.register(dev, &mut session.proxy);
+        session.pump(app.ui_mut());
     }
     assert_eq!(
         session.proxy.attached(),
@@ -631,8 +627,8 @@ fn only_output_device_dying_falls_back_to_terminal() {
 
     let report = sup.tick(10_000, &mut coord, &mut session.proxy);
     assert!(report.fallback_attached, "fallback terminal attached");
-    let full_refreshes = report
-        .messages
+    let queued = session.proxy.take_outbox();
+    let full_refreshes = queued
         .iter()
         .filter(|m| {
             matches!(
@@ -645,7 +641,7 @@ fn only_output_device_dying_falls_back_to_terminal() {
         })
         .count();
     assert_eq!(full_refreshes, 1, "no more than one full refresh");
-    session.deliver_to_server(app.ui_mut(), report.messages);
+    session.send_as(app.ui_mut(), 0, queued);
     assert_eq!(session.proxy.attached().1, Some("fallback-terminal"));
     assert_eq!(sup.stats().fallback_activations, 1);
     assert!(sup.stats().plugin_panics >= 3);

@@ -23,10 +23,10 @@ fn phone_keypad_controls_tv_power() {
     let mut app = ControlPanelApp::new(&mut net, None, Theme::classic());
     let mut session = LocalSession::connect(app.ui_mut());
     session.proxy.attach_input(Box::new(KeypadPlugin::new()));
-    let msgs = session
+    session
         .proxy
         .attach_output(Box::new(ScreenPlugin::phone_lcd()));
-    session.deliver_to_server(app.ui_mut(), msgs);
+    session.pump(app.ui_mut());
 
     // The first focusable widget is the tuner's power toggle; keypad
     // select activates it.
@@ -48,8 +48,8 @@ fn pda_stylus_tap_clicks_widgets() {
     let mut app = ControlPanelApp::new(&mut net, None, Theme::classic());
     let mut session = LocalSession::connect(app.ui_mut());
     session.proxy.attach_input(Box::new(StylusPlugin::new()));
-    let msgs = session.proxy.attach_output(Box::new(ScreenPlugin::pda()));
-    session.deliver_to_server(app.ui_mut(), msgs);
+    session.proxy.attach_output(Box::new(ScreenPlugin::pda()));
+    session.pump(app.ui_mut());
 
     // Find the power toggle's center in *server* coordinates, then map it
     // to the PDA's fitted view to simulate where the user would tap.
@@ -141,8 +141,8 @@ fn appliance_state_changes_reach_the_device_screen() {
     let (mut net, tuner, ..) = living_room();
     let mut app = ControlPanelApp::new(&mut net, None, Theme::classic());
     let mut session = LocalSession::connect(app.ui_mut());
-    let msgs = session.proxy.attach_output(Box::new(ScreenPlugin::tv()));
-    session.deliver_to_server(app.ui_mut(), msgs);
+    session.proxy.attach_output(Box::new(ScreenPlugin::tv()));
+    session.pump(app.ui_mut());
     let before = session.take_frame().expect("initial frame");
 
     // The appliance changes state on its own (someone used the front
@@ -235,10 +235,10 @@ fn terminal_output_renders_panel_as_text() {
     let (mut net, ..) = living_room();
     let mut app = ControlPanelApp::new(&mut net, None, Theme::classic());
     let mut session = LocalSession::connect(app.ui_mut());
-    let msgs = session
+    session
         .proxy
         .attach_output(Box::new(TerminalPlugin::standard()));
-    session.deliver_to_server(app.ui_mut(), msgs);
+    session.pump(app.ui_mut());
     let frame = session.last_frame().expect("terminal frame");
     let text = TerminalPlugin::standard().render_text(frame);
     assert!(text.lines().count() >= 10);
@@ -251,8 +251,8 @@ fn camera_stream_reaches_device_screen() {
     net.attach(DeviceSpec::new("Door Cam", "hall").with_fcm(CameraFcm::new("Door Camera", 10)));
     let mut app = ControlPanelApp::new(&mut net, None, Theme::classic());
     let mut session = LocalSession::connect(app.ui_mut());
-    let msgs = session.proxy.attach_output(Box::new(ScreenPlugin::pda()));
-    session.deliver_to_server(app.ui_mut(), msgs);
+    session.proxy.attach_output(Box::new(ScreenPlugin::pda()));
+    session.pump(app.ui_mut());
 
     let cam = net.find_fcms(&Query::new().class(FcmClass::Camera))[0];
     net.send(cam, &FcmCommand::SetPower(true)).unwrap();
@@ -284,10 +284,10 @@ fn paged_panel_operated_from_phone() {
     assert!(app.page_count() > 1);
     let mut session = LocalSession::connect(app.ui_mut());
     session.proxy.attach_input(Box::new(KeypadPlugin::new()));
-    let msgs = session
+    session
         .proxy
         .attach_output(Box::new(ScreenPlugin::phone_lcd()));
-    session.deliver_to_server(app.ui_mut(), msgs);
+    session.pump(app.ui_mut());
     let page0_frame = session.take_frame().expect("frame");
 
     // Focus the tab bar (first focusable) and move right: page 2.

@@ -2,7 +2,6 @@
 //! appliance misbehavior under concurrent control.
 
 use uniint::prelude::*;
-use uniint::protocol::message::RectUpdate;
 
 #[test]
 fn session_survives_extremely_lossy_link() {
@@ -29,78 +28,6 @@ fn session_survives_extremely_lossy_link() {
     assert!(net.status(tuner).unwrap().contains(&StateVar::Power(true)));
     // And the proxy's screen equals the server's.
     assert_eq!(s.proxy.server_frame().unwrap(), app.ui().framebuffer());
-}
-
-#[test]
-fn proxy_recovers_from_corrupt_update() {
-    let mut proxy = UniIntProxy::new("p");
-    proxy
-        .handle_server(&ServerMessage::Init {
-            version: 1,
-            width: 32,
-            height: 32,
-            format: PixelFormat::Rgb888,
-            name: "x".into(),
-        })
-        .unwrap();
-    // A good update paints white.
-    let white = vec![Color::WHITE; 32 * 32];
-    let payload = encode_rect(
-        &white,
-        Rect::new(0, 0, 32, 32),
-        Encoding::Raw,
-        PixelFormat::Rgb888,
-    );
-    proxy
-        .handle_server(&ServerMessage::Update {
-            seq: 1,
-            format: PixelFormat::Rgb888,
-            rects: vec![RectUpdate {
-                rect: Rect::new(0, 0, 32, 32),
-                encoding: Encoding::Raw,
-                payload,
-            }],
-        })
-        .unwrap();
-    // A corrupt update fails...
-    let bad = ServerMessage::Update {
-        seq: 2,
-        format: PixelFormat::Rgb888,
-        rects: vec![RectUpdate {
-            rect: Rect::new(0, 0, 32, 32),
-            encoding: Encoding::Rre,
-            payload: vec![0xff; 4],
-        }],
-    };
-    assert!(proxy.handle_server(&bad).is_err());
-    // ...recovery requests a full refresh, and a subsequent good update
-    // restores a consistent screen.
-    let msgs = proxy.recover();
-    assert!(!msgs.is_empty());
-    let green = vec![Color::GREEN; 32 * 32];
-    let payload = encode_rect(
-        &green,
-        Rect::new(0, 0, 32, 32),
-        Encoding::Raw,
-        PixelFormat::Rgb888,
-    );
-    proxy
-        .handle_server(&ServerMessage::Update {
-            seq: 3,
-            format: PixelFormat::Rgb888,
-            rects: vec![RectUpdate {
-                rect: Rect::new(0, 0, 32, 32),
-                encoding: Encoding::Raw,
-                payload,
-            }],
-        })
-        .unwrap();
-    assert!(proxy
-        .server_frame()
-        .unwrap()
-        .pixels()
-        .iter()
-        .all(|&c| c == Color::GREEN));
 }
 
 #[test]

@@ -10,6 +10,7 @@ use uniint::protocol::message::ClientMessage;
 use uniint::telemetry::prelude::Registry;
 use uniint::wsys::prelude::{Theme, Toggle, Ui};
 use uniint_raster::geom::Rect;
+use uniint_raster::pixel::PixelFormat;
 
 fn panel() -> Ui {
     let mut ui = Ui::new(160, 120, Theme::classic(), "gateway-panel");
@@ -926,8 +927,10 @@ fn block_the_writer(gw: &Gateway, registry: &Registry) -> std::net::TcpStream {
 }
 
 /// Asks for full refreshes on `sock`, reading nothing, until the
-/// gateway's writes stop: `bytes_out` has not moved for five looks
-/// 20 ms apart.
+/// gateway's writes stop with a backlog left: `bytes_out` has not moved
+/// for five looks 20 ms apart, and `queue_bytes` then settles above 0.
+/// A gateway thread that has not run yet also leaves `bytes_out` still,
+/// so until the backlog shows, the requests keep coming.
 fn stall(sock: &mut std::net::TcpStream, registry: &Registry) {
     use std::io::Write;
     use uniint::protocol::message::encode_client;
@@ -939,17 +942,19 @@ fn stall(sock: &mut std::net::TcpStream, registry: &Registry) {
     });
     let deadline = Instant::now() + Duration::from_secs(20);
     let (mut sent, mut still) = (0, 0);
-    while still < 5 {
-        assert!(Instant::now() < deadline, "bytes_out never stopped growing");
+    loop {
+        assert!(Instant::now() < deadline, "no backlog built up");
         for _ in 0..20 {
             sock.write_all(&refresh).expect("request");
         }
         std::thread::sleep(Duration::from_millis(20));
         let out = counter("gateway.bytes_out");
-        if out > 0 && out == sent {
-            still += 1;
-        } else {
+        if out != sent {
             (sent, still) = (out, 0);
+        } else if still < 4 {
+            still += 1;
+        } else if settled_queue_bytes(registry) > 0 {
+            break;
         }
     }
     assert_eq!(counter("gateway.dropped_connections"), 0);
@@ -1162,5 +1167,30 @@ fn a_displaced_client_that_stopped_reading_is_closed_within_the_flush() {
         std::thread::sleep(Duration::from_millis(20));
     }
     drop(fresh);
+    gw.shutdown();
+}
+
+#[test]
+fn a_pump_sends_the_renegotiation_of_an_output_attached_after_init() {
+    use uniint::devices::prelude::ScreenPlugin;
+
+    let gw =
+        Gateway::spawn(panel(), GatewayConfig::default(), Registry::new()).expect("gateway binds");
+    let mut c = GatewayClient::connect(gw.local_addr(), "late-screen", 1).expect("connect");
+    let mut model = panel();
+    model.render();
+    let (px, fmt) = (model.framebuffer().pixels(), PixelFormat::Rgb444);
+    let reduced: Vec<_> = px.iter().map(|&p| fmt.reduce(p)).collect();
+    assert_ne!(reduced, px, "Rgb444 loses colours");
+    // Once the first update is in, the server owes nothing: only the
+    // pump can send what the switch queues.
+    let solo = std::slice::from_mut(&mut c);
+    pump_until(solo, "the first update", |c| {
+        c[0].stats().updates_applied > 0
+    });
+    solo[0].proxy.attach_output(Box::new(ScreenPlugin::pda()));
+    pump_until(solo, "the PDA's format", |c| {
+        c[0].proxy.server_frame().map(|fb| fb.pixels()) == Some(&reduced[..])
+    });
     gw.shutdown();
 }

@@ -74,10 +74,10 @@ fn mono_transport_is_smaller_than_truecolor() {
         let mut session = LocalSession::connect(app.ui_mut());
         let before = session.server().stats().payload_bytes;
         if mono {
-            let msgs = session
+            session
                 .proxy
                 .attach_output(Box::new(ScreenPlugin::phone_lcd()));
-            session.deliver_to_server(app.ui_mut(), msgs);
+            session.pump(app.ui_mut());
             session.server().stats().payload_bytes - before
         } else {
             before
@@ -99,10 +99,10 @@ fn wire_bytes_scale_with_pixel_format() {
         let (_net, mut app) = panel_net();
         let mut session = LocalSession::connect(app.ui_mut());
         if mono {
-            let msgs = session
+            session
                 .proxy
                 .attach_output(Box::new(ScreenPlugin::phone_lcd()));
-            session.deliver_to_server(app.ui_mut(), msgs);
+            session.pump(app.ui_mut());
         }
         session.server().stats().payload_bytes
     };

@@ -107,8 +107,8 @@ proptest! {
             _ => Box::new(RemotePlugin::new()),
         };
         session.proxy.attach_input(plugin);
-        let msgs = session.proxy.attach_output(Box::new(ScreenPlugin::pda()));
-        session.deliver_to_server(app.ui_mut(), msgs);
+        session.proxy.attach_output(Box::new(ScreenPlugin::pda()));
+        session.pump(app.ui_mut());
 
         for ev in &events {
             session.device_input(app.ui_mut(), ev);

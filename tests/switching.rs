@@ -30,13 +30,19 @@ fn setup() -> (HomeNetwork, ControlPanelApp, LocalSession, Coordinator) {
     (net, app, session, coord)
 }
 
+/// [`setup`] with the standard home registered, one pump per device.
+fn home() -> (HomeNetwork, ControlPanelApp, LocalSession, Coordinator) {
+    let (net, mut app, mut session, mut coord) = setup();
+    for d in standard_home("kitchen", "living-room") {
+        coord.register(d, &mut session.proxy);
+        session.pump(app.ui_mut());
+    }
+    (net, app, session, coord)
+}
+
 #[test]
 fn walking_to_kitchen_switches_to_voice_and_terminal() {
-    let (_net, mut app, mut session, mut coord) = setup();
-    for d in standard_home("kitchen", "living-room") {
-        let report = coord.register(d, &mut session.proxy);
-        session.deliver_to_server(app.ui_mut(), report.messages);
-    }
+    let (_net, mut app, mut session, mut coord) = home();
     // In the hallway only carried devices are reachable.
     assert_eq!(coord.active_input(), Some("pda-1"));
 
@@ -46,7 +52,7 @@ fn walking_to_kitchen_switches_to_voice_and_terminal() {
     assert_eq!(session.proxy.attached().0, Some("voice"));
     // Output: hands busy penalizes handhelds; the kitchen terminal wins.
     assert_eq!(coord.active_output(), Some("term-kitchen"));
-    session.deliver_to_server(app.ui_mut(), report.messages);
+    session.pump(app.ui_mut());
     assert!(
         session.last_frame().is_some(),
         "terminal got a frame after switch"
@@ -55,15 +61,11 @@ fn walking_to_kitchen_switches_to_voice_and_terminal() {
 
 #[test]
 fn sofa_selects_remote_and_tv() {
-    let (_net, mut app, mut session, mut coord) = setup();
-    for d in standard_home("kitchen", "living-room") {
-        let report = coord.register(d, &mut session.proxy);
-        session.deliver_to_server(app.ui_mut(), report.messages);
-    }
+    let (_net, mut app, mut session, mut coord) = home();
     let report = coord.set_situation(sofa("living-room"), &mut session.proxy);
     assert_eq!(report.input_switched_to.as_deref(), Some("remote-lr"));
     assert_eq!(report.output_switched_to.as_deref(), Some("tv-lr"));
-    session.deliver_to_server(app.ui_mut(), report.messages);
+    session.pump(app.ui_mut());
     let frame = session.last_frame().expect("tv frame");
     assert_eq!(frame.format, PixelFormat::Rgb888);
     assert_eq!(frame.frame.width(), 640);
@@ -71,22 +73,18 @@ fn sofa_selects_remote_and_tv() {
 
 #[test]
 fn session_survives_switch_mid_interaction() {
-    let (mut net, mut app, mut session, mut coord) = setup();
-    for d in standard_home("kitchen", "living-room") {
-        let report = coord.register(d, &mut session.proxy);
-        session.deliver_to_server(app.ui_mut(), report.messages);
-    }
+    let (mut net, mut app, mut session, mut coord) = home();
     // Start on the sofa with the remote: power the TV via mnemonic.
-    let report = coord.set_situation(sofa("living-room"), &mut session.proxy);
-    session.deliver_to_server(app.ui_mut(), report.messages);
+    coord.set_situation(sofa("living-room"), &mut session.proxy);
+    session.pump(app.ui_mut());
     app.ui_mut().set_focus(None);
     session.device_input(app.ui_mut(), &SimRemote::press(RemoteKey::Power));
     app.process(&mut net);
 
     // Walk to the kitchen, cook, and keep controlling the same panel by
     // voice: channel up via focus navigation.
-    let report = coord.set_situation(cooking("kitchen"), &mut session.proxy);
-    session.deliver_to_server(app.ui_mut(), report.messages);
+    coord.set_situation(cooking("kitchen"), &mut session.proxy);
+    session.pump(app.ui_mut());
     session.device_input(
         app.ui_mut(),
         &DeviceEvent::Voice("next next next select".into()),
@@ -101,11 +99,7 @@ fn session_survives_switch_mid_interaction() {
 
 #[test]
 fn device_disconnect_falls_back() {
-    let (_net, mut app, mut session, mut coord) = setup();
-    for d in standard_home("kitchen", "living-room") {
-        let report = coord.register(d, &mut session.proxy);
-        session.deliver_to_server(app.ui_mut(), report.messages);
-    }
+    let (_net, _app, mut session, mut coord) = home();
     coord.set_situation(cooking("kitchen"), &mut session.proxy);
     assert_eq!(coord.active_input(), Some("mic-kitchen"));
     // The microphone dies.
@@ -120,8 +114,8 @@ fn device_disconnect_falls_back() {
 #[test]
 fn all_devices_gone_detaches_cleanly() {
     let (_net, mut app, mut session, mut coord) = setup();
-    let report = coord.register(SimPda::interaction_device("pda-1"), &mut session.proxy);
-    session.deliver_to_server(app.ui_mut(), report.messages);
+    coord.register(SimPda::interaction_device("pda-1"), &mut session.proxy);
+    session.pump(app.ui_mut());
     assert_eq!(coord.active_input(), Some("pda-1"));
     coord.unregister("pda-1", &mut session.proxy);
     assert_eq!(coord.active_input(), None);
@@ -138,8 +132,8 @@ fn preference_update_switches_input() {
         SimPda::interaction_device("pda-1"),
         SimPhone::interaction_device("phone-1"),
     ] {
-        let report = coord.register(d, &mut session.proxy);
-        session.deliver_to_server(app.ui_mut(), report.messages);
+        coord.register(d, &mut session.proxy);
+        session.pump(app.ui_mut());
     }
     let mut profile = UserProfile::neutral("bob");
     profile.input_ranking = vec![InputModality::Keypad];
@@ -150,19 +144,15 @@ fn preference_update_switches_input() {
 
 #[test]
 fn output_switch_changes_format_and_size() {
-    let (_net, mut app, mut session, mut coord) = setup();
-    for d in standard_home("kitchen", "living-room") {
-        let report = coord.register(d, &mut session.proxy);
-        session.deliver_to_server(app.ui_mut(), report.messages);
-    }
+    let (_net, mut app, mut session, mut coord) = home();
     // Sofa: TV (640x480 RGB).
-    let report = coord.set_situation(sofa("living-room"), &mut session.proxy);
-    session.deliver_to_server(app.ui_mut(), report.messages);
+    coord.set_situation(sofa("living-room"), &mut session.proxy);
+    session.pump(app.ui_mut());
     let tv_frame = session.take_frame().expect("tv frame");
     // Hallway: carried PDA wins (RGB444, 240-wide fit).
     let report = coord.set_situation(Situation::idle("hallway"), &mut session.proxy);
     assert_eq!(report.output_switched_to.as_deref(), Some("pda-1"));
-    session.deliver_to_server(app.ui_mut(), report.messages);
+    session.pump(app.ui_mut());
     let pda_frame = session.take_frame().expect("pda frame");
     assert_eq!(tv_frame.format, PixelFormat::Rgb888);
     assert_eq!(pda_frame.format, PixelFormat::Rgb444);
@@ -174,11 +164,7 @@ fn output_switch_changes_format_and_size() {
 fn sensor_fusion_drives_switching() {
     // End-to-end context loop: sensors → SituationTracker → Coordinator
     // → proxy plug-in switches, with hysteresis filtering blips.
-    let (_net, mut app, mut session, mut coord) = setup();
-    for d in standard_home("kitchen", "living-room") {
-        let report = coord.register(d, &mut session.proxy);
-        session.deliver_to_server(app.ui_mut(), report.messages);
-    }
+    let (_net, mut app, mut session, mut coord) = home();
     let mut tracker = SituationTracker::new("hallway", 2_000);
 
     // The user walks to the kitchen and starts cooking.
@@ -190,8 +176,8 @@ fn sensor_fusion_drives_switching() {
                  now: u64,
                  reading: SensorReading| {
         if let Some(sit) = tracker.observe(now, reading) {
-            let report = coord.set_situation(sit, &mut session.proxy);
-            session.deliver_to_server(app.ui_mut(), report.messages);
+            coord.set_situation(sit, &mut session.proxy);
+            session.pump(app.ui_mut());
         }
     };
     apply(
@@ -206,8 +192,8 @@ fn sensor_fusion_drives_switching() {
     );
     t += 3_000;
     if let Some(sit) = tracker.tick(t) {
-        let report = coord.set_situation(sit, &mut session.proxy);
-        session.deliver_to_server(app.ui_mut(), report.messages);
+        coord.set_situation(sit, &mut session.proxy);
+        session.pump(app.ui_mut());
     }
     apply(
         &mut tracker,
@@ -219,8 +205,8 @@ fn sensor_fusion_drives_switching() {
     );
     t += 3_000;
     if let Some(sit) = tracker.tick(t) {
-        let report = coord.set_situation(sit, &mut session.proxy);
-        session.deliver_to_server(app.ui_mut(), report.messages);
+        coord.set_situation(sit, &mut session.proxy);
+        session.pump(app.ui_mut());
     }
     assert_eq!(coord.situation().activity, Activity::Cooking);
     assert_eq!(coord.active_input(), Some("mic-kitchen"));
@@ -246,8 +232,8 @@ fn sensor_fusion_drives_switching() {
     );
     t += 3_000;
     if let Some(sit) = tracker.tick(t) {
-        let report = coord.set_situation(sit, &mut session.proxy);
-        session.deliver_to_server(app.ui_mut(), report.messages);
+        coord.set_situation(sit, &mut session.proxy);
+        session.pump(app.ui_mut());
     }
     assert_eq!(
         coord.active_input().map(str::to_owned),

@@ -23,10 +23,10 @@ fn quickstart_telemetry_json() -> String {
     let mut app = ControlPanelApp::new(&mut net, None, Theme::classic());
     let mut session = LocalSession::connect(app.ui_mut());
     session.proxy.attach_input(Box::new(KeypadPlugin::new()));
-    let msgs = session
+    session
         .proxy
         .attach_output(Box::new(ScreenPlugin::phone_lcd()));
-    session.deliver_to_server(app.ui_mut(), msgs);
+    session.pump(app.ui_mut());
     session.device_input(app.ui_mut(), &SimPhone::press('5').unwrap());
     app.process(&mut net);
     session.pump(app.ui_mut());

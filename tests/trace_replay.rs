@@ -43,8 +43,8 @@ fn record_scenario(seed: u64, config: TraceConfig) -> (Vec<u8>, u64) {
     s.proxy.attach_input(Box::new(KeypadPlugin::new()));
 
     // The phone takes over the screen: renegotiation on the wire.
-    let msgs = s.proxy.attach_output(Box::new(ScreenPlugin::phone_lcd()));
-    s.send_client(&mut ui, msgs).expect("renegotiation settles");
+    s.proxy.attach_output(Box::new(ScreenPlugin::phone_lcd()));
+    s.settle(&mut ui).expect("renegotiation settles");
 
     // Toggle Power, move focus down, toggle Mute.
     for ev in [
@@ -69,8 +69,8 @@ fn record_scenario(seed: u64, config: TraceConfig) -> (Vec<u8>, u64) {
 
     // Hand the screen to a PDA: a second renegotiation, then one more
     // toggle on the new device.
-    let msgs = s.proxy.attach_output(Box::new(ScreenPlugin::pda()));
-    s.send_client(&mut ui, msgs).expect("renegotiation settles");
+    s.proxy.attach_output(Box::new(ScreenPlugin::pda()));
+    s.settle(&mut ui).expect("renegotiation settles");
     s.device_input(&mut ui, &DeviceEvent::KeypadSelect)
         .expect("input settles");
 

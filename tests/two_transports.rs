@@ -75,8 +75,8 @@ fn simulated() -> (Vec<u8>, Vec<ActionEvent>, Framebuffer) {
     let mut s =
         SimSession::connect_recorded(&mut ui, LinkProfile::wifi80211b(), SEED, Some(rec.tap()))
             .expect("session connects");
-    let msgs = s.proxy.attach_output(Box::new(ScreenPlugin::tv()));
-    s.send_client(&mut ui, msgs).expect("renegotiation settles");
+    s.proxy.attach_output(Box::new(ScreenPlugin::tv()));
+    s.settle(&mut ui).expect("renegotiation settles");
     for _ in 0..2 {
         s.send_client(&mut ui, click()).expect("click settles");
     }
@@ -114,7 +114,7 @@ fn over_tcp(expected: &Framebuffer) -> (Vec<u8>, Vec<ActionEvent>, Framebuffer) 
     };
     let gw = Gateway::spawn(panel(), config, Registry::new()).expect("gateway binds");
     let mut c = GatewayClient::connect(gw.local_addr(), NAME, SEED).expect("connect");
-    c.attach_output(Box::new(ScreenPlugin::tv()));
+    c.proxy.attach_output(Box::new(ScreenPlugin::tv()));
     for _ in 0..2 {
         c.send_messages(click());
     }
