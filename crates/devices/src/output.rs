@@ -1,30 +1,42 @@
 //! Output plug-ins: adapt server bitmaps to each display device.
 //!
-//! [`ScreenPlugin`] adapts in proportion to what changed, and never
-//! compares or copies whole frames to find out. It keeps the
-//! [`Stamp`] of the server frame it adapted last and asks that frame's
-//! own write journal what was written since; each written rect, widened
-//! by the scaling filter's footprint, is all it rebuilds.
+//! [`ScreenPlugin`] adapts in proportion to what changed. The server
+//! frame's own write journal says which rects were written since the
+//! last call: the plug-in keeps the frame's [`Stamp`] and asks
+//! [`Framebuffer::changes_since`]. But written pixels are not changed
+//! pixels: the window system repaints whole widgets, and a click on a
+//! control panel rewrites about four times the pixels it changes. So the
+//! plug-in also keeps a copy of the server pixels it adapted last, a
+//! plain `Vec<Color>` with no journal of its own: 3 bytes a server
+//! pixel, 217 kB for a 320×226 panel, per plug-in. That copy is the only
+//! state narrowing adds. The rows of each written rect are compared with
+//! it, where stretches of equal pixels pass a chunk at a time
+//! ([`RowDiff::push`]), and copied on the rows that differ; the device
+//! pixels rebuilt are the union of the runs' footprints
+//! ([`Scaler::footprint`]) as a [`Region`]: the footprints of
+//! neighbouring runs overlap, and their bounding boxes would grow into
+//! whole widgets. Another server frame of the
+//! same size, or one written more often than the journal remembers, is
+//! compared whole; the first frame, a server or device of another size
+//! and a call after a panic rebuild the whole device frame.
 //!
 //! Everything that depends only on the sizes and the caps is worked out
 //! once and kept until they change: the scaling taps of every device
-//! column and row, with the box filter's reciprocals ([`Scaler`]), and
-//! the reduction's tables ([`Reducer`]). A call computes no tap and no
-//! bias; the footprint searches the kept taps.
+//! column and row, with the box filter's reciprocals and the device
+//! columns and rows that read each server one ([`Scaler`]), and the
+//! reduction's tables ([`Reducer`]). A call computes no tap and no
+//! bias, and a footprint is four table lookups.
 //!
 //! Each device row is scaled into a scratch row, then reduced, compared
 //! with the device row it replaces and stored over it in one pass
 //! ([`Reducer::row`] through [`RowDiff::replace`]); the runs that
-//! differ make `changed`, so no copy of the old pixels is kept. A row
-//! that needs no reduction (`Rgb888`) is compared and copied whole.
-//! Error-diffusion devices keep their scaled frame and each device
-//! pixel's quantization error ([`Diffusion`]). From the first rescaled
-//! row down, each row is dithered again only over the columns that were
-//! rescaled or whose error from above changed, and only those are
-//! compared and stored; below the rescaled rows the dither stops at the
-//! first row whose errors above all stayed. The first frame, a resize, a
-//! call after a panic, another server frame or one written more often
-//! than the journal remembers run the same code over the whole frame.
+//! differ make `changed`. A row that needs no reduction (`Rgb888`) is
+//! compared and copied whole. Error-diffusion devices keep their scaled
+//! frame and each device pixel's quantization error ([`Diffusion`]).
+//! From the first rescaled row down, each row is dithered again only
+//! over the columns that were rescaled or whose error from above
+//! changed, and only those are compared and stored; below the rescaled
+//! rows the dither stops at the first row whose errors above all stayed.
 //!
 //! A returned frame is a shared snapshot the plug-in never writes again.
 //! The plug-in keeps two device buffers: it writes in place when nobody
@@ -64,6 +76,8 @@ pub struct ScreenPlugin {
 struct Kept {
     /// The server frame adapted last, as it was then.
     seen: Stamp,
+    /// Its pixels, row-major: what the device frame was adapted from.
+    server: Vec<Color>,
     /// The taps of scaling server frames of its size to the device.
     scaler: Scaler,
     /// How device rows are reduced.
@@ -88,12 +102,14 @@ enum Reduce {
 }
 
 impl Kept {
-    /// Blank state for `size` device frames of `src` server frames.
-    fn new(src: Size, size: Size, caps: OutputCaps, seen: Stamp) -> Kept {
+    /// Blank state for adapting `server` to `size` device frames, before
+    /// any call.
+    fn new(server: &Framebuffer, size: Size, caps: OutputCaps) -> Kept {
         let blank = || Framebuffer::new(size.w, size.h, Color::BLACK);
         Kept {
-            seen,
-            scaler: Scaler::new(src, size, caps.scale),
+            seen: server.stamp(),
+            server: server.pixels().to_vec(),
+            scaler: Scaler::new(server.size(), size, caps.scale),
             reduce: match Reduction::new(caps.format, caps.dither, size) {
                 Reduction::Local(reducer) => Reduce::Local(reducer),
                 Reduction::Diffused(diffusion) => Reduce::Diffused(Box::new((blank(), diffusion))),
@@ -104,12 +120,45 @@ impl Kept {
         }
     }
 
-    /// Re-adapts the device pixels in `rescale` (disjoint, non-empty) from
-    /// `server`, one device row at a time: each row is scaled into a
-    /// scratch row, then reduced, compared with the device row and stored
-    /// over it in one pass. Returns where the rows changed if `diff` is
-    /// set; without `diff` the whole frame is new.
-    fn redo(&mut self, server: &Framebuffer, rescale: Vec<Rect>, diff: bool) -> Region {
+    /// The device pixels that read a server pixel that changed since the
+    /// last call, with `self.server` brought up to date. Only the rects
+    /// written since are compared, while the frame's journal reaches back
+    /// that far; a row that differs is copied whole. A server frame of
+    /// another size makes every device pixel new, with taps for its size.
+    fn narrow(&mut self, server: &Framebuffer, filter: ScaleFilter) -> Region {
+        if self.scaler.src() != server.size() {
+            self.scaler = Scaler::new(server.size(), self.device.size(), filter);
+            self.server = server.pixels().to_vec();
+            return Region::from_rect(self.device.bounds());
+        }
+        let written = server
+            .changes_since(self.seen)
+            .unwrap_or_else(|| vec![server.bounds()]);
+        let w = server.width() as usize;
+        let mut changed = RowDiff::default();
+        for r in written {
+            let cols = r.x as usize..r.right() as usize;
+            for y in r.y as u32..r.bottom() as u32 {
+                let now = &server.row(y)[cols.clone()];
+                let kept = &mut self.server[y as usize * w..][cols.clone()];
+                if changed.push(r.x as u32, y, now, kept) {
+                    kept.copy_from_slice(now);
+                }
+            }
+            // Rects of one write never merge with another's.
+            changed.restart();
+        }
+        // The footprints of neighbouring runs overlap.
+        let changed = changed.into_region();
+        changed.iter().map(|&r| self.scaler.footprint(r)).collect()
+    }
+
+    /// Re-adapts the device pixels in `rescale` from `server`, one device
+    /// row at a time: each row is scaled into a scratch row, then reduced,
+    /// compared with the device row and stored over it in one pass.
+    /// Returns where the rows changed if `diff` is set; without `diff` the
+    /// whole frame is new.
+    fn redo(&mut self, server: &Framebuffer, rescale: &[Rect], diff: bool) -> Region {
         let Kept {
             scaler,
             reduce,
@@ -125,13 +174,13 @@ impl Kept {
             // reaches.
             Reduce::Diffused(state) => {
                 let (scaled, diffusion) = &mut **state;
-                for &r in &rescale {
+                for &r in rescale {
                     scaler.scale_rect(server, scaled, r);
                 }
-                diffusion.rerun(scaled, device, &rescale, changed.as_mut());
+                diffusion.rerun(scaled, device, rescale, changed.as_mut());
             }
             Reduce::Local(reducer) => {
-                for &r in &rescale {
+                for &r in rescale {
                     let x = r.x as u32;
                     let span = r.x as usize..r.right() as usize;
                     let scaled = &mut row[..r.w as usize];
@@ -263,28 +312,23 @@ impl OutputPlugin for ScreenPlugin {
         let caps = self.caps;
         let src = server_frame.size();
         let size = fit_size(src, caps.size);
-        let whole = Rect::new(0, 0, size.w, size.h);
-        let seen = server_frame.stamp();
         // Taken rather than borrowed: a panic below leaves no half-updated
         // state behind, and the next call adapts the whole frame.
         let (mut kept, rescale, fresh) = match self.kept.take() {
             Some(mut kept) if kept.device.size() == size => {
-                if kept.scaler.src() != src {
-                    kept.scaler = Scaler::new(src, size, caps.scale);
-                }
-                let rescale = match server_frame.changes_since(kept.seen) {
-                    Some(rects) => disjoint(rects.into_iter().map(|r| kept.scaler.footprint(r))),
-                    None => vec![whole],
-                };
+                let rescale = kept.narrow(server_frame, caps.scale);
                 (kept, rescale, false)
             }
-            _ => (Kept::new(src, size, caps, seen), vec![whole], true),
+            _ => {
+                let whole = Region::from_rect(Rect::new(0, 0, size.w, size.h));
+                (Kept::new(server_frame, size, caps), whole, true)
+            }
         };
-        kept.seen = seen;
+        kept.seen = server_frame.stamp();
         let changed = if rescale.is_empty() {
             Region::default()
         } else {
-            kept.redo(server_frame, rescale, !fresh)
+            kept.redo(server_frame, rescale.rects(), !fresh)
         };
         let wire_bytes = caps.format.buffer_bytes(size.w, size.h);
         let out = DeviceFrame::new(Arc::clone(&kept.device), caps.format, wire_bytes);
@@ -301,19 +345,6 @@ fn copy_rects(from: &Framebuffer, to: &mut Framebuffer, rects: &[Rect]) {
             to.row_mut(y)[cols.clone()].copy_from_slice(&from.row(y)[cols.clone()]);
         }
     }
-}
-
-/// Merges overlapping rects into their bounding boxes until no two
-/// overlap; empty rects are dropped.
-fn disjoint(rects: impl IntoIterator<Item = Rect>) -> Vec<Rect> {
-    let mut out: Vec<Rect> = Vec::new();
-    for mut r in rects.into_iter().filter(|r| !r.is_empty()) {
-        while let Some(i) = out.iter().position(|o| o.intersects(r)) {
-            r = r.union(out.swap_remove(i));
-        }
-        out.push(r);
-    }
-    out
 }
 
 /// Character ramp from dark to light used by [`ascii_art`].
@@ -532,5 +563,60 @@ mod delta_tests {
         // Different server aspect → different device frame size → full.
         let out = p.adapt(&Framebuffer::new(100, 300, Color::GRAY));
         assert_eq!(out.changed.area(), out.frame.size().area());
+    }
+}
+
+#[cfg(test)]
+mod narrow_tests {
+    use super::*;
+    use uniint_raster::geom::Point;
+
+    /// A panel with some detail, so that rewrites are not all one colour.
+    fn panel() -> Framebuffer {
+        let mut fb = Framebuffer::new(320, 226, Color::LIGHT_GRAY);
+        fb.fill_rect(Rect::new(20, 20, 100, 60), Color::BLUE);
+        for x in (24..116).step_by(3) {
+            fb.set_pixel(Point::new(x, 40), Color::WHITE);
+        }
+        fb
+    }
+
+    #[test]
+    fn an_identical_rewrite_rescales_no_device_pixel() {
+        for mut plugin in [
+            ScreenPlugin::tv(),
+            ScreenPlugin::pda(),
+            ScreenPlugin::phone_lcd(),
+        ] {
+            let mut fb = panel();
+            let first = plugin.adapt(&fb);
+            let (rect, pixels) = fb.read_rect(Rect::new(10, 30, 120, 20));
+            fb.write_rect(rect, &pixels);
+            let kept = plugin.kept.as_mut().expect("kept after a call");
+            assert_eq!(fb.changes_since(kept.seen), Some(vec![rect]));
+            assert!(kept.narrow(&fb, plugin.caps.scale).is_empty());
+            let again = plugin.adapt(&fb);
+            assert!(Arc::ptr_eq(&first.frame, &again.frame), "{}", plugin.kind);
+            assert!(again.changed.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_rewrite_rescales_the_footprint_of_what_changed() {
+        let mut plugin = ScreenPlugin::tv();
+        let mut fb = panel();
+        plugin.adapt(&fb);
+        // A wide rewrite in which one pixel changes.
+        let (rect, mut pixels) = fb.read_rect(Rect::new(0, 30, 320, 20));
+        pixels[5 * 320 + 200] = Color::RED;
+        fb.write_rect(rect, &pixels);
+        let kept = plugin.kept.as_mut().expect("kept after a call");
+        let rescale = kept.narrow(&fb, ScaleFilter::Bilinear);
+        let footprint = kept.scaler.footprint(Rect::new(200, 35, 1, 1));
+        assert_eq!(rescale.rects(), &[footprint]);
+        assert!(footprint.area() <= 16, "{footprint:?}");
+        // The copy holds the change, so a second look finds nothing.
+        kept.seen = Framebuffer::new(1, 1, Color::BLACK).stamp();
+        assert!(kept.narrow(&fb, ScaleFilter::Bilinear).is_empty());
     }
 }

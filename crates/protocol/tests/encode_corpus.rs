@@ -215,7 +215,7 @@ fn encoder_corpus_matches_golden() {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/encode_corpus.txt"
     );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+    if std::env::var_os("UPDATE_GOLDEN").is_some_and(|v| v == "1") {
         std::fs::write(path, &got).expect("write golden file");
         return;
     }

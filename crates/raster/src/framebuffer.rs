@@ -10,9 +10,9 @@
 //! A reader that adapts the same frame again and again (the proxy's
 //! output plug-ins) keeps a [`Stamp`] and asks
 //! [`changes_since`](Framebuffer::changes_since) what was written after
-//! it, instead of comparing the frame with a copy. Draining damage does
-//! not touch the journal, so the server and the plug-ins never disturb
-//! each other.
+//! it, so that it compares only those rects with its copy of the frame.
+//! Draining damage does not touch the journal, so the server and the
+//! plug-ins never disturb each other.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -576,8 +576,9 @@ pub fn fill_row(row: &mut [Color], block: &[Color; 4]) {
 /// quadratic on the tens of thousands of runs a dithered-noise diff
 /// produces.
 ///
-/// Output plug-ins [`replace`](Self::replace) each device row as they
-/// rebuild it, so no copy of the old pixels is kept.
+/// Output plug-ins [`push`](Self::push) the rows of what was written to
+/// the server frame against their copy of it, to find what changed, and
+/// [`replace`](Self::replace) each device row as they rebuild it.
 #[derive(Debug, Default)]
 pub struct RowDiff {
     rects: Vec<Rect>,
@@ -599,18 +600,18 @@ impl RowDiff {
     }
 
     /// Adds the runs where `now` and `before` (equally long) differ, the
-    /// row starting at `(x, y)`.
+    /// row starting at `(x, y)`, and returns whether there were any.
+    /// Stretches without a difference are passed 16 pixels at a time.
     ///
     /// # Panics
     ///
     /// Panics if the rows differ in length.
-    pub fn push(&mut self, x: u32, y: u32, now: &[Color], before: &[Color]) {
+    pub fn push(&mut self, x: u32, y: u32, now: &[Color], before: &[Color]) -> bool {
         assert_eq!(now.len(), before.len(), "diff rows differ in length");
         self.runs.clear();
-        if now != before {
-            runs(&mut self.runs, now.iter().zip(before).map(|(a, b)| a != b));
-        }
+        chunked_runs(&mut self.runs, now, before);
         self.add_runs(x, y);
+        !self.runs.is_empty()
     }
 
     /// Writes `map(i, src[i])` over every `row[i]` and adds the runs where
@@ -673,6 +674,56 @@ impl RowDiff {
     /// The region of every run added.
     pub fn into_region(self) -> Region {
         Region::from_disjoint_rects(self.rects)
+    }
+}
+
+/// How many pixels [`RowDiff::push`] compares at a time.
+const CHUNK: usize = 16;
+
+/// Whether two chunks of pixels differ: every channel's difference OR-ed
+/// into one byte. With the length known, the compiler does this many
+/// pixels per instruction, where `==` compares a pixel at a time.
+#[inline]
+fn chunk_differs(now: &[Color; CHUNK], before: &[Color; CHUNK]) -> bool {
+    let bits = now.iter().zip(before).fold(0, |acc, (p, q)| {
+        acc | (p.r ^ q.r) | (p.g ^ q.g) | (p.b ^ q.b)
+    });
+    bits != 0
+}
+
+/// Appends to `out` the maximal runs where `now` and `before` (equally
+/// long) differ, as `start..end` offsets, left to right. Between runs,
+/// the rows are compared a [`CHUNK`] at a time while whole chunks are
+/// equal, and the chunk that ends the row stands for a shorter rest; a
+/// chunk that differs is searched pixel by pixel for where the run
+/// starts, and on for where it ends.
+#[inline]
+fn chunked_runs(out: &mut Vec<(u32, u32)>, now: &[Color], before: &[Color]) {
+    let len = now.len();
+    let chunk = |at: usize| {
+        let now = now[at..at + CHUNK].try_into().expect("chunk");
+        chunk_differs(now, before[at..at + CHUNK].try_into().expect("chunk"))
+    };
+    let mut at = 0;
+    loop {
+        while at + CHUNK <= len && !chunk(at) {
+            at += CHUNK;
+        }
+        // Fewer than a chunk left: the last chunk holds them all.
+        if at + CHUNK > len && len >= CHUNK && !chunk(len - CHUNK) {
+            return;
+        }
+        let pairs = |from: usize| now[from..].iter().zip(&before[from..]);
+        let Some(skip) = pairs(at).position(|(p, q)| p != q) else {
+            return;
+        };
+        let start = at + skip;
+        let end = pairs(start + 1)
+            .position(|(p, q)| p == q)
+            .map_or(len, |n| start + 1 + n);
+        out.push((start as u32, end as u32));
+        // The pixel at `end`, if any, is equal.
+        at = (end + 1).min(len);
     }
 }
 

@@ -79,8 +79,18 @@ impl Region {
         if rect.is_empty() {
             return;
         }
-        // Fast path: fully covered already.
-        if self.rects.iter().any(|r| r.contains_rect(rect)) {
+        let mut meets = false;
+        for r in &self.rects {
+            // Fully covered already.
+            if r.contains_rect(rect) {
+                return;
+            }
+            meets |= r.intersects(rect);
+        }
+        // Meeting no stored rect, it is added whole.
+        if !meets {
+            self.rects.push(rect);
+            self.coalesce();
             return;
         }
         let mut pending = vec![rect];

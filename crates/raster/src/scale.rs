@@ -5,8 +5,8 @@
 //! source pixels (its taps) fixed by the two sizes. [`Scaler`] works them
 //! out once per pair of sizes, in `f64` for bilinear, and keeps them: a
 //! plug-in that rescales a few rects per call slices the kept taps
-//! instead of recomputing them per rect and per row, and finds a change's
-//! [`footprint`](Scaler::footprint) by binary search over them.
+//! instead of recomputing them per rect and per row, and looks a change's
+//! [`footprint`](Scaler::footprint) up in tables derived from them.
 //! [`RowScaler`] is the row kernel, one per filter.
 
 use crate::color::{Color, Lanes};
@@ -87,8 +87,8 @@ pub fn scale_rect(src: &Framebuffer, dst: &mut Framebuffer, rect: Rect, filter: 
 /// row, and for the box filter the reciprocals its windows divide by. A
 /// plug-in keeps one for as long as its sizes hold, so a call that
 /// rescales a few rects computes no tap; [`footprint`](Self::footprint)
-/// searches the same taps. It also keeps the scratch rows its kernels
-/// reuse.
+/// reads which destination columns and rows read each source one. It
+/// also keeps the scratch rows its kernels reuse.
 #[derive(Debug, Clone)]
 pub struct Scaler {
     filter: ScaleFilter,
@@ -97,6 +97,10 @@ pub struct Scaler {
     /// Every destination column's taps, and every row's.
     cols: Vec<Taps>,
     rows: Vec<Taps>,
+    /// For every source column, and every row, the destination ones
+    /// whose taps read it (see [`reach`]).
+    reach_cols: Vec<(u32, u32)>,
+    reach_rows: Vec<(u32, u32)>,
     /// Box only: the column sums of the row being scaled, in the form
     /// every window of these sizes fits.
     sums: Sums,
@@ -144,6 +148,8 @@ impl Scaler {
             filter,
             src,
             dst,
+            reach_cols: reach(&cols, src.w),
+            reach_rows: reach(&rows, src.h),
             cols,
             rows,
             sums: if packed {
@@ -164,20 +170,20 @@ impl Scaler {
     /// The destination rectangle whose pixels read at least one source
     /// pixel of `changed`: after `changed` is redrawn, rescaling this
     /// rectangle brings the scaled frame up to date. Exact, because tap
-    /// ranges are contiguous and both their ends are non-decreasing.
+    /// ranges are contiguous and both their ends are non-decreasing: the
+    /// range starts at the first destination reading the first source
+    /// pixel, and ends after the last reading the last.
     pub fn footprint(&self, changed: Rect) -> Rect {
         let Some(c) = changed.intersect(Rect::new(0, 0, self.src.w, self.src.h)) else {
             return Rect::EMPTY;
         };
         // The destination range whose taps meet source range `a..b`.
-        let meet = |taps: &[Taps], a: i32, b: i32| {
-            let (a, b) = (a as u32, b as u32);
-            let lo = taps.partition_point(|t| t.hi <= a);
-            let hi = taps.partition_point(|t| t.lo < b);
-            (lo as i32, hi as u32 - lo as u32)
+        let meet = |reach: &[(u32, u32)], a: i32, b: i32| {
+            let (lo, hi) = (reach[a as usize].0, reach[b as usize - 1].1);
+            (lo as i32, hi - lo)
         };
-        let (x, w) = meet(&self.cols, c.x, c.right());
-        let (y, h) = meet(&self.rows, c.y, c.bottom());
+        let (x, w) = meet(&self.reach_cols, c.x, c.right());
+        let (y, h) = meet(&self.reach_rows, c.y, c.bottom());
         Rect::new(x, y, w, h)
     }
 
@@ -262,6 +268,7 @@ impl RowScaler<'_> {
             sums,
             across,
             lanes,
+            ..
         } = &mut *self.scaler;
         assert_eq!(out.len(), self.cols.len(), "scaled row width");
         if size == dst {
@@ -488,6 +495,21 @@ struct Taps {
     hi: u32,
     t: u32,
     m: u64,
+}
+
+/// For each of `src` source coordinates, the destination ones whose
+/// `taps` read it, `first..end`: the first whose taps end after it, and
+/// the first whose taps start after it. Both are non-decreasing, as the
+/// taps' ends are, so one walk finds them all.
+fn reach(taps: &[Taps], src: u32) -> Vec<(u32, u32)> {
+    let (mut first, mut end) = (0, 0);
+    (0..src)
+        .map(|s| {
+            first += taps[first..].iter().take_while(|t| t.hi <= s).count();
+            end += taps[end..].iter().take_while(|t| t.lo <= s).count();
+            (first as u32, end as u32)
+        })
+        .collect()
 }
 
 /// The taps of destination coordinate `i` when scaling `src` pixels to

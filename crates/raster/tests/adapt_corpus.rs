@@ -336,7 +336,7 @@ fn corpus() -> String {
 fn adaptation_corpus_matches_golden() {
     let got = corpus();
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/adapt_corpus.txt");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+    if std::env::var_os("UPDATE_GOLDEN").is_some_and(|v| v == "1") {
         std::fs::write(path, &got).expect("write golden file");
         return;
     }

@@ -427,6 +427,119 @@ proptest! {
     }
 }
 
+/// A rect on a small grid, so that rects often meet, touch or nest.
+fn arb_grid_rect() -> impl Strategy<Value = Rect> {
+    (0i32..12, 0i32..12, 0u32..7, 0u32..7).prop_map(|(x, y, w, h)| Rect::new(x, y, w, h))
+}
+
+/// The pixels of `rects` on a 24×24 grid, row-major.
+fn pixel_set(rects: &[Rect]) -> Vec<bool> {
+    Rect::new(0, 0, 24, 24)
+        .pixels()
+        .map(|p| rects.iter().any(|r| r.contains(p)))
+        .collect()
+}
+
+/// Checks that `region` holds exactly the pixels of `set` (see
+/// [`pixel_set`]) in rects that do not overlap.
+fn holds_exactly(region: &Region, set: &[bool]) -> Result<(), TestCaseError> {
+    let rs = region.rects();
+    for (i, a) in rs.iter().enumerate() {
+        prop_assert!(!a.is_empty(), "empty rect {}", a);
+        for b in &rs[i + 1..] {
+            prop_assert!(!a.intersects(*b), "{} overlaps {}", a, b);
+        }
+    }
+    for (p, &want) in Rect::new(0, 0, 24, 24).pixels().zip(set) {
+        prop_assert_eq!(region.contains(p), want, "pixel {}", p);
+    }
+    prop_assert_eq!(region.area(), set.iter().filter(|&&b| b).count() as u64);
+    Ok(())
+}
+
+/// How many pixels `RowDiff::push` compares at a time.
+const CHUNK: usize = 16;
+
+/// A row `before` and the same row with some pixels changed: at any
+/// offset, next to a chunk boundary or at the row's ends, and in
+/// stretches that cross chunks.
+fn arb_row_change() -> impl Strategy<Value = (Vec<Color>, Vec<Color>)> {
+    // A stretch's first pixel, counted from the start or from the end,
+    // and its length.
+    let stretch = prop_oneof![
+        any::<usize>().prop_map(|i| (i, false, 1usize)),
+        (1usize..5, 0usize..3).prop_map(|(k, d)| (k * CHUNK + d - 1, false, 1)),
+        (0usize..3).prop_map(|d| (d, true, 1)),
+        (any::<usize>(), 1usize..40).prop_map(|(i, n)| (i, false, n)),
+    ];
+    (0usize..=70)
+        .prop_flat_map(move |n| {
+            let changes = proptest::collection::vec((stretch.clone(), 0usize..3, 1u8..=255), 0..6);
+            (proptest::collection::vec(arb_color(), n), changes)
+        })
+        .prop_map(|(before, changes)| {
+            let mut now = before.clone();
+            let n = now.len();
+            for ((at, from_end, len), channel, flip) in changes {
+                if n == 0 {
+                    break;
+                }
+                let start = if from_end {
+                    n - 1 - at.min(n - 1)
+                } else {
+                    at % n
+                };
+                for px in &mut now[start..(start + len).min(n)] {
+                    match channel {
+                        0 => px.r ^= flip,
+                        1 => px.g ^= flip,
+                        _ => px.b ^= flip,
+                    }
+                }
+            }
+            (before, now)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn pushed_rows_add_the_runs_of_a_per_pixel_diff(
+        (before, now) in arb_row_change(),
+        x in 0u32..40,
+        y in 0u32..40,
+    ) {
+        let mut diff = RowDiff::default();
+        let differs = diff.push(x, y, &now, &before);
+        let mut want = Vec::new();
+        let mut i = 0;
+        while i < now.len() {
+            if now[i] == before[i] {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            while i < now.len() && now[i] != before[i] {
+                i += 1;
+            }
+            want.push(Rect::new((x as usize + start) as i32, y as i32, (i - start) as u32, 1));
+        }
+        prop_assert_eq!(differs, !want.is_empty());
+        let region = diff.into_region();
+        prop_assert_eq!(region.rects(), &want[..]);
+    }
+
+    #[test]
+    fn region_add_matches_a_pixel_set_model(rects in proptest::collection::vec(arb_grid_rect(), 1..16)) {
+        let mut region = Region::new();
+        for (i, &r) in rects.iter().enumerate() {
+            region.add(r);
+            holds_exactly(&region, &pixel_set(&rects[..=i]))?;
+        }
+    }
+}
+
 /// `src` reduced onto `palette` by Floyd–Steinberg, one pixel at a time:
 /// each pixel's error, in sixteenths, added to the four neighbours that
 /// come after it (7 right; 3, 5 and 1 below left, below and below right),

@@ -173,6 +173,11 @@ enum Step {
     /// Invert more single pixels, one write each, than the frame's write
     /// journal holds; `at` picks where the run starts.
     Flood(u32),
+    /// Rewrite a rectangle (clipped) with the pixels it already holds.
+    Rewrite(Rect),
+    /// Rewrite a rectangle (clipped) with its own pixels but for a few,
+    /// which `at` picks, set to one colour.
+    Retouch(Rect, u32, Color),
     /// Replace the current source with a new one of another size.
     Resize(Size, u64),
     /// Switch to the other source.
@@ -181,9 +186,12 @@ enum Step {
 
 fn arb_step() -> impl Strategy<Value = Step> {
     let color = (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(r, g, b)| Color::rgb(r, g, b));
+    let rect =
+        (-4i32..44, -4i32..44, 1u32..24, 1u32..24).prop_map(|(x, y, w, h)| Rect::new(x, y, w, h));
     prop_oneof![
-        4 => (-4i32..44, -4i32..44, 1u32..24, 1u32..24, color.clone())
-            .prop_map(|(x, y, w, h, c)| Step::Fill(Rect::new(x, y, w, h), c)),
+        4 => (rect.clone(), color.clone()).prop_map(|(r, c)| Step::Fill(r, c)),
+        2 => rect.clone().prop_map(Step::Rewrite),
+        2 => (rect, any::<u32>(), color.clone()).prop_map(|(r, at, c)| Step::Retouch(r, at, c)),
         1 => Just(Step::Same),
         2 => (any::<u32>(), color.clone()).prop_map(|(at, c)| Step::Border(at, c)),
         1 => (any::<u32>(), color).prop_map(|(at, c)| Step::Row(at, c)),
@@ -262,8 +270,9 @@ proptest! {
     /// frame, and `changed` covers exactly the pixels where consecutive
     /// fresh adaptations differ. Covers every pixel format, dither mode
     /// and scale filter, with devices smaller and larger than the source,
-    /// writes through every mutator including `row_mut`, runs that
-    /// overflow the write journal, and callers that drop every frame,
+    /// writes through every mutator including `row_mut`, rewrites that
+    /// change no pixel or only a few, runs that overflow the write
+    /// journal, and callers that drop every frame,
     /// keep the last one or keep them all; no frame changes once
     /// returned.
     #[test]
@@ -302,6 +311,18 @@ proptest! {
                                         let c = fb.pixel(p).expect("in bounds");
                                         fb.set_pixel(p, Color::from_u32(!c.to_u32() & 0xff_ffff));
                                     }
+                                }
+                                Step::Rewrite(r) => {
+                                    let (r, pixels) = fb.read_rect(*r);
+                                    fb.write_rect(r, &pixels);
+                                }
+                                Step::Retouch(r, at, c) => {
+                                    let (r, mut pixels) = fb.read_rect(*r);
+                                    for n in 0..pixels.len().min(3) {
+                                        let i = (*at as usize + 7 * n) % pixels.len();
+                                        pixels[i] = *c;
+                                    }
+                                    fb.write_rect(r, &pixels);
                                 }
                                 Step::Resize(size, seed) => *fb = source(*size, *seed),
                                 Step::Swap => cur = 1 - cur,

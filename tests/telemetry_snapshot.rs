@@ -40,7 +40,7 @@ fn quickstart_snapshot_matches_golden_file() {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/quickstart_telemetry.json"
     );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+    if std::env::var_os("UPDATE_GOLDEN").is_some_and(|v| v == "1") {
         std::fs::write(path, &got).expect("write golden file");
         return;
     }
