@@ -121,6 +121,15 @@ impl MultiServer {
     /// client, and answers all pending update requests. Returns per-client
     /// message batches (empty batches omitted).
     ///
+    /// The damage is drained once per pump and narrowed there to the
+    /// pixels that changed ([`Framebuffer::drain`]), and every client's
+    /// account takes the same narrowed region. A client whose request a
+    /// repaint reached is answered even when nothing in it changed: with
+    /// an `Update` of no rects, so that every repaint still gets its
+    /// update and its sequence number.
+    ///
+    /// [`Framebuffer::drain`]: uniint_raster::framebuffer::Framebuffer::drain
+    ///
     /// A client told another window size than the window's now (the
     /// panel was recomposed) is sent `Resize` in place of an update: it
     /// is owed the whole screen, which the next pump sends once its
@@ -145,7 +154,7 @@ impl MultiServer {
     ) -> Vec<(ClientId, Vec<ServerMessage>)> {
         ui.render();
         let bell = ui.take_bell();
-        let damage = ui.framebuffer_mut().take_damage();
+        let drained = ui.framebuffer_mut().drain();
         let ui = &*ui;
         let mut memo = EncodeMemo::default();
         let mut out = Vec::new();
@@ -155,7 +164,7 @@ impl MultiServer {
             if bell {
                 msgs.push(ServerMessage::Bell);
             }
-            c.add_damage(&damage);
+            c.add_damage(&drained);
             match c.announce_resize(ui) {
                 Some(resize) => msgs.push(resize),
                 None => msgs.extend(c.answer_pending(ui, &self.metrics, &mut memo)),

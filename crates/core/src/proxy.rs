@@ -396,11 +396,11 @@ impl UniIntProxy {
                         let mut target = fb.rect_mut(ru.rect).ok_or_else(outside)?;
                         decode_into(&mut cursor, ru.encoding, *format, &mut target)?;
                     }
-                    self.metrics.rects_decoded.inc();
                     self.metrics
                         .rect_payload_bytes
                         .record(ru.payload.len() as u64);
                 }
+                self.metrics.rects_decoded.add(rects.len() as u64);
                 self.metrics.updates_applied.inc();
                 self.metrics.rects_per_update.record(rects.len() as u64);
                 out.frame = self.adapt_current();

@@ -11,9 +11,10 @@
 //! answers it.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 use uniint_protocol::encoding::{Encoding, RectAnalysis};
 use uniint_protocol::message::{ClientMessage, RectUpdate, ServerMessage, PROTOCOL_VERSION};
-use uniint_raster::framebuffer::Framebuffer;
+use uniint_raster::framebuffer::{Drained, Framebuffer};
 use uniint_raster::geom::Rect;
 use uniint_raster::pixel::PixelFormat;
 use uniint_raster::region::Region;
@@ -35,10 +36,23 @@ pub const RESUME_RETENTION: usize = 64;
 /// an encoding per client from that analysis and the client's format,
 /// and emits bytes once per distinct `(encoding, pixel format)`. Clients
 /// in the same format get copies of one payload, and clients in
-/// different formats share the analysis.
+/// different formats share the analysis. A client whose format,
+/// encodings and region to send equal an earlier client's gets that
+/// client's rect list again, with no search, and shares its region.
 #[derive(Debug, Default)]
 pub(crate) struct EncodeMemo<'fb> {
     entries: Vec<Analysed<'fb>>,
+    lists: Vec<Listed>,
+}
+
+/// A rect list the memo built, with what it was built for.
+#[derive(Debug)]
+struct Listed {
+    format: PixelFormat,
+    encodings: Vec<Encoding>,
+    region: Arc<Region>,
+    /// Each rect's entry, and its payload in that entry.
+    picks: Vec<(usize, usize)>,
 }
 
 /// One memo entry: a rect's analysis and the payloads emitted from it.
@@ -51,6 +65,7 @@ struct Analysed<'fb> {
 impl<'fb> EncodeMemo<'fb> {
     /// The update for damaged rect `r` clipped to `fb`, in `format` and
     /// restricted to `encodings`; `None` when `r` lies outside `fb`.
+    #[cfg(test)]
     fn encode(
         &mut self,
         fb: &'fb Framebuffer,
@@ -58,6 +73,20 @@ impl<'fb> EncodeMemo<'fb> {
         format: PixelFormat,
         encodings: &[Encoding],
     ) -> Option<RectUpdate> {
+        let pick = self.pick(fb, r, format, encodings)?;
+        Some(self.update(pick))
+    }
+
+    /// The entry of damaged rect `r` clipped to `fb`, and its payload in
+    /// `format` restricted to `encodings`, emitted if it was not yet;
+    /// `None` when `r` lies outside `fb`.
+    fn pick(
+        &mut self,
+        fb: &'fb Framebuffer,
+        r: Rect,
+        format: PixelFormat,
+        encodings: &[Encoding],
+    ) -> Option<(usize, usize)> {
         let clipped = r.intersect(fb.bounds())?;
         let at = match self
             .entries
@@ -77,20 +106,55 @@ impl<'fb> EncodeMemo<'fb> {
         let encoding = analysis.choose(encodings, format);
         let emitted = payloads
             .iter()
-            .find(|(e, f, _)| *e == encoding && *f == format);
-        let payload = match emitted {
-            Some((_, _, payload)) => payload.clone(),
-            None => {
-                let payload = analysis.encode(encoding, format);
-                payloads.push((encoding, format, payload.clone()));
-                payload
-            }
-        };
-        Some(RectUpdate {
-            rect: clipped,
-            encoding,
-            payload,
-        })
+            .position(|(e, f, _)| *e == encoding && *f == format);
+        let payload = emitted.unwrap_or_else(|| {
+            payloads.push((encoding, format, analysis.encode(encoding, format)));
+            payloads.len() - 1
+        });
+        Some((at, payload))
+    }
+
+    /// The update a pick stands for, with a copy of its payload.
+    fn update(&self, (at, payload): (usize, usize)) -> RectUpdate {
+        let entry = &self.entries[at];
+        let (encoding, _, payload) = &entry.payloads[payload];
+        RectUpdate {
+            rect: entry.analysis.rect(),
+            encoding: *encoding,
+            payload: payload.clone(),
+        }
+    }
+
+    /// The updates for the rects of `region` that lie in `fb`, in
+    /// `format` and restricted to `encodings`, and the region, one
+    /// shared copy for every client sent the same list.
+    fn encode_all(
+        &mut self,
+        fb: &'fb Framebuffer,
+        region: Region,
+        format: PixelFormat,
+        encodings: &[Encoding],
+    ) -> (Arc<Region>, Vec<RectUpdate>) {
+        let listed = self
+            .lists
+            .iter()
+            .position(|l| l.format == format && l.encodings == encodings && *l.region == region);
+        let at = listed.unwrap_or_else(|| {
+            let picks = region
+                .iter()
+                .filter_map(|&r| self.pick(fb, r, format, encodings))
+                .collect();
+            self.lists.push(Listed {
+                format,
+                encodings: encodings.to_vec(),
+                region: Arc::new(region),
+                picks,
+            });
+            self.lists.len() - 1
+        });
+        let listed = &self.lists[at];
+        let rects = listed.picks.iter().map(|&p| self.update(p)).collect();
+        (Arc::clone(&listed.region), rects)
     }
 
     /// The rects analysed so far, in the order they were first asked for.
@@ -124,19 +188,87 @@ pub(crate) struct Client {
     encodings: Vec<Encoding>,
     /// Area of the pending update request, answered by the next pump.
     pending: Option<Rect>,
-    /// Damage accumulated since the client's last update.
-    damage: Region,
+    /// What the client is owed: the pixels that changed since they were
+    /// last sent to it, and the pixels repainted since then, which decide
+    /// whether a request is answered.
+    damage: Account,
     /// Client messages received this session (`Resume` not counted), so
     /// a reattaching client learns how much of its send stream was lost.
     msgs_received: u64,
     /// Sequence number the next update will carry (from 1).
     next_update_seq: u64,
     /// Regions of the last [`RESUME_RETENTION`] updates, by sequence —
-    /// the replay log incremental resume re-damages from.
-    sent_log: VecDeque<(u64, Region)>,
+    /// the replay log incremental resume re-damages from. Clients sent
+    /// the same region in one pump share it.
+    sent_log: VecDeque<(u64, Arc<Region>)>,
     /// Whether the window was resized since the last update sent: a
     /// resume then owes the whole screen, whatever the client applied.
     resized: bool,
+}
+
+/// A client's account of what it is owed, kept as two regions.
+///
+/// `changed` is what an update sends. `repainted` covers it and every
+/// pixel written since it was last sent, changed or not: a request that
+/// meets it is answered, with the changed rects inside the request, or
+/// with none. So a client gets an update for every repaint in its area,
+/// however little it changed.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub(crate) struct Account {
+    changed: Region,
+    repainted: Region,
+}
+
+impl Account {
+    /// The whole of `rect` owed, as changed.
+    fn whole(rect: Rect) -> Account {
+        Account {
+            changed: Region::from_rect(rect),
+            repainted: Region::from_rect(rect),
+        }
+    }
+
+    /// Adds `rect` to both regions: its pixels are owed as changed.
+    fn owe(&mut self, rect: Rect) {
+        self.changed.add(rect);
+        self.repainted.add(rect);
+    }
+
+    /// Takes the part of the account inside the request `rect` out of
+    /// it: the changed region to send, or `None` when nothing in `rect`
+    /// was repainted.
+    fn take_requested(&mut self, rect: Rect) -> Option<Region> {
+        let repainted = take_inside(&mut self.repainted, rect);
+        (!repainted.is_empty()).then(|| take_inside(&mut self.changed, rect))
+    }
+}
+
+/// Takes the part of `region` inside `rect` out of it.
+///
+/// A proxy asks for the whole frame, so the request mostly covers the
+/// whole region, which then moves out whole: clipping each rect to
+/// `rect` would keep it as it is, and subtracting it would leave nothing.
+fn take_inside(region: &mut Region, rect: Rect) -> Region {
+    if region.iter().all(|r| rect.contains_rect(*r)) {
+        return std::mem::take(region);
+    }
+    let mut inside = region.clone();
+    inside.intersect_rect(rect);
+    for r in inside.rects() {
+        region.subtract(*r);
+    }
+    inside
+}
+
+/// Adds `add` to `account`. Both regions the pump drains are made of
+/// disjoint rects already, so an empty account takes a copy, which keeps
+/// the rects as the drain cut them.
+fn union_into(account: &mut Region, add: &Region) {
+    if account.is_empty() {
+        account.clone_from(add);
+    } else {
+        account.union_with(add);
+    }
 }
 
 /// A server's counters at one instant, as
@@ -234,7 +366,7 @@ impl Slot {
             (Slot::Live(c), ClientMessage::SetPixelFormat(format)) => {
                 c.format = format;
                 // Everything must be resent in the new format.
-                c.damage = Region::from_rect(ui.framebuffer().bounds());
+                c.damage = Account::whole(ui.framebuffer().bounds());
             }
             (Slot::Live(c), ClientMessage::SetEncodings(encs)) => {
                 c.encodings = if encs.is_empty() {
@@ -245,7 +377,7 @@ impl Slot {
             }
             (Slot::Live(c), ClientMessage::UpdateRequest { incremental, rect }) => {
                 if !incremental {
-                    c.damage.add(
+                    c.damage.owe(
                         rect.intersect(ui.framebuffer().bounds())
                             .unwrap_or(Rect::EMPTY),
                     );
@@ -285,7 +417,7 @@ impl Client {
             encodings: vec![Encoding::Raw],
             pending: None,
             // A new session owes the client the whole screen.
-            damage: Region::from_rect(ui.framebuffer().bounds()),
+            damage: Account::whole(ui.framebuffer().bounds()),
             msgs_received: 1,
             next_update_seq: 1,
             sent_log: VecDeque::new(),
@@ -300,6 +432,7 @@ impl Client {
     /// arrived.
     fn resume(&mut self, ui: &Ui, last_update_seq: u64) -> Vec<ServerMessage> {
         let newest = self.next_update_seq - 1;
+        let bounds = ui.framebuffer().bounds();
         // A resize already owes the whole screen.
         let mut replayed = !self.resized;
         if replayed && last_update_seq < newest {
@@ -313,17 +446,20 @@ impl Client {
             if covered {
                 for (s, region) in &self.sent_log {
                     if *s > last_update_seq {
-                        self.damage.union_with(region);
+                        self.damage.changed.union_with(region);
                     }
                 }
+                // The updates missed are answered again, however few
+                // rects they carried.
+                self.damage.repainted = Region::from_rect(bounds);
             } else {
                 replayed = false;
-                self.damage = Region::from_rect(ui.framebuffer().bounds());
+                self.damage = Account::whole(bounds);
             }
         }
         // Answer the re-damaged area on the next pump even if the
         // client's own UpdateRequest was among the lost messages.
-        self.pending = Some(ui.framebuffer().bounds());
+        self.pending = Some(bounds);
         vec![
             // Geometry may have changed while the client was gone;
             // a same-size Resize is a no-op client-side.
@@ -339,45 +475,17 @@ impl Client {
     }
 
     /// Folds window damage drained by the pump into this client's
-    /// account.
-    ///
-    /// The pump drains `damage` from the framebuffer, which builds it by
-    /// [`Region::add`] alone: its rects are disjoint and no two of them
-    /// merge. Added one by one to an empty account they come back as they
-    /// are, in order, so an empty account takes a copy.
-    pub(crate) fn add_damage(&mut self, damage: &Region) {
-        if self.damage.is_empty() {
-            self.damage.clone_from(damage);
-        } else {
-            self.damage.union_with(damage);
-        }
-    }
-
-    /// Takes the part of the damage inside the request `rect` out of the
-    /// account; `None` if none is.
-    ///
-    /// A proxy asks for the whole frame, so the request mostly covers all
-    /// the damage, which then moves out whole: clipping each rect to
-    /// `rect` would keep it as it is, and subtracting it would leave
-    /// nothing.
-    fn take_requested(&mut self, rect: Rect) -> Option<Region> {
-        if self.damage.iter().all(|r| rect.contains_rect(*r)) {
-            return (!self.damage.is_empty()).then(|| std::mem::take(&mut self.damage));
-        }
-        let mut to_send = self.damage.clone();
-        to_send.intersect_rect(rect);
-        if to_send.is_empty() {
-            return None;
-        }
-        for r in to_send.rects() {
-            self.damage.subtract(*r);
-        }
-        Some(to_send)
+    /// account: what was written, and the part of it that changed.
+    pub(crate) fn add_damage(&mut self, drained: &Drained) {
+        union_into(&mut self.damage.changed, &drained.changed);
+        union_into(&mut self.damage.repainted, &drained.written);
     }
 
     /// Answers the client's pending update request from the already
-    /// rendered framebuffer. Rects are encoded through `memo`, which the
-    /// pump shares between all the clients it answers.
+    /// rendered framebuffer, if a repaint reached the area it asked
+    /// about: with the rects in that area that changed, which may be
+    /// none. Rects are encoded through `memo`, which the pump shares
+    /// between all the clients it answers.
     pub(crate) fn answer_pending<'fb>(
         &mut self,
         ui: &'fb Ui,
@@ -385,29 +493,19 @@ impl Client {
         memo: &mut EncodeMemo<'fb>,
     ) -> Option<ServerMessage> {
         // Only the area the client asked about.
-        let to_send = self.take_requested(self.pending?)?;
+        let to_send = self.damage.take_requested(self.pending?)?;
         self.pending = None;
-        let fb = ui.framebuffer();
-        let mut rects = Vec::with_capacity(to_send.rect_count());
-        let mut update_bytes = 0u64;
-        for &r in to_send.rects() {
-            let Some(update) = memo.encode(fb, r, self.format, &self.encodings) else {
-                continue;
-            };
-            metrics.rects_sent.inc();
-            metrics.payload_bytes.add(update.payload.len() as u64);
-            update_bytes += update.payload.len() as u64;
-            rects.push(update);
-        }
-        if rects.is_empty() {
-            return None;
-        }
+        let (sent, rects) =
+            memo.encode_all(ui.framebuffer(), to_send, self.format, &self.encodings);
+        let update_bytes: u64 = rects.iter().map(|r| r.payload.len() as u64).sum();
+        metrics.rects_sent.add(rects.len() as u64);
+        metrics.payload_bytes.add(update_bytes);
         metrics.updates_sent.inc();
         metrics.update_payload_bytes.record(update_bytes);
         let seq = self.next_update_seq;
         self.next_update_seq += 1;
         self.resized = false;
-        self.sent_log.push_back((seq, to_send));
+        self.sent_log.push_back((seq, sent));
         if self.sent_log.len() > RESUME_RETENTION {
             self.sent_log.pop_front();
         }
@@ -426,7 +524,7 @@ impl Client {
             return None;
         }
         self.size = size_of(ui);
-        self.damage = Region::from_rect(ui.framebuffer().bounds());
+        self.damage = Account::whole(ui.framebuffer().bounds());
         // Pre-resize updates describe a dead geometry: never replay
         // them. A resume across a resize degrades to full damage.
         self.sent_log.clear();
@@ -448,6 +546,8 @@ mod tests {
     use super::*;
     use crate::multi::MultiServer;
     use uniint_protocol::input::InputEvent;
+    use uniint_raster::color::Color;
+    use uniint_raster::geom::Point;
     use uniint_wsys::prelude::*;
 
     fn session() -> (Ui, MultiServer) {
@@ -582,6 +682,72 @@ mod tests {
         assert_eq!(covered, 160 * 120);
     }
 
+    /// Rewrites `rect` of the panel with the pixels it already holds.
+    fn rewrite(ui: &mut Ui, rect: Rect) {
+        let (rect, px) = ui.framebuffer().read_rect(rect);
+        ui.framebuffer_mut().write_rect(rect, &px);
+    }
+
+    #[test]
+    fn a_repaint_that_changes_nothing_is_answered_with_no_rects() {
+        let (mut ui, mut server) = session();
+        connect(&mut ui, &mut server);
+        let full = Rect::new(0, 0, 160, 120);
+        request(&mut ui, &mut server, false, full);
+        assert!(request(&mut ui, &mut server, true, full).is_empty());
+        let before = server.stats();
+        let button = Rect::new(10, 10, 60, 20);
+        rewrite(&mut ui, button);
+        let empty = ServerMessage::Update {
+            seq: 2,
+            format: PixelFormat::Rgb888,
+            rects: Vec::new(),
+        };
+        assert_eq!(pump(&mut ui, &mut server), [empty]);
+        // The next repaint changes one of its pixels: only that is sent.
+        assert!(request(&mut ui, &mut server, true, full).is_empty());
+        rewrite(&mut ui, button);
+        ui.framebuffer_mut()
+            .set_pixel(Point::new(30, 15), Color::rgb(200, 0, 0));
+        let replies = pump(&mut ui, &mut server);
+        let [ServerMessage::Update { seq: 3, rects, .. }] = &replies[..] else {
+            panic!("expected update 3, got {replies:?}");
+        };
+        let sent: Vec<Rect> = rects.iter().map(|r| r.rect).collect();
+        assert_eq!(sent, [Rect::new(30, 15, 1, 1)]);
+        let after = server.stats();
+        assert_eq!(after.updates_sent - before.updates_sent, 2);
+        assert_eq!(after.rects_sent - before.rects_sent, 1);
+    }
+
+    #[test]
+    fn a_clipped_request_waits_for_a_repaint_inside_it() {
+        let (mut ui, mut server) = session();
+        connect(&mut ui, &mut server);
+        request(&mut ui, &mut server, false, Rect::new(0, 0, 160, 120));
+        let corner = Rect::new(100, 80, 40, 30);
+        assert!(request(&mut ui, &mut server, true, corner).is_empty());
+        // A repaint of the button, outside the request, changes a pixel.
+        ui.framebuffer_mut()
+            .set_pixel(Point::new(30, 15), Color::rgb(200, 0, 0));
+        rewrite(&mut ui, Rect::new(10, 10, 60, 20));
+        assert!(pump(&mut ui, &mut server).is_empty());
+        // An unchanged repaint inside it answers with nothing to send.
+        rewrite(&mut ui, Rect::new(110, 90, 10, 10));
+        let replies = pump(&mut ui, &mut server);
+        let [ServerMessage::Update { seq: 2, rects, .. }] = &replies[..] else {
+            panic!("expected update 2, got {replies:?}");
+        };
+        assert!(rects.is_empty());
+        // The changed pixel is still owed to a request that covers it.
+        let replies = request(&mut ui, &mut server, true, Rect::new(0, 0, 160, 120));
+        let [ServerMessage::Update { seq: 3, rects, .. }] = &replies[..] else {
+            panic!("expected update 3, got {replies:?}");
+        };
+        let sent: Vec<Rect> = rects.iter().map(|r| r.rect).collect();
+        assert_eq!(sent, [Rect::new(30, 15, 1, 1)]);
+    }
+
     #[test]
     fn input_reaches_widgets() {
         let (mut ui, mut server) = session();
@@ -696,62 +862,84 @@ mod tests {
     /// The rect-by-rect rule the hand-over must match, with no copy into
     /// an empty account and no move for a covering request: re-add each
     /// drained rect, clip a clone of the account to the request and
-    /// subtract each clipped rect. Returns what is sent, or `None` when
-    /// nothing is.
-    fn hand_over_rect_by_rect(
-        account: &mut Region,
-        drained: &Region,
-        rect: Rect,
-    ) -> Option<Region> {
+    /// subtract each clipped rect. Returns what was inside the request.
+    fn hand_over_rect_by_rect(account: &mut Region, drained: &Region, rect: Rect) -> Region {
         account.union_with(drained);
-        let mut to_send = account.clone();
-        to_send.intersect_rect(rect);
-        if to_send.is_empty() {
-            return None;
-        }
-        for r in to_send.rects() {
+        let mut inside = account.clone();
+        inside.intersect_rect(rect);
+        for r in inside.rects() {
             account.subtract(*r);
         }
-        Some(to_send)
+        inside
+    }
+
+    /// `region` without merges a further `Region::add` would make, as the
+    /// framebuffer drains it.
+    fn coalesced(region: &Region) -> Region {
+        Region::from_iter(region.iter().copied())
     }
 
     /// Hands `drained` to a client whose account holds `account` and whose
-    /// pending request is `rect`, and checks the update's rects, the damage
-    /// left and the send log against [`hand_over_rect_by_rect`].
-    fn check_hand_over(account: &Region, drained: &Region, rect: Rect) {
+    /// pending request is `rect`, and checks the update's rects, the
+    /// account left and the send log against [`hand_over_rect_by_rect`]:
+    /// on the repainted region to decide whether the request is answered,
+    /// and on the changed region for what the answer sends.
+    fn check_hand_over(account: &Account, drained: &Drained, rect: Rect) {
         let mut ui = Ui::new(160, 120, Theme::classic(), "test-panel");
         ui.render();
         let (mut c, _) = Client::open(&ui, 1);
         c.encodings = Encoding::ALL.to_vec();
         c.damage = account.clone();
         c.pending = Some(rect);
-        let mut want_left = account.clone();
-        let want = hand_over_rect_by_rect(&mut want_left, drained, rect);
+        let mut want = account.clone();
+        let answered =
+            !hand_over_rect_by_rect(&mut want.repainted, &drained.written, rect).is_empty();
+        let sent = if answered {
+            hand_over_rect_by_rect(&mut want.changed, &drained.changed, rect)
+        } else {
+            want.changed.union_with(&drained.changed);
+            Region::new()
+        };
         let metrics = ServerMetrics::new(&Registry::new());
         c.add_damage(drained);
         let update = c.answer_pending(&ui, &metrics, &mut EncodeMemo::default());
         let case = (account, drained, rect);
-        assert_eq!(c.damage, want_left, "{case:?}");
-        let Some(sent) = want else {
+        assert_eq!(c.damage, want, "{case:?}");
+        if !answered {
             assert_eq!(update, None, "{case:?}");
             assert_eq!(c.pending, Some(rect), "{case:?}");
             assert!(c.sent_log.is_empty(), "{case:?}");
             return;
-        };
+        }
         let Some(ServerMessage::Update { seq: 1, rects, .. }) = update else {
             panic!("{case:?}: expected update 1, got {update:?}");
         };
         let got: Vec<Rect> = rects.iter().map(|r| r.rect).collect();
         assert_eq!(got, sent.rects(), "{case:?}");
-        assert_eq!(c.sent_log, [(1, sent)], "{case:?}");
+        assert_eq!(c.sent_log, [(1, Arc::new(sent))], "{case:?}");
         assert_eq!(c.pending, None, "{case:?}");
+        let s = metrics.stats();
+        assert_eq!((s.updates_sent, s.rects_sent), (1, got.len() as u64));
+        let bytes: usize = rects.iter().map(|r| r.payload.len()).sum();
+        assert_eq!(s.payload_bytes, bytes as u64, "{case:?}");
+    }
+
+    /// The drained damage `written`, with the part of it inside `mask`
+    /// as changed.
+    fn drained(written: Region, mask: Rect) -> Drained {
+        let mut changed = written.clone();
+        changed.intersect_rect(mask);
+        Drained {
+            changed: coalesced(&changed),
+            written,
+        }
     }
 
     #[test]
     fn damage_hand_over_matches_the_rect_by_rect_rule() {
         let full = Rect::new(0, 0, 160, 120);
         // Built as the framebuffer builds its damage: by `Region::add`.
-        let drained = Region::from_iter([
+        let written = Region::from_iter([
             Rect::new(10, 10, 60, 20),
             Rect::new(40, 20, 50, 30),
             Rect::new(0, 100, 160, 20),
@@ -760,17 +948,31 @@ mod tests {
         let mut carved = Region::from_rect(Rect::new(0, 0, 80, 60));
         carved.subtract(Rect::new(20, 20, 10, 10));
         let square = Region::from_rect(Rect::new(30, 0, 40, 40));
-        for account in [Region::new(), square, carved] {
-            // The whole frame, part of the damage, none of it, and an
-            // empty request.
-            for rect in [
-                full,
-                Rect::new(30, 15, 50, 100),
-                Rect::new(100, 40, 10, 10),
-                Rect::new(5, 5, 0, 0),
-            ] {
-                check_hand_over(&account, &drained, rect);
-                check_hand_over(&account, &Region::new(), rect);
+        let accounts = [Region::new(), square, carved].map(|repainted| Account {
+            changed: coalesced(&{
+                let mut changed = repainted.clone();
+                changed.intersect_rect(Rect::new(0, 0, 40, 120));
+                changed
+            }),
+            repainted,
+        });
+        // Every written pixel changed, some did, and none did.
+        let drains = [full, Rect::new(35, 0, 40, 120), Rect::EMPTY]
+            .map(|mask| drained(written.clone(), mask))
+            .into_iter()
+            .chain([Drained::default()]);
+        for drained in drains {
+            for account in &accounts {
+                // The whole frame, part of the damage, none of it, and an
+                // empty request.
+                for rect in [
+                    full,
+                    Rect::new(30, 15, 50, 100),
+                    Rect::new(100, 40, 10, 10),
+                    Rect::new(5, 5, 0, 0),
+                ] {
+                    check_hand_over(account, &drained, rect);
+                }
             }
         }
     }
@@ -787,22 +989,28 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// Random drained damage, accounts (empty, or built by `add` and
-        /// then carved by `subtract`) and requests (the whole frame or a
-        /// random rect).
+        /// Random drained damage, each with a random changed part, and
+        /// accounts (empty, or built by `add` and then carved by
+        /// `subtract`, changed where a mask says) and requests (the
+        /// whole frame or a random rect).
         #[test]
         fn random_damage_hand_over_matches_the_rect_by_rect_rule(
-            drained in proptest::collection::vec(arb_rect(), 0..12),
+            written in proptest::collection::vec(arb_rect(), 0..12),
             account in proptest::collection::vec(arb_rect(), 0..4),
             carve in proptest::option::of(arb_rect()),
+            masks in (arb_rect(), arb_rect()),
             rect in proptest::option::of(arb_rect()),
         ) {
-            let mut account = Region::from_iter(account);
+            let mut repainted = Region::from_iter(account);
             if let Some(hole) = carve {
-                account.subtract(hole);
+                repainted.subtract(hole);
             }
+            let account = Account {
+                changed: drained(repainted.clone(), masks.0).changed,
+                repainted,
+            };
             let rect = rect.unwrap_or(Rect::new(0, 0, 160, 120));
-            check_hand_over(&account, &Region::from_iter(drained), rect);
+            check_hand_over(&account, &drained(Region::from_iter(written), masks.1), rect);
         }
     }
 

@@ -3,22 +3,16 @@
 //! [`ScreenPlugin`] adapts in proportion to what changed. The server
 //! frame's own write journal says which rects were written since the
 //! last call: the plug-in keeps the frame's [`Stamp`] and asks
-//! [`Framebuffer::changes_since`]. But written pixels are not changed
-//! pixels: the window system repaints whole widgets, and a click on a
-//! control panel rewrites about four times the pixels it changes. So the
-//! plug-in also keeps a copy of the server pixels it adapted last, a
-//! plain `Vec<Color>` with no journal of its own: 3 bytes a server
-//! pixel, 217 kB for a 320×226 panel, per plug-in. That copy is the only
-//! state narrowing adds. The rows of each written rect are compared with
-//! it, where stretches of equal pixels pass a chunk at a time
-//! ([`RowDiff::push`]), and copied on the rows that differ; the device
-//! pixels rebuilt are the union of the runs' footprints
-//! ([`Scaler::footprint`]) as a [`Region`]: the footprints of
-//! neighbouring runs overlap, and their bounding boxes would grow into
-//! whole widgets. Another server frame of the
-//! same size, or one written more often than the journal remembers, is
-//! compared whole; the first frame, a server or device of another size
-//! and a call after a panic rebuild the whole device frame.
+//! [`Framebuffer::changes_since`]. On a proxy those are the rects the
+//! server's updates carried, and the server sends only what changed
+//! (`Framebuffer::drain`), so the plug-in keeps no copy of the panel to
+//! compare with. The device pixels rebuilt are the union of the written
+//! rects' footprints ([`Scaler::footprint`]) as a [`Region`]: the
+//! footprints of neighbouring rects overlap, and their bounding box
+//! would grow into whole widgets. Another server frame, one written more
+//! often than the journal remembers, the first frame, a server or device
+//! of another size and a call after a panic rebuild the whole device
+//! frame.
 //!
 //! Everything that depends only on the sizes and the caps is worked out
 //! once and kept until they change: the scaling taps of every device
@@ -76,8 +70,6 @@ pub struct ScreenPlugin {
 struct Kept {
     /// The server frame adapted last, as it was then.
     seen: Stamp,
-    /// Its pixels, row-major: what the device frame was adapted from.
-    server: Vec<Color>,
     /// The taps of scaling server frames of its size to the device.
     scaler: Scaler,
     /// How device rows are reduced.
@@ -108,7 +100,6 @@ impl Kept {
         let blank = || Framebuffer::new(size.w, size.h, Color::BLACK);
         Kept {
             seen: server.stamp(),
-            server: server.pixels().to_vec(),
             scaler: Scaler::new(server.size(), size, caps.scale),
             reduce: match Reduction::new(caps.format, caps.dither, size) {
                 Reduction::Local(reducer) => Reduce::Local(reducer),
@@ -120,37 +111,20 @@ impl Kept {
         }
     }
 
-    /// The device pixels that read a server pixel that changed since the
-    /// last call, with `self.server` brought up to date. Only the rects
-    /// written since are compared, while the frame's journal reaches back
-    /// that far; a row that differs is copied whole. A server frame of
-    /// another size makes every device pixel new, with taps for its size.
-    fn narrow(&mut self, server: &Framebuffer, filter: ScaleFilter) -> Region {
+    /// The device pixels that read a server pixel written since the last
+    /// call, while the frame's journal reaches back that far; all of them
+    /// otherwise. A server frame of another size makes every device pixel
+    /// new, with taps for its size.
+    fn outdated(&mut self, server: &Framebuffer, filter: ScaleFilter) -> Region {
         if self.scaler.src() != server.size() {
             self.scaler = Scaler::new(server.size(), self.device.size(), filter);
-            self.server = server.pixels().to_vec();
             return Region::from_rect(self.device.bounds());
         }
-        let written = server
-            .changes_since(self.seen)
-            .unwrap_or_else(|| vec![server.bounds()]);
-        let w = server.width() as usize;
-        let mut changed = RowDiff::default();
-        for r in written {
-            let cols = r.x as usize..r.right() as usize;
-            for y in r.y as u32..r.bottom() as u32 {
-                let now = &server.row(y)[cols.clone()];
-                let kept = &mut self.server[y as usize * w..][cols.clone()];
-                if changed.push(r.x as u32, y, now, kept) {
-                    kept.copy_from_slice(now);
-                }
-            }
-            // Rects of one write never merge with another's.
-            changed.restart();
-        }
-        // The footprints of neighbouring runs overlap.
-        let changed = changed.into_region();
-        changed.iter().map(|&r| self.scaler.footprint(r)).collect()
+        let Some(written) = server.changes_since(self.seen) else {
+            return Region::from_rect(self.device.bounds());
+        };
+        // The footprints of neighbouring rects overlap.
+        written.iter().map(|&r| self.scaler.footprint(r)).collect()
     }
 
     /// Re-adapts the device pixels in `rescale` from `server`, one device
@@ -316,7 +290,7 @@ impl OutputPlugin for ScreenPlugin {
         // state behind, and the next call adapts the whole frame.
         let (mut kept, rescale, fresh) = match self.kept.take() {
             Some(mut kept) if kept.device.size() == size => {
-                let rescale = kept.narrow(server_frame, caps.scale);
+                let rescale = kept.outdated(server_frame, caps.scale);
                 (kept, rescale, false)
             }
             _ => {
@@ -567,56 +541,34 @@ mod delta_tests {
 }
 
 #[cfg(test)]
-mod narrow_tests {
+mod rescale_tests {
     use super::*;
     use uniint_raster::geom::Point;
 
-    /// A panel with some detail, so that rewrites are not all one colour.
-    fn panel() -> Framebuffer {
-        let mut fb = Framebuffer::new(320, 226, Color::LIGHT_GRAY);
-        fb.fill_rect(Rect::new(20, 20, 100, 60), Color::BLUE);
-        for x in (24..116).step_by(3) {
-            fb.set_pixel(Point::new(x, 40), Color::WHITE);
-        }
-        fb
-    }
-
     #[test]
-    fn an_identical_rewrite_rescales_no_device_pixel() {
+    fn a_call_rescales_the_footprints_of_what_was_written_since_the_last() {
         for mut plugin in [
             ScreenPlugin::tv(),
             ScreenPlugin::pda(),
             ScreenPlugin::phone_lcd(),
         ] {
-            let mut fb = panel();
+            let mut fb = Framebuffer::new(320, 226, Color::LIGHT_GRAY);
+            fb.fill_rect(Rect::new(20, 20, 100, 60), Color::BLUE);
             let first = plugin.adapt(&fb);
-            let (rect, pixels) = fb.read_rect(Rect::new(10, 30, 120, 20));
-            fb.write_rect(rect, &pixels);
-            let kept = plugin.kept.as_mut().expect("kept after a call");
-            assert_eq!(fb.changes_since(kept.seen), Some(vec![rect]));
-            assert!(kept.narrow(&fb, plugin.caps.scale).is_empty());
+            // Nothing written: the same frame, with nothing changed.
             let again = plugin.adapt(&fb);
             assert!(Arc::ptr_eq(&first.frame, &again.frame), "{}", plugin.kind);
             assert!(again.changed.is_empty());
+            fb.set_pixel(Point::new(200, 35), Color::RED);
+            fb.fill_rect(Rect::new(202, 35, 2, 1), Color::RED);
+            let kept = plugin.kept.as_mut().expect("kept after a call");
+            let rescale = kept.outdated(&fb, plugin.caps.scale);
+            let footprint = kept.scaler.footprint(Rect::new(200, 35, 4, 1));
+            assert_eq!(rescale.bounding_rect(), footprint, "{}", plugin.kind);
+            // A copy of the frame has no journal the plug-in knows.
+            let copy = fb.clone();
+            let whole = kept.outdated(&copy, plugin.caps.scale);
+            assert_eq!(whole.rects(), &[kept.device.bounds()]);
         }
-    }
-
-    #[test]
-    fn a_rewrite_rescales_the_footprint_of_what_changed() {
-        let mut plugin = ScreenPlugin::tv();
-        let mut fb = panel();
-        plugin.adapt(&fb);
-        // A wide rewrite in which one pixel changes.
-        let (rect, mut pixels) = fb.read_rect(Rect::new(0, 30, 320, 20));
-        pixels[5 * 320 + 200] = Color::RED;
-        fb.write_rect(rect, &pixels);
-        let kept = plugin.kept.as_mut().expect("kept after a call");
-        let rescale = kept.narrow(&fb, ScaleFilter::Bilinear);
-        let footprint = kept.scaler.footprint(Rect::new(200, 35, 1, 1));
-        assert_eq!(rescale.rects(), &[footprint]);
-        assert!(footprint.area() <= 16, "{footprint:?}");
-        // The copy holds the change, so a second look finds nothing.
-        kept.seen = Framebuffer::new(1, 1, Color::BLACK).stamp();
-        assert!(kept.narrow(&fb, ScaleFilter::Bilinear).is_empty());
     }
 }

@@ -7,7 +7,10 @@
 //! update throughput, per-interaction latency percentiles, CPU per
 //! update split between the gateway and the load clients, the bytes the
 //! gateway wrote per update (`gateway.bytes_out`), the process's
-//! threads and its peak resident set (`VmHWM`).
+//! threads and its peak resident set (`VmHWM`). Latencies go into a
+//! fixed-bucket [`Histogram`], so a long run holds no more of them than
+//! a short one; its p50 and p99 are the upper bounds of the power-of-two
+//! buckets that hold them.
 //!
 //! ```text
 //! gateway_load [--clients N] [--duration-ms MS] [--record PATH]
@@ -37,6 +40,7 @@ use uniint_protocol::input::InputEvent;
 use uniint_protocol::message::{ClientMessage, PROTOCOL_VERSION};
 use uniint_raster::geom::Rect;
 use uniint_raster::pixel::PixelFormat;
+use uniint_telemetry::histogram::Histogram;
 use uniint_telemetry::registry::Registry;
 use uniint_trace::format::TraceHeader;
 use uniint_trace::recorder::Recorder;
@@ -192,7 +196,7 @@ fn main() {
     // Closed loop: each client clicks again once the update its click
     // provoked has arrived (or after 2 s without one), until the run
     // ends; the last clicks are still waited for.
-    let mut latencies: Vec<u64> = Vec::new();
+    let latencies = Histogram::new();
     let t0 = Instant::now();
     let mut waiting: Vec<_> = clients.iter_mut().map(|c| Some(click(c))).collect();
     while waiting.iter().any(Option::is_some) {
@@ -203,7 +207,7 @@ fn main() {
         for (c, w) in clients.iter_mut().zip(&mut waiting) {
             let Some((sent, before)) = *w else { continue };
             if c.stats().updates_applied > before || sent.elapsed() >= Duration::from_secs(2) {
-                latencies.push(sent.elapsed().as_micros() as u64);
+                latencies.record(sent.elapsed().as_micros() as u64);
                 *w = more.then(|| click(c));
             }
         }
@@ -225,11 +229,7 @@ fn main() {
         println!("gateway_load: recorded {records} messages to {path} ({dropped} chunks dropped)");
     }
 
-    latencies.sort_unstable();
-    let pct = |p: f64| -> u64 {
-        let idx = (latencies.len().saturating_sub(1) as f64 * p).round() as usize;
-        latencies.get(idx).copied().unwrap_or(0)
-    };
+    let latency = latencies.snapshot();
     let secs = args.duration.as_secs_f64();
     println!(
         "gateway_load: {} clients, {:.1}s: {} updates ({:.0} updates/sec), \
@@ -238,8 +238,8 @@ fn main() {
         secs,
         total_updates,
         total_updates as f64 / secs,
-        pct(0.50),
-        pct(0.99),
+        latency.p50,
+        latency.p99,
     );
     let per_update = |v: u64| v as f64 / total_updates.max(1) as f64;
     println!(

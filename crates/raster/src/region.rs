@@ -76,6 +76,13 @@ impl Region {
     /// Keeps the invariant that stored rectangles are pairwise disjoint by
     /// inserting only the parts of `rect` not already covered.
     pub fn add(&mut self, rect: Rect) {
+        self.add_with(rect, |_| ());
+    }
+
+    /// [`add`](Self::add), showing `uncovered` each disjoint part of
+    /// `rect` the region did not cover yet, before it is added: together
+    /// they are exactly the pixels `rect` adds.
+    pub(crate) fn add_with(&mut self, rect: Rect, mut uncovered: impl FnMut(Rect)) {
         if rect.is_empty() {
             return;
         }
@@ -89,6 +96,7 @@ impl Region {
         }
         // Meeting no stored rect, it is added whole.
         if !meets {
+            uncovered(rect);
             self.rects.push(rect);
             self.coalesce();
             return;
@@ -104,6 +112,7 @@ impl Region {
                 return;
             }
         }
+        pending.iter().copied().for_each(uncovered);
         self.rects.extend(pending);
         self.coalesce();
     }

@@ -709,3 +709,163 @@ fn box_windows_too_large_for_packed_sums_match_the_definition() {
         }
     }
 }
+
+// The damage a served frame drains: what was written, and the part of it
+// that changed.
+
+/// One step on a served frame.
+#[derive(Debug, Clone)]
+enum Step {
+    SetPixel(Point, Color),
+    Fill(Rect, Color),
+    /// A block written through `write_rect`, each pixel one of `colors`.
+    Write(Rect, Vec<Color>),
+    /// A fill through `rect_mut`'s view: its rect (clipped first, since
+    /// the view needs one inside the frame), then an inner rect.
+    InPlace(Rect, Rect, Color),
+    AddDamage(Rect),
+    /// A fill through `row_mut`, which records no damage: its writer
+    /// owes the `add_damage`, and pays it just before the next drain.
+    External(Rect, Color),
+    Clone,
+    /// The window recomposed at a new size, as `Ui::resize` does it.
+    Resize(u32, u32),
+    Drain,
+}
+
+/// Few colours, so that most writes leave pixels as they were.
+fn arb_few_colors() -> impl Strategy<Value = Color> {
+    prop_oneof![
+        Just(Color::BLACK),
+        Just(Color::WHITE),
+        Just(Color::rgb(200, 30, 30)),
+    ]
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    let rect =
+        (-4i32..44, -4i32..28, 0u32..40, 0u32..20).prop_map(|(x, y, w, h)| Rect::new(x, y, w, h));
+    prop_oneof![
+        4 => ((0i32..40, 0i32..24), arb_few_colors())
+            .prop_map(|((x, y), c)| Step::SetPixel(Point::new(x, y), c)),
+        4 => (rect.clone(), arb_few_colors()).prop_map(|(r, c)| Step::Fill(r, c)),
+        3 => rect.clone().prop_flat_map(|r| {
+            let colors = proptest::collection::vec(arb_few_colors(), r.area() as usize);
+            (Just(r), colors).prop_map(|(r, px)| Step::Write(r, px))
+        }),
+        3 => (rect.clone(), rect.clone(), arb_few_colors())
+            .prop_map(|(r, inner, c)| Step::InPlace(r, inner, c)),
+        1 => rect.clone().prop_map(Step::AddDamage),
+        2 => (rect.clone(), arb_few_colors()).prop_map(|(r, c)| Step::External(r, c)),
+        1 => Just(Step::Clone),
+        1 => (17u32..40, 1u32..24).prop_map(|(w, h)| Step::Resize(w, h)),
+        4 => Just(Step::Drain),
+    ]
+}
+
+/// Applies `step` to `fb`, and adds to `written` the rect it damages as
+/// `Framebuffer` records damage: each write's clipped rect through
+/// `Region::add`, a same-colour pixel not at all. `owed` holds the rects
+/// written through `row_mut` and not yet marked.
+fn take_step(fb: &mut Framebuffer, written: &mut Region, owed: &mut Vec<Rect>, step: &Step) {
+    let bounds = fb.bounds();
+    let clip = |r: Rect| r.intersect(bounds).unwrap_or(Rect::EMPTY);
+    match step {
+        Step::SetPixel(p, c) => {
+            if fb.pixel(*p).is_some_and(|old| old != *c) {
+                written.add(Rect::new(p.x, p.y, 1, 1));
+            }
+            fb.set_pixel(*p, *c);
+        }
+        Step::Fill(r, c) => {
+            written.add(clip(*r));
+            fb.fill_rect(*r, *c);
+        }
+        Step::Write(r, px) => {
+            written.add(clip(*r));
+            fb.write_rect(*r, px);
+        }
+        Step::InPlace(r, inner, c) => {
+            let r = clip(*r);
+            written.add(r);
+            let mut view = fb.rect_mut(r).expect("clipped rects fit");
+            let inner = Rect::new(inner.x % 8, inner.y % 8, inner.w, inner.h);
+            if let Some(inner) = inner.intersect(view.bounds()) {
+                view.fill(inner, *c);
+            }
+        }
+        Step::AddDamage(r) => {
+            written.add(clip(*r));
+            fb.add_damage(*r);
+        }
+        Step::External(r, c) => {
+            let r = clip(*r);
+            for y in r.y..r.bottom() {
+                fb.row_mut(y as u32)[r.x as usize..r.right() as usize].fill(*c);
+            }
+            owed.push(r);
+        }
+        Step::Clone => *fb = fb.clone(),
+        Step::Resize(w, h) => {
+            *fb = Framebuffer::new(*w, *h, Color::BLACK);
+            *written = Region::from_rect(fb.bounds());
+            owed.clear();
+        }
+        Step::Drain => {
+            for r in owed.drain(..) {
+                written.add(r);
+                fb.add_damage(r);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random writes through every mutator, marked damage (some of it
+    /// for pixels written through `row_mut` before other writes), clones
+    /// and resizes: after each drain the changed region covers every pixel
+    /// that differs from the frame at the previous drain, lies inside the
+    /// written damage and is made of disjoint rects, and the written
+    /// damage is the region `take_damage` returns on a twin frame.
+    #[test]
+    fn drained_changes_cover_every_changed_pixel_inside_the_damage(
+        steps in proptest::collection::vec(arb_step(), 1..40),
+    ) {
+        let mut fb = Framebuffer::new(40, 24, Color::BLACK);
+        let mut twin = fb.clone();
+        let mut written = Region::from_rect(fb.bounds());
+        let (mut owed, mut twin_owed) = (Vec::new(), Vec::new());
+        // The frame at the last drain; none before the first.
+        let mut last: Option<Framebuffer> = None;
+        for (i, step) in steps.iter().chain([&Step::Drain]).enumerate() {
+            take_step(&mut fb, &mut written, &mut owed, step);
+            take_step(&mut twin, &mut Region::new(), &mut twin_owed, step);
+            if matches!(step, Step::Resize(..)) {
+                last = None;
+            }
+            if !matches!(step, Step::Drain) {
+                continue;
+            }
+            let drained = fb.drain();
+            let want = std::mem::take(&mut written);
+            prop_assert_eq!(&drained.written, &want, "step {}", i);
+            prop_assert_eq!(&twin.take_damage(), &want, "step {}", i);
+            let changed = drained.changed.rects();
+            for (k, a) in changed.iter().enumerate() {
+                prop_assert!(!a.is_empty(), "step {}: empty rect", i);
+                for b in &changed[k + 1..] {
+                    prop_assert!(!a.intersects(*b), "step {}: {:?} meets {:?}", i, a, b);
+                }
+            }
+            for p in fb.bounds().pixels() {
+                let inside = drained.changed.contains(p);
+                prop_assert!(!inside || want.contains(p), "step {}: {} not written", i, p);
+                let differs = last.as_ref().is_none_or(|l| l.pixel(p) != fb.pixel(p));
+                prop_assert!(inside || !differs, "step {}: changed {} not covered", i, p);
+            }
+            last = Some(fb.clone());
+        }
+    }
+}

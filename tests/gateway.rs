@@ -1194,3 +1194,51 @@ fn a_pump_sends_the_renegotiation_of_an_output_attached_after_init() {
     });
     gw.shutdown();
 }
+
+#[test]
+fn a_click_that_changes_no_pixel_is_answered_with_an_update_of_no_rects() {
+    use std::sync::Arc;
+    use uniint::devices::prelude::ScreenPlugin;
+    use uniint::wsys::prelude::Button;
+
+    let registry = Registry::new();
+    let mut ui = Ui::new(160, 120, Theme::classic(), "gateway-panel");
+    ui.add(Button::new("Power"), Rect::new(20, 20, 120, 28));
+    let gw = Gateway::spawn(ui, GatewayConfig::default(), registry.clone()).expect("gateway binds");
+    let mut c = GatewayClient::connect(gw.local_addr(), "pda", 1).expect("connect");
+    c.proxy.attach_output(Box::new(ScreenPlugin::pda()));
+    let counter = |name: &str| registry.snapshot().counters.get(name).copied().unwrap_or(0);
+    let solo = std::slice::from_mut(&mut c);
+    let click = |clients: &mut [GatewayClient]| {
+        let before = clients[0].stats().updates_applied;
+        clients[0].send_messages(click_msgs());
+        pump_until(clients, "the click's update", |c| {
+            c[0].stats().updates_applied > before
+        });
+        pump_quiescent(clients, Duration::from_millis(100));
+    };
+    // The panel in the PDA's format, then a click that gives the button
+    // the focus.
+    pump_until(solo, "the first frame", |c| c[0].last_frame().is_some());
+    pump_quiescent(solo, Duration::from_millis(100));
+    click(solo);
+    let (seq, rects, applied) = (
+        solo[0].proxy.last_update_seq(),
+        counter("server.rects_sent"),
+        solo[0].stats().updates_applied,
+    );
+    let shown = solo[0].take_frame().expect("an adapted frame");
+
+    // The button repaints pressed and released, as it was.
+    click(solo);
+    assert_eq!(solo[0].stats().updates_applied, applied + 1);
+    assert_eq!(solo[0].proxy.last_update_seq(), seq + 1);
+    assert_eq!(counter("server.rects_sent"), rects, "no rect for no change");
+    let again = solo[0].take_frame().expect("the update is adapted too");
+    assert!(
+        Arc::ptr_eq(&shown.frame, &again.frame),
+        "the same device frame"
+    );
+    assert!(again.changed.is_empty());
+    gw.shutdown();
+}
